@@ -17,12 +17,20 @@
 //!    state counts, the ℓ reactor states a second split of the remainder,
 //!    and the pairing between them a uniform matching (nested
 //!    hypergeometric splits again),
-//! 3. each (starter-state, reactor-state) group is binomially thinned
-//!    across the fault mix and its outcome applied *once* per
-//!    (state-pair, fault) with a bulk count adjustment,
+//! 3. each (starter-state, reactor-state) group is split across its
+//!    *outcome classes* — the faults of the mix merged by equal outcome —
+//!    with a multinomial draw (none for a one-class group), and each
+//!    class's outcome applied *once* with a bulk count adjustment,
 //! 4. the closing collision interaction re-draws one or two of the
 //!    already-touched agents explicitly, which is what makes the epoch
 //!    law exact rather than approximate.
+//!
+//! Which interactions of a class are omissive never feeds back into the
+//! dynamics, so a class mixing omissive and fault-free faults only adds
+//! its count to a tally keyed by its omissive share; the driver draws one
+//! binomial per share when it returns. `RunStats::omissive_steps` is
+//! therefore exact in law at the end of each driver call, not epoch by
+//! epoch.
 //!
 //! An epoch of the uniform scheduler has expected length
 //! `E[ℓ] = Σ_{j≥1} A(j) ≈ √(πn/8) ≈ 0.63·√n`, so the per-interaction cost
@@ -108,21 +116,34 @@ impl<Q: State> EpochBackend for CountConfiguration<Q> {
 /// `P(ℓ ≥ j) = A(j)` and ℓ is sampled exactly by inverting one uniform
 /// draw against the precomputed, non-increasing survival table:
 /// ℓ = max{ j : A(j) > U }. `A(1) = 1`, so ℓ ≥ 1 always; `A(j) = 0` past
-/// `⌊n/2⌋` (the agents run out). The table is truncated at `8√n + 16`
-/// entries, where `A ≈ e⁻¹²⁸`; the astronomically rare draw below the
-/// truncation extends the product on the fly.
+/// `⌊n/2⌋` (the agents run out). The table, built once per driver call,
+/// is truncated at `5√n + 16` entries, where `A ≈ e⁻⁵⁰`; the
+/// astronomically rare draw below the truncation extends the product on
+/// the fly.
+///
+/// The inversion searches only inside `u`'s cell of a guide table over
+/// `(0, 1)`: P(ℓ ≥ j) ≈ e^(−2j²/n) spreads the draws over thousands of
+/// entries (at n = 10⁸, half of them land beyond j ≈ 5 900), so a plain
+/// binary search would cold-probe the table on every draw.
 pub(crate) struct EpochLengths {
     n: u64,
     jmax: u64,
     survival: Vec<f64>,
+    /// `guide[c]` counts the entries `A(j) > c / GUIDE_CELLS`, so the
+    /// partition point of any `u` in cell `c` lies in
+    /// `guide[c + 1]..=guide[c]`.
+    guide: Vec<u32>,
 }
+
+/// Cells of the [`EpochLengths`] guide table.
+const GUIDE_CELLS: usize = 4096;
 
 impl EpochLengths {
     pub(crate) fn new(n: u64) -> Self {
         assert!(n >= 2, "epochs need at least 2 agents");
         let jmax = n / 2;
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let cap = (8.0 * (n as f64).sqrt()) as u64 + 16;
+        let cap = (5.0 * (n as f64).sqrt()) as u64 + 16;
         let jcap = jmax.min(cap);
         let nf = n as f64;
         let denom = nf * (nf - 1.0);
@@ -134,28 +155,54 @@ impl EpochLengths {
             a *= (nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / denom;
             survival.push(a);
         }
-        EpochLengths { n, jmax, survival }
+        // One merged pass, cells descending as the table does. It stops
+        // at A(j) ≤ 1/GUIDE_CELLS, about 2√n entries in; cell 0 (every
+        // positive entry) takes one binary search instead.
+        let index = |j: usize| u32::try_from(j).expect("survival table length fits u32");
+        let mut guide = vec![0; GUIDE_CELLS + 1];
+        let mut j = 0;
+        for c in (1..=GUIDE_CELLS).rev() {
+            let lo = c as f64 / GUIDE_CELLS as f64;
+            while j < survival.len() && survival[j] > lo {
+                j += 1;
+            }
+            guide[c] = index(j);
+        }
+        guide[0] = index(survival.partition_point(|&a| a > 0.0));
+        EpochLengths {
+            n,
+            jmax,
+            survival,
+            guide,
+        }
+    }
+
+    /// The number of survival entries `A(j) > u`, searched inside `u`'s
+    /// guide cell only.
+    fn partition_point(&self, u: f64) -> usize {
+        // GUIDE_CELLS is a power of two, so the scaling is exact and
+        // c / GUIDE_CELLS ≤ u < (c + 1) / GUIDE_CELLS.
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        let c = ((u * GUIDE_CELLS as f64) as usize).min(GUIDE_CELLS - 1);
+        let lo = self.guide[c + 1] as usize;
+        let hi = self.guide[c] as usize;
+        lo + self.survival[lo..hi].partition_point(|&a| a > u)
     }
 
     pub(crate) fn sample(&self, rng: &mut SmallRng) -> u64 {
-        let u = dist::uniform_open01(rng);
-        // Nearly every draw lands in the first ~3√n entries (A(j) ≈
-        // e^(−j²/n)), so steer the binary search into a cache-hot prefix
-        // with one comparison instead of cold-probing the table's middle.
-        const HOT_PREFIX: usize = 2048;
-        let cut = self.survival.len().min(HOT_PREFIX);
-        let pp = if self.survival[cut - 1] > u {
-            cut + self.survival[cut..].partition_point(|&a| a > u)
-        } else {
-            self.survival[..cut].partition_point(|&a| a > u)
-        };
+        self.length_at(dist::uniform_open01(rng))
+    }
+
+    /// ℓ = max{ j : A(j) > u } for `u ∈ (0, 1)`.
+    fn length_at(&self, u: f64) -> u64 {
+        let pp = self.partition_point(u);
         if pp < self.survival.len() {
             // survival[0] = survival[1] = 1 > u, so pp ≥ 2 and ℓ ≥ 1.
             return (pp - 1) as u64;
         }
         // u fell below the whole cached table. If the table covers the
         // full support this simply means ℓ = jmax; a truncated table
-        // (probability ≈ e⁻¹²⁸) extends the product on the fly.
+        // (probability ≈ e⁻⁵⁰) extends the product on the fly.
         let mut j = (self.survival.len() - 1) as u64;
         let mut a = *self.survival.last().expect("table is non-empty");
         let nf = self.n as f64;
@@ -198,6 +245,11 @@ struct Scratch<Q> {
     final_counts: Vec<u64>,
     /// Updated-pool states absent from the snapshot (new states).
     extras: Vec<(Q, u64)>,
+    /// Outcome classes of the bulk group being applied.
+    classes: Vec<OutcomeClass<Q>>,
+    /// This epoch's interactions whose omissive split is still undrawn,
+    /// keyed by their omissive share.
+    undrawn: Vec<(f64, u64)>,
 }
 
 impl<Q> Scratch<Q> {
@@ -214,6 +266,8 @@ impl<Q> Scratch<Q> {
             updated: Vec::new(),
             final_counts: Vec::new(),
             extras: Vec::new(),
+            classes: Vec::new(),
+            undrawn: Vec::new(),
         }
     }
 }
@@ -228,6 +282,11 @@ impl<Q> Scratch<Q> {
 /// truncated *exactly* at the budget: conditioned on the prefix length,
 /// the first `m ≤ ℓ` clean interactions keep the uniform-distinct law, so
 /// applying only those is still exact.
+///
+/// The omissive split of the committed epochs' mixed outcome classes is
+/// drawn when the driver returns, on every path: a sum of independent
+/// Binomial(kᵢ, p) draws is Binomial(Σkᵢ, p), so one draw per distinct
+/// omissive share `p` makes `stats.omissive_steps` exact in law.
 #[allow(clippy::too_many_arguments)] // monomorphized per runner; the args are the runner's fields
 pub(crate) fn run_epochs_driver<C, F, O, B>(
     config: &mut C,
@@ -258,46 +317,57 @@ where
         None
     };
     let mut scratch = Scratch::new();
+    let mut undrawn = Vec::new();
     let mut remaining = budget;
-    while remaining > 0 {
-        let ell = lengths.sample(rng);
-        let clean = ell.min(remaining);
-        // The closing collision is interaction ℓ+1 of the epoch; it only
-        // runs if the budget still covers it.
-        let with_collision = remaining > ell;
-        run_one_epoch(
-            config,
-            rng,
-            stats,
-            fault_mix,
-            fault_alias.as_ref(),
-            &mut outcome_of,
-            &is_omissive,
-            clean,
-            with_collision,
-            n,
-            &mut scratch,
-        )?;
-        let advanced = clean + u64::from(with_collision);
-        *next_index += advanced;
-        remaining -= advanced;
-        if boundary(config) {
-            return Ok(true);
+    let result = 'run: {
+        while remaining > 0 {
+            let ell = lengths.sample(rng);
+            let clean = ell.min(remaining);
+            // The closing collision is interaction ℓ+1 of the epoch; it
+            // only runs if the budget still covers it.
+            let with_collision = remaining > ell;
+            if let Err(e) = run_one_epoch(
+                config,
+                rng,
+                stats,
+                &mut undrawn,
+                fault_mix,
+                fault_alias.as_ref(),
+                &mut outcome_of,
+                &is_omissive,
+                clean,
+                with_collision,
+                n,
+                &mut scratch,
+            ) {
+                break 'run Err(e);
+            }
+            let advanced = clean + u64::from(with_collision);
+            *next_index += advanced;
+            remaining -= advanced;
+            if boundary(config) {
+                break 'run Ok(true);
+            }
         }
+        Ok(false)
+    };
+    for (share, k) in undrawn {
+        stats.omissive_steps += dist::binomial(k, share, rng);
     }
-    Ok(false)
+    result
 }
 
 /// Executes one epoch: `clean` collision-free interactions in bulk, plus
 /// the closing collision interaction when `with_collision`.
 ///
-/// On error nothing is committed: the configuration and stats stay at the
-/// previous epoch boundary.
+/// On error nothing is committed: the configuration, stats and
+/// `undrawn` tally stay at the previous epoch boundary.
 #[allow(clippy::too_many_arguments)]
 fn run_one_epoch<C, F, O>(
     config: &mut C,
     rng: &mut SmallRng,
     stats: &mut RunStats,
+    undrawn: &mut Vec<(f64, u64)>,
     fault_mix: &[(F, f64)],
     fault_alias: Option<&AliasTable>,
     outcome_of: &mut O,
@@ -328,11 +398,12 @@ where
     // Uniform matching between starter and reactor slots: for each
     // starter group in turn, its partners are a hypergeometric split of
     // the reactors not yet matched. Every (starter-state, reactor-state)
-    // pair group is then thinned across the fault mix and applied once
-    // per variant.
+    // pair group is then split across its outcome classes and applied
+    // once per class.
     let mut delta = RunStats::default();
     sc.reactors_left.clone_from(&sc.reactors);
     sc.updated.clear();
+    sc.undrawn.clear();
     let mut unmatched = clean;
     for (i, &a) in sc.starters.iter().enumerate() {
         if a == 0 {
@@ -351,7 +422,9 @@ where
                 fault_mix,
                 outcome_of,
                 is_omissive,
+                &mut sc.classes,
                 &mut sc.updated,
+                &mut sc.undrawn,
                 &mut delta,
                 rng,
             )?;
@@ -413,7 +486,9 @@ where
             &[(fault, 1.0)],
             outcome_of,
             is_omissive,
+            &mut sc.classes,
             &mut sc.updated,
+            &mut sc.undrawn,
             &mut delta,
             rng,
         )?;
@@ -440,6 +515,9 @@ where
     }
     config.commit_state_counts(&sc.final_counts, &sc.extras);
     stats.merge(&delta);
+    for (share, k) in sc.undrawn.drain(..) {
+        pool_add(undrawn, share, k);
+    }
     Ok(())
 }
 
@@ -470,9 +548,23 @@ fn mvhg_into(src: &[u64], total: u64, m: u64, out: &mut Vec<u64>, rng: &mut Smal
     }
 }
 
-/// Thins a bulk (starter-state, reactor-state) group of `k` interactions
-/// across the fault mix (sequential conditional binomials — exactly a
-/// multinomial split) and applies each variant's outcome once.
+/// One outcome class of a bulk group: the faults of the mix whose
+/// outcomes agree, with their summed weight and its omissive part.
+struct OutcomeClass<Q> {
+    outcome: Result<(Q, Q), EngineError>,
+    weight: f64,
+    omissive_weight: f64,
+}
+
+/// Splits a bulk (starter-state, reactor-state) group of `k` interactions
+/// across its outcome classes (sequential conditional binomials — exactly
+/// a multinomial split; a one-class group needs no draw) and applies each
+/// drawn class's outcome once.
+///
+/// Faults with equal `Ok` outcomes share a class; an `Err` outcome is a
+/// class of its own and fails the epoch only if that class is drawn. A
+/// class mixing omissive and fault-free faults adds its count to
+/// `undrawn`, keyed by its omissive share, for the driver to resolve.
 #[allow(clippy::too_many_arguments)]
 fn apply_group<Q: State, F: Copy, O>(
     s: &Q,
@@ -481,65 +573,67 @@ fn apply_group<Q: State, F: Copy, O>(
     fault_mix: &[(F, f64)],
     outcome_of: &mut O,
     is_omissive: &impl Fn(&F) -> bool,
+    classes: &mut Vec<OutcomeClass<Q>>,
     updated: &mut Vec<(Q, u64)>,
+    undrawn: &mut Vec<(f64, u64)>,
     delta: &mut RunStats,
     rng: &mut SmallRng,
 ) -> Result<(), EngineError>
 where
     O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
 {
-    if fault_mix.len() == 1 {
-        return apply_variant(
-            s,
-            r,
-            fault_mix[0].0,
-            k,
-            outcome_of,
-            is_omissive,
-            updated,
-            delta,
-        );
+    classes.clear();
+    for &(fault, w) in fault_mix {
+        let outcome = outcome_of(s, r, fault);
+        let omissive_weight = if is_omissive(&fault) { w } else { 0.0 };
+        let same = match &outcome {
+            Ok(out) => classes
+                .iter_mut()
+                .find(|c| c.outcome.as_ref().is_ok_and(|o| o == out)),
+            Err(_) => None,
+        };
+        if let Some(class) = same {
+            class.weight += w;
+            class.omissive_weight += omissive_weight;
+        } else {
+            classes.push(OutcomeClass {
+                outcome,
+                weight: w,
+                omissive_weight,
+            });
+        }
     }
+    let last = classes.len() - 1;
     let mut left = k;
-    let mut wleft: f64 = fault_mix.iter().map(|&(_, w)| w).sum();
-    for (t, &(fault, w)) in fault_mix.iter().enumerate() {
+    let mut wleft: f64 = classes.iter().map(|c| c.weight).sum();
+    for (t, class) in classes.drain(..).enumerate() {
         if left == 0 {
             break;
         }
-        let kt = if t + 1 == fault_mix.len() || w >= wleft {
+        let kt = if t == last || class.weight >= wleft {
             left
         } else {
-            dist::binomial(left, (w / wleft).clamp(0.0, 1.0), rng)
+            dist::binomial(left, (class.weight / wleft).clamp(0.0, 1.0), rng)
         };
-        if kt > 0 {
-            apply_variant(s, r, fault, kt, outcome_of, is_omissive, updated, delta)?;
-        }
         left -= kt;
-        wleft -= w;
+        wleft -= class.weight;
+        if kt == 0 {
+            continue;
+        }
+        let (s2, r2) = class.outcome?;
+        let omissive = if class.omissive_weight == 0.0 {
+            false
+        } else if class.omissive_weight == class.weight {
+            true
+        } else {
+            pool_add(undrawn, class.omissive_weight / class.weight, kt);
+            false
+        };
+        let changed = s2 != *s || r2 != *r;
+        delta.record_bulk(omissive, changed, kt);
+        pool_add(updated, s2, kt);
+        pool_add(updated, r2, kt);
     }
-    Ok(())
-}
-
-/// Applies one (starter-state, reactor-state, fault) variant `k` times.
-#[allow(clippy::too_many_arguments)]
-fn apply_variant<Q: State, F: Copy, O>(
-    s: &Q,
-    r: &Q,
-    fault: F,
-    k: u64,
-    outcome_of: &mut O,
-    is_omissive: &impl Fn(&F) -> bool,
-    updated: &mut Vec<(Q, u64)>,
-    delta: &mut RunStats,
-) -> Result<(), EngineError>
-where
-    O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
-{
-    let (s2, r2) = outcome_of(s, r, fault)?;
-    let changed = s2 != *s || r2 != *r;
-    delta.record_bulk(is_omissive(&fault), changed, k);
-    pool_add(updated, s2, k);
-    pool_add(updated, r2, k);
     Ok(())
 }
 
@@ -641,6 +735,54 @@ mod tests {
                 let l = lengths.sample(&mut rng);
                 assert!(l >= 1 && l <= n / 2, "ℓ = {l} out of range at n = {n}");
             }
+        }
+    }
+
+    #[test]
+    fn guided_search_matches_the_full_partition_point() {
+        let cell = 1.0 / GUIDE_CELLS as f64;
+        for n in [2, 3, 4, 5, 10_000, 100_000_000u64] {
+            let lengths = EpochLengths::new(n);
+            let full = |u: f64| lengths.survival.partition_point(|&a| a > u);
+            let mut rng = SmallRng::seed_from_u64(n);
+            for _ in 0..1_000_000 {
+                let u = dist::uniform_open01(&mut rng);
+                assert_eq!(lengths.partition_point(u), full(u), "n = {n}, u = {u}");
+            }
+            // Cell edges, where an off-by-one in the bounds would show.
+            for c in 1..GUIDE_CELLS {
+                let edge = c as f64 * cell;
+                for u in [edge, edge.next_down(), edge.next_up()] {
+                    assert_eq!(lengths.partition_point(u), full(u), "n = {n}, u = {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draws_below_the_truncated_table_extend_the_product() {
+        let n = 10_000u64;
+        let lengths = EpochLengths::new(n);
+        let last = *lengths.survival.last().unwrap();
+        assert!(
+            (lengths.survival.len() as u64) <= lengths.jmax,
+            "table is truncated"
+        );
+        let nf = n as f64;
+        let direct = |u: f64| {
+            let (mut j, mut a) = (0u64, 1.0f64);
+            while j < n / 2 {
+                let jf = j as f64;
+                let next = a * ((nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / (nf * (nf - 1.0)));
+                if next <= u {
+                    break;
+                }
+                (j, a) = (j + 1, next);
+            }
+            j
+        };
+        for u in [last, last * 0.5, last * 1e-6, f64::MIN_POSITIVE] {
+            assert_eq!(lengths.length_at(u), direct(u), "u = {u}");
         }
     }
 

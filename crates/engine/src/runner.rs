@@ -869,22 +869,26 @@ macro_rules! runner_impl {
             /// collision-free epochs (expected length ≈ 0.63·√n under the
             /// uniform scheduler) are sampled as bulk hypergeometric
             /// state splits and applied once per (starter-state,
-            /// reactor-state, fault) group — O(d²) work per epoch for `d`
-            /// distinct states, i.e. *sub-constant* work per interaction
-            /// once n ≫ d⁴. See the [`epoch`](crate::epoch) module docs
-            /// for the sampling scheme.
+            /// reactor-state, outcome) class — O(d²) work per epoch for
+            /// `d` distinct states, i.e. *sub-constant* work per
+            /// interaction once n ≫ d⁴. See the [`epoch`](crate::epoch)
+            /// module docs for the sampling scheme.
             ///
             /// The epoch path reproduces the interleaved path's law
             /// *distributionally* (the same uniform-pair, i.i.d.-fault
             /// process — certified by the `backend_equivalence`
             /// distribution-agreement contracts) but not bit-for-bit: it
             /// consumes the RNG differently, so same-seed runs diverge
-            /// from [`run`](Self::run). Omission faults are thinned
-            /// binomially per bulk group at the adversary's
-            /// [`OmissionStrategy::iid_rate`]; bulk thinning bypasses
+            /// from [`run`](Self::run). Each bulk group is split across
+            /// the faults of the adversary's
+            /// [`OmissionStrategy::iid_rate`] mix, merged by equal
+            /// outcome; bulk thinning bypasses
             /// [`OmissionStrategy::decide`], so
             /// [`OmissionStrategy::injected`] stays at zero — audit
-            /// [`RunStats::omissive_steps`] instead.
+            /// [`RunStats::omissive_steps`] instead. Which interactions
+            /// are omissive never steers the run, so that counter is
+            /// drawn once when the call returns: exact in law at the end
+            /// of each call, not epoch by epoch.
             ///
             /// Only state-addressed backends implement
             /// [`EpochBackend`](crate::EpochBackend), so this method
@@ -2263,19 +2267,68 @@ mod tests {
     }
 
     #[test]
+    fn run_epochs_draws_the_omission_tally_binomially() {
+        use ppfts_population::CountConfiguration;
+        // On an all-infected epidemic every fault gives the same outcome,
+        // so each group is one mixed class and every omission is tallied.
+        // The tally must resolve to Binomial(m, rate) — mean and
+        // variance — not to a rounded or otherwise deterministic count.
+        let epidemic = TableProtocol::builder(vec![false, true])
+            .rule((true, false), (true, true))
+            .rule((false, true), (true, true))
+            .build();
+        let (m, rate, seeds) = (10_000u64, 0.3, 400u64);
+        let counts: Vec<f64> = (0..seeds)
+            .map(|seed| {
+                let mut runner = TwoWayRunner::builder(TwoWayModel::T1, epidemic.clone())
+                    .population(CountConfiguration::from_groups([(true, 1_000)]))
+                    .adversary(RateStrategy::new(rate))
+                    .seed(seed)
+                    .trace_sink(StatsOnly)
+                    .build()
+                    .unwrap();
+                runner.run_epochs(m).unwrap();
+                assert_eq!(runner.stats().steps, m);
+                runner.stats().omissive_steps as f64
+            })
+            .collect();
+        let mean = counts.iter().sum::<f64>() / seeds as f64;
+        let var = counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (seeds - 1) as f64;
+        let (mu, sigma2) = (m as f64 * rate, m as f64 * rate * (1.0 - rate));
+        let se = (sigma2 / seeds as f64).sqrt();
+        assert!(
+            (mean - mu).abs() < 4.0 * se,
+            "omissive mean {mean:.1} vs {mu} (SE {se:.2})"
+        );
+        // The sample variance's relative SE is ≈ √(2/seeds) ≈ 7%.
+        assert!(
+            (0.7..=1.3).contains(&(var / sigma2)),
+            "omissive variance {var:.0} vs {sigma2}"
+        );
+    }
+
+    #[test]
     fn run_epochs_surfaces_fault_relation_violations() {
         use ppfts_population::CountConfiguration;
         // T1 permits single-sided omissions only; forcing Both must fail
-        // exactly as it does on the interleaved path.
-        let mut runner = TwoWayRunner::builder(TwoWayModel::T1, pairing())
-            .population(CountConfiguration::from_groups([('c', 50), ('p', 50)]))
-            .adversary(RateStrategy::new(1.0))
-            .side_policy(SidePolicy::Always(TwoWayFault::Both))
-            .trace_sink(StatsOnly)
-            .build()
-            .unwrap();
-        let err = runner.run_epochs(1_000).unwrap_err();
-        assert!(matches!(err, EngineError::FaultNotInRelation { .. }));
+        // exactly as it does on the interleaved path. At rate 1 the first
+        // epoch fails; at rate 0.001 epochs commit first, and the failed
+        // epoch must leave stats, steps and omission tally untouched.
+        for (rate, commits) in [(1.0, false), (0.001, true)] {
+            let mut runner = TwoWayRunner::builder(TwoWayModel::T1, pairing())
+                .population(CountConfiguration::from_groups([('c', 500), ('p', 500)]))
+                .adversary(RateStrategy::new(rate))
+                .side_policy(SidePolicy::Always(TwoWayFault::Both))
+                .seed(3)
+                .trace_sink(StatsOnly)
+                .build()
+                .unwrap();
+            let err = runner.run_epochs(1_000_000).unwrap_err();
+            assert!(matches!(err, EngineError::FaultNotInRelation { .. }));
+            assert_eq!(runner.steps() > 0, commits, "rate {rate}");
+            assert_eq!(runner.stats().steps, runner.steps());
+            assert_eq!(runner.stats().omissive_steps, 0);
+        }
     }
 
     #[test]

@@ -173,8 +173,9 @@ fn invert_from_mode(
 /// A Binomial(n, p) draw: the number of successes among `n` independent
 /// trials of probability `p`.
 ///
-/// The epoch path uses this to thin an epoch's interaction counts into
-/// omissive and fault-free portions. Small `n·min(p,1−p)` uses chop-down
+/// The epoch path uses this to split an epoch's interaction groups
+/// across their outcome classes, and to draw the omissive share of the
+/// interactions whose class mixes omissive and fault-free faults. Small `n·min(p,1−p)` uses chop-down
 /// inversion (BINV); large means use mode-centered inversion with one
 /// [`ln_gamma`]-computed pmf.
 ///
@@ -422,9 +423,9 @@ pub fn multinomial(n: u64, weights: &[f64], rng: &mut (impl RngCore + ?Sized)) -
 /// A Vose alias table: O(len) construction over arbitrary non-negative
 /// weights, then O(1) categorical draws.
 ///
-/// The epoch sampler rebuilds one per epoch over the updated-agent pool
-/// (O(distinct states), amortized by the ~√n draws the epoch covers);
-/// any workload drawing many times from a fixed weighting can reuse one.
+/// The epoch sampler builds one per driver call over the run's fault mix
+/// and draws the fault of every epoch's closing collision from it; any
+/// workload drawing many times from a fixed weighting can reuse one.
 ///
 /// # Example
 ///

@@ -18,7 +18,9 @@
 //!    realizes the same uniform-pair, i.i.d.-fault process as the
 //!    interleaved reference, so convergence-step distributions must agree
 //!    across *execution paths* too — fault-free and under binomially
-//!    thinned omissions — and schedules the bulk thinning cannot honor
+//!    thinned omissions, where a fixed-budget comparison of the state and
+//!    the omission count pins the law down to a few percent — and
+//!    schedules the bulk thinning cannot honor
 //!    (no fixed i.i.d. rate) must be rejected with the typed
 //!    [`EngineError::EpochIncompatible`] before any state is mutated.
 //!
@@ -213,6 +215,83 @@ fn omissive_epidemic_mean_steps(
         count += 1;
     }
     total / count as f64
+}
+
+/// Per-seed `[infected count, omission fraction]` of the `T1` epidemic
+/// after exactly `budget` interactions on the count backend, through
+/// either execution path.
+fn omissive_epidemic_at_budget(
+    n: usize,
+    infected: usize,
+    rate: f64,
+    seeds: std::ops::Range<u64>,
+    budget: u64,
+    epoch_path: bool,
+) -> Vec<[f64; 2]> {
+    seeds
+        .map(|seed| {
+            let mut runner = TwoWayRunner::builder(TwoWayModel::T1, Epidemic)
+                .population(CountConfiguration::from_groups([
+                    (true, infected),
+                    (false, n - infected),
+                ]))
+                .adversary(RateStrategy::new(rate))
+                .seed(seed)
+                .trace_sink(StatsOnly)
+                .build()
+                .expect("valid population");
+            if epoch_path {
+                runner
+                    .run_epochs(budget)
+                    .expect("a rate adversary has a fixed i.i.d. rate");
+            } else {
+                runner
+                    .run_batched(budget, 64)
+                    .expect("T1 permits the rate adversary's faults");
+            }
+            assert_eq!(runner.stats().steps, budget);
+            [
+                runner.config().count_state(&true) as f64,
+                runner.stats().omission_fraction(),
+            ]
+        })
+        .collect()
+}
+
+/// Sample mean and its standard error.
+fn mean_and_se(xs: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    let k = xs.clone().count() as f64;
+    let mean = xs.clone().sum::<f64>() / k;
+    let var = xs.map(|x| (x - mean).powi(2)).sum::<f64>() / (k - 1.0);
+    (mean, (var / k).sqrt())
+}
+
+/// Fixed-budget law contract under `T1` omissions: after exactly `m`
+/// interactions, the epoch path and the interleaved reference agree on
+/// the mean infected count and the mean omission fraction within 4
+/// standard errors. Budget truncation is exact on the epoch path, so
+/// there is no stop-granularity offset, and 2000 seeds resolve a bias of
+/// a few percent in either quantity — which the stopping-time ratio
+/// bands below cannot.
+#[test]
+fn epoch_omissive_epidemic_agrees_at_a_fixed_budget() {
+    // From 10% infected, m = 1200 ends near the midpoint of the
+    // epidemic, where the infected count is most sensitive to the rate.
+    let (n, infected, rate, m, seeds) = (1000, 100, 0.1, 1200, 0..2000);
+    let interleaved = omissive_epidemic_at_budget(n, infected, rate, seeds.clone(), m, false);
+    let epoch = omissive_epidemic_at_budget(n, infected, rate, seeds, m, true);
+    for (i, what) in ["infected count", "omission fraction"]
+        .into_iter()
+        .enumerate()
+    {
+        let (a, sa) = mean_and_se(interleaved.iter().map(|r| r[i]));
+        let (b, sb) = mean_and_se(epoch.iter().map(|r| r[i]));
+        let se = sa.hypot(sb);
+        assert!(
+            (a - b).abs() < 4.0 * se,
+            "{what} diverged at budget {m}: interleaved {a:.4} vs epoch {b:.4} (SE {se:.4})"
+        );
+    }
 }
 
 proptest! {
