@@ -591,8 +591,7 @@ fn token_of<Q: Clone>(key: &RunKeyRef<'_, Q>, index: u32) -> Token<Q> {
 /// and the rarely-touched spill/ghost fields trail. Combined with the
 /// inline-first `TokenQueue` and `RunIndex` (both private), a steady-state
 /// interaction touches only the two endpoint states themselves: no
-/// per-agent heap pointers to chase, which is what makes the engine's
-/// batch-prefetch effective.
+/// per-agent heap pointers to chase.
 #[derive(Clone, Debug)]
 #[repr(C)]
 pub struct SknoState<Q> {

@@ -177,45 +177,6 @@ pub trait ExecBackend: Population {
     fn dense_states_mut(&mut self) -> Option<&mut [Self::State]> {
         None
     }
-
-    /// Hints the CPU to pull the states addressed by `pair` into cache.
-    ///
-    /// Batched runners call this a few plan entries ahead of the one they
-    /// are applying: the scheduler's uniform draws make consecutive
-    /// endpoint states land on unrelated cache lines, so without the hint
-    /// every step of a large population stalls on two cold loads — the
-    /// dominant cost of the simulator hot paths (see the E17 analysis in
-    /// EXPERIMENTS.md). Purely a hint: no-op by default, never observable
-    /// in behavior.
-    fn prefetch_pair(&self, _pair: &Self::Pair) {}
-}
-
-/// Issues a best-effort cache prefetch for the first cache lines of `t`.
-///
-/// On non-x86 targets this is a no-op. The simulator states this is used
-/// for (`SknoState` with its inline token queue, `SidState`) span a few
-/// cache lines, so up to four leading lines are requested; trailing cold
-/// fields of larger states are left to demand misses.
-fn prefetch_state<T>(t: &T) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let base = std::ptr::from_ref(t).cast::<i8>();
-        let lines = std::mem::size_of::<T>().div_ceil(64).min(4);
-        for line in 0..lines {
-            // SAFETY: `_mm_prefetch` is an architectural hint with no
-            // observable effect on memory; it cannot fault, for any
-            // address. The offsets stay within (or one line past) the
-            // referenced value.
-            #[allow(unsafe_code)]
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    base.add(line * 64),
-                );
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = t;
 }
 
 impl<Q: State> ExecBackend for DenseConfiguration<Q> {
@@ -273,17 +234,6 @@ impl<Q: State> ExecBackend for DenseConfiguration<Q> {
 
     fn dense_states_mut(&mut self) -> Option<&mut [Q]> {
         Some(self.as_mut_slice())
-    }
-
-    fn prefetch_pair(&self, pair: &Interaction) {
-        let slab = self.as_slice();
-        if let (Some(s), Some(r)) = (
-            slab.get(pair.starter().index()),
-            slab.get(pair.reactor().index()),
-        ) {
-            prefetch_state(s);
-            prefetch_state(r);
-        }
     }
 }
 

@@ -460,20 +460,7 @@ macro_rules! runner_impl {
                     ..
                 } = self;
                 let model = *model;
-                // Uniform draws scatter the endpoints across the slab, so
-                // each step's two state loads start cold in L1; hinting a
-                // few plan entries ahead overlaps the line fills with the
-                // current step's work (dense backend only — the hint is a
-                // no-op elsewhere). Neutral when the whole slab is
-                // L2-resident (E17 swept 0/4/16/32 within noise on a 2 MiB
-                // L2 part); it pays off only once the population outgrows
-                // mid-level cache, so the distance just needs to clear the
-                // fill latency without thrashing L1 — 16 entries is ample.
-                const PREFETCH_AHEAD: usize = 16;
-                for (k, p) in plan.iter().enumerate() {
-                    if let Some(ahead) = plan.get(k + PREFETCH_AHEAD) {
-                        config.prefetch_pair(&ahead.pair);
-                    }
+                for p in plan {
                     let fault = p.fault;
                     let (s_changed, r_changed) = config.update_pair(&p.pair, |$fs, $fr| {
                         let $fmodel = model;

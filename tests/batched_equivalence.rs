@@ -15,7 +15,7 @@ use ppfts::engine::{
     BoundedStrategy, FullTrace, OneWayModel, OneWayProgram, OneWayRunner, RateStrategy, RunStats,
     SampledTrace, StatsOnly, TwoWayModel, TwoWayRunner,
 };
-use ppfts::population::Configuration;
+use ppfts::population::{Configuration, Topology};
 use ppfts::protocols::{MaxGossip, Pairing, PairingState};
 
 /// One-way epidemic: the reactor catches whatever the starter carries.
@@ -250,11 +250,14 @@ proptest! {
     /// `Sid`'s hand-written in-place handshake against the pure
     /// observation semantics: a passive sink routes through
     /// `observe_in_place`, a recording sink through `observe` plus
-    /// compare-and-store. Both must agree bit-for-bit.
+    /// compare-and-store. Both must agree bit-for-bit, anonymous and
+    /// graphical; the graphical input runs on a star (pairwise
+    /// non-adjacent leaves), so every handshake takes the adjacency path.
     #[test]
     fn in_place_path_matches_pure_path_for_sid(
         consumers in 1usize..5,
         producers in 1usize..5,
+        graphical in any::<bool>(),
         seed in 0u64..10_000,
         steps in 0u64..400,
         batch in 1u64..128,
@@ -262,25 +265,38 @@ proptest! {
         let sims: Vec<PairingState> = Pairing::initial(consumers, producers)
             .as_slice()
             .to_vec();
-        let pure = {
-            let mut r = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
-                .config(Sid::<Pairing>::initial(&sims))
-                .seed(seed)
-                .trace_sink(FullTrace::new())
-                .build()
-                .unwrap();
-            r.run(steps).unwrap();
-            (r.config().clone(), r.stats(), r.steps())
-        };
-        let in_place = {
-            let mut r = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
-                .config(Sid::<Pairing>::initial(&sims))
-                .seed(seed)
-                .trace_sink(StatsOnly)
-                .build()
-                .unwrap();
-            r.run_batched(steps, batch).unwrap();
-            (r.config().clone(), r.stats(), r.steps())
+        macro_rules! pure_and_in_place {
+            ($builder:expr) => {{
+                let mut pure = $builder
+                    .seed(seed)
+                    .trace_sink(FullTrace::new())
+                    .build()
+                    .unwrap();
+                pure.run(steps).unwrap();
+                let mut in_place = $builder
+                    .seed(seed)
+                    .trace_sink(StatsOnly)
+                    .build()
+                    .unwrap();
+                in_place.run_batched(steps, batch).unwrap();
+                (
+                    (pure.config().clone(), pure.stats(), pure.steps()),
+                    (in_place.config().clone(), in_place.stats(), in_place.steps()),
+                )
+            }};
+        }
+        let (pure, in_place) = if graphical {
+            let star = Topology::star(sims.len()).unwrap();
+            pure_and_in_place!(
+                OneWayRunner::builder(OneWayModel::Io, Sid::graphical(Pairing, star.clone()))
+                    .config(Sid::<Pairing>::initial(&sims))
+                    .topology(star.clone())
+            )
+        } else {
+            pure_and_in_place!(
+                OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
+                    .config(Sid::<Pairing>::initial(&sims))
+            )
         };
         assert_equiv(&pure, &in_place, "Sid pure vs in-place")?;
     }
