@@ -36,6 +36,21 @@
 //! `E[ℓ] = Σ_{j≥1} A(j) ≈ √(πn/8) ≈ 0.63·√n`, so the per-interaction cost
 //! is O(d²/√n) for `d` distinct states: *sub-constant* once n ≫ d⁴.
 //!
+//! An epoch costs its O(d²) splits even when nothing in it changes a
+//! state. So when state changes are sparse the driver takes an exact
+//! *event step* instead (Gillespie's stochastic-simulation step on the
+//! scheduler's i.i.d. interactions). An ordered state pair is *inert*
+//! when every fault of the mix maps it to itself; with `p_act` the
+//! probability that an interaction draws a non-inert pair, the number of
+//! inert interactions before the next non-inert one is
+//! Geometric(`p_act`). An event step draws that stretch in one go,
+//! records it as no-ops, and then applies one non-inert interaction (pair
+//! drawn by weight, fault from the mix). It is chosen whenever
+//! `p_act · E[ℓ]` falls below a measured constant; a silent
+//! configuration (`p_act = 0`) advances `⌈E[ℓ]⌉` no-ops per boundary.
+//! Both step kinds read one table of per-pair outcome classes, built
+//! lazily for each live state list.
+//!
 //! The runner surface is [`run_epochs`](crate::OneWayRunner::run_epochs) /
 //! [`run_epochs_until`](crate::OneWayRunner::run_epochs_until), available
 //! only on backends implementing [`EpochBackend`]. The interleaved path
@@ -129,6 +144,9 @@ pub(crate) struct EpochLengths {
     n: u64,
     jmax: u64,
     survival: Vec<f64>,
+    /// The mean epoch length `E[ℓ] = Σ_{j≥1} A(j)` (the truncated tail
+    /// is below e⁻⁵⁰).
+    mean: f64,
     /// `guide[c]` counts the entries `A(j) > c / GUIDE_CELLS`, so the
     /// partition point of any `u` in cell `c` lies in
     /// `guide[c + 1]..=guide[c]`.
@@ -149,12 +167,16 @@ impl EpochLengths {
         let denom = nf * (nf - 1.0);
         let mut survival = Vec::with_capacity(jcap as usize + 1);
         let mut a = 1.0f64;
+        let mut mean = 0.0;
         survival.push(a);
-        for j in 0..jcap {
+        // `extend` rather than a `push` loop: with the running mean in a
+        // push loop the build took twice as long.
+        survival.extend((0..jcap).map(|j| {
             let jf = j as f64;
             a *= (nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / denom;
-            survival.push(a);
-        }
+            mean += a;
+            a
+        }));
         // One merged pass, cells descending as the table does. It stops
         // at A(j) ≤ 1/GUIDE_CELLS, about 2√n entries in; cell 0 (every
         // positive entry) takes one binary search instead.
@@ -173,6 +195,7 @@ impl EpochLengths {
             n,
             jmax,
             survival,
+            mean,
             guide,
         }
     }
@@ -219,7 +242,19 @@ impl EpochLengths {
     }
 }
 
-/// Reusable per-epoch buffers: the epoch loop allocates nothing in steady
+/// Event steps replace epochs while `p_act · E[ℓ]`, the expected number of
+/// non-inert interactions in a mean-length epoch, is below this: the
+/// ratio of an epoch's cost to an event step's, where the two break even.
+/// Measured at n = 10⁸ under a T1-style mix on a 2-vCPU Xeon, with counts
+/// held fixed (a swap rule) so each cost is per step at one `p_act`: an
+/// epoch costs 650–800 ns and an event step 126–129 ns at `p_act · E[ℓ]`
+/// ∈ {3.8, 7.5, 15}, ratios 5.1–6.2. End to end (perfbench
+/// `epidemic-epoch`, seed 11, 44 seeds, 7 runs each) interactions per
+/// second stayed within noise for thresholds 2, 4 and 8 (medians 8.6,
+/// 8.5 and 8.2·10⁹) and fell at 32 (6.4·10⁹ over 3 runs).
+const EVENT_STEP_BELOW: f64 = 6.0;
+
+/// Reusable per-step buffers: the driver allocates nothing in steady
 /// state (all vectors are `clear()`ed and refilled), which matters when a
 /// run at n = 10⁶ executes tens of thousands of epochs.
 struct Scratch<Q> {
@@ -229,9 +264,9 @@ struct Scratch<Q> {
     counts: Vec<u64>,
     /// `counts` minus the drawn starters (source of the reactor split).
     rem: Vec<u64>,
-    /// Starter states drawn this epoch, per group.
+    /// Starter states drawn this step, per group.
     starters: Vec<u64>,
-    /// Reactor states drawn this epoch, per group.
+    /// Reactor states drawn this step, per group.
     reactors: Vec<u64>,
     /// Reactors not yet matched to a starter group.
     reactors_left: Vec<u64>,
@@ -239,20 +274,25 @@ struct Scratch<Q> {
     split: Vec<u64>,
     /// Untouched agents drawn by the collision interaction, per group.
     fresh_drawn: Vec<u64>,
-    /// Post-interaction pool of the agents touched this epoch.
+    /// Post-interaction pool of the agents touched this step.
     updated: Vec<(Q, u64)>,
     /// Final per-snapshot-state counts of the commit writeback.
     final_counts: Vec<u64>,
     /// Updated-pool states absent from the snapshot (new states).
     extras: Vec<(Q, u64)>,
-    /// Outcome classes of the bulk group being applied.
+    /// Outcome classes of a single-fault interaction (the closing
+    /// collision or an event).
     classes: Vec<OutcomeClass<Q>>,
-    /// This epoch's interactions whose omissive split is still undrawn,
+    /// Outcome classes of every ordered pair of the snapshot's states.
+    table: ClassTable<Q>,
+    /// The snapshot's non-inert ordered pairs `(i, j, weight)`.
+    active: Vec<(usize, usize, f64)>,
+    /// This step's interactions whose omissive split is still undrawn,
     /// keyed by their omissive share.
     undrawn: Vec<(f64, u64)>,
 }
 
-impl<Q> Scratch<Q> {
+impl<Q: State> Scratch<Q> {
     fn new() -> Self {
         Scratch {
             snap: Vec::new(),
@@ -267,26 +307,219 @@ impl<Q> Scratch<Q> {
             final_counts: Vec::new(),
             extras: Vec::new(),
             classes: Vec::new(),
+            table: ClassTable {
+                states: Vec::new(),
+                cells: Vec::new(),
+                classes: Vec::new(),
+            },
+            active: Vec::new(),
             undrawn: Vec::new(),
+        }
+    }
+
+    /// Snapshots the configuration's live groups and re-keys the class
+    /// table to their states.
+    fn snapshot<C: EpochBackend<State = Q>>(&mut self, config: &C) {
+        self.snap.clear();
+        config.state_counts_into(&mut self.snap);
+        self.counts.clear();
+        self.counts.extend(self.snap.iter().map(|&(_, c)| c));
+        self.table.sync(&self.snap);
+    }
+}
+
+/// The run-constant law of one driver call: the i.i.d. fault mix and how
+/// one interaction resolves under a fault.
+struct Law<'m, F, O, M> {
+    fault_mix: &'m [(F, f64)],
+    /// One alias table over the mix serves every single-fault draw of the
+    /// call: built once, O(1) per draw.
+    fault_alias: Option<AliasTable>,
+    outcome_of: O,
+    is_omissive: M,
+    /// Total weight of the mix, summed in mix order: the weight of an
+    /// inert pair's one class.
+    weight: f64,
+    /// Omissive weight of the mix, summed likewise.
+    omissive_weight: f64,
+}
+
+impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
+    fn new(fault_mix: &'m [(F, f64)], outcome_of: O, is_omissive: M) -> Self {
+        debug_assert!(!fault_mix.is_empty(), "fault mix includes the None entry");
+        let fault_alias = (fault_mix.len() > 1).then(|| {
+            let weights: Vec<f64> = fault_mix.iter().map(|&(_, w)| w).collect();
+            AliasTable::new(&weights).expect("fault mix weights are positive and finite")
+        });
+        // The same sums, in the same order, as `classes_into` forms for a
+        // class holding the whole mix, so both key one omission tally.
+        let (mut weight, mut omissive_weight) = (0.0, 0.0);
+        for (fault, w) in fault_mix {
+            weight += w;
+            omissive_weight += if is_omissive(fault) { *w } else { 0.0 };
+        }
+        Law {
+            fault_mix,
+            fault_alias,
+            outcome_of,
+            is_omissive,
+            weight,
+            omissive_weight,
+        }
+    }
+
+    fn draw_fault(&self, rng: &mut SmallRng) -> F {
+        match &self.fault_alias {
+            Some(table) => self.fault_mix[table.sample(rng)].0,
+            None => self.fault_mix[0].0,
+        }
+    }
+
+    /// Appends the outcome classes of the pair `(s, r)` under `mix` to
+    /// `out`. Faults with equal `Ok` outcomes share a class; an `Err`
+    /// outcome is a class of its own.
+    fn classes_into<Q: State>(
+        &mut self,
+        s: &Q,
+        r: &Q,
+        mix: &[(F, f64)],
+        out: &mut Vec<OutcomeClass<Q>>,
+    ) where
+        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
+    {
+        let first = out.len();
+        for &(fault, w) in mix {
+            let outcome = (self.outcome_of)(s, r, fault);
+            let omissive_weight = if (self.is_omissive)(&fault) { w } else { 0.0 };
+            let same = match &outcome {
+                Ok(o) => out[first..]
+                    .iter_mut()
+                    .find(|c| c.outcome.as_ref().is_ok_and(|x| x == o)),
+                Err(_) => None,
+            };
+            if let Some(class) = same {
+                class.weight += w;
+                class.omissive_weight += omissive_weight;
+            } else {
+                out.push(OutcomeClass {
+                    outcome,
+                    weight: w,
+                    omissive_weight,
+                });
+            }
         }
     }
 }
 
-/// Drives `budget` interactions epoch-by-epoch.
+/// The outcome classes of every ordered pair over one live state list,
+/// each pair's filled on first read. Bulk groups, the inert test and the
+/// event draw all read it, so a pair's faults are merged once per state
+/// list rather than once per epoch.
+struct ClassTable<Q> {
+    states: Vec<Q>,
+    /// Per ordered pair, row-major over `states`, once filled.
+    cells: Vec<Option<Cell>>,
+    classes: Vec<OutcomeClass<Q>>,
+}
+
+/// One filled [`ClassTable`] entry.
+#[derive(Clone, Copy)]
+struct Cell {
+    /// The pair's classes are `classes[start..end]`.
+    start: usize,
+    end: usize,
+    /// Every fault of the mix maps the pair to itself: one class,
+    /// carrying the whole mix, whose outcome is the identity.
+    inert: bool,
+}
+
+impl<Q: State> ClassTable<Q> {
+    /// Re-keys the table to the states of `snap` if they changed.
+    fn sync(&mut self, snap: &[(Q, u64)]) {
+        if self.states.len() == snap.len() && self.states.iter().zip(snap).all(|(a, (b, _))| a == b)
+        {
+            return;
+        }
+        self.states.clear();
+        self.states.extend(snap.iter().map(|(q, _)| q.clone()));
+        self.cells.clear();
+        self.cells.resize(snap.len() * snap.len(), None);
+        self.classes.clear();
+    }
+
+    /// The entry of the pair `(states[i], states[j])`, filled on first
+    /// read from the law's mix.
+    fn cell<F: Copy, O, M>(&mut self, i: usize, j: usize, law: &mut Law<F, O, M>) -> Cell
+    where
+        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
+        M: Fn(&F) -> bool,
+    {
+        let index = i * self.states.len() + j;
+        if let Some(cell) = self.cells[index] {
+            return cell;
+        }
+        let start = self.classes.len();
+        let (s, r) = (&self.states[i], &self.states[j]);
+        let mix = law.fault_mix;
+        law.classes_into(s, r, mix, &mut self.classes);
+        let inert = matches!(
+            &self.classes[start..],
+            [class] if class.outcome.as_ref().is_ok_and(|(s2, r2)| s2 == s && r2 == r)
+        );
+        let cell = Cell {
+            start,
+            end: self.classes.len(),
+            inert,
+        };
+        self.cells[index] = Some(cell);
+        cell
+    }
+
+    /// Refills `active` with the non-inert ordered pairs of positive
+    /// weight `c_a·(c_b − [a=b])`, `counts` indexed like the table's
+    /// states, and returns their total weight.
+    fn active_pairs<F: Copy, O, M>(
+        &mut self,
+        counts: &[u64],
+        law: &mut Law<F, O, M>,
+        active: &mut Vec<(usize, usize, f64)>,
+    ) -> f64
+    where
+        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
+        M: Fn(&F) -> bool,
+    {
+        active.clear();
+        let mut total = 0.0;
+        for (i, &ci) in counts.iter().enumerate() {
+            for (j, &cj) in counts.iter().enumerate() {
+                let w = ci as f64 * (cj - u64::from(i == j)) as f64;
+                if w > 0.0 && !self.cell(i, j, law).inert {
+                    active.push((i, j, w));
+                    total += w;
+                }
+            }
+        }
+        total
+    }
+}
+
+/// Drives `budget` interactions in epochs and event steps.
 ///
 /// `fault_mix` is the fixed i.i.d. per-interaction fault distribution
 /// (weights summing to 1, fault-free entry included); `outcome_of`
 /// computes one interaction's outcome; `boundary` is checked after every
-/// epoch and ends the run early when it returns `true`. Returns whether
-/// `boundary` fired. The epoch in flight when the budget runs out is
-/// truncated *exactly* at the budget: conditioned on the prefix length,
-/// the first `m ≤ ℓ` clean interactions keep the uniform-distinct law, so
-/// applying only those is still exact.
+/// epoch, event step and silent stride, and ends the run early when it
+/// returns `true`. Returns whether `boundary` fired. The step in flight
+/// when the budget runs out is truncated *exactly* at the budget:
+/// conditioned on the prefix length, the first `m ≤ ℓ` clean interactions
+/// of an epoch keep the uniform-distinct law, and an inert stretch is
+/// memoryless, so applying only those is still exact.
 ///
-/// The omissive split of the committed epochs' mixed outcome classes is
-/// drawn when the driver returns, on every path: a sum of independent
-/// Binomial(kᵢ, p) draws is Binomial(Σkᵢ, p), so one draw per distinct
-/// omissive share `p` makes `stats.omissive_steps` exact in law.
+/// The omissive split of the committed steps' mixed outcome classes and
+/// inert stretches is drawn when the driver returns, on every path: a sum
+/// of independent Binomial(kᵢ, p) draws is Binomial(Σkᵢ, p), so one draw
+/// per distinct omissive share `p` makes `stats.omissive_steps` exact in
+/// law.
 #[allow(clippy::too_many_arguments)] // monomorphized per runner; the args are the runner's fields
 pub(crate) fn run_epochs_driver<C, F, O, B>(
     config: &mut C,
@@ -295,9 +528,9 @@ pub(crate) fn run_epochs_driver<C, F, O, B>(
     next_index: &mut u64,
     budget: u64,
     fault_mix: &[(F, f64)],
-    mut outcome_of: O,
+    outcome_of: O,
     is_omissive: impl Fn(&F) -> bool,
-    mut boundary: B,
+    boundary: B,
 ) -> Result<bool, EngineError>
 where
     C: EpochBackend,
@@ -305,46 +538,103 @@ where
     O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
     B: FnMut(&C) -> bool,
 {
-    debug_assert!(!fault_mix.is_empty(), "fault mix includes the None entry");
+    let law = Law::new(fault_mix, outcome_of, is_omissive);
+    drive(
+        config,
+        rng,
+        stats,
+        next_index,
+        budget,
+        law,
+        boundary,
+        EVENT_STEP_BELOW,
+    )
+}
+
+/// [`run_epochs_driver`] with the event-step switch as a parameter: an
+/// epoch runs whenever `p_act · E[ℓ] ≥ event_below` (so 0 forces epochs).
+#[allow(clippy::too_many_arguments)]
+fn drive<C, F, O, M, B>(
+    config: &mut C,
+    rng: &mut SmallRng,
+    stats: &mut RunStats,
+    next_index: &mut u64,
+    budget: u64,
+    mut law: Law<F, O, M>,
+    mut boundary: B,
+    event_below: f64,
+) -> Result<bool, EngineError>
+where
+    C: EpochBackend,
+    F: Copy,
+    O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
+    M: Fn(&F) -> bool,
+    B: FnMut(&C) -> bool,
+{
     let n = config.len() as u64;
     let lengths = EpochLengths::new(n);
-    // One alias table over the (run-constant) fault mix serves every
-    // collision draw of the run: built once, O(1) per draw.
-    let fault_alias = if fault_mix.len() > 1 {
-        let weights: Vec<f64> = fault_mix.iter().map(|&(_, w)| w).collect();
-        Some(AliasTable::new(&weights).expect("fault mix weights are positive and finite"))
-    } else {
-        None
-    };
-    let mut scratch = Scratch::new();
+    let nf = n as f64;
+    let pairs = nf * (nf - 1.0);
+    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    let silent_stride = lengths.mean.ceil() as u64;
+    let mut sc = Scratch::new();
     let mut undrawn = Vec::new();
     let mut remaining = budget;
     let result = 'run: {
         while remaining > 0 {
-            let ell = lengths.sample(rng);
-            let clean = ell.min(remaining);
-            // The closing collision is interaction ℓ+1 of the epoch; it
-            // only runs if the budget still covers it.
-            let with_collision = remaining > ell;
-            if let Err(e) = run_one_epoch(
-                config,
-                rng,
-                stats,
-                &mut undrawn,
-                fault_mix,
-                fault_alias.as_ref(),
-                &mut outcome_of,
-                &is_omissive,
-                clean,
-                with_collision,
-                n,
-                &mut scratch,
-            ) {
-                break 'run Err(e);
+            sc.snapshot(config);
+            let active = sc.table.active_pairs(&sc.counts, &mut law, &mut sc.active);
+            let p_act = (active / pairs).min(1.0);
+            if p_act * lengths.mean >= event_below {
+                let ell = lengths.sample(rng);
+                let clean = ell.min(remaining);
+                // The closing collision is interaction ℓ+1 of the epoch; it
+                // only runs if the budget still covers it.
+                let with_collision = remaining > ell;
+                if let Err(e) = run_one_epoch(
+                    config,
+                    rng,
+                    stats,
+                    &mut undrawn,
+                    &mut law,
+                    clean,
+                    with_collision,
+                    n,
+                    &mut sc,
+                ) {
+                    break 'run Err(e);
+                }
+                let advanced = clean + u64::from(with_collision);
+                *next_index += advanced;
+                remaining -= advanced;
+            } else {
+                // The inert interactions before the next non-inert one:
+                // Geometric(p_act) by inversion, ⌊ln U / ln(1 − p_act)⌋,
+                // cut at the budget (exact, the stretch is memoryless).
+                let inert = if active == 0.0 {
+                    silent_stride
+                } else {
+                    // `as` saturates, so a stretch past u64 is cut too.
+                    (dist::uniform_open01(rng).ln() / (-p_act).ln_1p()) as u64
+                }
+                .min(remaining);
+                if inert > 0 {
+                    let omissive =
+                        tally_omissive(law.omissive_weight, law.weight, inert, &mut undrawn);
+                    stats.record_bulk(omissive, false, inert);
+                    *next_index += inert;
+                    remaining -= inert;
+                }
+                if active > 0.0 && remaining > 0 {
+                    if let Err(e) =
+                        run_one_event(config, rng, stats, &mut undrawn, &mut law, active, &mut sc)
+                    {
+                        break 'run Err(e);
+                    }
+                    *next_index += 1;
+                    remaining -= 1;
+                }
             }
-            let advanced = clean + u64::from(with_collision);
-            *next_index += advanced;
-            remaining -= advanced;
             if boundary(config) {
                 break 'run Ok(true);
             }
@@ -357,21 +647,19 @@ where
     result
 }
 
-/// Executes one epoch: `clean` collision-free interactions in bulk, plus
-/// the closing collision interaction when `with_collision`.
+/// Executes one epoch from the current snapshot: `clean` collision-free
+/// interactions in bulk, plus the closing collision interaction when
+/// `with_collision`.
 ///
 /// On error nothing is committed: the configuration, stats and
-/// `undrawn` tally stay at the previous epoch boundary.
+/// `undrawn` tally stay at the previous boundary.
 #[allow(clippy::too_many_arguments)]
-fn run_one_epoch<C, F, O>(
+fn run_one_epoch<C, F, O, M>(
     config: &mut C,
     rng: &mut SmallRng,
     stats: &mut RunStats,
     undrawn: &mut Vec<(f64, u64)>,
-    fault_mix: &[(F, f64)],
-    fault_alias: Option<&AliasTable>,
-    outcome_of: &mut O,
-    is_omissive: &impl Fn(&F) -> bool,
+    law: &mut Law<F, O, M>,
     clean: u64,
     with_collision: bool,
     n: u64,
@@ -381,12 +669,9 @@ where
     C: EpochBackend,
     F: Copy,
     O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
+    M: Fn(&F) -> bool,
 {
     debug_assert!(clean >= 1 && 2 * clean <= n);
-    sc.snap.clear();
-    config.state_counts_into(&mut sc.snap);
-    sc.counts.clear();
-    sc.counts.extend(sc.snap.iter().map(|&(_, c)| c));
     // Starter states: a multivariate hypergeometric split (`clean` of the
     // n agents); reactor states: a second split of the remainder.
     mvhg_into(&sc.counts, n, clean, &mut sc.starters, rng);
@@ -415,14 +700,12 @@ where
                 continue;
             }
             sc.reactors_left[j] -= k;
+            let cell = sc.table.cell(i, j, law);
             apply_group(
                 &sc.snap[i].0,
                 &sc.snap[j].0,
                 k,
-                fault_mix,
-                outcome_of,
-                is_omissive,
-                &mut sc.classes,
+                &sc.table.classes[cell.start..cell.end],
                 &mut sc.updated,
                 &mut sc.undrawn,
                 &mut delta,
@@ -451,10 +734,7 @@ where
             t1 * t2 / (nf * (nf - 1.0))
         };
         let p_starter_touched = (2.0 * ell as f64 / nf) / (1.0 - survive);
-        let fault = match fault_alias {
-            Some(table) => fault_mix[table.sample(rng)].0,
-            None => fault_mix[0].0,
-        };
+        let fault = law.draw_fault(rng);
         let mut updated_left = two_ell;
         let (qs, qr);
         if dist::uniform_f64(rng) < p_starter_touched {
@@ -479,24 +759,93 @@ where
             let ri = pool_take(&mut sc.updated, updated_left, rng);
             qr = sc.updated[ri].0.clone();
         }
+        sc.classes.clear();
+        law.classes_into(&qs, &qr, &[(fault, 1.0)], &mut sc.classes);
         apply_group(
             &qs,
             &qr,
             1,
-            &[(fault, 1.0)],
-            outcome_of,
-            is_omissive,
-            &mut sc.classes,
+            &sc.classes,
             &mut sc.updated,
             &mut sc.undrawn,
             &mut delta,
             rng,
         )?;
     }
+    commit(config, stats, undrawn, &delta, sc);
+    Ok(())
+}
 
-    // Commit: each snapshot state keeps its untouched agents, plus
-    // whatever the updated pool pours back into it; pool states outside
-    // the snapshot are new. One aligned writeback, no keyed lookups.
+/// Executes one non-inert interaction from the current snapshot: the
+/// ordered state pair drawn by weight among `sc.active` (`active` in
+/// total), the fault from the mix.
+///
+/// On error nothing is committed.
+fn run_one_event<C, F, O, M>(
+    config: &mut C,
+    rng: &mut SmallRng,
+    stats: &mut RunStats,
+    undrawn: &mut Vec<(f64, u64)>,
+    law: &mut Law<F, O, M>,
+    active: f64,
+    sc: &mut Scratch<C::State>,
+) -> Result<(), EngineError>
+where
+    C: EpochBackend,
+    F: Copy,
+    O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
+    M: Fn(&F) -> bool,
+{
+    let mut x = dist::uniform_f64(rng) * active;
+    let &(i, j, _) = sc
+        .active
+        .iter()
+        .find(|&&(_, _, w)| {
+            let hit = x < w;
+            x -= w;
+            hit
+        })
+        // Floating-point residue past the total weight.
+        .unwrap_or_else(|| sc.active.last().expect("positive weight has a pair"));
+    let fault = law.draw_fault(rng);
+    let d = sc.snap.len();
+    for drawn in [&mut sc.starters, &mut sc.reactors, &mut sc.fresh_drawn] {
+        drawn.clear();
+        drawn.resize(d, 0);
+    }
+    sc.starters[i] = 1;
+    sc.reactors[j] = 1;
+    sc.updated.clear();
+    sc.undrawn.clear();
+    sc.classes.clear();
+    let (s, r) = (&sc.snap[i].0, &sc.snap[j].0);
+    law.classes_into(s, r, &[(fault, 1.0)], &mut sc.classes);
+    let mut delta = RunStats::default();
+    apply_group(
+        s,
+        r,
+        1,
+        &sc.classes,
+        &mut sc.updated,
+        &mut sc.undrawn,
+        &mut delta,
+        rng,
+    )?;
+    commit(config, stats, undrawn, &delta, sc);
+    Ok(())
+}
+
+/// Commits a step: each snapshot state keeps its untouched agents, plus
+/// whatever the updated pool pours back into it; pool states outside the
+/// snapshot are new. One aligned writeback, no keyed lookups. The step's
+/// `delta` and omission tally then join the call's.
+fn commit<C: EpochBackend>(
+    config: &mut C,
+    stats: &mut RunStats,
+    undrawn: &mut Vec<(f64, u64)>,
+    delta: &RunStats,
+    sc: &mut Scratch<C::State>,
+) {
     sc.final_counts.clear();
     for (i, &c) in sc.counts.iter().enumerate() {
         let drawn = sc.starters[i] + sc.reactors[i] + sc.fresh_drawn[i];
@@ -514,11 +863,10 @@ where
         }
     }
     config.commit_state_counts(&sc.final_counts, &sc.extras);
-    stats.merge(&delta);
+    stats.merge(delta);
     for (share, k) in sc.undrawn.drain(..) {
-        pool_add(undrawn, share, k);
+        pool_add(undrawn, &share, k);
     }
-    Ok(())
 }
 
 /// Sequential multivariate hypergeometric split: draws `m` of the `total`
@@ -548,7 +896,7 @@ fn mvhg_into(src: &[u64], total: u64, m: u64, out: &mut Vec<u64>, rng: &mut Smal
     }
 }
 
-/// One outcome class of a bulk group: the faults of the mix whose
+/// One outcome class of a state pair: the faults of the mix whose
 /// outcomes agree, with their summed weight and its omissive part.
 struct OutcomeClass<Q> {
     outcome: Result<(Q, Q), EngineError>,
@@ -557,56 +905,28 @@ struct OutcomeClass<Q> {
 }
 
 /// Splits a bulk (starter-state, reactor-state) group of `k` interactions
-/// across its outcome classes (sequential conditional binomials — exactly
-/// a multinomial split; a one-class group needs no draw) and applies each
-/// drawn class's outcome once.
+/// across its outcome `classes` (sequential conditional binomials —
+/// exactly a multinomial split; a one-class group needs no draw) and
+/// applies each drawn class's outcome once.
 ///
-/// Faults with equal `Ok` outcomes share a class; an `Err` outcome is a
-/// class of its own and fails the epoch only if that class is drawn. A
-/// class mixing omissive and fault-free faults adds its count to
-/// `undrawn`, keyed by its omissive share, for the driver to resolve.
+/// An `Err` class fails the step only if it is drawn. A class mixing
+/// omissive and fault-free faults adds its count to `undrawn`, keyed by
+/// its omissive share, for the driver to resolve.
 #[allow(clippy::too_many_arguments)]
-fn apply_group<Q: State, F: Copy, O>(
+fn apply_group<Q: State>(
     s: &Q,
     r: &Q,
     k: u64,
-    fault_mix: &[(F, f64)],
-    outcome_of: &mut O,
-    is_omissive: &impl Fn(&F) -> bool,
-    classes: &mut Vec<OutcomeClass<Q>>,
+    classes: &[OutcomeClass<Q>],
     updated: &mut Vec<(Q, u64)>,
     undrawn: &mut Vec<(f64, u64)>,
     delta: &mut RunStats,
     rng: &mut SmallRng,
-) -> Result<(), EngineError>
-where
-    O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
-{
-    classes.clear();
-    for &(fault, w) in fault_mix {
-        let outcome = outcome_of(s, r, fault);
-        let omissive_weight = if is_omissive(&fault) { w } else { 0.0 };
-        let same = match &outcome {
-            Ok(out) => classes
-                .iter_mut()
-                .find(|c| c.outcome.as_ref().is_ok_and(|o| o == out)),
-            Err(_) => None,
-        };
-        if let Some(class) = same {
-            class.weight += w;
-            class.omissive_weight += omissive_weight;
-        } else {
-            classes.push(OutcomeClass {
-                outcome,
-                weight: w,
-                omissive_weight,
-            });
-        }
-    }
+) -> Result<(), EngineError> {
     let last = classes.len() - 1;
     let mut left = k;
     let mut wleft: f64 = classes.iter().map(|c| c.weight).sum();
-    for (t, class) in classes.drain(..).enumerate() {
+    for (t, class) in classes.iter().enumerate() {
         if left == 0 {
             break;
         }
@@ -620,16 +940,9 @@ where
         if kt == 0 {
             continue;
         }
-        let (s2, r2) = class.outcome?;
-        let omissive = if class.omissive_weight == 0.0 {
-            false
-        } else if class.omissive_weight == class.weight {
-            true
-        } else {
-            pool_add(undrawn, class.omissive_weight / class.weight, kt);
-            false
-        };
-        let changed = s2 != *s || r2 != *r;
+        let (s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
+        let omissive = tally_omissive(class.omissive_weight, class.weight, kt, undrawn);
+        let changed = s2 != s || r2 != r;
         delta.record_bulk(omissive, changed, kt);
         pool_add(updated, s2, kt);
         pool_add(updated, r2, kt);
@@ -637,12 +950,31 @@ where
     Ok(())
 }
 
+/// Whether all `k` interactions of a class with these weights are
+/// omissive. A class mixing omissive and fault-free faults counts as not
+/// omissive and adds `k` to `undrawn` under its omissive share instead.
+fn tally_omissive(
+    omissive_weight: f64,
+    weight: f64,
+    k: u64,
+    undrawn: &mut Vec<(f64, u64)>,
+) -> bool {
+    if omissive_weight == 0.0 {
+        false
+    } else if omissive_weight == weight {
+        true
+    } else {
+        pool_add(undrawn, &(omissive_weight / weight), k);
+        false
+    }
+}
+
 /// Adds `k` copies of `q` to a small linear-scan pool.
-fn pool_add<Q: PartialEq>(pool: &mut Vec<(Q, u64)>, q: Q, k: u64) {
-    if let Some(entry) = pool.iter_mut().find(|(p, _)| *p == q) {
+fn pool_add<Q: PartialEq + Clone>(pool: &mut Vec<(Q, u64)>, q: &Q, k: u64) {
+    if let Some(entry) = pool.iter_mut().find(|(p, _)| p == q) {
         entry.1 += k;
     } else {
-        pool.push((q, k));
+        pool.push((q.clone(), k));
     }
 }
 
@@ -711,6 +1043,7 @@ mod tests {
         let lengths = EpochLengths::new(100);
         // E[ℓ] = Σ_{j≥1} P(ℓ ≥ j) = Σ_{j≥1} A(j).
         let expected: f64 = lengths.survival[1..].iter().sum();
+        assert!((lengths.mean - expected).abs() < 1e-12 * expected);
         let mut rng = SmallRng::seed_from_u64(7);
         let m = 20_000u64;
         let mut sum = 0u64;
@@ -894,52 +1227,154 @@ mod tests {
         assert!(config.count_state(&true) > 100);
     }
 
+    /// Runs the fault-free one-way epidemic for `budget` interactions,
+    /// with epochs whenever `p_act · E[ℓ] ≥ event_below` (0: always).
+    fn run_epidemic(
+        config: &mut CountConfiguration<bool>,
+        seed: u64,
+        budget: u64,
+        event_below: f64,
+    ) -> (RunStats, u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut stats = RunStats::default();
+        let mut next = 0u64;
+        let law = Law::new(
+            &[((), 1.0)],
+            |s: &bool, r: &bool, ()| epidemic(s, r),
+            |_: &()| false,
+        );
+        drive(
+            config,
+            &mut rng,
+            &mut stats,
+            &mut next,
+            budget,
+            law,
+            |_| false,
+            event_below,
+        )
+        .unwrap();
+        (stats, next)
+    }
+
     #[test]
     fn epochs_work_at_the_smallest_population() {
         // n = 2: every epoch is ℓ = 1 clean interaction + 1 collision
         // that re-draws both touched agents (the fresh pool is empty).
-        let mut config = CountConfiguration::from_groups([(true, 1usize), (false, 1)]);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut stats = RunStats::default();
-        let mut next = 0u64;
-        run_epochs_driver(
-            &mut config,
-            &mut rng,
-            &mut stats,
-            &mut next,
-            100,
-            &[((), 1.0)],
-            |s, r, ()| epidemic(s, r),
-            |()| false,
-            |_| false,
-        )
-        .unwrap();
-        assert_eq!(next, 100);
-        assert_eq!(config.len(), 2);
-        assert_eq!(config.count_state(&true), 2, "n = 2 epidemic saturates");
+        // E[ℓ] = 1 there, so by default only event steps run.
+        for event_below in [0.0, EVENT_STEP_BELOW] {
+            let mut config = CountConfiguration::from_groups([(true, 1usize), (false, 1)]);
+            let (_, next) = run_epidemic(&mut config, 5, 100, event_below);
+            assert_eq!(next, 100);
+            assert_eq!(config.len(), 2);
+            assert_eq!(config.count_state(&true), 2, "n = 2 epidemic saturates");
+        }
     }
 
     #[test]
     fn odd_populations_exercise_the_fresh_pool_edge() {
-        for seed in 0..10u64 {
-            let mut config = CountConfiguration::from_groups([(true, 1usize), (false, 4)]);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut stats = RunStats::default();
-            let mut next = 0u64;
-            run_epochs_driver(
-                &mut config,
-                &mut rng,
-                &mut stats,
-                &mut next,
-                500,
-                &[((), 1.0)],
-                |s, r, ()| epidemic(s, r),
-                |()| false,
-                |_| false,
+        for event_below in [0.0, EVENT_STEP_BELOW] {
+            for seed in 0..10u64 {
+                let mut config = CountConfiguration::from_groups([(true, 1usize), (false, 4)]);
+                run_epidemic(&mut config, seed, 500, event_below);
+                assert_eq!(config.len(), 5);
+                assert_eq!(config.count_state(&true), 5);
+            }
+        }
+    }
+
+    #[test]
+    fn budget_truncation_inside_an_inert_stretch_lands_exactly() {
+        // One infected agent in 10⁶: p_act · E[ℓ] ≈ 2·10⁻⁶ · 627, so every
+        // step is an event step, and its inert stretch (≈ 5·10⁵ long)
+        // almost always outruns a 1000-interaction call.
+        let mut config = CountConfiguration::from_groups([(true, 1usize), (false, 999_999)]);
+        let (mut steps, mut total) = (0u64, RunStats::default());
+        for seed in 0..50 {
+            let (stats, next) = run_epidemic(&mut config, seed, 1_000, EVENT_STEP_BELOW);
+            assert_eq!(next, 1_000);
+            assert_eq!(stats.steps, 1_000);
+            steps += next;
+            total.merge(&stats);
+        }
+        assert_eq!(total.steps, steps);
+        assert_eq!(config.len(), 1_000_000);
+        assert_eq!(
+            total.changed_steps as usize,
+            config.count_state(&true) - 1,
+            "each change is one infection"
+        );
+    }
+
+    #[test]
+    fn an_all_infected_start_stops_within_one_mean_epoch_length() {
+        use crate::{convergence::stably, RateStrategy, StatsOnly, TwoWayModel, TwoWayRunner};
+        use ppfts_population::TableProtocol;
+        // Every pair is inert, so each boundary of the silent
+        // configuration advances ⌈E[ℓ]⌉ no-ops; the predicate already
+        // holds before the first step, so the window closes at the first
+        // boundary.
+        let n = 100_000usize;
+        let epidemic = TableProtocol::builder(vec![false, true])
+            .rule((true, false), (true, true))
+            .rule((false, true), (true, true))
+            .build();
+        let mut runner = TwoWayRunner::builder(TwoWayModel::T1, epidemic)
+            .population(CountConfiguration::from_groups([(true, n)]))
+            .adversary(RateStrategy::new(0.1))
+            .seed(1)
+            .trace_sink(StatsOnly)
+            .build()
+            .unwrap();
+        let out = runner
+            .run_epochs_until(
+                1_000_000_000,
+                stably(|c: &CountConfiguration<bool>| c.count_state(&true) == n, 2),
             )
             .unwrap();
-            assert_eq!(config.len(), 5);
-            assert_eq!(config.count_state(&true), 5);
-        }
+        let stride = EpochLengths::new(n as u64).mean.ceil() as u64;
+        assert!(out.is_satisfied());
+        assert_eq!(out.steps(), stride);
+        assert_eq!(runner.stats().steps, stride);
+        assert_eq!(runner.stats().noop_steps, stride);
+    }
+
+    #[test]
+    fn event_steps_surface_fault_relation_violations() {
+        // The fault `true` is outside the relation on the infecting pair
+        // (true, false) only, so the other pairs stay inert and, at
+        // n = 10⁶ with one agent infected, only an event step can draw
+        // it. The inert stretch before the failing event is committed;
+        // the event itself is not.
+        let mut config = CountConfiguration::from_groups([(true, 1usize), (false, 999_999)]);
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut stats = RunStats::default();
+        let mut next = 0u64;
+        let err = run_epochs_driver(
+            &mut config,
+            &mut rng,
+            &mut stats,
+            &mut next,
+            u64::MAX,
+            &[(false, 0.5), (true, 0.5)],
+            |s, r, bad| {
+                if bad && *s && !*r {
+                    Err(EngineError::FaultNotInRelation {
+                        model: crate::Model::TwoWay(crate::TwoWayModel::T1),
+                        fault: "bad".into(),
+                    })
+                } else {
+                    epidemic(s, r)
+                }
+            },
+            |_| false,
+            |_| false,
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::FaultNotInRelation { .. }));
+        assert!(next > 0, "inert interactions ran before the failure");
+        assert_eq!(stats.steps, next);
+        assert_eq!(config.len(), 1_000_000);
+        assert_eq!(stats.changed_steps as usize, config.count_state(&true) - 1);
     }
 }

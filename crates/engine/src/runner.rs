@@ -858,8 +858,13 @@ macro_rules! runner_impl {
             /// state splits and applied once per (starter-state,
             /// reactor-state, outcome) class — O(d²) work per epoch for
             /// `d` distinct states, i.e. *sub-constant* work per
-            /// interaction once n ≫ d⁴. See the [`epoch`](crate::epoch)
-            /// module docs for the sampling scheme.
+            /// interaction once n ≫ d⁴. Where state changes are sparse
+            /// (fewer than a handful expected per epoch), an exact
+            /// *event step* replaces the epoch: one geometric draw skips
+            /// the inert interactions up to the next one that can change
+            /// a state, which is then applied on its own. See the
+            /// [`epoch`](crate::epoch) module docs for the sampling
+            /// scheme.
             ///
             /// The epoch path reproduces the interleaved path's law
             /// *distributionally* (the same uniform-pair, i.i.d.-fault
@@ -891,7 +896,7 @@ macro_rules! runner_impl {
             /// (step-indexed, budgeted, burst, or scripted schedules);
             /// fault-relation violations as in [`run`](Self::run). On
             /// error the configuration is left at the last completed
-            /// epoch boundary.
+            /// epoch or event boundary.
             pub fn run_epochs(&mut self, steps: u64) -> Result<(), EngineError>
             where
                 C: crate::epoch::EpochBackend,
@@ -900,12 +905,18 @@ macro_rules! runner_impl {
             }
 
             /// Runs through the batch-epoch path until `predicate` holds
-            /// on the configuration — checked before the first epoch and
-            /// then at epoch boundaries, i.e. every ≈ 0.63·√n
-            /// interactions — or `max_steps` further interactions have
-            /// executed. The epoch in flight when the budget runs out is
-            /// truncated exactly at the budget (still the exact law), so
-            /// [`steps`](Self::steps) never overshoots.
+            /// on the configuration — checked before the first step and
+            /// then at every boundary — or `max_steps` further
+            /// interactions have executed. A boundary falls after each
+            /// epoch (≈ 0.63·√n interactions), after each event step
+            /// (its inert stretch plus one interaction that can change a
+            /// state), and every `⌈E[ℓ]⌉` interactions of a configuration
+            /// where no interaction can change a state. Inert stretches
+            /// leave the configuration as it was, so a boundary after
+            /// each event sees every change. The step in flight when the
+            /// budget runs out is truncated exactly at the budget (still
+            /// the exact law), so [`steps`](Self::steps) never
+            /// overshoots.
             ///
             /// # Errors
             ///

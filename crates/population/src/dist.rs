@@ -208,7 +208,9 @@ pub fn binomial(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
 /// BINV: cdf chop-down from k = 0; O(n·p) expected steps.
 fn binomial_chop_down(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
     let odds = p / (1.0 - p);
-    let mut f = ((1.0 - p).ln() * n as f64).exp(); // pmf(0) = (1-p)^n
+    // pmf(0) = (1-p)^n. `ln_1p` keeps full relative precision for small
+    // p, where rounding 1 - p first would lose ≈ ε/p of it.
+    let mut f = ((-p).ln_1p() * n as f64).exp();
     let mut u = uniform_f64(rng);
     let mut k = 0u64;
     loop {
@@ -691,6 +693,31 @@ mod tests {
         for _ in 0..100 {
             assert!(binomial(10, 0.5, &mut rng) <= 10);
         }
+    }
+
+    /// Replays one fixed `u64`, so `uniform_f64` returns a chosen `u`.
+    struct FixedRng(u64);
+
+    impl rand::RngCore for FixedRng {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn binomial_chop_down_keeps_pmf0_precise_at_tiny_p() {
+        // n·p = 20: pmf(0) = (1 − p)^n = e^(−20 − n·p²/2 − …), and the
+        // n·p² term is 10⁻¹¹. Rounding 1 − p to a double moves p by
+        // ≈ 2·10⁻⁵ relative here, and pmf(0) by ≈ 4·10⁻⁴.
+        let (n, p) = (20_000_000_000_000u64, 1e-12);
+        let pmf0 = (-20.0f64).exp();
+        let rng_at = |u: f64| FixedRng(((u * (1u64 << 53) as f64) as u64) << 11);
+        // u just below pmf(0) draws 0, just above it draws 1.
+        assert_eq!(binomial(n, p, &mut rng_at(pmf0 * (1.0 - 2e-4))), 0);
+        assert_eq!(binomial(n, p, &mut rng_at(pmf0 * (1.0 + 2e-4))), 1);
     }
 
     #[test]

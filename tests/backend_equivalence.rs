@@ -278,6 +278,31 @@ fn epoch_omissive_epidemic_agrees_at_a_fixed_budget() {
     // From 10% infected, m = 1200 ends near the midpoint of the
     // epidemic, where the infected count is most sensitive to the rate.
     let (n, infected, rate, m, seeds) = (1000, 100, 0.1, 1200, 0..2000);
+    assert_paths_agree_at_budget(n, infected, rate, seeds, m);
+}
+
+/// The fixed-budget contract across the event/epoch switch: at n = 10⁵
+/// (E[ℓ] ≈ 198) the driver takes event steps while fewer than ≈ 1.5% of
+/// the agents are infected or susceptible, and epochs in between. From
+/// 1% infected, m = 5·10⁵ interactions carry the epidemic into the epoch
+/// branch and back out of it, ending with ≈ 740 susceptible agents. 30
+/// seeds resolve a ≈ 5% bias in that count (a 10% error in the event
+/// steps' skip rate moves it ≈ 12%).
+#[test]
+fn epoch_omissive_epidemic_agrees_across_the_event_switch() {
+    assert_paths_agree_at_budget(100_000, 1_000, 0.1, 0..30, 500_000);
+}
+
+/// Runs the `T1` epidemic for exactly `m` interactions through both
+/// paths and asserts that the mean infected count and the mean omission
+/// fraction agree within 4 standard errors.
+fn assert_paths_agree_at_budget(
+    n: usize,
+    infected: usize,
+    rate: f64,
+    seeds: std::ops::Range<u64>,
+    m: u64,
+) {
     let interleaved = omissive_epidemic_at_budget(n, infected, rate, seeds.clone(), m, false);
     let epoch = omissive_epidemic_at_budget(n, infected, rate, seeds, m, true);
     for (i, what) in ["infected count", "omission fraction"]
@@ -289,7 +314,8 @@ fn epoch_omissive_epidemic_agrees_at_a_fixed_budget() {
         let se = sa.hypot(sb);
         assert!(
             (a - b).abs() < 4.0 * se,
-            "{what} diverged at budget {m}: interleaved {a:.4} vs epoch {b:.4} (SE {se:.4})"
+            "{what} diverged at n = {n}, budget {m}: interleaved {a:.4} vs epoch {b:.4} \
+             (SE {se:.4})"
         );
     }
 }
@@ -495,14 +521,16 @@ proptest! {
     fn epoch_ported_protocol_distributions_agree(
         seed_base in 0u64..1_000,
     ) {
-        // Exact majority, 2:1 margin at n = 48: X wins deterministically,
+        // Exact majority, 2:1 margin at n = 600: X wins deterministically,
         // so the comparison is steps until no Y-opinion agent remains.
+        // There E[ℓ] ≈ 15 and 4/9 of the first pairs can change, so the
+        // run starts on the epoch branch and ends on event steps.
         let budget = 2_000_000;
         let seeds = 10;
         let pred = |m: &Multiset<ExactMajorityState>| {
             m.count(&majority_states::SY) == 0 && m.count(&majority_states::WY) == 0
         };
-        let groups = [(majority_states::SX, 32), (majority_states::SY, 16)];
+        let groups = [(majority_states::SX, 400), (majority_states::SY, 200)];
         let interleaved = mean_steps(
             || ExactMajority,
             || CountConfiguration::from_groups(groups),
@@ -523,11 +551,12 @@ proptest! {
             "exact-majority mean steps diverged: interleaved {interleaved:.0} vs epoch {epoch:.0}"
         );
 
-        // Remainder mod 3 on 16 unit inputs (16 ≡ 1, so the true output
+        // Remainder mod 3 on 100 unit inputs (100 ≡ 1, so the true output
         // is `true`): converged once one active survives and every agent
-        // votes `true`.
+        // votes `true`. Every agent starts active, so every pair can
+        // change and E[ℓ] ≈ 6.3 puts the first steps on the epoch branch.
         let remainder = Remainder::new(3, 1);
-        let inputs = [1u32; 16];
+        let inputs = [1u32; 100];
         assert!(remainder.expected(&inputs));
         let pred = |m: &Multiset<RemainderState>| {
             let actives: usize = m
