@@ -19,8 +19,9 @@
 //!    hypergeometric splits again),
 //! 3. each (starter-state, reactor-state) group is split across its
 //!    *outcome classes* — the faults of the mix merged by equal outcome —
-//!    with a multinomial draw (none for a one-class group), and each
-//!    class's outcome applied *once* with a bulk count adjustment,
+//!    by a chain of conditional binomial draws (none for a one-class
+//!    group), and each class's outcome applied *once* with a bulk count
+//!    adjustment,
 //! 4. the closing collision interaction re-draws one or two of the
 //!    already-touched agents explicitly, which is what makes the epoch
 //!    law exact rather than approximate.
@@ -243,15 +244,16 @@ impl EpochLengths {
 }
 
 /// Event steps replace epochs while `p_act · E[ℓ]`, the expected number of
-/// non-inert interactions in a mean-length epoch, is below this: the
+/// non-inert interactions in a mean-length epoch, is below this: near the
 /// ratio of an epoch's cost to an event step's, where the two break even.
-/// Measured at n = 10⁸ under a T1-style mix on a 2-vCPU Xeon, with counts
-/// held fixed (a swap rule) so each cost is per step at one `p_act`: an
-/// epoch costs 650–800 ns and an event step 126–129 ns at `p_act · E[ℓ]`
-/// ∈ {3.8, 7.5, 15}, ratios 5.1–6.2. End to end (perfbench
-/// `epidemic-epoch`, seed 11, 44 seeds, 7 runs each) interactions per
-/// second stayed within noise for thresholds 2, 4 and 8 (medians 8.6,
-/// 8.5 and 8.2·10⁹) and fell at 32 (6.4·10⁹ over 3 runs).
+/// Measured on the `epidemic-epoch` perfbench workload (n = 10⁸, T1 at
+/// rate 0.1, 2-vCPU Xeon), timing whole driver iterations (snapshot,
+/// step, commit, boundary predicate) with the switch forced each way: an
+/// epoch costs 840–960 ns at `p_act · E[ℓ]` ∈ [2.8, 11) and an event step
+/// 260–310 ns, ratios 3.1–3.5. End to end the optimum is flat and sits
+/// higher: against 6, a threshold of 3.5 lost 5 of 6 alternating pairs
+/// (perfbench seed 11, 44 seeds per run; interactions per second medians
+/// 11.8 against 13.0·10⁹), so 6 stays.
 const EVENT_STEP_BELOW: f64 = 6.0;
 
 /// Reusable per-step buffers: the driver allocates nothing in steady
@@ -674,11 +676,11 @@ where
     debug_assert!(clean >= 1 && 2 * clean <= n);
     // Starter states: a multivariate hypergeometric split (`clean` of the
     // n agents); reactor states: a second split of the remainder.
-    mvhg_into(&sc.counts, n, clean, &mut sc.starters, rng);
+    dist::multivariate_hypergeometric_into(&sc.counts, clean, &mut sc.starters, rng);
     sc.rem.clear();
     sc.rem
         .extend(sc.counts.iter().zip(&sc.starters).map(|(&c, &s)| c - s));
-    mvhg_into(&sc.rem, n - clean, clean, &mut sc.reactors, rng);
+    dist::multivariate_hypergeometric_into(&sc.rem, clean, &mut sc.reactors, rng);
 
     // Uniform matching between starter and reactor slots: for each
     // starter group in turn, its partners are a hypergeometric split of
@@ -689,12 +691,11 @@ where
     sc.reactors_left.clone_from(&sc.reactors);
     sc.updated.clear();
     sc.undrawn.clear();
-    let mut unmatched = clean;
     for (i, &a) in sc.starters.iter().enumerate() {
         if a == 0 {
             continue;
         }
-        mvhg_into(&sc.reactors_left, unmatched, a, &mut sc.split, rng);
+        dist::multivariate_hypergeometric_into(&sc.reactors_left, a, &mut sc.split, rng);
         for (j, &k) in sc.split.iter().enumerate() {
             if k == 0 {
                 continue;
@@ -712,7 +713,6 @@ where
                 rng,
             )?;
         }
-        unmatched -= a;
     }
 
     sc.fresh_drawn.clear();
@@ -869,33 +869,6 @@ fn commit<C: EpochBackend>(
     }
 }
 
-/// Sequential multivariate hypergeometric split: draws `m` of the `total`
-/// items described by `src` counts, without replacement, into `out`.
-fn mvhg_into(src: &[u64], total: u64, m: u64, out: &mut Vec<u64>, rng: &mut SmallRng) {
-    debug_assert_eq!(src.iter().sum::<u64>(), total);
-    debug_assert!(m <= total);
-    out.clear();
-    out.resize(src.len(), 0);
-    let mut left_total = total;
-    let mut left_draw = m;
-    for (slot, &c) in out.iter_mut().zip(src) {
-        if left_draw == 0 {
-            break;
-        }
-        let k = if c == 0 {
-            0
-        } else if c == left_total {
-            // Only this group remains: take the rest without a draw.
-            left_draw
-        } else {
-            dist::hypergeometric(c, left_total - c, left_draw, rng)
-        };
-        *slot = k;
-        left_total -= c;
-        left_draw -= k;
-    }
-}
-
 /// One outcome class of a state pair: the faults of the mix whose
 /// outcomes agree, with their summed weight and its omissive part.
 struct OutcomeClass<Q> {
@@ -905,9 +878,9 @@ struct OutcomeClass<Q> {
 }
 
 /// Splits a bulk (starter-state, reactor-state) group of `k` interactions
-/// across its outcome `classes` (sequential conditional binomials —
-/// exactly a multinomial split; a one-class group needs no draw) and
-/// applies each drawn class's outcome once.
+/// across its outcome `classes` (sequential conditional binomials, whose
+/// joint law is the multinomial over the class weights; a one-class group
+/// needs no draw) and applies each drawn class's outcome once.
 ///
 /// An `Err` class fails the step only if it is drawn. A class mixing
 /// omissive and fault-free faults adds its count to `undrawn`, keyed by

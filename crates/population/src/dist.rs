@@ -3,19 +3,22 @@
 //! The offline `rand` shim ships no distributions, so the batch-epoch
 //! sampler (Berenbrink et al., *Simulating Population Protocols in
 //! Sub-Constant Time per Interaction*) gets its randomness from here:
-//! binomial draws for omission-fault thinning, (multivariate)
-//! hypergeometric draws for splitting an epoch's agents across states,
-//! multinomial draws for splitting faults across fault kinds, and a Vose
-//! alias table for O(1) repeated categorical draws.
+//! binomial draws for splitting interaction groups across outcome classes
+//! and for omission thinning, (multivariate) hypergeometric draws for
+//! splitting an epoch's agents across states, and a Vose alias table for
+//! O(1) repeated categorical draws.
 //!
-//! All samplers are **exact** (inversion of the true pmf, not normal
-//! approximations). The heavy-parameter regimes use mode-centered
-//! bidirectional inversion: compute the pmf at the distribution's mode
-//! with [`ln_gamma`] once, then walk outward with the pmf's two-term
-//! recurrences. That costs O(σ) expected cheap steps per draw — σ is at
-//! most √(epoch length) ≈ n¼ in the epoch sampler's use, so draws stay
-//! sub-microsecond even at n = 10⁹. Small-mean regimes fall back to plain
-//! chop-down inversion from the support's edge.
+//! All samplers are **exact**: each draw is either an inversion of the
+//! true pmf or a rejection sampler whose acceptance test compares against
+//! the true pmf ratio, never a normal approximation. The regimes an
+//! epoch hits take O(1) expected time per draw, as the epoch method's
+//! cost model assumes: chop-down inversion for small binomial means,
+//! Hörmann's BTRD rejection above them, and for a small sample from a big
+//! urn a hypergeometric draw by rejection from a binomial proposal.
+//! Hypergeometric draws outside that regime fall back to mode-centred
+//! bidirectional inversion (O(σ) cheap steps after one pmf evaluation
+//! with [`ln_gamma`]-grade factorials), and tiny urn sides to a
+//! transcendental-free chop-down.
 
 use rand::{Rng, RngCore};
 
@@ -94,11 +97,10 @@ fn ln_fact_table() -> &'static [f64] {
 
 /// ln n! = ln Γ(n + 1).
 ///
-/// This is the hot inner call of every pmf-at-mode computation: the epoch
-/// sampler takes a few hypergeometric draws per epoch and each costs nine
-/// of these, so the generic Lanczos path is replaced by a table lookup
-/// for small `n` and Stirling's series (three correction terms, error
-/// < 1e-20 relative at the crossover) for large `n`.
+/// Every mode-centred hypergeometric draw (the epoch's matching split)
+/// costs nine of these, so the generic Lanczos path is replaced by a
+/// table lookup for small `n` and Stirling's series (three correction
+/// terms, error < 1e-20 relative at the crossover) for large `n`.
 #[inline]
 fn ln_fact(n: u64) -> f64 {
     if (n as usize) < LN_FACT_TABLE_LEN {
@@ -170,14 +172,25 @@ fn invert_from_mode(
     }
 }
 
+/// Binomial draws with mean `n·min(p, 1−p)` at least this take BTRD,
+/// smaller ones chop-down inversion. BTRD's constants need a mean of at
+/// least 10; past that the switch sits at the measured break-even. At
+/// n ∈ {10², 10⁴, 10⁸} (2-vCPU Xeon, medians of 15 alternating runs of
+/// 4·10⁵ draws) the two cost the same at mean 13 (86–94 ns per draw);
+/// chop-down wins below (80–99 against 88–112 ns at mean 10) and BTRD
+/// from 14 on (85–89 against 90–95 ns at 14, 85–103 against 109–134 ns
+/// at 20).
+const BTRD_MIN_MEAN: f64 = 14.0;
+
 /// A Binomial(n, p) draw: the number of successes among `n` independent
 /// trials of probability `p`.
 ///
 /// The epoch path uses this to split an epoch's interaction groups
-/// across their outcome classes, and to draw the omissive share of the
-/// interactions whose class mixes omissive and fault-free faults. Small `n·min(p,1−p)` uses chop-down
-/// inversion (BINV); large means use mode-centered inversion with one
-/// [`ln_gamma`]-computed pmf.
+/// across their outcome classes, to draw the omissive share of the
+/// interactions whose class mixes omissive and fault-free faults, and as
+/// the proposal of the big-urn [`hypergeometric`] draw. Means
+/// `n·min(p, 1−p)` below `BTRD_MIN_MEAN` use chop-down inversion
+/// (BINV, O(n·p) steps); larger ones BTRD rejection (O(1) expected).
 ///
 /// # Panics
 ///
@@ -193,10 +206,10 @@ pub fn binomial(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
     // Work in the p ≤ 1/2 half; mirror the draw back at the end.
     let flipped = p > 0.5;
     let q = if flipped { 1.0 - p } else { p };
-    let k = if n as f64 * q < 30.0 {
+    let k = if n as f64 * q < BTRD_MIN_MEAN {
         binomial_chop_down(n, q, rng)
     } else {
-        binomial_from_mode(n, q, rng)
+        binomial_btrd(n, q, rng)
     };
     if flipped {
         n - k
@@ -227,23 +240,117 @@ fn binomial_chop_down(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 
     }
 }
 
-/// Mode-centered inversion; O(√(n·p·(1−p))) expected steps.
-fn binomial_from_mode(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
-    let q = 1.0 - p;
-    let odds = p / q;
-    let mode = ((((n + 1) as f64) * p).floor() as u64).min(n);
-    let ln_pmf = ln_choose(n, mode) + mode as f64 * p.ln() + (n - mode) as f64 * q.ln();
-    let pmf_mode = ln_pmf.exp();
-    let u = uniform_f64(rng);
-    invert_from_mode(
-        mode,
-        pmf_mode,
-        0,
-        n,
-        |k| odds * (n - k) as f64 / (k + 1) as f64,
-        |k| k as f64 / (odds * (n - k + 1) as f64),
-        u,
-    )
+/// BTRD for `p ≤ 1/2`, `n·p ≥ 10`: Hörmann's transformed rejection with
+/// decomposition (*The generation of binomial random variates*, J. Stat.
+/// Comput. Simul. 46, 1993), in his step numbering.
+///
+/// A uniform `u` maps to `k = ⌊(2a/(½−|u|) + b)·u + c⌋`, a transformation
+/// whose hat dominates the pmf. The hat's central strip lies under the
+/// pmf and is accepted at once (step 1: 45% of draws at `n·p` = 14, 79%
+/// as σ grows); otherwise `v` is a uniform height under the hat and the
+/// candidate passes iff `v ≤ pmf(k)/pmf(m)` at the mode `m`: a product
+/// of at most 15 recurrence terms near the mode (step 3.1), a two-sided
+/// squeeze on its logarithm further out (3.3), and Stirling's series
+/// only past both (3.4–3.5). Every test is against the true pmf ratio,
+/// so the draw is exact.
+fn binomial_btrd(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
+    debug_assert!(p <= 0.5 && n as f64 * p >= 10.0);
+    let nf = n as f64;
+    let r = p / (1.0 - p);
+    let npq = nf * p * (1.0 - p);
+    let spq = npq.sqrt();
+    let b = 1.15 + 2.53 * spq;
+    let a = -0.0873 + 0.0248 * b + 0.01 * p;
+    let c = nf * p + 0.5;
+    let v_r = 0.92 - 4.2 / b;
+    loop {
+        // Step 1: immediate acceptance.
+        let mut v = uniform_f64(rng);
+        if v <= 0.86 * v_r {
+            let u = v / v_r - 0.43;
+            return ((2.0 * a / (0.5 - u.abs()) + b) * u + c).floor() as u64;
+        }
+        // Step 2: a point (u, v) under the rest of the hat.
+        let u = if v >= v_r {
+            uniform_f64(rng) - 0.5
+        } else {
+            let w = v / v_r - 0.93;
+            v = uniform_f64(rng) * v_r;
+            if w < 0.0 {
+                -0.5 - w
+            } else {
+                0.5 - w
+            }
+        };
+        let us = 0.5 - u.abs();
+        let kf = ((2.0 * a / us + b) * u + c).floor();
+        if !(0.0..=nf).contains(&kf) {
+            continue;
+        }
+        let k = kf as u64;
+        v *= (2.83 + 5.1 / b) * spq / (a / (us * us) + b);
+        // Step 3.1: recursive pmf ratio near the mode, where
+        // pmf(i)/pmf(i−1) = (n+1)·r/i − r.
+        let m = ((nf + 1.0) * p).floor() as u64;
+        let km = k.abs_diff(m);
+        if km <= 15 {
+            let nr = (nf + 1.0) * r;
+            let mut f = 1.0;
+            for i in m.min(k) + 1..=m.max(k) {
+                f *= nr / i as f64 - r;
+            }
+            let accept = if k >= m { v <= f } else { v * f <= 1.0 };
+            if accept {
+                return k;
+            }
+            continue;
+        }
+        // Step 3.3: squeeze ln(pmf(k)/pmf(m)) between t ± ρ.
+        let v = v.ln();
+        let km = km as f64;
+        let rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5);
+        let t = -km * km / (2.0 * npq);
+        if v < t - rho {
+            return k;
+        }
+        if v > t + rho {
+            continue;
+        }
+        // Steps 3.4–3.5: the exact log ratio through Stirling's series.
+        let (mf, kf) = (m as f64, k as f64);
+        let nm = nf - mf + 1.0;
+        let nk = nf - kf + 1.0;
+        let h = (mf + 0.5) * ((mf + 1.0) / (r * nm)).ln() + stirling_tail(m) + stirling_tail(n - m);
+        let bound = h + (nf + 1.0) * (nm / nk).ln() + (kf + 0.5) * (nk * r / (kf + 1.0)).ln()
+            - stirling_tail(k)
+            - stirling_tail(n - k);
+        if v <= bound {
+            return k;
+        }
+    }
+}
+
+/// Stirling's correction `ln k! − (k+½)·ln(k+1) + (k+1) − ½·ln 2π`,
+/// tabulated below 10 (Hörmann's values) and three series terms above.
+fn stirling_tail(k: u64) -> f64 {
+    const TABLE: [f64; 10] = [
+        0.081_061_466_795_327_26,
+        0.041_340_695_955_409_29,
+        0.027_677_925_684_998_34,
+        0.020_790_672_103_765_09,
+        0.016_644_691_189_821_19,
+        0.013_876_128_823_070_75,
+        0.011_896_709_945_891_77,
+        0.010_411_265_261_972_09,
+        0.009_255_462_182_712_733,
+        0.008_330_563_433_362_87,
+    ];
+    if let Some(&f) = TABLE.get(k as usize) {
+        return f;
+    }
+    let inv = 1.0 / (k + 1) as f64;
+    let inv2 = inv * inv;
+    (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv
 }
 
 /// A Hypergeometric(ngood, nbad, nsample) draw: how many of `nsample`
@@ -251,9 +358,14 @@ fn binomial_from_mode(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 
 /// from the `ngood` side.
 ///
 /// This is the epoch sampler's workhorse: every split of an epoch's
-/// agents across states is a chain of these. Mode-centered inversion,
-/// with a direct chop-down from the support edge when the support is
-/// tiny.
+/// agents across states is a chain of these. Three exact regimes, after
+/// the trivial one-point support:
+///
+/// * one side of the urn holds at most 16 balls: chop-down inversion
+///   from the support's edge, no transcendentals;
+/// * the sample (or its complement) is at most 1/64 of the urn: binomial
+///   proposal and rejection, O(1) expected;
+/// * otherwise mode-centred inversion, O(σ) expected.
 ///
 /// # Panics
 ///
@@ -275,21 +387,22 @@ pub fn hypergeometric(
     if k_min == k_max {
         return k_min;
     }
+    // With the small side as the "good" half, mirroring k ↦ nsample − k
+    // if needed.
+    let (g, b, mirrored) = if ngood <= nbad {
+        (ngood, nbad, false)
+    } else {
+        (nbad, ngood, true)
+    };
+    let unmirror = |k: u64| if mirrored { nsample - k } else { k };
     // Cheap exact path when one side of the urn is tiny — the dominant
     // regime of epoch-driven runs, where most epochs fire while some
-    // state holds only a handful of agents. With the small side as the
-    // "good" half (mirroring k ↦ nsample − k if needed) and the sample
-    // fitting in the big half, the support starts at 0, pmf(0) is a
-    // product of `small` ratios, and a chop-down walk of expected length
-    // `nsample·small/total` finishes the draw — no logs, no exp.
+    // state holds only a handful of agents. With the sample fitting in
+    // the big half, the support starts at 0, pmf(0) is a product of `g`
+    // ratios, and a chop-down walk of expected length `nsample·g/total`
+    // finishes the draw — no logs, no exp.
     const SMALL_SIDE: u64 = 16;
-    let small = ngood.min(nbad);
-    if small <= SMALL_SIDE && nsample <= total - small {
-        let (g, b, mirrored) = if ngood <= nbad {
-            (ngood, nbad, false)
-        } else {
-            (nbad, ngood, true)
-        };
+    if g <= SMALL_SIDE && nsample <= b {
         let mut f = 1.0f64;
         for i in 1..=g {
             f *= (b - nsample + i) as f64 / (b + i) as f64;
@@ -303,7 +416,18 @@ pub fn hypergeometric(
                 / ((k + 1) as f64 * (b - nsample + k + 1) as f64);
             k += 1;
         }
-        return if mirrored { nsample - k } else { k };
+        return unmirror(k);
+    }
+    // A small sample from a big urn, or the complement of one: the good
+    // balls left behind by a sample are a draw of the complement's size.
+    let (s, complemented) = if 2 * nsample <= total {
+        (nsample, false)
+    } else {
+        (total - nsample, true)
+    };
+    if s <= total / HypergeometricEnvelope::MIN_URN_PER_SAMPLE {
+        let k = HypergeometricEnvelope::new(g, b, s).sample(rng);
+        return unmirror(if complemented { g - k } else { k });
     }
     // Mode of the pmf, clamped into the support.
     let mode =
@@ -331,11 +455,113 @@ pub fn hypergeometric(
     )
 }
 
+/// Hypergeometric(g, b, s) by rejection from a Binomial(s, g/N) proposal,
+/// `N = g + b`, for `g ≤ b` and a sample of at most `N/64`.
+///
+/// The pmf factors as the binomial pmf times `e^φ(k)` (up to a constant),
+/// with `φ(k) = ln ∏_{i<k}(1 − i/g) + ln ∏_{i<s−k}(1 − i/b)`: drawing
+/// without replacement only removes the balls already taken. `φ` is
+/// concave with its maximum at `k* = ⌈(s−1)·g/N⌉`, so a proposal `K` is
+/// kept with probability `e^(φ(K) − φ(k*))` and the result is exact.
+/// A proposal is rejected with probability about `s/(2N)`: 0.78% at
+/// `s = N/64`, a little more when the mean is tiny (1.2% for
+/// Hypergeometric(20, 2000, 30)).
+///
+/// Every factor of that ratio is a rational `y`, so `ln y ≤ y − 1` gives
+/// an upper bound `x` on `φ(k*) − φ(K)` in closed form ([`Self::squeeze`])
+/// and `u ≤ 1 − x` accepts without a product; the `|K − k*|`-term product
+/// ([`Self::ratio`]) decides only the rest.
+struct HypergeometricEnvelope {
+    g: u64,
+    b: u64,
+    s: u64,
+    /// `k*`, the argmax of φ.
+    k_star: u64,
+    /// `N·k* − (s−1)·g ∈ [0, N)`, exact.
+    d: u128,
+}
+
+impl HypergeometricEnvelope {
+    /// The urn must hold at least this many balls per sampled one.
+    const MIN_URN_PER_SAMPLE: u64 = 64;
+
+    fn new(g: u64, b: u64, s: u64) -> Self {
+        debug_assert!(g <= b && s >= 1 && s <= (g + b) / Self::MIN_URN_PER_SAMPLE);
+        let n = u128::from(g + b);
+        let sg = u128::from(s - 1) * u128::from(g);
+        let k_star = sg.div_ceil(n);
+        HypergeometricEnvelope {
+            g,
+            b,
+            s,
+            k_star: k_star as u64,
+            d: k_star * n - sg,
+        }
+    }
+
+    fn sample(&self, rng: &mut (impl RngCore + ?Sized)) -> u64 {
+        let p = self.g as f64 / (self.g + self.b) as f64;
+        loop {
+            let k = binomial(self.s, p, rng);
+            if k > self.g {
+                // `1 − g/g` is a factor of e^φ(k): probability zero.
+                continue;
+            }
+            if k == self.k_star {
+                return k;
+            }
+            let u = uniform_f64(rng);
+            if u <= 1.0 - self.squeeze(k) || u <= self.ratio(k) {
+                return k;
+            }
+        }
+    }
+
+    /// An upper bound on `φ(k*) − φ(k)` for `k ≤ g`, floating-point
+    /// safety margin included.
+    ///
+    /// For `k > k*`, the `m = k − k*` factors of `e^(φ(k*) − φ(k))` are
+    /// `g·(b−s+1+j) / (b·(g−j))` for `j ∈ [k*, k)`, whose excess over 1 is
+    /// `(N·j − (s−1)·g) / (b·(g−j)) ≤ (d + N·(j−k*)) / (b·(g−k+1))`;
+    /// they sum to `m·(2d + N·(m−1)) / (2b·(g−k+1))`. For `k < k*` the
+    /// `m = k* − k` factors are the reciprocals for `j ∈ [k, k*)`, with
+    /// excess `((s−1)·g − N·j) / (g·(b−s+1+j))`, summing to at most
+    /// `m·(N·(m+1) − 2d) / (2g·(b−s+1+k))`. The integer parts are exact;
+    /// the margin covers the few roundings after them and in `1 − x`.
+    fn squeeze(&self, k: u64) -> f64 {
+        let (g, b, s) = (self.g, self.b, self.s);
+        let n = u128::from(g + b);
+        let (m, num, den) = if k > self.k_star {
+            let m = k - self.k_star;
+            let num = 2 * self.d + n * u128::from(m - 1);
+            (m, num, 2.0 * b as f64 * (g - k + 1) as f64)
+        } else {
+            let m = self.k_star - k;
+            let num = n * u128::from(m + 1) - 2 * self.d;
+            (m, num, 2.0 * g as f64 * (b - s + 1 + k) as f64)
+        };
+        m as f64 * num as f64 / den * (1.0 + 1e-12) + 1e-15
+    }
+
+    /// `e^(φ(k) − φ(k*))` for `k ≤ g`, as the product of its `|k − k*|`
+    /// factors.
+    fn ratio(&self, k: u64) -> f64 {
+        let (g, b, s) = (self.g as f64, self.b as f64, self.s as f64);
+        // e^(φ(j+1) − φ(j)) = b·(g−j) / (g·(b−s+1+j)).
+        let step = |j: u64| b * (g - j as f64) / (g * (b - s + 1.0 + j as f64));
+        if k > self.k_star {
+            (self.k_star..k).map(step).product()
+        } else {
+            (k..self.k_star).map(|j| 1.0 / step(j)).product()
+        }
+    }
+}
+
 /// A multivariate hypergeometric draw: splits `nsample` agents drawn
 /// without replacement across the state groups of `counts`.
 ///
-/// Returns a vector aligned with `counts` summing to `nsample`, via the
-/// standard chain of conditional (univariate) hypergeometric draws.
+/// Returns a vector aligned with `counts` summing to `nsample`; see
+/// [`multivariate_hypergeometric_into`].
 ///
 /// # Panics
 ///
@@ -345,81 +571,52 @@ pub fn multivariate_hypergeometric(
     nsample: u64,
     rng: &mut (impl RngCore + ?Sized),
 ) -> Vec<u64> {
-    let mut remaining_total: u64 = counts.iter().sum();
-    assert!(
-        nsample <= remaining_total,
-        "multivariate hypergeometric sample {nsample} exceeds population {remaining_total}"
-    );
-    let mut remaining_sample = nsample;
-    let mut out = vec![0u64; counts.len()];
-    for (i, &c) in counts.iter().enumerate() {
-        if remaining_sample == 0 {
-            break;
-        }
-        remaining_total -= c;
-        if remaining_total == 0 {
-            // Last non-exhausted group takes the rest.
-            out[i] = remaining_sample;
-            remaining_sample = 0;
-            break;
-        }
-        let k = hypergeometric(c, remaining_total, remaining_sample, rng);
-        out[i] = k;
-        remaining_sample -= k;
-    }
-    debug_assert_eq!(remaining_sample, 0);
+    let mut out = Vec::with_capacity(counts.len());
+    multivariate_hypergeometric_into(counts, nsample, &mut out, rng);
     out
 }
 
-/// A Multinomial(n, weights) draw: splits `n` trials across categories
-/// proportionally to `weights` (not necessarily normalized), via the
-/// chain of conditional binomials.
+/// [`multivariate_hypergeometric`] into a reused buffer: `out` is
+/// cleared and refilled, one entry per group of `counts`, through the
+/// standard chain of conditional (univariate) hypergeometric draws. An
+/// empty group, or the last group holding what is left of the urn, takes
+/// its share without a draw.
 ///
-/// The epoch path uses this to split an interaction group's omissive
-/// portion across the permitted fault kinds.
+/// The epoch sampler's starter, reactor and matching splits all go
+/// through here.
 ///
 /// # Panics
 ///
-/// Panics if `weights` is empty, contains a negative or non-finite
-/// weight, or sums to zero while `n > 0`.
-pub fn multinomial(n: u64, weights: &[f64], rng: &mut (impl RngCore + ?Sized)) -> Vec<u64> {
+/// Panics if `nsample` exceeds the sum of `counts`.
+pub fn multivariate_hypergeometric_into(
+    counts: &[u64],
+    nsample: u64,
+    out: &mut Vec<u64>,
+    rng: &mut (impl RngCore + ?Sized),
+) {
+    let mut left_total: u64 = counts.iter().sum();
     assert!(
-        !weights.is_empty(),
-        "multinomial needs at least one category"
+        nsample <= left_total,
+        "multivariate hypergeometric sample {nsample} exceeds population {left_total}"
     );
-    let mut total: f64 = 0.0;
-    for &w in weights {
-        assert!(w.is_finite() && w >= 0.0, "multinomial weight {w} invalid");
-        total += w;
-    }
-    let mut out = vec![0u64; weights.len()];
-    if n == 0 {
-        return out;
-    }
-    assert!(total > 0.0, "multinomial weights sum to zero");
-    let mut remaining = n;
-    for (i, &w) in weights.iter().enumerate() {
-        if remaining == 0 {
+    out.clear();
+    out.resize(counts.len(), 0);
+    let mut left_draw = nsample;
+    for (slot, &c) in out.iter_mut().zip(counts) {
+        if left_draw == 0 {
             break;
         }
-        if w >= total {
-            // Last category with mass takes the rest (also dodges fp
-            // drift pushing p above 1).
-            out[i] = remaining;
-            remaining = 0;
-            break;
-        }
-        let k = binomial(remaining, w / total, rng);
-        out[i] = k;
-        remaining -= k;
-        total -= w;
+        let k = if c == 0 {
+            0
+        } else if c == left_total {
+            left_draw
+        } else {
+            hypergeometric(c, left_total - c, left_draw, rng)
+        };
+        *slot = k;
+        left_total -= c;
+        left_draw -= k;
     }
-    // fp drift can strand trials if trailing weights round to zero mass;
-    // pile them on the last category, which is where the drift lives.
-    if remaining > 0 {
-        *out.last_mut().expect("non-empty") += remaining;
-    }
-    out
 }
 
 /// A Vose alias table: O(len) construction over arbitrary non-negative
@@ -602,14 +799,19 @@ mod tests {
         (chi2, bins)
     }
 
-    /// Exact Binomial(n, p) pmf via the multiplicative recurrence.
+    /// Upper χ² bound for `bins` cells (df = bins − 1) at a 10⁻⁵ tail,
+    /// by the Wilson–Hilferty cube approximation.
+    fn chi2_bound(bins: usize) -> f64 {
+        let df = bins.saturating_sub(1).max(1) as f64;
+        let h = 2.0 / (9.0 * df);
+        df * (1.0 - h + 4.26 * h.sqrt()).powi(3)
+    }
+
+    /// Exact Binomial(n, p) pmf, each term from its logarithm.
     fn binomial_pmf(n: u64, p: f64) -> Vec<f64> {
-        let mut pmf = vec![0.0; n as usize + 1];
-        pmf[0] = (1.0 - p).powi(n as i32);
-        for k in 1..=n as usize {
-            pmf[k] = pmf[k - 1] * (p / (1.0 - p)) * (n as f64 - k as f64 + 1.0) / k as f64;
-        }
-        pmf
+        (0..=n)
+            .map(|k| (ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()).exp())
+            .collect()
     }
 
     /// Exact Hypergeometric pmf over the full `0..=nsample` range.
@@ -695,15 +897,33 @@ mod tests {
         }
     }
 
-    /// Replays one fixed `u64`, so `uniform_f64` returns a chosen `u`.
-    struct FixedRng(u64);
+    /// Replays a fixed list of `u64`s, so successive `uniform_f64` calls
+    /// return chosen values; panics once the list runs out, so a sampler
+    /// that draws more than the test planned fails instead of looping.
+    struct FixedRng(std::vec::IntoIter<u64>);
+
+    impl FixedRng {
+        /// A stream whose successive `uniform_f64` draws are `us` (each
+        /// rounded down to a multiple of 2⁻⁵³).
+        fn at(us: &[f64]) -> Self {
+            let words: Vec<u64> = us
+                .iter()
+                .map(|&u| ((u * (1u64 << 53) as f64) as u64) << 11)
+                .collect();
+            FixedRng(words.into_iter())
+        }
+
+        fn is_spent(&self) -> bool {
+            self.0.len() == 0
+        }
+    }
 
     impl rand::RngCore for FixedRng {
         fn next_u32(&mut self) -> u32 {
-            (self.0 >> 32) as u32
+            (self.next_u64() >> 32) as u32
         }
         fn next_u64(&mut self) -> u64 {
-            self.0
+            self.0.next().expect("FixedRng ran out of planned draws")
         }
     }
 
@@ -711,50 +931,63 @@ mod tests {
     fn binomial_chop_down_keeps_pmf0_precise_at_tiny_p() {
         // n·p = 20: pmf(0) = (1 − p)^n = e^(−20 − n·p²/2 − …), and the
         // n·p² term is 10⁻¹¹. Rounding 1 − p to a double moves p by
-        // ≈ 2·10⁻⁵ relative here, and pmf(0) by ≈ 4·10⁻⁴.
+        // ≈ 2·10⁻⁵ relative here, and pmf(0) by ≈ 4·10⁻⁴. Mean 20 is above
+        // the BTRD switch, so this calls the chop-down path itself.
         let (n, p) = (20_000_000_000_000u64, 1e-12);
         let pmf0 = (-20.0f64).exp();
-        let rng_at = |u: f64| FixedRng(((u * (1u64 << 53) as f64) as u64) << 11);
         // u just below pmf(0) draws 0, just above it draws 1.
-        assert_eq!(binomial(n, p, &mut rng_at(pmf0 * (1.0 - 2e-4))), 0);
-        assert_eq!(binomial(n, p, &mut rng_at(pmf0 * (1.0 + 2e-4))), 1);
+        let below = FixedRng::at(&[pmf0 * (1.0 - 2e-4)]);
+        assert_eq!(binomial_chop_down(n, p, &mut { below }), 0);
+        let above = FixedRng::at(&[pmf0 * (1.0 + 2e-4)]);
+        assert_eq!(binomial_chop_down(n, p, &mut { above }), 1);
+    }
+
+    /// Sample mean and variance of `trials` Binomial(n, p) draws, checked
+    /// against n·p (5 standard errors) and n·p·(1−p) (10%).
+    fn check_binomial_moments(n: u64, p: f64, trials: u64, seed: u64) {
+        let want_mean = n as f64 * p;
+        let want_var = n as f64 * p * (1.0 - p);
+        // Moments of k − n·p, so k² at n = 2·10⁹ cannot swamp them.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+        for _ in 0..trials {
+            let dev = binomial(n, p, &mut rng) as f64 - want_mean;
+            sum += dev;
+            sum_sq += dev * dev;
+        }
+        let mean = want_mean + sum / trials as f64;
+        let var = sum_sq / trials as f64 - (sum / trials as f64).powi(2);
+        let tol = 5.0 * (want_var / trials as f64).sqrt();
+        assert!(
+            (mean - want_mean).abs() < tol,
+            "Binomial({n},{p}) mean {mean} want {want_mean} ± {tol}"
+        );
+        assert!(
+            (var - want_var).abs() < 0.1 * want_var,
+            "Binomial({n},{p}) var {var} want {want_var}"
+        );
     }
 
     #[test]
     fn binomial_mean_and_variance_both_regimes() {
-        // (n, p) pairs hitting the chop-down (mean < 30) and the
-        // mode-centered (mean ≥ 30) regimes, including a mirrored p.
+        // (n, p) pairs hitting the chop-down (mean < 14) and the BTRD
+        // (mean ≥ 14) regimes, including a mirrored p.
         for (n, p) in [(200u64, 0.05), (1_000u64, 0.3), (500u64, 0.9)] {
-            let mut rng = SmallRng::seed_from_u64(42);
-            let trials = 20_000u64;
-            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-            for _ in 0..trials {
-                let k = binomial(n, p, &mut rng) as f64;
-                sum += k;
-                sum_sq += k * k;
-            }
-            let mean = sum / trials as f64;
-            let var = sum_sq / trials as f64 - mean * mean;
-            let want_mean = n as f64 * p;
-            let want_var = n as f64 * p * (1.0 - p);
-            // 5σ tolerance on the sample mean; 10% on the variance.
-            let tol = 5.0 * (want_var / trials as f64).sqrt();
-            assert!(
-                (mean - want_mean).abs() < tol,
-                "Binomial({n},{p}) mean {mean} want {want_mean} ± {tol}"
-            );
-            assert!(
-                (var - want_var).abs() < 0.1 * want_var,
-                "Binomial({n},{p}) var {var} want {want_var}"
-            );
+            check_binomial_moments(n, p, 20_000, 42);
         }
     }
 
     #[test]
-    fn binomial_goodness_of_fit_chop_down_regime() {
-        let (n, p) = (20u64, 0.35);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let trials = 40_000u64;
+    fn binomial_btrd_moments_at_two_billion_trials() {
+        // σ ≈ 2·10⁴: far-from-mode candidates reach BTRD's squeeze and
+        // Stirling steps, and n·p ≈ 6·10⁸ stresses its float arithmetic.
+        check_binomial_moments(2_000_000_000, 0.3, 20_000, 43);
+        check_binomial_moments(2_000_000_000, 0.999_999, 20_000, 44);
+    }
+
+    /// χ² of `trials` Binomial(n, p) draws against the exact pmf.
+    fn binomial_fit(n: u64, p: f64, trials: u64, seed: u64) -> (f64, usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut observed = vec![0.0f64; n as usize + 1];
         for _ in 0..trials {
             observed[binomial(n, p, &mut rng) as usize] += 1.0;
@@ -763,29 +996,63 @@ mod tests {
             .iter()
             .map(|q| q * trials as f64)
             .collect();
-        let (chi2, bins) = chi_square(&observed, &expected);
+        chi_square(&observed, &expected)
+    }
+
+    #[test]
+    fn binomial_goodness_of_fit_chop_down_regime() {
+        let (chi2, bins) = binomial_fit(20, 0.35, 40_000, 7);
         // df ≈ bins − 1 ≤ 20; χ²₀.₉₉₉(20) ≈ 45.3.
         assert!(chi2 < 46.0, "χ² = {chi2} over {bins} bins");
     }
 
     #[test]
     fn binomial_goodness_of_fit_mode_regime() {
-        let (n, p) = (400u64, 0.5);
-        let mut rng = SmallRng::seed_from_u64(13);
-        let trials = 40_000u64;
-        let mut observed = vec![0.0f64; n as usize + 1];
-        for _ in 0..trials {
-            observed[binomial(n, p, &mut rng) as usize] += 1.0;
-        }
-        let expected: Vec<f64> = binomial_pmf(n, p)
-            .iter()
-            .map(|q| q * trials as f64)
-            .collect();
-        let (chi2, bins) = chi_square(&observed, &expected);
+        // Mean 200: the BTRD regime.
+        let (chi2, bins) = binomial_fit(400, 0.5, 40_000, 13);
         // The ±5σ window around the mode spans ~50 populated bins;
         // χ²₀.₉₉₉(60) ≈ 99.6.
         assert!(bins > 20, "degenerate binning: {bins}");
         assert!(chi2 < 100.0, "χ² = {chi2} over {bins} bins");
+    }
+
+    #[test]
+    #[ignore = "high power: 2·10⁶ draws per case; run in release with --ignored"]
+    fn binomial_btrd_goodness_of_fit_high_power() {
+        // Just above the switch, mirrored p > ½, and σ ≈ 22 and 190 so
+        // candidates more than 15 from the mode reach BTRD's squeeze.
+        for (seed, (n, p)) in [
+            (32u64, 0.56),
+            (40, 0.6),
+            (60, 0.3),
+            (2_000, 0.55),
+            (100_000, 0.65),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (chi2, bins) = binomial_fit(n, p, 2_000_000, 100 + seed as u64);
+            assert!(
+                chi2 < chi2_bound(bins),
+                "Binomial({n},{p}): χ² = {chi2} over {bins} bins"
+            );
+        }
+    }
+
+    #[test]
+    fn stirling_tail_matches_ln_gamma() {
+        for k in [0u64, 1, 5, 9, 10, 11, 20, 100] {
+            let x = k as f64;
+            let want = ln_gamma(x + 1.0) - (x + 0.5) * (x + 1.0).ln() + (x + 1.0)
+                - 0.918_938_533_204_672_7;
+            // The tail series is cut after three terms: 1/(1680·11⁷) ≈
+            // 3·10⁻¹¹ at k = 10.
+            assert!(
+                (stirling_tail(k) - want).abs() < 1e-10,
+                "stirling_tail({k}) = {} want {want}",
+                stirling_tail(k)
+            );
+        }
     }
 
     #[test]
@@ -873,6 +1140,173 @@ mod tests {
         }
     }
 
+    /// Urns that take the binomial envelope: a small side above 16, a
+    /// sample (or complement) at most 1/64 of the urn. σ ≈ 8 direct,
+    /// mirrored and complemented; σ ≈ 40 mirrored and complemented; and
+    /// small sides of 20–64 balls.
+    const ENVELOPE_CASES: [(u64, u64, u64); 7] = [
+        (5_120, 20_480, 400),
+        (20_480, 5_120, 400),
+        (5_120, 20_480, 25_200),
+        (210_000, 199_600, 403_200),
+        (64, 4_032, 64),
+        (20, 2_000, 30),
+        (60_000, 40, 59_140),
+    ];
+
+    /// χ² of `trials` Hypergeometric draws against the exact pmf.
+    fn hypergeometric_fit(
+        (ngood, nbad, nsample): (u64, u64, u64),
+        trials: u64,
+        seed: u64,
+    ) -> (f64, usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut observed = vec![0.0f64; nsample as usize + 1];
+        for _ in 0..trials {
+            observed[hypergeometric(ngood, nbad, nsample, &mut rng) as usize] += 1.0;
+        }
+        let expected: Vec<f64> = hypergeometric_pmf(ngood, nbad, nsample)
+            .iter()
+            .map(|q| q * trials as f64)
+            .collect();
+        chi_square(&observed, &expected)
+    }
+
+    fn check_envelope_fit(trials: u64) {
+        for (seed, case) in ENVELOPE_CASES.into_iter().enumerate() {
+            let (ngood, nbad, nsample) = case;
+            let total = ngood + nbad;
+            let s = nsample.min(total - nsample);
+            assert!(
+                ngood.min(nbad) > 16 && s <= total / 64,
+                "{case:?} misses the envelope"
+            );
+            let (chi2, bins) = hypergeometric_fit(case, trials, 200 + seed as u64);
+            assert!(
+                chi2 < chi2_bound(bins),
+                "{case:?}: χ² = {chi2} over {bins} bins"
+            );
+        }
+    }
+
+    #[test]
+    fn hypergeometric_envelope_goodness_of_fit() {
+        check_envelope_fit(40_000);
+    }
+
+    #[test]
+    #[ignore = "high power: 2·10⁶ draws per case; run in release with --ignored"]
+    fn hypergeometric_envelope_goodness_of_fit_high_power() {
+        check_envelope_fit(2_000_000);
+    }
+
+    /// `φ(k*) − φ(k)` summed from the logarithms of its `|k − k*|`
+    /// factors, each as `ln_1p` of its excess over 1 with an exact integer
+    /// numerator.
+    fn envelope_gap(env: &HypergeometricEnvelope, k: u64) -> f64 {
+        let (g, b, s) = (env.g as i128, env.b as i128, env.s as i128);
+        let n = g + b;
+        let (lo, hi) = (k.min(env.k_star), k.max(env.k_star));
+        (lo..hi)
+            .map(|j| {
+                let j = j as i128;
+                let (num, den) = if k > env.k_star {
+                    (n * j - (s - 1) * g, b * (g - j))
+                } else {
+                    ((s - 1) * g - n * j, g * (b - s + 1 + j))
+                };
+                assert!(num >= 0, "factor below 1");
+                (num as f64 / den as f64).ln_1p()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn envelope_squeeze_bounds_the_log_ratio_and_k_star_is_the_argmax() {
+        for g in [17u64, 20, 33, 64, 100, 1_000] {
+            for b in [g, 2 * g + 1, 5_000, 100_003] {
+                let total = g + b;
+                let top = total / 64;
+                for s in [1, 2, 3, 7, top / 2, top.saturating_sub(1), top] {
+                    if s == 0 || s > top {
+                        continue;
+                    }
+                    let env = HypergeometricEnvelope::new(g, b, s);
+                    // φ from prefix sums over the support.
+                    let ln_falling = |m: u64, len: u64| -> Vec<f64> {
+                        let mut acc = vec![0.0];
+                        for i in 0..len {
+                            let next = acc[i as usize] + (-(i as f64) / m as f64).ln_1p();
+                            acc.push(next);
+                        }
+                        acc
+                    };
+                    let (lg, lb) = (ln_falling(g, g.min(s)), ln_falling(b, s));
+                    let phi = |k: u64| lg[k as usize] + lb[(s - k) as usize];
+                    let phi_star = phi(env.k_star);
+                    for k in s.saturating_sub(b)..=g.min(s) {
+                        let tol = 1e-12 * phi_star.abs().max(1.0);
+                        assert!(
+                            phi(k) <= phi_star + tol,
+                            "(g, b, s) = ({g}, {b}, {s}): φ({k}) > φ(k* = {})",
+                            env.k_star
+                        );
+                        if k == env.k_star {
+                            continue;
+                        }
+                        let gap = envelope_gap(&env, k);
+                        assert!(
+                            (gap - (phi_star - phi(k))).abs() <= tol,
+                            "(g, b, s) = ({g}, {b}, {s}), k = {k}: gap {gap}"
+                        );
+                        assert!(
+                            env.squeeze(k) >= gap,
+                            "(g, b, s) = ({g}, {b}, {s}), k = {k}: squeeze {} < gap {gap}",
+                            env.squeeze(k)
+                        );
+                        let ratio = env.ratio(k);
+                        assert!(
+                            (ratio - (-gap).exp()).abs() <= 1e-12,
+                            "(g, b, s) = ({g}, {b}, {s}), k = {k}: ratio {ratio}"
+                        );
+                    }
+                    // k* is the *first* maximizer: φ rises strictly into it.
+                    if env.k_star > 0 {
+                        assert!(envelope_gap(&env, env.k_star - 1) > 0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_exact_fallback_decides_when_the_squeeze_fails() {
+        // Hypergeometric(20, 2000, 30): the envelope with a chop-down
+        // Binomial(30, 20/2020) proposal (one uniform), k* = 1.
+        let (g, b, s) = (20u64, 2_000u64, 30u64);
+        let env = HypergeometricEnvelope::new(g, b, s);
+        assert_eq!(env.k_star, 1);
+        let pmf = binomial_pmf(s, g as f64 / (g + b) as f64);
+        let cdf = |k: usize| pmf[..=k].iter().sum::<f64>();
+        // A proposal uniform that inverts to K = 3, and acceptance
+        // uniforms between the squeeze and the exact ratio, and above it.
+        let propose_3 = (cdf(2) + cdf(3)) / 2.0;
+        let (squeeze, ratio) = (1.0 - env.squeeze(3), env.ratio(3));
+        assert!(squeeze < ratio && ratio < 1.0);
+        let keep = (squeeze + ratio) / 2.0;
+        let drop = (ratio + 1.0) / 2.0;
+        // Squeeze fails, the exact ratio accepts.
+        let mut rng = FixedRng::at(&[propose_3, keep]);
+        assert_eq!(hypergeometric(g, b, s, &mut rng), 3);
+        assert!(rng.is_spent());
+        // Both fail: the draw rejects 3 and proposes again; k* = 1 is
+        // kept without an acceptance uniform.
+        let propose_1 = (cdf(0) + cdf(1)) / 2.0;
+        let mut rng = FixedRng::at(&[propose_3, drop, propose_1]);
+        assert_eq!(hypergeometric(g, b, s, &mut rng), 1);
+        assert!(rng.is_spent());
+    }
+
     #[test]
     fn multivariate_hypergeometric_sums_and_marginals() {
         let counts = [40u64, 25, 0, 35];
@@ -904,31 +1338,15 @@ mod tests {
     }
 
     #[test]
-    fn multinomial_sums_and_marginals() {
-        let weights = [1.0, 0.0, 2.0, 5.0];
-        let n = 64u64;
-        let mut rng = SmallRng::seed_from_u64(29);
-        let trials = 20_000u64;
-        let mut mean = [0.0f64; 4];
-        for _ in 0..trials {
-            let split = multinomial(n, &weights, &mut rng);
-            assert_eq!(split.iter().sum::<u64>(), n);
-            assert_eq!(split[1], 0, "zero-weight category drawn");
-            for (m, &k) in mean.iter_mut().zip(&split) {
-                *m += k as f64 / trials as f64;
-            }
-        }
-        let total: f64 = weights.iter().sum();
-        for (i, &w) in weights.iter().enumerate() {
-            let p = w / total;
-            let want = n as f64 * p;
-            let tol = 5.0 * (n as f64 * p * (1.0 - p) / trials as f64).sqrt() + 1e-9;
-            assert!(
-                (mean[i] - want).abs() < tol,
-                "marginal {i}: mean {} want {want}",
-                mean[i]
-            );
-        }
+    fn multivariate_hypergeometric_into_refills_a_reused_buffer() {
+        let counts = [40u64, 25, 0, 35];
+        let mut out = vec![7u64; 9];
+        let mut rng = SmallRng::seed_from_u64(19);
+        multivariate_hypergeometric_into(&counts, 30, &mut out, &mut rng);
+        let mut again = SmallRng::seed_from_u64(19);
+        assert_eq!(out, multivariate_hypergeometric(&counts, 30, &mut again));
+        multivariate_hypergeometric_into(&counts, 0, &mut out, &mut rng);
+        assert_eq!(out, [0, 0, 0, 0]);
     }
 
     #[test]

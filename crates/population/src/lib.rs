@@ -20,7 +20,8 @@
 //!   runs,
 //! * [`Multiset`] — order-insensitive view of a configuration,
 //! * [`dist`] — exact discrete samplers (binomial, hypergeometric,
-//!   multinomial, [`AliasTable`]) powering the batch-epoch execution path,
+//!   multivariate hypergeometric, [`AliasTable`]) powering the
+//!   batch-epoch execution path,
 //! * [`Topology`] — first-class interaction graphs (complete, ring, star,
 //!   grid, random-regular, Erdős–Rényi) with CSR adjacency and O(1)
 //!   uniform arc sampling, the data behind graph-aware scheduling,
