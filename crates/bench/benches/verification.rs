@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_bench::pairing_inputs;
 use ppfts_core::{build_matching, extract_events, project, Sid, Skno};
-use ppfts_engine::{OneWayModel, OneWayRunner};
+use ppfts_engine::{FullTrace, OneWayModel, OneWayRunner};
 use ppfts_protocols::Pairing;
 
 fn bench_verification(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn bench_verification(c: &mut Criterion) {
         let sims = pairing_inputs(8);
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
             .config(Sid::<Pairing>::initial(&sims))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(9)
             .build()
             .unwrap();
@@ -44,7 +44,7 @@ fn bench_verification(c: &mut Criterion) {
         let sims = pairing_inputs(8);
         let mut runner = OneWayRunner::builder(OneWayModel::It, Skno::new(Pairing, 0))
             .config(Skno::<Pairing>::initial(&sims))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(9)
             .build()
             .unwrap();

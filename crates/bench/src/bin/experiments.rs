@@ -16,8 +16,7 @@ use ppfts_bench::{
     e13_families, measure_epidemic_epoch, measure_epidemic_giant, measure_epidemic_giant_dense,
     measure_epidemic_topology, measure_named, measure_naming_phase, measure_sid,
     measure_sid_epidemic_graphical, measure_skno, measure_skno_epidemic_graphical,
-    skno_epidemic_graphical_run_with, skno_graphical_fixed_steps_sharded, skno_peak_tokens,
-    E13_RR_DEGREE, E13_TOPOLOGY_SEED,
+    skno_epidemic_graphical_run_with, skno_peak_tokens, E13_RR_DEGREE, E13_TOPOLOGY_SEED,
 };
 use ppfts_core::{fastest_transition_time, Sid, SidState, Skno, SknoState};
 use ppfts_engine::hierarchy::{direct_inclusions, includes};
@@ -54,7 +53,7 @@ impl Selection {
     /// The experiment ids this binary knows, with their table titles
     /// (the same titles `header` prints, kept in one place so `--help`
     /// cannot drift from the sections).
-    const KNOWN: [(&'static str, &'static str); 17] = [
+    const KNOWN: [(&'static str, &'static str); 16] = [
         ("e1", "Figure 1: hierarchy arrows and closure"),
         (
             "e2",
@@ -104,10 +103,6 @@ impl Selection {
         (
             "e15",
             "Batch-epoch epidemic sweep (n = 10²…10⁹, sub-ns per interaction)",
-        ),
-        (
-            "e16",
-            "Sharded dense stepping (graphical SKnO, fixed budget, threads × n)",
         ),
         (
             "e17",
@@ -489,46 +484,6 @@ fn main() {
             "(wall-clock per seed across the sweep, plus the per-interaction \
              interleaved↔epoch ratio at n = 10⁶: BENCH_RESULTS.json, e15_epoch/* \
              and e11_giant/per_interaction_*)"
-        );
-    }
-
-    if selection.wants("e16") {
-        section("e16");
-        let (sizes, steps): (&[usize], u64) = if selection.smoke {
-            (&[256], 16_384)
-        } else {
-            (&[1_024, 4_096], 65_536)
-        };
-        println!(
-            "{:>6} | {:>6} | {:>12} | {:>10} | {:>8}",
-            "n", "shards", "wall-clock", "vs 1", "infected"
-        );
-        for &n in sizes {
-            let topology = Topology::random_regular(n, E13_RR_DEGREE, E13_TOPOLOGY_SEED)
-                .expect("rr4 is feasible at E16 sizes");
-            let mut sequential_ms = 0.0;
-            for shards in [1usize, 2, 4, 8] {
-                let start = std::time::Instant::now();
-                let infected =
-                    skno_graphical_fixed_steps_sharded(&topology, 1, 0.02, shards, steps, 7);
-                let ms = start.elapsed().as_secs_f64() * 1e3;
-                if shards == 1 {
-                    sequential_ms = ms;
-                }
-                println!(
-                    "{:>6} | {:>6} | {:>9.2} ms | {:>9.2}× | {:>8}",
-                    n,
-                    shards,
-                    ms,
-                    sequential_ms / ms,
-                    infected
-                );
-            }
-        }
-        println!(
-            "(identical `infected` across shard counts is the bit-identity contract; \
-             speedup needs real cores — see EXPERIMENTS.md E16 and BENCH_RESULTS.json, \
-             e16_shard/*)"
         );
     }
 

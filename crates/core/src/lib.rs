@@ -46,7 +46,6 @@
 //! # Ok::<(), ppfts_engine::EngineError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod commit;

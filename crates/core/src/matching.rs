@@ -471,7 +471,7 @@ fn admissible_schedule<Q: State>(
 mod tests {
     use super::*;
     use crate::{extract_events, project, Sid, Skno};
-    use ppfts_engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+    use ppfts_engine::{BoundedStrategy, FullTrace, OneWayModel, OneWayRunner};
     use ppfts_population::TableProtocol;
 
     fn pairing() -> TableProtocol<char> {
@@ -487,7 +487,7 @@ mod tests {
         let sims = ['c', 'c', 'p', 'p', 'p'];
         let mut runner = OneWayRunner::builder(OneWayModel::Io, sid)
             .config(Sid::<TableProtocol<char>>::initial(&sims))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(21)
             .build()
             .unwrap();
@@ -511,7 +511,7 @@ mod tests {
         let mut runner = OneWayRunner::builder(OneWayModel::I3, skno)
             .config(Skno::<TableProtocol<char>>::initial(&sims))
             .adversary(BoundedStrategy::new(0.05, o as u64))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(5)
             .build()
             .unwrap();

@@ -116,12 +116,6 @@ where
     fn required_topology(&self) -> Option<&ppfts_population::Topology> {
         self.inner.required_topology()
     }
-
-    /// Shard-safety is a property of the inner program's hooks; the
-    /// adapter adds no state of its own.
-    fn shard_safe(&self) -> bool {
-        self.inner.shard_safe()
-    }
 }
 
 #[cfg(test)]

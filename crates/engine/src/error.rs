@@ -73,15 +73,6 @@ pub enum EngineError {
         /// The feature the epoch path cannot honor.
         feature: &'static str,
     },
-    /// A runner was assembled with `shards(k)` for `k > 1` but a feature
-    /// of the assembly cannot be executed shard-parallel: the count
-    /// backend (no per-agent state slab to partition) or a program whose
-    /// in-place hooks declare themselves shard-unsafe
-    /// ([`shard_safe`](crate::OneWayProgram::shard_safe)` == false`).
-    ShardIncompatible {
-        /// The feature the sharded path cannot honor.
-        feature: &'static str,
-    },
     /// A topology-bound scheduler was assembled with a population of a
     /// different size than its interaction graph.
     TopologySizeMismatch {
@@ -140,14 +131,6 @@ impl fmt::Display for EngineError {
                     f,
                     "the batch-epoch path cannot honor {feature}; use the \
                      interleaved path (`run`/`run_batched`) instead"
-                )
-            }
-            EngineError::ShardIncompatible { feature } => {
-                write!(
-                    f,
-                    "the sharded path cannot honor {feature}; build with \
-                     `shards(1)` and use the sequential batched path \
-                     (`run_batched`) instead"
                 )
             }
             EngineError::TopologySizeMismatch {

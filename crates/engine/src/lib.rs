@@ -71,11 +71,6 @@
 //! # Ok::<(), ppfts_engine::EngineError>(())
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// sharded batch executor (`shard` module), whose disjoint `&mut` access
-// pattern over the dense state slab carries a module-local safety
-// argument. Everything else stays unsafe-free.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adversary;
@@ -92,8 +87,6 @@ mod program;
 mod runner;
 mod schedule;
 mod scheduler;
-#[allow(unsafe_code)]
-mod shard;
 mod sink;
 mod stats;
 mod trace;

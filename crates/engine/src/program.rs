@@ -67,14 +67,6 @@ pub trait TwoWayProgram {
     fn required_topology(&self) -> Option<&Topology> {
         None
     }
-
-    /// Whether this program's update hooks may be applied from several
-    /// worker threads at once on *disjoint* agent pairs — see
-    /// [`OneWayProgram::shard_safe`] for the contract. Defaults to
-    /// `true`.
-    fn shard_safe(&self) -> bool {
-        true
-    }
 }
 
 impl<P: TwoWayProtocol> TwoWayProgram for P {
@@ -215,26 +207,6 @@ pub trait OneWayProgram {
     /// [`ProgramTopologyMismatch`](crate::EngineError::ProgramTopologyMismatch).
     fn required_topology(&self) -> Option<&Topology> {
         None
-    }
-
-    /// Whether this program's update hooks may be applied from several
-    /// worker threads at once on *disjoint* agent pairs.
-    ///
-    /// Hooks that are pure functions of their endpoint-state arguments —
-    /// every protocol and simulator in this workspace — are shard-safe,
-    /// so this defaults to `true`. A program must return `false` if its
-    /// hooks carry *interior mutability* observable across calls (a
-    /// `Cell`/`RefCell`/`Mutex` counter, a memo table, an event log):
-    /// under sharded execution, hook calls on disjoint pairs race in
-    /// wall-clock order, so such side state would diverge from the
-    /// sequential batched path even though the agent states themselves
-    /// cannot.
-    ///
-    /// Runner builders reject `shards(k > 1)` with a shard-unsafe
-    /// program at `build()` with
-    /// [`ShardIncompatible`](crate::EngineError::ShardIncompatible).
-    fn shard_safe(&self) -> bool {
-        true
     }
 }
 

@@ -32,7 +32,6 @@
 //!   simulator. Exit codes follow the repo gate contract: 0 clean,
 //!   1 findings, 2 usage error.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod corpus;

@@ -36,7 +36,6 @@
 //! a ground-truth `expected` oracle, which the correctness harnesses
 //! compare simulated executions against.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod epidemic;

@@ -28,7 +28,6 @@
 //! ppfts_sweep --manifest … --out e13.jsonl --verify        # audit: exit 0 iff complete
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ppfts_verify::json;

@@ -28,7 +28,6 @@
 //! The experiment harness in `ppfts-bench` prints these results in the
 //! shape of the paper's Figure 4.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

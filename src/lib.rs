@@ -40,8 +40,6 @@
 //! the documented paper errata, and `EXPERIMENTS.md` for paper-claim vs
 //! measured results.
 
-#![forbid(unsafe_code)]
-
 pub use ppfts_analyze as analyze;
 pub use ppfts_core as core;
 pub use ppfts_engine as engine;

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use ppfts::core::{project, Sid, Skno};
 use ppfts::engine::{
-    outcome, BoundedStrategy, OneWayFault, OneWayModel, OneWayRunner, TwoWayFault, TwoWayModel,
-    TwoWayRunner,
+    outcome, BoundedStrategy, FullTrace, OneWayFault, OneWayModel, OneWayRunner, TwoWayFault,
+    TwoWayModel, TwoWayRunner,
 };
 use ppfts::population::{Configuration, Multiset, Semantics, TwoWayProtocol};
 use ppfts::protocols::{Epidemic, FlockOfBirds, MaxGossip, Pairing, PairingState, Remainder};
@@ -259,7 +259,7 @@ proptest! {
 
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(protocol.clone()))
             .config(Sid::<TableProtocol<u8>>::initial(&initials))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(seed)
             .build()
             .unwrap();
@@ -292,7 +292,7 @@ proptest! {
 
         let mut runner = OneWayRunner::builder(OneWayModel::It, Skno::new(protocol.clone(), 0))
             .config(Skno::<TableProtocol<u8>>::initial(&initials))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(seed)
             .build()
             .unwrap();

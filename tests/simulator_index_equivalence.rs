@@ -7,8 +7,8 @@
 //! makes the index an *optimization* rather than a semantic change:
 //!
 //! 1. **Bit-identity** — for any model, omission bound `o ∈ {0, 1, 2}`,
-//!    adversary, complete or restricted graph, and scalar / batched /
-//!    sharded execution, the indexed simulator produces the same final
+//!    adversary, complete or restricted graph, and scalar / batched
+//!    execution, the indexed simulator produces the same final
 //!    configuration, `RunStats`, step count, and recorded trace as the
 //!    scan-path simulator from the same seed.
 //! 2. **RNG position** — after the comparison point both runners are
@@ -66,8 +66,7 @@ macro_rules! drive_skno {
         let mut r = $builder.build().unwrap();
         match $exec {
             0 => r.run($steps).unwrap(),
-            1 => r.run_batched($steps, $batch).unwrap(),
-            _ => r.run_sharded($steps, $batch).unwrap(),
+            _ => r.run_batched($steps, $batch).unwrap(),
         }
         let phase1 = (r.config().clone(), r.stats(), r.steps(), r.take_trace());
         r.run(67).unwrap();
@@ -111,10 +110,10 @@ proptest! {
     /// The tentpole contract: indexed `SKnO` ≡ scan-path `SKnO`
     /// bit-for-bit — configurations, stats, steps, traces, and RNG
     /// position — across models, omission bounds, adversaries,
-    /// anonymous/graphical instances, and scalar/batched/sharded
-    /// execution. The adversary sweep covers both RNG-drawing and
-    /// deterministic deciders, so batched runs exercise the interleaved
-    /// *and* the bulk pair-drawing paths.
+    /// anonymous/graphical instances, and scalar/batched execution. The
+    /// adversary sweep covers both RNG-drawing and deterministic
+    /// deciders, so batched runs exercise the interleaved *and* the bulk
+    /// pair-drawing paths.
     #[test]
     fn indexed_skno_equals_scan_reference_bitwise(
         model in one_way_model_strategy(),
@@ -127,7 +126,7 @@ proptest! {
         at in 0u64..400,
         seed in 0u64..10_000,
         steps in 0u64..400,
-        exec in 0u8..3,
+        exec in 0u8..2,
         batch in 1u64..200,
     ) {
         // graphical: 0-1 anonymous, 2 complete graph, 3-4 restricted.
@@ -138,10 +137,7 @@ proptest! {
         };
         let n = topology.as_ref().map_or(n, Topology::len);
         let sims: Vec<bool> = (0..n).map(|i| i == 0).collect();
-        // Sharded runs need a passive sink and worker threads; the
-        // others record full traces so divergence points at the draw.
-        let shards = if exec == 2 { 3 } else { 1 };
-        let record = exec != 2;
+        // Full traces, so a divergence points at the draw.
         macro_rules! make {
             ($indexed:expr) => {{
                 let skno = match &topology {
@@ -149,12 +145,10 @@ proptest! {
                     None => Skno::new(Epidemic, o),
                 };
                 let skno = if $indexed { skno } else { skno.scan_reference() };
-                let sink = if record { FullTrace::new() } else { FullTrace::disabled() };
                 let builder = OneWayRunner::builder(model, skno)
                     .config(Skno::<Epidemic>::initial(&sims))
-                    .shards(shards)
                     .seed(seed)
-                    .trace_sink(sink);
+                    .trace_sink(FullTrace::new());
                 match &topology {
                     Some(t) => drive_skno_with_adversary!(
                         builder.topology(t.clone()), adv, rate, o, at, steps, exec, batch

@@ -501,7 +501,7 @@ proptest! {
             .topology(topology.clone())
             .adversary(RateStrategy::new(0.1))
             .seed(seed)
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
             r.run(steps).unwrap();
@@ -519,7 +519,7 @@ proptest! {
             .config(Sid::<Pairing>::initial(&sims))
             .topology(topology.clone())
             .seed(seed)
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
             r.run(steps).unwrap();
