@@ -23,8 +23,6 @@
 //! is plainly `start_sim(my_id)` (the agent's own — now provably unique —
 //! name), which is what we implement.
 
-use std::sync::Arc;
-
 use ppfts_engine::OneWayProgram;
 use ppfts_population::{Configuration, State, Topology, TwoWayProtocol};
 
@@ -109,7 +107,7 @@ pub struct NamedSid<P> {
     sid: Sid<P>,
     n: usize,
     gossip: GossipPolicy,
-    topology: Option<Arc<Topology>>,
+    topology: Option<Topology>,
 }
 
 /// Whether agents that already simulate keep revealing `max_id = n` to
@@ -189,13 +187,13 @@ impl<P: TwoWayProtocol> NamedSid<P> {
             sid: Sid::new(protocol),
             n,
             gossip: GossipPolicy::Enabled,
-            topology: Some(Arc::new(topology)),
+            topology: Some(topology),
         }
     }
 
     /// The interaction graph this simulator is bound to, if graphical.
     pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+        self.topology.as_ref()
     }
 
     /// The gossip policy in force.
@@ -322,7 +320,7 @@ impl<P: TwoWayProtocol> OneWayProgram for NamedSid<P> {
     /// Graphical simulators are bound to their interaction graph; the
     /// builder refuses any scheduler that deals a different law.
     fn required_topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+        self.topology.as_ref()
     }
 }
 

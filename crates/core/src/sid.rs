@@ -36,8 +36,6 @@
 //! simulated state at pairing time, validated at lock time by the line-6
 //! guard.
 
-use std::sync::Arc;
-
 use ppfts_engine::OneWayProgram;
 use ppfts_population::{Configuration, State, Topology, TwoWayProtocol};
 
@@ -70,11 +68,11 @@ pub struct SidState<Q> {
     other_state: Option<Q>,
     /// Ghost commit log head, stored inline: written only on the two
     /// commit arms and read only by verification. Inline widens the state
-    /// (72 rather than 48 bytes for `Q = bool`) but spares every commit an
+    /// (64 rather than 40 bytes for `Q = bool`) but spares every commit an
     /// allocation and a free, which measured cheaper on the `SID` hot path
-    /// (EXPERIMENTS.md E17).
+    /// (EXPERIMENTS.md E17). The commit count is derived from it: the
+    /// last commit's `seq + 1`, or 0 before the first.
     commit: Option<Commit<Q>>,
-    commits: u64,
 }
 
 impl<Q: PartialEq> PartialEq for SidState<Q> {
@@ -110,7 +108,6 @@ impl<Q: State> SidState<Q> {
             other_id: None,
             other_state: None,
             commit: None,
-            commits: 0,
         }
     }
 
@@ -155,7 +152,7 @@ impl<Q: State> SidState<Q> {
 pub struct Sid<P> {
     protocol: P,
     rollback: RollbackPolicy,
-    topology: Option<Arc<Topology>>,
+    topology: Option<Topology>,
     /// Precomputed "the graph actually restricts something": lets the
     /// per-observation adjacency guards short-circuit without touching
     /// the topology at all in anonymous and complete-graph runs — the
@@ -221,14 +218,14 @@ impl<P: TwoWayProtocol> Sid<P> {
         Sid {
             protocol,
             rollback: RollbackPolicy::Enabled,
-            topology: Some(Arc::new(topology)),
+            topology: Some(topology),
             filtering,
         }
     }
 
     /// The interaction graph this simulator is bound to, if graphical.
     pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+        self.topology.as_ref()
     }
 
     /// Whether two protocol IDs may simulate an interaction: graph
@@ -241,7 +238,7 @@ impl<P: TwoWayProtocol> Sid<P> {
         !self.filtering
             || self
                 .topology
-                .as_deref()
+                .as_ref()
                 .expect("filtering implies a bound topology")
                 .contains_arc(a as usize, b as usize)
     }
@@ -297,9 +294,8 @@ impl<P: TwoWayProtocol> Sid<P> {
                     role: Role::Starter,
                     partner: s.sim.clone(),
                     partner_id: Some(s.id),
-                    seq: r2.commits,
+                    seq: r2.commit_count(),
                 });
-                r2.commits += 1;
             }
             // Lines 10–13: the reactor of the simulated interaction
             // finishes against its *saved* partner state (see erratum).
@@ -320,9 +316,8 @@ impl<P: TwoWayProtocol> Sid<P> {
                     role: Role::Reactor,
                     partner: q_s,
                     partner_id: Some(s.id),
-                    seq: r2.commits,
+                    seq: r2.commit_count(),
                 });
-                r2.commits += 1;
             }
             // Lines 14–16: rollback — the tracked partner has moved on.
             // Unlocks a locked agent whose partner finished, and frees a
@@ -394,9 +389,8 @@ impl<P: TwoWayProtocol> Sid<P> {
                     role: Role::Starter,
                     partner: s.sim.clone(),
                     partner_id: Some(s.id),
-                    seq: r.commits,
+                    seq: r.commit_count(),
                 });
-                r.commits += 1;
                 true
             }
             // Lines 10–13: the reactor of the simulated interaction
@@ -417,9 +411,8 @@ impl<P: TwoWayProtocol> Sid<P> {
                     role: Role::Reactor,
                     partner: q_s,
                     partner_id: Some(s.id),
-                    seq: r.commits,
+                    seq: r.commit_count(),
                 });
-                r.commits += 1;
                 true
             }
             // Lines 14–16: rollback — the tracked partner has moved on.
@@ -465,7 +458,7 @@ impl<P: TwoWayProtocol> OneWayProgram for Sid<P> {
     /// Graphical simulators are bound to their interaction graph; the
     /// builder refuses any scheduler that deals a different law.
     fn required_topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+        self.topology.as_ref()
     }
 }
 
@@ -477,7 +470,7 @@ impl<Q: State> SimulatorState for SidState<Q> {
     }
 
     fn commit_count(&self) -> u64 {
-        self.commits
+        self.commit.as_ref().map_or(0, |c| c.seq + 1)
     }
 
     fn last_commit(&self) -> Option<&Commit<Q>> {
@@ -674,7 +667,6 @@ mod tests {
                                 partner_id: Some(third),
                                 seq: 6,
                             }),
-                            commits: 7,
                         });
                     }
                 }

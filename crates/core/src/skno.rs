@@ -40,7 +40,6 @@
 //! reactor's pre-transition state in the change token.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use ppfts_engine::OneWayProgram;
 use ppfts_population::{Configuration, State, Topology, TwoWayProtocol};
@@ -816,7 +815,7 @@ pub struct Skno<P> {
     protocol: P,
     bound: u32,
     bookkeeping: JokerBookkeeping,
-    topology: Option<Arc<Topology>>,
+    topology: Option<Topology>,
     addressed: bool,
     indexed: bool,
     /// Precomputed [`Skno::filtering`]: the adjacency/addressing guards
@@ -929,7 +928,7 @@ impl<P: TwoWayProtocol> Skno<P> {
             protocol,
             bound: omission_bound,
             bookkeeping: JokerBookkeeping::Rummy,
-            topology: Some(Arc::new(topology)),
+            topology: Some(topology),
             addressed: true,
             indexed: true,
             filtering,
@@ -953,7 +952,7 @@ impl<P: TwoWayProtocol> Skno<P> {
             protocol,
             bound: omission_bound,
             bookkeeping: JokerBookkeeping::Rummy,
-            topology: Some(Arc::new(topology)),
+            topology: Some(topology),
             addressed: false,
             indexed: true,
             filtering,
@@ -969,7 +968,7 @@ impl<P: TwoWayProtocol> Skno<P> {
 
     /// The interaction graph this simulator is bound to, if graphical.
     pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+        self.topology.as_ref()
     }
 
     /// Whether adjacency filtering is in force: graphical, and the graph
@@ -998,7 +997,7 @@ impl<P: TwoWayProtocol> Skno<P> {
         !self.filtering
             || self
                 .topology
-                .as_deref()
+                .as_ref()
                 .expect("filtering implies a bound topology")
                 .contains_arc(origin as usize, site as usize)
     }
@@ -1632,7 +1631,7 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
     /// Graphical simulators are bound to their interaction graph; the
     /// builder refuses any scheduler that deals a different law.
     fn required_topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+        self.topology.as_ref()
     }
 }
 

@@ -132,10 +132,10 @@ impl<Q: State> EpochBackend for CountConfiguration<Q> {
 /// `P(ℓ ≥ j) = A(j)` and ℓ is sampled exactly by inverting one uniform
 /// draw against the precomputed, non-increasing survival table:
 /// ℓ = max{ j : A(j) > U }. `A(1) = 1`, so ℓ ≥ 1 always; `A(j) = 0` past
-/// `⌊n/2⌋` (the agents run out). The table, built once per driver call,
-/// is truncated at `5√n + 16` entries, where `A ≈ e⁻⁵⁰`; the
-/// astronomically rare draw below the truncation extends the product on
-/// the fly.
+/// `⌊n/2⌋` (the agents run out). The table, built once per n per thread
+/// (see [`EpochLengths::shared`]), is truncated at `5√n + 16` entries,
+/// where `A ≈ e⁻⁵⁰`; the astronomically rare draw below the truncation
+/// extends the product on the fly.
 ///
 /// The inversion searches only inside `u`'s cell of a guide table over
 /// `(0, 1)`: P(ℓ ≥ j) ≈ e^(−2j²/n) spreads the draws over thousands of
@@ -199,6 +199,20 @@ impl EpochLengths {
             mean,
             guide,
         }
+    }
+
+    /// The table for `n`, kept per thread until `n` changes: a per-call
+    /// table was rebuilt for every seed, and one table per process made
+    /// two cores share its reads, which ran slower (EXPERIMENTS.md E17).
+    pub(crate) fn shared(n: u64) -> std::rc::Rc<Self> {
+        use std::{cell::RefCell, rc::Rc};
+        thread_local! {
+            static SLOT: RefCell<Option<Rc<EpochLengths>>> = const { RefCell::new(None) };
+        }
+        SLOT.with_borrow_mut(|slot| match slot {
+            Some(lengths) if lengths.n == n => Rc::clone(lengths),
+            _ => Rc::clone(slot.insert(Rc::new(EpochLengths::new(n)))),
+        })
     }
 
     /// The number of survival entries `A(j) > u`, searched inside `u`'s
@@ -574,7 +588,7 @@ where
     B: FnMut(&C) -> bool,
 {
     let n = config.len() as u64;
-    let lengths = EpochLengths::new(n);
+    let lengths = EpochLengths::shared(n);
     let nf = n as f64;
     let pairs = nf * (nf - 1.0);
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
@@ -991,6 +1005,7 @@ mod tests {
     use ppfts_population::CountConfiguration;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::rc::Rc;
 
     fn epidemic(s: &bool, r: &bool) -> Result<(bool, bool), EngineError> {
         Ok((*s, *s || *r))
@@ -1009,6 +1024,56 @@ mod tests {
         }
         // A(1) = 1: the first interaction never collides, so ℓ ≥ 1.
         assert_eq!(lengths.survival[1], 1.0);
+    }
+
+    fn assert_same_table(got: &EpochLengths, n: u64) {
+        let fresh = EpochLengths::new(n);
+        assert_eq!((got.n, got.jmax), (fresh.n, fresh.jmax), "n = {n}");
+        assert_eq!(got.survival, fresh.survival, "n = {n}");
+        assert_eq!(got.guide, fresh.guide, "n = {n}");
+        assert_eq!(got.mean.to_bits(), fresh.mean.to_bits(), "n = {n}");
+    }
+
+    #[test]
+    fn shared_tables_are_kept_per_n_and_replaced_on_a_new_n() {
+        // The slot is per thread, and every test runs on its own thread.
+        let first = EpochLengths::shared(1_000);
+        assert_same_table(&first, 1_000);
+        assert!(Rc::ptr_eq(&first, &EpochLengths::shared(1_000)));
+        let other = EpochLengths::shared(4_096);
+        assert_same_table(&other, 4_096);
+        let again = EpochLengths::shared(1_000);
+        assert!(!Rc::ptr_eq(&first, &again), "a new n replaces the slot");
+        assert_same_table(&again, 1_000);
+    }
+
+    #[test]
+    fn threads_alternating_n_read_correct_tables_of_their_own() {
+        // The barrier puts both threads in the same round, each asking
+        // for the n the other one just asked for.
+        let round = std::sync::Barrier::new(2);
+        let tables: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = [[100u64, 2_000], [2_000, 100]]
+                .into_iter()
+                .map(|ns| {
+                    let round = &round;
+                    scope.spawn(move || {
+                        for i in 0..50 {
+                            let n = ns[i % 2];
+                            round.wait();
+                            assert_same_table(&EpochLengths::shared(n), n);
+                        }
+                        // Both tables are alive at the last barrier, so
+                        // their addresses are distinct if they are two.
+                        let table = Rc::as_ptr(&EpochLengths::shared(2_000)) as usize;
+                        round.wait();
+                        table
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_ne!(tables[0], tables[1], "each thread builds its own table");
     }
 
     #[test]

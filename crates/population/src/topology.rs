@@ -45,9 +45,11 @@
 //! # Ok::<(), ppfts_population::TopologyError>(())
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, Weak};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -279,10 +281,43 @@ enum Repr {
 /// assert_eq!(nbrs, vec![1, 3, 5]);
 /// # Ok::<(), ppfts_population::TopologyError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Topology {
     class: TopologyClass,
-    repr: Repr,
+    repr: Arc<Repr>,
+}
+
+impl Clone for Topology {
+    /// This thread's copy of the graph: the first clone on a thread copies
+    /// the adjacency, and later clones there of the same graph share that
+    /// copy. Two cores drawing from one L2-sized graph ran ≈ 20% slower
+    /// than with a copy each (EXPERIMENTS.md E17).
+    fn clone(&self) -> Self {
+        thread_local! {
+            static COPY: RefCell<Option<(Weak<Repr>, Arc<Repr>)>> = const { RefCell::new(None) };
+        }
+        let repr = COPY.with_borrow_mut(|slot| match slot {
+            Some((of, copy))
+                if of.as_ptr() == Arc::as_ptr(&self.repr) || Arc::ptr_eq(copy, &self.repr) =>
+            {
+                Arc::clone(copy)
+            }
+            _ => {
+                let copy = Arc::new(Repr::clone(&self.repr));
+                Arc::clone(&slot.insert((Arc::downgrade(&self.repr), copy)).1)
+            }
+        });
+        let class = self.class.clone();
+        Topology { class, repr }
+    }
+}
+
+impl PartialEq for Topology {
+    /// Same class and adjacency; shared adjacency skips the comparison.
+    fn eq(&self, other: &Self) -> bool {
+        self.class == other.class
+            && (Arc::ptr_eq(&self.repr, &other.repr) || self.repr == other.repr)
+    }
 }
 
 impl Topology {
@@ -299,7 +334,7 @@ impl Topology {
         }
         Ok(Topology {
             class: TopologyClass::Complete,
-            repr: Repr::Complete { n },
+            repr: Arc::new(Repr::Complete { n }),
         })
     }
 
@@ -527,11 +562,11 @@ impl Topology {
         }
         let topology = Topology {
             class,
-            repr: Repr::Csr {
+            repr: Arc::new(Repr::Csr {
                 offsets,
                 heads,
                 tails,
-            },
+            }),
         };
         let reachable = topology.reachable_from_zero();
         if reachable != n {
@@ -542,7 +577,7 @@ impl Topology {
 
     /// Number of agents (vertices).
     pub fn len(&self) -> usize {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => *n,
             Repr::Csr { offsets, .. } => offsets.len() - 1,
         }
@@ -563,7 +598,7 @@ impl Topology {
     /// whose interaction law a count-based population backend can realize
     /// from state multiplicities alone.
     pub fn is_complete(&self) -> bool {
-        matches!(self.repr, Repr::Complete { .. })
+        matches!(*self.repr, Repr::Complete { .. })
     }
 
     /// Number of undirected edges `m`.
@@ -573,7 +608,7 @@ impl Topology {
 
     /// Number of arcs (ordered edges): `2m`.
     pub fn arc_count(&self) -> usize {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => n * (n - 1),
             Repr::Csr { heads, .. } => heads.len(),
         }
@@ -585,7 +620,7 @@ impl Topology {
     ///
     /// Panics if `v` is out of bounds.
     pub fn degree(&self, v: usize) -> usize {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => {
                 assert!(v < *n, "vertex {v} out of bounds for {n}");
                 n - 1
@@ -600,7 +635,7 @@ impl Topology {
     ///
     /// Panics if `v` is out of bounds.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => {
                 assert!(v < *n, "vertex {v} out of bounds for {n}");
                 Neighbors::Complete { v, next: 0, n: *n }
@@ -618,7 +653,7 @@ impl Topology {
         if u >= n || v >= n || u == v {
             return false;
         }
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { .. } => true,
             Repr::Csr { offsets, heads, .. } => heads[offsets[u]..offsets[u + 1]]
                 .binary_search(&(v as u32))
@@ -634,7 +669,7 @@ impl Topology {
         if u >= n || v >= n || u == v {
             return None;
         }
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { .. } => Some(u * (n - 1) + v - usize::from(v > u)),
             Repr::Csr { offsets, heads, .. } => heads[offsets[u]..offsets[u + 1]]
                 .binary_search(&(v as u32))
@@ -650,7 +685,7 @@ impl Topology {
     ///
     /// Panics if `a >= arc_count()`.
     pub fn arc(&self, a: usize) -> Interaction {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => {
                 assert!(a < n * (n - 1), "arc index {a} out of bounds");
                 let s = a / (n - 1);
@@ -686,7 +721,7 @@ impl Topology {
     /// jobs, fuzzers) inline the range draws instead of paying a virtual
     /// call per draw. The `dyn` entry point above delegates here.
     pub fn sample_arc_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> Interaction {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => {
                 let s = rng.gen_range(0..*n);
                 let mut r = rng.gen_range(0..*n - 1);
@@ -721,7 +756,7 @@ impl Topology {
         rng: &mut R,
     ) {
         out.reserve(k);
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => {
                 let n = *n;
                 for _ in 0..k {
@@ -878,7 +913,7 @@ impl Topology {
 
     /// One multiply by `½(I + D^{-½} A D^{-½})`, writing into `w`.
     fn lazy_step(&self, v: &[f64], w: &mut [f64], sqrt_deg: &[f64]) {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => {
                 // All degrees are n−1: (Av)_i = Σ_{j≠i} v_j = S − v_i.
                 let s: f64 = v.iter().sum();
@@ -924,7 +959,7 @@ impl Topology {
         if let Some(exact) = self.conductance_exact() {
             return exact;
         }
-        if let Repr::Complete { n } = &self.repr {
+        if let Repr::Complete { n } = &*self.repr {
             // Φ(K_n, |S| = k ≤ n/2) = k(n−k)/(k(n−1)) = (n−k)/(n−1),
             // minimized at the balanced cut.
             return (*n - *n / 2) as f64 / (*n - 1) as f64;
@@ -964,7 +999,7 @@ impl Topology {
     /// # Ok::<(), ppfts_population::TopologyError>(())
     /// ```
     pub fn sweep_cut_vertices(&self) -> Vec<usize> {
-        if matches!(self.repr, Repr::Complete { .. }) || self.len() < 2 {
+        if matches!(*self.repr, Repr::Complete { .. }) || self.len() < 2 {
             return Vec::new();
         }
         self.sweep_cut().1
@@ -1016,7 +1051,7 @@ impl Topology {
     /// Vertices reachable from vertex 0 (BFS over the CSR arrays; the
     /// complete graph is trivially connected).
     fn reachable_from_zero(&self) -> usize {
-        match &self.repr {
+        match &*self.repr {
             Repr::Complete { n } => *n,
             Repr::Csr { offsets, heads, .. } => {
                 let n = offsets.len() - 1;
@@ -1237,6 +1272,51 @@ mod tests {
         let a = Topology::random_regular(16, 4, 9).unwrap();
         let b = Topology::random_regular(16, 4, 9).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn clones_share_one_copy_per_thread() {
+        let t = Topology::random_regular(16, 4, 9).unwrap();
+        let ring = Topology::ring(16).unwrap();
+        let on_thread = || {
+            let (a, b) = (t.clone(), t.clone());
+            assert!(!Arc::ptr_eq(&t.repr, &a.repr), "the first clone copies");
+            assert!(Arc::ptr_eq(&a.repr, &b.repr) && Arc::ptr_eq(&a.repr, &a.clone().repr));
+            assert_eq!((&a, &b), (&t, &t));
+            // Another graph takes the slot; the first is copied again.
+            assert_eq!(ring.clone(), ring);
+            let again = t.clone();
+            assert!(!Arc::ptr_eq(&a.repr, &again.repr));
+            again
+        };
+        let here = on_thread();
+        let there = std::thread::scope(|scope| scope.spawn(on_thread).join().unwrap());
+        assert!(
+            !Arc::ptr_eq(&here.repr, &there.repr),
+            "each thread has its own"
+        );
+    }
+
+    #[test]
+    fn equality_is_structural_not_by_identity() {
+        // Separately built equal graphs share nothing yet compare equal.
+        let (a, b) = (
+            Topology::random_regular(16, 4, 9).unwrap(),
+            Topology::random_regular(16, 4, 9).unwrap(),
+        );
+        assert!(!Arc::ptr_eq(&a.repr, &b.repr));
+        assert_eq!(a, b);
+        // Same class, size and degrees, different edges: unequal.
+        let square = Topology::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let crossed = Topology::from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)]).unwrap();
+        assert_eq!(square.class(), crossed.class());
+        assert_ne!(square, crossed);
+        assert_ne!(a, Topology::random_regular(16, 4, 10).unwrap());
+        assert_ne!(
+            Topology::ring(4).unwrap(),
+            square,
+            "same edges, other class"
+        );
     }
 
     #[test]

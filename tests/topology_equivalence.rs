@@ -621,6 +621,41 @@ fn builders_negotiate_program_topologies() {
             ..
         }
     ));
+    // Same family, size and degree but other edges: rejected by the
+    // structural comparison, whether the classes differ (another seed)
+    // or agree (the same edge lists as custom graphs).
+    let rr = |seed| Topology::random_regular(8, 3, seed).unwrap();
+    let custom = |t: &Topology| Topology::from_edges(8, t.edges()).unwrap();
+    assert_ne!(
+        rr(1).edges().collect::<Vec<_>>(),
+        rr(2).edges().collect::<Vec<_>>()
+    );
+    for (program, dealt) in [(rr(1), rr(2)), (custom(&rr(1)), custom(&rr(2)))] {
+        let err = OneWayRunner::builder(OneWayModel::Io, Sid::graphical(Pairing, program))
+            .config(Sid::<Pairing>::initial(&sims))
+            .topology(dealt)
+            .build()
+            .err()
+            .expect("graphical SID on a same-degree foreign graph must not build");
+        assert!(matches!(
+            err,
+            EngineError::ProgramTopologyMismatch {
+                law: InteractionLaw::Topological,
+                ..
+            }
+        ));
+    }
+    // A separately generated equal graph shares no storage and still
+    // builds: the pointer check only short-cuts the comparison.
+    for (program, dealt) in [(rr(1), rr(1)), (custom(&rr(1)), custom(&rr(1)))] {
+        assert!(
+            OneWayRunner::builder(OneWayModel::Io, Sid::graphical(Pairing, program))
+                .config(Sid::<Pairing>::initial(&sims))
+                .topology(dealt)
+                .build()
+                .is_ok()
+        );
+    }
     // A population that does not span the program's graph is a size
     // mismatch even before the scheduler is consulted.
     let small: Vec<_> = Pairing::initial(3, 3).as_slice().to_vec();
