@@ -87,16 +87,6 @@ impl Planned<OneWayFault> {
     }
 }
 
-/// One drawn-but-not-yet-applied step of a batch: a backend pair address
-/// plus its fault decoration. The backend-generic sibling of [`Planned`],
-/// which stays per-agent because planned sequences are authored in terms
-/// of [`Interaction`]s.
-#[derive(Clone, Debug)]
-struct Drawn<Pr, F> {
-    pair: Pr,
-    fault: F,
-}
-
 /// Result of [`run_until`](OneWayRunner::run_until).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -392,54 +382,79 @@ macro_rules! runner_impl {
                 Ok(())
             }
 
-            /// Fills `plan` with the next `take` scheduled steps, drawing
-            /// the pair and then the fault of each step in exactly the
-            /// order the scalar loop would, so batched and scalar runs
-            /// consume the shared RNG stream identically.
+            /// Draws and applies the next `take` scheduled steps: the
+            /// batch kernel behind [`run_batched`](Self::run_batched) and
+            /// [`run_batched_until`](Self::run_batched_until). `pairs`
+            /// and `faults` are the caller's buffers, reused from batch
+            /// to batch.
             ///
-            /// When the fault decisions are RNG-free
-            /// ([`bulk_pairs_ok`](Self::bulk_pairs_ok)) the shared stream
-            /// is pairs-only, so all `take` pairs are drawn first through
-            /// the backend's monomorphized bulk path — same draws, same
-            /// stream, no per-draw virtual dispatch — and the fault
+            /// The draws consume the shared RNG stream exactly as the
+            /// scalar loop would. When the fault decisions are RNG-free
+            /// ([`bulk_pairs_ok`](Self::bulk_pairs_ok)) the stream is
+            /// pairs-only, so all `take` pairs are drawn first through
+            /// the backend's monomorphized bulk path, and the fault
             /// decisions (still stateful: budgets, scripts) follow in
-            /// index order.
-            fn draw_batch(&mut self, plan: &mut Vec<Drawn<C::Pair, $Fault>>, take: u64) {
-                plan.clear();
-                if C::STABLE_PAIRS && self.bulk_pairs_ok() {
-                    let mut pairs: Vec<C::Pair> = Vec::with_capacity(take as usize);
+            /// index order. Fault-free models never consult the
+            /// adversary, so their fault column stays empty. Otherwise
+            /// each pair is followed by its fault, interleaved.
+            fn run_batch(
+                &mut self,
+                pairs: &mut Vec<C::Pair>,
+                faults: &mut Vec<$Fault>,
+                take: u64,
+            ) -> Result<(), EngineError> {
+                if !C::STABLE_PAIRS {
+                    // State-addressed pairs (count backend) must see the
+                    // counts every earlier step produced: draw and apply
+                    // interleaved — the exact sequential law, same RNG
+                    // order as the scalar loop.
+                    return self.run(take);
+                }
+                pairs.clear();
+                faults.clear();
+                if self.bulk_pairs_ok() {
                     self.config.draw_pairs_into(
-                        &mut pairs,
+                        pairs,
                         take as usize,
                         &mut self.scheduler,
                         &mut self.rng,
                     );
-                    for (k, pair) in pairs.into_iter().enumerate() {
-                        let fault =
-                            self.decide_fault(self.next_index + k as u64, C::interaction_of(&pair));
-                        plan.push(Drawn { pair, fault });
+                    if self.model.allows_omissions() {
+                        for (k, pair) in pairs.iter().enumerate() {
+                            let index = self.next_index + k as u64;
+                            faults.push(self.decide_fault(index, C::interaction_of(pair)));
+                        }
                     }
-                    return;
+                } else {
+                    for k in 0..take {
+                        let pair = self
+                            .config
+                            .draw_pair_with(&mut self.scheduler, &mut self.rng);
+                        faults.push(self.decide_fault(self.next_index + k, C::interaction_of(&pair)));
+                        pairs.push(pair);
+                    }
                 }
-                for k in 0..take {
-                    let pair = self
-                        .config
-                        .draw_pair_with(&mut self.scheduler, &mut self.rng);
-                    let fault = self.decide_fault(self.next_index + k, C::interaction_of(&pair));
-                    plan.push(Drawn { pair, fault });
+                if faults.is_empty() {
+                    self.apply_batch(pairs, std::iter::repeat(<$Fault>::default()))
+                } else {
+                    self.apply_batch(pairs, faults.iter().copied())
                 }
             }
 
-            /// Applies a drawn batch. With a passive sink this runs the
-            /// tight loop: endpoint states mutate in place, no clones, no
-            /// records.
-            fn apply_batch_plan(
+            /// Applies a drawn batch, the `k`-th pair with the `k`-th
+            /// fault of `faults`. With a passive sink this runs the tight
+            /// loop: endpoint states mutate in place, no clones, no
+            /// records, and [`RunStats`] is updated once per batch — on
+            /// error, with the steps applied before the failing one, which
+            /// stay applied.
+            fn apply_batch(
                 &mut self,
-                plan: &[Drawn<C::Pair, $Fault>],
+                pairs: &[C::Pair],
+                faults: impl Iterator<Item = $Fault>,
             ) -> Result<(), EngineError> {
                 if !self.sink.is_passive() {
-                    for p in plan {
-                        self.execute(p.pair.clone(), p.fault, false)?;
+                    for (pair, fault) in pairs.iter().zip(faults) {
+                        self.execute(pair.clone(), fault, false)?;
                     }
                     return Ok(());
                 }
@@ -452,55 +467,54 @@ macro_rules! runner_impl {
                     ..
                 } = self;
                 let model = *model;
-                for p in plan {
-                    let fault = p.fault;
-                    let (s_changed, r_changed) = config.update_pair(&p.pair, |$fs, $fr| {
+                let mut done = RunStats::default();
+                let result = pairs.iter().zip(faults).try_for_each(|(pair, fault)| {
+                    let (s_changed, r_changed) = config.update_pair(pair, |$fs, $fr| {
                         let $fmodel = model;
                         let $fprogram = &*program;
                         let $ffault = fault;
                         $fast
                     })?;
-                    *next_index += 1;
-                    stats.record(is_omissive(&fault), s_changed || r_changed);
-                }
-                Ok(())
+                    done.steps += 1;
+                    done.changed_steps += u64::from(s_changed | r_changed);
+                    done.omissive_steps += u64::from(is_omissive(&fault));
+                    Ok(())
+                });
+                done.noop_steps = done.steps - done.changed_steps;
+                *next_index += done.steps;
+                stats.merge(&done);
+                result
             }
 
             /// Executes `steps` scheduled interactions in batches of
             /// `batch`: each batch is drawn from the scheduler and
-            /// adversary up front, then applied through the in-place
-            /// fast path.
+            /// adversary up front into buffers reused across batches,
+            /// then applied through the in-place fast path.
             ///
             /// For the same seed this is *bit-identical* to
             /// [`run`](Self::run) — same RNG stream, same configuration,
             /// same [`RunStats`] — the batching only changes how the work
             /// is staged. With a passive sink (e.g.
             /// the default [`StatsOnly`]) no step builds a record or
-            /// clones a state.
+            /// clones a state, and the statistics are added once per
+            /// batch.
             ///
             /// # Errors
             ///
             /// Same conditions as [`step`](Self::step); earlier steps of a
-            /// failing batch remain applied.
+            /// failing batch remain applied and counted in
+            /// [`steps`](Self::steps) and [`stats`](Self::stats).
             ///
             /// # Panics
             ///
             /// Panics if `batch` is zero.
             pub fn run_batched(&mut self, steps: u64, batch: u64) -> Result<(), EngineError> {
                 assert!(batch > 0, "batch size must be positive");
-                if !C::STABLE_PAIRS {
-                    // State-addressed pairs (count backend) must see the
-                    // counts every earlier step produced: draw and apply
-                    // interleaved — the exact sequential law, same RNG
-                    // order as the scalar loop.
-                    return self.run(steps);
-                }
-                let mut plan = Vec::with_capacity(batch.min(steps) as usize);
+                let (mut pairs, mut faults) = (Vec::new(), Vec::new());
                 let mut remaining = steps;
                 while remaining > 0 {
                     let take = remaining.min(batch);
-                    self.draw_batch(&mut plan, take);
-                    self.apply_batch_plan(&plan)?;
+                    self.run_batch(&mut pairs, &mut faults, take)?;
                     remaining -= take;
                 }
                 Ok(())
@@ -552,6 +566,13 @@ macro_rules! runner_impl {
             /// [`stably`](crate::convergence::stably) when a transiently
             /// true (mid-handshake) sample must not end the run.
             ///
+            /// Each batch runs through the same kernel as
+            /// [`run_batched`](Self::run_batched), so with a predicate
+            /// that never holds this is bit-identical to
+            /// [`run`](Self::run) for the same seed. An engine error ends
+            /// the run as [`RunOutcome::Exhausted`] with the failing
+            /// batch's earlier steps applied and counted.
+            ///
             /// # Panics
             ///
             /// Panics if `batch` is zero.
@@ -567,26 +588,12 @@ macro_rules! runner_impl {
                         steps: self.next_index,
                     };
                 }
-                let plan_capacity = if C::STABLE_PAIRS {
-                    batch.min(max_steps) as usize
-                } else {
-                    0
-                };
-                let mut plan = Vec::with_capacity(plan_capacity);
+                let (mut pairs, mut faults) = (Vec::new(), Vec::new());
                 let mut remaining = max_steps;
                 while remaining > 0 {
                     let take = remaining.min(batch);
-                    if C::STABLE_PAIRS {
-                        self.draw_batch(&mut plan, take);
-                        if self.apply_batch_plan(&plan).is_err() {
-                            break;
-                        }
-                    } else {
-                        // Interleaved draw-and-apply (see `run_batched`):
-                        // batching amortizes only the predicate here.
-                        if self.run(take).is_err() {
-                            break;
-                        }
+                    if self.run_batch(&mut pairs, &mut faults, take).is_err() {
+                        break;
                     }
                     remaining -= take;
                     if predicate(&self.config) {
@@ -2009,5 +2016,51 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, RunOutcome::Satisfied { steps: 0 });
+    }
+
+    /// Deals uniform pairs, except that draw `bad` addresses agent `n`,
+    /// one past the population.
+    struct OutOfRangeAt {
+        bad: u64,
+        drawn: u64,
+    }
+
+    impl Scheduler for OutOfRangeAt {
+        fn next_interaction(&mut self, n: usize, rng: &mut dyn rand::RngCore) -> Interaction {
+            self.drawn += 1;
+            if self.drawn - 1 == self.bad {
+                Interaction::new(0, n).unwrap()
+            } else {
+                UniformScheduler::new().next_interaction(n, rng)
+            }
+        }
+    }
+
+    #[test]
+    fn error_inside_a_batch_keeps_and_counts_the_steps_before_it() {
+        // IO draws pairs only; I3 under a rate adversary fills the fault
+        // column, interleaved with the pairs.
+        for (model, rate) in [(OneWayModel::Io, 0.0), (OneWayModel::I3, 0.3)] {
+            for bad in [0u64, 5, 21, 31] {
+                let mut runner = OneWayRunner::builder(model, Epidemic)
+                    .config(Configuration::new(vec![true, false, false, false, false]))
+                    .scheduler(OutOfRangeAt { bad, drawn: 0 })
+                    .adversary(RateStrategy::new(rate))
+                    .seed(9)
+                    .trace_sink(StatsOnly)
+                    .build()
+                    .unwrap();
+                assert_eq!(runner.bulk_pairs_ok(), model == OneWayModel::Io);
+                let err = runner.run_batched(64, 16).unwrap_err();
+                assert!(matches!(err, EngineError::Population(_)), "{err:?}");
+                let stats = runner.stats();
+                assert_eq!(
+                    (runner.steps(), stats.steps),
+                    (bad, bad),
+                    "{model:?} at {bad}"
+                );
+                assert_eq!(stats.changed_steps + stats.noop_steps, bad);
+            }
+        }
     }
 }

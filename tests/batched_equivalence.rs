@@ -4,8 +4,9 @@
 //! step count — because both draw (interaction, fault) pairs from the
 //! shared RNG stream in the same order and apply the same outcomes.
 //!
-//! This is the contract that lets the experiment harnesses move to the
-//! batched `StatsOnly` path without changing any measured dynamics.
+//! The same holds for `run_batched_until(n, b, pred)` while `pred` never
+//! holds. This is the contract that lets the experiment harnesses move to
+//! the batched `StatsOnly` path without changing any measured dynamics.
 //! CI runs this suite with `PROPTEST_CASES=64` on every push.
 
 use proptest::prelude::*;
@@ -16,7 +17,7 @@ use ppfts::engine::{
     SampledTrace, StatsOnly, TwoWayModel, TwoWayRunner,
 };
 use ppfts::population::{Configuration, Topology};
-use ppfts::protocols::{MaxGossip, Pairing, PairingState};
+use ppfts::protocols::{Epidemic, MaxGossip, Pairing, PairingState};
 
 /// One-way epidemic: the reactor catches whatever the starter carries.
 struct Or;
@@ -66,6 +67,29 @@ macro_rules! outcome_of {
         }
         (r.config().clone(), r.stats(), r.steps())
     }};
+}
+
+/// Drives `runner` through `run_batched_until` with a predicate that
+/// never holds, so the whole budget runs, and snapshots it like
+/// [`outcome_of`].
+macro_rules! until_outcome_of {
+    ($runner:expr, $steps:expr, $batch:expr) => {{
+        let mut r = $runner;
+        let out = r.run_batched_until($steps, $batch, |_| false);
+        assert!(!out.is_satisfied());
+        assert_eq!(out.steps(), r.steps());
+        (r.config().clone(), r.stats(), r.steps())
+    }};
+}
+
+/// A step budget that is not a multiple of `batch`, so the last batch
+/// of a batched run is a short one.
+fn ragged(steps: u64, batch: u64) -> u64 {
+    if steps.is_multiple_of(batch) {
+        steps + 1
+    } else {
+        steps
+    }
 }
 
 fn assert_equiv<Q: ppfts::population::State + std::fmt::Debug>(
@@ -199,6 +223,55 @@ proptest! {
         let scalar = outcome_of!(build(), steps, None);
         let batched = outcome_of!(build(), steps, Some(batch));
         assert_equiv(&scalar, &batched, "two-way max-gossip")?;
+    }
+
+    /// `run_batched_until` with a predicate that never holds is the
+    /// scalar run: graphical `SID` on a random regular graph under IO,
+    /// the path and setting of the `sid-sparse` benchmark workload.
+    #[test]
+    fn sid_on_random_regular_scalar_equals_batched_until(
+        half in 3usize..10,
+        graph_seed in 0u64..1_000,
+        infected in any::<u32>(),
+        seed in 0u64..10_000,
+        steps in 0u64..400,
+        batch in 1u64..128,
+    ) {
+        let n = 2 * half;
+        let graph = Topology::random_regular(n, 3, graph_seed).unwrap();
+        let inputs: Vec<bool> = (0..n).map(|v| (infected >> v) & 1 == 1).collect();
+        let build = || OneWayRunner::builder(OneWayModel::Io, Sid::graphical(Epidemic, graph.clone()))
+            .config(Sid::<Epidemic>::initial(&inputs))
+            .topology(graph.clone())
+            .seed(seed)
+            .trace_sink(StatsOnly)
+            .build()
+            .unwrap();
+        let steps = ragged(steps, batch);
+        let scalar = outcome_of!(build(), steps, None);
+        let until = until_outcome_of!(build(), steps, batch);
+        assert_equiv(&scalar, &until, "graphical SID, run_batched_until")?;
+    }
+
+    /// The same for the two-way family: max-gossip under TW on the
+    /// uniform scheduler.
+    #[test]
+    fn two_way_gossip_scalar_equals_batched_until(
+        values in prop::collection::vec(0u64..50, 2..10),
+        seed in 0u64..10_000,
+        steps in 0u64..300,
+        batch in 1u64..64,
+    ) {
+        let build = || TwoWayRunner::builder(TwoWayModel::Tw, MaxGossip)
+            .config(Configuration::new(values.clone()))
+            .seed(seed)
+            .trace_sink(StatsOnly)
+            .build()
+            .unwrap();
+        let steps = ragged(steps, batch);
+        let scalar = outcome_of!(build(), steps, None);
+        let until = until_outcome_of!(build(), steps, batch);
+        assert_equiv(&scalar, &until, "two-way max-gossip, run_batched_until")?;
     }
 
     /// Cross-path equivalence: a passive sink routes execution through
