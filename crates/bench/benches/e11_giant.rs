@@ -1,6 +1,6 @@
 //! E11 — giant-n epidemic on the count-based population backend, the
 //! scale lever the `Population` refactor unlocks: one seed of the
-//! n = 10⁶ epidemic run to stable full infection (`run_batched_until` +
+//! n = 10⁶ epidemic run to stable full infection (`Batched` + `Stop::until` +
 //! `stably`), measured on both backends.
 //!
 //! * `epidemic_count_n1e6` — `CountConfiguration`: O(1) memory, O(1)

@@ -1,5 +1,5 @@
 //! E15 — the batch-epoch count backend at scale: the giant-n epidemic of
-//! E11 driven through `run_epochs_until`, swept over six decades of
+//! E11 driven through `Epochs` + `Stop::until`, swept over six decades of
 //! population size. Each epoch samples its collision-free length
 //! ℓ ≈ 0.63√n in closed form and applies all ℓ interactions as one
 //! multivariate draw, so the cost per epoch is O(distinct state pairs) —

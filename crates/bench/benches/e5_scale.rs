@@ -4,7 +4,7 @@
 //! One seed to convergence (~2.4M engine steps), measured twice: on the
 //! pre-batching scalar path (`measure_skno_scalar`: per-step projection
 //! predicate, default sink) and on the batched `StatsOnly` path
-//! (`measure_skno`: `run_batched_until` + `stably`).
+//! (`measure_skno`: `Batched` + `Stop::until` + `stably`).
 //!
 //! Run with `BENCH_JSON=$PWD/BENCH_RESULTS.json cargo bench -p
 //! ppfts-bench --bench e5_scale` from the workspace root to record the

@@ -7,7 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_engine::{
-    OneWayModel, OneWayProgram, OneWayRunner, RateStrategy, TwoWayModel, TwoWayRunner,
+    Batched, OneWayModel, OneWayProgram, OneWayRunner, RateStrategy, Stop, TwoWayModel,
+    TwoWayRunner,
 };
 use ppfts_population::Configuration;
 use ppfts_protocols::Epidemic;
@@ -42,7 +43,7 @@ fn bench_models(c: &mut Criterion) {
                         .seed(1)
                         .build()
                         .unwrap();
-                    runner.run(steps).unwrap();
+                    runner.run(Batched(1), Stop::steps(steps)).unwrap();
                     runner.stats().steps
                 });
             },
@@ -61,7 +62,7 @@ fn bench_models(c: &mut Criterion) {
                         .seed(1)
                         .build()
                         .unwrap();
-                    runner.run(steps).unwrap();
+                    runner.run(Batched(1), Stop::steps(steps)).unwrap();
                     runner.stats().steps
                 });
             },

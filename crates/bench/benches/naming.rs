@@ -8,7 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_bench::pairing_inputs;
 use ppfts_core::NamedSid;
-use ppfts_engine::{OneWayModel, OneWayRunner};
+use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
+use ppfts_population::Configuration;
 use ppfts_protocols::Pairing;
 
 fn bench_naming(c: &mut Criterion) {
@@ -23,11 +24,16 @@ fn bench_naming(c: &mut Criterion) {
                     .seed(13)
                     .build()
                     .unwrap();
-                let out = runner.run_until(100_000_000, |c| {
-                    c.as_slice()
-                        .iter()
-                        .all(ppfts_core::NamedState::is_simulating)
-                });
+                let out = runner
+                    .run(
+                        Batched(1),
+                        Stop::until(100_000_000, |c: &Configuration<_>| {
+                            c.as_slice()
+                                .iter()
+                                .all(ppfts_core::NamedState::is_simulating)
+                        }),
+                    )
+                    .unwrap();
                 assert!(out.is_satisfied());
                 out.steps()
             });

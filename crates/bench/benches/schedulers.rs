@@ -9,7 +9,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_bench::pairing_inputs;
 use ppfts_core::{project, Sid};
-use ppfts_engine::{OneWayModel, OneWayRunner, RoundRobinScheduler, UniformScheduler};
+use ppfts_engine::{
+    Batched, OneWayModel, OneWayRunner, RoundRobinScheduler, Stop, UniformScheduler,
+};
 use ppfts_protocols::{Pairing, PairingState};
 
 fn bench_schedulers(c: &mut Criterion) {
@@ -27,9 +29,14 @@ fn bench_schedulers(c: &mut Criterion) {
                 .seed(2)
                 .build()
                 .unwrap();
-            let out = runner.run_until(50_000_000, |c| {
-                project(c).count_state(&PairingState::Paired) == expected
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(50_000_000, |c| {
+                        project(c).count_state(&PairingState::Paired) == expected
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied());
             out.steps()
         });
@@ -45,9 +52,14 @@ fn bench_schedulers(c: &mut Criterion) {
                 .seed(2)
                 .build()
                 .unwrap();
-            let out = runner.run_until(50_000_000, |c| {
-                project(c).count_state(&PairingState::Paired) == expected
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(50_000_000, |c| {
+                        project(c).count_state(&PairingState::Paired) == expected
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied());
             out.steps()
         });

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_bench::pairing_inputs;
 use ppfts_core::{project, Sid, Skno};
-use ppfts_engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 use ppfts_protocols::{Pairing, PairingState};
 
 fn bench_sid(c: &mut Criterion) {
@@ -25,9 +25,14 @@ fn bench_sid(c: &mut Criterion) {
                     .seed(7)
                     .build()
                     .unwrap();
-                let out = runner.run_until(50_000_000, |c| {
-                    project(c).count_state(&PairingState::Paired) == expected
-                });
+                let out = runner
+                    .run(
+                        Batched(1),
+                        Stop::until(50_000_000, |c| {
+                            project(c).count_state(&PairingState::Paired) == expected
+                        }),
+                    )
+                    .unwrap();
                 assert!(out.is_satisfied());
                 out.steps()
             });
@@ -55,9 +60,14 @@ fn bench_skno(c: &mut Criterion) {
                                 .seed(7)
                                 .build()
                                 .unwrap();
-                        let out = runner.run_until(50_000_000, |c| {
-                            project(c).count_state(&PairingState::Paired) == expected
-                        });
+                        let out = runner
+                            .run(
+                                Batched(1),
+                                Stop::until(50_000_000, |c| {
+                                    project(c).count_state(&PairingState::Paired) == expected
+                                }),
+                            )
+                            .unwrap();
                         assert!(out.is_satisfied());
                         out.steps()
                     });

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_bench::{pairing_inputs, skno_peak_tokens};
 use ppfts_core::{project, Skno};
-use ppfts_engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 use ppfts_protocols::{Pairing, PairingState};
 
 fn bench_convergence_vs_bound(c: &mut Criterion) {
@@ -29,9 +29,14 @@ fn bench_convergence_vs_bound(c: &mut Criterion) {
                     .seed(3)
                     .build()
                     .unwrap();
-                let out = runner.run_until(50_000_000, |c| {
-                    project(c).count_state(&PairingState::Paired) == expected
-                });
+                let out = runner
+                    .run(
+                        Batched(1),
+                        Stop::until(50_000_000, |c| {
+                            project(c).count_state(&PairingState::Paired) == expected
+                        }),
+                    )
+                    .unwrap();
                 assert!(out.is_satisfied());
                 out.steps()
             });

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppfts_bench::pairing_inputs;
 use ppfts_core::{build_matching, extract_events, project, Sid, Skno};
-use ppfts_engine::{FullTrace, OneWayModel, OneWayRunner};
+use ppfts_engine::{Batched, FullTrace, OneWayModel, OneWayRunner, Stop};
 use ppfts_protocols::Pairing;
 
 fn bench_verification(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_verification(c: &mut Criterion) {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(steps).unwrap();
+        runner.run(Batched(1), Stop::steps(steps)).unwrap();
         let trace = runner.take_trace().unwrap();
 
         group.bench_with_input(BenchmarkId::new("sid_pipeline", steps), &steps, |b, _| {
@@ -49,7 +49,7 @@ fn bench_verification(c: &mut Criterion) {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(steps).unwrap();
+        runner.run(Batched(1), Stop::steps(steps)).unwrap();
         let trace = runner.take_trace().unwrap();
 
         group.bench_with_input(BenchmarkId::new("skno_pipeline", steps), &steps, |b, _| {

@@ -8,7 +8,7 @@
 //! [`StatsOnly`] path: interactions execute in batches of [`BATCH`] with
 //! the convergence predicate sampled only at batch boundaries and wrapped
 //! in [`stably`], so a transient
-//! mid-handshake projection can no longer end a run (the `run_until`
+//! mid-handshake projection can no longer end a run (the per-step
 //! sampling hazard the ROADMAP recorded). Reported step counts are batch
 //! aligned: they overshoot the instant the predicate first held by at
 //! most `BATCH × STABLE_WINDOW` interactions, which is noise at the step
@@ -23,8 +23,8 @@ pub mod regression;
 use ppfts_core::{project, NamedSid, NamedState, Sid, SimulatorState, Skno, SknoState};
 use ppfts_engine::convergence::stably;
 use ppfts_engine::{
-    run_seeds, BoundedStrategy, OneWayModel, OneWayRunner, RunOutcome, StatsOnly, TwoWayModel,
-    TwoWayRunner, UniformScheduler,
+    run_seeds, Batched, BoundedStrategy, EngineError, Epochs, OneWayModel, OneWayRunner,
+    RunOutcome, StatsOnly, Stop, TwoWayModel, TwoWayRunner, UniformScheduler,
 };
 use ppfts_population::{Configuration, CountConfiguration, Topology};
 use ppfts_protocols::{scenario, Epidemic, Pairing, PairingState};
@@ -112,7 +112,7 @@ pub fn pairing_inputs(n: usize) -> Vec<PairingState> {
 /// [`measure_sid`] fans out, exposed so job-granular drivers (the
 /// `ppfts-sweep` orchestrator) dispatch the *same* workload one seed at
 /// a time. Returns the run outcome and the simulated-step denominator.
-pub fn sid_pairing_run(n: usize, seed: u64, budget: u64) -> (RunOutcome, u64) {
+pub fn sid_pairing_run(n: usize, seed: u64, budget: u64) -> Result<(RunOutcome, u64), EngineError> {
     let sims = pairing_inputs(n);
     let expected = n / 2;
     let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
@@ -122,15 +122,18 @@ pub fn sid_pairing_run(n: usize, seed: u64, budget: u64) -> (RunOutcome, u64) {
         .trace_sink(StatsOnly)
         .build()
         .expect("valid population");
-    let out = runner.run_batched_until(
-        budget,
-        BATCH,
-        stably(
-            |c| simulated_count(c, &PairingState::Paired) == expected,
-            STABLE_WINDOW,
-        ),
-    );
-    (out, expected as u64)
+    runner
+        .run(
+            Batched(BATCH),
+            Stop::until(
+                budget,
+                stably(
+                    |c| simulated_count(c, &PairingState::Paired) == expected,
+                    STABLE_WINDOW,
+                ),
+            ),
+        )
+        .map(|out| (out, expected as u64))
 }
 
 /// Measures SID's convergence on the Pairing workload.
@@ -141,7 +144,12 @@ pub fn measure_sid(n: usize, seeds: u64, budget: u64) -> Convergence {
 
 /// One seeded SKnO run on the Pairing workload under model I3 with
 /// omission bound `o` (single-seed body of [`measure_skno`]).
-pub fn skno_pairing_run(n: usize, o: u32, seed: u64, budget: u64) -> (RunOutcome, u64) {
+pub fn skno_pairing_run(
+    n: usize,
+    o: u32,
+    seed: u64,
+    budget: u64,
+) -> Result<(RunOutcome, u64), EngineError> {
     let sims = pairing_inputs(n);
     let expected = n / 2;
     let mut runner = OneWayRunner::builder(OneWayModel::I3, Skno::new(Pairing, o))
@@ -151,15 +159,18 @@ pub fn skno_pairing_run(n: usize, o: u32, seed: u64, budget: u64) -> (RunOutcome
         .trace_sink(StatsOnly)
         .build()
         .expect("valid population");
-    let out = runner.run_batched_until(
-        budget,
-        BATCH,
-        stably(
-            |c| simulated_count(c, &PairingState::Paired) == expected,
-            STABLE_WINDOW,
-        ),
-    );
-    (out, expected as u64)
+    runner
+        .run(
+            Batched(BATCH),
+            Stop::until(
+                budget,
+                stably(
+                    |c| simulated_count(c, &PairingState::Paired) == expected,
+                    STABLE_WINDOW,
+                ),
+            ),
+        )
+        .map(|out| (out, expected as u64))
 }
 
 /// Measures SKnO's convergence on the Pairing workload under model I3
@@ -187,17 +198,25 @@ pub fn measure_skno_scalar(n: usize, o: u32, seeds: u64, budget: u64) -> Converg
             .seed(seed)
             .build()
             .expect("valid population");
-        let out = runner.run_until(budget, |c| {
-            project(c).count_state(&PairingState::Paired) == expected
-        });
-        (out, expected as u64)
+        runner
+            .run(
+                Batched(1),
+                Stop::until(budget, |c| {
+                    project(c).count_state(&PairingState::Paired) == expected
+                }),
+            )
+            .map(|out| (out, expected as u64))
     });
     aggregate(n, results.into_iter().map(|s| s.value))
 }
 
 /// One seeded run of the naming-composed simulator on the Pairing
 /// workload (single-seed body of [`measure_named`]).
-pub fn named_pairing_run(n: usize, seed: u64, budget: u64) -> (RunOutcome, u64) {
+pub fn named_pairing_run(
+    n: usize,
+    seed: u64,
+    budget: u64,
+) -> Result<(RunOutcome, u64), EngineError> {
     let sims = pairing_inputs(n);
     let expected = n / 2;
     let mut runner = OneWayRunner::builder(OneWayModel::Io, NamedSid::new(Pairing, n))
@@ -206,15 +225,18 @@ pub fn named_pairing_run(n: usize, seed: u64, budget: u64) -> (RunOutcome, u64) 
         .trace_sink(StatsOnly)
         .build()
         .expect("valid population");
-    let out = runner.run_batched_until(
-        budget,
-        BATCH,
-        stably(
-            |c| simulated_count(c, &PairingState::Paired) == expected,
-            STABLE_WINDOW,
-        ),
-    );
-    (out, expected as u64)
+    runner
+        .run(
+            Batched(BATCH),
+            Stop::until(
+                budget,
+                stably(
+                    |c| simulated_count(c, &PairingState::Paired) == expected,
+                    STABLE_WINDOW,
+                ),
+            ),
+        )
+        .map(|out| (out, expected as u64))
 }
 
 /// Measures the naming-composed simulator's convergence (naming plus the
@@ -239,28 +261,31 @@ pub fn measure_naming_phase(n: usize, seeds: u64, budget: u64) -> Convergence {
             .expect("valid population");
         // "Everyone simulating" is monotone — once reached it cannot
         // un-hold — so a single boundary confirmation suffices.
-        let out = runner.run_batched_until(
-            budget,
-            BATCH,
-            stably(
-                |c: &ppfts_population::Configuration<NamedState<PairingState>>| {
-                    c.as_slice()
-                        .iter()
-                        .all(ppfts_core::NamedState::is_simulating)
-                },
-                1,
-            ),
-        );
-        (out, 1u64) // one "simulated step" = completing the naming
+        runner
+            .run(
+                Batched(BATCH),
+                Stop::until(
+                    budget,
+                    stably(
+                        |c: &ppfts_population::Configuration<NamedState<PairingState>>| {
+                            c.as_slice()
+                                .iter()
+                                .all(ppfts_core::NamedState::is_simulating)
+                        },
+                        1,
+                    ),
+                ),
+            )
+            .map(|out| (out, 1u64)) // one "simulated step" = completing the naming
     });
     aggregate(n, results.into_iter().map(|s| s.value))
 }
 
 /// E11: epidemic convergence at giant `n` on the **count** backend —
 /// one infected agent among `n`, run to stable full infection via
-/// `run_batched_until` + [`stably`]. Memory is O(1) in `n`; this is the
-/// harness that sweeps n = 10²…10⁶ on the same API as every other
-/// experiment.
+/// [`Batched`] + [`Stop::until`] + [`stably`]. Memory is O(1) in `n`;
+/// this is the harness that sweeps n = 10²…10⁶ on the same API as every
+/// other experiment.
 ///
 /// `steps_per_simulated` normalizes by `n` (interactions per agent), the
 /// natural unit for the Θ(n log n) epidemic.
@@ -299,19 +324,22 @@ where
             .trace_sink(StatsOnly)
             .build()
             .expect("valid population");
-        let out = runner.run_batched_until(
-            budget,
-            GIANT_BATCH,
-            stably(|c: &C| c.count_state(&true) == n, STABLE_WINDOW),
-        );
-        (out, n as u64)
+        runner
+            .run(
+                Batched(GIANT_BATCH),
+                Stop::until(
+                    budget,
+                    stably(|c: &C| c.count_state(&true) == n, STABLE_WINDOW),
+                ),
+            )
+            .map(|out| (out, n as u64))
     });
     aggregate(n, results.into_iter().map(|s| s.value))
 }
 
 /// E15: epidemic convergence at giant `n` on the **batch-epoch** path —
 /// the same workload and predicate as [`measure_epidemic_giant`], driven
-/// through `run_epochs_until` instead of the interleaved loop. Epochs
+/// through [`Epochs`] instead of the interleaved loop. Epochs
 /// sample a collision-free prefix length ℓ ≈ 0.63√n in closed form and
 /// apply all ℓ interactions as one bulk multivariate draw, so the work
 /// per epoch is O(distinct state pairs), independent of ℓ — sub-constant
@@ -330,16 +358,18 @@ pub fn measure_epidemic_epoch(n: usize, seeds: u64, budget: u64) -> Convergence 
             .trace_sink(StatsOnly)
             .build()
             .expect("valid population");
-        let out = runner
-            .run_epochs_until(
-                budget,
-                stably(
-                    |c: &CountConfiguration<bool>| c.count_state(&true) == n,
-                    STABLE_WINDOW,
+        runner
+            .run(
+                Epochs,
+                Stop::until(
+                    budget,
+                    stably(
+                        |c: &CountConfiguration<bool>| c.count_state(&true) == n,
+                        STABLE_WINDOW,
+                    ),
                 ),
             )
-            .expect("fault-free count-backed runs are epoch compatible");
-        (out, n as u64)
+            .map(|out| (out, n as u64))
     });
     aggregate(n, results.into_iter().map(|s| s.value))
 }
@@ -358,13 +388,13 @@ pub fn epidemic_fixed_steps_interleaved(n: usize, steps: u64, seed: u64) -> usiz
         .build()
         .expect("valid population");
     runner
-        .run_batched(steps, GIANT_BATCH)
+        .run(Batched(GIANT_BATCH), Stop::steps(steps))
         .expect("fault-free epidemic cannot fail");
     runner.config().count_state(&true)
 }
 
 /// The batch-epoch twin of [`epidemic_fixed_steps_interleaved`]: exactly
-/// `steps` interactions through `run_epochs`. The two functions run the
+/// `steps` interactions through [`Epochs`]. The two functions run the
 /// same protocol from the same initial counts for the same interaction
 /// budget, so their wall-clock ratio is the epoch path's per-interaction
 /// speedup.
@@ -376,14 +406,15 @@ pub fn epidemic_fixed_steps_epoch(n: usize, steps: u64, seed: u64) -> usize {
         .build()
         .expect("valid population");
     runner
-        .run_epochs(steps)
+        .run(Epochs, Stop::steps(steps))
         .expect("fault-free count-backed runs are epoch compatible");
     runner.config().count_state(&true)
 }
 
 /// E12: epidemic broadcast on an explicit interaction topology — the
 /// graph-aware scenario of `ppfts_protocols::scenario`, run per seed to
-/// stable full infection through `run_batched_until` + [`stably`].
+/// stable full infection through [`Batched`] + [`Stop::until`] +
+/// [`stably`].
 ///
 /// The graph is generated once and cloned per seed (the generators are
 /// deterministic in their own seed, so every run seed sees the same
@@ -406,16 +437,23 @@ pub fn measure_epidemic_topology(
 
 /// One seeded graph-epidemic run (single-seed body of
 /// [`measure_epidemic_topology`]).
-pub fn epidemic_topology_run(topology: &Topology, seed: u64, budget: u64) -> (RunOutcome, u64) {
+pub fn epidemic_topology_run(
+    topology: &Topology,
+    seed: u64,
+    budget: u64,
+) -> Result<(RunOutcome, u64), EngineError> {
     let n = topology.len();
     let mut runner =
         scenario::epidemic_on(topology.clone(), seed).expect("valid topology scenario");
-    let out = runner.run_batched_until(
-        budget,
-        BATCH,
-        stably(scenario::all_infected::<Configuration<bool>>, STABLE_WINDOW),
-    );
-    (out, n as u64)
+    runner
+        .run(
+            Batched(BATCH),
+            Stop::until(
+                budget,
+                stably(scenario::all_infected::<Configuration<bool>>, STABLE_WINDOW),
+            ),
+        )
+        .map(|out| (out, n as u64))
 }
 
 /// Degree of the E13 random-regular family.
@@ -469,7 +507,7 @@ pub fn sid_epidemic_graphical_run(
     topology: &Topology,
     seed: u64,
     budget: u64,
-) -> (RunOutcome, u64) {
+) -> Result<(RunOutcome, u64), EngineError> {
     let n = topology.len();
     let sims: Vec<bool> = (0..n).map(|v| v == 0).collect();
     let mut runner =
@@ -482,8 +520,12 @@ pub fn sid_epidemic_graphical_run(
             .expect("graphical SID assembles on its own topology");
     // Simulated infection is monotone, so one boundary confirmation
     // suffices.
-    let out = runner.run_batched_until(budget, BATCH, |c| all_simulated(c, &true));
-    (out, n as u64)
+    runner
+        .run(
+            Batched(BATCH),
+            Stop::until(budget, |c| all_simulated(c, &true)),
+        )
+        .map(|out| (out, n as u64))
 }
 
 /// E13: the same simulated-epidemic workload through **graphical
@@ -519,7 +561,7 @@ pub fn skno_epidemic_graphical_run(
     rate: f64,
     seed: u64,
     budget: u64,
-) -> (RunOutcome, u64) {
+) -> Result<(RunOutcome, u64), EngineError> {
     skno_epidemic_graphical_run_with(topology, o, rate, seed, budget, true)
 }
 
@@ -536,7 +578,7 @@ pub fn skno_epidemic_graphical_run_with(
     seed: u64,
     budget: u64,
     indexed: bool,
-) -> (RunOutcome, u64) {
+) -> Result<(RunOutcome, u64), EngineError> {
     let n = topology.len();
     let sims: Vec<bool> = (0..n).map(|v| v == 0).collect();
     let skno = Skno::graphical(Epidemic, o, topology.clone());
@@ -549,8 +591,12 @@ pub fn skno_epidemic_graphical_run_with(
         .trace_sink(StatsOnly)
         .build()
         .expect("graphical SKnO assembles on its own topology");
-    let out = runner.run_batched_until(budget, BATCH, |c| all_simulated(c, &true));
-    (out, n as u64)
+    runner
+        .run(
+            Batched(BATCH),
+            Stop::until(budget, |c| all_simulated(c, &true)),
+        )
+        .map(|out| (out, n as u64))
 }
 
 /// E12 (scheduling-layer cost): drains `draws` arcs from `topology` —
@@ -585,21 +631,17 @@ pub fn skno_peak_tokens(n: usize, o: u32, steps: u64, seed: u64) -> usize {
         .trace_sink(StatsOnly)
         .build()
         .expect("valid population");
+    // Batched(1) samples the "predicate" after every step; it never
+    // holds, it only observes.
     let mut peak = 0usize;
-    for _ in 0..steps {
-        // Scalar on purpose: the footprint is probed after every step.
-        if runner.run(1).is_err() {
-            break;
-        }
-        let here = runner
-            .config()
-            .as_slice()
-            .iter()
-            .map(SknoState::token_footprint)
-            .max()
-            .unwrap_or(0);
-        peak = peak.max(here);
-    }
+    let observe = |c: &Configuration<SknoState<PairingState>>| {
+        let here = c.as_slice().iter().map(SknoState::token_footprint).max();
+        peak = peak.max(here.unwrap_or(0));
+        false
+    };
+    runner
+        .run(Batched(1), Stop::until(steps, observe))
+        .expect("bounded I3 omissions stay in the model's relation");
     peak
 }
 
@@ -608,12 +650,23 @@ pub fn workers() -> usize {
     std::thread::available_parallelism().map_or(2, |p| p.get().min(8))
 }
 
-fn aggregate(n: usize, values: impl Iterator<Item = (RunOutcome, u64)>) -> Convergence {
+/// Folds per-seed runs into a [`Convergence`] row.
+///
+/// # Panics
+///
+/// Panics on a run that ended in an engine error: a measured table must
+/// not read a failed run as a budget miss.
+fn aggregate(
+    n: usize,
+    values: impl Iterator<Item = Result<(RunOutcome, u64), EngineError>>,
+) -> Convergence {
     let mut converged = 0usize;
     let mut seeds = 0usize;
     let mut total_steps = 0f64;
     let mut total_ratio = 0f64;
-    for (out, simulated) in values {
+    for value in values {
+        let (out, simulated) =
+            value.unwrap_or_else(|e| panic!("engine error in a measured run: {e}"));
         seeds += 1;
         if out.is_satisfied() {
             converged += 1;

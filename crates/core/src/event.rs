@@ -49,7 +49,7 @@ pub struct SimEvent<Q> {
 ///
 /// ```
 /// use ppfts_core::{extract_events, Role, Sid};
-/// use ppfts_engine::{FullTrace, OneWayModel, OneWayRunner};
+/// use ppfts_engine::{Batched, FullTrace, OneWayModel, OneWayRunner, Stop};
 /// use ppfts_protocols::Epidemic;
 ///
 /// let sid = Sid::new(Epidemic);
@@ -58,7 +58,7 @@ pub struct SimEvent<Q> {
 ///     .trace_sink(FullTrace::new())
 ///     .seed(1)
 ///     .build()?;
-/// runner.run(200)?;
+/// runner.run(Batched(1), Stop::steps(200))?;
 /// let events = extract_events(&runner.take_trace().unwrap());
 /// assert!(!events.is_empty());
 /// assert!(events.iter().any(|e| e.role == Role::Reactor));
@@ -122,7 +122,7 @@ fn push_if_committed<S, F>(
 mod tests {
     use super::*;
     use crate::{project, Sid, Skno};
-    use ppfts_engine::{FullTrace, OneWayModel, OneWayRunner, Planned};
+    use ppfts_engine::{Batched, FullTrace, OneWayModel, OneWayRunner, Planned, Stop};
     use ppfts_population::{Interaction, TableProtocol};
 
     fn pairing() -> TableProtocol<char> {
@@ -194,7 +194,7 @@ mod tests {
             .unwrap();
         // Two consumers can pair and lock — δ(c, c) is the identity — so
         // events may exist but never change simulated state.
-        runner.run(100).unwrap();
+        runner.run(Batched(1), Stop::steps(100)).unwrap();
         let trace = runner.take_trace().unwrap();
         let events = extract_events(&trace);
         assert!(events.iter().all(|e| e.old == e.new));

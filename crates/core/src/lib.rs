@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use ppfts_core::{project, Sid};
-//! use ppfts_engine::{OneWayModel, OneWayRunner};
+//! use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
 //! use ppfts_protocols::{Pairing, PairingState};
 //!
 //! let sims: Vec<PairingState> = Pairing::initial(2, 2).as_slice().to_vec();
@@ -39,9 +39,9 @@
 //!     .config(Sid::<Pairing>::initial(&sims))
 //!     .seed(42)
 //!     .build()?;
-//! let out = runner.run_until(500_000, |c| {
+//! let out = runner.run(Batched(1), Stop::until(500_000, |c| {
 //!     project(c).count_state(&PairingState::Paired) == 2
-//! });
+//! }))?;
 //! assert!(out.is_satisfied());
 //! # Ok::<(), ppfts_engine::EngineError>(())
 //! ```

@@ -471,7 +471,7 @@ fn admissible_schedule<Q: State>(
 mod tests {
     use super::*;
     use crate::{extract_events, project, Sid, Skno};
-    use ppfts_engine::{BoundedStrategy, FullTrace, OneWayModel, OneWayRunner};
+    use ppfts_engine::{Batched, BoundedStrategy, FullTrace, OneWayModel, OneWayRunner, Stop};
     use ppfts_population::TableProtocol;
 
     fn pairing() -> TableProtocol<char> {
@@ -492,7 +492,7 @@ mod tests {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(30_000).unwrap();
+        runner.run(Batched(1), Stop::steps(30_000)).unwrap();
         let trace = runner.take_trace().unwrap();
         let events = extract_events(&trace);
         assert!(!events.is_empty());
@@ -516,7 +516,7 @@ mod tests {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(60_000).unwrap();
+        runner.run(Batched(1), Stop::steps(60_000)).unwrap();
         let trace = runner.take_trace().unwrap();
         let events = extract_events(&trace);
         assert!(!events.is_empty(), "SKnO must make progress");

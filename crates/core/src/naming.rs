@@ -88,7 +88,7 @@ impl<Q: State> NamedState<Q> {
 ///
 /// ```
 /// use ppfts_core::{project, NamedSid};
-/// use ppfts_engine::{OneWayModel, OneWayRunner};
+/// use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
 /// use ppfts_protocols::Epidemic;
 ///
 /// let sim = NamedSid::new(Epidemic, 4); // n = 4 is known
@@ -96,9 +96,9 @@ impl<Q: State> NamedState<Q> {
 ///     .config(NamedSid::<Epidemic>::initial(&[true, false, false, false]))
 ///     .seed(5)
 ///     .build()?;
-/// let out = runner.run_until(500_000, |c| {
+/// let out = runner.run(Batched(1), Stop::until(500_000, |c| {
 ///     project(c).as_slice().iter().all(|b| *b)
-/// });
+/// }))?;
 /// assert!(out.is_satisfied());
 /// # Ok::<(), ppfts_engine::EngineError>(())
 /// ```
@@ -360,7 +360,7 @@ impl<Q: State> SimulatorState for NamedState<Q> {
 mod tests {
     use super::*;
     use crate::project;
-    use ppfts_engine::{OneWayModel, OneWayRunner};
+    use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
     use ppfts_population::{Configuration, TableProtocol};
     use std::collections::HashSet;
 
@@ -388,7 +388,9 @@ mod tests {
     fn naming_terminates_with_a_permutation() {
         for n in [2usize, 3, 5, 9] {
             let mut runner = naming_runner(n, n as u64);
-            let out = runner.run_until(2_000_000, all_named);
+            let out = runner
+                .run(Batched(1), Stop::until(2_000_000, all_named))
+                .unwrap();
             assert!(out.is_satisfied(), "n = {n}");
             let ids: HashSet<u32> = runner
                 .config()
@@ -448,10 +450,15 @@ mod tests {
     fn simulation_starts_and_converges_after_naming() {
         for seed in [1u64, 2, 3] {
             let mut runner = naming_runner(6, seed); // 3 consumers, 3 producers
-            let out = runner.run_until(3_000_000, |c| {
-                let p = project(c);
-                p.count_state(&'s') == 3 && p.count_state(&'_') == 3
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(3_000_000, |c| {
+                        let p = project(c);
+                        p.count_state(&'s') == 3 && p.count_state(&'_') == 3
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "seed {seed}");
         }
     }

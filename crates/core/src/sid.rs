@@ -134,7 +134,7 @@ impl<Q: State> SidState<Q> {
 ///
 /// ```
 /// use ppfts_core::{project, Sid};
-/// use ppfts_engine::{OneWayModel, OneWayRunner};
+/// use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
 /// use ppfts_protocols::Epidemic;
 ///
 /// let sid = Sid::new(Epidemic);
@@ -142,9 +142,9 @@ impl<Q: State> SidState<Q> {
 ///     .config(Sid::<Epidemic>::initial(&[true, false, false, false]))
 ///     .seed(11)
 ///     .build()?;
-/// let out = runner.run_until(300_000, |c| {
+/// let out = runner.run(Batched(1), Stop::until(300_000, |c| {
 ///     project(c).as_slice().iter().all(|b| *b)
-/// });
+/// }))?;
 /// assert!(out.is_satisfied());
 /// # Ok::<(), ppfts_engine::EngineError>(())
 /// ```
@@ -486,7 +486,7 @@ impl<Q: State> SimulatorState for SidState<Q> {
 mod tests {
     use super::*;
     use crate::project;
-    use ppfts_engine::{validate_io_program, OneWayModel, OneWayRunner, Planned};
+    use ppfts_engine::{validate_io_program, Batched, OneWayModel, OneWayRunner, Planned, Stop};
     use ppfts_population::{Interaction, TableProtocol};
 
     fn pairing() -> TableProtocol<char> {
@@ -622,10 +622,15 @@ mod tests {
                 .seed(seed)
                 .build()
                 .unwrap();
-            let out = runner.run_until(500_000, |c| {
-                let p = project(c);
-                p.count_state(&'s') == 3 && p.count_state(&'_') == 3
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(500_000, |c| {
+                        let p = project(c);
+                        p.count_state(&'s') == 3 && p.count_state(&'_') == 3
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "seed {seed}");
             assert!(project(runner.config()).count_state(&'s') <= 4);
         }

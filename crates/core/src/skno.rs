@@ -795,7 +795,7 @@ pub fn sim_pressure<Q: State>(states: &[SknoState<Q>]) -> SimPressure {
 ///
 /// ```
 /// use ppfts_core::{project, Skno};
-/// use ppfts_engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+/// use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 /// use ppfts_protocols::Epidemic;
 ///
 /// let skno = Skno::new(Epidemic, 2); // tolerate up to 2 omissions
@@ -804,9 +804,9 @@ pub fn sim_pressure<Q: State>(states: &[SknoState<Q>]) -> SimPressure {
 ///     .adversary(BoundedStrategy::new(0.2, 2))
 ///     .seed(7)
 ///     .build()?;
-/// let out = runner.run_until(200_000, |c| {
+/// let out = runner.run(Batched(1), Stop::until(200_000, |c| {
 ///     project(c).as_slice().iter().all(|b| *b)
-/// });
+/// }))?;
 /// assert!(out.is_satisfied()); // the simulated epidemic still spreads
 /// # Ok::<(), ppfts_engine::EngineError>(())
 /// ```
@@ -904,7 +904,7 @@ impl<P: TwoWayProtocol> Skno<P> {
     ///
     /// ```
     /// use ppfts_core::{project, Skno};
-    /// use ppfts_engine::{OneWayModel, OneWayRunner};
+    /// use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
     /// use ppfts_population::Topology;
     /// use ppfts_protocols::Epidemic;
     ///
@@ -916,9 +916,9 @@ impl<P: TwoWayProtocol> Skno<P> {
     ///     .topology(ring)
     ///     .seed(3)
     ///     .build()?;
-    /// let out = runner.run_until(400_000, |c| {
+    /// let out = runner.run(Batched(1), Stop::until(400_000, |c| {
     ///     project(c).as_slice().iter().all(|b| *b)
-    /// });
+    /// }))?;
     /// assert!(out.is_satisfied()); // the epidemic crosses the ring
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -1655,7 +1655,9 @@ impl<Q: State> SimulatorState for SknoState<Q> {
 mod tests {
     use super::*;
     use crate::project;
-    use ppfts_engine::{BoundedStrategy, OneWayModel, OneWayRunner, Planned, RateStrategy};
+    use ppfts_engine::{
+        Batched, BoundedStrategy, OneWayModel, OneWayRunner, Planned, RateStrategy, Stop,
+    };
     use ppfts_population::{Interaction, TableProtocol};
 
     fn pairing() -> TableProtocol<char> {
@@ -1760,10 +1762,15 @@ mod tests {
                 .seed(seed)
                 .build()
                 .unwrap();
-            let out = runner.run_until(400_000, |c| {
-                let p = project(c);
-                p.count_state(&'s') == 2 && p.count_state(&'_') == 2
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(400_000, |c| {
+                        let p = project(c);
+                        p.count_state(&'s') == 2 && p.count_state(&'_') == 2
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "seed {seed}");
             // Safety audit across the whole run is done by the verify
             // crate; here we check the final count.
@@ -1783,10 +1790,15 @@ mod tests {
                 .seed(100 + seed)
                 .build()
                 .unwrap();
-            let out = runner.run_until(400_000, |c| {
-                let p = project(c);
-                p.count_state(&'s') == 2 && p.count_state(&'_') == 2
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(400_000, |c| {
+                        let p = project(c);
+                        p.count_state(&'s') == 2 && p.count_state(&'_') == 2
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "seed {seed}");
         }
     }
@@ -1800,7 +1812,12 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let out = runner.run_until(200_000, |c| project(c).count_state(&'s') == 1);
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(200_000, |c| project(c).count_state(&'s') == 1),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 
@@ -1838,7 +1855,7 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        runner.run(5_000).unwrap();
+        runner.run(Batched(1), Stop::steps(5_000)).unwrap();
         assert_eq!(project(runner.config()).as_slice(), &['c', 'p']);
     }
 
@@ -1881,7 +1898,7 @@ mod tests {
                         .seed(seed)
                         .build()
                         .unwrap();
-                    runner.run(20_000).unwrap();
+                    runner.run(Batched(1), Stop::steps(20_000)).unwrap();
                     runner.config().clone()
                 };
                 let indexed = run(Skno::new(pairing(), o));
@@ -1897,7 +1914,7 @@ mod tests {
                         .seed(seed)
                         .build()
                         .unwrap();
-                    runner.run(20_000).unwrap();
+                    runner.run(Batched(1), Stop::steps(20_000)).unwrap();
                     runner.config().clone()
                 };
                 let indexed = run_g(Skno::graphical(pairing(), o, ring.clone()));

@@ -79,7 +79,7 @@ pub trait OmissionStrategy {
     /// The fixed i.i.d. per-interaction omission probability this strategy
     /// realizes, if it is expressible as one (`None` otherwise).
     ///
-    /// The batch-epoch path ([`run_epochs`](crate::OneWayRunner::run_epochs))
+    /// The batch-epoch path ([`Epochs`](crate::Epochs))
     /// applies many interactions at once, so it cannot consult
     /// [`decide`](Self::decide) per interaction; instead it thins each bulk
     /// pair-group binomially at this rate. Strategies whose decisions depend

@@ -4,9 +4,9 @@
 //! reachable interaction changes any state (the configuration is
 //! **silent**), or at least the output stops changing. This module offers
 //! the exact, protocol-level silence checks that complement the runners'
-//! observational [`run_until_stable`](crate::OneWayRunner::run_until_stable)
-//! heuristic, plus the [`stably`] predicate combinator that makes
-//! sampled convergence checks quiescence-aware.
+//! observational [`Stop::quiet`](crate::Stop::quiet) heuristic, plus the
+//! [`stably`] predicate combinator that makes sampled convergence checks
+//! quiescence-aware.
 
 use ppfts_population::{Multiset, Population, State};
 
@@ -105,12 +105,12 @@ pub fn permitted_two_way_faults(model: TwoWayModel) -> &'static [TwoWayFault] {
 /// configuration sampled *mid-handshake*: the projected count momentarily
 /// reads `k` while a counterpart agent is still inside a simulated
 /// interaction, so stopping there hands back a non-quiescent state
-/// (the `run_until` sampling hazard the ROADMAP records). Requiring the
+/// (the per-step sampling hazard the ROADMAP records). Requiring the
 /// predicate to survive a window of consecutive samples filters those
-/// transients out: with [`run_until`](crate::OneWayRunner::run_until) the
-/// window is counted in steps, with
-/// [`run_batched_until`](crate::OneWayRunner::run_batched_until) in batch
-/// boundaries (i.e. `window × batch` engine steps).
+/// transients out: under [`Stop::until`](crate::Stop::until) the window
+/// is counted in the driver's boundaries — steps under `Batched(1)`,
+/// batches under `Batched(b)` (i.e. `window × b` engine steps), epochs
+/// and event steps under `Epochs`.
 ///
 /// `window` of 1 is the raw predicate; a `window` of 0 is rejected.
 ///
@@ -151,6 +151,7 @@ pub fn stably<C>(mut predicate: impl FnMut(&C) -> bool, window: u64) -> impl FnM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Batched, Stop};
     use ppfts_population::{Configuration, FunctionProtocol};
 
     fn epidemic() -> impl TwoWayProgram<State = bool> {
@@ -268,7 +269,7 @@ mod tests {
 
     #[test]
     fn stably_filters_batched_transients() {
-        // An epidemic under run_batched_until with stably(…, 2): the
+        // An epidemic under Batched(32) with stably(…, 2): the
         // outcome steps land on a batch boundary and the predicate held at
         // two consecutive boundaries.
         use crate::{OneWayModel, OneWayProgram, OneWayRunner, StatsOnly};
@@ -286,7 +287,9 @@ mod tests {
             .build()
             .unwrap();
         let everyone = |c: &Configuration<bool>| c.as_slice().iter().all(|b| *b);
-        let out = runner.run_batched_until(100_000, 32, stably(everyone, 2));
+        let out = runner
+            .run(Batched(32), Stop::until(100_000, stably(everyone, 2)))
+            .unwrap();
         assert!(out.is_satisfied());
         assert!(out.steps().is_multiple_of(32));
         assert!(out.steps() >= 64, "needs two boundary confirmations");
@@ -300,8 +303,9 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        let out = runner.run_until_stable(100_000, 200);
-        assert!(matches!(out, RunOutcome::Satisfied { .. }));
+        let out = runner.run(Batched(1), Stop::quiet(100_000, 200)).unwrap();
+        // Pinned: the step at which the per-step quiet window closes.
+        assert_eq!(out, RunOutcome::Satisfied { steps: 204 });
         // Once observationally stable here, truly silent too.
         assert!(silent_one_way(OneWayModel::Io, &OneWayOr, runner.config()));
     }

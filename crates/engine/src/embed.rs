@@ -42,7 +42,7 @@ use crate::{OneWayProgram, TwoWayProgram};
 /// # Example
 ///
 /// ```
-/// use ppfts_engine::{EmbedOneWay, OneWayProgram, TwoWayModel, TwoWayRunner};
+/// use ppfts_engine::{Batched, EmbedOneWay, OneWayProgram, Stop, TwoWayModel, TwoWayRunner};
 /// use ppfts_population::Configuration;
 ///
 /// struct Gossip;
@@ -55,7 +55,8 @@ use crate::{OneWayProgram, TwoWayProgram};
 ///     .config(Configuration::new(vec![3, 1, 4]))
 ///     .seed(1)
 ///     .build()?;
-/// let out = runner.run_until(10_000, |c| c.as_slice().iter().all(|&v| v == 4));
+/// let all_four = |c: &Configuration<u32>| c.as_slice().iter().all(|&v| v == 4);
+/// let out = runner.run(Batched(1), Stop::until(10_000, all_four))?;
 /// assert!(out.is_satisfied());
 /// # Ok::<(), ppfts_engine::EngineError>(())
 /// ```
@@ -122,7 +123,8 @@ where
 mod tests {
     use super::*;
     use crate::{
-        outcome, OneWayFault, OneWayModel, OneWayRunner, TwoWayFault, TwoWayModel, TwoWayRunner,
+        outcome, Batched, OneWayFault, OneWayModel, OneWayRunner, Stop, TwoWayFault, TwoWayModel,
+        TwoWayRunner,
     };
     use ppfts_population::Configuration;
 
@@ -188,8 +190,8 @@ mod tests {
             .seed(33)
             .build()
             .unwrap();
-        a.run(200).unwrap();
-        b.run(200).unwrap();
+        a.run(Batched(1), Stop::steps(200)).unwrap();
+        b.run(Batched(1), Stop::steps(200)).unwrap();
         assert_eq!(a.config().as_slice(), b.config().as_slice());
     }
 }

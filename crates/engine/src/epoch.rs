@@ -52,12 +52,11 @@
 //! Both step kinds read one table of per-pair outcome classes, built
 //! lazily for each live state list.
 //!
-//! The runner surface is [`run_epochs`](crate::OneWayRunner::run_epochs) /
-//! [`run_epochs_until`](crate::OneWayRunner::run_epochs_until), available
-//! only on backends implementing [`EpochBackend`]. The interleaved path
-//! remains the bit-exact reference; this path reproduces its law
-//! *distributionally* (certified by the `backend_equivalence`
-//! distribution-agreement contracts).
+//! The runner surface is `run(`[`Epochs`](crate::Epochs)`, stop)`,
+//! available only on backends implementing [`EpochBackend`]. The
+//! interleaved path remains the bit-exact reference; this path
+//! reproduces its law *distributionally* (certified by the
+//! `backend_equivalence` distribution-agreement contracts).
 
 use ppfts_population::dist::{self, AliasTable};
 use ppfts_population::{CountConfiguration, State};
@@ -1002,6 +1001,7 @@ fn fresh_take<Q>(sc: &mut Scratch<Q>, total: u64, rng: &mut SmallRng) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Epochs, Stop};
     use ppfts_population::CountConfiguration;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1365,9 +1365,12 @@ mod tests {
             .build()
             .unwrap();
         let out = runner
-            .run_epochs_until(
-                1_000_000_000,
-                stably(|c: &CountConfiguration<bool>| c.count_state(&true) == n, 2),
+            .run(
+                Epochs,
+                Stop::until(
+                    1_000_000_000,
+                    stably(|c: &CountConfiguration<bool>| c.count_state(&true) == n, 2),
+                ),
             )
             .unwrap();
         let stride = EpochLengths::new(n as u64).mean.ceil() as u64;

@@ -62,13 +62,15 @@ pub enum EngineError {
         /// The law the rejected scheduler deals from.
         law: InteractionLaw,
     },
-    /// The batch-epoch path ([`run_epochs`](crate::OneWayRunner::run_epochs))
-    /// was asked to honor a feature it cannot express: epochs apply whole
-    /// pair-groups at once, so omission adversaries must be reducible to a
-    /// fixed i.i.d. rate
-    /// ([`OmissionStrategy::iid_rate`](crate::OmissionStrategy::iid_rate)).
-    /// Step-indexed, budgeted, or scripted fault schedules need the
-    /// interleaved path (`run`/`run_batched`).
+    /// The batch-epoch path ([`Epochs`](crate::Epochs)) was asked to
+    /// honor a feature it cannot express: epochs apply whole pair-groups
+    /// at once, so omission adversaries must be reducible to a fixed
+    /// i.i.d. rate
+    /// ([`OmissionStrategy::iid_rate`](crate::OmissionStrategy::iid_rate))
+    /// and no single step can be watched for a quiet window.
+    /// Step-indexed, budgeted, or scripted fault schedules and
+    /// [`Stop::quiet`](crate::Stop::quiet) need the interleaved path
+    /// ([`Batched`](crate::Batched)).
     EpochIncompatible {
         /// The feature the epoch path cannot honor.
         feature: &'static str,
@@ -130,7 +132,7 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "the batch-epoch path cannot honor {feature}; use the \
-                     interleaved path (`run`/`run_batched`) instead"
+                     interleaved path (`Batched`) instead"
                 )
             }
             EngineError::TopologySizeMismatch {

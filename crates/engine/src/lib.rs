@@ -28,16 +28,19 @@
 //!   schedulers, each advertising its [`InteractionLaw`] for typed
 //!   backend/scheduler capability negotiation at build time,
 //! * [`OneWayRunner`], [`TwoWayRunner`] — deterministic, seedable execution
-//!   drivers with pluggable [`TraceSink`]s, scalar and batched stepping
-//!   (seed-equivalent; see `run_batched`), planned-prefix execution (used
-//!   by the paper's adversarial constructions) and convergence helpers.
+//!   drivers with pluggable [`TraceSink`]s and one run driver,
+//!   `run(exec, stop)`: [`Batched`] or [`Epochs`] execution until a
+//!   [`Stop`] (a budget, a predicate, or a quiet window), every engine
+//!   error returned as `Err`; plus single recorded steps and
+//!   planned-prefix execution (used by the paper's adversarial
+//!   constructions).
 //!   Runners are generic over the population backend ([`ExecBackend`]):
 //!   the dense per-agent `Configuration` (default, full per-agent
 //!   machinery) or the count-based
 //!   [`CountConfiguration`](ppfts_population::CountConfiguration)
 //!   (state multiplicities only — anonymous protocols at n = 10⁶ and
 //!   beyond on the batched `StatsOnly` path),
-//! * [`epoch`] — the batch-epoch execution path (`run_epochs`):
+//! * [`epoch`] — the batch-epoch execution path ([`Epochs`]):
 //!   collision-free epochs sampled in bulk on [`EpochBackend`]s,
 //!   sub-constant work per interaction for count-backed runs,
 //! * [`TraceSink`] with [`FullTrace`], [`SampledTrace`], [`StatsOnly`] —
@@ -50,7 +53,9 @@
 //! # Example: an epidemic under the omissive one-way model I3
 //!
 //! ```
-//! use ppfts_engine::{OneWayModel, OneWayProgram, OneWayRunner, RateStrategy, UniformScheduler};
+//! use ppfts_engine::{
+//!     Batched, OneWayModel, OneWayProgram, OneWayRunner, RateStrategy, Stop, UniformScheduler,
+//! };
 //! use ppfts_population::Configuration;
 //!
 //! struct Epidemic;
@@ -60,13 +65,15 @@
 //! }
 //!
 //! let mut runner = OneWayRunner::builder(OneWayModel::I3, Epidemic)
-//!     .config(ppfts_population::Configuration::new(vec![true, false, false, false]))
+//!     .config(Configuration::new(vec![true, false, false, false]))
 //!     .scheduler(UniformScheduler::new())
 //!     .adversary(RateStrategy::new(0.2)) // UO adversary, 20% omission rate
 //!     .seed(42)
 //!     .build()?;
 //!
-//! let outcome = runner.run_until(100_000, |c| c.as_slice().iter().all(|b| *b));
+//! // Stop once everyone is infected, checked after every step.
+//! let all = |c: &Configuration<bool>| c.as_slice().iter().all(|b| *b);
+//! let outcome = runner.run(Batched(1), Stop::until(100_000, all))?;
 //! assert!(outcome.is_satisfied()); // omissions only delay the epidemic
 //! # Ok::<(), ppfts_engine::EngineError>(())
 //! ```
@@ -103,7 +110,8 @@ pub use error::EngineError;
 pub use model::{Model, OneWayFault, OneWayModel, TwoWayFault, TwoWayModel};
 pub use program::{validate_io_program, OneWayProgram, TwoWayProgram};
 pub use runner::{
-    OneWayRunner, OneWayRunnerBuilder, Planned, RunOutcome, TwoWayRunner, TwoWayRunnerBuilder,
+    Batched, Epochs, Exec, OneWayRunner, OneWayRunnerBuilder, Planned, RunOutcome, Stop,
+    TwoWayRunner, TwoWayRunnerBuilder,
 };
 pub use schedule::{OmissionSchedule, RateSegment, ScheduledEvent};
 pub use scheduler::{

@@ -6,23 +6,17 @@
 //! what makes the experiment harnesses and the adversarial constructions
 //! reproducible.
 //!
-//! Both families share the same surface:
+//! Both families share the same surface, three ways to execute steps:
 //!
-//! * [`step`](OneWayRunner::step) — execute one interaction and return the
-//!   full [`StepRecord`];
-//! * [`run`](OneWayRunner::run) — execute a step budget without building
-//!   records;
-//! * [`run_batched`](OneWayRunner::run_batched) — the same step budget,
-//!   drawn batch-wise and applied through the in-place fast path;
-//!   bit-identical to [`run`](OneWayRunner::run) for the same seed, but
-//!   with per-step record construction and state cloning elided when the
-//!   sink is passive;
-//! * [`run_until`](OneWayRunner::run_until) /
-//!   [`run_batched_until`](OneWayRunner::run_batched_until) — run until a
-//!   configuration predicate holds (checked per step, resp. per batch
-//!   boundary) or the budget is exhausted. Batch-boundary predicates
-//!   compose with [`stably`](crate::convergence::stably) to avoid
-//!   terminating on transient mid-handshake projections;
+//! * [`run`](OneWayRunner::run)`(exec, stop)` — the run driver. `exec`
+//!   is [`Batched`]`(b)` on any backend or [`Epochs`] on count backends;
+//!   `stop` is a step budget, optionally with a predicate
+//!   ([`Stop::until`]) or a quiet window ([`Stop::quiet`]). Every engine
+//!   error comes back as `Err`, with the steps before it applied and
+//!   counted;
+//! * [`step`](OneWayRunner::step) — execute one scheduled interaction
+//!   through the pure-outcome path and return its full [`StepRecord`]
+//!   (the scalar reference the equivalence suites compare against);
 //! * [`apply_planned`](OneWayRunner::apply_planned) — execute an exact
 //!   sequence of (interaction, fault) pairs, bypassing scheduler and
 //!   adversary. This is how the impossibility constructions of the paper
@@ -32,6 +26,7 @@ use ppfts_population::{Configuration, Interaction, Topology};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::epoch::EpochBackend;
 use crate::{
     outcome, EngineError, ExecBackend, NoOmissions, OmissionStrategy, OneWayFault, OneWayModel,
     OneWayProgram, RunStats, Scheduler, SidePolicy, StatsOnly, StepRecord, TopologyScheduler,
@@ -87,16 +82,22 @@ impl Planned<OneWayFault> {
     }
 }
 
-/// Result of [`run_until`](OneWayRunner::run_until).
+/// Why a [`run`](OneWayRunner::run) that did not fail stopped.
+///
+/// A run that fails returns its [`EngineError`] instead; the runner's
+/// [`steps`](OneWayRunner::steps) and [`stats`](OneWayRunner::stats)
+/// then count the steps applied before the failing one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// The predicate held; `steps` is the runner's total interaction count
-    /// at that moment.
+    /// The stop condition held: the predicate of [`Stop::until`] or the
+    /// window of [`Stop::quiet`]. `steps` is the runner's total
+    /// interaction count at that moment.
     Satisfied {
         /// Total interactions executed by the runner so far.
         steps: u64,
     },
-    /// The step budget was exhausted without the predicate holding.
+    /// The step budget ran out first (always the case for
+    /// [`Stop::steps`]).
     Exhausted {
         /// Total interactions executed by the runner so far.
         steps: u64,
@@ -104,7 +105,7 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Whether the predicate was satisfied.
+    /// Whether the stop condition held.
     pub fn is_satisfied(self) -> bool {
         matches!(self, RunOutcome::Satisfied { .. })
     }
@@ -115,6 +116,104 @@ impl RunOutcome {
             RunOutcome::Satisfied { steps } | RunOutcome::Exhausted { steps } => steps,
         }
     }
+}
+
+/// Execute in batches of `b` steps on any backend: each batch's pairs and
+/// faults are drawn up front (interleaved on count backends, whose
+/// state-addressed pairs must see every earlier step), then applied
+/// through the in-place kernel. For the same seed every `b` gives the
+/// same configuration, [`RunStats`] and trace as stepping through
+/// [`step`](OneWayRunner::step); `b` only sets how often a
+/// [`Stop::until`] predicate is sampled, and `Batched(1)` samples it
+/// after every step. [`run`](OneWayRunner::run) panics if `b` is zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Batched(pub u64);
+
+/// Execute through the batch-epoch path (see [`epoch`](crate::epoch)):
+/// whole collision-free epochs of ≈ 0.63·√n interactions sampled as bulk
+/// state splits, or exact event steps where changes are sparse. Only
+/// [`EpochBackend`]s accept it (a compile-time bound). It reproduces the
+/// interleaved law in distribution, not bit for bit; omissions are
+/// audited through [`RunStats::omissive_steps`], since bulk thinning
+/// bypasses [`OmissionStrategy::decide`]. It fails with
+/// [`EngineError::EpochIncompatible`] for an omissive model whose
+/// adversary has no fixed i.i.d. rate, or for [`Stop::quiet`]; on error
+/// the configuration is left at the last epoch or event boundary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Epochs;
+
+/// When a [`run`](OneWayRunner::run) stops: after `budget` further
+/// interactions, or earlier when its condition holds.
+pub struct Stop<'p, C> {
+    budget: u64,
+    rule: Rule<'p, C>,
+}
+
+enum Rule<'p, C> {
+    Budget,
+    Until(Box<dyn FnMut(&C) -> bool + 'p>),
+    Quiet(u64),
+}
+
+impl<'p, C> Stop<'p, C> {
+    /// Run exactly `budget` interactions.
+    pub fn steps(budget: u64) -> Self {
+        Stop {
+            budget,
+            rule: Rule::Budget,
+        }
+    }
+
+    /// Run until `predicate` holds on the population — checked before
+    /// the first step and then at every batch or epoch boundary — or
+    /// `budget` interactions have executed.
+    ///
+    /// Under [`Batched`]`(b)` the stop overshoots the instant the
+    /// predicate first holds by up to `b - 1` steps. Wrap the predicate
+    /// in [`stably`](crate::convergence::stably) when a transiently true
+    /// (mid-handshake) sample must not end the run. Under [`Epochs`] a
+    /// boundary falls after each epoch, after each event step, and every
+    /// `⌈E[ℓ]⌉` interactions of a configuration no interaction can
+    /// change; the step in flight when the budget runs out is truncated
+    /// exactly at the budget.
+    pub fn until(budget: u64, predicate: impl FnMut(&C) -> bool + 'p) -> Self {
+        Stop {
+            budget,
+            rule: Rule::Until(Box::new(predicate)),
+        }
+    }
+
+    /// Run until no interaction has changed any state for `window`
+    /// consecutive steps ("observed stability"), or `budget`
+    /// interactions have executed. Under [`Batched`]`(b)` the window
+    /// counts whole batches without a change; [`Epochs`] rejects it.
+    ///
+    /// Observed stability is a heuristic: a silent window proves nothing
+    /// for adversarial schedulers, though under the uniform scheduler
+    /// the chance that a non-silent system stays quiet decays
+    /// exponentially in the window. For exact convergence use the
+    /// silence checks in [`convergence`](crate::convergence) or the
+    /// model checker in `ppfts-verify`.
+    pub fn quiet(budget: u64, window: u64) -> Self {
+        Stop {
+            budget,
+            rule: Rule::Quiet(window),
+        }
+    }
+}
+
+/// How [`run`](OneWayRunner::run) executes steps on runner `R` with
+/// population backend `C`: implemented by [`Batched`] for every backend
+/// and by [`Epochs`] for [`EpochBackend`]s only.
+pub trait Exec<R, C> {
+    /// Runs `runner` until `stop`. [`run`](OneWayRunner::run) calls
+    /// this after checking a [`Stop::until`] predicate on the initial
+    /// configuration; call `run`, not this.
+    ///
+    /// # Errors
+    ///
+    /// Any [`EngineError`] a step (or epoch) raises.
+    fn drive(self, runner: &mut R, stop: Stop<'_, C>) -> Result<RunOutcome, EngineError>;
 }
 
 macro_rules! runner_impl {
@@ -230,15 +329,151 @@ macro_rules! runner_impl {
                 self.sink.take_trace()
             }
 
+            /// Runs until `stop`, executing steps as `exec` says:
+            /// [`Batched`]`(b)` on any backend, [`Epochs`] on count
+            /// backends.
+            ///
+            /// # Errors
+            ///
+            /// Fault-relation violations (cannot happen with the built-in
+            /// adversaries and side policies restricted to the model's
+            /// permitted faults), bounds errors from custom schedulers,
+            /// and for [`Epochs`] the conditions listed there. The steps
+            /// before the failing one stay applied and counted in
+            /// [`steps`](Self::steps) and [`stats`](Self::stats).
+            ///
+            /// # Panics
+            ///
+            /// Panics on `Batched(0)`.
+            pub fn run<E: Exec<Self, C>>(
+                &mut self,
+                exec: E,
+                mut stop: Stop<'_, C>,
+            ) -> Result<RunOutcome, EngineError> {
+                if let Rule::Until(predicate) = &mut stop.rule {
+                    if predicate(&self.config) {
+                        return Ok(self.outcome(true));
+                    }
+                }
+                exec.drive(self, stop)
+            }
+
+            /// Executes one scheduled interaction through the
+            /// pure-outcome path and returns its record.
+            ///
+            /// # Errors
+            ///
+            /// Same conditions as [`run`](Self::run);
+            /// [`EngineError::PerAgentBackendRequired`] on count
+            /// backends, whose steps name no agents.
+            pub fn step(&mut self) -> Result<StepRecord<P::State, $Fault>, EngineError> {
+                let pair = self.config.draw_pair(&mut self.scheduler, &mut self.rng);
+                let fault = self.decide_fault(self.next_index, C::interaction_of(&pair));
+                Ok(self
+                    .execute(pair, fault, true)?
+                    .expect("record requested"))
+            }
+
+            /// Executes an exact pre-planned sequence, bypassing the
+            /// scheduler and the adversary. Used by the paper's adversarial
+            /// constructions, where both the interactions and the omissions
+            /// are chosen by the proof.
+            ///
+            /// # Errors
+            ///
+            /// Fails if a planned fault is outside the model's transition
+            /// relation or an endpoint is out of bounds; earlier planned
+            /// steps remain applied.
+            pub fn apply_planned(
+                &mut self,
+                plan: impl IntoIterator<Item = Planned<$Fault>>,
+            ) -> Result<(), EngineError> {
+                for p in plan {
+                    let pair = self.config.pair_of(p.interaction)?;
+                    self.apply_batch(std::slice::from_ref(&pair), std::iter::once(p.fault))?;
+                }
+                Ok(())
+            }
+
+            /// Benchmark shim: `run(Batched(batch), Stop::steps(steps))`.
+            #[doc(hidden)]
+            pub fn run_batched(&mut self, steps: u64, batch: u64) -> Result<(), EngineError> {
+                self.run(Batched(batch), Stop::steps(steps)).map(drop)
+            }
+
+            /// Benchmark shim: `run(Batched(batch), Stop::until(..))`,
+            /// reading an engine error as [`RunOutcome::Exhausted`].
+            #[doc(hidden)]
+            pub fn run_batched_until(
+                &mut self,
+                max_steps: u64,
+                batch: u64,
+                predicate: impl FnMut(&C) -> bool,
+            ) -> RunOutcome {
+                self.run(Batched(batch), Stop::until(max_steps, predicate))
+                    .unwrap_or(RunOutcome::Exhausted { steps: self.next_index })
+            }
+
+            /// Benchmark shim: `run(Epochs, Stop::steps(steps))`.
+            #[doc(hidden)]
+            pub fn run_epochs(&mut self, steps: u64) -> Result<(), EngineError>
+            where
+                C: EpochBackend,
+            {
+                self.run(Epochs, Stop::steps(steps)).map(drop)
+            }
+
+            /// Benchmark shim: `run(Epochs, Stop::until(..))`.
+            #[doc(hidden)]
+            pub fn run_epochs_until(
+                &mut self,
+                max_steps: u64,
+                predicate: impl FnMut(&C) -> bool,
+            ) -> Result<RunOutcome, EngineError>
+            where
+                C: EpochBackend,
+            {
+                self.run(Epochs, Stop::until(max_steps, predicate))
+            }
+
+            fn outcome(&self, satisfied: bool) -> RunOutcome {
+                let steps = self.next_index;
+                if satisfied {
+                    RunOutcome::Satisfied { steps }
+                } else {
+                    RunOutcome::Exhausted { steps }
+                }
+            }
+
+            /// The i.i.d. per-interaction fault distribution the epoch
+            /// path thins bulk groups with (fault-free entry included;
+            /// weights sum to 1).
+            fn epoch_fault_mix(&self) -> Result<Vec<($Fault, f64)>, EngineError> {
+                let rate = if self.model.allows_omissions() {
+                    self.adversary
+                        .iid_rate()
+                        .ok_or(EngineError::EpochIncompatible {
+                            feature: "omission adversaries without a fixed i.i.d. rate \
+                                      (step-indexed, budgeted, burst, or scripted schedules)",
+                        })?
+                } else {
+                    0.0
+                };
+                let $mmodel = self.model;
+                let $mpolicy = self.side_policy;
+                let $mrate = rate;
+                Ok($mix)
+            }
+
+            /// The record path: the pure outcome, then a compare-and-store.
+            /// Serves [`step`](Self::step) (`want_record`) and batches
+            /// whose sink is not passive.
             fn execute(
                 &mut self,
                 pair: C::Pair,
                 fault: $Fault,
                 want_record: bool,
             ) -> Result<Option<StepRecord<P::State, $Fault>>, EngineError> {
-                if !want_record && self.sink.is_passive() {
-                    return self.execute_in_place(&pair, fault).map(|()| None);
-                }
                 // Records attribute the step to two agents, which only
                 // per-agent backends can do.
                 let interaction = C::interaction_of(&pair).ok_or(
@@ -257,7 +492,7 @@ macro_rules! runner_impl {
                     let (s, r) = self.config.pair_states(&pair)?;
                     new_s != *s || new_r != *r
                 };
-                let omissive = is_omissive(&fault);
+                let omissive = fault.is_omissive();
                 let index = self.next_index;
                 self.next_index += 1;
                 self.stats.record(omissive, changed);
@@ -282,45 +517,14 @@ macro_rules! runner_impl {
                     new_starter: new_s,
                     new_reactor: new_r,
                 };
-                if !sink_wants {
-                    return Ok(Some(record));
-                }
-                if want_record {
-                    self.sink.accept(record.clone());
-                    Ok(Some(record))
-                } else {
+                if !want_record {
                     self.sink.accept(record);
-                    Ok(None)
+                    return Ok(None);
                 }
-            }
-
-            /// The record-free fast path: endpoint states mutate in place
-            /// through the program's `*_in_place` hooks (exactly
-            /// equivalent to the pure outcome followed by a
-            /// compare-and-store), so a step costs no state construction
-            /// at all for programs that override them.
-            fn execute_in_place(
-                &mut self,
-                pair: &C::Pair,
-                fault: $Fault,
-            ) -> Result<(), EngineError> {
-                let $Runner {
-                    model,
-                    program,
-                    config,
-                    ..
-                } = self;
-                let model = *model;
-                let (s_changed, r_changed) = config.update_pair(pair, |$fs, $fr| {
-                    let $fmodel = model;
-                    let $fprogram = &*program;
-                    let $ffault = fault;
-                    $fast
-                })?;
-                self.next_index += 1;
-                self.stats
-                    .record(is_omissive(&fault), s_changed || r_changed);
-                Ok(())
+                if sink_wants {
+                    self.sink.accept(record.clone());
+                }
+                Ok(Some(record))
             }
 
             fn decide_fault(
@@ -345,51 +549,13 @@ macro_rules! runner_impl {
                 $bulk
             }
 
-            fn next_fault(&mut self, pair: &C::Pair) -> $Fault {
-                self.decide_fault(self.next_index, C::interaction_of(pair))
-            }
-
-            /// Executes one scheduled interaction and returns its record.
-            ///
-            /// # Errors
-            ///
-            /// Propagates fault-relation violations (cannot happen with the
-            /// built-in adversaries and side policies restricted to the
-            /// model's permitted faults) and bounds errors from custom
-            /// schedulers.
-            pub fn step(&mut self) -> Result<StepRecord<P::State, $Fault>, EngineError> {
-                let pair = self.config.draw_pair(&mut self.scheduler, &mut self.rng);
-                let fault = self.next_fault(&pair);
-                Ok(self
-                    .execute(pair, fault, true)?
-                    .expect("record requested"))
-            }
-
-            /// Executes `steps` scheduled interactions without building
-            /// per-step records (the sink, if it wants them, is still fed).
-            ///
-            /// # Errors
-            ///
-            /// Same conditions as [`step`](Self::step).
-            pub fn run(&mut self, steps: u64) -> Result<(), EngineError> {
-                for _ in 0..steps {
-                    let pair = self
-                        .config
-                        .draw_pair_with(&mut self.scheduler, &mut self.rng);
-                    let fault = self.next_fault(&pair);
-                    self.execute(pair, fault, false)?;
-                }
-                Ok(())
-            }
-
             /// Draws and applies the next `take` scheduled steps: the
-            /// batch kernel behind [`run_batched`](Self::run_batched) and
-            /// [`run_batched_until`](Self::run_batched_until). `pairs`
-            /// and `faults` are the caller's buffers, reused from batch
-            /// to batch.
+            /// batch kernel behind [`Batched`]. `pairs` and `faults` are
+            /// the caller's buffers, reused from batch to batch.
             ///
-            /// The draws consume the shared RNG stream exactly as the
-            /// scalar loop would. When the fault decisions are RNG-free
+            /// The draws consume the shared RNG stream exactly as
+            /// drawing pair and fault step by step would. When the fault
+            /// decisions are RNG-free
             /// ([`bulk_pairs_ok`](Self::bulk_pairs_ok)) the stream is
             /// pairs-only, so all `take` pairs are drawn first through
             /// the backend's monomorphized bulk path, and the fault
@@ -406,9 +572,15 @@ macro_rules! runner_impl {
                 if !C::STABLE_PAIRS {
                     // State-addressed pairs (count backend) must see the
                     // counts every earlier step produced: draw and apply
-                    // interleaved — the exact sequential law, same RNG
-                    // order as the scalar loop.
-                    return self.run(take);
+                    // one step at a time — the exact sequential law.
+                    for _ in 0..take {
+                        let pair = self
+                            .config
+                            .draw_pair_with(&mut self.scheduler, &mut self.rng);
+                        let fault = self.decide_fault(self.next_index, C::interaction_of(&pair));
+                        self.apply_batch(std::slice::from_ref(&pair), std::iter::once(fault))?;
+                    }
+                    return Ok(());
                 }
                 pairs.clear();
                 faults.clear();
@@ -443,10 +615,12 @@ macro_rules! runner_impl {
 
             /// Applies a drawn batch, the `k`-th pair with the `k`-th
             /// fault of `faults`. With a passive sink this runs the tight
-            /// loop: endpoint states mutate in place, no clones, no
-            /// records, and [`RunStats`] is updated once per batch — on
-            /// error, with the steps applied before the failing one, which
-            /// stay applied.
+            /// loop: endpoint states mutate in place through the
+            /// program's `*_in_place` hooks (exactly equivalent to the
+            /// pure outcome followed by a compare-and-store), no clones,
+            /// no records, and [`RunStats`] is updated once per batch —
+            /// on error, with the steps applied before the failing one,
+            /// which stay applied.
             fn apply_batch(
                 &mut self,
                 pairs: &[C::Pair],
@@ -477,7 +651,7 @@ macro_rules! runner_impl {
                     })?;
                     done.steps += 1;
                     done.changed_steps += u64::from(s_changed | r_changed);
-                    done.omissive_steps += u64::from(is_omissive(&fault));
+                    done.omissive_steps += u64::from(fault.is_omissive());
                     Ok(())
                 });
                 done.noop_steps = done.steps - done.changed_steps;
@@ -485,308 +659,76 @@ macro_rules! runner_impl {
                 stats.merge(&done);
                 result
             }
+        }
 
-            /// Executes `steps` scheduled interactions in batches of
-            /// `batch`: each batch is drawn from the scheduler and
-            /// adversary up front into buffers reused across batches,
-            /// then applied through the in-place fast path.
-            ///
-            /// For the same seed this is *bit-identical* to
-            /// [`run`](Self::run) — same RNG stream, same configuration,
-            /// same [`RunStats`] — the batching only changes how the work
-            /// is staged. With a passive sink (e.g.
-            /// the default [`StatsOnly`]) no step builds a record or
-            /// clones a state, and the statistics are added once per
-            /// batch.
-            ///
-            /// # Errors
-            ///
-            /// Same conditions as [`step`](Self::step); earlier steps of a
-            /// failing batch remain applied and counted in
-            /// [`steps`](Self::steps) and [`stats`](Self::stats).
-            ///
-            /// # Panics
-            ///
-            /// Panics if `batch` is zero.
-            pub fn run_batched(&mut self, steps: u64, batch: u64) -> Result<(), EngineError> {
-                assert!(batch > 0, "batch size must be positive");
+        impl<P, S, A, T, C> Exec<$Runner<P, S, A, T, C>, C> for Batched
+        where
+            P: $Program,
+            S: Scheduler,
+            A: OmissionStrategy,
+            T: TraceSink<P::State, $Fault>,
+            C: ExecBackend<State = <P as $Program>::State>,
+        {
+            /// One [`run_batch`]($Runner::run_batch) per batch, into
+            /// buffers reused across batches, with the stop rule
+            /// evaluated at each boundary.
+            fn drive(
+                self,
+                runner: &mut $Runner<P, S, A, T, C>,
+                stop: Stop<'_, C>,
+            ) -> Result<RunOutcome, EngineError> {
+                assert!(self.0 > 0, "batch size must be positive");
+                let Stop { budget, mut rule } = stop;
                 let (mut pairs, mut faults) = (Vec::new(), Vec::new());
-                let mut remaining = steps;
+                let (mut remaining, mut quiet) = (budget, 0u64);
                 while remaining > 0 {
-                    let take = remaining.min(batch);
-                    self.run_batch(&mut pairs, &mut faults, take)?;
+                    let take = remaining.min(self.0);
+                    let changed = runner.stats.changed_steps;
+                    runner.run_batch(&mut pairs, &mut faults, take)?;
                     remaining -= take;
-                }
-                Ok(())
-            }
-
-            /// Runs until `predicate` holds on the population (checked
-            /// before the first step and after every step) or `max_steps`
-            /// further interactions have executed.
-            pub fn run_until(
-                &mut self,
-                max_steps: u64,
-                mut predicate: impl FnMut(&C) -> bool,
-            ) -> RunOutcome {
-                if predicate(&self.config) {
-                    return RunOutcome::Satisfied {
-                        steps: self.next_index,
-                    };
-                }
-                for _ in 0..max_steps {
-                    let pair = self
-                        .config
-                        .draw_pair_with(&mut self.scheduler, &mut self.rng);
-                    let fault = self.next_fault(&pair);
-                    if self.execute(pair, fault, false).is_err() {
-                        break;
-                    }
-                    if predicate(&self.config) {
-                        return RunOutcome::Satisfied {
-                            steps: self.next_index,
-                        };
-                    }
-                }
-                RunOutcome::Exhausted {
-                    steps: self.next_index,
-                }
-            }
-
-            /// Runs until `predicate` holds on the configuration, checking
-            /// it before the first step and then only at *batch
-            /// boundaries*, or until `max_steps` further interactions have
-            /// executed.
-            ///
-            /// Sampling at boundaries makes an expensive predicate (e.g. a
-            /// full projection of a simulator configuration) cost `1/batch`
-            /// of its scalar price, at the resolution cost of overshooting
-            /// the flip instant by up to `batch - 1` steps. Because the
-            /// instant a predicate first holds is already fuzzy under
-            /// batching, wrap the predicate in
-            /// [`stably`](crate::convergence::stably) when a transiently
-            /// true (mid-handshake) sample must not end the run.
-            ///
-            /// Each batch runs through the same kernel as
-            /// [`run_batched`](Self::run_batched), so with a predicate
-            /// that never holds this is bit-identical to
-            /// [`run`](Self::run) for the same seed. An engine error ends
-            /// the run as [`RunOutcome::Exhausted`] with the failing
-            /// batch's earlier steps applied and counted.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `batch` is zero.
-            pub fn run_batched_until(
-                &mut self,
-                max_steps: u64,
-                batch: u64,
-                mut predicate: impl FnMut(&C) -> bool,
-            ) -> RunOutcome {
-                assert!(batch > 0, "batch size must be positive");
-                if predicate(&self.config) {
-                    return RunOutcome::Satisfied {
-                        steps: self.next_index,
-                    };
-                }
-                let (mut pairs, mut faults) = (Vec::new(), Vec::new());
-                let mut remaining = max_steps;
-                while remaining > 0 {
-                    let take = remaining.min(batch);
-                    if self.run_batch(&mut pairs, &mut faults, take).is_err() {
-                        break;
-                    }
-                    remaining -= take;
-                    if predicate(&self.config) {
-                        return RunOutcome::Satisfied {
-                            steps: self.next_index,
-                        };
-                    }
-                }
-                RunOutcome::Exhausted {
-                    steps: self.next_index,
-                }
-            }
-
-            /// Runs until no interaction has changed any state for
-            /// `window` consecutive steps ("observed stability"), or
-            /// `max_steps` interactions have executed.
-            ///
-            /// Observed stability is a heuristic convergence signal: a
-            /// silent window proves nothing for adversarial schedulers,
-            /// but under the uniform scheduler the probability that a
-            /// non-silent system stays quiet for a long window decays
-            /// exponentially. For exact convergence verification use the
-            /// model checker in `ppfts-verify`.
-            pub fn run_until_stable(&mut self, max_steps: u64, window: u64) -> RunOutcome {
-                let mut quiet = 0u64;
-                for _ in 0..max_steps {
-                    let pair = self.config.draw_pair(&mut self.scheduler, &mut self.rng);
-                    let fault = self.next_fault(&pair);
-                    let before = self.stats.changed_steps;
-                    if self.execute(pair, fault, false).is_err() {
-                        break;
-                    }
-                    if self.stats.changed_steps > before {
-                        quiet = 0;
-                    } else {
-                        quiet += 1;
-                        if quiet >= window {
-                            return RunOutcome::Satisfied {
-                                steps: self.next_index,
+                    let done = match &mut rule {
+                        Rule::Budget => false,
+                        Rule::Until(predicate) => predicate(&runner.config),
+                        Rule::Quiet(window) => {
+                            quiet = if runner.stats.changed_steps == changed {
+                                quiet + take
+                            } else {
+                                0
                             };
+                            quiet >= *window
                         }
+                    };
+                    if done {
+                        return Ok(runner.outcome(true));
                     }
                 }
-                RunOutcome::Exhausted {
-                    steps: self.next_index,
-                }
+                Ok(runner.outcome(false))
             }
+        }
 
-            /// Executes an exact pre-planned sequence, bypassing the
-            /// scheduler and the adversary. Used by the paper's adversarial
-            /// constructions, where both the interactions and the omissions
-            /// are chosen by the proof.
-            ///
-            /// # Errors
-            ///
-            /// Fails if a planned fault is outside the model's transition
-            /// relation or an endpoint is out of bounds; earlier planned
-            /// steps remain applied.
-            pub fn apply_planned(
-                &mut self,
-                plan: impl IntoIterator<Item = Planned<$Fault>>,
-            ) -> Result<(), EngineError> {
-                for p in plan {
-                    let pair = self.config.pair_of(p.interaction)?;
-                    self.execute(pair, p.fault, false)?;
-                }
-                Ok(())
-            }
-
-            /// Runs `steps` interactions through the *batch-epoch* path:
-            /// instead of drawing ordered pairs one at a time, whole
-            /// collision-free epochs (expected length ≈ 0.63·√n under the
-            /// uniform scheduler) are sampled as bulk hypergeometric
-            /// state splits and applied once per (starter-state,
-            /// reactor-state, outcome) class — O(d²) work per epoch for
-            /// `d` distinct states, i.e. *sub-constant* work per
-            /// interaction once n ≫ d⁴. Where state changes are sparse
-            /// (fewer than a handful expected per epoch), an exact
-            /// *event step* replaces the epoch: one geometric draw skips
-            /// the inert interactions up to the next one that can change
-            /// a state, which is then applied on its own. See the
-            /// [`epoch`](crate::epoch) module docs for the sampling
-            /// scheme.
-            ///
-            /// The epoch path reproduces the interleaved path's law
-            /// *distributionally* (the same uniform-pair, i.i.d.-fault
-            /// process — certified by the `backend_equivalence`
-            /// distribution-agreement contracts) but not bit-for-bit: it
-            /// consumes the RNG differently, so same-seed runs diverge
-            /// from [`run`](Self::run). Each bulk group is split across
-            /// the faults of the adversary's
-            /// [`OmissionStrategy::iid_rate`] mix, merged by equal
-            /// outcome; bulk thinning bypasses
-            /// [`OmissionStrategy::decide`], so
-            /// [`OmissionStrategy::injected`] stays at zero — audit
-            /// [`RunStats::omissive_steps`] instead. Which interactions
-            /// are omissive never steers the run, so that counter is
-            /// drawn once when the call returns: exact in law at the end
-            /// of each call, not epoch by epoch.
-            ///
-            /// Only state-addressed backends implement
-            /// [`EpochBackend`](crate::EpochBackend), so this method
-            /// exists only on count-backed runners: per-agent features
-            /// (dense backends, recording sinks, restricted topologies)
-            /// are ruled out at compile time or already rejected by the
-            /// builder.
-            ///
-            /// # Errors
-            ///
-            /// [`EngineError::EpochIncompatible`] if the model is
-            /// omissive and the adversary has no fixed i.i.d. rate
-            /// (step-indexed, budgeted, burst, or scripted schedules);
-            /// fault-relation violations as in [`run`](Self::run). On
-            /// error the configuration is left at the last completed
-            /// epoch or event boundary.
-            pub fn run_epochs(&mut self, steps: u64) -> Result<(), EngineError>
-            where
-                C: crate::epoch::EpochBackend,
-            {
-                self.run_epochs_inner(steps, |_| false).map(|_| ())
-            }
-
-            /// Runs through the batch-epoch path until `predicate` holds
-            /// on the configuration — checked before the first step and
-            /// then at every boundary — or `max_steps` further
-            /// interactions have executed. A boundary falls after each
-            /// epoch (≈ 0.63·√n interactions), after each event step
-            /// (its inert stretch plus one interaction that can change a
-            /// state), and every `⌈E[ℓ]⌉` interactions of a configuration
-            /// where no interaction can change a state. Inert stretches
-            /// leave the configuration as it was, so a boundary after
-            /// each event sees every change. The step in flight when the
-            /// budget runs out is truncated exactly at the budget (still
-            /// the exact law), so [`steps`](Self::steps) never
-            /// overshoots.
-            ///
-            /// # Errors
-            ///
-            /// Same conditions as [`run_epochs`](Self::run_epochs).
-            pub fn run_epochs_until(
-                &mut self,
-                max_steps: u64,
-                mut predicate: impl FnMut(&C) -> bool,
-            ) -> Result<RunOutcome, EngineError>
-            where
-                C: crate::epoch::EpochBackend,
-            {
-                if predicate(&self.config) {
-                    return Ok(RunOutcome::Satisfied {
-                        steps: self.next_index,
-                    });
-                }
-                let satisfied = self.run_epochs_inner(max_steps, predicate)?;
-                Ok(if satisfied {
-                    RunOutcome::Satisfied {
-                        steps: self.next_index,
+        impl<P, S, A, T, C> Exec<$Runner<P, S, A, T, C>, C> for Epochs
+        where
+            P: $Program,
+            S: Scheduler,
+            A: OmissionStrategy,
+            T: TraceSink<P::State, $Fault>,
+            C: EpochBackend<State = <P as $Program>::State>,
+        {
+            fn drive(
+                self,
+                runner: &mut $Runner<P, S, A, T, C>,
+                stop: Stop<'_, C>,
+            ) -> Result<RunOutcome, EngineError> {
+                let boundary: Box<dyn FnMut(&C) -> bool + '_> = match stop.rule {
+                    Rule::Budget => Box::new(|_: &C| false),
+                    Rule::Until(predicate) => predicate,
+                    Rule::Quiet(_) => {
+                        return Err(EngineError::EpochIncompatible {
+                            feature: "quiet-window stops (epochs apply no single steps to watch)",
+                        })
                     }
-                } else {
-                    RunOutcome::Exhausted {
-                        steps: self.next_index,
-                    }
-                })
-            }
-
-            /// The i.i.d. per-interaction fault distribution the epoch
-            /// path thins bulk groups with (fault-free entry included;
-            /// weights sum to 1).
-            fn epoch_fault_mix(&self) -> Result<Vec<($Fault, f64)>, EngineError> {
-                let rate = if self.model.allows_omissions() {
-                    self.adversary
-                        .iid_rate()
-                        .ok_or(EngineError::EpochIncompatible {
-                            feature: "omission adversaries without a fixed i.i.d. rate \
-                                      (step-indexed, budgeted, burst, or scripted schedules)",
-                        })?
-                } else {
-                    0.0
                 };
-                let $mmodel = self.model;
-                let $mpolicy = self.side_policy;
-                let $mrate = rate;
-                Ok($mix)
-            }
-
-            fn run_epochs_inner(
-                &mut self,
-                budget: u64,
-                boundary: impl FnMut(&C) -> bool,
-            ) -> Result<bool, EngineError>
-            where
-                C: crate::epoch::EpochBackend,
-            {
-                let mix = self.epoch_fault_mix()?;
+                let mix = runner.epoch_fault_mix()?;
                 let $Runner {
                     model,
                     program,
@@ -795,14 +737,14 @@ macro_rules! runner_impl {
                     next_index,
                     stats,
                     ..
-                } = self;
+                } = runner;
                 let model = *model;
-                crate::epoch::run_epochs_driver(
+                let satisfied = crate::epoch::run_epochs_driver(
                     config,
                     rng,
                     stats,
                     next_index,
-                    budget,
+                    stop.budget,
                     &mix,
                     |$s: &<P as $Program>::State,
                      $r: &<P as $Program>::State,
@@ -812,11 +754,13 @@ macro_rules! runner_impl {
                         let $fault_ = fault;
                         $compute
                     },
-                    |f: &$Fault| is_omissive(f),
+                    |f: &$Fault| f.is_omissive(),
                     boundary,
-                )
+                )?;
+                Ok(runner.outcome(satisfied))
             }
         }
+
 
         /// Builder for the runner; see `builder` on the runner type.
         pub struct $Builder<
@@ -855,8 +799,8 @@ macro_rules! runner_impl {
             /// Sets the initial population *and* selects its backend —
             /// e.g. a [`CountConfiguration`] for giant anonymous runs.
             ///
-            /// Count-backed runners support the full batched measurement
-            /// surface (`run*`, `run_batched*`, [`StatsOnly`] sinks,
+            /// Count-backed runners support the full measurement surface
+            /// ([`Batched`] and [`Epochs`] runs, [`StatsOnly`] sinks,
             /// every omission adversary) but no per-agent operations:
             /// assembling one with a recording sink fails at `build()`
             /// with [`EngineError::PerAgentBackendRequired`], a scheduler
@@ -1055,26 +999,6 @@ macro_rules! runner_impl {
     };
 }
 
-fn is_omissive<F: FaultLike>(f: &F) -> bool {
-    f.omissive()
-}
-
-trait FaultLike {
-    fn omissive(&self) -> bool;
-}
-
-impl FaultLike for OneWayFault {
-    fn omissive(&self) -> bool {
-        self.is_omissive()
-    }
-}
-
-impl FaultLike for TwoWayFault {
-    fn omissive(&self) -> bool {
-        self.is_omissive()
-    }
-}
-
 runner_impl! {
     /// Execution driver for the one-way family (IT, IO, I1–I4).
     ///
@@ -1200,6 +1124,14 @@ mod tests {
             .build()
     }
 
+    fn all_infected(c: &Configuration<bool>) -> bool {
+        c.as_slice().iter().all(|b| *b)
+    }
+
+    fn any_infected(c: &Configuration<bool>) -> bool {
+        c.as_slice().iter().any(|b| *b)
+    }
+
     #[test]
     fn epidemic_converges_under_io() {
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Epidemic)
@@ -1207,7 +1139,9 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        let out = runner.run_until(100_000, |c| c.as_slice().iter().all(|b| *b));
+        let out = runner
+            .run(Batched(1), Stop::until(100_000, all_infected))
+            .unwrap();
         assert!(out.is_satisfied());
         assert!(out.steps() >= 4, "needs at least one delivery per agent");
     }
@@ -1221,7 +1155,7 @@ mod tests {
                 .seed(seed)
                 .build()
                 .unwrap();
-            r.run(500).unwrap();
+            r.run(Batched(1), Stop::steps(500)).unwrap();
             (r.config().clone(), r.stats())
         };
         assert_eq!(run(42), run(42));
@@ -1242,7 +1176,9 @@ mod tests {
                 .seed(42)
                 .build()
                 .unwrap();
-            r.run(500).unwrap();
+            for _ in 0..500 {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats())
         };
         for batch in [1u64, 7, 64, 500, 1000] {
@@ -1253,7 +1189,7 @@ mod tests {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            r.run_batched(500, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(500)).unwrap();
             assert_eq!((r.config().clone(), r.stats()), scalar, "batch {batch}");
             assert_eq!(r.steps(), 500);
         }
@@ -1275,11 +1211,13 @@ mod tests {
                 .unwrap()
         };
         let mut scalar = build();
-        scalar.run(200).unwrap();
+        for _ in 0..200 {
+            scalar.step().unwrap();
+        }
         for batch in [1u64, 13, 64, 200] {
             let mut batched = build();
             assert!(batched.bulk_pairs_ok());
-            batched.run_batched(200, batch).unwrap();
+            batched.run(Batched(batch), Stop::steps(200)).unwrap();
             assert_eq!(batched.config(), scalar.config(), "batch {batch}");
             assert_eq!(batched.stats(), scalar.stats(), "batch {batch}");
             assert_eq!(batched.trace(), scalar.trace(), "batch {batch}");
@@ -1315,9 +1253,11 @@ mod tests {
                 .unwrap()
         };
         let mut scalar = build();
-        scalar.run(40).unwrap();
+        for _ in 0..40 {
+            scalar.step().unwrap();
+        }
         let mut batched = build();
-        batched.run_batched(40, 8).unwrap();
+        batched.run(Batched(8), Stop::steps(40)).unwrap();
         assert_eq!(scalar.trace(), batched.trace());
         assert_eq!(batched.trace().unwrap().len(), 40);
     }
@@ -1330,7 +1270,9 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(100_000, 64, |c| c.as_slice().iter().all(|b| *b));
+        let out = runner
+            .run(Batched(64), Stop::until(100_000, all_infected))
+            .unwrap();
         assert!(out.is_satisfied());
         assert!(
             out.steps().is_multiple_of(64),
@@ -1345,7 +1287,9 @@ mod tests {
             .config(Configuration::new(vec![true, true]))
             .build()
             .unwrap();
-        let out = runner.run_batched_until(10, 4, |c| c.as_slice().iter().all(|b| *b));
+        let out = runner
+            .run(Batched(4), Stop::until(10, all_infected))
+            .unwrap();
         assert_eq!(out, RunOutcome::Satisfied { steps: 0 });
     }
 
@@ -1357,7 +1301,9 @@ mod tests {
             .build()
             .unwrap();
         // 25 is not a multiple of the batch: the tail batch is short.
-        let out = runner.run_batched_until(25, 8, |c| c.as_slice().iter().any(|b| *b));
+        let out = runner
+            .run(Batched(8), Stop::until(25, any_infected))
+            .unwrap();
         assert_eq!(out, RunOutcome::Exhausted { steps: 25 });
     }
 
@@ -1368,7 +1314,7 @@ mod tests {
             .config(Configuration::new(vec![true, false]))
             .build()
             .unwrap();
-        let _ = runner.run_batched(10, 0);
+        let _ = runner.run(Batched(0), Stop::steps(10));
     }
 
     #[test]
@@ -1380,7 +1326,7 @@ mod tests {
             .trace_sink(SampledTrace::every(50))
             .build()
             .unwrap();
-        runner.run(200).unwrap();
+        runner.run(Batched(1), Stop::steps(200)).unwrap();
         let trace = runner.trace().unwrap();
         assert!(trace.len() < 200, "no-op steps are dropped");
         let stats = runner.stats();
@@ -1410,7 +1356,7 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        runner.run(100).unwrap();
+        runner.run(Batched(1), Stop::steps(100)).unwrap();
         assert_eq!(runner.stats().omissive_steps, 0);
         assert_eq!(runner.adversary().injected(), 0);
     }
@@ -1423,7 +1369,7 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        runner.run(50).unwrap();
+        runner.run(Batched(1), Stop::steps(50)).unwrap();
         assert_eq!(runner.stats().omissive_steps, 50);
         // Under I1 with all transmissions lost, the epidemic never spreads.
         assert_eq!(runner.config().as_slice(), &[true, false]);
@@ -1484,7 +1430,12 @@ mod tests {
             .seed(7)
             .build()
             .unwrap();
-        let out = runner.run_until(100_000, |c| c.count_state(&'s') == 2);
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(100_000, |c: &Configuration<char>| c.count_state(&'s') == 2),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
         // Safety: never more paired consumers than producers.
         assert_eq!(runner.config().count_state(&'s'), 2);
@@ -1503,8 +1454,14 @@ mod tests {
                 .build()
                 .unwrap();
             match batched {
-                Some(b) => r.run_batched(400, b).unwrap(),
-                None => r.run(400).unwrap(),
+                Some(b) => {
+                    r.run(Batched(b), Stop::steps(400)).unwrap();
+                }
+                None => {
+                    for _ in 0..400 {
+                        r.step().unwrap();
+                    }
+                }
             }
             (r.config().clone(), r.stats())
         };
@@ -1544,11 +1501,18 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(
-            10_000_000,
-            256,
-            crate::convergence::stably(|c: &CountConfiguration<char>| c.count_state(&'s') == 40, 2),
-        );
+        let out = runner
+            .run(
+                Batched(256),
+                Stop::until(
+                    10_000_000,
+                    crate::convergence::stably(
+                        |c: &CountConfiguration<char>| c.count_state(&'s') == 40,
+                        2,
+                    ),
+                ),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
         // Pairing safety invariants hold on counts exactly as on agents.
         assert_eq!(runner.config().count_state(&'s'), 40);
@@ -1569,9 +1533,14 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(1_000_000, 64, |c: &CountConfiguration<bool>| {
-            c.count_state(&true) == 64
-        });
+        let out = runner
+            .run(
+                Batched(64),
+                Stop::until(1_000_000, |c: &CountConfiguration<bool>| {
+                    c.count_state(&true) == 64
+                }),
+            )
+            .unwrap();
         assert!(out.is_satisfied(), "omissions only delay the epidemic");
         assert!(runner.stats().omissive_steps > 0);
     }
@@ -1628,7 +1597,9 @@ mod tests {
     #[test]
     fn count_backend_run_batched_equals_scalar_run() {
         use ppfts_population::CountConfiguration;
-        let run = |batched: Option<u64>| {
+        // `step` needs agent identities, so the count backend's scalar
+        // reference is Batched(1).
+        let run = |batch: u64| {
             let mut r = TwoWayRunner::builder(TwoWayModel::T1, pairing())
                 .population(CountConfiguration::from_groups([('c', 5), ('p', 5)]))
                 .adversary(RateStrategy::new(0.25))
@@ -1636,15 +1607,12 @@ mod tests {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            match batched {
-                Some(b) => r.run_batched(400, b).unwrap(),
-                None => r.run(400).unwrap(),
-            }
+            r.run(Batched(batch), Stop::steps(400)).unwrap();
             (r.config().clone(), r.stats())
         };
-        let scalar = run(None);
-        for batch in [1, 32, 400] {
-            assert_eq!(run(Some(batch)), scalar, "batch {batch}");
+        let scalar = run(1);
+        for batch in [32, 400] {
+            assert_eq!(run(batch), scalar, "batch {batch}");
         }
     }
 
@@ -1671,7 +1639,9 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let out = runner.run_until(200_000, |c| c.as_slice().iter().all(|b| *b));
+        let out = runner
+            .run(Batched(1), Stop::until(200_000, all_infected))
+            .unwrap();
         assert!(out.is_satisfied(), "epidemic crosses the ring");
         // Every recorded step respects the graph: spot-check via trace.
         let mut traced = OneWayRunner::builder(OneWayModel::Io, Epidemic)
@@ -1681,7 +1651,7 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        traced.run(300).unwrap();
+        traced.run(Batched(1), Stop::steps(300)).unwrap();
         let ring4 = Topology::ring(4).unwrap();
         for rec in traced.trace().unwrap() {
             assert!(ring4.contains_arc(
@@ -1741,7 +1711,9 @@ mod tests {
             .config(Configuration::new(vec![true, true]))
             .build()
             .unwrap();
-        let out = runner.run_until(10, |c| c.as_slice().iter().all(|b| *b));
+        let out = runner
+            .run(Batched(1), Stop::until(10, all_infected))
+            .unwrap();
         assert_eq!(out, RunOutcome::Satisfied { steps: 0 });
     }
 
@@ -1751,7 +1723,9 @@ mod tests {
             .config(Configuration::new(vec![false, false]))
             .build()
             .unwrap();
-        let out = runner.run_until(25, |c| c.as_slice().iter().any(|b| *b));
+        let out = runner
+            .run(Batched(1), Stop::until(25, any_infected))
+            .unwrap();
         assert_eq!(out, RunOutcome::Exhausted { steps: 25 });
         assert!(!out.is_satisfied());
     }
@@ -1764,7 +1738,7 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        runner.run(200).unwrap();
+        runner.run(Batched(1), Stop::steps(200)).unwrap();
         assert_eq!(runner.stats().omissive_steps, 1);
         assert_eq!(runner.adversary().injected(), 1);
     }
@@ -1776,10 +1750,10 @@ mod tests {
             .trace_sink(FullTrace::new())
             .build()
             .unwrap();
-        runner.run(3).unwrap();
+        runner.run(Batched(1), Stop::steps(3)).unwrap();
         let t1 = runner.take_trace().unwrap();
         assert_eq!(t1.len(), 3);
-        runner.run(2).unwrap();
+        runner.run(Batched(1), Stop::steps(2)).unwrap();
         let t2 = runner.take_trace().unwrap();
         assert_eq!(t2.len(), 2);
     }
@@ -1790,7 +1764,7 @@ mod tests {
             .config(Configuration::new(vec![true, true]))
             .build()
             .unwrap();
-        runner.run(10).unwrap();
+        runner.run(Batched(1), Stop::steps(10)).unwrap();
         // Everyone already infected: every step is a no-op.
         assert_eq!(runner.stats().noop_steps, 10);
         assert_eq!(runner.stats().changed_steps, 0);
@@ -1803,7 +1777,7 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        runner.run(5).unwrap();
+        runner.run(Batched(1), Stop::steps(5)).unwrap();
         assert!(runner.trace().is_none());
         assert!(runner.take_trace().is_none());
         assert_eq!(runner.sink(), &StatsOnly);
@@ -1821,11 +1795,14 @@ mod tests {
             .build()
             .unwrap();
         let out = runner
-            .run_epochs_until(
-                100_000_000,
-                crate::convergence::stably(
-                    |c: &CountConfiguration<bool>| c.count_state(&true) == n,
-                    2,
+            .run(
+                Epochs,
+                Stop::until(
+                    100_000_000,
+                    crate::convergence::stably(
+                        |c: &CountConfiguration<bool>| c.count_state(&true) == n,
+                        2,
+                    ),
                 ),
             )
             .unwrap();
@@ -1844,7 +1821,7 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        runner.run_epochs(12_345).unwrap();
+        runner.run(Epochs, Stop::steps(12_345)).unwrap();
         assert_eq!(runner.steps(), 12_345);
         assert_eq!(runner.stats().steps, 12_345);
         let c = runner.config();
@@ -1868,9 +1845,12 @@ mod tests {
             .build()
             .unwrap();
         let out = runner
-            .run_epochs_until(100_000_000, |c: &CountConfiguration<bool>| {
-                c.count_state(&true) == n
-            })
+            .run(
+                Epochs,
+                Stop::until(100_000_000, |c: &CountConfiguration<bool>| {
+                    c.count_state(&true) == n
+                }),
+            )
             .unwrap();
         assert!(out.is_satisfied(), "omissions only delay the epidemic");
         let frac = runner.stats().omission_fraction();
@@ -1896,7 +1876,7 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        runner.run_epochs(100_000).unwrap();
+        runner.run(Epochs, Stop::steps(100_000)).unwrap();
         let frac = runner.stats().omission_fraction();
         assert!(
             (frac - 0.5).abs() < 0.02,
@@ -1914,7 +1894,7 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let err = runner.run_epochs(1_000).unwrap_err();
+        let err = runner.run(Epochs, Stop::steps(1_000)).unwrap_err();
         assert!(matches!(err, EngineError::EpochIncompatible { .. }));
         // Nothing ran: the rejection happens before the first epoch.
         assert_eq!(runner.steps(), 0);
@@ -1932,7 +1912,7 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        runner.run_epochs(1_000).unwrap();
+        runner.run(Epochs, Stop::steps(1_000)).unwrap();
         assert_eq!(runner.steps(), 1_000);
         assert_eq!(runner.stats().omissive_steps, 0);
     }
@@ -1958,7 +1938,7 @@ mod tests {
                     .trace_sink(StatsOnly)
                     .build()
                     .unwrap();
-                runner.run_epochs(m).unwrap();
+                runner.run(Epochs, Stop::steps(m)).unwrap();
                 assert_eq!(runner.stats().steps, m);
                 runner.stats().omissive_steps as f64
             })
@@ -1994,7 +1974,7 @@ mod tests {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            let err = runner.run_epochs(1_000_000).unwrap_err();
+            let err = runner.run(Epochs, Stop::steps(1_000_000)).unwrap_err();
             assert!(matches!(err, EngineError::FaultNotInRelation { .. }));
             assert_eq!(runner.steps() > 0, commits, "rate {rate}");
             assert_eq!(runner.stats().steps, runner.steps());
@@ -2011,9 +1991,12 @@ mod tests {
             .build()
             .unwrap();
         let out = runner
-            .run_epochs_until(1_000, |c: &CountConfiguration<bool>| {
-                c.count_state(&true) == 10
-            })
+            .run(
+                Epochs,
+                Stop::until(1_000, |c: &CountConfiguration<bool>| {
+                    c.count_state(&true) == 10
+                }),
+            )
             .unwrap();
         assert_eq!(out, RunOutcome::Satisfied { steps: 0 });
     }
@@ -2036,31 +2019,92 @@ mod tests {
         }
     }
 
+    /// One stop of each kind, none of which holds within `budget`.
+    fn stop_kinds<C: 'static>(budget: u64) -> [Stop<'static, C>; 3] {
+        [
+            Stop::steps(budget),
+            Stop::until(budget, |_: &C| false),
+            Stop::quiet(budget, budget + 1),
+        ]
+    }
+
     #[test]
     fn error_inside_a_batch_keeps_and_counts_the_steps_before_it() {
         // IO draws pairs only; I3 under a rate adversary fills the fault
         // column, interleaved with the pairs.
         for (model, rate) in [(OneWayModel::Io, 0.0), (OneWayModel::I3, 0.3)] {
             for bad in [0u64, 5, 21, 31] {
-                let mut runner = OneWayRunner::builder(model, Epidemic)
-                    .config(Configuration::new(vec![true, false, false, false, false]))
-                    .scheduler(OutOfRangeAt { bad, drawn: 0 })
-                    .adversary(RateStrategy::new(rate))
-                    .seed(9)
-                    .trace_sink(StatsOnly)
-                    .build()
-                    .unwrap();
-                assert_eq!(runner.bulk_pairs_ok(), model == OneWayModel::Io);
-                let err = runner.run_batched(64, 16).unwrap_err();
-                assert!(matches!(err, EngineError::Population(_)), "{err:?}");
-                let stats = runner.stats();
-                assert_eq!(
-                    (runner.steps(), stats.steps),
-                    (bad, bad),
-                    "{model:?} at {bad}"
-                );
-                assert_eq!(stats.changed_steps + stats.noop_steps, bad);
+                for batch in [1u64, 16] {
+                    for (kind, stop) in stop_kinds(64).into_iter().enumerate() {
+                        let mut runner = OneWayRunner::builder(model, Epidemic)
+                            .config(Configuration::new(vec![true, false, false, false, false]))
+                            .scheduler(OutOfRangeAt { bad, drawn: 0 })
+                            .adversary(RateStrategy::new(rate))
+                            .seed(9)
+                            .trace_sink(StatsOnly)
+                            .build()
+                            .unwrap();
+                        assert_eq!(runner.bulk_pairs_ok(), model == OneWayModel::Io);
+                        let at = format!("{model:?} at {bad}, Batched({batch}), stop {kind}");
+                        let err = runner.run(Batched(batch), stop).unwrap_err();
+                        assert!(matches!(err, EngineError::Population(_)), "{at}: {err:?}");
+                        let stats = runner.stats();
+                        assert_eq!((runner.steps(), stats.steps), (bad, bad), "{at}");
+                        assert_eq!(stats.changed_steps + stats.noop_steps, bad, "{at}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn fault_outside_the_relation_is_an_error_under_every_stop() {
+        // T1 permits single-sided omissions only, so forcing Both fails at
+        // the first omission the adversary fires: step 1238 for this seed.
+        // No stop may read that failure as an exhausted budget.
+        let epidemic = TableProtocol::builder(vec![false, true])
+            .rule((true, false), (true, true))
+            .rule((false, true), (true, true))
+            .build();
+        for batch in [1u64, 16] {
+            for (kind, stop) in stop_kinds(1_000_000).into_iter().enumerate() {
+                let mut runner = TwoWayRunner::builder(TwoWayModel::T1, epidemic.clone())
+                    .config(Configuration::new(
+                        (0..200).map(|i| i == 0).collect::<Vec<_>>(),
+                    ))
+                    .adversary(RateStrategy::new(0.001))
+                    .side_policy(SidePolicy::Always(TwoWayFault::Both))
+                    .seed(3)
+                    .build()
+                    .unwrap();
+                let err = runner.run(Batched(batch), stop).unwrap_err();
+                let at = format!("Batched({batch}), stop {kind}");
+                assert!(
+                    matches!(err, EngineError::FaultNotInRelation { .. }),
+                    "{at}"
+                );
+                assert_eq!((runner.steps(), runner.stats().steps), (1238, 1238), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_stop_is_a_typed_error_on_the_epoch_path() {
+        use ppfts_population::CountConfiguration;
+        let mut runner = OneWayRunner::builder(OneWayModel::Io, Epidemic)
+            .population(CountConfiguration::from_groups([(true, 1), (false, 9)]))
+            .trace_sink(StatsOnly)
+            .build()
+            .unwrap();
+        let err = runner.run(Epochs, Stop::quiet(1_000, 10)).unwrap_err();
+        assert!(
+            matches!(err, EngineError::EpochIncompatible { .. }),
+            "{err:?}"
+        );
+        assert_eq!(runner.steps(), 0);
+        // The interleaved path watches single steps, so counts accept it.
+        let out = runner.run(Batched(1), Stop::quiet(100_000, 50)).unwrap();
+        assert!(out.is_satisfied());
+        assert_eq!(runner.config().count_state(&true), 10);
     }
 }

@@ -128,10 +128,10 @@ pub trait Scheduler {
     /// The default loops over `next_interaction`; [`UniformScheduler`]
     /// and [`TopologyScheduler`] override it with monomorphized draws
     /// (no per-draw virtual call, loop-hoisted validation) — the batched
-    /// fast path `run_batched` uses when the fault stream permits bulk
-    /// pair drawing. Bit-identity to the per-draw stream is part of the
-    /// contract; `tests/simulator_index_equivalence.rs` and the in-module
-    /// tests certify it for the built-in schedulers.
+    /// fast path [`Batched`](crate::Batched) uses when the fault stream
+    /// permits bulk pair drawing. Bit-identity to the per-draw stream is
+    /// part of the contract; `tests/simulator_index_equivalence.rs` and
+    /// the in-module tests certify it for the built-in schedulers.
     ///
     /// `where Self: Sized` keeps the trait object-safe; `&mut dyn
     /// Scheduler` callers simply keep the per-draw entry point.

@@ -192,13 +192,21 @@ fn run_fuzz(opts: &Options) -> Result<bool, String> {
             .map(|at| format!(", first break at {at}"))
             .unwrap_or_default(),
     );
+    if report.errored_evaluations > 0 {
+        println!(
+            "engine errors in {} evaluations (errored seeds are never counted broken)",
+            report.errored_evaluations
+        );
+    }
     if let Some(path) = &opts.out {
         std::fs::write(path, report.best.genome.to_json())
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote best genome to {path}");
     }
     if report.broke() {
-        let violations = target.audit_replay(&report.best.genome, 1);
+        let violations = target
+            .audit_replay(&report.best.genome, 1)
+            .map_err(|e| format!("replay audit: engine error: {e}"))?;
         if violations.is_empty() {
             println!("replay audit: clean (attack is a faithful <= o schedule)");
         } else {
@@ -231,11 +239,20 @@ fn run_replay(opts: &Options, path: &str) -> Result<bool, String> {
             s.stats.noop_steps,
             s.pressure.pending_agents,
             s.pressure.stall_depth,
-            if s.broken { "  BROKEN" } else { "" },
+            match (&s.error, s.broken) {
+                (Some(e), _) => format!("  ERROR: {e}"),
+                (None, true) => "  BROKEN".to_owned(),
+                (None, false) => String::new(),
+            },
         );
     }
+    if let Some(s) = eval.seeds.iter().find(|s| s.error.is_some()) {
+        return Err(format!("replay: seed {} ended in an engine error", s.seed));
+    }
     let first_seed = eval.seeds.first().map_or(1, |s| s.seed);
-    let violations = target.audit_replay(&genome, first_seed);
+    let violations = target
+        .audit_replay(&genome, first_seed)
+        .map_err(|e| format!("replay audit: engine error: {e}"))?;
     if violations.is_empty() {
         println!("replay audit: clean");
     } else {
@@ -264,7 +281,9 @@ fn run_self_test(opts: &Options) -> Result<bool, String> {
     };
     let report = fuzz(&target, &cfg);
     if report.broke() {
-        let violations = target.audit_replay(&report.best.genome, 1);
+        let violations = target
+            .audit_replay(&report.best.genome, 1)
+            .map_err(|e| format!("self-test replay: engine error: {e}"))?;
         if !violations.is_empty() {
             println!("self-test FAILED: found attack is unfaithful: {violations:?}");
             return Ok(false);

@@ -39,6 +39,9 @@ pub struct FuzzReport {
     pub evaluations: u64,
     /// Evaluation count at which the first break was found, if any.
     pub first_break_at: Option<u64>,
+    /// Evaluations in which some seed's run ended in an engine error
+    /// (such a seed is never counted broken).
+    pub errored_evaluations: u64,
 }
 
 impl FuzzReport {
@@ -69,24 +72,25 @@ pub fn fuzz(target: &FuzzTarget, cfg: &FuzzConfig) -> FuzzReport {
             .max(1),
     };
     let mut corpus = Corpus::new(cfg.corpus_cap);
-    let mut evaluations = 0u64;
-    let mut first_break_at = None;
-    let mut best = ScoredGenome {
-        genome: ScheduleGenome::empty(),
-        severity: AttackSeverity::default(),
+    let mut report = FuzzReport {
+        best: ScoredGenome {
+            genome: ScheduleGenome::empty(),
+            severity: AttackSeverity::default(),
+        },
+        evaluations: 0,
+        first_break_at: None,
+        errored_evaluations: 0,
     };
-    let consider = |genome: ScheduleGenome,
-                    corpus: &mut Corpus,
-                    evaluations: &mut u64,
-                    first_break_at: &mut Option<u64>,
-                    best: &mut ScoredGenome| {
-        let severity = target.evaluate(&genome).severity;
-        *evaluations += 1;
-        if severity.is_break() && first_break_at.is_none() {
-            *first_break_at = Some(*evaluations);
+    let consider = |genome: ScheduleGenome, corpus: &mut Corpus, report: &mut FuzzReport| {
+        let eval = target.evaluate(&genome);
+        let severity = eval.severity;
+        report.evaluations += 1;
+        report.errored_evaluations += u64::from(eval.seeds.iter().any(|s| s.error.is_some()));
+        if severity.is_break() && report.first_break_at.is_none() {
+            report.first_break_at = Some(report.evaluations);
         }
-        if severity > best.severity {
-            *best = ScoredGenome {
+        if severity > report.best.severity {
+            report.best = ScoredGenome {
                 genome: genome.clone(),
                 severity,
             };
@@ -126,19 +130,13 @@ pub fn fuzz(target: &FuzzTarget, cfg: &FuzzConfig) -> FuzzReport {
         seeds.push(random_genome(&ctx, &mut rng));
     }
     for genome in seeds {
-        if evaluations >= cfg.budget {
+        if report.evaluations >= cfg.budget {
             break;
         }
-        consider(
-            genome,
-            &mut corpus,
-            &mut evaluations,
-            &mut first_break_at,
-            &mut best,
-        );
+        consider(genome, &mut corpus, &mut report);
     }
 
-    while evaluations < cfg.budget {
+    while report.evaluations < cfg.budget {
         let child = match corpus.pick(&mut rng).cloned() {
             None => random_genome(&ctx, &mut rng),
             Some(parent) => {
@@ -151,20 +149,9 @@ pub fn fuzz(target: &FuzzTarget, cfg: &FuzzConfig) -> FuzzReport {
                 }
             }
         };
-        consider(
-            child,
-            &mut corpus,
-            &mut evaluations,
-            &mut first_break_at,
-            &mut best,
-        );
+        consider(child, &mut corpus, &mut report);
     }
-
-    FuzzReport {
-        best,
-        evaluations,
-        first_break_at,
-    }
+    report
 }
 
 #[cfg(test)]

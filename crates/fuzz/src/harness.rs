@@ -2,7 +2,8 @@
 
 use ppfts_core::{sim_pressure, SimPressure, SimulatorState, Skno, SknoState};
 use ppfts_engine::{
-    run_seeds, FullTrace, OneWayFault, OneWayModel, OneWayRunner, RunStats, StatsOnly, Trace,
+    run_seeds, Batched, EngineError, FullTrace, OneWayFault, OneWayModel, OneWayRunner, RunOutcome,
+    RunStats, StatsOnly, Stop, Trace,
 };
 use ppfts_population::{Configuration, Topology};
 use ppfts_protocols::Epidemic;
@@ -56,7 +57,7 @@ pub struct BaselineRun {
 }
 
 /// One attacked run's measurements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeedOutcome {
     /// The run seed.
     pub seed: u64,
@@ -68,8 +69,39 @@ pub struct SeedOutcome {
     pub stats: RunStats,
     /// Progress-pressure diagnostics of the final configuration.
     pub pressure: SimPressure,
-    /// Baseline converged but this run did not.
+    /// Baseline converged but this run did not (never set on a run
+    /// that ended in an engine error).
     pub broken: bool,
+    /// The engine error that ended the run, if one did; `steps` and
+    /// `stats` then count the steps applied before it.
+    pub error: Option<EngineError>,
+}
+
+impl SeedOutcome {
+    /// Scores one attacked run against its seed's fault-free baseline.
+    /// A run that ended in an engine error is reported with that error
+    /// and never counted broken: it never got the chance to converge.
+    fn new(
+        seed: u64,
+        out: Result<RunOutcome, EngineError>,
+        stats: RunStats,
+        pressure: SimPressure,
+        baseline_converged: bool,
+    ) -> Self {
+        let (converged, error) = match out {
+            Ok(out) => (out.is_satisfied(), None),
+            Err(e) => (false, Some(e)),
+        };
+        SeedOutcome {
+            seed,
+            converged,
+            steps: stats.steps,
+            stats,
+            pressure,
+            broken: error.is_none() && baseline_converged && !converged,
+            error,
+        }
+    }
 }
 
 /// A genome's full evaluation: the scalar severity plus the per-seed
@@ -175,65 +207,68 @@ impl FuzzTarget {
         let mut seeds = Vec::with_capacity(summaries.len());
         let mut severity = AttackSeverity::default();
         for (i, summary) in summaries.into_iter().enumerate() {
-            let (converged, steps, stats, pressure) = summary.value;
-            let broken = self
-                .baseline
-                .get(i)
-                .is_some_and(|b| b.converged && !converged);
-            severity.broken_seeds += u32::from(broken);
+            let (out, stats, pressure) = summary.value;
+            let baseline_converged = self.baseline.get(i).is_some_and(|b| b.converged);
+            let s = SeedOutcome::new(summary.seed, out, stats, pressure, baseline_converged);
+            severity.broken_seeds += u32::from(s.broken);
             severity.max_pending = severity
                 .max_pending
-                .max(u32::try_from(pressure.pending_agents).unwrap_or(u32::MAX));
+                .max(u32::try_from(s.pressure.pending_agents).unwrap_or(u32::MAX));
             severity.max_stall_depth = severity
                 .max_stall_depth
-                .max(u32::try_from(pressure.stall_depth).unwrap_or(u32::MAX));
-            severity.max_steps = severity.max_steps.max(steps);
-            seeds.push(SeedOutcome {
-                seed: summary.seed,
-                converged,
-                steps,
-                stats,
-                pressure,
-                broken,
-            });
+                .max(u32::try_from(s.pressure.stall_depth).unwrap_or(u32::MAX));
+            severity.max_steps = severity.max_steps.max(s.steps);
+            seeds.push(s);
         }
         Evaluation { severity, seeds }
     }
 
-    /// One attacked run with a stats-only sink.
-    fn run_one(&self, genome: &ScheduleGenome, seed: u64) -> (bool, u64, RunStats, SimPressure) {
+    /// One attacked run with a stats-only sink: the driver's result,
+    /// the run's statistics, and the final pressure.
+    fn run_one(
+        &self,
+        genome: &ScheduleGenome,
+        seed: u64,
+    ) -> (Result<RunOutcome, EngineError>, RunStats, SimPressure) {
         let mut runner = self
             .builder(seed)
             .adversary(genome.compile(Some(self.o_budget)))
             .trace_sink(StatsOnly)
             .build()
             .expect("graphical SKnO assembles on its own topology");
-        let out = runner.run_batched_until(self.step_budget, BATCH, all_simulated);
+        let out = runner.run(Batched(BATCH), Stop::until(self.step_budget, all_simulated));
         let pressure = sim_pressure(runner.config().as_slice());
-        (out.is_satisfied(), out.steps(), runner.stats(), pressure)
+        (out, runner.stats(), pressure)
     }
 
     /// Replays `genome` on one seed with a full trace and audits the
     /// recorded omissions against the genome's own schedule and the
     /// class budget. An empty result certifies the replay faithful.
-    #[must_use]
-    pub fn audit_replay(&self, genome: &ScheduleGenome, seed: u64) -> Vec<ScheduleViolation> {
+    ///
+    /// # Errors
+    ///
+    /// The [`EngineError`] that ended the replay, if one did.
+    pub fn audit_replay(
+        &self,
+        genome: &ScheduleGenome,
+        seed: u64,
+    ) -> Result<Vec<ScheduleViolation>, EngineError> {
         let mut runner = self
             .builder(seed)
             .adversary(genome.compile(Some(self.o_budget)))
             .trace_sink(FullTrace::new())
             .build()
             .expect("graphical SKnO assembles on its own topology");
-        let _ = runner.run_batched_until(self.step_budget, BATCH, all_simulated);
+        runner.run(Batched(BATCH), Stop::until(self.step_budget, all_simulated))?;
         let trace: &Trace<SknoState<bool>, OneWayFault> =
             runner.trace().expect("FullTrace::new() retains the trace");
         let schedule = genome.compile(Some(self.o_budget));
-        audit_omission_schedule(
+        Ok(audit_omission_schedule(
             trace,
             |f| f.is_omissive(),
             |step, interaction| schedule.permits(step, Some(interaction)),
             Some(self.o_budget),
-        )
+        ))
     }
 
     /// The common runner builder for this target (model I3, graphical
@@ -317,7 +352,25 @@ mod tests {
         let eval = target.evaluate(&genome);
         assert!(eval.severity.is_break(), "severity: {:?}", eval.severity);
         // The found attack is a faithful member of the class.
-        assert!(target.audit_replay(&genome, 1).is_empty());
+        assert!(target.audit_replay(&genome, 1).unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_errored_seed_is_reported_and_never_counted_broken() {
+        let stats = RunStats {
+            steps: 12,
+            ..RunStats::default()
+        };
+        let err = EngineError::PerAgentBackendRequired {
+            operation: "building step records",
+        };
+        let s = SeedOutcome::new(4, Err(err.clone()), stats, SimPressure::default(), true);
+        assert_eq!((s.converged, s.broken, s.steps), (false, false, 12));
+        assert_eq!(s.error, Some(err));
+        // The same budget miss without an error is a break.
+        let miss = Ok(RunOutcome::Exhausted { steps: 12 });
+        let s = SeedOutcome::new(4, miss, stats, SimPressure::default(), true);
+        assert!(s.broken && s.error.is_none());
     }
 
     #[test]

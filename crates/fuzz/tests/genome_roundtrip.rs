@@ -43,7 +43,7 @@ fn found_genome_survives_json_roundtrip_and_replays_bit_identically() {
     // And the replay is a faithful member of the schedule class.
     for &seed in &[1, 2] {
         assert!(
-            target.audit_replay(&parsed, seed).is_empty(),
+            target.audit_replay(&parsed, seed).unwrap().is_empty(),
             "audit must certify the replayed schedule"
         );
     }

@@ -64,7 +64,7 @@ impl EnumerableStates for Epidemic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use ppfts_population::unanimous_output;
 
     #[test]
@@ -86,9 +86,14 @@ mod tests {
                 .seed(17)
                 .build()
                 .unwrap();
-            let out = runner.run_until(50_000, |c| {
-                unanimous_output(c, |q| Epidemic.output(q)) == Some(expected)
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(50_000, |c| {
+                        unanimous_output(c, |q| Epidemic.output(q)) == Some(expected)
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "inputs {inputs:?}");
         }
     }
@@ -116,9 +121,14 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(2_000_000, 256, |c: &CountConfiguration<bool>| {
-            c.count_state(&true) == n
-        });
+        let out = runner
+            .run(
+                Batched(256),
+                Stop::until(2_000_000, |c: &CountConfiguration<bool>| {
+                    c.count_state(&true) == n
+                }),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 }

@@ -127,7 +127,7 @@ impl EnumerableStates for FlockOfBirds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use ppfts_population::unanimous_output;
 
     fn run_flock(k: u32, marked: usize, unmarked: usize, seed: u64) -> Option<bool> {
@@ -141,9 +141,14 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap();
-        let out = runner.run_until(400_000, |c| {
-            unanimous_output(c, |q| flock.output(q)) == Some(expected)
-        });
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(400_000, |c| {
+                    unanimous_output(c, |q| flock.output(q)) == Some(expected)
+                }),
+            )
+            .unwrap();
         out.is_satisfied().then_some(expected)
     }
 
@@ -248,16 +253,20 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(
-            5_000_000,
-            256,
-            stably(
-                |c: &CountConfiguration<FlockState>| {
-                    unanimous_output_counts(&c.counts(), |q| flock.output(q)) == Some(true)
-                },
-                2,
-            ),
-        );
+        let out = runner
+            .run(
+                Batched(256),
+                Stop::until(
+                    5_000_000,
+                    stably(
+                        |c: &CountConfiguration<FlockState>| {
+                            unanimous_output_counts(&c.counts(), |q| flock.output(q)) == Some(true)
+                        },
+                        2,
+                    ),
+                ),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 }

@@ -60,7 +60,7 @@ impl Semantics for MaxGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use ppfts_population::unanimous_output;
 
     #[test]
@@ -78,9 +78,14 @@ mod tests {
             .seed(8)
             .build()
             .unwrap();
-        let out = runner.run_until(100_000, |c| {
-            unanimous_output(c, |q| MaxGossip.output(q)) == Some(expected)
-        });
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(100_000, |c| {
+                    unanimous_output(c, |q| MaxGossip.output(q)) == Some(expected)
+                }),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
         assert_eq!(runner.config().as_slice().iter().max(), Some(&9));
     }

@@ -81,7 +81,7 @@ impl EnumerableStates for LeaderElection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
 
     #[test]
     fn followers_never_return() {
@@ -116,7 +116,9 @@ mod tests {
                 .seed(n as u64)
                 .build()
                 .unwrap();
-            let out = runner.run_until(100_000, LeaderElection::is_elected);
+            let out = runner
+                .run(Batched(1), Stop::until(100_000, LeaderElection::is_elected))
+                .unwrap();
             assert!(out.is_satisfied(), "n = {n}");
         }
     }
@@ -138,14 +140,20 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(
-            10_000_000,
-            512,
-            stably(
-                |c: &CountConfiguration<LeaderState>| c.count_state(&LeaderState::Leader) == 1,
-                2,
-            ),
-        );
+        let out = runner
+            .run(
+                Batched(512),
+                Stop::until(
+                    10_000_000,
+                    stably(
+                        |c: &CountConfiguration<LeaderState>| {
+                            c.count_state(&LeaderState::Leader) == 1
+                        },
+                        2,
+                    ),
+                ),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
         assert_eq!(runner.config().count_state(&LeaderState::Follower), 299);
     }
@@ -160,7 +168,7 @@ mod tests {
             .seed(0)
             .build()
             .unwrap();
-        runner.run(2000).unwrap();
+        runner.run(Batched(1), Stop::steps(2000)).unwrap();
         assert!(LeaderElection::is_elected(runner.config()));
     }
 }

@@ -225,8 +225,8 @@ impl EnumerableStates for ExactMajority {
 mod tests {
     use super::majority_states::*;
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
-    use ppfts_population::unanimous_output;
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
+    use ppfts_population::{unanimous_output, Configuration};
 
     #[test]
     fn approximate_rules_match_literature() {
@@ -249,9 +249,14 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        let out = runner.run_until(200_000, |c| {
-            c.as_slice().iter().all(|q| *q == MajorityState::X)
-        });
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(200_000, |c: &Configuration<_>| {
+                    c.as_slice().iter().all(|q| *q == MajorityState::X)
+                }),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 
@@ -286,9 +291,14 @@ mod tests {
                 .seed(100 + x as u64 * 10 + y as u64)
                 .build()
                 .unwrap();
-            let out = runner.run_until(500_000, |c| {
-                unanimous_output(c, |q| ExactMajority.output(q)) == Some(expected)
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(500_000, |c| {
+                        unanimous_output(c, |q| ExactMajority.output(q)) == Some(expected)
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "{x} X vs {y} Y");
         }
     }
@@ -328,14 +338,20 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(
-            5_000_000,
-            256,
-            stably(
-                |c: &CountConfiguration<MajorityState>| c.count_state(&MajorityState::X) == 300,
-                2,
-            ),
-        );
+        let out = runner
+            .run(
+                Batched(256),
+                Stop::until(
+                    5_000_000,
+                    stably(
+                        |c: &CountConfiguration<MajorityState>| {
+                            c.count_state(&MajorityState::X) == 300
+                        },
+                        2,
+                    ),
+                ),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 
@@ -358,17 +374,21 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(
-            20_000_000,
-            512,
-            stably(
-                |c: &CountConfiguration<ExactMajorityState>| {
-                    unanimous_output_counts(&c.counts(), |q| ExactMajority.output(q))
-                        == Some(MajorityOpinion::X)
-                },
-                2,
-            ),
-        );
+        let out = runner
+            .run(
+                Batched(512),
+                Stop::until(
+                    20_000_000,
+                    stably(
+                        |c: &CountConfiguration<ExactMajorityState>| {
+                            unanimous_output_counts(&c.counts(), |q| ExactMajority.output(q))
+                                == Some(MajorityOpinion::X)
+                        },
+                        2,
+                    ),
+                ),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 }

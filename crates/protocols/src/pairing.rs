@@ -110,7 +110,7 @@ impl EnumerableStates for Pairing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use PairingState::*;
 
     #[test]
@@ -155,7 +155,12 @@ mod tests {
                 .seed(consumers as u64 * 31 + producers as u64)
                 .build()
                 .unwrap();
-            let out = runner.run_until(200_000, |c| Pairing::paired_count(c) == expected);
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(200_000, |c| Pairing::paired_count(c) == expected),
+                )
+                .unwrap();
             assert!(
                 out.is_satisfied(),
                 "{consumers}c/{producers}p never stabilized"

@@ -107,7 +107,7 @@ where
 mod tests {
     use super::*;
     use crate::{Epidemic, FlockOfBirds, Remainder};
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use ppfts_population::unanimous_output;
 
     #[test]
@@ -135,9 +135,14 @@ mod tests {
             .seed(12)
             .build()
             .unwrap();
-        let out = runner.run_until(400_000, |c| {
-            unanimous_output(c, |q| proto.output(q)) == Some(expected)
-        });
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(400_000, |c| {
+                    unanimous_output(c, |q| proto.output(q)) == Some(expected)
+                }),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 

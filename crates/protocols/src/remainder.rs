@@ -172,7 +172,7 @@ impl EnumerableStates for Remainder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use ppfts_population::unanimous_output;
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
             .seed(6)
             .build()
             .unwrap();
-        runner.run(50_000).unwrap();
+        runner.run(Batched(1), Stop::steps(50_000)).unwrap();
         let actives = runner
             .config()
             .as_slice()
@@ -227,9 +227,14 @@ mod tests {
                 .seed(m as u64 * 100 + r as u64)
                 .build()
                 .unwrap();
-            let out = runner.run_until(300_000, |c| {
-                unanimous_output(c, |q| p.output(q)) == Some(expected)
-            });
+            let out = runner
+                .run(
+                    Batched(1),
+                    Stop::until(300_000, |c| {
+                        unanimous_output(c, |q| p.output(q)) == Some(expected)
+                    }),
+                )
+                .unwrap();
             assert!(out.is_satisfied(), "m={m} r={r} inputs={inputs:?}");
         }
     }
@@ -270,16 +275,20 @@ mod tests {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-        let out = runner.run_batched_until(
-            5_000_000,
-            256,
-            stably(
-                |c: &CountConfiguration<RemainderState>| {
-                    unanimous_output_counts(&c.counts(), |q| p.output(q)) == Some(expected)
-                },
-                2,
-            ),
-        );
+        let out = runner
+            .run(
+                Batched(256),
+                Stop::until(
+                    5_000_000,
+                    stably(
+                        |c: &CountConfiguration<RemainderState>| {
+                            unanimous_output_counts(&c.counts(), |q| p.output(q)) == Some(expected)
+                        },
+                        2,
+                    ),
+                ),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 

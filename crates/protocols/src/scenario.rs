@@ -17,12 +17,13 @@
 //! # Example
 //!
 //! ```
+//! use ppfts_engine::{Batched, Stop};
 //! use ppfts_population::{Population, Topology};
 //! use ppfts_protocols::scenario;
 //!
 //! let ring = Topology::ring(16)?;
 //! let mut runner = scenario::epidemic_on(ring, 7)?;
-//! let out = runner.run_batched_until(1_000_000, 256, scenario::all_infected);
+//! let out = runner.run(Batched(256), Stop::until(1_000_000, scenario::all_infected))?;
 //! assert!(out.is_satisfied());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -110,6 +111,7 @@ pub fn gossip_on(topology: Topology, seed: u64) -> Result<GossipRunner, EngineEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppfts_engine::{Batched, Stop};
 
     #[test]
     fn epidemic_crosses_every_family() {
@@ -123,7 +125,9 @@ mod tests {
         for t in topologies {
             let label = t.to_string();
             let mut runner = epidemic_on(t, 11).unwrap();
-            let out = runner.run_batched_until(5_000_000, 256, all_infected);
+            let out = runner
+                .run(Batched(256), Stop::until(5_000_000, all_infected))
+                .unwrap();
             assert!(out.is_satisfied(), "epidemic stalled on {label}");
         }
     }
@@ -137,10 +141,14 @@ mod tests {
         let (mut ring_total, mut complete_total) = (0u64, 0u64);
         for seed in 0..3 {
             let mut ring = epidemic_on(Topology::ring(n).unwrap(), seed).unwrap();
-            ring_total += ring.run_batched_until(10_000_000, 64, all_infected).steps();
+            ring_total += ring
+                .run(Batched(64), Stop::until(10_000_000, all_infected))
+                .unwrap()
+                .steps();
             let mut complete = epidemic_on(Topology::complete(n).unwrap(), seed).unwrap();
             complete_total += complete
-                .run_batched_until(10_000_000, 64, all_infected)
+                .run(Batched(64), Stop::until(10_000_000, all_infected))
+                .unwrap()
                 .steps();
         }
         assert!(
@@ -154,7 +162,12 @@ mod tests {
         let t = Topology::grid2d(4, 4).unwrap();
         let max = t.len() as u64 - 1;
         let mut runner = gossip_on(t, 5).unwrap();
-        let out = runner.run_batched_until(5_000_000, 256, |c| gossip_done(c, max));
+        let out = runner
+            .run(
+                Batched(256),
+                Stop::until(5_000_000, |c| gossip_done(c, max)),
+            )
+            .unwrap();
         assert!(out.is_satisfied());
     }
 

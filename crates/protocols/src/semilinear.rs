@@ -437,7 +437,7 @@ impl Semantics for SemilinearProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{TwoWayModel, TwoWayRunner};
+    use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
     use ppfts_population::unanimous_output;
 
     fn run_to_expected(p: &SemilinearProtocol, inputs: &[usize], seed: u64) -> bool {
@@ -448,9 +448,13 @@ mod tests {
             .build()
             .unwrap();
         runner
-            .run_until(2_000_000, |c| {
-                unanimous_output(c, |q| p.output(q)) == Some(expected)
-            })
+            .run(
+                Batched(1),
+                Stop::until(2_000_000, |c| {
+                    unanimous_output(c, |q| p.output(q)) == Some(expected)
+                }),
+            )
+            .unwrap()
             .is_satisfied()
     }
 

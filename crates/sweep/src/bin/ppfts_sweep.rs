@@ -187,11 +187,12 @@ fn main() -> ExitCode {
                 }
             };
             println!(
-                "{}: ran {} (skipped {}, failed {}), {} of {} remaining",
+                "{}: ran {} (skipped {}, failed {}, engine errors {}), {} of {} remaining",
                 manifest.name,
                 report.ran,
                 report.skipped,
                 report.failed,
+                report.errors,
                 report.remaining,
                 report.total
             );

@@ -6,7 +6,8 @@
 //!
 //! The output file is the *only* state. Every completed job appends
 //! (and flushes) one line `{"id": …, "converged": …, "steps": …,
-//! "simulated": …}` under a mutex, so after a kill the file holds every
+//! "simulated": …}` under a mutex — plus `"error": …` when the run
+//! ended in an engine error — so after a kill the file holds every
 //! finished job plus at most one torn line. On the next invocation
 //! [`load_ledger`] drops unparseable lines (rewriting the file so later
 //! appends don't glue onto a torn tail), [`run_sweep`] skips every
@@ -43,6 +44,9 @@ pub struct SweepReport {
     pub skipped: usize,
     /// Jobs run and recorded by this invocation.
     pub ran: usize,
+    /// Of those, jobs whose run ended in an engine error (recorded with
+    /// the error, so a rerun does not retry them).
+    pub errors: usize,
     /// Jobs that panicked; not recorded, so a rerun retries them.
     pub failed: usize,
     /// Jobs still missing from the ledger after this invocation
@@ -50,11 +54,17 @@ pub struct SweepReport {
     pub remaining: usize,
 }
 
-/// Renders one ledger line (no trailing newline).
+/// Renders one ledger line (no trailing newline). The `"error"` field
+/// appears only on a job that ended in an engine error.
 #[must_use]
 pub fn render_result(r: &JobResult) -> String {
+    let error = r
+        .error
+        .as_ref()
+        .map(|e| format!(", \"error\": \"{}\"", json::escape(e)))
+        .unwrap_or_default();
     format!(
-        "{{\"id\": \"{}\", \"converged\": {}, \"steps\": {}, \"simulated\": {}}}",
+        "{{\"id\": \"{}\", \"converged\": {}, \"steps\": {}, \"simulated\": {}{error}}}",
         json::escape(&r.id),
         r.converged,
         r.steps,
@@ -64,11 +74,16 @@ pub fn render_result(r: &JobResult) -> String {
 
 fn parse_result(line: &str) -> Option<JobResult> {
     let v = json::parse(line).ok()?;
+    let error = match v.get("error") {
+        Some(e) => Some(e.as_str()?.to_string()),
+        None => None,
+    };
     Some(JobResult {
         id: v.get("id")?.as_str()?.to_string(),
         converged: v.get("converged")?.as_bool()?,
         steps: v.get("steps")?.as_u64()?,
         simulated: v.get("simulated")?.as_u64()?,
+        error,
     })
 }
 
@@ -122,9 +137,11 @@ pub fn load_ledger(path: &Path) -> io::Result<Vec<JobResult>> {
 ///
 /// # Errors
 ///
-/// Propagates ledger I/O failures. A job that *panics* is not an
-/// error: it is counted in [`SweepReport::failed`], left out of the
-/// ledger, and retried by the next invocation.
+/// Propagates ledger I/O failures. A job whose run ends in an engine
+/// error is recorded with that error and counted in
+/// [`SweepReport::errors`]. A job that *panics* is not an error: it is
+/// counted in [`SweepReport::failed`], left out of the ledger, and
+/// retried by the next invocation.
 ///
 /// # Panics
 ///
@@ -149,6 +166,7 @@ pub fn run_sweep(
     let file = OpenOptions::new().create(true).append(true).open(out)?;
     let writer = Mutex::new(BufWriter::new(file));
     let failed = AtomicUsize::new(0);
+    let errors = AtomicUsize::new(0);
     let io_error: Mutex<Option<io::Error>> = Mutex::new(None);
 
     let run_one = |i: u64| {
@@ -157,6 +175,10 @@ pub fn run_sweep(
         // workers' finished-but-unwritten jobs) down with it.
         match catch_unwind(AssertUnwindSafe(|| run_job(job))) {
             Ok(result) => {
+                let result = result.unwrap_or_else(|e| {
+                    errors.fetch_add(1, Ordering::Relaxed);
+                    JobResult::failed(&job.id, &e)
+                });
                 let mut w = writer.lock().expect("ledger writer poisoned");
                 // Flush per job: a kill loses at most one torn line,
                 // which load_ledger repairs on resume.
@@ -192,6 +214,7 @@ pub fn run_sweep(
         total: manifest.jobs.len(),
         skipped: done.len(),
         ran: attempt - failed,
+        errors: errors.load(Ordering::Relaxed),
         failed,
         remaining: manifest.jobs.len() - done.len() - (attempt - failed),
     })
@@ -267,6 +290,9 @@ pub struct GroupSummary {
     pub seeds: usize,
     /// Seeds that converged within budget.
     pub converged: usize,
+    /// Seeds whose run ended in an engine error; the remaining
+    /// `seeds - converged - errors` missed their budget.
+    pub errors: usize,
     /// Distribution of interaction counts over *converged* seeds;
     /// `None` when none converged.
     pub steps: Option<DistSummary>,
@@ -297,6 +323,7 @@ pub fn summarize(results: &[JobResult]) -> Vec<GroupSummary> {
                 group,
                 seeds: members.len(),
                 converged: converged.len(),
+                errors: members.iter().filter(|r| r.error.is_some()).count(),
                 steps: DistSummary::of(&converged),
             }
         })
@@ -307,10 +334,10 @@ pub fn summarize(results: &[JobResult]) -> Vec<GroupSummary> {
 #[must_use]
 pub fn summary_table(summaries: &[GroupSummary]) -> String {
     let mut out = String::from(
-        "group                                    | conv  | mean steps   | p50          | p95\n",
+        "group                                    | conv  | err | mean steps   | p50          | p95\n",
     );
     out.push_str(
-        "-----------------------------------------|-------|--------------|--------------|-------------\n",
+        "-----------------------------------------|-------|-----|--------------|--------------|-------------\n",
     );
     for s in summaries {
         let (mean, p50, p95) = s.steps.map_or_else(
@@ -324,8 +351,8 @@ pub fn summary_table(summaries: &[GroupSummary]) -> String {
             },
         );
         out.push_str(&format!(
-            "{:<40} | {:>2}/{:<2} | {:>12} | {:>12} | {:>12}\n",
-            s.group, s.converged, s.seeds, mean, p50, p95
+            "{:<40} | {:>2}/{:<2} | {:>3} | {:>12} | {:>12} | {:>12}\n",
+            s.group, s.converged, s.seeds, s.errors, mean, p50, p95
         ));
     }
     out
@@ -341,13 +368,44 @@ mod tests {
             converged,
             steps,
             simulated: 16,
+            error: None,
         }
+    }
+
+    fn errored(id: &str) -> JobResult {
+        JobResult::failed(
+            id,
+            &ppfts_engine::EngineError::PerAgentBackendRequired {
+                operation: "building \"quoted\" records",
+            },
+        )
     }
 
     #[test]
     fn ledger_lines_round_trip() {
         let r = result("skno/rr4/n16/o1/s3", true, 123_456);
-        assert_eq!(parse_result(&render_result(&r)), Some(r));
+        let line = render_result(&r);
+        assert!(
+            !line.contains("error"),
+            "successful lines carry no error field"
+        );
+        assert_eq!(parse_result(&line), Some(r));
+        let e = errored("skno/rr4/n16/o1/s4");
+        let line = render_result(&e);
+        assert!(line.contains("\"error\": \""), "{line}");
+        assert_eq!(parse_result(&line), Some(e));
+    }
+
+    #[test]
+    fn ledger_lines_without_an_error_field_still_parse() {
+        let line = r#"{"id": "a/n2/s0", "converged": true, "steps": 10, "simulated": 16}"#;
+        assert_eq!(parse_result(line), Some(result("a/n2/s0", true, 10)));
+        assert_eq!(render_result(&result("a/n2/s0", true, 10)), line);
+        // A malformed error field makes the line unparseable, like any
+        // other damaged field.
+        let bad =
+            r#"{"id": "a/n2/s1", "converged": false, "steps": 0, "simulated": 0, "error": 3}"#;
+        assert_eq!(parse_result(bad), None);
     }
 
     #[test]
@@ -391,6 +449,39 @@ mod tests {
         let table = summary_table(&summaries);
         assert!(table.contains("skno/rr4/n16/o0"));
         assert!(table.contains("2/3"));
+    }
+
+    #[test]
+    fn summarize_counts_errors_apart_from_budget_misses() {
+        let results = vec![
+            result("x/n2/s0", true, 7),
+            result("x/n2/s1", false, 50),
+            errored("x/n2/s2"),
+        ];
+        let s = &summarize(&results)[0];
+        assert_eq!((s.seeds, s.converged, s.errors), (3, 1, 1));
+        assert_eq!(s.steps.unwrap().count, 1, "errors add no step sample");
+        let table = summary_table(&summarize(&results));
+        assert!(table.contains(" 1/3  |   1 |"), "{table}");
+    }
+
+    #[test]
+    fn errored_jobs_are_recorded_and_not_rerun_on_resume() {
+        let dir = std::env::temp_dir().join(format!("ppfts_sweep_err_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ledger.jsonl");
+        let manifest = crate::manifest::expand(
+            r#"{"name": "e", "seeds": 1, "budget": 1000, "grids": [
+                {"family": "epidemic", "topology": "complete", "n": 4}
+            ]}"#,
+        )
+        .unwrap();
+        let id = &manifest.jobs[0].id;
+        std::fs::write(&path, format!("{}\n", render_result(&errored(id)))).unwrap();
+        let report = run_sweep(&manifest, &path, 1, None, None).unwrap();
+        assert_eq!((report.skipped, report.ran, report.errors), (1, 0, 0));
+        assert!(verify(&manifest, &path).unwrap().is_complete());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

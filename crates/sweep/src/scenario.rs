@@ -8,7 +8,7 @@ use ppfts_bench::{
     epidemic_topology_run, named_pairing_run, sid_epidemic_graphical_run, sid_pairing_run,
     skno_epidemic_graphical_run, skno_pairing_run,
 };
-use ppfts_engine::RunOutcome;
+use ppfts_engine::EngineError;
 
 use crate::manifest::{Family, Job};
 
@@ -19,11 +19,31 @@ pub struct JobResult {
     pub id: String,
     /// Whether the run converged within its budget.
     pub converged: bool,
-    /// Engine interactions executed when the run stopped.
+    /// Engine interactions executed when the run stopped (0 on an
+    /// error line).
     pub steps: u64,
     /// The simulated-step denominator of the workload (`n` for
-    /// epidemics, `n/2` pairings for the Pairing workload).
+    /// epidemics, `n/2` pairings for the Pairing workload; 0 on an
+    /// error line).
     pub simulated: u64,
+    /// The engine error that ended the run, if one did. Such a job is
+    /// recorded (and so not re-run on resume) but is neither converged
+    /// nor a budget miss.
+    pub error: Option<String>,
+}
+
+impl JobResult {
+    /// The ledger record of a job whose run ended in `error`.
+    #[must_use]
+    pub fn failed(id: &str, error: &EngineError) -> Self {
+        JobResult {
+            id: id.to_string(),
+            converged: false,
+            steps: 0,
+            simulated: 0,
+            error: Some(error.to_string()),
+        }
+    }
 }
 
 /// Runs one job to completion on the current thread.
@@ -32,17 +52,20 @@ pub struct JobResult {
 /// runs with the job's seed), so a resumed sweep reproduces exactly the
 /// results a straight-through sweep would have written.
 ///
+/// # Errors
+///
+/// The [`EngineError`] that ended the run, if one did.
+///
 /// # Panics
 ///
 /// Panics only on internal invariant violations (the manifest layer
 /// pre-validated sizes and axes); the orchestrator catches panics and
 /// reports the job as failed without writing a ledger entry.
-#[must_use]
-pub fn run_job(job: &Job) -> JobResult {
+pub fn run_job(job: &Job) -> Result<JobResult, EngineError> {
     let topology = job
         .topology
         .map(|kind| kind.build(job.n).expect("expand() pre-validated the size"));
-    let (out, simulated): (RunOutcome, u64) = match job.family {
+    let (out, simulated) = match job.family {
         Family::Skno => skno_epidemic_graphical_run(
             topology.as_ref().expect("graphical family has a topology"),
             job.o,
@@ -63,13 +86,14 @@ pub fn run_job(job: &Job) -> JobResult {
         Family::SknoPairing => skno_pairing_run(job.n, job.o, job.seed, job.budget),
         Family::SidPairing => sid_pairing_run(job.n, job.seed, job.budget),
         Family::NamedPairing => named_pairing_run(job.n, job.seed, job.budget),
-    };
-    JobResult {
+    }?;
+    Ok(JobResult {
         id: job.id.clone(),
         converged: out.is_satisfied(),
         steps: out.steps(),
         simulated,
-    }
+        error: None,
+    })
 }
 
 #[cfg(test)]
@@ -95,7 +119,7 @@ mod tests {
         let manifest = expand(doc).unwrap();
         assert_eq!(manifest.jobs.len(), 6);
         for job in &manifest.jobs {
-            let result = run_job(job);
+            let result = run_job(job).unwrap();
             assert_eq!(result.id, job.id);
             assert!(result.converged, "{} should converge at n = 16", job.id);
             assert!(result.steps > 0);
@@ -109,8 +133,8 @@ mod tests {
             {"family": "sid", "topology": "rr4", "n": 16}
         ]}"#;
         let manifest = expand(doc).unwrap();
-        let first: Vec<JobResult> = manifest.jobs.iter().map(run_job).collect();
-        let second: Vec<JobResult> = manifest.jobs.iter().map(run_job).collect();
+        let first: Vec<JobResult> = manifest.jobs.iter().map(|j| run_job(j).unwrap()).collect();
+        let second: Vec<JobResult> = manifest.jobs.iter().map(|j| run_job(j).unwrap()).collect();
         // Step counts are batch-aligned, so distinct seeds may well
         // coincide — determinism is the only contract here.
         assert_eq!(first, second);

@@ -9,7 +9,7 @@
 //! permanently stuck).
 
 use ppfts_core::{project, JokerBookkeeping, RollbackPolicy, Sid, SidState, Skno};
-use ppfts_engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 use ppfts_population::Configuration;
 use ppfts_protocols::{LeaderElection, LeaderState, Pairing, PairingState};
 
@@ -45,9 +45,13 @@ pub fn rummy_ablation(seeds: u64, o: u32, budget: u64) -> RummyAblation {
             .build()
             .expect("valid population");
         runner
-            .run_until(budget, |c| {
-                project(c).count_state(&PairingState::Paired) == 3
-            })
+            .run(
+                Batched(1),
+                Stop::until(budget, |c| {
+                    project(c).count_state(&PairingState::Paired) == 3
+                }),
+            )
+            .expect("bounded I3 omissions stay in the model's relation")
             .is_satisfied()
     };
     let mut rummy = 0;

@@ -226,7 +226,7 @@ impl<Q: State> SimulatorState for OptimistState<Q> {
 mod tests {
     use super::*;
     use ppfts_core::project;
-    use ppfts_engine::{AtMostOneStrategy, OneWayModel, OneWayRunner};
+    use ppfts_engine::{AtMostOneStrategy, Batched, OneWayModel, OneWayRunner, Stop};
     use ppfts_protocols::{Pairing, PairingState};
 
     fn sims(c: usize, p: usize) -> Vec<PairingState> {
@@ -245,7 +245,9 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        let out = runner.run_until(10_000, fully_paired);
+        let out = runner
+            .run(Batched(1), Stop::until(10_000, fully_paired))
+            .unwrap();
         assert!(out.is_satisfied());
     }
 
@@ -260,7 +262,9 @@ mod tests {
                 .seed(3)
                 .build()
                 .unwrap();
-            let out = runner.run_until(10_000, fully_paired);
+            let out = runner
+                .run(Batched(1), Stop::until(10_000, fully_paired))
+                .unwrap();
             assert!(out.is_satisfied(), "omission at step {omitted_step}");
         }
     }
@@ -274,7 +278,9 @@ mod tests {
                 .seed(9)
                 .build()
                 .unwrap();
-            let out = runner.run_until(10_000, fully_paired);
+            let out = runner
+                .run(Batched(1), Stop::until(10_000, fully_paired))
+                .unwrap();
             assert!(out.is_satisfied(), "omission at step {omitted_step}");
         }
     }
@@ -292,7 +298,7 @@ mod tests {
                 .seed(seed)
                 .build()
                 .unwrap();
-            runner.run(5_000).unwrap();
+            runner.run(Batched(1), Stop::steps(5_000)).unwrap();
             if project(runner.config()).count_state(&PairingState::Paired) > 1 {
                 over_paired = true;
                 break;

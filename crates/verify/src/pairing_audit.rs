@@ -14,7 +14,10 @@
 //!   `min(#consumers(0), #producers(0))` and the count is stable.
 
 use ppfts_core::{project, SimulatorState};
-use ppfts_engine::{OmissionStrategy, OneWayFault, OneWayRunner, RunOutcome, Scheduler, TraceSink};
+use ppfts_engine::{
+    Batched, EngineError, OmissionStrategy, OneWayFault, OneWayRunner, RunOutcome, Scheduler, Stop,
+    TraceSink,
+};
 use ppfts_population::{AgentId, Configuration, State};
 use ppfts_protocols::PairingState;
 
@@ -123,8 +126,8 @@ where
     monitor.into_report(runner.config(), steps)
 }
 
-/// The batched counterpart of [`audit_pairing`]: drives the runner with
-/// `run_batched` and audits the projected Pairing protocol at *batch
+/// The batched counterpart of [`audit_pairing`]: drives the runner in
+/// [`Batched`] steps and audits the projected Pairing protocol at *batch
 /// boundaries* instead of every step.
 ///
 /// Sampled auditing trades resolution for speed: a violation that appears
@@ -158,7 +161,7 @@ where
     let mut steps = 0u64;
     while steps < max_steps {
         let take = (max_steps - steps).min(batch);
-        if runner.run_batched(take, take).is_err() {
+        if runner.run(Batched(take), Stop::steps(take)).is_err() {
             break;
         }
         steps += take;
@@ -180,10 +183,14 @@ where
 /// the per-step audit would dominate the measurement; runs on the batched
 /// path with the predicate wrapped in [`stably`] so a mid-handshake
 /// sample cannot end the run.
+///
+/// # Errors
+///
+/// The [`EngineError`] that ended the run, if one did.
 pub fn pairing_converged<P, S, A, T>(
     runner: &mut OneWayRunner<P, S, A, T>,
     max_steps: u64,
-) -> RunOutcome
+) -> Result<RunOutcome, EngineError>
 where
     P: OneWayProgram,
     P::State: SimulatorState<Simulated = PairingState> + State,
@@ -195,12 +202,14 @@ where
     let expected = initial
         .count_state(&PairingState::Consumer)
         .min(initial.count_state(&PairingState::Producer));
-    runner.run_batched_until(
-        max_steps,
-        CONVERGED_BATCH,
-        stably(
-            |c| project(c).count_state(&PairingState::Paired) == expected,
-            2,
+    runner.run(
+        Batched(CONVERGED_BATCH),
+        Stop::until(
+            max_steps,
+            stably(
+                |c| project(c).count_state(&PairingState::Paired) == expected,
+                2,
+            ),
         ),
     )
 }
@@ -364,7 +373,7 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        let out = pairing_converged(&mut runner, 2_000_000);
+        let out = pairing_converged(&mut runner, 2_000_000).unwrap();
         assert!(out.is_satisfied());
         assert_eq!(
             project(runner.config()).count_state(&PairingState::Paired),

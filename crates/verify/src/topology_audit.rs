@@ -303,7 +303,9 @@ fn report_from_hits(hits: &[u64], draws: u64) -> CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{FullTrace, OneWayModel, OneWayProgram, OneWayRunner, UniformScheduler};
+    use ppfts_engine::{
+        Batched, FullTrace, OneWayModel, OneWayProgram, OneWayRunner, Stop, UniformScheduler,
+    };
     use ppfts_population::Configuration;
 
     struct Or;
@@ -354,7 +356,7 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        runner.run(4_000).unwrap();
+        runner.run(Batched(1), Stop::steps(4_000)).unwrap();
         let report = audit_trace_topology(runner.trace().unwrap(), &ring).unwrap();
         assert_eq!(report.draws, 4_000);
         assert!(report.is_full(), "4k draws over 12 arcs: {report:?}");
@@ -372,7 +374,7 @@ mod tests {
             .seed(2)
             .build()
             .unwrap();
-        runner.run(200).unwrap();
+        runner.run(Batched(1), Stop::steps(200)).unwrap();
         let err = audit_trace_topology(runner.trace().unwrap(), &ring).unwrap_err();
         let (s, r) = (
             err.interaction.starter().index(),
@@ -403,7 +405,7 @@ mod tests {
         .seed(9)
         .build()
         .unwrap();
-        runner.run(6_000).unwrap();
+        runner.run(Batched(1), Stop::steps(6_000)).unwrap();
         let report = audit_simulation_topology(runner.trace().unwrap(), &ring).unwrap();
         assert_eq!(report.physical.draws, 6_000);
         assert!(report.commits > 0, "the simulation must make progress");
@@ -427,7 +429,7 @@ mod tests {
                 .seed(4)
                 .build()
                 .unwrap();
-        runner.run(30_000).unwrap();
+        runner.run(Batched(1), Stop::steps(30_000)).unwrap();
         let report = audit_simulation_topology(runner.trace().unwrap(), &ring).unwrap();
         assert!(report.commits > 0, "the simulation must make progress");
         // Graphical SKnO fills partner_id with the consumed run's origin

@@ -14,7 +14,8 @@
 //! Run with: `cargo run --example anonymous_naming`
 
 use ppfts::core::{project, NamedSid, NamedState};
-use ppfts::engine::{OneWayModel, OneWayRunner};
+use ppfts::engine::{Batched, OneWayModel, OneWayRunner, Stop};
+use ppfts::population::Configuration;
 use ppfts::protocols::{LeaderElection, LeaderState};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,9 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
 
         // Phase 1: watch the naming layer converge.
-        let named = runner.run_until(20_000_000, |c| {
-            c.as_slice().iter().all(NamedState::is_simulating)
-        });
+        let named = runner.run(
+            Batched(1),
+            Stop::until(20_000_000, |c: &Configuration<_>| {
+                c.as_slice().iter().all(NamedState::is_simulating)
+            }),
+        )?;
         assert!(named.is_satisfied(), "naming must terminate (Lemma 3)");
         let naming_steps = named.steps();
         let mut ids: Vec<u32> = runner
@@ -45,9 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Phase 2: the simulated leader election runs on the new names.
-        let elected = runner.run_until(20_000_000, |c| {
-            project(c).count_state(&LeaderState::Leader) == 1
-        });
+        let elected = runner.run(
+            Batched(1),
+            Stop::until(20_000_000, |c| {
+                project(c).count_state(&LeaderState::Leader) == 1
+            }),
+        )?;
         assert!(elected.is_satisfied(), "one leader must survive");
 
         println!(

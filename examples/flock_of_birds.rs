@@ -16,9 +16,9 @@
 //! Run with: `cargo run --example flock_of_birds`
 
 use ppfts::core::{project, Skno, SknoState};
-use ppfts::engine::{BoundedStrategy, OneWayModel, OneWayRunner, RateStrategy};
-use ppfts::population::{unanimous_output, Semantics};
-use ppfts::protocols::FlockOfBirds;
+use ppfts::engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, RateStrategy, Stop};
+use ppfts::population::{unanimous_output, Configuration, Semantics};
+use ppfts::protocols::{FlockOfBirds, FlockState};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const THRESHOLD: u32 = 4; // alarm when ≥ 4 birds run a fever
@@ -49,9 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(2026)
         .build()?;
 
-    let out = runner.run_until(5_000_000, |c| {
-        unanimous_output(&project(c), |q| q.detected) == Some(expected)
-    });
+    let out = runner.run(
+        Batched(1),
+        Stop::until(5_000_000, |c: &Configuration<SknoState<FlockState>>| {
+            unanimous_output(&project(c), |q| q.detected) == Some(expected)
+        }),
+    )?;
     assert!(out.is_satisfied(), "the flock must stabilize");
     println!(
         "alarm stabilized to {expected} after {} interactions ({} frames lost)",
@@ -79,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .adversary(BoundedStrategy::new(0.02, OMISSION_BOUND as u64))
         .seed(7)
         .build()?;
-    quiet.run(200_000)?;
+    quiet.run(Batched(1), Stop::steps(200_000))?;
     let false_alarm = project(quiet.config())
         .as_slice()
         .iter()
@@ -101,9 +104,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .adversary(RateStrategy::new(0.02)) // UO adversary: no budget
         .seed(7)
         .build()?;
-    let spurious = betrayed.run_until(400_000, |c| {
-        project(c).as_slice().iter().any(|q| q.detected)
-    });
+    let spurious = betrayed.run(
+        Batched(1),
+        Stop::until(400_000, |c: &Configuration<SknoState<FlockState>>| {
+            project(c).as_slice().iter().any(|q| q.detected)
+        }),
+    )?;
     println!(
         "same flock, adversary past the bound: spurious alarm {} (omissions: {})",
         if spurious.is_satisfied() {

@@ -10,7 +10,8 @@
 
 use ppfts::engine::hierarchy::{direct_inclusions, includes, ArrowReason};
 use ppfts::engine::{
-    Model, NoOmissions, OneWayModel, OneWayProgram, OneWayRunner, TwoWayModel, TwoWayRunner,
+    Batched, Model, NoOmissions, OneWayModel, OneWayProgram, OneWayRunner, Stop, TwoWayModel,
+    TwoWayRunner,
 };
 use ppfts::population::Configuration;
 use ppfts::protocols::Epidemic;
@@ -105,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(99)
             .build()
             .expect("valid population");
-        r.run(400).expect("fault-free run");
+        r.run(Batched(1), Stop::steps(400)).expect("fault-free run");
         r.config().as_slice().to_vec()
     };
     let base = run_two_way(TwoWayModel::Tw);
@@ -120,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(99)
             .build()
             .expect("valid population");
-        r.run(400).expect("fault-free run");
+        r.run(Batched(1), Stop::steps(400)).expect("fault-free run");
         r.config().as_slice().to_vec()
     };
     let base = run_one_way(OneWayModel::It);

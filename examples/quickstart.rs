@@ -10,7 +10,9 @@
 //! Run with: `cargo run --example quickstart`
 
 use ppfts::core::{build_matching, extract_events, project, Sid};
-use ppfts::engine::{FullTrace, OneWayModel, OneWayRunner, TwoWayModel, TwoWayRunner};
+use ppfts::engine::{
+    Batched, FullTrace, OneWayModel, OneWayRunner, Stop, TwoWayModel, TwoWayRunner,
+};
 use ppfts::population::{unanimous_output, Semantics};
 use ppfts::protocols::Epidemic;
 
@@ -25,9 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .config(Epidemic.initial_configuration(&inputs))
         .seed(1)
         .build()?;
-    let out = native.run_until(1_000_000, |c| {
-        unanimous_output(c, |q| Epidemic.output(q)) == Some(expected)
-    });
+    let out = native.run(
+        Batched(1),
+        Stop::until(1_000_000, |c| {
+            unanimous_output(c, |q| Epidemic.output(q)) == Some(expected)
+        }),
+    )?;
     println!(
         "two-way (TW):        stabilized after {:>6} interactions",
         out.steps()
@@ -41,9 +46,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .trace_sink(FullTrace::new())
         .seed(1)
         .build()?;
-    let out = simulated.run_until(1_000_000, |c| {
-        unanimous_output(&project(c), |q| Epidemic.output(q)) == Some(expected)
-    });
+    let out = simulated.run(
+        Batched(1),
+        Stop::until(1_000_000, |c| {
+            unanimous_output(&project(c), |q| Epidemic.output(q)) == Some(expected)
+        }),
+    )?;
     println!(
         "IO + SID simulator:  stabilized after {:>6} interactions",
         out.steps()

@@ -19,7 +19,7 @@
 //! Run with: `cargo run --example semilinear_predicates`
 
 use ppfts::core::{project, Sid};
-use ppfts::engine::{OneWayModel, OneWayRunner, TwoWayModel, TwoWayRunner};
+use ppfts::engine::{Batched, OneWayModel, OneWayRunner, Stop, TwoWayModel, TwoWayRunner};
 use ppfts::population::{unanimous_output, Semantics};
 use ppfts::protocols::semilinear::{Atom, PredicateExpr, SemilinearProtocol};
 
@@ -61,9 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .config(alert.initial_configuration(&inputs))
             .seed(11)
             .build()?;
-        let tw = native.run_until(5_000_000, |c| {
-            unanimous_output(c, |q| alert.output(q)) == Some(expected)
-        });
+        let tw = native.run(
+            Batched(1),
+            Stop::until(5_000_000, |c| {
+                unanimous_output(c, |q| alert.output(q)) == Some(expected)
+            }),
+        )?;
         assert!(tw.is_satisfied());
 
         // The same predicate through SID over Immediate Observation.
@@ -72,9 +75,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .config(Sid::<SemilinearProtocol>::initial(&sims))
             .seed(11)
             .build()?;
-        let io = simulated.run_until(20_000_000, |c| {
-            unanimous_output(&project(c), |q| alert.output(q)) == Some(expected)
-        });
+        let io = simulated.run(
+            Batched(1),
+            Stop::until(20_000_000, |c| {
+                unanimous_output(&project(c), |q| alert.output(q)) == Some(expected)
+            }),
+        )?;
         assert!(io.is_satisfied());
 
         println!(

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`population`] | `ppfts-population` | agents, population backends (dense + count-based), multisets, two-way protocols, semantics |
-//! | [`engine`] | `ppfts-engine` | the ten interaction models, omission adversaries, schedulers, runners (scalar + batched), trace sinks, model hierarchy |
+//! | [`engine`] | `ppfts-engine` | the ten interaction models, omission adversaries, schedulers, runners (one `run(exec, stop)` driver), trace sinks, model hierarchy |
 //! | [`protocols`] | `ppfts-protocols` | Pairing, epidemic, majorities, flock-of-birds, remainder, max-gossip, leader election, semilinear compiler |
 //! | [`core`] | `ppfts-core` | the paper's simulators (`SKnO`, `SID`, `Nn`) and the simulation theory (events, matchings, derived executions, FTT) |
 //! | [`verify`] | `ppfts-verify` | Pairing audits, exact model checking, the impossibility attacks, ablations |
@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use ppfts::core::{project, Sid};
-//! use ppfts::engine::{OneWayModel, OneWayRunner};
+//! use ppfts::engine::{Batched, OneWayModel, OneWayRunner, Stop};
 //! use ppfts::protocols::{Pairing, PairingState};
 //!
 //! let sims: Vec<PairingState> = Pairing::initial(2, 2).as_slice().to_vec();
@@ -29,9 +29,9 @@
 //!     .config(Sid::<Pairing>::initial(&sims))
 //!     .seed(42)
 //!     .build()?;
-//! let out = runner.run_until(500_000, |c| {
+//! let out = runner.run(Batched(1), Stop::until(500_000, |c| {
 //!     project(c).count_state(&PairingState::Paired) == 2
-//! });
+//! }))?;
 //! assert!(out.is_satisfied());
 //! # Ok::<(), ppfts::engine::EngineError>(())
 //! ```

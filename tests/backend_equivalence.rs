@@ -14,7 +14,7 @@
 //!    the ported protocols must agree across backends within sampling
 //!    tolerance.
 //! 3. **Distributional agreement (epoch path)** — the batch-epoch path
-//!    (`run_epochs_until`) draws whole collision-free epochs in bulk but
+//!    (`Epochs`) draws whole collision-free epochs in bulk but
 //!    realizes the same uniform-pair, i.i.d.-fault process as the
 //!    interleaved reference, so convergence-step distributions must agree
 //!    across *execution paths* too — fault-free and under binomially
@@ -30,8 +30,8 @@ use proptest::prelude::*;
 
 use ppfts::engine::convergence::stably;
 use ppfts::engine::{
-    EngineError, ExecBackend, FullTrace, HorizonStrategy, OneWayModel, OneWayProgram, OneWayRunner,
-    RateStrategy, StatsOnly, TwoWayModel, TwoWayRunner,
+    Batched, EngineError, Epochs, ExecBackend, FullTrace, HorizonStrategy, OneWayModel,
+    OneWayProgram, OneWayRunner, RateStrategy, StatsOnly, Stop, TwoWayModel, TwoWayRunner,
 };
 use ppfts::population::{
     Configuration, CountConfiguration, Multiset, Population, Semantics, State, TableProtocol,
@@ -102,7 +102,12 @@ where
         .trace_sink(StatsOnly)
         .build()
         .expect("valid population");
-    let out = runner.run_batched_until(budget, batch, stably(|c: &C| pred(&c.counts()), 2));
+    let out = runner
+        .run(
+            Batched(batch),
+            Stop::until(budget, stably(|c: &C| pred(&c.counts()), 2)),
+        )
+        .unwrap();
     out.is_satisfied().then(|| out.steps())
 }
 
@@ -149,9 +154,12 @@ where
         .build()
         .expect("valid population");
     let out = runner
-        .run_epochs_until(
-            budget,
-            stably(|c: &CountConfiguration<P::State>| pred(&c.counts()), 2),
+        .run(
+            Epochs,
+            Stop::until(
+                budget,
+                stably(|c: &CountConfiguration<P::State>| pred(&c.counts()), 2),
+            ),
         )
         .expect("fault-free count-backed runs are epoch compatible");
     out.is_satisfied().then(|| out.steps())
@@ -205,10 +213,10 @@ fn omissive_epidemic_mean_steps(
             .expect("valid population");
         let out = if epoch_path {
             runner
-                .run_epochs_until(budget, pred)
+                .run(Epochs, Stop::until(budget, pred))
                 .expect("a rate adversary has a fixed i.i.d. rate")
         } else {
-            runner.run_batched_until(budget, 64, pred)
+            runner.run(Batched(64), Stop::until(budget, pred)).unwrap()
         };
         assert!(out.is_satisfied(), "seed must converge within budget");
         total += out.steps() as f64;
@@ -242,11 +250,11 @@ fn omissive_epidemic_at_budget(
                 .expect("valid population");
             if epoch_path {
                 runner
-                    .run_epochs(budget)
+                    .run(Epochs, Stop::steps(budget))
                     .expect("a rate adversary has a fixed i.i.d. rate");
             } else {
                 runner
-                    .run_batched(budget, 64)
+                    .run(Batched(64), Stop::steps(budget))
                     .expect("T1 permits the rate adversary's faults");
             }
             assert_eq!(runner.stats().steps, budget);
@@ -339,7 +347,9 @@ proptest! {
             .trace_sink(FullTrace::new())
             .build()
             .unwrap();
-        runner.run(steps).unwrap();
+        for _ in 0..steps {
+            runner.step().unwrap();
+        }
         let trace = runner.take_trace().unwrap();
         assert_replay_matches(
             &initial,
@@ -370,7 +380,9 @@ proptest! {
             .trace_sink(FullTrace::new())
             .build()
             .unwrap();
-        runner.run(steps).unwrap();
+        for _ in 0..steps {
+            runner.step().unwrap();
+        }
         let trace = runner.take_trace().unwrap();
         assert_replay_matches(
             &initial,
@@ -628,18 +640,18 @@ fn epoch_path_rejects_non_iid_omission_schedules() {
         .trace_sink(StatsOnly)
         .build()
         .expect("valid population");
-    let err = runner.run_epochs(10_000).unwrap_err();
+    let err = runner.run(Epochs, Stop::steps(10_000)).unwrap_err();
     assert!(matches!(err, EngineError::EpochIncompatible { .. }));
     assert_eq!(runner.steps(), 0, "rejection must precede any mutation");
     runner
-        .run(10_000)
+        .run(Batched(1), Stop::steps(10_000))
         .expect("interleaved path honors the schedule");
     assert_eq!(runner.steps(), 10_000);
 }
 
 /// The acceptance fixture in miniature (the full n = 10⁶ run lives in
 /// `benches/e11_giant.rs`): epidemic on counts through
-/// `run_batched_until` + `stably`, with the dense backend agreeing at a
+/// `Batched` + `Stop::until` + `stably`, with the dense backend agreeing at a
 /// size it can still comfortably sweep in a debug test.
 #[test]
 fn epidemic_converges_on_both_backends_at_ten_thousand() {

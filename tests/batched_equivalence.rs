@@ -1,11 +1,11 @@
-//! Scalar ↔ batched equivalence: for any seed, protocol, model, omission
-//! strategy and batch size, `run_batched(n, b)` must be *bit-identical*
-//! to `run(n)` — same final `Configuration`, same `RunStats`, same total
-//! step count — because both draw (interaction, fault) pairs from the
-//! shared RNG stream in the same order and apply the same outcomes.
+//! Step ↔ batched equivalence: for any seed, protocol, model, omission
+//! strategy and batch size, `run(Batched(b), Stop::steps(n))` must be
+//! *bit-identical* to `n` calls of `step()`, the pure-outcome record path
+//! — same final `Configuration`, same `RunStats`, same total step count —
+//! because both draw (interaction, fault) pairs from the shared RNG
+//! stream in the same order and apply the same outcomes.
 //!
-//! The same holds for `run_batched_until(n, b, pred)` while `pred` never
-//! holds. This is the contract that lets the experiment harnesses move to
+//! The same holds for `Stop::until(n, pred)` while `pred` never holds. This is the contract that lets the experiment harnesses move to
 //! the batched `StatsOnly` path without changing any measured dynamics.
 //! CI runs this suite with `PROPTEST_CASES=64` on every push.
 
@@ -13,8 +13,8 @@ use proptest::prelude::*;
 
 use ppfts::core::{NamedSid, Sid, Skno};
 use ppfts::engine::{
-    BoundedStrategy, FullTrace, OneWayModel, OneWayProgram, OneWayRunner, RateStrategy, RunStats,
-    SampledTrace, StatsOnly, TwoWayModel, TwoWayRunner,
+    Batched, BoundedStrategy, FullTrace, OneWayModel, OneWayProgram, OneWayRunner, RateStrategy,
+    RunStats, SampledTrace, StatsOnly, Stop, TwoWayModel, TwoWayRunner,
 };
 use ppfts::population::{Configuration, Topology};
 use ppfts::protocols::{Epidemic, MaxGossip, Pairing, PairingState};
@@ -57,25 +57,34 @@ fn pairing_state_strategy() -> impl Strategy<Value = PairingState> {
     ]
 }
 
-/// Drives `runner` scalar or batched and snapshots the observable state.
+/// Drives `runner` through `step()` (`None`) or `Batched(b)` and
+/// snapshots the observable state.
 macro_rules! outcome_of {
     ($runner:expr, $steps:expr, $batch:expr) => {{
         let mut r = $runner;
         match $batch {
-            Some(b) => r.run_batched($steps, b).unwrap(),
-            None => r.run($steps).unwrap(),
+            Some(b) => {
+                r.run(Batched(b), Stop::steps($steps)).unwrap();
+            }
+            None => {
+                for _ in 0..$steps {
+                    r.step().unwrap();
+                }
+            }
         }
         (r.config().clone(), r.stats(), r.steps())
     }};
 }
 
-/// Drives `runner` through `run_batched_until` with a predicate that
+/// Drives `runner` through `Stop::until` with a predicate that
 /// never holds, so the whole budget runs, and snapshots it like
 /// [`outcome_of`].
 macro_rules! until_outcome_of {
     ($runner:expr, $steps:expr, $batch:expr) => {{
         let mut r = $runner;
-        let out = r.run_batched_until($steps, $batch, |_| false);
+        let out = r
+            .run(Batched($batch), Stop::until($steps, |_| false))
+            .unwrap();
         assert!(!out.is_satisfied());
         assert_eq!(out.steps(), r.steps());
         (r.config().clone(), r.stats(), r.steps())
@@ -225,7 +234,7 @@ proptest! {
         assert_equiv(&scalar, &batched, "two-way max-gossip")?;
     }
 
-    /// `run_batched_until` with a predicate that never holds is the
+    /// `Stop::until` with a predicate that never holds is the
     /// scalar run: graphical `SID` on a random regular graph under IO,
     /// the path and setting of the `sid-sparse` benchmark workload.
     #[test]
@@ -250,7 +259,7 @@ proptest! {
         let steps = ragged(steps, batch);
         let scalar = outcome_of!(build(), steps, None);
         let until = until_outcome_of!(build(), steps, batch);
-        assert_equiv(&scalar, &until, "graphical SID, run_batched_until")?;
+        assert_equiv(&scalar, &until, "graphical SID, Stop::until")?;
     }
 
     /// The same for the two-way family: max-gossip under TW on the
@@ -271,7 +280,7 @@ proptest! {
         let steps = ragged(steps, batch);
         let scalar = outcome_of!(build(), steps, None);
         let until = until_outcome_of!(build(), steps, batch);
-        assert_equiv(&scalar, &until, "two-way max-gossip, run_batched_until")?;
+        assert_equiv(&scalar, &until, "two-way max-gossip, Stop::until")?;
     }
 
     /// Cross-path equivalence: a passive sink routes execution through
@@ -303,7 +312,9 @@ proptest! {
                 .trace_sink(FullTrace::new())
                 .build()
                 .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.steps())
         };
         let in_place = {
@@ -314,7 +325,7 @@ proptest! {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            r.run_batched(steps, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(steps)).unwrap();
             (r.config().clone(), r.stats(), r.steps())
         };
         assert_equiv(&pure, &in_place, "Skno pure vs in-place")?;
@@ -345,13 +356,15 @@ proptest! {
                     .trace_sink(FullTrace::new())
                     .build()
                     .unwrap();
-                pure.run(steps).unwrap();
+                for _ in 0..steps {
+                    pure.step().unwrap();
+                }
                 let mut in_place = $builder
                     .seed(seed)
                     .trace_sink(StatsOnly)
                     .build()
                     .unwrap();
-                in_place.run_batched(steps, batch).unwrap();
+                in_place.run(Batched(batch), Stop::steps(steps)).unwrap();
                 (
                     (pure.config().clone(), pure.stats(), pure.steps()),
                     (in_place.config().clone(), in_place.stats(), in_place.steps()),
@@ -396,7 +409,9 @@ proptest! {
                 .trace_sink(FullTrace::new())
                 .build()
                 .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.steps())
         };
         let in_place = {
@@ -406,7 +421,7 @@ proptest! {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            r.run_batched(steps, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(steps)).unwrap();
             (r.config().clone(), r.stats(), r.steps())
         };
         assert_equiv(&pure, &in_place, "NamedSid pure vs in-place")?;
@@ -430,7 +445,9 @@ proptest! {
                 .trace_sink(FullTrace::new())
                 .build()
                 .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.take_trace().unwrap(), r.config().clone())
         };
         let batched = {
@@ -440,7 +457,7 @@ proptest! {
                 .trace_sink(FullTrace::new())
                 .build()
                 .unwrap();
-            r.run_batched(steps, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(steps)).unwrap();
             (r.take_trace().unwrap(), r.config().clone())
         };
         prop_assert_eq!(&scalar.0, &batched.0, "full traces diverged");
@@ -453,7 +470,7 @@ proptest! {
                 .trace_sink(SampledTrace::every(stride))
                 .build()
                 .unwrap();
-            r.run_batched(steps, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(steps)).unwrap();
             r.take_trace().unwrap()
         };
         // The sampled sink's records are a subsequence of the full trace.

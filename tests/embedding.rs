@@ -3,7 +3,8 @@
 
 use ppfts::core::{project, Sid, Skno};
 use ppfts::engine::{
-    BoundedStrategy, EmbedOneWay, SidePolicy, TwoWayFault, TwoWayModel, TwoWayRunner,
+    Batched, BoundedStrategy, EmbedOneWay, RunOutcome, SidePolicy, Stop, TwoWayFault, TwoWayModel,
+    TwoWayRunner,
 };
 use ppfts::protocols::{Pairing, PairingState};
 
@@ -24,9 +25,14 @@ fn skno_embedded_in_t3_survives_reactor_side_omissions() {
             .seed(3)
             .build()
             .unwrap();
-    let out = runner.run_until(2_000_000, |c| {
-        project(c).count_state(&PairingState::Paired) == 2
-    });
+    let out = runner
+        .run(
+            Batched(1),
+            Stop::until(2_000_000, |c| {
+                project(c).count_state(&PairingState::Paired) == 2
+            }),
+        )
+        .unwrap();
     assert!(out.is_satisfied());
     assert!(project(runner.config()).count_state(&PairingState::Paired) <= 2);
 }
@@ -46,9 +52,14 @@ fn skno_embedded_budget_must_cover_double_minting_for_both_sides() {
             .seed(4)
             .build()
             .unwrap();
-    let out = runner.run_until(2_000_000, |c| {
-        project(c).count_state(&PairingState::Paired) == 2
-    });
+    let out = runner
+        .run(
+            Batched(1),
+            Stop::until(2_000_000, |c| {
+                project(c).count_state(&PairingState::Paired) == 2
+            }),
+        )
+        .unwrap();
     assert!(out.is_satisfied());
 }
 
@@ -59,9 +70,14 @@ fn sid_embedded_in_fault_free_tw_works() {
         .seed(5)
         .build()
         .unwrap();
-    let out = runner.run_until(2_000_000, |c| {
-        project(c).count_state(&PairingState::Paired) == 2
-    });
+    let out = runner
+        .run(
+            Batched(1),
+            Stop::until(2_000_000, |c| {
+                project(c).count_state(&PairingState::Paired) == 2
+            }),
+        )
+        .unwrap();
     assert!(out.is_satisfied());
 }
 
@@ -79,8 +95,8 @@ fn embedded_and_native_runs_coincide_without_faults() {
         .seed(77)
         .build()
         .unwrap();
-    two.run(500).unwrap();
-    one.run(500).unwrap();
+    two.run(Batched(1), Stop::steps(500)).unwrap();
+    one.run(Batched(1), Stop::steps(500)).unwrap();
     assert_eq!(
         project(two.config()).as_slice(),
         project(one.config()).as_slice(),
@@ -107,8 +123,9 @@ fn stability_detection_works_on_two_way_runners() {
         .seed(6)
         .build()
         .unwrap();
-    let out = runner.run_until_stable(500_000, 500);
-    assert!(out.is_satisfied());
+    let out = runner.run(Batched(1), Stop::quiet(500_000, 500)).unwrap();
+    // Pinned: the step at which the per-step quiet window closes.
+    assert_eq!(out, RunOutcome::Satisfied { steps: 508 });
     assert!(runner.config().as_slice().iter().all(|&v| v == 7));
 }
 
@@ -122,8 +139,13 @@ fn sid_simulators_are_never_silent_by_design() {
         .seed(6)
         .build()
         .unwrap();
-    let out = runner.run_until_stable(20_000, 500);
-    assert!(!out.is_satisfied(), "SID handshakes forever");
+    let out = runner.run(Batched(1), Stop::quiet(20_000, 500)).unwrap();
+    assert_eq!(
+        out,
+        RunOutcome::Exhausted { steps: 20_000 },
+        "SID handshakes forever"
+    );
+    assert_eq!(runner.stats().changed_steps, 14_974, "pinned");
     // Yet the simulated protocol has long stabilized.
     assert_eq!(
         project(runner.config()).count_state(&PairingState::Paired),

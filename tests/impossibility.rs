@@ -6,7 +6,7 @@
 
 use ppfts::core::project;
 use ppfts::core::{Skno, SknoState};
-use ppfts::engine::{AtMostOneStrategy, OneWayModel, OneWayRunner};
+use ppfts::engine::{AtMostOneStrategy, Batched, OneWayModel, OneWayRunner, Stop};
 use ppfts::protocols::{Pairing, PairingState};
 use ppfts::verify::{
     lemma1_attack, no1_resilience, thm32_attack, AttackOutcome, Optimist, OptimistState,
@@ -108,9 +108,14 @@ fn thm33_graceful_degradation_threshold_is_at_most_one() {
             .seed(omitted_step)
             .build()
             .unwrap();
-        let out = runner.run_until(100_000, |c| {
-            project(c).count_state(&PairingState::Paired) == 1
-        });
+        let out = runner
+            .run(
+                Batched(1),
+                Stop::until(100_000, |c| {
+                    project(c).count_state(&PairingState::Paired) == 1
+                }),
+            )
+            .unwrap();
         assert!(
             out.is_satisfied(),
             "SKnO(1) tolerates one omission at {omitted_step}"

@@ -3,7 +3,7 @@
 use ppfts::core::{
     build_matching, extract_events, project, verify_derived_execution, NamedSid, Role, Sid, Skno,
 };
-use ppfts::engine::{BoundedStrategy, FullTrace, OneWayModel, OneWayRunner};
+use ppfts::engine::{Batched, BoundedStrategy, FullTrace, OneWayModel, OneWayRunner, Stop};
 use ppfts::protocols::{Epidemic, Pairing, PairingState};
 
 fn pairing_sims(c: usize, p: usize) -> Vec<PairingState> {
@@ -21,7 +21,7 @@ fn sid_matchings_are_exact_and_replayable() {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(40_000).unwrap();
+        runner.run(Batched(1), Stop::steps(40_000)).unwrap();
         let events = extract_events(&runner.take_trace().unwrap());
         let matching = build_matching(&Pairing, &events).unwrap();
         let derived = verify_derived_execution(&Pairing, &initial, &events, &matching).unwrap();
@@ -49,7 +49,7 @@ fn skno_matchings_validate_at_the_multiset_level() {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(60_000).unwrap();
+        runner.run(Batched(1), Stop::steps(60_000)).unwrap();
         let events = extract_events(&runner.take_trace().unwrap());
         let matching = build_matching(&Pairing, &events).unwrap();
         let derived = verify_derived_execution(&Pairing, &initial, &events, &matching).unwrap();
@@ -69,7 +69,7 @@ fn named_sid_matchings_are_exact_once_naming_settles() {
         .build()
         .unwrap();
     let initial = project(runner.config());
-    runner.run(100_000).unwrap();
+    runner.run(Batched(1), Stop::steps(100_000)).unwrap();
     let events = extract_events(&runner.take_trace().unwrap());
     // All commits happen in the simulating phase, where protocol ids
     // exist and are unique.
@@ -88,7 +88,7 @@ fn event_streams_respect_commit_sequence_numbers() {
         .seed(5)
         .build()
         .unwrap();
-    runner.run(20_000).unwrap();
+    runner.run(Batched(1), Stop::steps(20_000)).unwrap();
     let events = extract_events(&runner.take_trace().unwrap());
     // Per agent, seq must be 0, 1, 2, … in trace order.
     use std::collections::HashMap;
@@ -112,7 +112,7 @@ fn unmatched_events_are_only_in_flight_halves() {
         .seed(11)
         .build()
         .unwrap();
-    runner.run(50_000).unwrap();
+    runner.run(Batched(1), Stop::steps(50_000)).unwrap();
     let events = extract_events(&runner.take_trace().unwrap());
     let matching = build_matching(&Pairing, &events).unwrap();
     assert!(matching.unmatched.len() <= sims.len());

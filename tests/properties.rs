@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use ppfts::core::{project, Sid, Skno};
 use ppfts::engine::{
-    outcome, BoundedStrategy, FullTrace, OneWayFault, OneWayModel, OneWayRunner, TwoWayFault,
-    TwoWayModel, TwoWayRunner,
+    outcome, Batched, BoundedStrategy, FullTrace, OneWayFault, OneWayModel, OneWayRunner, Stop,
+    TwoWayFault, TwoWayModel, TwoWayRunner,
 };
 use ppfts::population::{Configuration, Multiset, Semantics, TwoWayProtocol};
 use ppfts::protocols::{Epidemic, FlockOfBirds, MaxGossip, Pairing, PairingState, Remainder};
@@ -43,7 +43,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        runner.run(steps).unwrap();
+        runner.run(Batched(1), Stop::steps(steps)).unwrap();
         prop_assert_eq!(runner.config().len(), n);
     }
 
@@ -97,9 +97,9 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let out = runner.run_until(200_000, |c| {
+        let out = runner.run(Batched(1), Stop::until(200_000, |c| {
             ppfts::population::unanimous_output(c, |q| *q) == Some(expected)
-        });
+        })).unwrap();
         prop_assert!(out.is_satisfied());
     }
 
@@ -118,7 +118,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        runner.run(steps).unwrap();
+        runner.run(Batched(1), Stop::steps(steps)).unwrap();
         let sum_now: u64 = runner
             .config()
             .as_slice()
@@ -194,7 +194,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        runner.run(3_000).unwrap();
+        runner.run(Batched(1), Stop::steps(3_000)).unwrap();
         let seen_max = project(runner.config())
             .as_slice()
             .iter()
@@ -264,7 +264,7 @@ proptest! {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(4_000).unwrap();
+        runner.run(Batched(1), Stop::steps(4_000)).unwrap();
         let events = extract_events(&runner.take_trace().unwrap());
         let matching = build_matching(&protocol, &events).unwrap();
         let derived = verify_derived_execution(&protocol, &initial, &events, &matching).unwrap();
@@ -297,7 +297,7 @@ proptest! {
             .build()
             .unwrap();
         let initial = project(runner.config());
-        runner.run(4_000).unwrap();
+        runner.run(Batched(1), Stop::steps(4_000)).unwrap();
         let events = extract_events(&runner.take_trace().unwrap());
         let matching = build_matching(&protocol, &events).unwrap();
         let derived = verify_derived_execution(&protocol, &initial, &events, &matching).unwrap();

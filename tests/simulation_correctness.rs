@@ -7,7 +7,7 @@
 //! oracle.
 
 use ppfts::core::{project, NamedSid, Sid, Skno};
-use ppfts::engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+use ppfts::engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 use ppfts::population::{unanimous_output, Semantics};
 use ppfts::protocols::{
     Epidemic, ExactMajority, FlockOfBirds, MajorityOpinion, MaxGossip, Pairing, PairingState,
@@ -19,9 +19,14 @@ macro_rules! assert_simulates {
     ($payload:expr, $inputs:expr, $runner:expr, $budget:expr) => {{
         let payload = $payload;
         let expected = payload.expected($inputs);
-        let out = $runner.run_until($budget, |c| {
-            unanimous_output(&project(c), |q| payload.output(q)) == Some(expected.clone())
-        });
+        let out = $runner
+            .run(
+                Batched(1),
+                Stop::until($budget, |c| {
+                    unanimous_output(&project(c), |q| payload.output(q)) == Some(expected.clone())
+                }),
+            )
+            .unwrap();
         assert!(
             out.is_satisfied(),
             "simulation did not stabilize to {:?} within {} steps",
@@ -169,9 +174,14 @@ fn simulated_executions_match_native_outputs_across_seeds() {
             .seed(seed)
             .build()
             .unwrap();
-        let n_out = native.run_until(1_000_000, |c| {
-            unanimous_output(c, |q| Epidemic.output(q)) == Some(expected)
-        });
+        let n_out = native
+            .run(
+                Batched(1),
+                Stop::until(1_000_000, |c| {
+                    unanimous_output(c, |q| Epidemic.output(q)) == Some(expected)
+                }),
+            )
+            .unwrap();
         assert!(n_out.is_satisfied());
 
         let mut sim = OneWayRunner::builder(OneWayModel::Io, Sid::new(Epidemic))
@@ -179,9 +189,14 @@ fn simulated_executions_match_native_outputs_across_seeds() {
             .seed(seed)
             .build()
             .unwrap();
-        let s_out = sim.run_until(2_000_000, |c| {
-            unanimous_output(&project(c), |q| Epidemic.output(q)) == Some(expected)
-        });
+        let s_out = sim
+            .run(
+                Batched(1),
+                Stop::until(2_000_000, |c| {
+                    unanimous_output(&project(c), |q| Epidemic.output(q)) == Some(expected)
+                }),
+            )
+            .unwrap();
         assert!(s_out.is_satisfied(), "seed {seed}");
     }
 }

@@ -28,8 +28,8 @@ use proptest::prelude::*;
 
 use ppfts::core::{NamedSid, Sid, Skno};
 use ppfts::engine::{
-    AtMostOneStrategy, BoundedStrategy, FullTrace, OneWayModel, OneWayRunner, RateStrategy,
-    ScriptedOmissions, StatsOnly,
+    AtMostOneStrategy, Batched, BoundedStrategy, FullTrace, OneWayModel, OneWayRunner,
+    RateStrategy, ScriptedOmissions, StatsOnly, Stop,
 };
 use ppfts::population::Topology;
 use ppfts::protocols::Epidemic;
@@ -65,11 +65,19 @@ macro_rules! drive_skno {
     ($builder:expr, $steps:expr, $exec:expr, $batch:expr) => {{
         let mut r = $builder.build().unwrap();
         match $exec {
-            0 => r.run($steps).unwrap(),
-            _ => r.run_batched($steps, $batch).unwrap(),
+            0 => {
+                for _ in 0..$steps {
+                    r.step().unwrap();
+                }
+            }
+            _ => {
+                r.run(Batched($batch), Stop::steps($steps)).unwrap();
+            }
         }
         let phase1 = (r.config().clone(), r.stats(), r.steps(), r.take_trace());
-        r.run(67).unwrap();
+        for _ in 0..67 {
+            r.step().unwrap();
+        }
         (phase1.0, phase1.1, phase1.2, phase1.3, r.config().clone())
     }};
 }
@@ -190,10 +198,14 @@ proptest! {
                     .trace_sink(FullTrace::new())
                     .build()
                     .unwrap();
-                r.run(steps).unwrap();
+                for _ in 0..steps {
+                    r.step().unwrap();
+                }
                 let trace = r.take_trace();
                 let phase1 = r.config().clone();
-                r.run(53).unwrap();
+                for _ in 0..53 {
+                    r.step().unwrap();
+                }
                 (phase1, r.stats(), trace, r.config().clone())
             }};
         }
@@ -236,11 +248,13 @@ proptest! {
             .unwrap();
         let scalar = {
             let mut r = build();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.steps())
         };
         let mut batched = build();
-        batched.run_batched(steps, batch).unwrap();
+        batched.run(Batched(batch), Stop::steps(steps)).unwrap();
         prop_assert_eq!((batched.config().clone(), batched.stats(), batched.steps()), scalar);
     }
 
@@ -263,7 +277,9 @@ proptest! {
                     .trace_sink(StatsOnly)
                     .build()
                     .unwrap();
-                r.run(steps).unwrap();
+                for _ in 0..steps {
+                    r.step().unwrap();
+                }
                 (r.config().clone(), r.stats())
             }};
         }

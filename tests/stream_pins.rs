@@ -7,16 +7,17 @@
 //! one RNG draw (or miscounts one step) changes a pinned number here.
 //!
 //! * graphical `SID` on `random_regular(256, 4, 12)` under IO through
-//!   `run_batched_until` — the bulk-drawn, fault-free path;
+//!   `Batched` + `Stop::until` — the bulk-drawn, fault-free path;
 //! * the epidemic under TW on the uniform dense backend through
-//!   `run_batched` — the bulk-drawn two-way path;
+//!   `Batched` + `Stop::steps` — the bulk-drawn two-way path;
 //! * `SKnO` o = 1 on `complete(32)` under I3 with a [`BoundedStrategy`],
 //!   whose RNG-drawing fault decisions force the interleaved
 //!   pair-then-fault path.
 
 use ppfts::core::{project, Sid, Skno};
 use ppfts::engine::{
-    BoundedStrategy, OneWayModel, OneWayRunner, RunStats, StatsOnly, TwoWayModel, TwoWayRunner,
+    Batched, BoundedStrategy, OneWayModel, OneWayRunner, RunStats, StatsOnly, Stop, TwoWayModel,
+    TwoWayRunner,
 };
 use ppfts::population::{Configuration, Topology};
 use ppfts::protocols::Epidemic;
@@ -55,9 +56,12 @@ fn sid_rr4(seed: u64) -> Pin {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-    let out = runner.run_batched_until(4_000_000, BATCH, |c| {
-        project(c).as_slice().iter().all(|s| *s)
-    });
+    let out = runner
+        .run(
+            Batched(BATCH),
+            Stop::until(4_000_000, |c| project(c).as_slice().iter().all(|s| *s)),
+        )
+        .unwrap();
     assert!(out.is_satisfied(), "seed {seed}: SID did not converge");
     assert_eq!(out.steps(), runner.steps());
     (
@@ -75,7 +79,7 @@ fn epidemic_tw(seed: u64) -> Pin {
         .build()
         .unwrap();
     // Mid-epidemic, so the infected count is a sensitive pin.
-    runner.run_batched(5_000, BATCH).unwrap();
+    runner.run(Batched(BATCH), Stop::steps(5_000)).unwrap();
     (runner.steps(), runner.stats(), infected(runner.config()))
 }
 
@@ -90,7 +94,7 @@ fn skno_complete(seed: u64) -> Pin {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-    runner.run_batched(20_000, BATCH).unwrap();
+    runner.run(Batched(BATCH), Stop::steps(20_000)).unwrap();
     (
         runner.steps(),
         runner.stats(),

@@ -32,9 +32,9 @@ use proptest::prelude::*;
 
 use ppfts::core::{NamedSid, Sid, Skno};
 use ppfts::engine::{
-    EngineError, FullTrace, InteractionLaw, OneWayModel, OneWayProgram, OneWayRunner, RateStrategy,
-    RoundRobinScheduler, Scheduler, StatsOnly, TopologyScheduler, TwoWayModel, TwoWayRunner,
-    UniformScheduler,
+    Batched, EngineError, FullTrace, InteractionLaw, OneWayModel, OneWayProgram, OneWayRunner,
+    RateStrategy, RoundRobinScheduler, Scheduler, StatsOnly, Stop, TopologyScheduler, TwoWayModel,
+    TwoWayRunner, UniformScheduler,
 };
 use ppfts::population::{Configuration, CountConfiguration, Topology, TopologyError};
 use ppfts::protocols::{Epidemic, MaxGossip, Pairing};
@@ -110,7 +110,9 @@ proptest! {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.steps())
         };
         for batched in [None, Some(batch)] {
@@ -123,8 +125,14 @@ proptest! {
                 .build()
                 .unwrap();
             match batched {
-                Some(b) => r.run_batched(steps, b).unwrap(),
-                None => r.run(steps).unwrap(),
+                Some(b) => {
+                    r.run(Batched(b), Stop::steps(steps)).unwrap();
+                }
+                None => {
+                    for _ in 0..steps {
+                        r.step().unwrap();
+                    }
+                }
             }
             prop_assert_eq!(
                 (r.config().clone(), r.stats(), r.steps()),
@@ -154,7 +162,9 @@ proptest! {
         let uniform = {
             // The default scheduler, unchanged.
             let mut r = builder().build().unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.take_trace())
         };
         let topo = {
@@ -162,7 +172,9 @@ proptest! {
                 .topology(Topology::complete(n).unwrap())
                 .build()
                 .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.take_trace())
         };
         prop_assert_eq!(uniform.0.as_slice(), topo.0.as_slice());
@@ -188,12 +200,12 @@ proptest! {
             .seed(seed)
             .trace_sink(StatsOnly);
         let mut uniform = builder().build().unwrap();
-        uniform.run(steps).unwrap();
+        uniform.run(Batched(1), Stop::steps(steps)).unwrap();
         let mut topo = builder()
             .topology(Topology::complete(n).unwrap())
             .build()
             .unwrap();
-        topo.run_batched(steps, batch).unwrap();
+        topo.run(Batched(batch), Stop::steps(steps)).unwrap();
         prop_assert_eq!(uniform.config(), topo.config());
         prop_assert_eq!(uniform.stats(), topo.stats());
     }
@@ -224,11 +236,13 @@ proptest! {
             .unwrap();
         let scalar = {
             let mut r = build();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.steps())
         };
         let mut batched_r = build();
-        batched_r.run_batched(steps, batch).unwrap();
+        batched_r.run(Batched(batch), Stop::steps(steps)).unwrap();
         prop_assert_eq!(
             (batched_r.config().clone(), batched_r.stats(), batched_r.steps()),
             scalar
@@ -254,7 +268,9 @@ proptest! {
             .trace_sink(FullTrace::new())
             .build()
             .unwrap();
-        r.run(steps).unwrap();
+        for _ in 0..steps {
+            r.step().unwrap();
+        }
         let report = audit_trace_topology(r.trace().unwrap(), &topology);
         prop_assert!(report.is_ok(), "off-graph arc: {:?}", report);
         prop_assert_eq!(report.unwrap().draws, steps);
@@ -387,7 +403,9 @@ proptest! {
                 .trace_sink(StatsOnly)
                 .build()
                 .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             (r.config().clone(), r.stats(), r.steps())
         };
         for batched in [None, Some(batch)] {
@@ -403,8 +421,14 @@ proptest! {
             .build()
             .unwrap();
             match batched {
-                Some(b) => r.run_batched(steps, b).unwrap(),
-                None => r.run(steps).unwrap(),
+                Some(b) => {
+                    r.run(Batched(b), Stop::steps(steps)).unwrap();
+                }
+                None => {
+                    for _ in 0..steps {
+                        r.step().unwrap();
+                    }
+                }
             }
             prop_assert_eq!(
                 (r.config().clone(), r.stats(), r.steps()),
@@ -435,7 +459,9 @@ proptest! {
                     .trace_sink(StatsOnly)
                     .build()
                     .unwrap();
-                r.run(steps).unwrap();
+                for _ in 0..steps {
+                    r.step().unwrap();
+                }
                 (r.config().clone(), r.stats(), r.steps())
             };
             let mut r = OneWayRunner::builder(
@@ -448,7 +474,7 @@ proptest! {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-            r.run_batched(steps, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(steps)).unwrap();
             prop_assert_eq!((r.config().clone(), r.stats(), r.steps()), classic);
         } else {
             let classic = {
@@ -458,7 +484,9 @@ proptest! {
                     .trace_sink(StatsOnly)
                     .build()
                     .unwrap();
-                r.run(steps).unwrap();
+                for _ in 0..steps {
+                    r.step().unwrap();
+                }
                 (r.config().clone(), r.stats(), r.steps())
             };
             let mut r = OneWayRunner::builder(
@@ -471,7 +499,7 @@ proptest! {
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
-            r.run_batched(steps, batch).unwrap();
+            r.run(Batched(batch), Stop::steps(steps)).unwrap();
             prop_assert_eq!((r.config().clone(), r.stats(), r.steps()), classic);
         }
     }
@@ -504,7 +532,9 @@ proptest! {
             .trace_sink(FullTrace::new())
             .build()
             .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             let report = audit_simulation_topology(r.trace().unwrap(), &topology);
             prop_assert!(report.is_ok(), "violation: {:?}", report);
             let report = report.unwrap();
@@ -522,7 +552,9 @@ proptest! {
             .trace_sink(FullTrace::new())
             .build()
             .unwrap();
-            r.run(steps).unwrap();
+            for _ in 0..steps {
+                r.step().unwrap();
+            }
             let report = audit_simulation_topology(r.trace().unwrap(), &topology);
             prop_assert!(report.is_ok(), "violation: {:?}", report);
             prop_assert_eq!(report.unwrap().physical.draws, steps);
@@ -780,11 +812,12 @@ fn epidemic_scenarios_converge_on_every_family_through_the_facade() {
     ] {
         let label = t.to_string();
         let mut runner = scenario::epidemic_on(t, 3).unwrap();
-        let out = runner.run_batched_until(
-            5_000_000,
-            128,
-            scenario::all_infected::<Configuration<bool>>,
-        );
+        let out = runner
+            .run(
+                Batched(128),
+                Stop::until(5_000_000, scenario::all_infected::<Configuration<bool>>),
+            )
+            .unwrap();
         assert!(out.is_satisfied(), "stalled on {label}");
         assert!(runner.config().count_state(&true) == 20);
     }

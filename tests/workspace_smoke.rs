@@ -8,7 +8,7 @@
 //! compile error.
 
 use ppfts::core::{project, Sid};
-use ppfts::engine::{EngineError, OneWayModel, OneWayRunner};
+use ppfts::engine::{Batched, EngineError, OneWayModel, OneWayRunner, Stop};
 use ppfts::population::Semantics;
 use ppfts::protocols::{Pairing, PairingState};
 use ppfts::verify::audit_pairing;
@@ -27,11 +27,16 @@ fn facade_runs_sid_pairing_to_convergence() -> Result<(), EngineError> {
     // Require both sides of every pairing to land: at the instant the
     // last consumer turns Paired its producer can still be mid-handshake,
     // so waiting on Paired alone would stop one transition early.
-    let out = runner.run_until(2_000_000, |c| {
-        let proj = project(c);
-        proj.count_state(&PairingState::Paired) == producers
-            && proj.count_state(&PairingState::Spent) == producers
-    });
+    let out = runner
+        .run(
+            Batched(1),
+            Stop::until(2_000_000, |c| {
+                let proj = project(c);
+                proj.count_state(&PairingState::Paired) == producers
+                    && proj.count_state(&PairingState::Spent) == producers
+            }),
+        )
+        .unwrap();
     assert!(
         out.is_satisfied(),
         "SID-simulated Pairing did not converge within budget: {out:?}"
