@@ -1,8 +1,8 @@
 //! E15 — the batch-epoch count backend at scale: the giant-n epidemic of
 //! E11 driven through `Epochs` + `Stop::until`, swept over six decades of
-//! population size. Each epoch samples its collision-free length
-//! ℓ ≈ 0.63√n in closed form and applies all ℓ interactions as one
-//! multivariate draw, so the cost per epoch is O(distinct state pairs) —
+//! population size. Each batch of ≈ 1.6√n interactions applies its
+//! collision-free ones as one multivariate draw and its few collisions
+//! one by one, so the cost per batch is O(distinct state pairs) —
 //! per-interaction work *shrinks* as n grows.
 //!
 //! * `epidemic_epoch_n1e2` … `epidemic_epoch_n1e8` — one seed of the

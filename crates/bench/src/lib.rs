@@ -339,13 +339,13 @@ where
 
 /// E15: epidemic convergence at giant `n` on the **batch-epoch** path —
 /// the same workload and predicate as [`measure_epidemic_giant`], driven
-/// through [`Epochs`] instead of the interleaved loop. Epochs
-/// sample a collision-free prefix length ℓ ≈ 0.63√n in closed form and
-/// apply all ℓ interactions as one bulk multivariate draw, so the work
-/// per epoch is O(distinct state pairs), independent of ℓ — sub-constant
-/// time per interaction. The convergence predicate is checked at epoch
-/// boundaries under the same [`stably`] window as the interleaved
-/// harnesses.
+/// through [`Epochs`] instead of the interleaved loop. A batch of
+/// ≈ 1.6√n interactions applies its collision-free ones as one bulk
+/// multivariate draw and its few collisions one by one, so the work per
+/// batch is O(distinct state pairs), independent of its length —
+/// sub-constant time per interaction. The convergence predicate is
+/// checked at batch boundaries under the same [`stably`] window as the
+/// interleaved harnesses.
 ///
 /// `steps_per_simulated` normalizes by `n` (interactions per agent), the
 /// same unit E11 reports, so the two harnesses chart onto one curve.

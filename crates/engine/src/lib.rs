@@ -41,7 +41,8 @@
 //!   (state multiplicities only — anonymous protocols at n = 10⁶ and
 //!   beyond on the batched `StatsOnly` path),
 //! * [`epoch`] — the batch-epoch execution path ([`Epochs`]):
-//!   collision-free epochs sampled in bulk on [`EpochBackend`]s,
+//!   batches of collision-free interactions sampled in bulk, and their
+//!   few collisions one by one, on [`EpochBackend`]s,
 //!   sub-constant work per interaction for count-backed runs,
 //! * [`TraceSink`] with [`FullTrace`], [`SampledTrace`], [`StatsOnly`] —
 //!   what, if anything, each executed step leaves behind,

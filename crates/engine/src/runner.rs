@@ -130,15 +130,16 @@ impl RunOutcome {
 pub struct Batched(pub u64);
 
 /// Execute through the batch-epoch path (see [`epoch`](crate::epoch)):
-/// whole collision-free epochs of ≈ 0.63·√n interactions sampled as bulk
-/// state splits, or exact event steps where changes are sparse. Only
+/// batches of ≈ 1.6·√n interactions, whose collision-free interactions
+/// are sampled as bulk state splits and whose few collisions are drawn
+/// one by one, or exact event steps where changes are sparse. Only
 /// [`EpochBackend`]s accept it (a compile-time bound). It reproduces the
 /// interleaved law in distribution, not bit for bit; omissions are
 /// audited through [`RunStats::omissive_steps`], since bulk thinning
 /// bypasses [`OmissionStrategy::decide`]. It fails with
 /// [`EngineError::EpochIncompatible`] for an omissive model whose
 /// adversary has no fixed i.i.d. rate, or for [`Stop::quiet`]; on error
-/// the configuration is left at the last epoch or event boundary.
+/// the configuration is left at the last batch or event boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Epochs;
 
@@ -165,14 +166,14 @@ impl<'p, C> Stop<'p, C> {
     }
 
     /// Run until `predicate` holds on the population — checked before
-    /// the first step and then at every batch or epoch boundary — or
+    /// the first step and then at every `Batched` or `Epochs` boundary — or
     /// `budget` interactions have executed.
     ///
     /// Under [`Batched`]`(b)` the stop overshoots the instant the
     /// predicate first holds by up to `b - 1` steps. Wrap the predicate
     /// in [`stably`](crate::convergence::stably) when a transiently true
     /// (mid-handshake) sample must not end the run. Under [`Epochs`] a
-    /// boundary falls after each epoch, after each event step, and every
+    /// boundary falls after each batch, after each event step, and every
     /// `⌈E[ℓ]⌉` interactions of a configuration no interaction can
     /// change; the step in flight when the budget runs out is truncated
     /// exactly at the budget.

@@ -623,7 +623,7 @@ pub fn multivariate_hypergeometric_into(
 /// weights, then O(1) categorical draws.
 ///
 /// The epoch sampler builds one per driver call over the run's fault mix
-/// and draws the fault of every epoch's closing collision from it; any
+/// and draws the fault of every collision and event step from it; any
 /// workload drawing many times from a fixed weighting can reuse one.
 ///
 /// # Example
