@@ -1,12 +1,14 @@
 //! Exhaustive budgeted model checking of small populations.
 //!
-//! `ppfts-verify`'s `model_check` decides stabilization of *fault-free*
-//! GF executions. The paper's tolerance claims are stronger: they
-//! quantify over an **adversary** that may lose up to `o` transmissions
-//! anywhere in the run. This module adds that adversary to the exhaustive
-//! exploration: a node of the search space is a pair *(configuration,
-//! omissions spent)*, fault-free edges stay on their level, and omission
-//! edges descend one budget level until the `o` budget is exhausted.
+//! A globally-fair (GF) execution eventually visits exactly the
+//! configurations of one **terminal strongly-connected component** of the
+//! reachability graph, so a population stably computes a property iff
+//! every terminal SCC it can reach satisfies it. The paper's tolerance
+//! claims quantify, in addition, over an **adversary** that may lose up
+//! to `o` transmissions anywhere in the run. A node of the search space is
+//! therefore a pair *(configuration, omissions spent)*: fault-free edges
+//! stay on their level, and omission edges descend one budget level until
+//! the `o` budget is exhausted.
 //!
 //! The verdict is exact, not sampled. An execution with at most `o`
 //! omissions performs them at finitely many points; after the last one it
@@ -18,50 +20,71 @@
 //! is subsumed: a reachable deadlock is a singleton terminal SCC that
 //! fails the predicate.
 //!
-//! Two explorers share this verdict logic:
+//! One explorer serves two-way ([`check_two_way`]) and one-way
+//! ([`check_one_way`]) programs; they differ only in the successor
+//! function. Local states are interned to `u32` ids and a configuration is
+//! an id array, one entry per agent. A program bound to no interaction
+//! graph (`required_topology()` is `None`) treats its agents
+//! symmetrically, so its arrays are kept sorted and permutations of agents
+//! collapse into one node. A graphical program addresses agents by vertex,
+//! so its arrays keep the per-agent order and interactions range over the
+//! graph's arcs. Edges are stored in CSR form, each labelled with the
+//! interacting pair and the fault.
 //!
-//! * [`check_two_way_counts`] — multiset (count-backend) exploration of
-//!   anonymous two-way protocols, practical to n ≈ 12;
-//! * [`check_one_way_dense`] — per-agent exploration of one-way programs
-//!   (the simulators, whose graphical variants are *not* anonymous),
-//!   practical to n ≈ 6.
-//!
-//! Counterexamples are extracted as BFS-shortest traces and replay
-//! through the existing runners ([`realize_count_trace`] lifts a count
-//! trace to dense `Planned` steps; dense traces are already `Planned`).
+//! Counterexamples are BFS-shortest traces, realized as per-agent
+//! `Planned` steps that replay through the runners' `apply_planned`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
 
 use ppfts_engine::{
     outcome, OneWayFault, OneWayModel, OneWayProgram, Planned, TwoWayFault, TwoWayModel,
     TwoWayProgram,
 };
-use ppfts_population::{CountConfiguration, Interaction, Multiset, State, Topology};
+use ppfts_population::{Interaction, Multiset, State, Topology};
 
 /// Exploration failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum AnalyzeError {
+pub enum ExploreError {
     /// The budgeted search space exceeded the node cap.
     TooManyNodes {
         /// The cap that was hit.
         limit: usize,
     },
+    /// A graphical program was given an initial configuration that does
+    /// not span exactly its interaction graph's vertices.
+    TopologySizeMismatch {
+        /// Vertices of the program's topology.
+        topology: usize,
+        /// Agents in the initial configuration.
+        population: usize,
+    },
 }
 
-impl fmt::Display for AnalyzeError {
+impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalyzeError::TooManyNodes { limit } => {
+            ExploreError::TooManyNodes { limit } => {
                 write!(f, "budgeted search space exceeded {limit} nodes")
             }
+            ExploreError::TopologySizeMismatch {
+                topology,
+                population,
+            } => write!(
+                f,
+                "program topology has {topology} vertices but the configuration has \
+                 {population} agents"
+            ),
         }
     }
 }
 
-impl Error for AnalyzeError {}
+impl Error for ExploreError {}
 
 /// Outcome of an exhaustive check: either a proof (the predicate holds in
 /// every terminal SCC reachable from every budget-reachable
@@ -91,423 +114,17 @@ impl<T> Verdict<T> {
     }
 }
 
-/// One step of a count-level counterexample: the interacting state pair
-/// and the fault the adversary chose.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CountStep<Q> {
-    /// The starter's state before the step.
-    pub starter: Q,
-    /// The reactor's state before the step.
-    pub reactor: Q,
-    /// The fault decoration.
-    pub fault: TwoWayFault,
-}
-
-/// A count-level counterexample: a BFS-shortest budgeted trace from the
-/// initial configuration to a configuration inside (or leading into) a
-/// terminal SCC violating the predicate.
+/// A counterexample: a BFS-shortest budgeted trace from the initial
+/// configuration to a configuration inside a terminal SCC that violates
+/// the predicate.
 #[derive(Clone, Debug)]
-pub struct CountTrace<Q: State> {
-    /// The steps, in execution order.
-    pub steps: Vec<CountStep<Q>>,
-    /// The violating configuration the trace ends in.
-    pub witness: Multiset<Q>,
-}
-
-/// Result of [`check_two_way_counts`].
-#[derive(Clone, Debug)]
-pub struct CountCheck<Q: State> {
-    /// Budgeted search nodes explored ((configuration, spent) pairs).
-    pub nodes: usize,
-    /// Distinct configurations reachable under the budget.
-    pub configs: usize,
-    /// The verdict.
-    pub verdict: Verdict<CountTrace<Q>>,
-    reachable: Vec<Multiset<Q>>,
-}
-
-impl<Q: State> CountCheck<Q> {
-    /// Every distinct configuration reachable under the omission budget.
-    pub fn reachable(&self) -> &[Multiset<Q>] {
-        &self.reachable
-    }
-
-    /// Whether `config` is reachable under the omission budget — the
-    /// soundness contract the proptest harness checks against observed
-    /// simulation states.
-    pub fn is_reachable(&self, config: &Multiset<Q>) -> bool {
-        self.reachable.iter().any(|c| c.same_as(config))
-    }
-}
-
-type Pairs<Q> = Vec<(Q, usize)>;
-
-/// A budgeted successor: next sorted-pairs node, omissions used, and the
-/// step that produced it.
-type CountSucc<Q> = (Pairs<Q>, u32, CountStep<Q>);
-
-/// Rebuilds a multiset from its canonical sorted-pairs form.
-fn multiset_of<Q: State>(pairs: &[(Q, usize)]) -> Multiset<Q> {
-    let mut m = Multiset::new();
-    for (q, k) in pairs {
-        m.insert_many(q.clone(), *k);
-    }
-    m
-}
-
-/// Exhaustively checks a two-way program on the count backend under the
-/// `(budget, model)` omission adversary.
-///
-/// Proves that from **every** configuration reachable with at most
-/// `budget` omissions, every globally-fair fault-free continuation
-/// stabilizes into configurations satisfying `pred` — or extracts a
-/// shortest counterexample trace.
-///
-/// # Errors
-///
-/// [`AnalyzeError::TooManyNodes`] if the budgeted space exceeds
-/// `max_nodes`.
-///
-/// # Example
-///
-/// ```
-/// use ppfts_analyze::check_two_way_counts;
-/// use ppfts_engine::TwoWayModel;
-/// use ppfts_population::Multiset;
-/// use ppfts_protocols::Epidemic;
-///
-/// let mut c0 = Multiset::new();
-/// c0.insert_many(true, 1);
-/// c0.insert_many(false, 9);
-/// let check = check_two_way_counts(TwoWayModel::T1, &Epidemic, &c0, 1, 100_000, |c| {
-///     c.count(&true) == 10
-/// })?;
-/// // Epidemic still floods at n = 10 under one adversarial omission.
-/// assert!(check.verdict.is_proved());
-/// # Ok::<(), ppfts_analyze::AnalyzeError>(())
-/// ```
-pub fn check_two_way_counts<P>(
-    model: TwoWayModel,
-    program: &P,
-    initial: &Multiset<P::State>,
-    budget: u32,
-    max_nodes: usize,
-    mut pred: impl FnMut(&Multiset<P::State>) -> bool,
-) -> Result<CountCheck<P::State>, AnalyzeError>
-where
-    P: TwoWayProgram,
-    P::State: Ord,
-{
-    let faults = model.permitted_faults();
-    let successors = |pairs: &Pairs<P::State>, used: u32| {
-        let base = CountConfiguration::from_groups(pairs.iter().cloned());
-        let mut out: Vec<CountSucc<P::State>> = Vec::new();
-        for (s, cs) in pairs {
-            for (r, cr) in pairs {
-                if s == r && (*cs < 2 || *cr < 2) {
-                    continue;
-                }
-                for &fault in faults {
-                    if fault.is_omissive() && used >= budget {
-                        continue;
-                    }
-                    let (s2, r2) = outcome::two_way(model, program, s, r, fault)
-                        .expect("fault is permitted by the model");
-                    let mut succ = base.clone();
-                    succ.apply_outcome(s, r, (s2, r2))
-                        .expect("states drawn from the configuration");
-                    out.push((
-                        succ.counts().sorted_pairs(),
-                        used + u32::from(fault.is_omissive()),
-                        CountStep {
-                            starter: s.clone(),
-                            reactor: r.clone(),
-                            fault,
-                        },
-                    ));
-                }
-            }
-        }
-        out
-    };
-
-    let root = initial.sorted_pairs();
-    let mut node_of: HashMap<(Pairs<P::State>, u32), usize> = HashMap::new();
-    let mut nodes: Vec<(Pairs<P::State>, u32)> = vec![(root.clone(), 0)];
-    let mut parent: Vec<Option<(usize, CountStep<P::State>)>> = vec![None];
-    node_of.insert((root, 0), 0);
-    let mut frontier = VecDeque::from([0usize]);
-    while let Some(node) = frontier.pop_front() {
-        let (pairs, used) = nodes[node].clone();
-        for (succ_pairs, succ_used, step) in successors(&pairs, used) {
-            let key = (succ_pairs, succ_used);
-            if node_of.contains_key(&key) {
-                continue;
-            }
-            if nodes.len() >= max_nodes {
-                return Err(AnalyzeError::TooManyNodes { limit: max_nodes });
-            }
-            let fresh = nodes.len();
-            node_of.insert(key.clone(), fresh);
-            nodes.push(key);
-            parent.push(Some((node, step)));
-            frontier.push_back(fresh);
-        }
-    }
-
-    // Distinct configurations (budget levels collapsed), with a
-    // representative budgeted node for trace extraction.
-    let mut cfg_of: HashMap<Pairs<P::State>, usize> = HashMap::new();
-    let mut cfgs: Vec<Pairs<P::State>> = Vec::new();
-    let mut rep: Vec<usize> = Vec::new();
-    for (i, (pairs, _)) in nodes.iter().enumerate() {
-        cfg_of.entry(pairs.clone()).or_insert_with(|| {
-            cfgs.push(pairs.clone());
-            rep.push(i);
-            cfgs.len() - 1
-        });
-    }
-
-    // Fault-free configuration graph over the reachable set (closed under
-    // fault-free steps by construction: every fault-free successor was
-    // explored at the same budget level).
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); cfgs.len()];
-    for (ci, pairs) in cfgs.iter().enumerate() {
-        let base = CountConfiguration::from_groups(pairs.iter().cloned());
-        for (s, cs) in pairs {
-            for (r, cr) in pairs {
-                if s == r && (*cs < 2 || *cr < 2) {
-                    continue;
-                }
-                let (s2, r2) = outcome::two_way(model, program, s, r, TwoWayFault::None)
-                    .expect("fault-free is always permitted");
-                let mut succ = base.clone();
-                succ.apply_outcome(s, r, (s2, r2))
-                    .expect("states drawn from the configuration");
-                let key = succ.counts().sorted_pairs();
-                let cj = cfg_of[&key];
-                if !edges[ci].contains(&cj) {
-                    edges[ci].push(cj);
-                }
-            }
-        }
-    }
-
-    let mut verdict = Verdict::Proved;
-    'search: for comp in terminal_sccs(&edges) {
-        for &cfg in &comp {
-            let m = multiset_of(&cfgs[cfg]);
-            if !pred(&m) {
-                // Walk the budgeted BFS tree back from the violating
-                // configuration's representative node.
-                let mut steps = Vec::new();
-                let mut at = rep[cfg];
-                while let Some((prev, step)) = &parent[at] {
-                    steps.push(step.clone());
-                    at = *prev;
-                }
-                steps.reverse();
-                verdict = Verdict::Counterexample(CountTrace { steps, witness: m });
-                break 'search;
-            }
-        }
-    }
-
-    Ok(CountCheck {
-        nodes: nodes.len(),
-        configs: cfgs.len(),
-        verdict,
-        reachable: cfgs.iter().map(|p| multiset_of(p)).collect(),
-    })
-}
-
-/// Lifts a count-level counterexample trace to dense per-agent
-/// [`Planned`] steps, replayable via `TwoWayRunner::apply_planned`.
-///
-/// Agents with equal states are interchangeable in an anonymous protocol,
-/// so a greedy index assignment (first agent currently in the starter
-/// state, first *other* agent in the reactor state) realizes the trace
-/// exactly. Returns `None` only if the trace does not actually fit the
-/// initial configuration (a checker bug, not an input condition).
-pub fn realize_count_trace<P>(
-    model: TwoWayModel,
-    program: &P,
-    initial: &[P::State],
-    steps: &[CountStep<P::State>],
-) -> Option<Vec<Planned<TwoWayFault>>>
-where
-    P: TwoWayProgram,
-{
-    let mut dense: Vec<P::State> = initial.to_vec();
-    let mut plan = Vec::with_capacity(steps.len());
-    for step in steps {
-        let s = dense.iter().position(|q| *q == step.starter)?;
-        let r = dense
-            .iter()
-            .enumerate()
-            .position(|(j, q)| j != s && *q == step.reactor)?;
-        let (s2, r2) = outcome::two_way(model, program, &dense[s], &dense[r], step.fault).ok()?;
-        dense[s] = s2;
-        dense[r] = r2;
-        plan.push(Planned::new(
-            Interaction::new(s, r).expect("distinct indices"),
-            step.fault,
-        ));
-    }
-    Some(plan)
-}
-
-/// A dense (per-agent) counterexample: `Planned` steps replayable via
-/// `OneWayRunner::apply_planned`, plus the violating per-agent witness.
-#[derive(Clone, Debug)]
-pub struct DenseTrace<S> {
-    /// The steps, in execution order.
-    pub steps: Vec<Planned<OneWayFault>>,
+pub struct Trace<Q, F> {
+    /// The steps, in execution order, over the agent indices of the
+    /// initial configuration — replayable via the runners'
+    /// `apply_planned`.
+    pub steps: Vec<Planned<F>>,
     /// The violating per-agent configuration the trace ends in.
-    pub witness: Vec<S>,
-}
-
-/// Result of [`check_one_way_dense`].
-#[derive(Clone, Debug)]
-pub struct DenseCheck<S> {
-    /// Budgeted search nodes explored.
-    pub nodes: usize,
-    /// Distinct per-agent configurations reachable under the budget.
-    pub configs: usize,
-    /// The verdict.
-    pub verdict: Verdict<DenseTrace<S>>,
-}
-
-/// Exhaustively checks a one-way program over the **dense per-agent**
-/// product space under the `(budget, model)` omission adversary —
-/// the explorer for the simulators, whose graphical variants address
-/// agents by vertex and therefore are not anonymous.
-///
-/// Interactions range over the arcs of `topology` (every ordered pair
-/// when `None`). The verdict logic matches [`check_two_way_counts`]:
-/// from every budget-reachable configuration, every fault-free terminal
-/// SCC must satisfy `pred`.
-///
-/// # Errors
-///
-/// [`AnalyzeError::TooManyNodes`] if the budgeted space exceeds
-/// `max_nodes`.
-pub fn check_one_way_dense<P>(
-    model: OneWayModel,
-    program: &P,
-    initial: &[P::State],
-    budget: u32,
-    topology: Option<&Topology>,
-    max_nodes: usize,
-    mut pred: impl FnMut(&[P::State]) -> bool,
-) -> Result<DenseCheck<P::State>, AnalyzeError>
-where
-    P: OneWayProgram,
-{
-    let n = initial.len();
-    let pairs: Vec<Interaction> = match topology {
-        Some(t) => (0..t.arc_count()).map(|a| t.arc(a)).collect(),
-        None => {
-            let mut v = Vec::new();
-            for s in 0..n {
-                for r in 0..n {
-                    if s != r {
-                        v.push(Interaction::new(s, r).expect("distinct indices"));
-                    }
-                }
-            }
-            v
-        }
-    };
-    let faults = model.permitted_faults();
-
-    let apply = |states: &[P::State], i: Interaction, fault: OneWayFault| {
-        let (s, r) = (i.starter().index(), i.reactor().index());
-        let (s2, r2) = outcome::one_way(model, program, &states[s], &states[r], fault)
-            .expect("fault is permitted by the model");
-        let mut succ = states.to_vec();
-        succ[s] = s2;
-        succ[r] = r2;
-        succ
-    };
-
-    let root: Vec<P::State> = initial.to_vec();
-    let mut node_of: HashMap<(Vec<P::State>, u32), usize> = HashMap::new();
-    let mut nodes: Vec<(Vec<P::State>, u32)> = vec![(root.clone(), 0)];
-    let mut parent: Vec<Option<(usize, Planned<OneWayFault>)>> = vec![None];
-    node_of.insert((root, 0), 0);
-    let mut frontier = VecDeque::from([0usize]);
-    while let Some(node) = frontier.pop_front() {
-        let (states, used) = nodes[node].clone();
-        for &i in &pairs {
-            for &fault in faults {
-                if fault.is_omissive() && used >= budget {
-                    continue;
-                }
-                let succ = apply(&states, i, fault);
-                let key = (succ, used + u32::from(fault.is_omissive()));
-                if node_of.contains_key(&key) {
-                    continue;
-                }
-                if nodes.len() >= max_nodes {
-                    return Err(AnalyzeError::TooManyNodes { limit: max_nodes });
-                }
-                let fresh = nodes.len();
-                node_of.insert(key.clone(), fresh);
-                nodes.push(key);
-                parent.push(Some((node, Planned::new(i, fault))));
-                frontier.push_back(fresh);
-            }
-        }
-    }
-
-    let mut cfg_of: HashMap<Vec<P::State>, usize> = HashMap::new();
-    let mut cfgs: Vec<Vec<P::State>> = Vec::new();
-    let mut rep: Vec<usize> = Vec::new();
-    for (i, (states, _)) in nodes.iter().enumerate() {
-        cfg_of.entry(states.clone()).or_insert_with(|| {
-            cfgs.push(states.clone());
-            rep.push(i);
-            cfgs.len() - 1
-        });
-    }
-
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); cfgs.len()];
-    for (ci, states) in cfgs.iter().enumerate() {
-        for &i in &pairs {
-            let succ = apply(states, i, OneWayFault::None);
-            let cj = cfg_of[&succ];
-            if !edges[ci].contains(&cj) {
-                edges[ci].push(cj);
-            }
-        }
-    }
-
-    let mut verdict = Verdict::Proved;
-    'search: for comp in terminal_sccs(&edges) {
-        for &cfg in &comp {
-            if !pred(&cfgs[cfg]) {
-                let mut steps = Vec::new();
-                let mut at = rep[cfg];
-                while let Some((prev, step)) = &parent[at] {
-                    steps.push(*step);
-                    at = *prev;
-                }
-                steps.reverse();
-                verdict = Verdict::Counterexample(DenseTrace {
-                    steps,
-                    witness: cfgs[cfg].clone(),
-                });
-                break 'search;
-            }
-        }
-    }
-
-    Ok(DenseCheck {
-        nodes: nodes.len(),
-        configs: cfgs.len(),
-        verdict,
-    })
+    pub witness: Vec<Q>,
 }
 
 /// A configuration whose unanimous output can still flip: the config, its
@@ -523,247 +140,553 @@ pub struct OutputFlip<Q: State, Y> {
     pub flips_to: Y,
 }
 
-/// Finds reachable configurations whose unanimous output is not yet
-/// stable — some continuation reaches unanimity on a *different* value.
+/// Local states by id; the table and the list share one copy of each.
+#[derive(Clone, Debug)]
+struct Interner<Q: State> {
+    table: FxMap<Arc<Q>, u32>,
+    states: Vec<Arc<Q>>,
+}
+
+impl<Q: State> Interner<Q> {
+    fn intern(&mut self, q: Q) -> u32 {
+        if let Some(&id) = self.table.get(&q) {
+            return id;
+        }
+        let id = id(self.states.len());
+        let q = Arc::new(q);
+        self.table.insert(Arc::clone(&q), id);
+        self.states.push(q);
+        id
+    }
+
+    fn state(&self, id: u32) -> &Q {
+        &self.states[id as usize]
+    }
+}
+
+/// Rustc's Fx hash. The explorer hashes only its own states and id
+/// arrays, never outside input, so it needs speed, not collision
+/// resistance; interning is most of its work.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+fn id(index: usize) -> u32 {
+    u32::try_from(index).expect("explored spaces have fewer than 2^32 states, nodes and edges")
+}
+
+/// The budgeted state space of a small population, explored exhaustively,
+/// with the verdict on the checked property.
+#[derive(Clone, Debug)]
+pub struct Exploration<Q: State, F> {
+    /// Budgeted search nodes explored ((configuration, spent) pairs).
+    pub nodes: usize,
+    /// Distinct configurations reachable under the budget.
+    pub configs: usize,
+    /// The verdict.
+    pub verdict: Verdict<Trace<Q, F>>,
+    interner: Interner<Q>,
+    /// Agents per configuration: configuration `c` is
+    /// `arena[c * n..(c + 1) * n]`.
+    n: usize,
+    arena: Vec<u32>,
+    config_of: Vec<u32>,
+    /// CSR: the edges of node `u` are `offsets[u]..offsets[u + 1]`.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    /// Per edge: the index of the interacting pair, and the fault.
+    labels: Vec<(u32, F)>,
+}
+
+impl<Q: State, F: Copy + Default + PartialEq> Exploration<Q, F> {
+    fn ids(&self, config: usize) -> &[u32] {
+        &self.arena[config * self.n..(config + 1) * self.n]
+    }
+
+    fn config(&self, config: usize) -> Vec<Q> {
+        self.ids(config)
+            .iter()
+            .map(|&q| self.interner.state(q).clone())
+            .collect()
+    }
+
+    fn edges(&self, node: usize) -> Range<usize> {
+        self.offsets[node]..self.offsets[node + 1]
+    }
+
+    /// Every distinct configuration reachable under the budget: sorted by
+    /// interned id for an agent-symmetric program, per agent for a
+    /// graphical one.
+    pub fn reachable(&self) -> impl Iterator<Item = Vec<Q>> + '_ {
+        (0..self.configs).map(|c| self.config(c))
+    }
+
+    /// Whether `pred` holds in every reachable configuration (a global
+    /// invariant, e.g. Pairing safety).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ppfts_analyze::check_two_way;
+    /// use ppfts_engine::TwoWayModel;
+    /// use ppfts_protocols::{Pairing, PairingState};
+    ///
+    /// let paired = |c: &[PairingState]| c.iter().filter(|q| **q == PairingState::Paired).count();
+    /// let initial = Pairing::initial(2, 1);
+    /// let check = check_two_way(TwoWayModel::Tw, &Pairing, initial.as_slice(), 0, 10_000, |c| {
+    ///     paired(c) == 1
+    /// })?;
+    /// // Pairing liveness, *proved* for n = 3: every GF execution stabilizes
+    /// // with exactly min(2, 1) = 1 paired consumer.
+    /// assert!(check.verdict.is_proved());
+    /// // And safety is a global invariant.
+    /// assert!(check.invariant(|c| paired(c) <= 1));
+    /// # Ok::<(), ppfts_analyze::ExploreError>(())
+    /// ```
+    pub fn invariant(&self, mut pred: impl FnMut(&[Q]) -> bool) -> bool {
+        self.reachable().all(|c| pred(&c))
+    }
+
+    /// Whether some reachable configuration has exactly the multiset of
+    /// states `config` — the soundness contract the proptest harness
+    /// checks against observed simulation states.
+    pub fn is_reachable(&self, config: &Multiset<Q>) -> bool {
+        self.reachable()
+            .any(|c| config.same_as(&c.into_iter().collect()))
+    }
+
+    /// Reachable configurations whose unanimous output is not yet stable:
+    /// some continuation reaches unanimity on a *different* value. This
+    /// powers the output-instability lint.
+    pub fn output_flips<Y: Clone + PartialEq>(
+        &self,
+        mut output: impl FnMut(&Q) -> Y,
+    ) -> Vec<OutputFlip<Q, Y>> {
+        let unanimity: Vec<Option<Y>> = (0..self.configs)
+            .map(|c| {
+                let mut it = self.ids(c).iter().map(|&q| output(self.interner.state(q)));
+                let first = it.next()?;
+                it.all(|y| y == first).then_some(first)
+            })
+            .collect();
+        let mut outputs: Vec<Y> = Vec::new();
+        for y in unanimity.iter().flatten() {
+            if !outputs.contains(y) {
+                outputs.push(y.clone());
+            }
+        }
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); self.nodes];
+        for u in 0..self.nodes {
+            for e in self.edges(u) {
+                preds[self.targets[e] as usize].push(u);
+            }
+        }
+        let unanimous = |u: usize| unanimity[self.config_of[u] as usize].as_ref();
+
+        // can_reach[k][u]: node u can reach unanimity on outputs[k].
+        let can_reach: Vec<Vec<bool>> = outputs
+            .iter()
+            .map(|y| {
+                let mut seen: Vec<bool> =
+                    (0..self.nodes).map(|u| unanimous(u) == Some(y)).collect();
+                let mut queue: Vec<usize> = (0..self.nodes).filter(|&u| seen[u]).collect();
+                while let Some(v) = queue.pop() {
+                    for &u in &preds[v] {
+                        if !seen[u] {
+                            seen[u] = true;
+                            queue.push(u);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect();
+
+        let mut flagged = vec![false; self.configs];
+        let mut flips = Vec::new();
+        for (u, &c) in self.config_of.iter().enumerate() {
+            let c = c as usize;
+            let Some(y) = &unanimity[c] else { continue };
+            if flagged[c] {
+                continue;
+            }
+            if let Some(k) = (0..outputs.len()).find(|&k| outputs[k] != *y && can_reach[k][u]) {
+                flagged[c] = true;
+                flips.push(OutputFlip {
+                    config: self.config(c).into_iter().collect(),
+                    output: y.clone(),
+                    flips_to: outputs[k].clone(),
+                });
+            }
+        }
+        flips
+    }
+
+    /// Marks the nodes that lie in a terminal SCC of the fault-free graph:
+    /// the configurations a fair fault-free execution can settle in.
+    /// Iterative Tarjan, since the spaces run to hundreds of thousands of
+    /// nodes.
+    fn terminal_nodes(&self) -> Vec<bool> {
+        const UNSEEN: usize = usize::MAX;
+        let fault_free = |e: usize| self.labels[e].1 == F::default();
+        let n = self.nodes;
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0; n];
+        // A visited node is on Tarjan's stack until its component is set.
+        let mut comp = vec![UNSEEN; n];
+        let mut comps = 0;
+        let mut next = 0;
+        let mut stack: Vec<usize> = Vec::new();
+        // Explicit DFS stack: (node, next edge).
+        let mut call: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            index[root] = next;
+            low[root] = next;
+            next += 1;
+            stack.push(root);
+            call.push((root, self.offsets[root]));
+            while let Some(&mut (u, ref mut e)) = call.last_mut() {
+                if *e < self.offsets[u + 1] {
+                    let edge = *e;
+                    *e += 1;
+                    if !fault_free(edge) {
+                        continue;
+                    }
+                    let v = self.targets[edge] as usize;
+                    if index[v] == UNSEEN {
+                        index[v] = next;
+                        low[v] = next;
+                        next += 1;
+                        stack.push(v);
+                        call.push((v, self.offsets[v]));
+                    } else if comp[v] == UNSEEN {
+                        low[u] = low[u].min(index[v]);
+                    }
+                } else {
+                    call.pop();
+                    if let Some(&(p, _)) = call.last() {
+                        low[p] = low[p].min(low[u]);
+                    }
+                    if low[u] == index[u] {
+                        loop {
+                            let w = stack.pop().expect("tarjan stack holds the component");
+                            comp[w] = comps;
+                            if w == u {
+                                break;
+                            }
+                        }
+                        comps += 1;
+                    }
+                }
+            }
+        }
+        // A component is terminal iff no fault-free edge leaves it.
+        let mut leaves = vec![false; comps];
+        for u in 0..n {
+            for e in self.edges(u) {
+                if fault_free(e) && comp[self.targets[e] as usize] != comp[u] {
+                    leaves[comp[u]] = true;
+                }
+            }
+        }
+        comp.iter().map(|&c| !leaves[c]).collect()
+    }
+}
+
+/// The explorer behind [`check_two_way`] and [`check_one_way`]: BFS over
+/// `(configuration, spent)` nodes, where `step` applies one interaction
+/// under one of `faults` (the fault-free decoration is `F::default()`).
+fn explore<Q: State, F: Copy + Default + PartialEq>(
+    initial: &[Q],
+    topology: Option<&Topology>,
+    faults: &[F],
+    budget: u32,
+    max_nodes: usize,
+    mut step: impl FnMut(&Q, &Q, F) -> (Q, Q),
+    mut pred: impl FnMut(&[Q]) -> bool,
+) -> Result<Exploration<Q, F>, ExploreError> {
+    let n = initial.len();
+    let pairs: Vec<(usize, usize)> = match topology {
+        Some(t) if t.len() != n => {
+            return Err(ExploreError::TopologySizeMismatch {
+                topology: t.len(),
+                population: n,
+            })
+        }
+        Some(t) => (0..t.arc_count())
+            .map(|a| (t.arc(a).starter().index(), t.arc(a).reactor().index()))
+            .collect(),
+        None => (0..n)
+            .flat_map(|s| (0..n).filter(move |&r| r != s).map(move |r| (s, r)))
+            .collect(),
+    };
+    // Agents of a program bound to no graph are interchangeable, so a
+    // configuration is canonical once its ids are sorted.
+    let symmetric = topology.is_none();
+    let canonical = |ids: &mut [u32]| {
+        if symmetric {
+            ids.sort_unstable();
+        }
+    };
+
+    let mut interner = Interner {
+        table: FxMap::default(),
+        states: Vec::new(),
+    };
+    let agents: Vec<u32> = initial.iter().map(|q| interner.intern(q.clone())).collect();
+    let mut root = agents.clone();
+    canonical(&mut root);
+    let mut config_ids: FxMap<Box<[u32]>, u32> = FxMap::default();
+    config_ids.insert(root.clone().into(), 0);
+    let mut node_ids: FxMap<(u32, u32), u32> = FxMap::default();
+    node_ids.insert((0, 0), 0);
+    let mut spent = vec![0u32];
+    // BFS tree: (parent node, edge) per node; the root's entry is unused.
+    let mut parent = vec![(0u32, 0u32)];
+    let mut x = Exploration {
+        nodes: 1,
+        configs: 1,
+        verdict: Verdict::Proved,
+        interner,
+        n,
+        arena: root,
+        config_of: vec![0],
+        offsets: vec![0],
+        targets: Vec::new(),
+        labels: Vec::new(),
+    };
+
+    // Nodes are numbered in discovery order, so visiting them by index is
+    // the BFS, and each node's edges are appended contiguously.
+    let mut succ = vec![0u32; n];
+    let mut u = 0;
+    while u < x.config_of.len() {
+        let (cfg, used) = (x.config_of[u] as usize, spent[u]);
+        for (p, &(s, r)) in pairs.iter().enumerate() {
+            for &fault in faults {
+                let omissive = fault != F::default();
+                if omissive && used >= budget {
+                    continue;
+                }
+                let base = &x.arena[cfg * n..(cfg + 1) * n];
+                succ.copy_from_slice(base);
+                let (s2, r2) = step(x.interner.state(base[s]), x.interner.state(base[r]), fault);
+                succ[s] = x.interner.intern(s2);
+                succ[r] = x.interner.intern(r2);
+                canonical(&mut succ);
+                let c = match config_ids.get(&succ[..]) {
+                    Some(&c) => c,
+                    None => {
+                        let c = id(config_ids.len());
+                        config_ids.insert(succ.clone().into(), c);
+                        x.arena.extend_from_slice(&succ);
+                        c
+                    }
+                };
+                let key = (c, used + u32::from(omissive));
+                let v = match node_ids.get(&key) {
+                    Some(&v) => v,
+                    None => {
+                        if x.config_of.len() >= max_nodes {
+                            return Err(ExploreError::TooManyNodes { limit: max_nodes });
+                        }
+                        let v = id(x.config_of.len());
+                        node_ids.insert(key, v);
+                        x.config_of.push(c);
+                        spent.push(key.1);
+                        parent.push((id(u), id(x.targets.len())));
+                        v
+                    }
+                };
+                x.targets.push(v);
+                x.labels.push((id(p), fault));
+            }
+        }
+        x.offsets.push(x.targets.len());
+        u += 1;
+    }
+    x.nodes = x.config_of.len();
+    x.configs = config_ids.len();
+
+    let terminal = x.terminal_nodes();
+    let Some(bad) =
+        (0..x.nodes).find(|&v| terminal[v] && !pred(&x.config(x.config_of[v] as usize)))
+    else {
+        return Ok(x);
+    };
+    let mut path = Vec::new();
+    let mut at = bad;
+    while at != 0 {
+        let (prev, edge) = parent[at];
+        path.push(edge as usize);
+        at = prev as usize;
+    }
+    // Replay the BFS path on the initial configuration's own agents. A
+    // label names positions in its source node's canonical array; in a
+    // sorted array, position k holds the k-th agent in id order.
+    let mut agents = agents;
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut steps = Vec::with_capacity(path.len());
+    for &edge in path.iter().rev() {
+        let (p, fault) = x.labels[edge];
+        if symmetric {
+            order.sort_by_key(|&a| agents[a]);
+        }
+        let (s, r) = pairs[p as usize];
+        let (a, b) = (order[s], order[r]);
+        let (s2, r2) = step(
+            x.interner.state(agents[a]),
+            x.interner.state(agents[b]),
+            fault,
+        );
+        agents[a] = x.interner.intern(s2);
+        agents[b] = x.interner.intern(r2);
+        steps.push(Planned::new(
+            Interaction::new(a, b).expect("pairs join distinct agents"),
+            fault,
+        ));
+    }
+    let witness = agents
+        .iter()
+        .map(|&q| x.interner.state(q).clone())
+        .collect();
+    x.verdict = Verdict::Counterexample(Trace { steps, witness });
+    Ok(x)
+}
+
+/// Exhaustively checks a **two-way** program under the `(budget, model)`
+/// omission adversary.
 ///
-/// This powers the output-instability lint. The exploration is
-/// deliberately **unbudgeted** when `with_omissions` is set (every
-/// omissive edge of the model is available everywhere): the lint
-/// over-approximates to flag every flip shape, and its findings are
-/// advisory, not proofs.
+/// Proves that from **every** configuration reachable with at most
+/// `budget` omissions, every globally-fair fault-free continuation
+/// stabilizes into configurations satisfying `pred` — or extracts a
+/// shortest counterexample trace. Interactions range over every ordered
+/// pair of agents, or over the arcs of `program.required_topology()` for a
+/// graphical program. `pred` sees a configuration in id order for an
+/// agent-symmetric program and per agent for a graphical one.
 ///
 /// # Errors
 ///
-/// [`AnalyzeError::TooManyNodes`] if more than `max_nodes` configurations
-/// are reachable.
-pub fn unstable_outputs<P, Y>(
+/// [`ExploreError::TooManyNodes`] if the budgeted space exceeds
+/// `max_nodes`; [`ExploreError::TopologySizeMismatch`] if a graphical
+/// program's graph does not have exactly `initial.len()` vertices.
+///
+/// # Example
+///
+/// ```
+/// use ppfts_analyze::check_two_way;
+/// use ppfts_engine::TwoWayModel;
+/// use ppfts_protocols::Epidemic;
+///
+/// let mut initial = vec![false; 10];
+/// initial[0] = true;
+/// let check = check_two_way(TwoWayModel::T1, &Epidemic, &initial, 1, 100_000, |c| {
+///     c.iter().all(|&b| b)
+/// })?;
+/// // Epidemic still floods at n = 10 under one adversarial omission.
+/// assert!(check.verdict.is_proved());
+/// # Ok::<(), ppfts_analyze::ExploreError>(())
+/// ```
+pub fn check_two_way<P>(
     model: TwoWayModel,
     program: &P,
-    initial: &Multiset<P::State>,
-    with_omissions: bool,
+    initial: &[P::State],
+    budget: u32,
     max_nodes: usize,
-    mut output: impl FnMut(&P::State) -> Y,
-) -> Result<Vec<OutputFlip<P::State, Y>>, AnalyzeError>
+    pred: impl FnMut(&[P::State]) -> bool,
+) -> Result<Exploration<P::State, TwoWayFault>, ExploreError>
 where
     P: TwoWayProgram,
-    P::State: Ord,
-    Y: Clone + PartialEq,
 {
-    let faults: Vec<TwoWayFault> = model
-        .permitted_faults()
-        .iter()
-        .copied()
-        .filter(|f| with_omissions || !f.is_omissive())
-        .collect();
-
-    let root = initial.sorted_pairs();
-    let mut node_of: HashMap<Pairs<P::State>, usize> = HashMap::new();
-    let mut cfgs: Vec<Pairs<P::State>> = vec![root.clone()];
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new()];
-    node_of.insert(root, 0);
-    let mut frontier = VecDeque::from([0usize]);
-    while let Some(node) = frontier.pop_front() {
-        let pairs = cfgs[node].clone();
-        let base = CountConfiguration::from_groups(pairs.iter().cloned());
-        for (s, cs) in &pairs {
-            for (r, cr) in &pairs {
-                if s == r && (*cs < 2 || *cr < 2) {
-                    continue;
-                }
-                for &fault in &faults {
-                    let (s2, r2) = outcome::two_way(model, program, s, r, fault)
-                        .expect("fault is permitted by the model");
-                    let mut succ = base.clone();
-                    succ.apply_outcome(s, r, (s2, r2))
-                        .expect("states drawn from the configuration");
-                    let key = succ.counts().sorted_pairs();
-                    let cj = match node_of.get(&key) {
-                        Some(&existing) => existing,
-                        None => {
-                            if cfgs.len() >= max_nodes {
-                                return Err(AnalyzeError::TooManyNodes { limit: max_nodes });
-                            }
-                            let fresh = cfgs.len();
-                            node_of.insert(key.clone(), fresh);
-                            cfgs.push(key);
-                            edges.push(Vec::new());
-                            frontier.push_back(fresh);
-                            fresh
-                        }
-                    };
-                    if !edges[node].contains(&cj) {
-                        edges[node].push(cj);
-                    }
-                }
-            }
-        }
-    }
-
-    // Unanimous output of each configuration, if any.
-    let unanimity: Vec<Option<Y>> = cfgs
-        .iter()
-        .map(|pairs| {
-            let mut it = pairs.iter().map(|(q, _)| output(q));
-            let first = it.next()?;
-            it.all(|y| y == first).then_some(first)
-        })
-        .collect();
-
-    // Distinct outputs present, and the reverse edge relation.
-    let mut outputs: Vec<Y> = Vec::new();
-    for y in unanimity.iter().flatten() {
-        if !outputs.contains(y) {
-            outputs.push(y.clone());
-        }
-    }
-    let mut redges: Vec<Vec<usize>> = vec![Vec::new(); cfgs.len()];
-    for (u, succs) in edges.iter().enumerate() {
-        for &v in succs {
-            redges[v].push(u);
-        }
-    }
-
-    // can_reach[k][u]: configuration u can reach unanimity on outputs[k].
-    let mut can_reach: Vec<Vec<bool>> = Vec::with_capacity(outputs.len());
-    for y in &outputs {
-        let mut seen = vec![false; cfgs.len()];
-        let mut queue: VecDeque<usize> = unanimity
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.as_ref() == Some(y))
-            .map(|(i, _)| i)
-            .collect();
-        for &q in &queue {
-            seen[q] = true;
-        }
-        while let Some(v) = queue.pop_front() {
-            for &u in &redges[v] {
-                if !seen[u] {
-                    seen[u] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-        can_reach.push(seen);
-    }
-
-    let mut flips = Vec::new();
-    for (u, uy) in unanimity.iter().enumerate() {
-        let Some(y) = uy else { continue };
-        for (k, y2) in outputs.iter().enumerate() {
-            if y2 != y && can_reach[k][u] {
-                flips.push(OutputFlip {
-                    config: multiset_of(&cfgs[u]),
-                    output: y.clone(),
-                    flips_to: y2.clone(),
-                });
-                break;
-            }
-        }
-    }
-    Ok(flips)
+    explore(
+        initial,
+        program.required_topology(),
+        model.permitted_faults(),
+        budget,
+        max_nodes,
+        |s, r, fault| {
+            outcome::two_way(model, program, s, r, fault).expect("fault is permitted by the model")
+        },
+        pred,
+    )
 }
 
-/// Terminal strongly-connected components of a successor-list graph
-/// (iterative Tarjan; the budgeted spaces can reach tens of thousands of
-/// nodes, so recursion is out).
-fn terminal_sccs(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = edges.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut call: Vec<(usize, usize)> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        call.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some(&mut (node, ref mut edge_pos)) = call.last_mut() {
-            if *edge_pos < edges[node].len() {
-                let succ = edges[node][*edge_pos];
-                *edge_pos += 1;
-                if index[succ] == usize::MAX {
-                    index[succ] = next_index;
-                    low[succ] = next_index;
-                    next_index += 1;
-                    stack.push(succ);
-                    on_stack[succ] = true;
-                    call.push((succ, 0));
-                } else if on_stack[succ] {
-                    low[node] = low[node].min(index[succ]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(prev, _)) = call.last() {
-                    low[prev] = low[prev].min(low[node]);
-                }
-                if low[node] == index[node] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == node {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in sccs.iter().enumerate() {
-        for &node in comp {
-            comp_of[node] = ci;
-        }
-    }
-    sccs.into_iter()
-        .enumerate()
-        .filter(|(ci, comp)| {
-            comp.iter()
-                .all(|&node| edges[node].iter().all(|&succ| comp_of[succ] == *ci))
-        })
-        .map(|(_, comp)| comp)
-        .collect()
+/// Exhaustively checks a **one-way** program under the `(budget, model)`
+/// omission adversary; the one-way sibling of [`check_two_way`], with the
+/// same verdict, errors and pair enumeration.
+///
+/// # Errors
+///
+/// As [`check_two_way`].
+pub fn check_one_way<P>(
+    model: OneWayModel,
+    program: &P,
+    initial: &[P::State],
+    budget: u32,
+    max_nodes: usize,
+    pred: impl FnMut(&[P::State]) -> bool,
+) -> Result<Exploration<P::State, OneWayFault>, ExploreError>
+where
+    P: OneWayProgram,
+{
+    explore(
+        initial,
+        program.required_topology(),
+        model.permitted_faults(),
+        budget,
+        max_nodes,
+        |s, r, fault| {
+            outcome::one_way(model, program, s, r, fault).expect("fault is permitted by the model")
+        },
+        pred,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppfts_core::{SimulatorState, Skno};
     use ppfts_engine::{OneWayRunner, TwoWayRunner};
-    use ppfts_population::Semantics;
-    use ppfts_protocols::majority_states::{SX, SY, WX};
-    use ppfts_protocols::{Epidemic, ExactMajority, MajorityOpinion, Remainder, RemainderState};
+    use ppfts_population::{Configuration, Semantics};
+    use ppfts_protocols::majority_states::{SX, SY};
+    use ppfts_protocols::{Epidemic, ExactMajority, MajorityOpinion, Remainder};
 
-    fn epidemic_multiset(infected: usize, clean: usize) -> Multiset<bool> {
-        let mut m = Multiset::new();
-        m.insert_many(true, infected);
-        m.insert_many(false, clean);
-        m
+    fn epidemic(infected: usize, clean: usize) -> Vec<bool> {
+        [vec![true; infected], vec![false; clean]].concat()
     }
 
     #[test]
     fn epidemic_proved_at_n10_under_one_omission() {
         for o in [0, 1] {
-            let check = check_two_way_counts(
+            let check = check_two_way(
                 TwoWayModel::T1,
                 &Epidemic,
-                &epidemic_multiset(1, 9),
+                &epidemic(1, 9),
                 o,
                 100_000,
-                |c| c.count(&true) == 10,
+                |c| c.iter().all(|&b| b),
             )
             .unwrap();
             assert!(check.verdict.is_proved(), "o = {o}");
@@ -774,16 +697,20 @@ mod tests {
 
     #[test]
     fn exact_majority_margin_2_survives_one_omission() {
-        let mut c0 = Multiset::new();
-        c0.insert_many(SX, 6);
-        c0.insert_many(SY, 4);
+        let initial = [vec![SX; 6], vec![SY; 4]].concat();
         for o in [0, 1] {
-            let check =
-                check_two_way_counts(TwoWayModel::T1, &ExactMajority, &c0, o, 1_000_000, |c| {
-                    let mut states = c.states();
-                    states.all(|q| ExactMajority.output(q) == MajorityOpinion::X)
-                })
-                .unwrap();
+            let check = check_two_way(
+                TwoWayModel::T1,
+                &ExactMajority,
+                &initial,
+                o,
+                1_000_000,
+                |c| {
+                    c.iter()
+                        .all(|q| ExactMajority.output(q) == MajorityOpinion::X)
+                },
+            )
+            .unwrap();
             assert!(check.verdict.is_proved(), "o = {o}");
         }
     }
@@ -793,17 +720,15 @@ mod tests {
         // Parity of four 1-inputs is even; a starter-side omission in an
         // active/active merge loses a unit and flips the stable answer.
         let parity = Remainder::new(2, 0);
-        let inputs = [1u32, 1, 1, 1];
-        let c0: Multiset<RemainderState> = parity
-            .initial_configuration(&inputs)
-            .as_slice()
-            .iter()
-            .cloned()
-            .collect();
-        let check = check_two_way_counts(TwoWayModel::T1, &parity, &c0, 1, 200_000, |c| {
-            let mut states = c.states();
-            states.all(|q| q.opinion)
-        })
+        let initial = parity.initial_configuration(&[1, 1, 1, 1]);
+        let check = check_two_way(
+            TwoWayModel::T1,
+            &parity,
+            initial.as_slice(),
+            1,
+            200_000,
+            |c| c.iter().all(|q| q.opinion),
+        )
         .unwrap();
         let trace = check
             .verdict
@@ -814,15 +739,12 @@ mod tests {
 
         // The extracted trace replays through the dense runner and lands
         // exactly on the witness configuration.
-        let initial = parity.initial_configuration(&inputs);
-        let plan = realize_count_trace(TwoWayModel::T1, &parity, initial.as_slice(), &trace.steps)
-            .expect("trace fits the initial configuration");
         let mut runner = TwoWayRunner::builder(TwoWayModel::T1, parity)
             .config(initial)
             .build()
             .unwrap();
-        runner.apply_planned(plan).unwrap();
-        assert!(runner.config().counts().same_as(&trace.witness));
+        runner.apply_planned(trace.steps).unwrap();
+        assert_eq!(runner.config().as_slice(), trace.witness.as_slice());
     }
 
     /// One-way epidemic: the reactor absorbs the starter's infection bit.
@@ -838,12 +760,11 @@ mod tests {
 
     #[test]
     fn dense_checker_proves_one_way_epidemic() {
-        let check = check_one_way_dense(
+        let check = check_one_way(
             OneWayModel::Io,
             &Gossip,
             &[true, false, false],
             0,
-            None,
             100_000,
             |states| states.iter().all(|b| *b),
         )
@@ -855,74 +776,158 @@ mod tests {
     fn dense_counterexample_replays_through_the_runner() {
         // An impossible target (all agents false from a seeded infection)
         // makes every terminal SCC a violation; the extracted trace must
-        // replay through the engine to the checker's exact witness.
-        let check = check_one_way_dense(
-            OneWayModel::Io,
-            &Gossip,
-            &[true, false],
-            0,
-            None,
-            10_000,
-            |states| states.iter().all(|b| !*b),
-        )
-        .unwrap();
-        let trace = check.verdict.counterexample().unwrap().clone();
-        let mut runner = OneWayRunner::builder(OneWayModel::Io, Gossip)
-            .config(ppfts_population::Configuration::new(vec![true, false]))
-            .build()
+        // replay through the engine to the checker's exact witness. The
+        // second case seeds an agent that is not first in id order, so
+        // the replay must map sorted positions back to agents.
+        for initial in [vec![true, false], vec![false, false, true, false]] {
+            let check = check_one_way(OneWayModel::Io, &Gossip, &initial, 0, 10_000, |states| {
+                states.iter().all(|b| !*b)
+            })
             .unwrap();
-        runner.apply_planned(trace.steps.clone()).unwrap();
-        assert_eq!(runner.config().as_slice(), trace.witness.as_slice());
+            let trace = check.verdict.counterexample().unwrap().clone();
+            assert!(!trace.steps.is_empty());
+            let mut runner = OneWayRunner::builder(OneWayModel::Io, Gossip)
+                .config(Configuration::new(initial))
+                .build()
+                .unwrap();
+            runner.apply_planned(trace.steps.clone()).unwrap();
+            assert_eq!(runner.config().as_slice(), trace.witness.as_slice());
+        }
     }
 
     #[test]
     fn node_cap_is_enforced() {
-        let err = check_two_way_counts(
-            TwoWayModel::T1,
-            &ExactMajority,
-            &{
-                let mut m = Multiset::new();
-                m.insert_many(SX, 4);
-                m.insert_many(SY, 3);
-                m
-            },
-            2,
-            3,
-            |_| true,
-        )
+        let initial = [vec![SX; 4], vec![SY; 3]].concat();
+        let err =
+            check_two_way(TwoWayModel::T1, &ExactMajority, &initial, 2, 3, |_| true).unwrap_err();
+        assert_eq!(err, ExploreError::TooManyNodes { limit: 3 });
+    }
+
+    #[test]
+    fn larger_topology_than_population_is_rejected() {
+        let ring = Topology::ring(4).unwrap();
+        let skno = Skno::graphical(Epidemic, 0, ring);
+        let initial = Skno::<Epidemic>::initial(&[true, false, false]);
+        let err = check_one_way(OneWayModel::I3, &skno, initial.as_slice(), 0, 1_000, |_| {
+            true
+        })
         .unwrap_err();
-        assert_eq!(err, AnalyzeError::TooManyNodes { limit: 3 });
+        assert_eq!(
+            err,
+            ExploreError::TopologySizeMismatch {
+                topology: 4,
+                population: 3
+            }
+        );
+    }
+
+    #[test]
+    fn smaller_topology_than_population_is_rejected() {
+        let path = Topology::from_edges(2, [(0, 1)]).unwrap();
+        let skno = Skno::graphical(Epidemic, 0, path);
+        let initial = Skno::<Epidemic>::initial(&[true, false, false]);
+        let err = check_one_way(OneWayModel::I3, &skno, initial.as_slice(), 0, 1_000, |_| {
+            true
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExploreError::TopologySizeMismatch {
+                topology: 2,
+                population: 3
+            }
+        );
+    }
+
+    /// Explores anonymous SKnO (sorted arrays) and its bit-identical
+    /// complete-graph instance (per-agent arrays) from the same start.
+    fn skno_both_ways(
+        sims: &[bool],
+        budget: u32,
+    ) -> [Exploration<ppfts_core::SknoState<bool>, OneWayFault>; 2] {
+        let initial = Skno::<Epidemic>::initial(sims);
+        let n = sims.len();
+        let flooded = |c: &[ppfts_core::SknoState<bool>]| c.iter().all(|q| *q.simulated());
+        let sorted = check_one_way(
+            OneWayModel::I3,
+            &Skno::new(Epidemic, 1),
+            initial.as_slice(),
+            budget,
+            1_000_000,
+            flooded,
+        )
+        .unwrap();
+        let complete = Skno::graphical(Epidemic, 1, Topology::complete(n).unwrap());
+        let unsorted = check_one_way(
+            OneWayModel::I3,
+            &complete,
+            initial.as_slice(),
+            budget,
+            1_000_000,
+            flooded,
+        )
+        .unwrap();
+        [sorted, unsorted]
+    }
+
+    #[test]
+    fn symmetry_reduction_loses_nothing() {
+        let [sorted, unsorted] = skno_both_ways(&[true, false], 1);
+        assert!(sorted.verdict.is_proved() && unsorted.verdict.is_proved());
+        let canonical = |x: &Exploration<_, _>| -> std::collections::HashSet<Multiset<_>> {
+            x.reachable().map(|c| c.into_iter().collect()).collect()
+        };
+        assert_eq!(canonical(&sorted), canonical(&unsorted));
+        assert_eq!(sorted.configs, canonical(&sorted).len());
+    }
+
+    /// The SKnO probe of EXPERIMENTS.md E14: anonymous `SKnO(o = 1)` over
+    /// the epidemic at n = 3, fault-free under I3. Release-only (run with
+    /// `cargo test --release -p ppfts-analyze -- --ignored`).
+    #[test]
+    #[ignore = "136,778 nodes: release builds only"]
+    fn skno_probe_is_proved_at_n3() {
+        let [sorted, unsorted] = skno_both_ways(&[true, false, false], 0);
+        assert!(sorted.verdict.is_proved() && unsorted.verdict.is_proved());
+        assert_eq!(sorted.nodes, 136_778);
+        assert_eq!(unsorted.nodes, 136_778);
     }
 
     #[test]
     fn flock_premature_unanimity_is_flagged() {
         use ppfts_protocols::FlockOfBirds;
         let flock = FlockOfBirds::new(2);
-        let c0: Multiset<_> = flock
-            .initial_configuration(&[true, true, false])
-            .as_slice()
-            .iter()
-            .cloned()
-            .collect();
+        let initial = flock.initial_configuration(&[true, true, false]);
         // Initially every agent outputs false, yet the threshold 2 is
         // met: unanimity on false flips to unanimity on true.
-        let flips =
-            unstable_outputs(TwoWayModel::Tw, &flock, &c0, false, 100_000, |q| q.detected).unwrap();
+        let flips = check_two_way(
+            TwoWayModel::Tw,
+            &flock,
+            initial.as_slice(),
+            0,
+            100_000,
+            |_| true,
+        )
+        .unwrap()
+        .output_flips(|q| q.detected);
         assert!(flips
             .iter()
-            .any(|f| !f.output && f.flips_to && f.config.same_as(&c0)));
+            .any(|f| !f.output && f.flips_to && f.config.same_as(&initial.counts())));
     }
 
     #[test]
     fn exact_majority_has_no_fault_free_output_flips() {
-        let mut c0 = Multiset::new();
-        c0.insert_many(SX, 3);
-        c0.insert_many(SY, 2);
-        let flips = unstable_outputs(TwoWayModel::Tw, &ExactMajority, &c0, false, 100_000, |q| {
-            ExactMajority.output(q)
-        })
-        .unwrap();
+        let initial = [vec![SX; 3], vec![SY; 2]].concat();
+        let flips = check_two_way(
+            TwoWayModel::Tw,
+            &ExactMajority,
+            &initial,
+            0,
+            100_000,
+            |_| true,
+        )
+        .unwrap()
+        .output_flips(|q| ExactMajority.output(q));
         assert!(flips.is_empty(), "{flips:?}");
-        let _ = WX; // imported for sibling tests
     }
 }

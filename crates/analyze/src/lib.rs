@@ -11,9 +11,9 @@
 //!   including a graphical-addressing lint that statically flags the
 //!   change-run deadlock shape found (dynamically, the hard way) by the
 //!   topology audit.
-//! * **An exhaustive budgeted model checker** ([`checker`]): BFS over the
-//!   multiset configuration graph (or the dense per-agent product space
-//!   for the non-anonymous graphical simulators) under an `(o, model)`
+//! * **An exhaustive budgeted model checker** ([`checker`]): one BFS over
+//!   interned configurations (sorted for agent-symmetric programs,
+//!   per agent for the graphical simulators) under an `(o, model)`
 //!   omission adversary, proving convergence-from-every-reachable-
 //!   configuration and stall-freedom, or extracting a counterexample
 //!   trace that replays through the engine's runners.
@@ -31,8 +31,7 @@ pub mod lints;
 pub mod suite;
 
 pub use checker::{
-    check_one_way_dense, check_two_way_counts, realize_count_trace, unstable_outputs, AnalyzeError,
-    CountCheck, CountStep, CountTrace, DenseCheck, DenseTrace, OutputFlip, Verdict,
+    check_one_way, check_two_way, Exploration, ExploreError, OutputFlip, Trace, Verdict,
 };
 pub use finding::{Finding, Report, Severity};
 pub use suite::{

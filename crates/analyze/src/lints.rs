@@ -17,11 +17,9 @@
 
 use ppfts_core::{Skno, SknoState, Token};
 use ppfts_engine::{OneWayProgram, TwoWayModel, TwoWayProgram};
-use ppfts_population::{
-    delta_closure, EnumerableStates, Multiset, State, TableProtocol, TwoWayProtocol,
-};
+use ppfts_population::{delta_closure, EnumerableStates, State, TableProtocol, TwoWayProtocol};
 
-use crate::checker::{unstable_outputs, AnalyzeError};
+use crate::checker::{check_two_way, ExploreError};
 use crate::finding::{Finding, Severity};
 
 /// Delta-closure lints: unreachable declared states, dead rules (their
@@ -116,8 +114,9 @@ pub fn lint_conservation<Q: State + std::fmt::Debug>(
     findings
 }
 
-/// Output-instability lint: exhaustively finds reachable configurations
-/// whose unanimous output can still flip to a different unanimous value.
+/// Output-instability lint: exhaustively finds configurations reachable
+/// fault-free whose unanimous output can still flip to a different
+/// unanimous value.
 ///
 /// For a protocol that *documents* premature unanimity (`FlockOfBirds`
 /// before the threshold count assembles) pass
@@ -126,25 +125,23 @@ pub fn lint_conservation<Q: State + std::fmt::Debug>(
 ///
 /// # Errors
 ///
-/// Propagates [`AnalyzeError::TooManyNodes`] from the exploration.
-// The exploration knobs are genuinely independent; callers name them all.
-#[allow(clippy::too_many_arguments)]
+/// Propagates the [`ExploreError`] of the exploration.
 pub fn lint_output_stability<P, Y>(
     model: TwoWayModel,
     program: &P,
-    initial: &Multiset<P::State>,
-    with_omissions: bool,
+    initial: &[P::State],
     max_nodes: usize,
     output: impl FnMut(&P::State) -> Y,
     severity: Severity,
     subject: &str,
-) -> Result<Vec<Finding>, AnalyzeError>
+) -> Result<Vec<Finding>, ExploreError>
 where
     P: TwoWayProgram,
-    P::State: Ord + std::fmt::Debug,
+    P::State: std::fmt::Debug,
     Y: Clone + PartialEq + std::fmt::Debug,
 {
-    let flips = unstable_outputs(model, program, initial, with_omissions, max_nodes, output)?;
+    let flips =
+        check_two_way(model, program, initial, 0, max_nodes, |_| true)?.output_flips(output);
     Ok(flips
         .into_iter()
         .map(|flip| {

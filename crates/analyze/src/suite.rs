@@ -13,15 +13,13 @@
 
 use ppfts_core::{SimulatorState, Skno, SknoState, Token};
 use ppfts_engine::{OneWayModel, OneWayRunner, TwoWayModel, TwoWayProgram, TwoWayRunner};
-use ppfts_population::{
-    Configuration, EnumerableStates, Multiset, Semantics, TableProtocol, Topology,
-};
+use ppfts_population::{Configuration, EnumerableStates, Semantics, TableProtocol, Topology};
 use ppfts_protocols::majority_states::{SX, SY};
 use ppfts_protocols::{
     ApproximateMajority, Epidemic, ExactMajority, FlockOfBirds, MajorityOpinion, Remainder,
 };
 
-use crate::checker::{check_one_way_dense, check_two_way_counts, realize_count_trace, Verdict};
+use crate::checker::{check_one_way, check_two_way, Verdict};
 use crate::finding::{Finding, Report, Severity};
 use crate::lints::{
     lint_conservation, lint_output_stability, lint_reachability, lint_skno, lint_skno_addressing,
@@ -127,8 +125,8 @@ pub fn suite_ids() -> impl Iterator<Item = &'static str> {
     SUITE.iter().map(|c| c.id)
 }
 
-/// Node caps: the count spaces are a few hundred configurations; the
-/// dense simulator spaces run to the tens of thousands.
+/// Node caps: the protocol spaces are a few hundred configurations; the
+/// simulator spaces run to the tens of thousands.
 const COUNT_CAP: usize = 1_000_000;
 const DENSE_CAP: usize = 400_000;
 
@@ -177,18 +175,18 @@ fn expect_proved_counts<P>(
     subject: &str,
     model: TwoWayModel,
     program: &P,
-    initial: &Multiset<P::State>,
+    initial: &[P::State],
     budget: u32,
     property: &'static str,
-    pred: impl FnMut(&Multiset<P::State>) -> bool,
+    pred: impl FnMut(&[P::State]) -> bool,
     findings: &mut Vec<Finding>,
     grid: &mut Vec<GridRow>,
 ) where
     P: TwoWayProgram,
-    P::State: Ord + std::fmt::Debug,
+    P::State: std::fmt::Debug,
 {
     let n = initial.len();
-    let verdict = match check_two_way_counts(model, program, initial, budget, COUNT_CAP, pred) {
+    let verdict = match check_two_way(model, program, initial, budget, COUNT_CAP, pred) {
         Err(err) => {
             findings.push(Finding::warning(
                 "convergence",
@@ -234,11 +232,8 @@ fn model_name(model: TwoWayModel) -> &'static str {
     }
 }
 
-fn epidemic_initial(infected: usize, clean: usize) -> Multiset<bool> {
-    let mut m = Multiset::new();
-    m.insert_many(true, infected);
-    m.insert_many(false, clean);
-    m
+fn epidemic_initial(infected: usize, clean: usize) -> Vec<bool> {
+    [vec![true; infected], vec![false; clean]].concat()
 }
 
 fn check_epidemic() -> CheckResult {
@@ -252,7 +247,7 @@ fn check_epidemic() -> CheckResult {
             &epidemic_initial(1, 9),
             budget,
             "one seed floods all 10 agents",
-            |c| c.count(&true) == 10,
+            |c| c.iter().all(|&b| b),
             &mut result.findings,
             &mut result.grid,
         );
@@ -266,7 +261,7 @@ fn check_epidemic() -> CheckResult {
         &epidemic_initial(0, 10),
         1,
         "no seed stays all-clean",
-        |c| c.count(&false) == 10,
+        |c| c.iter().all(|&b| !b),
         &mut result.findings,
         &mut result.grid,
     );
@@ -290,9 +285,7 @@ fn check_exact_majority() -> CheckResult {
     result
         .findings
         .extend(lint_conservation(&table, majority_weight, "ExactMajority"));
-    let mut initial = Multiset::new();
-    initial.insert_many(SX, 6);
-    initial.insert_many(SY, 4);
+    let initial = [vec![SX; 6], vec![SY; 4]].concat();
     for budget in [0, 1] {
         // A T1 omission on a cancellation pair shifts the strong margin
         // #SX - #SY by exactly one, so margin 2 decides X under o = 1.
@@ -305,7 +298,7 @@ fn check_exact_majority() -> CheckResult {
             budget,
             "6X/4Y decides X",
             |c| {
-                c.states()
+                c.iter()
                     .all(|q| ExactMajority.output(q) == MajorityOpinion::X)
             },
             &mut result.findings,
@@ -317,9 +310,11 @@ fn check_exact_majority() -> CheckResult {
 
 fn check_approximate_majority() -> CheckResult {
     let mut result = CheckResult::default();
-    let mut initial = Multiset::new();
-    initial.insert_many(ppfts_protocols::MajorityState::X, 5);
-    initial.insert_many(ppfts_protocols::MajorityState::Y, 3);
+    let initial = [
+        vec![ppfts_protocols::MajorityState::X; 5],
+        vec![ppfts_protocols::MajorityState::Y; 3],
+    ]
+    .concat();
     for budget in [0, 1] {
         // Approximate majority guarantees *agreement*, not the majority
         // value, under adversarial scheduling — so the obligation is
@@ -333,7 +328,7 @@ fn check_approximate_majority() -> CheckResult {
             budget,
             "always stabilizes to unanimous output",
             |c| {
-                let mut outputs = c.states().map(|q| ApproximateMajority.output(q));
+                let mut outputs = c.iter().map(|q| ApproximateMajority.output(q));
                 let Some(first) = outputs.next() else {
                     return true;
                 };
@@ -350,21 +345,16 @@ fn check_remainder() -> CheckResult {
     let mut result = CheckResult::default();
     let parity = Remainder::new(2, 0);
     let inputs = [1u32, 1, 1, 1];
-    let initial: Multiset<_> = parity
-        .initial_configuration(&inputs)
-        .as_slice()
-        .iter()
-        .cloned()
-        .collect();
+    let initial = parity.initial_configuration(&inputs);
     expect_proved_counts(
         "remainder",
         "Remainder(mod 2)",
         TwoWayModel::T1,
         &parity,
-        &initial,
+        initial.as_slice(),
         0,
         "sum 4 = 0 mod 2, fault-free",
-        |c| c.states().all(|q| q.opinion),
+        |c| c.iter().all(|q| q.opinion),
         &mut result.findings,
         &mut result.grid,
     );
@@ -372,9 +362,14 @@ fn check_remainder() -> CheckResult {
     // Under one omission the absorbed partial sum can be lost, flipping
     // the answer — the paper's motivating non-tolerant protocol. The
     // analyzer must *find* that counterexample (and it must replay).
-    let check = check_two_way_counts(TwoWayModel::T1, &parity, &initial, 1, COUNT_CAP, |c| {
-        c.states().all(|q| q.opinion)
-    });
+    let check = check_two_way(
+        TwoWayModel::T1,
+        &parity,
+        initial.as_slice(),
+        1,
+        COUNT_CAP,
+        |c| c.iter().all(|q| q.opinion),
+    );
     let verdict = match check {
         Err(err) => {
             result.findings.push(Finding::warning(
@@ -395,17 +390,14 @@ fn check_remainder() -> CheckResult {
                 "proved (UNEXPECTED)".to_string()
             }
             Verdict::Counterexample(trace) => {
-                let dense = parity.initial_configuration(&inputs);
-                let replayed =
-                    realize_count_trace(TwoWayModel::T1, &parity, dense.as_slice(), &trace.steps)
-                        .and_then(|plan| {
-                            let mut runner = TwoWayRunner::builder(TwoWayModel::T1, parity)
-                                .config(dense.clone())
-                                .build()
-                                .ok()?;
-                            runner.apply_planned(plan).ok()?;
-                            Some(runner.config().counts().same_as(&trace.witness))
-                        });
+                let replayed = TwoWayRunner::builder(TwoWayModel::T1, parity)
+                    .config(initial)
+                    .build()
+                    .ok()
+                    .and_then(|mut runner| {
+                        runner.apply_planned(trace.steps.clone()).ok()?;
+                        Some(runner.config().as_slice() == trace.witness.as_slice())
+                    });
                 if replayed == Some(true) {
                     result.findings.push(Finding::note(
                         "convergence",
@@ -444,17 +436,11 @@ fn check_remainder() -> CheckResult {
 fn check_flock() -> CheckResult {
     let mut result = CheckResult::default();
     let flock = FlockOfBirds::new(2);
-    let initial: Multiset<_> = flock
-        .initial_configuration(&[true, true, false])
-        .as_slice()
-        .iter()
-        .cloned()
-        .collect();
+    let initial = flock.initial_configuration(&[true, true, false]);
     match lint_output_stability(
         TwoWayModel::Tw,
         &flock,
-        &initial,
-        false,
+        initial.as_slice(),
         COUNT_CAP,
         |q| q.detected,
         // Documented: below-threshold unanimity on "false" is premature
@@ -550,15 +536,9 @@ fn check_skno() -> CheckResult {
     // Exhaustive delivery proof for the addressed graphical simulator.
     let (protocol, path, states, expected) = skno_scenario();
     let skno = Skno::graphical(protocol, 0, path);
-    let verdict = match check_one_way_dense(
-        OneWayModel::I3,
-        &skno,
-        &states,
-        0,
-        skno.topology(),
-        DENSE_CAP,
-        |c| (0..3).all(|v| *c[v].simulated() == expected[v]),
-    ) {
+    let verdict = match check_one_way(OneWayModel::I3, &skno, &states, 0, DENSE_CAP, |c| {
+        (0..3).all(|v| *c[v].simulated() == expected[v])
+    }) {
         Err(err) => {
             result.findings.push(Finding::warning(
                 "convergence",
@@ -620,15 +600,9 @@ fn check_skno_mutant() -> CheckResult {
     // trace that replays through the engine.
     let (protocol, path, states, expected) = skno_scenario();
     let mutant = Skno::graphical_unaddressed(protocol, 0, path.clone());
-    let check = check_one_way_dense(
-        OneWayModel::I3,
-        &mutant,
-        &states,
-        0,
-        mutant.topology(),
-        DENSE_CAP,
-        |c| (0..3).all(|v| *c[v].simulated() == expected[v]),
-    );
+    let check = check_one_way(OneWayModel::I3, &mutant, &states, 0, DENSE_CAP, |c| {
+        (0..3).all(|v| *c[v].simulated() == expected[v])
+    });
     let verdict = match check {
         Err(err) => {
             result.findings.push(Finding::error(
@@ -727,7 +701,7 @@ fn check_sid() -> CheckResult {
     let mut result = CheckResult::default();
     let sid = ppfts_core::Sid::new(Epidemic);
     let initial = ppfts_core::Sid::<Epidemic>::initial(&[true, false, false]);
-    dense_convergence_row(
+    simulator_convergence_row(
         "sid",
         "SID",
         &sid,
@@ -743,7 +717,7 @@ fn check_named_sid() -> CheckResult {
     let mut result = CheckResult::default();
     let named = ppfts_core::NamedSid::new(Epidemic, 3);
     let initial = ppfts_core::NamedSid::<Epidemic>::initial(&[true, false, false]);
-    dense_convergence_row(
+    simulator_convergence_row(
         "named-sid",
         "NamedSid",
         &named,
@@ -755,9 +729,9 @@ fn check_named_sid() -> CheckResult {
     result
 }
 
-/// Shared plumbing for a fault-free dense convergence obligation on a
-/// simulator embedding under IO.
-fn dense_convergence_row<P>(
+/// Shared plumbing for a fault-free convergence obligation on a simulator
+/// embedding under IO.
+fn simulator_convergence_row<P>(
     id: &'static str,
     subject: &str,
     program: &P,
@@ -769,31 +743,30 @@ fn dense_convergence_row<P>(
     P: ppfts_engine::OneWayProgram,
 {
     let n = initial.len();
-    let verdict =
-        match check_one_way_dense(OneWayModel::Io, program, initial, 0, None, DENSE_CAP, pred) {
-            Err(err) => {
-                result.findings.push(Finding::warning(
+    let verdict = match check_one_way(OneWayModel::Io, program, initial, 0, DENSE_CAP, pred) {
+        Err(err) => {
+            result.findings.push(Finding::warning(
+                "convergence",
+                subject,
+                format!("exploration aborted: {err}"),
+            ));
+            "aborted".to_string()
+        }
+        Ok(check) => match check.verdict {
+            Verdict::Proved => format!("proved ({} configs)", check.configs),
+            Verdict::Counterexample(trace) => {
+                result.findings.push(Finding::error(
                     "convergence",
                     subject,
-                    format!("exploration aborted: {err}"),
+                    format!(
+                        "{} steps reach a terminal component violating the property",
+                        trace.steps.len()
+                    ),
                 ));
-                "aborted".to_string()
+                "COUNTEREXAMPLE".to_string()
             }
-            Ok(check) => match check.verdict {
-                Verdict::Proved => format!("proved ({} configs)", check.configs),
-                Verdict::Counterexample(trace) => {
-                    result.findings.push(Finding::error(
-                        "convergence",
-                        subject,
-                        format!(
-                            "{} steps reach a terminal component violating the property",
-                            trace.steps.len()
-                        ),
-                    ));
-                    "COUNTEREXAMPLE".to_string()
-                }
-            },
-        };
+        },
+    };
     result.grid.push(GridRow {
         id,
         subject: subject.to_string(),

@@ -194,7 +194,7 @@ impl<'p, C> Stop<'p, C> {
     /// the chance that a non-silent system stays quiet decays
     /// exponentially in the window. For exact convergence use the
     /// silence checks in [`convergence`](crate::convergence) or the
-    /// model checker in `ppfts-verify`.
+    /// model checker in `ppfts-analyze`.
     pub fn quiet(budget: u64, window: u64) -> Self {
         Stop {
             budget,

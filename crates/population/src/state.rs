@@ -25,7 +25,7 @@ impl<T: Clone + Eq + Hash + Debug + Send + Sync + 'static> State for T {}
 
 /// Protocols whose full state space can be enumerated.
 ///
-/// Exhaustive verification (the bounded model checker in `ppfts-verify`)
+/// Exhaustive verification (the bounded model checker in `ppfts-analyze`)
 /// and sampling-based model validation need the list of states a protocol
 /// can ever be in. For finite-state protocols this is the whole of `Q_P`;
 /// simulators with unbounded memory do not implement this trait.

@@ -4,16 +4,13 @@
 //! `SKnO`'s Rummy-style joker re-minting and `SID`'s rollback rule
 //! (Figure 3 lines 14–16). This module removes each one and exhibits the
 //! resulting failure — statistically for the Rummy ablation (a liveness
-//! gap across seeds) and *exactly* for the rollback ablation (the model
-//! checker finds a terminal component in which the simulated protocol is
-//! permanently stuck).
+//! gap across seeds) and *exactly* for the rollback ablation (its tests
+//! have `ppfts-analyze`'s explorer find a terminal component in which the
+//! simulated protocol is permanently stuck).
 
-use ppfts_core::{project, JokerBookkeeping, RollbackPolicy, Sid, SidState, Skno};
+use ppfts_core::{project, JokerBookkeeping, Skno};
 use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
-use ppfts_population::Configuration;
-use ppfts_protocols::{LeaderElection, LeaderState, Pairing, PairingState};
-
-use crate::model_check::{explore_one_way, StateGraph};
+use ppfts_protocols::{Pairing, PairingState};
 
 /// Result of the Rummy-bookkeeping ablation (D1): how many seeds
 /// converged with the paper's scheme vs the naive one, on identical
@@ -67,42 +64,37 @@ pub fn rummy_ablation(seeds: u64, o: u32, budget: u64) -> RummyAblation {
     }
 }
 
-/// Explores the exact reachable graph of `SID` (with the given rollback
-/// policy) simulating leader election on `n` agents, and returns the
-/// graph for terminal-component analysis.
-///
-/// # Errors
-///
-/// Propagates [`ExploreError`](crate::ExploreError) if the reachable
-/// graph exceeds `max_configs`.
-pub fn sid_leader_graph(
-    n: usize,
-    rollback: RollbackPolicy,
-    max_configs: usize,
-) -> Result<StateGraph<SidState<LeaderState>>, crate::ExploreError> {
-    let sid = Sid::with_rollback_policy(LeaderElection, rollback);
-    let c0: Configuration<SidState<LeaderState>> =
-        Sid::<LeaderElection>::initial(&vec![LeaderState::Leader; n]);
-    explore_one_way(OneWayModel::Io, &sid, &c0, max_configs)
-}
-
-/// Whether every GF execution of the explored graph ends with exactly one
-/// simulated leader.
-pub fn always_elects_one_leader(graph: &StateGraph<SidState<LeaderState>>) -> bool {
-    use ppfts_core::SimulatorState;
-    graph.always_stabilizes(|m| {
-        let leaders: usize = m
-            .iter()
-            .filter(|(q, _)| *q.simulated() == LeaderState::Leader)
-            .map(|(_, c)| c)
-            .sum();
-        leaders == 1
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppfts_analyze::{check_one_way, Exploration};
+    use ppfts_core::{RollbackPolicy, Sid, SidState, SimulatorState};
+    use ppfts_engine::OneWayFault;
+    use ppfts_protocols::{LeaderElection, LeaderState};
+
+    /// Explores `SID` (with the given rollback policy) simulating leader
+    /// election from all-leaders on `n` agents, checking that every GF
+    /// execution ends with exactly one simulated leader.
+    fn sid_leader_check(
+        n: usize,
+        rollback: RollbackPolicy,
+        max_nodes: usize,
+    ) -> Exploration<SidState<LeaderState>, OneWayFault> {
+        check_one_way(
+            OneWayModel::Io,
+            &Sid::with_rollback_policy(LeaderElection, rollback),
+            Sid::<LeaderElection>::initial(&vec![LeaderState::Leader; n]).as_slice(),
+            0,
+            max_nodes,
+            |m| {
+                m.iter()
+                    .filter(|q| *q.simulated() == LeaderState::Leader)
+                    .count()
+                    == 1
+            },
+        )
+        .unwrap()
+    }
 
     #[test]
     fn d1_naive_joker_bookkeeping_loses_runs() {
@@ -123,24 +115,24 @@ mod tests {
     fn d2_rollback_is_necessary_exact() {
         // With rollback: every GF execution of the 3-agent system elects
         // exactly one leader — proved exhaustively.
-        let with = sid_leader_graph(3, RollbackPolicy::Enabled, 2_000_000).unwrap();
-        assert!(always_elects_one_leader(&with));
+        let with = sid_leader_check(3, RollbackPolicy::Enabled, 2_000_000);
+        assert!(with.verdict.is_proved());
 
         // Without rollback: some terminal component keeps ≥ 2 leaders
         // forever (a locked leader can never interact again).
-        let without = sid_leader_graph(3, RollbackPolicy::Disabled, 2_000_000).unwrap();
+        let without = sid_leader_check(3, RollbackPolicy::Disabled, 2_000_000);
         assert!(
-            !always_elects_one_leader(&without),
+            !without.verdict.is_proved(),
             "removing lines 14–16 must break liveness"
         );
     }
 
     #[test]
     fn d2_rollback_graphs_differ_in_size() {
-        let with = sid_leader_graph(2, RollbackPolicy::Enabled, 500_000).unwrap();
-        let without = sid_leader_graph(2, RollbackPolicy::Disabled, 500_000).unwrap();
+        let with = sid_leader_check(2, RollbackPolicy::Enabled, 500_000);
+        let without = sid_leader_check(2, RollbackPolicy::Disabled, 500_000);
         // The no-rollback system has dead-end configurations the real one
         // escapes; both graphs are finite and explorable.
-        assert!(with.config_count() > 0 && without.config_count() > 0);
+        assert!(with.configs > 0 && without.configs > 0);
     }
 }

@@ -9,10 +9,7 @@
 //!   Pairing problem's irrevocability/safety/liveness (Definition 5)
 //!   step-by-step ([`audit_pairing_batched`] at batch boundaries, for the
 //!   witnesses that only need Pairing's sticky violations);
-//!   [`model_check`] explores the *exact*
-//!   reachable configuration graph of small systems and decides
-//!   stabilization under global fairness via terminal strongly-connected
-//!   components; [`topology_audit`] certifies graph-aware scheduling
+//!   [`topology_audit`] certifies graph-aware scheduling
 //!   fairness (every edge of a connected topology dealt uniformly, no
 //!   off-graph interactions in a recorded trace).
 //! * **Negative** — the impossibility constructions of §3 as executable
@@ -25,26 +22,29 @@
 //!   retransmission-based strawman simulator that realizes the unsafe horn
 //!   of that dichotomy.
 //!
-//! The experiment harness in `ppfts-bench` prints these results in the
-//! shape of the paper's Figure 4.
+//! Exact verification of small systems (every reachable configuration,
+//! every fair schedule) lives in `ppfts-analyze`'s model checker. The
+//! experiment harness in `ppfts-bench` prints these results in the shape
+//! of the paper's Figure 4.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod attack;
 pub mod json;
-pub mod model_check;
+#[cfg(test)]
+#[path = "exact_cases.rs"]
+mod model_check;
 pub mod optimist;
 pub mod pairing_audit;
 pub mod schedule_audit;
 pub mod topology_audit;
 
-pub use ablation::{always_elects_one_leader, rummy_ablation, sid_leader_graph, RummyAblation};
+pub use ablation::{rummy_ablation, RummyAblation};
 pub use attack::{
     degradation_report, lemma1_attack, no1_resilience, thm32_attack, AttackOutcome, AttackReport,
     DegradationReport,
 };
-pub use model_check::{explore_one_way, explore_two_way, ExploreError, StateGraph};
 pub use optimist::{Optimist, OptimistState};
 pub use pairing_audit::{
     audit_pairing, audit_pairing_batched, pairing_converged, AuditReport, PairingViolation,

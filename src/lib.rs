@@ -14,7 +14,7 @@
 //! | [`engine`] | `ppfts-engine` | the ten interaction models, omission adversaries, schedulers, runners (one `run(exec, stop)` driver), trace sinks, model hierarchy |
 //! | [`protocols`] | `ppfts-protocols` | Pairing, epidemic, majorities, flock-of-birds, remainder, max-gossip, leader election, semilinear compiler |
 //! | [`core`] | `ppfts-core` | the paper's simulators (`SKnO`, `SID`, `Nn`) and the simulation theory (events, matchings, derived executions, FTT) |
-//! | [`verify`] | `ppfts-verify` | Pairing audits, exact model checking, the impossibility attacks, ablations |
+//! | [`verify`] | `ppfts-verify` | Pairing audits, the impossibility attacks, ablations |
 //! | [`analyze`] | `ppfts-analyze` | static table lints, the exhaustive budgeted model checker, the `ppfts_analyze` gate suite |
 //!
 //! # Example

@@ -10,9 +10,9 @@
 
 use proptest::prelude::*;
 
-use ppfts::analyze::check_two_way_counts;
+use ppfts::analyze::check_two_way;
 use ppfts::engine::{BoundedStrategy, TwoWayModel, TwoWayRunner};
-use ppfts::population::{Configuration, Multiset, Semantics};
+use ppfts::population::{Configuration, Semantics};
 use ppfts::protocols::{Epidemic, ExactMajority, MajorityOpinion};
 
 proptest! {
@@ -26,21 +26,18 @@ proptest! {
         seed in 0u64..300,
         steps in 1u64..200,
     ) {
-        let mut initial = Multiset::new();
-        initial.insert_many(true, infected);
-        initial.insert_many(false, clean);
-        let check = check_two_way_counts(
+        let mut dense = vec![true; infected];
+        dense.extend(std::iter::repeat_n(false, clean));
+        let check = check_two_way(
             TwoWayModel::T1,
             &Epidemic,
-            &initial,
+            &dense,
             budget,
             1_000_000,
             |_| true,
         )
         .expect("tiny state space");
 
-        let mut dense = vec![true; infected];
-        dense.extend(std::iter::repeat_n(false, clean));
         let mut runner = TwoWayRunner::builder(TwoWayModel::T1, Epidemic)
             .config(Configuration::new(dense))
             .adversary(BoundedStrategy::new(0.5, u64::from(budget)))
@@ -71,11 +68,11 @@ proptest! {
         let inputs: Vec<MajorityOpinion> = std::iter::repeat_n(MajorityOpinion::X, x)
             .chain(std::iter::repeat_n(MajorityOpinion::Y, y))
             .collect();
-        let initial = ExactMajority.initial_counts(&inputs).counts();
-        let check = check_two_way_counts(
+        let initial = ExactMajority.initial_configuration(&inputs);
+        let check = check_two_way(
             TwoWayModel::T1,
             &ExactMajority,
-            &initial,
+            initial.as_slice(),
             budget,
             1_000_000,
             |_| true,
@@ -83,7 +80,7 @@ proptest! {
         .expect("tiny state space");
 
         let mut runner = TwoWayRunner::builder(TwoWayModel::T1, ExactMajority)
-            .config(ExactMajority.initial_configuration(&inputs))
+            .config(initial)
             .adversary(BoundedStrategy::new(0.5, u64::from(budget)))
             .seed(seed)
             .build()

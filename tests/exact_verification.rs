@@ -5,6 +5,7 @@
 //! checker enumerates every reachable configuration and every GF
 //! execution's eventual behaviour.
 
+use ppfts::analyze::{check_one_way, check_two_way};
 use ppfts::core::{Sid, SimulatorState};
 use ppfts::engine::{OneWayModel, TwoWayModel};
 use ppfts::population::Semantics;
@@ -13,7 +14,11 @@ use ppfts::protocols::{
     ApproximateMajority, Epidemic, FlockOfBirds, LeaderElection, LeaderState, MajorityState,
     Pairing, PairingState, Remainder,
 };
-use ppfts::verify::{explore_one_way, explore_two_way};
+
+/// Agents of `c` whose (simulated) state is `q`.
+fn count<Q: PartialEq>(c: &[Q], q: &Q) -> usize {
+    c.iter().filter(|s| *s == q).count()
+}
 
 #[test]
 fn epidemic_stably_computes_or_proved() {
@@ -27,19 +32,16 @@ fn epidemic_stably_computes_or_proved() {
                 .chain(std::iter::repeat_n(false, n_false))
                 .collect();
             let expected = Epidemic.expected(&inputs);
-            let graph = explore_two_way(
+            let check = check_two_way(
                 TwoWayModel::Tw,
                 &Epidemic,
-                &Epidemic.initial_configuration(&inputs),
+                Epidemic.initial_configuration(&inputs).as_slice(),
+                0,
                 10_000,
+                |c| c.iter().all(|q| Epidemic.output(q) == expected),
             )
             .unwrap();
-            assert!(
-                graph.always_stabilizes(|m| {
-                    m.iter().all(|(q, _)| Epidemic.output(q) == expected)
-                }),
-                "inputs {inputs:?}"
-            );
+            assert!(check.verdict.is_proved(), "inputs {inputs:?}");
         }
     }
 }
@@ -48,27 +50,37 @@ fn epidemic_stably_computes_or_proved() {
 fn pairing_solves_pair_proved() {
     for (c, p) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2), (3, 2)] {
         let expected = c.min(p);
-        let graph =
-            explore_two_way(TwoWayModel::Tw, &Pairing, &Pairing::initial(c, p), 100_000).unwrap();
+        let paired = |m: &[PairingState]| count(m, &PairingState::Paired);
+        let check = check_two_way(
+            TwoWayModel::Tw,
+            &Pairing,
+            Pairing::initial(c, p).as_slice(),
+            0,
+            100_000,
+            |m| paired(m) == expected,
+        )
+        .unwrap();
         // Liveness: every GF execution ends with exactly min(c, p) paired.
-        assert!(graph.always_stabilizes(|m| m.count(&PairingState::Paired) == expected));
+        assert!(check.verdict.is_proved());
         // Safety + irrevocability corollary: never more paired than
         // producers anywhere in the reachable graph.
-        assert!(graph.invariant(|m| m.count(&PairingState::Paired) <= p));
+        assert!(check.invariant(|m| paired(m) <= p));
     }
 }
 
 #[test]
 fn leader_election_proved() {
     for n in [2usize, 3, 4, 5] {
-        let graph = explore_two_way(
+        let check = check_two_way(
             TwoWayModel::Tw,
             &LeaderElection,
-            &LeaderElection::initial(n),
+            LeaderElection::initial(n).as_slice(),
+            0,
             10_000,
+            |m| count(m, &LeaderState::Leader) == 1,
         )
         .unwrap();
-        assert!(graph.always_stabilizes(|m| m.count(&LeaderState::Leader) == 1));
+        assert!(check.verdict.is_proved());
     }
 }
 
@@ -76,15 +88,17 @@ fn leader_election_proved() {
 fn approximate_majority_with_unanimous_input_proved() {
     // With a unanimous starting opinion the 3-state protocol is exact:
     // every GF execution converts all blanks.
-    let inputs = vec![MajorityState::X, MajorityState::X, MajorityState::Blank];
-    let graph = explore_two_way(
+    let inputs = [MajorityState::X, MajorityState::X, MajorityState::Blank];
+    let check = check_two_way(
         TwoWayModel::Tw,
         &ApproximateMajority,
-        &ppfts::population::Configuration::new(inputs),
+        &inputs,
+        0,
         10_000,
+        |m| count(m, &MajorityState::X) == 3,
     )
     .unwrap();
-    assert!(graph.always_stabilizes(|m| m.count(&MajorityState::X) == 3));
+    assert!(check.verdict.is_proved());
 }
 
 #[test]
@@ -92,26 +106,34 @@ fn flock_threshold_proved_both_sides() {
     let flock = FlockOfBirds::new(2);
     // 2 marked: must detect.
     let hot = flock.initial_configuration(&[true, true, false]);
-    let graph = explore_two_way(TwoWayModel::Tw, &flock, &hot, 100_000).unwrap();
-    assert!(graph.always_stabilizes(|m| m.iter().all(|(q, _)| q.detected)));
+    let check = check_two_way(TwoWayModel::Tw, &flock, hot.as_slice(), 0, 100_000, |m| {
+        m.iter().all(|q| q.detected)
+    })
+    .unwrap();
+    assert!(check.verdict.is_proved());
     // 1 marked: must never detect — an invariant, not just eventual.
     let cold = flock.initial_configuration(&[true, false, false]);
-    let graph = explore_two_way(TwoWayModel::Tw, &flock, &cold, 100_000).unwrap();
-    assert!(graph.invariant(|m| m.iter().all(|(q, _)| !q.detected)));
+    let check = check_two_way(TwoWayModel::Tw, &flock, cold.as_slice(), 0, 100_000, |_| {
+        true
+    })
+    .unwrap();
+    assert!(check.invariant(|m| m.iter().all(|q| !q.detected)));
 }
 
 #[test]
 fn remainder_proved() {
     let p = Remainder::new(2, 1);
     let inputs = vec![1u32, 1, 1]; // sum 3, odd
-    let graph = explore_two_way(
+    let check = check_two_way(
         TwoWayModel::Tw,
         &p,
-        &p.initial_configuration(&inputs),
+        p.initial_configuration(&inputs).as_slice(),
+        0,
         100_000,
+        |m| m.iter().all(|q| p.output(q)),
     )
     .unwrap();
-    assert!(graph.always_stabilizes(|m| m.iter().all(|(q, _)| p.output(q))));
+    assert!(check.verdict.is_proved());
 }
 
 #[test]
@@ -127,17 +149,16 @@ fn semilinear_compilation_proved() {
     .unwrap();
     for inputs in [vec![1usize, 1, 0], vec![1, 0, 0]] {
         let expected = p.expected(&inputs);
-        let graph = explore_two_way(
+        let check = check_two_way(
             TwoWayModel::Tw,
             &p,
-            &p.initial_configuration(&inputs),
+            p.initial_configuration(&inputs).as_slice(),
+            0,
             100_000,
+            |m| m.iter().all(|q| p.output(q) == expected),
         )
         .unwrap();
-        assert!(
-            graph.always_stabilizes(|m| m.iter().all(|(q, _)| p.output(q) == expected)),
-            "inputs {inputs:?}"
-        );
+        assert!(check.verdict.is_proved(), "inputs {inputs:?}");
     }
 }
 
@@ -151,24 +172,21 @@ fn sid_simulation_proved_for_three_agents() {
         PairingState::Consumer,
         PairingState::Producer,
     ];
-    let sid = Sid::new(Pairing);
-    let c0 = Sid::<Pairing>::initial(&sims);
-    let graph = explore_one_way(OneWayModel::Io, &sid, &c0, 3_000_000).unwrap();
-    assert!(graph.always_stabilizes(|m| {
-        let paired: usize = m
-            .iter()
-            .filter(|(q, _)| *q.simulated() == PairingState::Paired)
-            .map(|(_, c)| c)
-            .sum();
-        paired == 1
-    }));
+    let paired = |m: &[ppfts::core::SidState<PairingState>]| {
+        m.iter()
+            .filter(|q| *q.simulated() == PairingState::Paired)
+            .count()
+    };
+    let check = check_one_way(
+        OneWayModel::Io,
+        &Sid::new(Pairing),
+        Sid::<Pairing>::initial(&sims).as_slice(),
+        0,
+        3_000_000,
+        |m| paired(m) == 1,
+    )
+    .unwrap();
+    assert!(check.verdict.is_proved());
     // Simulated safety is a reachability invariant, not only eventual.
-    assert!(graph.invariant(|m| {
-        let paired: usize = m
-            .iter()
-            .filter(|(q, _)| *q.simulated() == PairingState::Paired)
-            .map(|(_, c)| c)
-            .sum();
-        paired <= 1
-    }));
+    assert!(check.invariant(|m| paired(m) <= 1));
 }
