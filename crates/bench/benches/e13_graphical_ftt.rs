@@ -29,7 +29,8 @@
 //! record the numbers into the committed baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ppfts_bench::{e13_families, measure_sid_epidemic_graphical, measure_skno_epidemic_graphical};
+use ppfts_bench::{measure_sid_epidemic_graphical, measure_skno_epidemic_graphical};
+use ppfts_sweep::workloads::e13_families;
 
 /// Step budget per seed: enough for every cell that converges at all at
 /// these sizes (calibrated: SKnO o=1 on rr4 at n=64 needs ~31M), small

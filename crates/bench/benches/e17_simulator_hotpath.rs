@@ -27,11 +27,9 @@
 //! record the numbers into the committed baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ppfts_bench::{
-    measure_sid_epidemic_graphical, measure_skno_epidemic_graphical, E13_RR_DEGREE,
-    E13_TOPOLOGY_SEED,
-};
+use ppfts_bench::{measure_sid_epidemic_graphical, measure_skno_epidemic_graphical};
 use ppfts_population::Topology;
+use ppfts_sweep::workloads::{E13_RR_DEGREE, E13_TOPOLOGY_SEED};
 
 /// Same per-seed step budget as E13, so the overlapping complete-graph
 /// cells are directly comparable across the two baselines.

@@ -6,11 +6,11 @@
 //! Θ(n²)-expected event under uniform scheduling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppfts_bench::pairing_inputs;
 use ppfts_core::NamedSid;
 use ppfts_engine::{Batched, OneWayModel, OneWayRunner, Stop};
 use ppfts_population::Configuration;
 use ppfts_protocols::Pairing;
+use ppfts_sweep::workloads::pairing_inputs;
 
 fn bench_naming(c: &mut Criterion) {
     let mut group = c.benchmark_group("naming_phase");

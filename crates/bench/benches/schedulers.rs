@@ -7,12 +7,12 @@
 //! collector tail) while uniform matches the model assumptions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppfts_bench::pairing_inputs;
 use ppfts_core::{project, Sid};
 use ppfts_engine::{
     Batched, OneWayModel, OneWayRunner, RoundRobinScheduler, Stop, UniformScheduler,
 };
 use ppfts_protocols::{Pairing, PairingState};
+use ppfts_sweep::workloads::pairing_inputs;
 
 fn bench_schedulers(c: &mut Criterion) {
     let n = 8usize;

@@ -7,10 +7,10 @@
 //! factor `o + 1`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppfts_bench::pairing_inputs;
 use ppfts_core::{project, Sid, Skno};
 use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 use ppfts_protocols::{Pairing, PairingState};
+use ppfts_sweep::workloads::pairing_inputs;
 
 fn bench_sid(c: &mut Criterion) {
     let mut group = c.benchmark_group("sid_convergence");

@@ -9,10 +9,10 @@
 //!   Θ(|Q_P|·(o+1)·log n) memory bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppfts_bench::{pairing_inputs, skno_peak_tokens};
 use ppfts_core::{project, Skno};
 use ppfts_engine::{Batched, BoundedStrategy, OneWayModel, OneWayRunner, Stop};
 use ppfts_protocols::{Pairing, PairingState};
+use ppfts_sweep::workloads::{pairing_inputs, skno_peak_tokens};
 
 fn bench_convergence_vs_bound(c: &mut Criterion) {
     let n = 8usize;

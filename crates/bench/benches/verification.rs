@@ -6,10 +6,10 @@
 //! matcher is bucketed-FIFO and the verifier a greedy fixpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppfts_bench::pairing_inputs;
 use ppfts_core::{build_matching, extract_events, project, Sid, Skno};
 use ppfts_engine::{Batched, FullTrace, OneWayModel, OneWayRunner, Stop};
 use ppfts_protocols::Pairing;
+use ppfts_sweep::workloads::pairing_inputs;
 
 fn bench_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("verification");

@@ -52,7 +52,7 @@ job recorded), 1 incomplete or failed jobs, 2 usage or manifest errors";
 fn parse_args() -> Result<Args, String> {
     let mut manifest = None;
     let mut out = None;
-    let mut threads = ppfts_bench::workers();
+    let mut threads = ppfts_sweep::workloads::workers();
     let mut max_jobs = None;
     let mut mode = Mode::Run;
     let mut argv = std::env::args().skip(1);

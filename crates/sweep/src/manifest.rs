@@ -31,17 +31,18 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use ppfts_bench::{E13_RR_DEGREE, E13_TOPOLOGY_SEED};
 use ppfts_population::Topology;
 
 use crate::json::{self, Value};
+use crate::workloads::{E13_RR_DEGREE, E13_TOPOLOGY_SEED};
 
 /// Default omission rate handed to the bounded adversary of SKnO jobs.
 pub const DEFAULT_RATE: f64 = 0.02;
 
 /// The protocol families a manifest can sweep. Graphical families run
-/// on an explicit interaction topology; pairing families run the
-/// classic complete-graph Pairing workload.
+/// on an explicit interaction topology; the others run on the complete
+/// interaction graph: pairing families on the classic Pairing workload,
+/// count families on the count backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Graphical SKnO simulating the epidemic on a topology (E13).
@@ -52,10 +53,16 @@ pub enum Family {
     Epidemic,
     /// Classic SKnO on the Pairing workload (E5).
     SknoPairing,
-    /// Classic SID on the Pairing workload (E5).
+    /// Classic SID on the Pairing workload (E7).
     SidPairing,
-    /// The naming-composed simulator on the Pairing workload (E7).
+    /// The naming-composed simulator on the Pairing workload (E8).
     NamedPairing,
+    /// The naming phase alone on the Pairing workload (E8).
+    Naming,
+    /// Epidemic on the count backend, interleaved batches (E11).
+    EpidemicCount,
+    /// Epidemic on the count backend, batch epochs (E15).
+    EpidemicEpoch,
 }
 
 impl Family {
@@ -69,6 +76,9 @@ impl Family {
             Family::SknoPairing => "skno_pairing",
             Family::SidPairing => "sid_pairing",
             Family::NamedPairing => "named_pairing",
+            Family::Naming => "naming",
+            Family::EpidemicCount => "epidemic_count",
+            Family::EpidemicEpoch => "epidemic_epoch",
         }
     }
 
@@ -80,6 +90,9 @@ impl Family {
             "skno_pairing" => Family::SknoPairing,
             "sid_pairing" => Family::SidPairing,
             "named_pairing" => Family::NamedPairing,
+            "naming" => Family::Naming,
+            "epidemic_count" => Family::EpidemicCount,
+            "epidemic_epoch" => Family::EpidemicEpoch,
             _ => return None,
         })
     }
@@ -88,6 +101,16 @@ impl Family {
     #[must_use]
     pub fn graphical(self) -> bool {
         matches!(self, Family::Skno | Family::Sid | Family::Epidemic)
+    }
+
+    /// Whether jobs of this family run the Pairing workload, which needs
+    /// an even `n`.
+    #[must_use]
+    pub fn pairing(self) -> bool {
+        matches!(
+            self,
+            Family::SknoPairing | Family::SidPairing | Family::NamedPairing | Family::Naming
+        )
     }
 
     /// Whether this family takes an omission bound `o`.
@@ -235,6 +258,8 @@ pub enum ManifestError {
     /// A pairing-workload size that isn't even and at least 2 (the
     /// workload is n/2 consumers and n/2 producers).
     OddPairingSize(usize),
+    /// A count-backend size below 2 agents.
+    PopulationTooSmall(usize),
     /// Two grid blocks expanded to the same job id.
     DuplicateJob(String),
     /// The expansion produced no jobs at all.
@@ -250,8 +275,8 @@ impl fmt::Display for ManifestError {
             }
             ManifestError::UnknownFamily(name) => write!(
                 f,
-                "unknown family `{name}` (expected skno, sid, epidemic, \
-                 skno_pairing, sid_pairing or named_pairing)"
+                "unknown family `{name}` (expected skno, sid, epidemic, skno_pairing, \
+                 sid_pairing, named_pairing, naming, epidemic_count or epidemic_epoch)"
             ),
             ManifestError::UnknownTopology(name) => write!(
                 f,
@@ -275,6 +300,9 @@ impl fmt::Display for ManifestError {
                 f,
                 "pairing workloads need an even n >= 2 (n/2 consumers, n/2 producers), got {n}"
             ),
+            ManifestError::PopulationTooSmall(n) => {
+                write!(f, "count-backend workloads need n >= 2, got {n}")
+            }
             ManifestError::DuplicateJob(id) => write!(
                 f,
                 "job `{id}` is produced by more than one grid block; ids must be unique \
@@ -388,8 +416,12 @@ pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
                             n,
                         });
                     }
-                } else if n < 2 || !n.is_multiple_of(2) {
-                    return Err(ManifestError::OddPairingSize(n));
+                } else if family.pairing() {
+                    if n < 2 || !n.is_multiple_of(2) {
+                        return Err(ManifestError::OddPairingSize(n));
+                    }
+                } else if n < 2 {
+                    return Err(ManifestError::PopulationTooSmall(n));
                 }
                 for &o in &os {
                     for seed in 0..seeds {
@@ -585,6 +617,13 @@ mod tests {
                 topology: "grid",
                 n: 12
             }
+        );
+        let doc = r#"{"name": "c", "seeds": 1, "budget": 10, "grids": [
+            {"family": "epidemic_epoch", "n": 1}
+        ]}"#;
+        assert_eq!(
+            expand(doc).unwrap_err(),
+            ManifestError::PopulationTooSmall(1)
         );
     }
 

@@ -21,6 +21,7 @@
 //! indices: no queue mutex, work-stealing tail balance, and the same
 //! per-chunk progress watermark the experiment harnesses use.
 
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeSet;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, Write};
@@ -296,10 +297,15 @@ pub struct GroupSummary {
     /// Distribution of interaction counts over *converged* seeds;
     /// `None` when none converged.
     pub steps: Option<DistSummary>,
+    /// Mean over converged seeds of steps ÷ the workload's simulated-step
+    /// denominator (steps per simulated interaction, or per agent for
+    /// epidemics); `None` when none converged.
+    pub per_simulated: Option<f64>,
 }
 
 /// Groups ledger results by [`group_of`] and summarizes each group's
-/// convergence-step distribution, sorted by group key.
+/// convergence-step distribution, sorted by group key with digit runs
+/// compared as numbers (`n4` before `n16` before `n256`).
 #[must_use]
 pub fn summarize(results: &[JobResult]) -> Vec<GroupSummary> {
     let mut groups: Vec<(String, Vec<&JobResult>)> = Vec::new();
@@ -310,38 +316,68 @@ pub fn summarize(results: &[JobResult]) -> Vec<GroupSummary> {
             None => groups.push((key.to_string(), vec![r])),
         }
     }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    groups.sort_by(|a, b| natural_cmp(&a.0, &b.0));
     groups
         .into_iter()
         .map(|(group, members)| {
-            let converged: Vec<f64> = members
+            let converged: Vec<&JobResult> =
+                members.iter().copied().filter(|r| r.converged).collect();
+            let steps: Vec<f64> = converged.iter().map(|r| r.steps as f64).collect();
+            let per_simulated: Vec<f64> = converged
                 .iter()
-                .filter(|r| r.converged)
-                .map(|r| r.steps as f64)
+                .map(|r| r.steps as f64 / r.simulated.max(1) as f64)
                 .collect();
             GroupSummary {
                 group,
                 seeds: members.len(),
                 converged: converged.len(),
                 errors: members.iter().filter(|r| r.error.is_some()).count(),
-                steps: DistSummary::of(&converged),
+                steps: DistSummary::of(&steps),
+                per_simulated: DistSummary::of(&per_simulated).map(|d| d.mean),
             }
         })
         .collect()
 }
 
-/// Renders [`summarize`]'s rows as an aligned text table.
+/// Compares two group keys with every maximal run of ASCII digits read
+/// as a number, so `skno_pairing/n4/o0` sorts before
+/// `skno_pairing/n16/o0`. Job ids carry no leading zeros, so a longer
+/// digit run is a larger number.
+fn natural_cmp(a: &str, b: &str) -> CmpOrdering {
+    let digits = |s: &[u8]| s.iter().take_while(|c| c.is_ascii_digit()).count();
+    let (mut a, mut b) = (a.as_bytes(), b.as_bytes());
+    loop {
+        let (run_a, run_b) = (digits(a), digits(b));
+        let order = if run_a > 0 && run_b > 0 {
+            run_a.cmp(&run_b).then_with(|| a[..run_a].cmp(&b[..run_b]))
+        } else {
+            match (a.first(), b.first()) {
+                (None, None) => return CmpOrdering::Equal,
+                (x, y) => x.cmp(&y),
+            }
+        };
+        if order != CmpOrdering::Equal {
+            return order;
+        }
+        let step = run_a.max(1);
+        (a, b) = (&a[step..], &b[step..]);
+    }
+}
+
+/// Renders [`summarize`]'s rows as an aligned text table. `per-sim` is
+/// [`GroupSummary::per_simulated`].
 #[must_use]
 pub fn summary_table(summaries: &[GroupSummary]) -> String {
     let mut out = String::from(
-        "group                                    | conv  | err | mean steps   | p50          | p95\n",
+        "group                                    | conv  | err | mean steps   | p50          | p95          | per-sim\n",
     );
     out.push_str(
-        "-----------------------------------------|-------|-----|--------------|--------------|-------------\n",
+        "-----------------------------------------|-------|-----|--------------|--------------|--------------|-----------\n",
     );
+    let dash = || "-".to_string();
     for s in summaries {
         let (mean, p50, p95) = s.steps.map_or_else(
-            || ("-".to_string(), "-".to_string(), "-".to_string()),
+            || (dash(), dash(), dash()),
             |d| {
                 (
                     format!("{:.1}", d.mean),
@@ -350,9 +386,10 @@ pub fn summary_table(summaries: &[GroupSummary]) -> String {
                 )
             },
         );
+        let per_sim = s.per_simulated.map_or_else(dash, |r| format!("{r:.2}"));
         out.push_str(&format!(
-            "{:<40} | {:>2}/{:<2} | {:>3} | {:>12} | {:>12} | {:>12}\n",
-            s.group, s.converged, s.seeds, s.errors, mean, p50, p95
+            "{:<40} | {:>2}/{:<2} | {:>3} | {:>12} | {:>12} | {:>12} | {:>10}\n",
+            s.group, s.converged, s.seeds, s.errors, mean, p50, p95, per_sim
         ));
     }
     out
@@ -449,6 +486,39 @@ mod tests {
         let table = summary_table(&summaries);
         assert!(table.contains("skno/rr4/n16/o0"));
         assert!(table.contains("2/3"));
+    }
+
+    #[test]
+    fn summarize_orders_sizes_numerically() {
+        let results: Vec<JobResult> = [1024, 256, 16, 4]
+            .iter()
+            .map(|n| result(&format!("skno_pairing/n{n}/o0/s0"), true, 10))
+            .collect();
+        let groups: Vec<String> = summarize(&results).into_iter().map(|s| s.group).collect();
+        assert_eq!(
+            groups,
+            [
+                "skno_pairing/n4/o0",
+                "skno_pairing/n16/o0",
+                "skno_pairing/n256/o0",
+                "skno_pairing/n1024/o0"
+            ]
+        );
+    }
+
+    #[test]
+    fn per_sim_is_the_mean_ratio_over_converged_seeds() {
+        let mut half = result("x/n2/s1", true, 48);
+        half.simulated = 2;
+        let results = vec![
+            result("x/n2/s0", true, 32),
+            half,
+            result("x/n2/s2", false, 999),
+        ];
+        let s = &summarize(&results)[0];
+        // (32/16 + 48/2) / 2 converged seeds.
+        assert_eq!(s.per_simulated, Some(13.0));
+        assert!(summary_table(&summarize(&results)).contains("13.00"));
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! From a [`Job`] to a result: dispatches each manifest family to the
-//! corresponding single-seed harness in `ppfts_bench` — the *same*
-//! workload bodies the `measure_*` aggregators and the committed bench
-//! baseline run, so orchestrated sweeps and ad-hoc experiment tables
-//! can never drift onto different dynamics.
+//! From a [`Job`] to a result: dispatches each manifest family to its
+//! single-seed body in [`workloads`](crate::workloads).
 
-use ppfts_bench::{
-    epidemic_topology_run, named_pairing_run, sid_epidemic_graphical_run, sid_pairing_run,
-    skno_epidemic_graphical_run, skno_pairing_run,
-};
 use ppfts_engine::EngineError;
 
 use crate::manifest::{Family, Job};
+use crate::workloads::{
+    epidemic_counts, epidemic_epoch_run, epidemic_giant_run, epidemic_topology_run,
+    named_pairing_run, naming_phase_run, sid_epidemic_graphical_run, sid_pairing_run,
+    skno_epidemic_graphical_run, skno_pairing_run,
+};
 
 /// The outcome of one job, as recorded in the sweep ledger.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,6 +84,9 @@ pub fn run_job(job: &Job) -> Result<JobResult, EngineError> {
         Family::SknoPairing => skno_pairing_run(job.n, job.o, job.seed, job.budget),
         Family::SidPairing => sid_pairing_run(job.n, job.seed, job.budget),
         Family::NamedPairing => named_pairing_run(job.n, job.seed, job.budget),
+        Family::Naming => naming_phase_run(job.n, job.seed, job.budget),
+        Family::EpidemicCount => epidemic_giant_run(epidemic_counts(job.n), job.seed, job.budget),
+        Family::EpidemicEpoch => epidemic_epoch_run(job.n, job.seed, job.budget),
     }?;
     Ok(JobResult {
         id: job.id.clone(),
@@ -113,15 +114,18 @@ mod tests {
                 {"family": "epidemic", "topology": "star", "n": 16},
                 {"family": "skno_pairing", "n": 8, "o": 1, "budget": 1000000},
                 {"family": "sid_pairing", "n": 8},
-                {"family": "named_pairing", "n": 8}
+                {"family": "named_pairing", "n": 8},
+                {"family": "naming", "n": 8},
+                {"family": "epidemic_count", "n": 100},
+                {"family": "epidemic_epoch", "n": 100}
             ]
         }"#;
         let manifest = expand(doc).unwrap();
-        assert_eq!(manifest.jobs.len(), 6);
+        assert_eq!(manifest.jobs.len(), 9);
         for job in &manifest.jobs {
             let result = run_job(job).unwrap();
             assert_eq!(result.id, job.id);
-            assert!(result.converged, "{} should converge at n = 16", job.id);
+            assert!(result.converged, "{} should converge", job.id);
             assert!(result.steps > 0);
             assert!(result.simulated > 0);
         }

@@ -6,7 +6,7 @@
 //! verify the predicted violation (or stall). Cells the paper leaves open
 //! or colours through other columns print as `?`.
 //!
-//! Run with: `cargo run --release -p ppfts-bench --bin figure4`
+//! Run with: `cargo run --release -p ppfts-verify --bin figure4`
 
 use ppfts_core::{NamedSid, Sid, Skno, SknoState};
 use ppfts_engine::{BoundedStrategy, Model, OneWayModel, OneWayRunner, StatsOnly, TwoWayModel};

@@ -4,9 +4,9 @@
 //! manifests and the per-job ledger in `ppfts-sweep` (which re-exports
 //! this module), schedule genomes in `ppfts-fuzz` — need exactly
 //! standard JSON with no extensions, so the whole layer fits in one
-//! small module. It lives here rather than in `ppfts-sweep` so the
-//! fuzzer can use it without closing a `bench → fuzz → sweep → bench`
-//! dependency cycle. (The `ppfts_bench::regression` parser is
+//! small module. It lives here, in the lowest crate its users share
+//! (the sweep, the fuzzer and the `perfbench` package), so none of them
+//! depends on another for it. (The `ppfts_bench::regression` parser is
 //! shape-specific to the bench report; this one is general.)
 
 use std::fmt;

@@ -23,9 +23,9 @@
 //!   of that dichotomy.
 //!
 //! Exact verification of small systems (every reachable configuration,
-//! every fair schedule) lives in `ppfts-analyze`'s model checker. The
-//! experiment harness in `ppfts-bench` prints these results in the shape
-//! of the paper's Figure 4.
+//! every fair schedule) lives in `ppfts-analyze`'s model checker. This
+//! crate's `figure4` binary prints these results in the shape of the
+//! paper's Figure 4 (`cargo run --release -p ppfts-verify --bin figure4`).
 
 #![warn(missing_docs)]
 
