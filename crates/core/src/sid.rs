@@ -212,7 +212,8 @@ impl<P: TwoWayProtocol> Sid<P> {
     ///
     /// On [`Topology::complete`] the guard is vacuous and the simulator
     /// is bit-identical (states and RNG stream) to [`Sid::new`];
-    /// `tests/topology_equivalence.rs` certifies it.
+    /// the `anonymous_eq_graphical_sid_*` rows of `tests/differential.rs`
+    /// certify it.
     pub fn graphical(protocol: P, topology: Topology) -> Self {
         let filtering = !topology.is_complete();
         Sid {

@@ -890,7 +890,8 @@ impl<P: TwoWayProtocol> Skno<P> {
     /// the simulator runs the classic *anonymous* `SKnO` — origins stay
     /// `0` and announcements of equal states merge — making the
     /// complete-graph instance bit-identical (states and RNG stream) to
-    /// [`Skno::new`]; `tests/topology_equivalence.rs` certifies it. On a
+    /// [`Skno::new`]; the `anonymous_eq_graphical_skno` row of
+    /// `tests/differential.rs` certifies it. On a
     /// restricted graph, runs are keyed per origin, since "some neighbor
     /// announced q" is only meaningful relative to the announcer.
     ///
@@ -1017,9 +1018,10 @@ impl<P: TwoWayProtocol> Skno<P> {
     ///
     /// The scan path is the **reference semantics** — the index is an
     /// existence cache in front of it, certified bit-identical (states
-    /// *and* RNG stream, which the simulator never touches) by
-    /// `tests/simulator_index_equivalence.rs`. Keep this variant for
-    /// differential tests; measurements should use the default.
+    /// *and* RNG stream, which the simulator never touches) by the
+    /// `scan_eq_indexed_skno` row of `tests/differential.rs`. Keep this
+    /// variant for differential tests; measurements should use the
+    /// default.
     #[must_use]
     pub fn scan_reference(mut self) -> Self {
         self.indexed = false;
@@ -1425,7 +1427,8 @@ impl<P: TwoWayProtocol> Skno<P> {
 
     /// The scan-path reference: every branch walks the queue, as the
     /// pre-index implementation did. Kept verbatim as the oracle the
-    /// equivalence suite compares the indexed path against.
+    /// `scan_eq_indexed_skno` row of `tests/differential.rs` compares the
+    /// indexed path against.
     fn checks_scan(&self, r: &mut SknoState<P::State>) -> bool {
         let mut acted = false;
         let filtering = self.filtering();
@@ -1968,5 +1971,12 @@ mod tests {
         skno3.fill(&mut b);
         assert_eq!(a.token_footprint(), 1);
         assert_eq!(b.token_footprint(), 4);
+    }
+
+    #[test]
+    fn skno_is_indexed_by_default_and_scan_reference_opts_out() {
+        let skno = Skno::new(ppfts_protocols::Epidemic, 1);
+        assert!(skno.is_indexed());
+        assert!(!skno.scan_reference().is_indexed());
     }
 }

@@ -100,9 +100,9 @@ pub trait OmissionStrategy {
     /// that decide deterministically — [`NoOmissions`],
     /// [`AtMostOneStrategy`], [`ScriptedOmissions`] — override to
     /// `false`. Overriding falsely on a strategy that *does* draw would
-    /// silently reorder the RNG stream; the equivalence suites
-    /// (`tests/simulator_index_equivalence.rs`) pin the built-in
-    /// strategies' answers.
+    /// silently reorder the RNG stream; the `step_eq_batched_*` rows of
+    /// the differential harness (`tests/differential.rs`) pin the
+    /// built-in strategies' answers.
     fn uses_rng(&self) -> bool {
         true
     }

@@ -73,8 +73,8 @@
 //! available only on backends implementing [`EpochBackend`]. The
 //! interleaved path remains the bit-exact reference; this path
 //! reproduces its law *distributionally* (certified by the
-//! `backend_equivalence` distribution-agreement contracts and by this
-//! module's exact-law test against a sequential reference).
+//! `interleaved_law_eq_epochs_*` rows of `tests/differential.rs` and by
+//! this module's exact-law test against a sequential reference).
 
 use ppfts_population::dist::{self, AliasTable};
 use ppfts_population::{CountConfiguration, State};

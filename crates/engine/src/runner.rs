@@ -16,7 +16,8 @@
 //!   counted;
 //! * [`step`](OneWayRunner::step) — execute one scheduled interaction
 //!   through the pure-outcome path and return its full [`StepRecord`]
-//!   (the scalar reference the equivalence suites compare against);
+//!   (the scalar reference of the differential harness,
+//!   `tests/differential.rs`);
 //! * [`apply_planned`](OneWayRunner::apply_planned) — execute an exact
 //!   sequence of (interaction, fault) pairs, bypassing scheduler and
 //!   adversary. This is how the impossibility constructions of the paper
@@ -1704,6 +1705,13 @@ mod tests {
                 law: crate::InteractionLaw::Topological
             }
         ));
+        // The same assembly on the dense backend builds.
+        let dense = TwoWayRunner::builder(TwoWayModel::Tw, pairing())
+            .config(Configuration::new(vec!['c', 'c', 'c', 'p', 'p', 'p']))
+            .topology(Topology::ring(6).unwrap())
+            .trace_sink(StatsOnly)
+            .build();
+        assert!(dense.is_ok());
     }
 
     #[test]
@@ -1900,6 +1908,10 @@ mod tests {
         // Nothing ran: the rejection happens before the first epoch.
         assert_eq!(runner.steps(), 0);
         assert_eq!(runner.config().count_state(&true), 1);
+        // The untouched runner still honours the schedule interleaved.
+        runner.run(Batched(1), Stop::steps(1_000)).unwrap();
+        assert_eq!(runner.steps(), 1_000);
+        assert_eq!(runner.adversary().injected(), 1);
     }
 
     #[test]

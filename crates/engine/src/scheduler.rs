@@ -130,8 +130,9 @@ pub trait Scheduler {
     /// (no per-draw virtual call, loop-hoisted validation) — the batched
     /// fast path [`Batched`](crate::Batched) uses when the fault stream
     /// permits bulk pair drawing. Bit-identity to the per-draw stream is
-    /// part of the contract; `tests/simulator_index_equivalence.rs` and
-    /// the in-module tests certify it for the built-in schedulers.
+    /// part of the contract; the `step_eq_batched_*` and
+    /// `uniform_eq_complete_*` rows of `tests/differential.rs` and the
+    /// in-module tests certify it for the built-in schedulers.
     ///
     /// `where Self: Sized` keeps the trait object-safe; `&mut dyn
     /// Scheduler` callers simply keep the per-draw entry point.
@@ -241,7 +242,8 @@ impl Scheduler for UniformScheduler {
 /// step as complete-graph scheduling. On the complete topology the draw
 /// consumes the RNG exactly like [`UniformScheduler`], making
 /// complete-topology runs bit-identical to classic uniform runs
-/// (`tests/topology_equivalence.rs` certifies this).
+/// (the `uniform_eq_complete_*` rows of `tests/differential.rs`
+/// certify this).
 ///
 /// On a connected topology every arc has probability `1/2m` per step, so
 /// every edge is scheduled infinitely often in expectation — the

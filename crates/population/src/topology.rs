@@ -741,7 +741,8 @@ impl Topology {
     /// Draws `k` arcs into `out` (appending), consuming the RNG stream
     /// exactly as `k` successive [`sample_arc`](Topology::sample_arc)
     /// calls would — bit-identical by construction, certified by the
-    /// scheduler equivalence suites.
+    /// `step_eq_batched_restricted` and `uniform_eq_complete_*` rows of
+    /// the root `tests/differential.rs`.
     ///
     /// The repr match is hoisted out of the loop and the draws are
     /// monomorphized, which is where the batching win comes from. An
@@ -1479,14 +1480,25 @@ mod tests {
     #[test]
     fn conductance_orders_families_by_expansion() {
         let n = 64;
-        let ring = Topology::ring(n).unwrap().conductance();
-        let grid = Topology::grid2d(8, 8).unwrap().conductance();
-        let rr4 = Topology::random_regular(n, 4, 5).unwrap().conductance();
-        let complete = Topology::complete(n).unwrap().conductance();
+        let families = [
+            Topology::ring(n).unwrap(),
+            Topology::grid2d(8, 8).unwrap(),
+            Topology::random_regular(n, 4, 5).unwrap(),
+            Topology::complete(n).unwrap(),
+        ];
+        let [ring, grid, rr4, complete] = families.each_ref().map(Topology::conductance);
         assert!(
             ring < grid && grid < rr4 && rr4 < complete,
             "ring {ring} < grid {grid} < rr4 {rr4} < complete {complete}"
         );
+        // Cheeger's inequality brackets the estimated values too.
+        for t in &families {
+            let (phi, gap) = (t.conductance(), t.spectral_profile(20_000).spectral_gap);
+            assert!(
+                gap / 2.0 <= phi + 1e-9 && phi <= (2.0 * gap).sqrt() + 1e-9,
+                "{t}: Cheeger violated — gap {gap}, Φ {phi}"
+            );
+        }
     }
 
     #[test]
@@ -1520,6 +1532,7 @@ mod tests {
             Topology::complete(10).unwrap(),
         ] {
             let phi = t.conductance_exact().unwrap();
+            assert_eq!(phi, t.conductance(), "{t}: small graphs are exact");
             let gap = t.spectral_profile(20_000).spectral_gap;
             assert!(
                 gap / 2.0 <= phi + 1e-9 && phi <= (2.0 * gap).sqrt() + 1e-9,

@@ -337,7 +337,8 @@ pub fn skno_epidemic_graphical_run(
 /// [`skno_epidemic_graphical_run`] with the simulator path explicit:
 /// `indexed = false` runs the same workload through the scan-path
 /// reference (`Skno::scan_reference`). The outcome is bit-identical
-/// either way — `tests/simulator_index_equivalence.rs` certifies it, and
+/// either way — the `scan_eq_indexed_skno` row of
+/// `tests/differential.rs` certifies it, and
 /// the E17 release test re-asserts it at n = 64 — so the A/B difference
 /// is pure wall-clock.
 pub fn skno_epidemic_graphical_run_with(

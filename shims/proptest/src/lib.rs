@@ -7,14 +7,24 @@
 //! * the [`Strategy`] trait, with implementations for integer ranges,
 //!   tuples, [`Just`], [`collection::vec`], and [`arbitrary::any`];
 //! * the [`proptest!`] macro (`name(pat in strategy, ...) { body }`);
-//! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assert_ne!`],
-//!   [`prop_assume!`], and [`prop_oneof!`].
+//! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assume!`], and
+//!   [`prop_oneof!`].
 //!
-//! What it deliberately does **not** do: shrinking. A failing case is
-//! reported with its generated inputs (via `Debug` in the assertion
-//! message) but not minimized. Case generation is deterministic per test
-//! name, so failures reproduce; set `PROPTEST_CASES` to change the case
-//! count (default 64).
+//! Failing cases are shrunk. A case fails when an assertion fails or
+//! the body panics (an `unwrap` on an error, say). [`proptest!`] then
+//! minimizes the case one argument at a time: it tries the argument's
+//! [`Strategy::shrink`] candidates in order, keeps the first one that
+//! still fails, and repeats until no candidate fails or a budget of
+//! runs is spent. The panic names the failing case, the minimal inputs
+//! (by `Debug`) and their failure message. Integers shrink toward the
+//! low end of their range (zero for [`arbitrary::any`]), `bool`s
+//! toward `false`, and vectors by dropping elements (never below the
+//! size range's minimum) and then by shrinking elements. [`Just`] and
+//! [`prop_oneof!`] values stay as drawn.
+//!
+//! Case generation is deterministic per test name, so failures
+//! reproduce; set `PROPTEST_CASES` to change the case count (default
+//! 64).
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +35,8 @@ pub mod test_runner {
 
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
+
+    use crate::Strategy;
 
     /// Number of generated cases per property (override: `PROPTEST_CASES`).
     pub fn cases() -> u32 {
@@ -76,6 +88,100 @@ pub mod test_runner {
             ((self.next_u64() as u128 * bound as u128) >> 64) as u64
         }
     }
+
+    /// Test runs a failing property may spend on shrinking.
+    const SHRINK_RUNS: usize = 4096;
+
+    /// A failed property: the first failing case, its minimized input,
+    /// the shrink steps that led there, and why that input fails.
+    #[derive(Clone, Debug)]
+    pub struct Failure<V> {
+        pub case: u32,
+        pub input: V,
+        pub shrinks: u32,
+        pub message: String,
+    }
+
+    /// Runs `test` on `cases()` values of `strategy`, drawn from an RNG
+    /// seeded by `name`. The first failing value is then shrunk: the
+    /// first [`Strategy::shrink`] candidate that still fails replaces
+    /// it, until none does or 4096 runs are spent.
+    ///
+    /// # Errors
+    ///
+    /// The minimized failure, if a case failed.
+    ///
+    /// # Panics
+    ///
+    /// If [`prop_assume!`](crate::prop_assume) rejects ten times as
+    /// many cases as are asked for.
+    pub fn check<S, F>(name: &str, strategy: &S, test: F) -> Result<(), Failure<S::Value>>
+    where
+        S: Strategy,
+        S::Value: Clone,
+        F: Fn(S::Value) -> Result<(), TestCaseError>,
+    {
+        let mut rng = TestRng::for_test(name);
+        let (cases, mut case, mut rejects) = (cases(), 0, 0);
+        let (mut input, mut message) = loop {
+            if case == cases {
+                return Ok(());
+            }
+            let value = strategy.generate(&mut rng);
+            match run_case(&test, value.clone()) {
+                Ok(()) => case += 1,
+                Err(TestCaseError::Reject(_)) => {
+                    rejects += 1;
+                    let too_many = format!("property `{name}` rejected {rejects} cases");
+                    assert!(rejects < 10 * cases, "proptest: {too_many}");
+                }
+                Err(TestCaseError::Fail(message)) => break (value, message),
+            }
+        };
+        let (mut runs, mut shrinks) = (0, 0);
+        'shrink: while runs < SHRINK_RUNS {
+            for candidate in strategy.shrink(&input).into_iter().take(SHRINK_RUNS - runs) {
+                runs += 1;
+                if let Err(TestCaseError::Fail(m)) = run_case(&test, candidate.clone()) {
+                    (input, message, shrinks) = (candidate, m, shrinks + 1);
+                    continue 'shrink;
+                }
+            }
+            break;
+        }
+        Err(Failure {
+            case,
+            input,
+            shrinks,
+            message,
+        })
+    }
+
+    /// Runs one case; a panic in the body is a failure.
+    fn run_case<V, F>(test: &F, value: V) -> Result<(), TestCaseError>
+    where
+        F: Fn(V) -> Result<(), TestCaseError>,
+    {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(value))).unwrap_or_else(
+            |payload| {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                Err(TestCaseError::Fail(format!("panicked: {what}")))
+            },
+        )
+    }
+}
+
+/// Shrink candidates for `x` toward `target`: `target` itself, then
+/// ever closer halving steps up to one away from `x`. Integer shrinks
+/// go through here, widened to `i128`.
+fn toward(target: i128, x: i128) -> impl Iterator<Item = i128> {
+    std::iter::successors(Some(x - target), |d| Some(d / 2))
+        .take_while(|&d| d != 0)
+        .map(move |d| x - d)
 }
 
 /// A recipe for generating values of `Self::Value`.
@@ -85,19 +191,13 @@ pub trait Strategy {
 
     /// Generates one value.
     fn generate(&self, rng: &mut test_runner::TestRng) -> Self::Value;
-}
 
-impl<S: Strategy + ?Sized> Strategy for &S {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut test_runner::TestRng) -> Self::Value {
-        (**self).generate(rng)
-    }
-}
-
-impl<S: Strategy + ?Sized> Strategy for Box<S> {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut test_runner::TestRng) -> Self::Value {
-        (**self).generate(rng)
+    /// Simpler values than `value` that this strategy could also have
+    /// drawn, in the order the shrinker tries them. The default offers
+    /// none.
+    fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        let _ = value;
+        Vec::new()
     }
 }
 
@@ -121,6 +221,9 @@ macro_rules! impl_range_strategy {
                 let span = (self.end as u64).wrapping_sub(self.start as u64);
                 self.start.wrapping_add(rng.below(span) as $t)
             }
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                toward(self.start as i128, *value as i128).map(|x| x as $t).collect()
+            }
         }
         impl Strategy for core::ops::RangeInclusive<$t> {
             type Value = $t;
@@ -133,18 +236,37 @@ macro_rules! impl_range_strategy {
                 }
                 lo.wrapping_add(rng.below(span) as $t)
             }
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                toward(*self.start() as i128, *value as i128).map(|x| x as $t).collect()
+            }
         }
     )*};
 }
 
 impl_range_strategy!(u8, u16, u32, u64, usize);
 
+/// Tuples shrink one component at a time, the first component's
+/// candidates first.
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident $idx:tt),+))*) => {$(
-        impl<$($s: Strategy),+> Strategy for ($($s,)+) {
+        impl<$($s: Strategy),+> Strategy for ($($s,)+)
+        where
+            $($s::Value: Clone),+
+        {
             type Value = ($($s::Value,)+);
             fn generate(&self, rng: &mut test_runner::TestRng) -> Self::Value {
                 ($(self.$idx.generate(rng),)+)
+            }
+            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                let mut out = Vec::new();
+                $(
+                    for c in self.$idx.shrink(&value.$idx) {
+                        let mut v = value.clone();
+                        v.$idx = c;
+                        out.push(v);
+                    }
+                )+
+                out
             }
         }
     )*};
@@ -157,6 +279,8 @@ impl_tuple_strategy! {
     (A 0, B 1, C 2, D 3)
     (A 0, B 1, C 2, D 3, E 4)
     (A 0, B 1, C 2, D 3, E 4, F 5)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7)
 }
 
 /// Uniform choice among boxed alternatives ([`prop_oneof!`]).
@@ -190,11 +314,23 @@ pub mod arbitrary {
     pub trait Arbitrary: Sized {
         /// Generates an unconstrained value.
         fn arbitrary(rng: &mut TestRng) -> Self;
+
+        /// Simpler values, as [`Strategy::shrink`] (default: none).
+        fn shrink(&self) -> Vec<Self> {
+            Vec::new()
+        }
     }
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
+        }
+        fn shrink(&self) -> Vec<bool> {
+            if *self {
+                vec![false]
+            } else {
+                Vec::new()
+            }
         }
     }
 
@@ -203,6 +339,9 @@ pub mod arbitrary {
             impl Arbitrary for $t {
                 fn arbitrary(rng: &mut TestRng) -> $t {
                     rng.next_u64() as $t
+                }
+                fn shrink(&self) -> Vec<$t> {
+                    crate::toward(0, *self as i128).map(|x| x as $t).collect()
                 }
             }
         )*};
@@ -217,6 +356,9 @@ pub mod arbitrary {
         fn generate(&self, rng: &mut TestRng) -> T {
             T::arbitrary(rng)
         }
+        fn shrink(&self, value: &T) -> Vec<T> {
+            value.shrink()
+        }
     }
 
     /// The whole-domain strategy for `T`.
@@ -229,58 +371,65 @@ pub mod collection {
     //! Collection strategies (`prop::collection::vec`).
 
     use super::{test_runner::TestRng, Strategy};
-    use std::ops::{Range, RangeInclusive};
-
-    /// Size specification for collection strategies.
-    pub trait SizeRange {
-        /// Draws a length.
-        fn pick(&self, rng: &mut TestRng) -> usize;
-    }
-
-    impl SizeRange for Range<usize> {
-        fn pick(&self, rng: &mut TestRng) -> usize {
-            assert!(self.start < self.end, "empty size range");
-            self.start + rng.below((self.end - self.start) as u64) as usize
-        }
-    }
-
-    impl SizeRange for RangeInclusive<usize> {
-        fn pick(&self, rng: &mut TestRng) -> usize {
-            let (lo, hi) = (*self.start(), *self.end());
-            assert!(lo <= hi, "empty size range");
-            lo + rng.below((hi - lo + 1) as u64) as usize
-        }
-    }
-
-    impl SizeRange for usize {
-        fn pick(&self, _rng: &mut TestRng) -> usize {
-            *self
-        }
-    }
+    use std::ops::Range;
 
     /// Strategy for `Vec<S::Value>` with lengths drawn from `size`.
-    pub struct VecStrategy<S, R> {
+    pub struct VecStrategy<S> {
         element: S,
-        size: R,
+        size: Range<usize>,
     }
 
-    impl<S: Strategy, R: SizeRange> Strategy for VecStrategy<S, R> {
+    /// Vectors shrink first by length (to the minimum, then by dropping
+    /// one element), then element by element.
+    impl<S: Strategy> Strategy for VecStrategy<S>
+    where
+        S::Value: Clone,
+    {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            let len = self.size.pick(rng);
+            let len = self.size.generate(rng);
             (0..len).map(|_| self.element.generate(rng)).collect()
+        }
+        fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+            let mut out = Vec::new();
+            let min = self.size.start;
+            if value.len() > min {
+                out.push(value[..min].to_vec());
+                for i in 0..value.len() {
+                    let mut v = value.clone();
+                    v.remove(i);
+                    out.push(v);
+                }
+            }
+            for (i, x) in value.iter().enumerate() {
+                for c in self.element.shrink(x) {
+                    let mut v = value.clone();
+                    v[i] = c;
+                    out.push(v);
+                }
+            }
+            out
         }
     }
 
     /// Vectors of `element` with length in `size`.
-    pub fn vec<S: Strategy, R: SizeRange>(element: S, size: R) -> VecStrategy<S, R> {
+    pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
         VecStrategy { element, size }
     }
 }
 
-/// Formats a failed-property report.
-pub fn format_failure(test: &str, case: u32, detail: &str) -> String {
-    format!("proptest: property `{test}` failed on case #{case}: {detail}")
+/// Formats a failed-property report: `args` names the arguments of
+/// the minimal input in `failure`.
+pub fn format_failure<V: fmt::Debug>(
+    test: &str,
+    args: &str,
+    failure: &test_runner::Failure<V>,
+) -> String {
+    format!(
+        "proptest: property `{test}` failed on case #{}; minimal input after {} shrinks:\n  \
+         ({args}) = {:?}\n{}",
+        failure.case, failure.shrinks, failure.input, failure.message
+    )
 }
 
 impl fmt::Display for test_runner::TestCaseError {
@@ -301,32 +450,17 @@ macro_rules! proptest {
     )*) => {$(
         $(#[$meta])*
         fn $name() {
-            let mut __rng = $crate::test_runner::TestRng::for_test(stringify!($name));
-            let __cases = $crate::test_runner::cases();
-            let mut __rejects: u32 = 0;
-            let mut __case: u32 = 0;
-            while __case < __cases {
-                let __outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (|| {
-                        $(let $arg = $crate::Strategy::generate(&($strategy), &mut __rng);)*
-                        $body
-                        Ok(())
-                    })();
-                match __outcome {
-                    Ok(()) => __case += 1,
-                    Err($crate::test_runner::TestCaseError::Reject(_)) => {
-                        __rejects += 1;
-                        assert!(
-                            __rejects < 10 * __cases,
-                            "proptest: property `{}` rejected too many cases ({})",
-                            stringify!($name),
-                            __rejects,
-                        );
-                    }
-                    Err($crate::test_runner::TestCaseError::Fail(msg)) => {
-                        panic!("{}", $crate::format_failure(stringify!($name), __case, &msg));
-                    }
-                }
+            let __strategy = ($($strategy,)*);
+            let __result =
+                $crate::test_runner::check(stringify!($name), &__strategy, |($($arg,)*)| {
+                    $body
+                    Ok(())
+                });
+            if let Err(failure) = __result {
+                panic!(
+                    "{}",
+                    $crate::format_failure(stringify!($name), stringify!($($arg),*), &failure)
+                );
             }
         }
     )*};
@@ -376,32 +510,6 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// [`prop_assert!`] for inequality, printing both operands.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *l != *r,
-            "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($left),
-            stringify!($right),
-            l
-        );
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)*) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *l != *r,
-            "assertion failed: `{} != {}`: {}\n  both: {:?}",
-            stringify!($left),
-            stringify!($right),
-            format!($($fmt)*),
-            l
-        );
-    }};
-}
-
 /// Discards the current case when `cond` is false; the harness draws a
 /// fresh one instead (bounded by a global reject budget).
 #[macro_export]
@@ -430,19 +538,12 @@ pub mod prelude {
 
     pub use crate::arbitrary::any;
     pub use crate::collection;
-    pub use crate::strategy_mod as strategy;
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest, Just,
-        Strategy,
+        prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Just, Strategy,
     };
 
     /// The crate itself, addressable as `prop::` (e.g. `prop::collection::vec`).
     pub use crate as prop;
-}
-
-/// Alias module so `prelude::strategy::Strategy` resolves like upstream.
-pub mod strategy_mod {
-    pub use crate::{Just, Strategy, Union};
 }
 
 #[cfg(test)]
@@ -494,5 +595,49 @@ mod tests {
             prop_assume!(n % 2 == 0);
             prop_assert!(n % 2 == 0);
         }
+    }
+
+    use crate::test_runner::{check, Failure, TestCaseError};
+
+    fn fail_if(cond: bool) -> Result<(), TestCaseError> {
+        if cond {
+            Err(TestCaseError::Fail("boom".into()))
+        } else {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn integers_shrink_to_the_smallest_failing_value() {
+        let failure = check("ints", &(0u32..1000,), |(x,)| fail_if(x >= 17)).unwrap_err();
+        assert_eq!(failure.input, (17,));
+        assert!(failure.shrinks > 0);
+        assert_eq!(failure.message, "boom");
+    }
+
+    #[test]
+    fn vecs_shrink_to_the_shortest_failing_length() {
+        let strategy = (prop::collection::vec(any::<bool>(), 0..20),);
+        let failure = check("vecs", &strategy, |(v,)| fail_if(v.len() >= 3)).unwrap_err();
+        assert_eq!(failure.input, (vec![false; 3],));
+    }
+
+    #[test]
+    fn panicking_bodies_are_shrunk_and_reported() {
+        let strategy = (0u64..1_000_000, any::<bool>());
+        let failure: Failure<(u64, bool)> = check("panics", &strategy, |(x, _)| {
+            let parsed: Result<u8, _> = u8::try_from(x);
+            parsed.unwrap();
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(failure.input, (256, false));
+        assert!(
+            failure.message.starts_with("panicked: "),
+            "{}",
+            failure.message
+        );
+        let report = crate::format_failure("panics", "x, flag", &failure);
+        assert!(report.contains("(x, flag) = (256, false)"), "{report}");
     }
 }

@@ -1,8 +1,9 @@
 //! Stream pins: the exact step count, [`RunStats`] and projected infected
 //! count of fixed-seed runs through each dense execution path.
 //!
-//! The equivalence suites prove that two paths agree with each other;
-//! these pins prove that a path agrees with its own past. A refactor of
+//! The differential harness (`tests/differential.rs`) proves that two
+//! paths agree with each other; these pins prove that a path agrees
+//! with its own past. A refactor of
 //! the run loop that keeps every path equal to every other but shifts
 //! one RNG draw (or miscounts one step) changes a pinned number here.
 //!
