@@ -20,10 +20,10 @@
 //! is subsumed: a reachable deadlock is a singleton terminal SCC that
 //! fails the predicate.
 //!
-//! One explorer serves two-way ([`check_two_way`]) and one-way
-//! ([`check_one_way`]) programs; they differ only in the successor
-//! function. Local states are interned to `u32` ids and a configuration is
-//! an id array, one entry per agent. A program bound to no interaction
+//! One explorer, [`check`], serves one-way and two-way programs: the
+//! model's [`Family`] supplies the faults and [`Program`] the successor
+//! function. Local states are interned to `u32` ids and a configuration
+//! is an id array, one entry per agent. A program bound to no interaction
 //! graph (`required_topology()` is `None`) treats its agents
 //! symmetrically, so its arrays are kept sorted and permutations of agents
 //! collapse into one node. A graphical program addresses agents by vertex,
@@ -41,11 +41,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-use ppfts_engine::{
-    outcome, OneWayFault, OneWayModel, OneWayProgram, Planned, TwoWayFault, TwoWayModel,
-    TwoWayProgram,
-};
-use ppfts_population::{Interaction, Multiset, State, Topology};
+use ppfts_engine::{Family, Planned, Program};
+use ppfts_population::{Interaction, Multiset, State};
 
 /// Exploration failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -246,13 +243,13 @@ impl<Q: State, F: Copy + Default + PartialEq> Exploration<Q, F> {
     /// # Example
     ///
     /// ```
-    /// use ppfts_analyze::check_two_way;
+    /// use ppfts_analyze::check;
     /// use ppfts_engine::TwoWayModel;
     /// use ppfts_protocols::{Pairing, PairingState};
     ///
     /// let paired = |c: &[PairingState]| c.iter().filter(|q| **q == PairingState::Paired).count();
     /// let initial = Pairing::initial(2, 1);
-    /// let check = check_two_way(TwoWayModel::Tw, &Pairing, initial.as_slice(), 0, 10_000, |c| {
+    /// let check = check(TwoWayModel::Tw, &Pairing, initial.as_slice(), 0, 10_000, |c| {
     ///     paired(c) == 1
     /// })?;
     /// // Pairing liveness, *proved* for n = 3: every GF execution stabilizes
@@ -415,18 +412,59 @@ impl<Q: State, F: Copy + Default + PartialEq> Exploration<Q, F> {
     }
 }
 
-/// The explorer behind [`check_two_way`] and [`check_one_way`]: BFS over
-/// `(configuration, spent)` nodes, where `step` applies one interaction
-/// under one of `faults` (the fault-free decoration is `F::default()`).
-fn explore<Q: State, F: Copy + Default + PartialEq>(
-    initial: &[Q],
-    topology: Option<&Topology>,
-    faults: &[F],
+/// Exhaustively checks `program` under the `(budget, model)` omission
+/// adversary, in either interaction family.
+///
+/// Proves that from **every** configuration reachable with at most
+/// `budget` omissions, every globally-fair fault-free continuation
+/// stabilizes into configurations satisfying `pred` — or extracts a
+/// shortest counterexample trace. Interactions range over every ordered
+/// pair of agents, or over the arcs of the program's required topology
+/// for a graphical program. `pred` sees a configuration in id order for
+/// an agent-symmetric program and per agent for a graphical one.
+///
+/// # Errors
+///
+/// [`ExploreError::TooManyNodes`] if the budgeted space exceeds
+/// `max_nodes`; [`ExploreError::TopologySizeMismatch`] if a graphical
+/// program's graph does not have exactly `initial.len()` vertices.
+///
+/// # Example
+///
+/// ```
+/// use ppfts_analyze::check;
+/// use ppfts_engine::TwoWayModel;
+/// use ppfts_protocols::Epidemic;
+///
+/// let mut initial = vec![false; 10];
+/// initial[0] = true;
+/// let check = check(TwoWayModel::T1, &Epidemic, &initial, 1, 100_000, |c| {
+///     c.iter().all(|&b| b)
+/// })?;
+/// // Epidemic still floods at n = 10 under one adversarial omission.
+/// assert!(check.verdict.is_proved());
+/// # Ok::<(), ppfts_analyze::ExploreError>(())
+/// ```
+pub fn check<M, P>(
+    model: M,
+    program: &P,
+    initial: &[P::State],
     budget: u32,
     max_nodes: usize,
-    mut step: impl FnMut(&Q, &Q, F) -> (Q, Q),
-    mut pred: impl FnMut(&[Q]) -> bool,
-) -> Result<Exploration<Q, F>, ExploreError> {
+    mut pred: impl FnMut(&[P::State]) -> bool,
+) -> Result<Exploration<P::State, M::Fault>, ExploreError>
+where
+    M: Family,
+    P: Program<M>,
+{
+    // One BFS over `(configuration, spent)` nodes; the fault-free
+    // decoration is `M::Fault::default()`.
+    let (topology, faults) = (program.required_topology(), model.permitted_faults());
+    let step = |s: &P::State, r: &P::State, fault| {
+        program
+            .outcome(model, s, r, fault)
+            .expect("fault is permitted by the model")
+    };
     let n = initial.len();
     let pairs: Vec<(usize, usize)> = match topology {
         Some(t) if t.len() != n => {
@@ -486,7 +524,7 @@ fn explore<Q: State, F: Copy + Default + PartialEq>(
         let (cfg, used) = (x.config_of[u] as usize, spent[u]);
         for (p, &(s, r)) in pairs.iter().enumerate() {
             for &fault in faults {
-                let omissive = fault != F::default();
+                let omissive = M::is_omissive(fault);
                 if omissive && used >= budget {
                     continue;
                 }
@@ -576,100 +614,12 @@ fn explore<Q: State, F: Copy + Default + PartialEq>(
     Ok(x)
 }
 
-/// Exhaustively checks a **two-way** program under the `(budget, model)`
-/// omission adversary.
-///
-/// Proves that from **every** configuration reachable with at most
-/// `budget` omissions, every globally-fair fault-free continuation
-/// stabilizes into configurations satisfying `pred` — or extracts a
-/// shortest counterexample trace. Interactions range over every ordered
-/// pair of agents, or over the arcs of `program.required_topology()` for a
-/// graphical program. `pred` sees a configuration in id order for an
-/// agent-symmetric program and per agent for a graphical one.
-///
-/// # Errors
-///
-/// [`ExploreError::TooManyNodes`] if the budgeted space exceeds
-/// `max_nodes`; [`ExploreError::TopologySizeMismatch`] if a graphical
-/// program's graph does not have exactly `initial.len()` vertices.
-///
-/// # Example
-///
-/// ```
-/// use ppfts_analyze::check_two_way;
-/// use ppfts_engine::TwoWayModel;
-/// use ppfts_protocols::Epidemic;
-///
-/// let mut initial = vec![false; 10];
-/// initial[0] = true;
-/// let check = check_two_way(TwoWayModel::T1, &Epidemic, &initial, 1, 100_000, |c| {
-///     c.iter().all(|&b| b)
-/// })?;
-/// // Epidemic still floods at n = 10 under one adversarial omission.
-/// assert!(check.verdict.is_proved());
-/// # Ok::<(), ppfts_analyze::ExploreError>(())
-/// ```
-pub fn check_two_way<P>(
-    model: TwoWayModel,
-    program: &P,
-    initial: &[P::State],
-    budget: u32,
-    max_nodes: usize,
-    pred: impl FnMut(&[P::State]) -> bool,
-) -> Result<Exploration<P::State, TwoWayFault>, ExploreError>
-where
-    P: TwoWayProgram,
-{
-    explore(
-        initial,
-        program.required_topology(),
-        model.permitted_faults(),
-        budget,
-        max_nodes,
-        |s, r, fault| {
-            outcome::two_way(model, program, s, r, fault).expect("fault is permitted by the model")
-        },
-        pred,
-    )
-}
-
-/// Exhaustively checks a **one-way** program under the `(budget, model)`
-/// omission adversary; the one-way sibling of [`check_two_way`], with the
-/// same verdict, errors and pair enumeration.
-///
-/// # Errors
-///
-/// As [`check_two_way`].
-pub fn check_one_way<P>(
-    model: OneWayModel,
-    program: &P,
-    initial: &[P::State],
-    budget: u32,
-    max_nodes: usize,
-    pred: impl FnMut(&[P::State]) -> bool,
-) -> Result<Exploration<P::State, OneWayFault>, ExploreError>
-where
-    P: OneWayProgram,
-{
-    explore(
-        initial,
-        program.required_topology(),
-        model.permitted_faults(),
-        budget,
-        max_nodes,
-        |s, r, fault| {
-            outcome::one_way(model, program, s, r, fault).expect("fault is permitted by the model")
-        },
-        pred,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppfts_core::{SimulatorState, Skno};
-    use ppfts_engine::{OneWayRunner, TwoWayRunner};
-    use ppfts_population::{Configuration, Semantics};
+    use ppfts_engine::{OneWayFault, OneWayModel, OneWayRunner, TwoWayModel, TwoWayRunner};
+    use ppfts_population::{Configuration, Semantics, Topology};
     use ppfts_protocols::majority_states::{SX, SY};
     use ppfts_protocols::{Epidemic, ExactMajority, MajorityOpinion, Remainder};
 
@@ -680,7 +630,7 @@ mod tests {
     #[test]
     fn epidemic_proved_at_n10_under_one_omission() {
         for o in [0, 1] {
-            let check = check_two_way(
+            let check = check(
                 TwoWayModel::T1,
                 &Epidemic,
                 &epidemic(1, 9),
@@ -699,7 +649,7 @@ mod tests {
     fn exact_majority_margin_2_survives_one_omission() {
         let initial = [vec![SX; 6], vec![SY; 4]].concat();
         for o in [0, 1] {
-            let check = check_two_way(
+            let check = check(
                 TwoWayModel::T1,
                 &ExactMajority,
                 &initial,
@@ -721,7 +671,7 @@ mod tests {
         // active/active merge loses a unit and flips the stable answer.
         let parity = Remainder::new(2, 0);
         let initial = parity.initial_configuration(&[1, 1, 1, 1]);
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::T1,
             &parity,
             initial.as_slice(),
@@ -760,7 +710,7 @@ mod tests {
 
     #[test]
     fn dense_checker_proves_one_way_epidemic() {
-        let check = check_one_way(
+        let check = check(
             OneWayModel::Io,
             &Gossip,
             &[true, false, false],
@@ -780,7 +730,7 @@ mod tests {
         // second case seeds an agent that is not first in id order, so
         // the replay must map sorted positions back to agents.
         for initial in [vec![true, false], vec![false, false, true, false]] {
-            let check = check_one_way(OneWayModel::Io, &Gossip, &initial, 0, 10_000, |states| {
+            let check = check(OneWayModel::Io, &Gossip, &initial, 0, 10_000, |states| {
                 states.iter().all(|b| !*b)
             })
             .unwrap();
@@ -798,8 +748,7 @@ mod tests {
     #[test]
     fn node_cap_is_enforced() {
         let initial = [vec![SX; 4], vec![SY; 3]].concat();
-        let err =
-            check_two_way(TwoWayModel::T1, &ExactMajority, &initial, 2, 3, |_| true).unwrap_err();
+        let err = check(TwoWayModel::T1, &ExactMajority, &initial, 2, 3, |_| true).unwrap_err();
         assert_eq!(err, ExploreError::TooManyNodes { limit: 3 });
     }
 
@@ -808,7 +757,7 @@ mod tests {
         let ring = Topology::ring(4).unwrap();
         let skno = Skno::graphical(Epidemic, 0, ring);
         let initial = Skno::<Epidemic>::initial(&[true, false, false]);
-        let err = check_one_way(OneWayModel::I3, &skno, initial.as_slice(), 0, 1_000, |_| {
+        let err = check(OneWayModel::I3, &skno, initial.as_slice(), 0, 1_000, |_| {
             true
         })
         .unwrap_err();
@@ -826,7 +775,7 @@ mod tests {
         let path = Topology::from_edges(2, [(0, 1)]).unwrap();
         let skno = Skno::graphical(Epidemic, 0, path);
         let initial = Skno::<Epidemic>::initial(&[true, false, false]);
-        let err = check_one_way(OneWayModel::I3, &skno, initial.as_slice(), 0, 1_000, |_| {
+        let err = check(OneWayModel::I3, &skno, initial.as_slice(), 0, 1_000, |_| {
             true
         })
         .unwrap_err();
@@ -848,7 +797,7 @@ mod tests {
         let initial = Skno::<Epidemic>::initial(sims);
         let n = sims.len();
         let flooded = |c: &[ppfts_core::SknoState<bool>]| c.iter().all(|q| *q.simulated());
-        let sorted = check_one_way(
+        let sorted = check(
             OneWayModel::I3,
             &Skno::new(Epidemic, 1),
             initial.as_slice(),
@@ -858,7 +807,7 @@ mod tests {
         )
         .unwrap();
         let complete = Skno::graphical(Epidemic, 1, Topology::complete(n).unwrap());
-        let unsorted = check_one_way(
+        let unsorted = check(
             OneWayModel::I3,
             &complete,
             initial.as_slice(),
@@ -900,7 +849,7 @@ mod tests {
         let initial = flock.initial_configuration(&[true, true, false]);
         // Initially every agent outputs false, yet the threshold 2 is
         // met: unanimity on false flips to unanimity on true.
-        let flips = check_two_way(
+        let flips = check(
             TwoWayModel::Tw,
             &flock,
             initial.as_slice(),
@@ -918,7 +867,7 @@ mod tests {
     #[test]
     fn exact_majority_has_no_fault_free_output_flips() {
         let initial = [vec![SX; 3], vec![SY; 2]].concat();
-        let flips = check_two_way(
+        let flips = check(
             TwoWayModel::Tw,
             &ExactMajority,
             &initial,

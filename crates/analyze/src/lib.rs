@@ -30,9 +30,7 @@ pub mod finding;
 pub mod lints;
 pub mod suite;
 
-pub use checker::{
-    check_one_way, check_two_way, Exploration, ExploreError, OutputFlip, Trace, Verdict,
-};
+pub use checker::{check, Exploration, ExploreError, OutputFlip, Trace, Verdict};
 pub use finding::{Finding, Report, Severity};
 pub use suite::{
     grid_table, run_check, run_suite, suite_ids, CheckResult, GridRow, SuiteCheck, SUITE,

@@ -19,7 +19,7 @@ use ppfts_core::{Skno, SknoState, Token};
 use ppfts_engine::{OneWayProgram, TwoWayModel, TwoWayProgram};
 use ppfts_population::{delta_closure, EnumerableStates, State, TableProtocol, TwoWayProtocol};
 
-use crate::checker::{check_two_way, ExploreError};
+use crate::checker::{check, ExploreError};
 use crate::finding::{Finding, Severity};
 
 /// Delta-closure lints: unreachable declared states, dead rules (their
@@ -140,8 +140,7 @@ where
     P::State: std::fmt::Debug,
     Y: Clone + PartialEq + std::fmt::Debug,
 {
-    let flips =
-        check_two_way(model, program, initial, 0, max_nodes, |_| true)?.output_flips(output);
+    let flips = check(model, program, initial, 0, max_nodes, |_| true)?.output_flips(output);
     Ok(flips
         .into_iter()
         .map(|flip| {

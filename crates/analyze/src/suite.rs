@@ -19,7 +19,7 @@ use ppfts_protocols::{
     ApproximateMajority, Epidemic, ExactMajority, FlockOfBirds, MajorityOpinion, Remainder,
 };
 
-use crate::checker::{check_one_way, check_two_way, Verdict};
+use crate::checker::{check, Verdict};
 use crate::finding::{Finding, Report, Severity};
 use crate::lints::{
     lint_conservation, lint_output_stability, lint_reachability, lint_skno, lint_skno_addressing,
@@ -186,7 +186,7 @@ fn expect_proved_counts<P>(
     P::State: std::fmt::Debug,
 {
     let n = initial.len();
-    let verdict = match check_two_way(model, program, initial, budget, COUNT_CAP, pred) {
+    let verdict = match check(model, program, initial, budget, COUNT_CAP, pred) {
         Err(err) => {
             findings.push(Finding::warning(
                 "convergence",
@@ -362,7 +362,7 @@ fn check_remainder() -> CheckResult {
     // Under one omission the absorbed partial sum can be lost, flipping
     // the answer — the paper's motivating non-tolerant protocol. The
     // analyzer must *find* that counterexample (and it must replay).
-    let check = check_two_way(
+    let check = check(
         TwoWayModel::T1,
         &parity,
         initial.as_slice(),
@@ -536,7 +536,7 @@ fn check_skno() -> CheckResult {
     // Exhaustive delivery proof for the addressed graphical simulator.
     let (protocol, path, states, expected) = skno_scenario();
     let skno = Skno::graphical(protocol, 0, path);
-    let verdict = match check_one_way(OneWayModel::I3, &skno, &states, 0, DENSE_CAP, |c| {
+    let verdict = match check(OneWayModel::I3, &skno, &states, 0, DENSE_CAP, |c| {
         (0..3).all(|v| *c[v].simulated() == expected[v])
     }) {
         Err(err) => {
@@ -600,7 +600,7 @@ fn check_skno_mutant() -> CheckResult {
     // trace that replays through the engine.
     let (protocol, path, states, expected) = skno_scenario();
     let mutant = Skno::graphical_unaddressed(protocol, 0, path.clone());
-    let check = check_one_way(OneWayModel::I3, &mutant, &states, 0, DENSE_CAP, |c| {
+    let check = check(OneWayModel::I3, &mutant, &states, 0, DENSE_CAP, |c| {
         (0..3).all(|v| *c[v].simulated() == expected[v])
     });
     let verdict = match check {
@@ -743,7 +743,7 @@ fn simulator_convergence_row<P>(
     P: ppfts_engine::OneWayProgram,
 {
     let n = initial.len();
-    let verdict = match check_one_way(OneWayModel::Io, program, initial, 0, DENSE_CAP, pred) {
+    let verdict = match check(OneWayModel::Io, program, initial, 0, DENSE_CAP, pred) {
         Err(err) => {
             result.findings.push(Finding::warning(
                 "convergence",

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use ppfts_engine::{outcome, OneWayFault, OneWayModel, OneWayProgram};
+use ppfts_engine::{outcome, EngineError, OneWayFault, OneWayModel, OneWayProgram};
 use ppfts_population::{Interaction, State, TwoWayProtocol};
 
 use crate::SimulatorState;
@@ -81,28 +81,44 @@ where
     Sim::State: SimulatorState<Simulated = P::State> + State,
     P: TwoWayProtocol,
 {
-    let start0 = q0.simulated().clone();
-    let start1 = q1.simulated().clone();
-    let (target0, target1) = protocol.delta(&start0, &start1);
-
+    let (target0, target1) = protocol.delta(q0.simulated(), q1.simulated());
     let reached =
         |a: &Sim::State, b: &Sim::State| *a.simulated() == target0 && *b.simulated() == target1;
+    let schedule = shortest_schedule(model, simulator, q0, q1, max_depth, reached)?;
+    Some(FttWitness {
+        steps: u32::try_from(schedule.len()).expect("schedules are at most max_depth long"),
+        schedule,
+    })
+}
 
-    if reached(&q0, &q1) {
-        return Some(FttWitness {
-            steps: 0,
-            schedule: Vec::new(),
-        });
+/// The shortest fault-free schedule that takes the two-agent pair
+/// `(a, b)` to a pair on which `target` holds, found by breadth-first
+/// search over the schedule tree (branching on `(a0, a1)` vs `(a1, a0)`
+/// at each step); empty if `target` already holds, `None` if no schedule
+/// of at most `max_depth` steps reaches it.
+pub fn shortest_schedule<Sim>(
+    model: OneWayModel,
+    simulator: &Sim,
+    a: Sim::State,
+    b: Sim::State,
+    max_depth: u32,
+    target: impl Fn(&Sim::State, &Sim::State) -> bool,
+) -> Option<Vec<Interaction>>
+where
+    Sim: OneWayProgram,
+    Sim::State: State,
+{
+    if target(&a, &b) {
+        return Some(Vec::new());
     }
-
     let forward = Interaction::new(0, 1).expect("distinct");
     let backward = Interaction::new(1, 0).expect("distinct");
 
     // BFS over (state0, state1) with parent pointers for the witness.
-    let mut queue: VecDeque<(Sim::State, Sim::State)> = VecDeque::new();
-    let mut seen: HashMap<(Sim::State, Sim::State), u32> = HashMap::new();
+    let mut queue: VecDeque<PairState<Sim::State>> = VecDeque::new();
+    let mut seen: HashMap<PairState<Sim::State>, u32> = HashMap::new();
     let mut parent: ParentMap<Sim::State> = HashMap::new();
-    let initial = (q0, q1);
+    let initial = (a, b);
     seen.insert(initial.clone(), 0);
     queue.push_back(initial);
 
@@ -112,25 +128,16 @@ where
             continue;
         }
         for interaction in [forward, backward] {
-            let (s, r) = if interaction == forward {
-                (&node.0, &node.1)
-            } else {
-                (&node.1, &node.0)
-            };
-            let Ok((s2, r2)) = outcome::one_way(model, simulator, s, r, OneWayFault::None) else {
+            let Ok(next) = step_pair(model, simulator, &node, interaction, OneWayFault::None)
+            else {
                 continue;
-            };
-            let next = if interaction == forward {
-                (s2, r2)
-            } else {
-                (r2, s2)
             };
             if seen.contains_key(&next) {
                 continue;
             }
             seen.insert(next.clone(), depth + 1);
             parent.insert(next.clone(), (node.clone(), interaction));
-            if reached(&next.0, &next.1) {
+            if target(&next.0, &next.1) {
                 // Reconstruct the schedule.
                 let mut schedule = Vec::new();
                 let mut cursor = next;
@@ -139,15 +146,43 @@ where
                     cursor = prev.clone();
                 }
                 schedule.reverse();
-                return Some(FttWitness {
-                    steps: depth + 1,
-                    schedule,
-                });
+                return Some(schedule);
             }
             queue.push_back(next);
         }
     }
     None
+}
+
+/// The two-agent pair after one interaction between its agents 0 and 1
+/// under `fault`.
+///
+/// # Errors
+///
+/// [`EngineError::FaultNotInRelation`] if `model` has no such fault.
+///
+/// # Panics
+///
+/// Panics if `interaction` names an agent other than 0 and 1.
+pub fn step_pair<Sim>(
+    model: OneWayModel,
+    simulator: &Sim,
+    pair: &PairState<Sim::State>,
+    interaction: Interaction,
+    fault: OneWayFault,
+) -> Result<PairState<Sim::State>, EngineError>
+where
+    Sim: OneWayProgram,
+{
+    let (s_idx, r_idx) = (interaction.starter().index(), interaction.reactor().index());
+    assert!(s_idx < 2 && r_idx < 2, "two-agent schedules only");
+    let (s, r) = if s_idx == 0 {
+        (&pair.0, &pair.1)
+    } else {
+        (&pair.1, &pair.0)
+    };
+    let (s2, r2) = outcome::one_way(model, simulator, s, r, fault)?;
+    Ok(if s_idx == 0 { (s2, r2) } else { (r2, s2) })
 }
 
 /// Measures the TT (Definition 6) of a specific two-agent schedule:
@@ -158,8 +193,8 @@ pub fn transition_time<Sim, P>(
     model: OneWayModel,
     simulator: &Sim,
     protocol: &P,
-    mut q0: Sim::State,
-    mut q1: Sim::State,
+    q0: Sim::State,
+    q1: Sim::State,
     schedule: &[Interaction],
 ) -> Option<u32>
 where
@@ -168,22 +203,15 @@ where
     P: TwoWayProtocol,
 {
     let (target0, target1) = protocol.delta(q0.simulated(), q1.simulated());
-    if *q0.simulated() == target0 && *q1.simulated() == target1 {
+    let reached =
+        |(a, b): &PairState<Sim::State>| *a.simulated() == target0 && *b.simulated() == target1;
+    let mut pair = (q0, q1);
+    if reached(&pair) {
         return Some(0);
     }
-    for (step, interaction) in schedule.iter().enumerate() {
-        let (s_idx, r_idx) = (interaction.starter().index(), interaction.reactor().index());
-        assert!(s_idx < 2 && r_idx < 2, "two-agent schedules only");
-        let (s, r) = if s_idx == 0 { (&q0, &q1) } else { (&q1, &q0) };
-        let (s2, r2) = outcome::one_way(model, simulator, s, r, OneWayFault::None).ok()?;
-        if s_idx == 0 {
-            q0 = s2;
-            q1 = r2;
-        } else {
-            q1 = s2;
-            q0 = r2;
-        }
-        if *q0.simulated() == target0 && *q1.simulated() == target1 {
+    for (step, &interaction) in schedule.iter().enumerate() {
+        pair = step_pair(model, simulator, &pair, interaction, OneWayFault::None).ok()?;
+        if reached(&pair) {
             return Some(step as u32 + 1);
         }
     }

@@ -58,7 +58,7 @@ mod skno;
 
 pub use commit::{project, Commit, Role, SimulatorState};
 pub use event::{extract_events, SimEvent};
-pub use ftt::{fastest_transition_time, transition_time, FttWitness};
+pub use ftt::{fastest_transition_time, shortest_schedule, step_pair, transition_time, FttWitness};
 pub use matching::{build_matching, verify_derived_execution, Matching, MatchingError};
 pub use naming::{GossipPolicy, NamedSid, NamedState};
 pub use sid::{RollbackPolicy, Sid, SidPhase, SidState};

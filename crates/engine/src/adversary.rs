@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use rand::{Rng, RngCore};
 
-use crate::{TwoWayFault, TwoWayModel};
+use crate::{Family, TwoWayFault, TwoWayModel};
 
 /// Decision process for omission insertion.
 ///
@@ -511,22 +511,7 @@ pub enum SidePolicy {
 impl SidePolicy {
     /// Concretizes an omission decision into a fault for `model`.
     pub fn pick(self, model: TwoWayModel, rng: &mut dyn RngCore) -> TwoWayFault {
-        match self {
-            SidePolicy::Always(f) => f,
-            SidePolicy::Uniform => {
-                let omissive: Vec<TwoWayFault> = model
-                    .permitted_faults()
-                    .iter()
-                    .copied()
-                    .filter(|f| f.is_omissive())
-                    .collect();
-                if omissive.is_empty() {
-                    TwoWayFault::None
-                } else {
-                    omissive[rng.gen_range(0..omissive.len())]
-                }
-            }
-        }
+        crate::model::choose(model.omissions(&self), rng)
     }
 }
 

@@ -69,24 +69,15 @@ pub trait ExecBackend: Population {
     /// collision-aware by construction — when this is `false`.
     const STABLE_PAIRS: bool;
 
-    /// Draws the next interacting pair through the scheduler layer.
+    /// Draws the next interacting pair through the scheduler layer,
+    /// monomorphized over the scheduler and RNG types so the draw
+    /// inlines end to end.
     ///
     /// # Panics
     ///
     /// Panics if the population has fewer than two agents, or (count
     /// backend) if `scheduler` does not realize the uniform law.
-    fn draw_pair(&self, scheduler: &mut dyn Scheduler, rng: &mut dyn RngCore) -> Self::Pair;
-
-    /// [`draw_pair`](ExecBackend::draw_pair) with concrete scheduler and
-    /// RNG types, so the draw monomorphizes end to end (no virtual call
-    /// per range draw). Same pair, same RNG consumption. `where Self:
-    /// Sized` keeps the trait object-safe.
-    fn draw_pair_with<S: Scheduler, R: RngCore>(&self, scheduler: &mut S, rng: &mut R) -> Self::Pair
-    where
-        Self: Sized,
-    {
-        self.draw_pair(scheduler, rng)
-    }
+    fn draw_pair<S: Scheduler, R: RngCore>(&self, scheduler: &mut S, rng: &mut R) -> Self::Pair;
 
     /// Draws `k` pairs into `out` (appending), consuming the RNG stream
     /// exactly as `k` successive [`draw_pair`](ExecBackend::draw_pair)
@@ -97,7 +88,7 @@ pub trait ExecBackend: Population {
     /// batch is drawn. The dense backend routes this through
     /// [`Scheduler::next_interactions_into`], the schedulers' hoisted
     /// monomorphized bulk path; the default loops over
-    /// [`draw_pair_with`](ExecBackend::draw_pair_with).
+    /// [`draw_pair`](ExecBackend::draw_pair).
     fn draw_pairs_into<S: Scheduler, R: RngCore>(
         &self,
         out: &mut Vec<Self::Pair>,
@@ -109,7 +100,7 @@ pub trait ExecBackend: Population {
     {
         out.reserve(k);
         for _ in 0..k {
-            out.push(self.draw_pair_with(scheduler, rng));
+            out.push(self.draw_pair(scheduler, rng));
         }
     }
 
@@ -175,15 +166,7 @@ impl<Q: State> ExecBackend for DenseConfiguration<Q> {
     const PER_AGENT: bool = true;
     const STABLE_PAIRS: bool = true;
 
-    fn draw_pair(&self, scheduler: &mut dyn Scheduler, rng: &mut dyn RngCore) -> Interaction {
-        scheduler.next_interaction(DenseConfiguration::len(self), rng)
-    }
-
-    fn draw_pair_with<S: Scheduler, R: RngCore>(
-        &self,
-        scheduler: &mut S,
-        rng: &mut R,
-    ) -> Interaction {
+    fn draw_pair<S: Scheduler, R: RngCore>(&self, scheduler: &mut S, rng: &mut R) -> Interaction {
         scheduler.next_interaction(DenseConfiguration::len(self), rng)
     }
 
@@ -230,7 +213,7 @@ impl<Q: State> ExecBackend for CountConfiguration<Q> {
     const PER_AGENT: bool = false;
     const STABLE_PAIRS: bool = false;
 
-    fn draw_pair(&self, scheduler: &mut dyn Scheduler, rng: &mut dyn RngCore) -> (Q, Q) {
+    fn draw_pair<S: Scheduler, R: RngCore>(&self, scheduler: &mut S, rng: &mut R) -> (Q, Q) {
         // Builders refuse to assemble this combination
         // (EngineError::CompleteInteractionLawRequired); the assert only
         // guards direct ExecBackend callers.

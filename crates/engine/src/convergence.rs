@@ -8,15 +8,12 @@
 //! [`stably`] predicate combinator that makes sampled convergence checks
 //! quiescence-aware.
 
-use ppfts_population::{Multiset, Population, State};
+use ppfts_population::Population;
 
-use crate::{
-    outcome, OneWayFault, OneWayModel, OneWayProgram, TwoWayFault, TwoWayModel, TwoWayProgram,
-};
+use crate::{Family, Program};
 
-/// Whether `config` is **silent** under a two-way program: no ordered pair
-/// of (distinct) present states changes under any fault the model
-/// permits.
+/// Whether `config` is **silent** under `program`: no ordered pair of
+/// (distinct) present states changes under any fault `model` permits.
 ///
 /// Cost: O(d² · f) where `d` is the number of *distinct* states present
 /// and `f` the number of permitted faults — silence is a property of the
@@ -25,7 +22,7 @@ use crate::{
 /// # Example
 ///
 /// ```
-/// use ppfts_engine::convergence::silent_two_way;
+/// use ppfts_engine::convergence::silent;
 /// use ppfts_engine::TwoWayModel;
 /// use ppfts_population::{Configuration, FunctionProtocol};
 ///
@@ -33,68 +30,34 @@ use crate::{
 ///     |s: &bool, r: &bool| *s || *r,
 ///     |s: &bool, r: &bool| *s || *r,
 /// );
-/// assert!(silent_two_way(TwoWayModel::Tw, &or, &Configuration::uniform(true, 4)));
-/// assert!(!silent_two_way(TwoWayModel::Tw, &or, &Configuration::new(vec![true, false])));
+/// assert!(silent(TwoWayModel::Tw, &or, &Configuration::uniform(true, 4)));
+/// assert!(!silent(TwoWayModel::Tw, &or, &Configuration::new(vec![true, false])));
 /// ```
-pub fn silent_two_way<P: TwoWayProgram>(
-    model: TwoWayModel,
+pub fn silent<M: Family, P: Program<M>>(
+    model: M,
     program: &P,
     config: &impl Population<State = P::State>,
 ) -> bool {
     let counts = config.counts();
-    silent_over_pairs(&counts, |s, r| {
+    let noop = |s: &P::State, r: &P::State| {
         model.permitted_faults().iter().all(|&fault| {
-            let (s2, r2) = outcome::two_way(model, program, s, r, fault)
+            let (s2, r2) = program
+                .outcome(model, s, r, fault)
                 .expect("fault permitted by the model");
             s2 == *s && r2 == *r
         })
-    })
-}
-
-/// Whether `config` is **silent** under a one-way program: no ordered
-/// pair of (distinct) present states changes under any fault the model
-/// permits.
-pub fn silent_one_way<P: OneWayProgram>(
-    model: OneWayModel,
-    program: &P,
-    config: &impl Population<State = P::State>,
-) -> bool {
-    let faults: &[OneWayFault] = if model.allows_omissions() {
-        &[OneWayFault::None, OneWayFault::Omission]
-    } else {
-        &[OneWayFault::None]
     };
-    let counts = config.counts();
-    silent_over_pairs(&counts, |s, r| {
-        faults.iter().all(|&fault| {
-            let (s2, r2) = outcome::one_way(model, program, s, r, fault)
-                .expect("fault permitted by the model");
-            s2 == *s && r2 == *r
-        })
-    })
-}
-
-fn silent_over_pairs<Q: State>(
-    counts: &Multiset<Q>,
-    mut pair_is_noop: impl FnMut(&Q, &Q) -> bool,
-) -> bool {
     for (s, cs) in counts.iter() {
         for (r, _) in counts.iter() {
             if s == r && cs < 2 {
                 continue; // a lone agent cannot meet itself
             }
-            if !pair_is_noop(s, r) {
+            if !noop(s, r) {
                 return false;
             }
         }
     }
     true
-}
-
-/// Faults that may occur for a two-way model — re-exported for silence
-/// analysis of custom tooling.
-pub fn permitted_two_way_faults(model: TwoWayModel) -> &'static [TwoWayFault] {
-    model.permitted_faults()
 }
 
 /// Wraps a configuration predicate so it only reports `true` after
@@ -151,7 +114,7 @@ pub fn stably<C>(mut predicate: impl FnMut(&C) -> bool, window: u64) -> impl FnM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Batched, Stop};
+    use crate::{Batched, OneWayModel, OneWayProgram, Stop, TwoWayModel, TwoWayProgram};
     use ppfts_population::{Configuration, FunctionProtocol};
 
     fn epidemic() -> impl TwoWayProgram<State = bool> {
@@ -168,12 +131,12 @@ mod tests {
 
     #[test]
     fn all_infected_is_silent() {
-        assert!(silent_two_way(
+        assert!(silent(
             TwoWayModel::Tw,
             &epidemic(),
             &Configuration::uniform(true, 5)
         ));
-        assert!(silent_one_way(
+        assert!(silent(
             OneWayModel::Io,
             &OneWayOr,
             &Configuration::uniform(true, 5)
@@ -182,12 +145,12 @@ mod tests {
 
     #[test]
     fn mixed_is_not_silent() {
-        assert!(!silent_two_way(
+        assert!(!silent(
             TwoWayModel::Tw,
             &epidemic(),
             &Configuration::new(vec![true, false, false])
         ));
-        assert!(!silent_one_way(
+        assert!(!silent(
             OneWayModel::Io,
             &OneWayOr,
             &Configuration::new(vec![false, true])
@@ -196,7 +159,7 @@ mod tests {
 
     #[test]
     fn all_clear_is_silent_too() {
-        assert!(silent_two_way(
+        assert!(silent(
             TwoWayModel::Tw,
             &epidemic(),
             &Configuration::uniform(false, 3)
@@ -211,12 +174,8 @@ mod tests {
             |s: &u8, r: &u8| if *s == 1 && *r == 1 { 2 } else { *s },
             |s: &u8, r: &u8| if *s == 1 && *r == 1 { 2 } else { *r },
         );
-        assert!(silent_two_way(
-            TwoWayModel::Tw,
-            &p,
-            &Configuration::new(vec![1, 0])
-        ));
-        assert!(!silent_two_way(
+        assert!(silent(TwoWayModel::Tw, &p, &Configuration::new(vec![1, 0])));
+        assert!(!silent(
             TwoWayModel::Tw,
             &p,
             &Configuration::new(vec![1, 1])
@@ -242,8 +201,8 @@ mod tests {
             }
         }
         let c = Configuration::new(vec![0u8, 0]);
-        assert!(silent_two_way(TwoWayModel::Tw, &Detect, &c));
-        assert!(!silent_two_way(TwoWayModel::T3, &Detect, &c));
+        assert!(silent(TwoWayModel::Tw, &Detect, &c));
+        assert!(!silent(TwoWayModel::T3, &Detect, &c));
     }
 
     #[test]
@@ -272,7 +231,7 @@ mod tests {
         // An epidemic under Batched(32) with stably(…, 2): the
         // outcome steps land on a batch boundary and the predicate held at
         // two consecutive boundaries.
-        use crate::{OneWayModel, OneWayProgram, OneWayRunner, StatsOnly};
+        use crate::{OneWayRunner, StatsOnly};
         struct Or;
         impl OneWayProgram for Or {
             type State = bool;
@@ -307,6 +266,6 @@ mod tests {
         // Pinned: the step at which the per-step quiet window closes.
         assert_eq!(out, RunOutcome::Satisfied { steps: 204 });
         // Once observationally stable here, truly silent too.
-        assert!(silent_one_way(OneWayModel::Io, &OneWayOr, runner.config()));
+        assert!(silent(OneWayModel::Io, &OneWayOr, runner.config()));
     }
 }

@@ -81,7 +81,7 @@ use ppfts_population::{CountConfiguration, State};
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
-use crate::{EngineError, ExecBackend, RunStats};
+use crate::{EngineError, ExecBackend, Family, RunStats};
 
 /// Capability trait for population backends that can execute whole epochs
 /// in bulk: expose their state counts and accept bulk count adjustments.
@@ -578,24 +578,23 @@ impl<Q: State> ClassTable<Q> {
 /// per distinct omissive share `p` makes `stats.omissive_steps` exact in
 /// law.
 #[allow(clippy::too_many_arguments)] // monomorphized per runner; the args are the runner's fields
-pub(crate) fn run_epochs_driver<C, F, O, B>(
+pub(crate) fn run_epochs_driver<M, C, O, B>(
     config: &mut C,
     rng: &mut SmallRng,
     stats: &mut RunStats,
     next_index: &mut u64,
     budget: u64,
-    fault_mix: &[(F, f64)],
+    fault_mix: &[(M::Fault, f64)],
     outcome_of: O,
-    is_omissive: impl Fn(&F) -> bool,
     boundary: B,
 ) -> Result<bool, EngineError>
 where
+    M: Family,
     C: EpochBackend,
-    F: Copy,
-    O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
+    O: FnMut(&C::State, &C::State, M::Fault) -> Result<(C::State, C::State), EngineError>,
     B: FnMut(&C) -> bool,
 {
-    let law = Law::new(fault_mix, outcome_of, is_omissive);
+    let law = Law::new(fault_mix, outcome_of, |f: &M::Fault| M::is_omissive(*f));
     drive(
         config,
         rng,
@@ -1167,7 +1166,7 @@ fn below(rng: &mut SmallRng, s: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Epochs, Stop};
+    use crate::{Epochs, OneWayFault, OneWayModel, Stop};
     use ppfts_population::CountConfiguration;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1432,15 +1431,14 @@ mod tests {
         let mut stats = RunStats::default();
         let mut next = 0u64;
         let budget = 4_321u64;
-        let fired = run_epochs_driver(
+        let fired = run_epochs_driver::<OneWayModel, _, _, _>(
             &mut config,
             &mut rng,
             &mut stats,
             &mut next,
             budget,
-            &[((), 1.0)],
-            |s, r, ()| epidemic(s, r),
-            |()| false,
+            &[(OneWayFault::None, 1.0)],
+            |s, r, _| epidemic(s, r),
             |_| false,
         )
         .unwrap();
@@ -1474,15 +1472,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut stats = RunStats::default();
         let mut next = 0u64;
-        let fired = run_epochs_driver(
+        let fired = run_epochs_driver::<OneWayModel, _, _, _>(
             &mut config,
             &mut rng,
             &mut stats,
             &mut next,
             50_000_000,
-            &[((), 1.0)],
-            |s, r, ()| epidemic(s, r),
-            |()| false,
+            &[(OneWayFault::None, 1.0)],
+            |s, r, _| epidemic(s, r),
             |c: &CountConfiguration<bool>| c.count_state(&true) == n,
         )
         .unwrap();
@@ -1494,21 +1491,26 @@ mod tests {
 
     #[test]
     fn fault_mix_thins_binomially() {
-        // F = bool, true ⇒ omissive no-op. At rate 0.3 the omissive
-        // fraction of a long run concentrates near 0.3.
+        // An omission is a no-op. At rate 0.3 the omissive fraction of a
+        // long run concentrates near 0.3.
         let mut config = CountConfiguration::from_groups([(true, 100usize), (false, 9900)]);
         let mut rng = SmallRng::seed_from_u64(23);
         let mut stats = RunStats::default();
         let mut next = 0u64;
-        run_epochs_driver(
+        run_epochs_driver::<OneWayModel, _, _, _>(
             &mut config,
             &mut rng,
             &mut stats,
             &mut next,
             200_000,
-            &[(false, 0.7), (true, 0.3)],
-            |s, r, omit| if omit { Ok((*s, *r)) } else { epidemic(s, r) },
-            |&f| f,
+            &[(OneWayFault::None, 0.7), (OneWayFault::Omission, 0.3)],
+            |s, r, f| {
+                if f.is_omissive() {
+                    Ok((*s, *r))
+                } else {
+                    epidemic(s, r)
+                }
+            },
             |_| false,
         )
         .unwrap();
@@ -1775,7 +1777,7 @@ mod tests {
 
     #[test]
     fn event_steps_surface_fault_relation_violations() {
-        // The fault `true` is outside the relation on the infecting pair
+        // The omission is outside the relation on the infecting pair
         // (true, false) only, so the other pairs stay inert and, at
         // n = 10⁶ with one agent infected, only an event step can draw
         // it. The inert stretch before the failing event is committed;
@@ -1784,15 +1786,15 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut stats = RunStats::default();
         let mut next = 0u64;
-        let err = run_epochs_driver(
+        let err = run_epochs_driver::<OneWayModel, _, _, _>(
             &mut config,
             &mut rng,
             &mut stats,
             &mut next,
             u64::MAX,
-            &[(false, 0.5), (true, 0.5)],
-            |s, r, bad| {
-                if bad && *s && !*r {
+            &[(OneWayFault::None, 0.5), (OneWayFault::Omission, 0.5)],
+            |s, r, f| {
+                if f.is_omissive() && *s && !*r {
                     Err(EngineError::FaultNotInRelation {
                         model: crate::Model::TwoWay(crate::TwoWayModel::T1),
                         fault: "bad".into(),
@@ -1801,7 +1803,6 @@ mod tests {
                     epidemic(s, r)
                 }
             },
-            |_| false,
             |_| false,
         )
         .unwrap_err();

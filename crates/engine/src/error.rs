@@ -46,7 +46,7 @@ pub enum EngineError {
     Population(PopulationError),
     /// The operation attributes interactions to individual agents, which
     /// a count-based population backend cannot do. Per-agent records
-    /// ([`step`](crate::OneWayRunner::step), recording
+    /// ([`step`](crate::Runner::step), recording
     /// [`TraceSink`](crate::TraceSink)s) and planned interaction
     /// sequences require the dense backend.
     PerAgentBackendRequired {

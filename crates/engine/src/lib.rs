@@ -27,8 +27,12 @@
 //!   the complete-graph instance), round-robin fair, and scripted
 //!   schedulers, each advertising its [`InteractionLaw`] for typed
 //!   backend/scheduler capability negotiation at build time,
-//! * [`OneWayRunner`], [`TwoWayRunner`] — deterministic, seedable execution
-//!   drivers with pluggable [`TraceSink`]s and one run driver,
+//! * [`Runner`] — the one deterministic, seedable execution driver for
+//!   both families, generic over the model's [`Family`] (sealed:
+//!   [`OneWayModel`] or [`TwoWayModel`]) and reaching programs through
+//!   the [`Program`] bridge; [`OneWayRunner`] and [`TwoWayRunner`] are
+//!   its per-family aliases. It has pluggable [`TraceSink`]s and one run
+//!   driver,
 //!   `run(exec, stop)`: [`Batched`] or [`Epochs`] execution until a
 //!   [`Stop`] (a budget, a predicate, or a quiet window), every engine
 //!   error returned as `Err`; plus single recorded steps and
@@ -108,11 +112,11 @@ pub use batch::{run_seeds, run_seeds_with_progress, DistSummary, SeedSummary};
 pub use embed::EmbedOneWay;
 pub use epoch::EpochBackend;
 pub use error::EngineError;
-pub use model::{Model, OneWayFault, OneWayModel, TwoWayFault, TwoWayModel};
-pub use program::{validate_io_program, OneWayProgram, TwoWayProgram};
+pub use model::{Family, Model, OneWayFault, OneWayModel, TwoWayFault, TwoWayModel};
+pub use program::{validate_io_program, OneWayProgram, Program, TwoWayProgram};
 pub use runner::{
-    Batched, Epochs, Exec, OneWayRunner, OneWayRunnerBuilder, Planned, RunOutcome, Stop,
-    TwoWayRunner, TwoWayRunnerBuilder,
+    Batched, Epochs, Exec, OneWayRunner, OneWayRunnerBuilder, Planned, RunOutcome, Runner,
+    RunnerBuilder, Stop, TwoWayRunner, TwoWayRunnerBuilder,
 };
 pub use schedule::{OmissionSchedule, RateSegment, ScheduledEvent};
 pub use scheduler::{

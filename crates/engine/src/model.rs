@@ -2,6 +2,11 @@
 
 use std::fmt;
 
+use ppfts_population::Interaction;
+use rand::{Rng, RngCore};
+
+use crate::{OmissionStrategy, SidePolicy};
+
 /// One of the ten interaction models studied in the paper.
 ///
 /// The two families differ in who learns what during an interaction:
@@ -116,16 +121,6 @@ impl TwoWayModel {
         self != TwoWayModel::Tw
     }
 
-    /// The faults this model's transition relation contains.
-    pub fn permitted_faults(self) -> &'static [TwoWayFault] {
-        use TwoWayFault::*;
-        match self {
-            TwoWayModel::Tw => &[None],
-            TwoWayModel::T1 => &[None, Starter, Reactor],
-            TwoWayModel::T2 | TwoWayModel::T3 => &[None, Starter, Reactor, Both],
-        }
-    }
-
     /// Whether the *starter* can detect an omission on its side (`o` is not
     /// forced to the identity).
     pub fn starter_detects(self) -> bool {
@@ -200,17 +195,6 @@ impl OneWayModel {
     /// Whether the model's relation contains omissive outcomes.
     pub fn allows_omissions(self) -> bool {
         !matches!(self, OneWayModel::It | OneWayModel::Io)
-    }
-
-    /// The faults this model's transition relation contains — the one-way
-    /// sibling of [`TwoWayModel::permitted_faults`], used by the exhaustive
-    /// explorers to enumerate fault-decorated edges.
-    pub fn permitted_faults(self) -> &'static [OneWayFault] {
-        if self.allows_omissions() {
-            &[OneWayFault::None, OneWayFault::Omission]
-        } else {
-            &[OneWayFault::None]
-        }
     }
 
     /// Whether the starter's proximity hook `g` is applied at all. Only IO
@@ -300,6 +284,135 @@ impl fmt::Display for OneWayFault {
             OneWayFault::None => "ok",
             OneWayFault::Omission => "omit",
         })
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::OneWayModel {}
+    impl Sealed for super::TwoWayModel {}
+}
+
+/// An interaction family, one-way ([`OneWayModel`]) or two-way
+/// ([`TwoWayModel`]): everything the generic [`Runner`](crate::Runner)
+/// needs to know about how the families differ, beyond the outcome
+/// dispatch of [`Program`](crate::Program). Sealed: the two model enums
+/// are its only implementors.
+pub trait Family: Copy + fmt::Debug + sealed::Sealed + 'static {
+    /// The fault decoration of one interaction.
+    type Fault: Copy + Default + PartialEq + fmt::Debug + fmt::Display + 'static;
+
+    /// The faults the model's transition relation contains, fault-free
+    /// first.
+    fn permitted_faults(self) -> &'static [Self::Fault];
+
+    /// Whether the model's relation contains omissive outcomes.
+    fn allows_omissions(self) -> bool {
+        self.permitted_faults().len() > 1
+    }
+
+    /// Whether `fault` loses information: every fault but the
+    /// fault-free default does.
+    #[inline]
+    fn is_omissive(fault: Self::Fault) -> bool {
+        fault != Self::Fault::default()
+    }
+
+    /// The faults an omission picks from, uniformly: the omissive faults
+    /// of the relation, or for a two-way model under
+    /// [`SidePolicy::Always`] that one side.
+    fn omissions(self, sides: &SidePolicy) -> &[Self::Fault];
+
+    /// The fault of step `index` on `interaction`: fault-free unless the
+    /// model is omissive and `adversary` fires, then one of
+    /// [`omissions`](Self::omissions).
+    fn decide<A: OmissionStrategy>(
+        self,
+        adversary: &mut A,
+        sides: SidePolicy,
+        index: u64,
+        interaction: Option<Interaction>,
+        rng: &mut dyn RngCore,
+    ) -> Self::Fault {
+        if self.allows_omissions() && adversary.decide_at(index, interaction, rng) {
+            choose(self.omissions(&sides), rng)
+        } else {
+            Self::Fault::default()
+        }
+    }
+
+    /// Whether [`decide`](Self::decide) never draws from its RNG under
+    /// `adversary` and `sides`, so that a batch's pairs can be drawn in
+    /// bulk ahead of its faults and still consume the RNG stream exactly
+    /// as the interleaved pair/fault loop would: the adversary must not
+    /// draw, and an omission must have one fault to take or never fire
+    /// (zero budget).
+    fn rng_free_faults<A: OmissionStrategy>(self, adversary: &A, sides: SidePolicy) -> bool {
+        !self.allows_omissions()
+            || (!adversary.uses_rng()
+                && (self.omissions(&sides).len() == 1 || adversary.budget() == Some(0)))
+    }
+
+    /// The i.i.d. per-interaction fault distribution of an adversary
+    /// that fires at `rate`, fault-free entry first, weights summing to
+    /// 1: what [`decide`](Self::decide) draws step by step.
+    fn fault_mix(self, sides: SidePolicy, rate: f64) -> Vec<(Self::Fault, f64)> {
+        if rate > 0.0 {
+            let omissions = self.omissions(&sides);
+            let share = rate / omissions.len() as f64;
+            let mut mix = vec![(Self::Fault::default(), 1.0 - rate)];
+            mix.extend(omissions.iter().map(|&f| (f, share)));
+            mix
+        } else {
+            vec![(Self::Fault::default(), 1.0)]
+        }
+    }
+}
+
+/// One of `faults`, uniformly: a lone fault is taken without a draw,
+/// and none at all gives the fault-free default.
+pub(crate) fn choose<F: Copy + Default>(faults: &[F], rng: &mut dyn RngCore) -> F {
+    match faults {
+        [] => F::default(),
+        [fault] => *fault,
+        _ => faults[rng.gen_range(0..faults.len())],
+    }
+}
+
+impl Family for OneWayModel {
+    type Fault = OneWayFault;
+
+    fn permitted_faults(self) -> &'static [OneWayFault] {
+        if self.allows_omissions() {
+            &[OneWayFault::None, OneWayFault::Omission]
+        } else {
+            &[OneWayFault::None]
+        }
+    }
+
+    /// The single omission; a one-way omission has no side to choose.
+    fn omissions(self, _sides: &SidePolicy) -> &[OneWayFault] {
+        &self.permitted_faults()[1..]
+    }
+}
+
+impl Family for TwoWayModel {
+    type Fault = TwoWayFault;
+
+    fn permitted_faults(self) -> &'static [TwoWayFault] {
+        use TwoWayFault::*;
+        match self {
+            TwoWayModel::Tw => &[None],
+            TwoWayModel::T1 => &[None, Starter, Reactor],
+            TwoWayModel::T2 | TwoWayModel::T3 => &[None, Starter, Reactor, Both],
+        }
+    }
+
+    fn omissions(self, sides: &SidePolicy) -> &[TwoWayFault] {
+        match sides {
+            SidePolicy::Always(fault) => std::slice::from_ref(fault),
+            SidePolicy::Uniform => &self.permitted_faults()[1..],
+        }
     }
 }
 

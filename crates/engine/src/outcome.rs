@@ -8,7 +8,8 @@
 
 use crate::program::{reactor_hook_on_omission, ReactorOmissionHook};
 use crate::{
-    EngineError, OneWayFault, OneWayModel, OneWayProgram, TwoWayFault, TwoWayModel, TwoWayProgram,
+    EngineError, Family, OneWayFault, OneWayModel, OneWayProgram, TwoWayFault, TwoWayModel,
+    TwoWayProgram,
 };
 
 /// Outcome pair of one **two-way** interaction between states `s`

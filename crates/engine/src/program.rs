@@ -2,7 +2,7 @@
 
 use ppfts_population::{State, Topology, TwoWayProtocol};
 
-use crate::OneWayModel;
+use crate::{outcome, EngineError, Family, OneWayFault, OneWayModel, TwoWayFault, TwoWayModel};
 
 /// Behaviour of an agent under the two-way family of models (TW, T1–T3).
 ///
@@ -265,6 +265,97 @@ pub(crate) enum ReactorOmissionHook {
     Proximity,
     /// The reactor detects the omission and applies `h` (I3).
     Detection,
+}
+
+/// The bridge from a family's program trait to the generic
+/// [`Runner`](crate::Runner): blanket-implemented for every
+/// [`OneWayProgram`] under [`OneWayModel`] and every [`TwoWayProgram`]
+/// under [`TwoWayModel`]. Write programs against those two traits; this
+/// one only dispatches an interaction to [`outcome`].
+pub trait Program<M: Family> {
+    /// Local state space of the program.
+    type State: State;
+
+    /// The pure outcome of one interaction, [`outcome::one_way`] or
+    /// [`outcome::two_way`]: [`EngineError::FaultNotInRelation`] if
+    /// `model` has no such fault.
+    fn outcome(
+        &self,
+        model: M,
+        s: &Self::State,
+        r: &Self::State,
+        fault: M::Fault,
+    ) -> Result<(Self::State, Self::State), EngineError>;
+
+    /// The in-place outcome, [`outcome::one_way_in_place`] or
+    /// [`outcome::two_way_in_place`], reporting `(starter_changed,
+    /// reactor_changed)`; on error nothing is mutated.
+    fn outcome_in_place(
+        &self,
+        model: M,
+        s: &mut Self::State,
+        r: &mut Self::State,
+        fault: M::Fault,
+    ) -> Result<(bool, bool), EngineError>;
+
+    /// The program's `required_topology`.
+    fn required_topology(&self) -> Option<&Topology>;
+}
+
+impl<P: OneWayProgram> Program<OneWayModel> for P {
+    type State = P::State;
+
+    fn outcome(
+        &self,
+        model: OneWayModel,
+        s: &P::State,
+        r: &P::State,
+        fault: OneWayFault,
+    ) -> Result<(P::State, P::State), EngineError> {
+        outcome::one_way(model, self, s, r, fault)
+    }
+
+    fn outcome_in_place(
+        &self,
+        model: OneWayModel,
+        s: &mut P::State,
+        r: &mut P::State,
+        fault: OneWayFault,
+    ) -> Result<(bool, bool), EngineError> {
+        outcome::one_way_in_place(model, self, s, r, fault)
+    }
+
+    fn required_topology(&self) -> Option<&Topology> {
+        OneWayProgram::required_topology(self)
+    }
+}
+
+impl<P: TwoWayProgram> Program<TwoWayModel> for P {
+    type State = P::State;
+
+    fn outcome(
+        &self,
+        model: TwoWayModel,
+        s: &P::State,
+        r: &P::State,
+        fault: TwoWayFault,
+    ) -> Result<(P::State, P::State), EngineError> {
+        outcome::two_way(model, self, s, r, fault)
+    }
+
+    fn outcome_in_place(
+        &self,
+        model: TwoWayModel,
+        s: &mut P::State,
+        r: &mut P::State,
+        fault: TwoWayFault,
+    ) -> Result<(bool, bool), EngineError> {
+        outcome::two_way_in_place(model, self, s, r, fault)
+    }
+
+    fn required_topology(&self) -> Option<&Topology> {
+        TwoWayProgram::required_topology(self)
+    }
 }
 
 #[cfg(test)]

@@ -6,19 +6,25 @@
 //! what makes the experiment harnesses and the adversarial constructions
 //! reproducible.
 //!
-//! Both families share the same surface, three ways to execute steps:
+//! There is one [`Runner`] for both interaction families, generic over
+//! the model: a [`Family`], implemented by [`OneWayModel`] and
+//! [`TwoWayModel`] only, supplies the fault type, the fault decision,
+//! the bulk-draw gate and the epoch fault mix, and the program reaches
+//! the runner through the [`Program`] bridge, blanket-implemented for
+//! every [`OneWayProgram`] and [`TwoWayProgram`]. [`OneWayRunner`],
+//! [`TwoWayRunner`] and their builders are aliases that fix the family.
+//! A runner has three ways to execute steps:
 //!
-//! * [`run`](OneWayRunner::run)`(exec, stop)` — the run driver. `exec`
-//!   is [`Batched`]`(b)` on any backend or [`Epochs`] on count backends;
+//! * [`run`](Runner::run)`(exec, stop)` — the run driver. `exec` is
+//!   [`Batched`]`(b)` on any backend or [`Epochs`] on count backends;
 //!   `stop` is a step budget, optionally with a predicate
 //!   ([`Stop::until`]) or a quiet window ([`Stop::quiet`]). Every engine
 //!   error comes back as `Err`, with the steps before it applied and
 //!   counted;
-//! * [`step`](OneWayRunner::step) — execute one scheduled interaction
-//!   through the pure-outcome path and return its full [`StepRecord`]
-//!   (the scalar reference of the differential harness,
-//!   `tests/differential.rs`);
-//! * [`apply_planned`](OneWayRunner::apply_planned) — execute an exact
+//! * [`step`](Runner::step) — execute one scheduled interaction through
+//!   the pure-outcome path and return its full [`StepRecord`] (the scalar
+//!   reference of the differential harness, `tests/differential.rs`);
+//! * [`apply_planned`](Runner::apply_planned) — execute an exact
 //!   sequence of (interaction, fault) pairs, bypassing scheduler and
 //!   adversary. This is how the impossibility constructions of the paper
 //!   (runs `I_k`, `I*`) are realized.
@@ -29,9 +35,9 @@ use rand::SeedableRng;
 
 use crate::epoch::EpochBackend;
 use crate::{
-    outcome, EngineError, ExecBackend, NoOmissions, OmissionStrategy, OneWayFault, OneWayModel,
-    OneWayProgram, RunStats, Scheduler, SidePolicy, StatsOnly, StepRecord, TopologyScheduler,
-    Trace, TraceSink, TwoWayFault, TwoWayModel, TwoWayProgram, UniformScheduler,
+    EngineError, ExecBackend, Family, NoOmissions, OmissionStrategy, OneWayFault, OneWayModel,
+    OneWayProgram, Program, RunStats, Scheduler, SidePolicy, StatsOnly, StepRecord,
+    TopologyScheduler, Trace, TraceSink, TwoWayModel, TwoWayProgram, UniformScheduler,
 };
 
 /// One pre-planned step: an interaction and its fault decoration.
@@ -83,10 +89,10 @@ impl Planned<OneWayFault> {
     }
 }
 
-/// Why a [`run`](OneWayRunner::run) that did not fail stopped.
+/// Why a [`run`](Runner::run) that did not fail stopped.
 ///
 /// A run that fails returns its [`EngineError`] instead; the runner's
-/// [`steps`](OneWayRunner::steps) and [`stats`](OneWayRunner::stats)
+/// [`steps`](Runner::steps) and [`stats`](Runner::stats)
 /// then count the steps applied before the failing one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -124,9 +130,9 @@ impl RunOutcome {
 /// state-addressed pairs must see every earlier step), then applied
 /// through the in-place kernel. For the same seed every `b` gives the
 /// same configuration, [`RunStats`] and trace as stepping through
-/// [`step`](OneWayRunner::step); `b` only sets how often a
+/// [`step`](Runner::step); `b` only sets how often a
 /// [`Stop::until`] predicate is sampled, and `Batched(1)` samples it
-/// after every step. [`run`](OneWayRunner::run) panics if `b` is zero.
+/// after every step. [`run`](Runner::run) panics if `b` is zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Batched(pub u64);
 
@@ -144,7 +150,7 @@ pub struct Batched(pub u64);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Epochs;
 
-/// When a [`run`](OneWayRunner::run) stops: after `budget` further
+/// When a [`run`](Runner::run) stops: after `budget` further
 /// interactions, or earlier when its condition holds.
 pub struct Stop<'p, C> {
     budget: u64,
@@ -204,11 +210,11 @@ impl<'p, C> Stop<'p, C> {
     }
 }
 
-/// How [`run`](OneWayRunner::run) executes steps on runner `R` with
+/// How [`run`](Runner::run) executes steps on runner `R` with
 /// population backend `C`: implemented by [`Batched`] for every backend
 /// and by [`Epochs`] for [`EpochBackend`]s only.
 pub trait Exec<R, C> {
-    /// Runs `runner` until `stop`. [`run`](OneWayRunner::run) calls
+    /// Runs `runner` until `stop`. [`run`](Runner::run) calls
     /// this after checking a [`Stop::until`] predicate on the initial
     /// configuration; call `run`, not this.
     ///
@@ -218,888 +224,780 @@ pub trait Exec<R, C> {
     fn drive(self, runner: &mut R, stop: Stop<'_, C>) -> Result<RunOutcome, EngineError>;
 }
 
-macro_rules! runner_impl {
-    (
-        $(#[$doc:meta])*
-        runner: $Runner:ident,
-        builder: $Builder:ident,
-        model: $Model:ty,
-        fault: $Fault:ty,
-        program: $Program:ident,
-        compute: |$model_:ident, $program_:ident, $fault_:ident, $s:ident, $r:ident| $compute:expr,
-        fast: |$fmodel:ident, $fprogram:ident, $ffault:ident, $fs:ident, $fr:ident| $fast:expr,
-        decide: |$dself:ident, $didx:ident, $dint:ident| $decide:expr,
-        bulk: |$bself:ident| $bulk:expr,
-        mix: |$mmodel:ident, $mpolicy:ident, $mrate:ident| $mix:expr,
-    ) => {
-        $(#[$doc])*
-        pub struct $Runner<
-            P: $Program,
-            S = UniformScheduler,
-            A = NoOmissions,
-            T = StatsOnly,
-            C = Configuration<<P as $Program>::State>,
-        > {
-            model: $Model,
-            program: P,
-            config: C,
-            scheduler: S,
-            adversary: A,
-            // Consulted only by the two-way expansion of this macro.
-            #[allow(dead_code)]
-            side_policy: SidePolicy,
-            rng: SmallRng,
-            next_index: u64,
-            stats: RunStats,
-            sink: T,
+/// Execution driver for both interaction families: model `M` (a
+/// [`Family`]: [`OneWayModel`] or [`TwoWayModel`]), program `P`,
+/// scheduler `S`, omission adversary `A`, trace sink `T` and population
+/// backend `C`. [`OneWayRunner`] and [`TwoWayRunner`] name the two
+/// families.
+///
+/// See the `runner` module docs for the surface and the crate example
+/// for end-to-end usage.
+pub struct Runner<
+    M: Family,
+    P: Program<M>,
+    S = UniformScheduler,
+    A = NoOmissions,
+    T = StatsOnly,
+    C = Configuration<<P as Program<M>>::State>,
+> {
+    model: M,
+    program: P,
+    config: C,
+    scheduler: S,
+    adversary: A,
+    side_policy: SidePolicy,
+    rng: SmallRng,
+    next_index: u64,
+    stats: RunStats,
+    sink: T,
+}
+
+/// Execution driver for the one-way family (IT, IO, I1–I4).
+pub type OneWayRunner<
+    P,
+    S = UniformScheduler,
+    A = NoOmissions,
+    T = StatsOnly,
+    C = Configuration<<P as OneWayProgram>::State>,
+> = Runner<OneWayModel, P, S, A, T, C>;
+
+/// Execution driver for the two-way family (TW, T1–T3).
+///
+/// In omissive two-way models the adversary decides *whether* a step is
+/// omissive and the builder's [`SidePolicy`] decides *which side(s)*
+/// lose the transmission.
+pub type TwoWayRunner<
+    P,
+    S = UniformScheduler,
+    A = NoOmissions,
+    T = StatsOnly,
+    C = Configuration<<P as TwoWayProgram>::State>,
+> = Runner<TwoWayModel, P, S, A, T, C>;
+
+/// The step record of a runner under model `M` running program `P`.
+type Record<M, P> = StepRecord<<P as Program<M>>::State, <M as Family>::Fault>;
+
+impl<M: Family, P: Program<M>> Runner<M, P> {
+    /// Starts building a runner for `program` under `model`.
+    pub fn builder(model: M, program: P) -> RunnerBuilder<M, P> {
+        RunnerBuilder {
+            model,
+            program,
+            config: None,
+            scheduler: UniformScheduler::new(),
+            adversary: NoOmissions,
+            side_policy: SidePolicy::Uniform,
+            seed: 0x9f75_53c1,
+            sink: StatsOnly,
         }
+    }
+}
 
-        impl<P: $Program> $Runner<P> {
-            /// Starts building a runner for `program` under `model`.
-            pub fn builder(model: $Model, program: P) -> $Builder<P> {
-                $Builder {
-                    model,
-                    program,
-                    config: None,
-                    scheduler: UniformScheduler::new(),
-                    adversary: NoOmissions,
-                    side_policy: SidePolicy::Uniform,
-                    seed: 0x9f75_53c1,
-                    sink: StatsOnly,
-                }
+impl<M, P, S, A, T, C> Runner<M, P, S, A, T, C>
+where
+    M: Family,
+    P: Program<M>,
+    S: Scheduler,
+    A: OmissionStrategy,
+    T: TraceSink<P::State, M::Fault>,
+    C: ExecBackend<State = P::State>,
+{
+    /// The interaction model in force.
+    pub fn model(&self) -> M {
+        self.model
+    }
+
+    /// The program being executed.
+    pub fn program(&self) -> &P {
+        &self.program
+    }
+
+    /// The current population (dense [`Configuration`] by default; see
+    /// [`RunnerBuilder::population`] for the count backend).
+    pub fn config(&self) -> &C {
+        &self.config
+    }
+
+    /// Consumes the runner, returning the final population.
+    pub fn into_config(self) -> C {
+        self.config
+    }
+
+    /// Total interactions executed so far.
+    pub fn steps(&self) -> u64 {
+        self.next_index
+    }
+
+    /// Accumulated statistics.
+    pub fn stats(&self) -> RunStats {
+        self.stats
+    }
+
+    /// The adversary, e.g. to audit [`OmissionStrategy::injected`].
+    pub fn adversary(&self) -> &A {
+        &self.adversary
+    }
+
+    /// The trace sink.
+    pub fn sink(&self) -> &T {
+        &self.sink
+    }
+
+    /// The recorded trace so far, if the sink retains one.
+    pub fn trace(&self) -> Option<&Trace<P::State, M::Fault>> {
+        self.sink.trace()
+    }
+
+    /// Removes and returns the trace recorded so far, leaving an empty
+    /// one in place (the sink keeps recording as before).
+    pub fn take_trace(&mut self) -> Option<Trace<P::State, M::Fault>> {
+        self.sink.take_trace()
+    }
+
+    /// Runs until `stop`, executing steps as `exec` says: [`Batched`]`(b)`
+    /// on any backend, [`Epochs`] on count backends.
+    ///
+    /// # Errors
+    ///
+    /// Fault-relation violations (cannot happen with the built-in
+    /// adversaries and side policies restricted to the model's permitted
+    /// faults), bounds errors from custom schedulers, and for [`Epochs`]
+    /// the conditions listed there. The steps before the failing one stay
+    /// applied and counted in [`steps`](Self::steps) and
+    /// [`stats`](Self::stats).
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Batched(0)`.
+    pub fn run<E: Exec<Self, C>>(
+        &mut self,
+        exec: E,
+        mut stop: Stop<'_, C>,
+    ) -> Result<RunOutcome, EngineError> {
+        if let Rule::Until(predicate) = &mut stop.rule {
+            if predicate(&self.config) {
+                return Ok(self.outcome(true));
             }
         }
+        exec.drive(self, stop)
+    }
 
-        impl<P, S, A, T, C> $Runner<P, S, A, T, C>
-        where
-            P: $Program,
-            S: Scheduler,
-            A: OmissionStrategy,
-            T: TraceSink<P::State, $Fault>,
-            C: ExecBackend<State = <P as $Program>::State>,
-        {
-            /// The interaction model in force.
-            pub fn model(&self) -> $Model {
-                self.model
+    /// Executes one scheduled interaction through the pure-outcome path
+    /// and returns its record.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](Self::run);
+    /// [`EngineError::PerAgentBackendRequired`] on count backends, whose
+    /// steps name no agents.
+    pub fn step(&mut self) -> Result<StepRecord<P::State, M::Fault>, EngineError> {
+        let pair = self.config.draw_pair(&mut self.scheduler, &mut self.rng);
+        let fault = self.decide_fault(self.next_index, C::interaction_of(&pair));
+        Ok(self.execute(&pair, fault, true)?.expect("record requested"))
+    }
+
+    /// Executes an exact pre-planned sequence, bypassing the scheduler
+    /// and the adversary. Used by the paper's adversarial constructions,
+    /// where both the interactions and the omissions are chosen by the
+    /// proof.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a planned fault is outside the model's transition
+    /// relation or an endpoint is out of bounds; earlier planned steps
+    /// remain applied.
+    pub fn apply_planned(
+        &mut self,
+        plan: impl IntoIterator<Item = Planned<M::Fault>>,
+    ) -> Result<(), EngineError> {
+        for p in plan {
+            let pair = self.config.pair_of(p.interaction)?;
+            self.apply_batch(std::slice::from_ref(&pair), std::iter::once(p.fault))?;
+        }
+        Ok(())
+    }
+
+    /// Benchmark shim: `run(Batched(batch), Stop::steps(steps))`.
+    #[doc(hidden)]
+    pub fn run_batched(&mut self, steps: u64, batch: u64) -> Result<(), EngineError> {
+        self.run(Batched(batch), Stop::steps(steps)).map(drop)
+    }
+
+    /// Benchmark shim: `run(Batched(batch), Stop::until(..))`, reading an
+    /// engine error as [`RunOutcome::Exhausted`].
+    #[doc(hidden)]
+    pub fn run_batched_until(
+        &mut self,
+        max_steps: u64,
+        batch: u64,
+        predicate: impl FnMut(&C) -> bool,
+    ) -> RunOutcome {
+        self.run(Batched(batch), Stop::until(max_steps, predicate))
+            .unwrap_or(RunOutcome::Exhausted {
+                steps: self.next_index,
+            })
+    }
+
+    /// Benchmark shim: `run(Epochs, Stop::steps(steps))`.
+    #[doc(hidden)]
+    pub fn run_epochs(&mut self, steps: u64) -> Result<(), EngineError>
+    where
+        C: EpochBackend,
+    {
+        self.run(Epochs, Stop::steps(steps)).map(drop)
+    }
+
+    /// Benchmark shim: `run(Epochs, Stop::until(..))`.
+    #[doc(hidden)]
+    pub fn run_epochs_until(
+        &mut self,
+        max_steps: u64,
+        predicate: impl FnMut(&C) -> bool,
+    ) -> Result<RunOutcome, EngineError>
+    where
+        C: EpochBackend,
+    {
+        self.run(Epochs, Stop::until(max_steps, predicate))
+    }
+
+    fn outcome(&self, satisfied: bool) -> RunOutcome {
+        let steps = self.next_index;
+        if satisfied {
+            RunOutcome::Satisfied { steps }
+        } else {
+            RunOutcome::Exhausted { steps }
+        }
+    }
+
+    /// The record path: the pure outcome, then a compare-and-store.
+    /// Serves [`step`](Self::step) (`want_record`) and batches whose sink
+    /// is not passive.
+    fn execute(
+        &mut self,
+        pair: &C::Pair,
+        fault: M::Fault,
+        want_record: bool,
+    ) -> Result<Option<Record<M, P>>, EngineError> {
+        // Records attribute the step to two agents, which only per-agent
+        // backends can do.
+        let interaction = C::interaction_of(pair).ok_or(EngineError::PerAgentBackendRequired {
+            operation: "building step records",
+        })?;
+        let (new_s, new_r) = {
+            let (s, r) = self.config.pair_states(pair)?;
+            self.program.outcome(self.model, s, r, fault)?
+        };
+        let changed = {
+            let (s, r) = self.config.pair_states(pair)?;
+            new_s != *s || new_r != *r
+        };
+        let omissive = M::is_omissive(fault);
+        let index = self.next_index;
+        self.next_index += 1;
+        self.stats.record(omissive, changed);
+        let sink_wants = self.sink.wants_record(index, omissive, changed);
+        if !want_record && !sink_wants {
+            // Zero-clone fast path: nobody needs the record, and an
+            // unchanged pair needs no write either.
+            if changed {
+                self.config.commit_pair(pair, (new_s, new_r))?;
             }
+            return Ok(None);
+        }
+        let (old_starter, old_reactor) = self
+            .config
+            .commit_pair(pair, (new_s.clone(), new_r.clone()))?;
+        let record = StepRecord {
+            index,
+            interaction,
+            fault,
+            old_starter,
+            old_reactor,
+            new_starter: new_s,
+            new_reactor: new_r,
+        };
+        if !want_record {
+            self.sink.accept(record);
+            return Ok(None);
+        }
+        if sink_wants {
+            self.sink.accept(record.clone());
+        }
+        Ok(Some(record))
+    }
 
-            /// The program being executed.
-            pub fn program(&self) -> &P {
-                &self.program
-            }
+    fn decide_fault(&mut self, index: u64, interaction: Option<Interaction>) -> M::Fault {
+        self.model.decide(
+            &mut self.adversary,
+            self.side_policy,
+            index,
+            interaction,
+            &mut self.rng,
+        )
+    }
 
-            /// The current population (dense [`Configuration`] by
-            /// default; see the builder's `population` method for the
-            /// count backend).
-            pub fn config(&self) -> &C {
-                &self.config
-            }
+    /// Whether this run's fault decisions never consume the RNG, so a
+    /// whole batch of pairs can be drawn in bulk (through the scheduler's
+    /// monomorphized
+    /// [`next_interactions_into`](Scheduler::next_interactions_into)
+    /// path) and still consume the shared stream exactly as the
+    /// interleaved pair/fault loop would.
+    fn bulk_pairs_ok(&self) -> bool {
+        self.model
+            .rng_free_faults(&self.adversary, self.side_policy)
+    }
 
-            /// Consumes the runner, returning the final population.
-            pub fn into_config(self) -> C {
-                self.config
-            }
-
-            /// Total interactions executed so far.
-            pub fn steps(&self) -> u64 {
-                self.next_index
-            }
-
-            /// Accumulated statistics.
-            pub fn stats(&self) -> RunStats {
-                self.stats
-            }
-
-            /// The adversary, e.g. to audit [`OmissionStrategy::injected`].
-            pub fn adversary(&self) -> &A {
-                &self.adversary
-            }
-
-            /// The trace sink.
-            pub fn sink(&self) -> &T {
-                &self.sink
-            }
-
-            /// The recorded trace so far, if the sink retains one.
-            pub fn trace(&self) -> Option<&Trace<P::State, $Fault>> {
-                self.sink.trace()
-            }
-
-            /// Removes and returns the trace recorded so far, leaving an
-            /// empty one in place (the sink keeps recording as before).
-            pub fn take_trace(&mut self) -> Option<Trace<P::State, $Fault>> {
-                self.sink.take_trace()
-            }
-
-            /// Runs until `stop`, executing steps as `exec` says:
-            /// [`Batched`]`(b)` on any backend, [`Epochs`] on count
-            /// backends.
-            ///
-            /// # Errors
-            ///
-            /// Fault-relation violations (cannot happen with the built-in
-            /// adversaries and side policies restricted to the model's
-            /// permitted faults), bounds errors from custom schedulers,
-            /// and for [`Epochs`] the conditions listed there. The steps
-            /// before the failing one stay applied and counted in
-            /// [`steps`](Self::steps) and [`stats`](Self::stats).
-            ///
-            /// # Panics
-            ///
-            /// Panics on `Batched(0)`.
-            pub fn run<E: Exec<Self, C>>(
-                &mut self,
-                exec: E,
-                mut stop: Stop<'_, C>,
-            ) -> Result<RunOutcome, EngineError> {
-                if let Rule::Until(predicate) = &mut stop.rule {
-                    if predicate(&self.config) {
-                        return Ok(self.outcome(true));
-                    }
-                }
-                exec.drive(self, stop)
-            }
-
-            /// Executes one scheduled interaction through the
-            /// pure-outcome path and returns its record.
-            ///
-            /// # Errors
-            ///
-            /// Same conditions as [`run`](Self::run);
-            /// [`EngineError::PerAgentBackendRequired`] on count
-            /// backends, whose steps name no agents.
-            pub fn step(&mut self) -> Result<StepRecord<P::State, $Fault>, EngineError> {
+    /// Draws and applies the next `take` scheduled steps: the batch
+    /// kernel behind [`Batched`]. `pairs` and `faults` are the caller's
+    /// buffers, reused from batch to batch.
+    ///
+    /// The draws consume the shared RNG stream exactly as drawing pair
+    /// and fault step by step would. When the fault decisions are
+    /// RNG-free ([`bulk_pairs_ok`](Self::bulk_pairs_ok)) the stream is
+    /// pairs-only, so all `take` pairs are drawn first through the
+    /// backend's monomorphized bulk path, and the fault decisions (still
+    /// stateful: budgets, scripts) follow in index order. Fault-free
+    /// models never consult the adversary, so their fault column stays
+    /// empty. Otherwise each pair is followed by its fault, interleaved.
+    fn run_batch(
+        &mut self,
+        pairs: &mut Vec<C::Pair>,
+        faults: &mut Vec<M::Fault>,
+        take: u64,
+    ) -> Result<(), EngineError> {
+        if !C::STABLE_PAIRS {
+            // State-addressed pairs (count backend) must see the counts
+            // every earlier step produced: draw and apply one step at a
+            // time — the exact sequential law.
+            for _ in 0..take {
                 let pair = self.config.draw_pair(&mut self.scheduler, &mut self.rng);
                 let fault = self.decide_fault(self.next_index, C::interaction_of(&pair));
-                Ok(self
-                    .execute(pair, fault, true)?
-                    .expect("record requested"))
+                self.apply_batch(std::slice::from_ref(&pair), std::iter::once(fault))?;
             }
-
-            /// Executes an exact pre-planned sequence, bypassing the
-            /// scheduler and the adversary. Used by the paper's adversarial
-            /// constructions, where both the interactions and the omissions
-            /// are chosen by the proof.
-            ///
-            /// # Errors
-            ///
-            /// Fails if a planned fault is outside the model's transition
-            /// relation or an endpoint is out of bounds; earlier planned
-            /// steps remain applied.
-            pub fn apply_planned(
-                &mut self,
-                plan: impl IntoIterator<Item = Planned<$Fault>>,
-            ) -> Result<(), EngineError> {
-                for p in plan {
-                    let pair = self.config.pair_of(p.interaction)?;
-                    self.apply_batch(std::slice::from_ref(&pair), std::iter::once(p.fault))?;
-                }
-                Ok(())
-            }
-
-            /// Benchmark shim: `run(Batched(batch), Stop::steps(steps))`.
-            #[doc(hidden)]
-            pub fn run_batched(&mut self, steps: u64, batch: u64) -> Result<(), EngineError> {
-                self.run(Batched(batch), Stop::steps(steps)).map(drop)
-            }
-
-            /// Benchmark shim: `run(Batched(batch), Stop::until(..))`,
-            /// reading an engine error as [`RunOutcome::Exhausted`].
-            #[doc(hidden)]
-            pub fn run_batched_until(
-                &mut self,
-                max_steps: u64,
-                batch: u64,
-                predicate: impl FnMut(&C) -> bool,
-            ) -> RunOutcome {
-                self.run(Batched(batch), Stop::until(max_steps, predicate))
-                    .unwrap_or(RunOutcome::Exhausted { steps: self.next_index })
-            }
-
-            /// Benchmark shim: `run(Epochs, Stop::steps(steps))`.
-            #[doc(hidden)]
-            pub fn run_epochs(&mut self, steps: u64) -> Result<(), EngineError>
-            where
-                C: EpochBackend,
-            {
-                self.run(Epochs, Stop::steps(steps)).map(drop)
-            }
-
-            /// Benchmark shim: `run(Epochs, Stop::until(..))`.
-            #[doc(hidden)]
-            pub fn run_epochs_until(
-                &mut self,
-                max_steps: u64,
-                predicate: impl FnMut(&C) -> bool,
-            ) -> Result<RunOutcome, EngineError>
-            where
-                C: EpochBackend,
-            {
-                self.run(Epochs, Stop::until(max_steps, predicate))
-            }
-
-            fn outcome(&self, satisfied: bool) -> RunOutcome {
-                let steps = self.next_index;
-                if satisfied {
-                    RunOutcome::Satisfied { steps }
-                } else {
-                    RunOutcome::Exhausted { steps }
+            return Ok(());
+        }
+        pairs.clear();
+        faults.clear();
+        if self.bulk_pairs_ok() {
+            self.config
+                .draw_pairs_into(pairs, take as usize, &mut self.scheduler, &mut self.rng);
+            if self.model.allows_omissions() {
+                for (k, pair) in pairs.iter().enumerate() {
+                    let index = self.next_index + k as u64;
+                    faults.push(self.decide_fault(index, C::interaction_of(pair)));
                 }
             }
-
-            /// The i.i.d. per-interaction fault distribution the epoch
-            /// path thins bulk groups with (fault-free entry included;
-            /// weights sum to 1).
-            fn epoch_fault_mix(&self) -> Result<Vec<($Fault, f64)>, EngineError> {
-                let rate = if self.model.allows_omissions() {
-                    self.adversary
-                        .iid_rate()
-                        .ok_or(EngineError::EpochIncompatible {
-                            feature: "omission adversaries without a fixed i.i.d. rate \
-                                      (step-indexed, budgeted, burst, or scripted schedules)",
-                        })?
-                } else {
-                    0.0
-                };
-                let $mmodel = self.model;
-                let $mpolicy = self.side_policy;
-                let $mrate = rate;
-                Ok($mix)
-            }
-
-            /// The record path: the pure outcome, then a compare-and-store.
-            /// Serves [`step`](Self::step) (`want_record`) and batches
-            /// whose sink is not passive.
-            fn execute(
-                &mut self,
-                pair: C::Pair,
-                fault: $Fault,
-                want_record: bool,
-            ) -> Result<Option<StepRecord<P::State, $Fault>>, EngineError> {
-                // Records attribute the step to two agents, which only
-                // per-agent backends can do.
-                let interaction = C::interaction_of(&pair).ok_or(
-                    EngineError::PerAgentBackendRequired {
-                        operation: "building step records",
-                    },
-                )?;
-                let (new_s, new_r) = {
-                    let ($s, $r) = self.config.pair_states(&pair)?;
-                    let $model_ = self.model;
-                    let $program_ = &self.program;
-                    let $fault_ = fault;
-                    $compute?
-                };
-                let changed = {
-                    let (s, r) = self.config.pair_states(&pair)?;
-                    new_s != *s || new_r != *r
-                };
-                let omissive = fault.is_omissive();
-                let index = self.next_index;
-                self.next_index += 1;
-                self.stats.record(omissive, changed);
-                let sink_wants = self.sink.wants_record(index, omissive, changed);
-                if !want_record && !sink_wants {
-                    // Zero-clone fast path: nobody needs the record, and
-                    // an unchanged pair needs no write either.
-                    if changed {
-                        self.config.commit_pair(&pair, (new_s, new_r))?;
-                    }
-                    return Ok(None);
-                }
-                let (old_starter, old_reactor) = self
-                    .config
-                    .commit_pair(&pair, (new_s.clone(), new_r.clone()))?;
-                let record = StepRecord {
-                    index,
-                    interaction,
-                    fault,
-                    old_starter,
-                    old_reactor,
-                    new_starter: new_s,
-                    new_reactor: new_r,
-                };
-                if !want_record {
-                    self.sink.accept(record);
-                    return Ok(None);
-                }
-                if sink_wants {
-                    self.sink.accept(record.clone());
-                }
-                Ok(Some(record))
-            }
-
-            fn decide_fault(
-                &mut self,
-                index: u64,
-                interaction: Option<ppfts_population::Interaction>,
-            ) -> $Fault {
-                let $dself = self;
-                let $didx = index;
-                let $dint = interaction;
-                $decide
-            }
-
-            /// Whether this run's fault decisions never consume the RNG,
-            /// so a whole batch of pairs can be drawn in bulk (through
-            /// the scheduler's monomorphized
-            /// [`next_interactions_into`](Scheduler::next_interactions_into)
-            /// path) and still consume the shared stream exactly as the
-            /// interleaved pair/fault loop would.
-            fn bulk_pairs_ok(&self) -> bool {
-                let $bself = self;
-                $bulk
-            }
-
-            /// Draws and applies the next `take` scheduled steps: the
-            /// batch kernel behind [`Batched`]. `pairs` and `faults` are
-            /// the caller's buffers, reused from batch to batch.
-            ///
-            /// The draws consume the shared RNG stream exactly as
-            /// drawing pair and fault step by step would. When the fault
-            /// decisions are RNG-free
-            /// ([`bulk_pairs_ok`](Self::bulk_pairs_ok)) the stream is
-            /// pairs-only, so all `take` pairs are drawn first through
-            /// the backend's monomorphized bulk path, and the fault
-            /// decisions (still stateful: budgets, scripts) follow in
-            /// index order. Fault-free models never consult the
-            /// adversary, so their fault column stays empty. Otherwise
-            /// each pair is followed by its fault, interleaved.
-            fn run_batch(
-                &mut self,
-                pairs: &mut Vec<C::Pair>,
-                faults: &mut Vec<$Fault>,
-                take: u64,
-            ) -> Result<(), EngineError> {
-                if !C::STABLE_PAIRS {
-                    // State-addressed pairs (count backend) must see the
-                    // counts every earlier step produced: draw and apply
-                    // one step at a time — the exact sequential law.
-                    for _ in 0..take {
-                        let pair = self
-                            .config
-                            .draw_pair_with(&mut self.scheduler, &mut self.rng);
-                        let fault = self.decide_fault(self.next_index, C::interaction_of(&pair));
-                        self.apply_batch(std::slice::from_ref(&pair), std::iter::once(fault))?;
-                    }
-                    return Ok(());
-                }
-                pairs.clear();
-                faults.clear();
-                if self.bulk_pairs_ok() {
-                    self.config.draw_pairs_into(
-                        pairs,
-                        take as usize,
-                        &mut self.scheduler,
-                        &mut self.rng,
-                    );
-                    if self.model.allows_omissions() {
-                        for (k, pair) in pairs.iter().enumerate() {
-                            let index = self.next_index + k as u64;
-                            faults.push(self.decide_fault(index, C::interaction_of(pair)));
-                        }
-                    }
-                } else {
-                    for k in 0..take {
-                        let pair = self
-                            .config
-                            .draw_pair_with(&mut self.scheduler, &mut self.rng);
-                        faults.push(self.decide_fault(self.next_index + k, C::interaction_of(&pair)));
-                        pairs.push(pair);
-                    }
-                }
-                if faults.is_empty() {
-                    self.apply_batch(pairs, std::iter::repeat(<$Fault>::default()))
-                } else {
-                    self.apply_batch(pairs, faults.iter().copied())
-                }
-            }
-
-            /// Applies a drawn batch, the `k`-th pair with the `k`-th
-            /// fault of `faults`. With a passive sink this runs the tight
-            /// loop: endpoint states mutate in place through the
-            /// program's `*_in_place` hooks (exactly equivalent to the
-            /// pure outcome followed by a compare-and-store), no clones,
-            /// no records, and [`RunStats`] is updated once per batch —
-            /// on error, with the steps applied before the failing one,
-            /// which stay applied.
-            fn apply_batch(
-                &mut self,
-                pairs: &[C::Pair],
-                faults: impl Iterator<Item = $Fault>,
-            ) -> Result<(), EngineError> {
-                if !self.sink.is_passive() {
-                    for (pair, fault) in pairs.iter().zip(faults) {
-                        self.execute(pair.clone(), fault, false)?;
-                    }
-                    return Ok(());
-                }
-                let $Runner {
-                    model,
-                    program,
-                    config,
-                    stats,
-                    next_index,
-                    ..
-                } = self;
-                let model = *model;
-                let mut done = RunStats::default();
-                let result = pairs.iter().zip(faults).try_for_each(|(pair, fault)| {
-                    let (s_changed, r_changed) = config.update_pair(pair, |$fs, $fr| {
-                        let $fmodel = model;
-                        let $fprogram = &*program;
-                        let $ffault = fault;
-                        $fast
-                    })?;
-                    done.steps += 1;
-                    done.changed_steps += u64::from(s_changed | r_changed);
-                    done.omissive_steps += u64::from(fault.is_omissive());
-                    Ok(())
-                });
-                done.noop_steps = done.steps - done.changed_steps;
-                *next_index += done.steps;
-                stats.merge(&done);
-                result
+        } else {
+            for k in 0..take {
+                let pair = self.config.draw_pair(&mut self.scheduler, &mut self.rng);
+                faults.push(self.decide_fault(self.next_index + k, C::interaction_of(&pair)));
+                pairs.push(pair);
             }
         }
-
-        impl<P, S, A, T, C> Exec<$Runner<P, S, A, T, C>, C> for Batched
-        where
-            P: $Program,
-            S: Scheduler,
-            A: OmissionStrategy,
-            T: TraceSink<P::State, $Fault>,
-            C: ExecBackend<State = <P as $Program>::State>,
-        {
-            /// One [`run_batch`]($Runner::run_batch) per batch, into
-            /// buffers reused across batches, with the stop rule
-            /// evaluated at each boundary.
-            fn drive(
-                self,
-                runner: &mut $Runner<P, S, A, T, C>,
-                stop: Stop<'_, C>,
-            ) -> Result<RunOutcome, EngineError> {
-                assert!(self.0 > 0, "batch size must be positive");
-                let Stop { budget, mut rule } = stop;
-                let (mut pairs, mut faults) = (Vec::new(), Vec::new());
-                let (mut remaining, mut quiet) = (budget, 0u64);
-                while remaining > 0 {
-                    let take = remaining.min(self.0);
-                    let changed = runner.stats.changed_steps;
-                    runner.run_batch(&mut pairs, &mut faults, take)?;
-                    remaining -= take;
-                    let done = match &mut rule {
-                        Rule::Budget => false,
-                        Rule::Until(predicate) => predicate(&runner.config),
-                        Rule::Quiet(window) => {
-                            quiet = if runner.stats.changed_steps == changed {
-                                quiet + take
-                            } else {
-                                0
-                            };
-                            quiet >= *window
-                        }
-                    };
-                    if done {
-                        return Ok(runner.outcome(true));
-                    }
-                }
-                Ok(runner.outcome(false))
-            }
+        if faults.is_empty() {
+            self.apply_batch(pairs, std::iter::repeat(M::Fault::default()))
+        } else {
+            self.apply_batch(pairs, faults.iter().copied())
         }
+    }
 
-        impl<P, S, A, T, C> Exec<$Runner<P, S, A, T, C>, C> for Epochs
-        where
-            P: $Program,
-            S: Scheduler,
-            A: OmissionStrategy,
-            T: TraceSink<P::State, $Fault>,
-            C: EpochBackend<State = <P as $Program>::State>,
-        {
-            fn drive(
-                self,
-                runner: &mut $Runner<P, S, A, T, C>,
-                stop: Stop<'_, C>,
-            ) -> Result<RunOutcome, EngineError> {
-                let boundary: Box<dyn FnMut(&C) -> bool + '_> = match stop.rule {
-                    Rule::Budget => Box::new(|_: &C| false),
-                    Rule::Until(predicate) => predicate,
-                    Rule::Quiet(_) => {
-                        return Err(EngineError::EpochIncompatible {
-                            feature: "quiet-window stops (epochs apply no single steps to watch)",
-                        })
-                    }
-                };
-                let mix = runner.epoch_fault_mix()?;
-                let $Runner {
-                    model,
-                    program,
-                    config,
-                    rng,
-                    next_index,
-                    stats,
-                    ..
-                } = runner;
-                let model = *model;
-                let satisfied = crate::epoch::run_epochs_driver(
-                    config,
-                    rng,
-                    stats,
-                    next_index,
-                    stop.budget,
-                    &mix,
-                    |$s: &<P as $Program>::State,
-                     $r: &<P as $Program>::State,
-                     fault: $Fault| {
-                        let $model_ = model;
-                        let $program_ = &*program;
-                        let $fault_ = fault;
-                        $compute
-                    },
-                    |f: &$Fault| f.is_omissive(),
-                    boundary,
-                )?;
-                Ok(runner.outcome(satisfied))
+    /// Applies a drawn batch, the `k`-th pair with the `k`-th fault of
+    /// `faults`. With a passive sink this runs the tight loop: endpoint
+    /// states mutate in place through the program's `*_in_place` hooks
+    /// (exactly equivalent to the pure outcome followed by a
+    /// compare-and-store), no clones, no records, and [`RunStats`] is
+    /// updated once per batch — on error, with the steps applied before
+    /// the failing one, which stay applied.
+    fn apply_batch(
+        &mut self,
+        pairs: &[C::Pair],
+        faults: impl Iterator<Item = M::Fault>,
+    ) -> Result<(), EngineError> {
+        if !self.sink.is_passive() {
+            for (pair, fault) in pairs.iter().zip(faults) {
+                self.execute(pair, fault, false)?;
             }
+            return Ok(());
         }
+        let Runner {
+            model,
+            program,
+            config,
+            stats,
+            next_index,
+            ..
+        } = self;
+        let model = *model;
+        let mut done = RunStats::default();
+        let result = pairs.iter().zip(faults).try_for_each(|(pair, fault)| {
+            let (s_changed, r_changed) =
+                config.update_pair(pair, |s, r| program.outcome_in_place(model, s, r, fault))?;
+            done.steps += 1;
+            done.changed_steps += u64::from(s_changed | r_changed);
+            done.omissive_steps += u64::from(M::is_omissive(fault));
+            Ok(())
+        });
+        done.noop_steps = done.steps - done.changed_steps;
+        *next_index += done.steps;
+        stats.merge(&done);
+        result
+    }
+}
 
-
-        /// Builder for the runner; see `builder` on the runner type.
-        pub struct $Builder<
-            P: $Program,
-            S = UniformScheduler,
-            A = NoOmissions,
-            T = StatsOnly,
-            C = Configuration<<P as $Program>::State>,
-        > {
-            model: $Model,
-            program: P,
-            config: Option<C>,
-            scheduler: S,
-            adversary: A,
-            side_policy: SidePolicy,
-            seed: u64,
-            sink: T,
-        }
-
-        impl<P, S, A, T, C> $Builder<P, S, A, T, C>
-        where
-            P: $Program,
-            S: Scheduler,
-            A: OmissionStrategy,
-            T: TraceSink<P::State, $Fault>,
-            C: ExecBackend<State = <P as $Program>::State>,
-        {
-            /// Sets the initial population without changing the backend
-            /// type (required unless [`population`](Self::population) is
-            /// used; the default backend is the dense [`Configuration`]).
-            pub fn config(mut self, config: C) -> Self {
-                self.config = Some(config);
-                self
-            }
-
-            /// Sets the initial population *and* selects its backend —
-            /// e.g. a [`CountConfiguration`] for giant anonymous runs.
-            ///
-            /// Count-backed runners support the full measurement surface
-            /// ([`Batched`] and [`Epochs`] runs, [`StatsOnly`] sinks,
-            /// every omission adversary) but no per-agent operations:
-            /// assembling one with a recording sink fails at `build()`
-            /// with [`EngineError::PerAgentBackendRequired`], a scheduler
-            /// whose law counts cannot realize (restricted topology,
-            /// scripted, round-robin) fails with
-            /// [`EngineError::CompleteInteractionLawRequired`], and
-            /// `step` / `apply_planned` report
-            /// [`EngineError::PerAgentBackendRequired`] when called.
-            ///
-            /// [`CountConfiguration`]: ppfts_population::CountConfiguration
-            /// [`StatsOnly`]: crate::StatsOnly
-            pub fn population<C2: ExecBackend<State = <P as $Program>::State>>(
-                self,
-                population: C2,
-            ) -> $Builder<P, S, A, T, C2> {
-                $Builder {
-                    model: self.model,
-                    program: self.program,
-                    config: Some(population),
-                    scheduler: self.scheduler,
-                    adversary: self.adversary,
-                    side_policy: self.side_policy,
-                    seed: self.seed,
-                    sink: self.sink,
-                }
-            }
-
-            /// Replaces the scheduler (default: [`UniformScheduler`]).
-            pub fn scheduler<S2: Scheduler>(self, scheduler: S2) -> $Builder<P, S2, A, T, C> {
-                $Builder {
-                    model: self.model,
-                    program: self.program,
-                    config: self.config,
-                    scheduler,
-                    adversary: self.adversary,
-                    side_policy: self.side_policy,
-                    seed: self.seed,
-                    sink: self.sink,
-                }
-            }
-
-            /// Schedules interactions over an explicit interaction graph
-            /// — shorthand for
-            /// `scheduler(TopologyScheduler::new(topology))`.
-            ///
-            /// `build()` checks the topology spans exactly the supplied
-            /// population ([`EngineError::TopologySizeMismatch`]) and, on
-            /// a count backend, that the topology is complete
-            /// ([`EngineError::CompleteInteractionLawRequired`]) —
-            /// restricted graphs need agent identities.
-            ///
-            /// [`Topology`]: ppfts_population::Topology
-            pub fn topology(
-                self,
-                topology: Topology,
-            ) -> $Builder<P, TopologyScheduler, A, T, C> {
-                self.scheduler(TopologyScheduler::new(topology))
-            }
-
-            /// Replaces the omission adversary (default: [`NoOmissions`]).
-            /// Only consulted when the model's relation has omissive
-            /// outcomes.
-            pub fn adversary<A2: OmissionStrategy>(
-                self,
-                adversary: A2,
-            ) -> $Builder<P, S, A2, T, C> {
-                $Builder {
-                    model: self.model,
-                    program: self.program,
-                    config: self.config,
-                    scheduler: self.scheduler,
-                    adversary,
-                    side_policy: self.side_policy,
-                    seed: self.seed,
-                    sink: self.sink,
-                }
-            }
-
-            /// Replaces the trace sink (default: [`StatsOnly`], the
-            /// zero-allocation measurement path). Use
-            /// [`FullTrace`](crate::FullTrace) to record every step or
-            /// [`SampledTrace`](crate::SampledTrace) for bounded-memory
-            /// forensics.
-            pub fn trace_sink<T2: TraceSink<P::State, $Fault>>(
-                self,
-                sink: T2,
-            ) -> $Builder<P, S, A, T2, C> {
-                $Builder {
-                    model: self.model,
-                    program: self.program,
-                    config: self.config,
-                    scheduler: self.scheduler,
-                    adversary: self.adversary,
-                    side_policy: self.side_policy,
-                    seed: self.seed,
-                    sink,
-                }
-            }
-
-            /// Sets the side policy used to concretize omissions in
-            /// two-way models (ignored by one-way runners).
-            pub fn side_policy(mut self, policy: SidePolicy) -> Self {
-                self.side_policy = policy;
-                self
-            }
-
-            /// Seeds the runner's RNG (scheduler + adversary randomness).
-            pub fn seed(mut self, seed: u64) -> Self {
-                self.seed = seed;
-                self
-            }
-
-            /// Builds the runner.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`EngineError::InvalidPopulation`] if no
-            /// population was supplied or it has fewer than two agents;
-            /// [`EngineError::TopologySizeMismatch`] if the scheduler is
-            /// bound to a topology of a different size than the
-            /// population; and, when the backend has no agent identities
-            /// (the count backend),
-            /// [`EngineError::PerAgentBackendRequired`] for a recording
-            /// trace sink (records name their endpoints) or
-            /// [`EngineError::CompleteInteractionLawRequired`] for a
-            /// scheduler whose [`InteractionLaw`](crate::InteractionLaw)
-            /// counts cannot realize — every mismatch is rejected here
-            /// rather than mid-run.
-            pub fn build(self) -> Result<$Runner<P, S, A, T, C>, EngineError> {
-                let config = self
-                    .config
-                    .ok_or(EngineError::InvalidPopulation { len: 0 })?;
-                if config.len() < 2 {
-                    return Err(EngineError::InvalidPopulation { len: config.len() });
-                }
-                if let Some(required) = self.scheduler.required_population() {
-                    if required != config.len() {
-                        return Err(EngineError::TopologySizeMismatch {
-                            topology: required,
-                            population: config.len(),
-                        });
-                    }
-                }
-                if let Some(required) = self.program.required_topology() {
-                    // A graphical program lays its per-agent state out
-                    // over the graph's vertices: the population must span
-                    // them exactly…
-                    if required.len() != config.len() {
-                        return Err(EngineError::TopologySizeMismatch {
-                            topology: required.len(),
-                            population: config.len(),
-                        });
-                    }
-                    // …and the scheduler must deal exactly that graph's
-                    // arcs. A complete required topology imposes no
-                    // adjacency constraint, so any uniform-law scheduler
-                    // realizes it; a restricted one needs a scheduler
-                    // bound to a structurally equal topology.
-                    let satisfied = if required.is_complete() {
-                        self.scheduler.law() == crate::InteractionLaw::Uniform
+impl<M, P, S, A, T, C> Exec<Runner<M, P, S, A, T, C>, C> for Batched
+where
+    M: Family,
+    P: Program<M>,
+    S: Scheduler,
+    A: OmissionStrategy,
+    T: TraceSink<P::State, M::Fault>,
+    C: ExecBackend<State = P::State>,
+{
+    /// One `run_batch` per batch, into buffers reused across batches,
+    /// with the stop rule evaluated at each boundary.
+    fn drive(
+        self,
+        runner: &mut Runner<M, P, S, A, T, C>,
+        stop: Stop<'_, C>,
+    ) -> Result<RunOutcome, EngineError> {
+        assert!(self.0 > 0, "batch size must be positive");
+        let Stop { budget, mut rule } = stop;
+        let (mut pairs, mut faults) = (Vec::new(), Vec::new());
+        let (mut remaining, mut quiet) = (budget, 0u64);
+        while remaining > 0 {
+            let take = remaining.min(self.0);
+            let changed = runner.stats.changed_steps;
+            runner.run_batch(&mut pairs, &mut faults, take)?;
+            remaining -= take;
+            let done = match &mut rule {
+                Rule::Budget => false,
+                Rule::Until(predicate) => predicate(&runner.config),
+                Rule::Quiet(window) => {
+                    quiet = if runner.stats.changed_steps == changed {
+                        quiet + take
                     } else {
-                        self.scheduler.dealt_topology() == Some(required)
+                        0
                     };
-                    if !satisfied {
-                        return Err(EngineError::ProgramTopologyMismatch {
-                            program_topology: required.to_string(),
-                            law: self.scheduler.law(),
-                        });
-                    }
+                    quiet >= *window
                 }
-                if !C::PER_AGENT {
-                    if !self.sink.is_passive() {
-                        return Err(EngineError::PerAgentBackendRequired {
-                            operation: "recording trace sinks",
-                        });
-                    }
-                    let law = self.scheduler.law();
-                    if !law.count_realizable() {
-                        return Err(EngineError::CompleteInteractionLawRequired { law });
-                    }
-                }
-                Ok($Runner {
-                    model: self.model,
-                    program: self.program,
-                    config,
-                    scheduler: self.scheduler,
-                    adversary: self.adversary,
-                    side_policy: self.side_policy,
-                    rng: SmallRng::seed_from_u64(self.seed),
-                    next_index: 0,
-                    stats: RunStats::default(),
-                    sink: self.sink,
+            };
+            if done {
+                return Ok(runner.outcome(true));
+            }
+        }
+        Ok(runner.outcome(false))
+    }
+}
+
+impl<M, P, S, A, T, C> Exec<Runner<M, P, S, A, T, C>, C> for Epochs
+where
+    M: Family,
+    P: Program<M>,
+    S: Scheduler,
+    A: OmissionStrategy,
+    T: TraceSink<P::State, M::Fault>,
+    C: EpochBackend<State = P::State>,
+{
+    fn drive(
+        self,
+        runner: &mut Runner<M, P, S, A, T, C>,
+        stop: Stop<'_, C>,
+    ) -> Result<RunOutcome, EngineError> {
+        let boundary: Box<dyn FnMut(&C) -> bool + '_> = match stop.rule {
+            Rule::Budget => Box::new(|_: &C| false),
+            Rule::Until(predicate) => predicate,
+            Rule::Quiet(_) => {
+                return Err(EngineError::EpochIncompatible {
+                    feature: "quiet-window stops (epochs apply no single steps to watch)",
                 })
             }
-        }
-    };
+        };
+        // The i.i.d. per-interaction fault mix bulk groups are thinned
+        // with.
+        let rate = if runner.model.allows_omissions() {
+            runner
+                .adversary
+                .iid_rate()
+                .ok_or(EngineError::EpochIncompatible {
+                    feature: "omission adversaries without a fixed i.i.d. rate \
+                              (step-indexed, budgeted, burst, or scripted schedules)",
+                })?
+        } else {
+            0.0
+        };
+        let mix = runner.model.fault_mix(runner.side_policy, rate);
+        let Runner {
+            model,
+            program,
+            config,
+            rng,
+            next_index,
+            stats,
+            ..
+        } = runner;
+        let model = *model;
+        let satisfied = crate::epoch::run_epochs_driver::<M, _, _, _>(
+            config,
+            rng,
+            stats,
+            next_index,
+            stop.budget,
+            &mix,
+            |s: &P::State, r: &P::State, fault| program.outcome(model, s, r, fault),
+            boundary,
+        )?;
+        Ok(runner.outcome(satisfied))
+    }
 }
 
-runner_impl! {
-    /// Execution driver for the one-way family (IT, IO, I1–I4).
-    ///
-    /// See the `runner` module docs for the shared runner surface and
-    /// the crate example for end-to-end usage.
-    runner: OneWayRunner,
-    builder: OneWayRunnerBuilder,
-    model: OneWayModel,
-    fault: OneWayFault,
-    program: OneWayProgram,
-    compute: |model, program, fault, s, r| outcome::one_way(model, program, s, r, fault),
-    fast: |model, program, fault, s, r| outcome::one_way_in_place(model, program, s, r, fault),
-    decide: |this, index, interaction| {
-        if this.model.allows_omissions()
-            && this.adversary.decide_at(index, interaction, &mut this.rng)
-        {
-            OneWayFault::Omission
-        } else {
-            OneWayFault::None
-        }
-    },
-    bulk: |this| {
-        // decide() is only reached in omissive models; when it never
-        // draws, the shared stream is pairs-only.
-        !this.model.allows_omissions() || !this.adversary.uses_rng()
-    },
-    mix: |model, policy, rate| {
-        // One-way models have a single omissive fault; the side policy
-        // plays no role.
-        let _ = (model, policy);
-        if rate > 0.0 {
-            vec![
-                (OneWayFault::None, 1.0 - rate),
-                (OneWayFault::Omission, rate),
-            ]
-        } else {
-            vec![(OneWayFault::None, 1.0)]
-        }
-    },
+/// Builder for a [`Runner`]; see [`Runner::builder`].
+/// [`OneWayRunnerBuilder`] and [`TwoWayRunnerBuilder`] name the two
+/// families.
+pub struct RunnerBuilder<
+    M: Family,
+    P: Program<M>,
+    S = UniformScheduler,
+    A = NoOmissions,
+    T = StatsOnly,
+    C = Configuration<<P as Program<M>>::State>,
+> {
+    model: M,
+    program: P,
+    config: Option<C>,
+    scheduler: S,
+    adversary: A,
+    side_policy: SidePolicy,
+    seed: u64,
+    sink: T,
 }
 
-runner_impl! {
-    /// Execution driver for the two-way family (TW, T1–T3).
+/// Builder for a [`OneWayRunner`].
+pub type OneWayRunnerBuilder<
+    P,
+    S = UniformScheduler,
+    A = NoOmissions,
+    T = StatsOnly,
+    C = Configuration<<P as OneWayProgram>::State>,
+> = RunnerBuilder<OneWayModel, P, S, A, T, C>;
+
+/// Builder for a [`TwoWayRunner`].
+pub type TwoWayRunnerBuilder<
+    P,
+    S = UniformScheduler,
+    A = NoOmissions,
+    T = StatsOnly,
+    C = Configuration<<P as TwoWayProgram>::State>,
+> = RunnerBuilder<TwoWayModel, P, S, A, T, C>;
+
+impl<M, P, S, A, T, C> RunnerBuilder<M, P, S, A, T, C>
+where
+    M: Family,
+    P: Program<M>,
+    S: Scheduler,
+    A: OmissionStrategy,
+    T: TraceSink<P::State, M::Fault>,
+    C: ExecBackend<State = P::State>,
+{
+    /// Sets the initial population without changing the backend type
+    /// (required unless [`population`](Self::population) is used; the
+    /// default backend is the dense [`Configuration`]).
+    pub fn config(mut self, config: C) -> Self {
+        self.config = Some(config);
+        self
+    }
+
+    /// Sets the initial population *and* selects its backend — e.g. a
+    /// [`CountConfiguration`] for giant anonymous runs.
     ///
-    /// In omissive two-way models the adversary decides *whether* a step is
-    /// omissive and the builder's [`SidePolicy`] decides *which side(s)*
-    /// lose the transmission.
-    runner: TwoWayRunner,
-    builder: TwoWayRunnerBuilder,
-    model: TwoWayModel,
-    fault: TwoWayFault,
-    program: TwoWayProgram,
-    compute: |model, program, fault, s, r| outcome::two_way(model, program, s, r, fault),
-    fast: |model, program, fault, s, r| outcome::two_way_in_place(model, program, s, r, fault),
-    decide: |this, index, interaction| {
-        if this.model.allows_omissions()
-            && this.adversary.decide_at(index, interaction, &mut this.rng)
-        {
-            this.side_policy.pick(this.model, &mut this.rng)
-        } else {
-            TwoWayFault::None
+    /// Count-backed runners support the full measurement surface
+    /// ([`Batched`] and [`Epochs`] runs, [`StatsOnly`] sinks, every
+    /// omission adversary) but no per-agent operations: assembling one
+    /// with a recording sink fails at `build()` with
+    /// [`EngineError::PerAgentBackendRequired`], a scheduler whose law
+    /// counts cannot realize (restricted topology, scripted, round-robin)
+    /// fails with [`EngineError::CompleteInteractionLawRequired`], and
+    /// `step` / `apply_planned` report
+    /// [`EngineError::PerAgentBackendRequired`] when called.
+    ///
+    /// [`CountConfiguration`]: ppfts_population::CountConfiguration
+    pub fn population<C2: ExecBackend<State = P::State>>(
+        self,
+        population: C2,
+    ) -> RunnerBuilder<M, P, S, A, T, C2> {
+        RunnerBuilder {
+            model: self.model,
+            program: self.program,
+            config: Some(population),
+            scheduler: self.scheduler,
+            adversary: self.adversary,
+            side_policy: self.side_policy,
+            seed: self.seed,
+            sink: self.sink,
         }
-    },
-    bulk: |this| {
-        // Beyond decide(), a firing fault also runs SidePolicy::pick,
-        // which draws under Uniform — so bulk drawing additionally
-        // needs a draw-free side pick (Always) or a fault that can
-        // never fire (zero budget).
-        !this.model.allows_omissions()
-            || (!this.adversary.uses_rng()
-                && (matches!(this.side_policy, SidePolicy::Always(_))
-                    || this.adversary.budget() == Some(0)))
-    },
-    mix: |model, policy, rate| {
-        // The scalar path draws decide() then SidePolicy::pick() per
-        // step; with an i.i.d. adversary that is exactly this fixed
-        // categorical mix.
-        if rate > 0.0 {
-            match policy {
-                SidePolicy::Always(f) => {
-                    vec![(TwoWayFault::None, 1.0 - rate), (f, rate)]
-                }
-                SidePolicy::Uniform => {
-                    let omissive: Vec<TwoWayFault> = model
-                        .permitted_faults()
-                        .iter()
-                        .copied()
-                        .filter(|f| f.is_omissive())
-                        .collect();
-                    let share = rate / omissive.len() as f64;
-                    let mut mix = vec![(TwoWayFault::None, 1.0 - rate)];
-                    mix.extend(omissive.into_iter().map(|f| (f, share)));
-                    mix
-                }
+    }
+
+    /// Replaces the scheduler (default: [`UniformScheduler`]).
+    pub fn scheduler<S2: Scheduler>(self, scheduler: S2) -> RunnerBuilder<M, P, S2, A, T, C> {
+        RunnerBuilder {
+            model: self.model,
+            program: self.program,
+            config: self.config,
+            scheduler,
+            adversary: self.adversary,
+            side_policy: self.side_policy,
+            seed: self.seed,
+            sink: self.sink,
+        }
+    }
+
+    /// Schedules interactions over an explicit interaction graph —
+    /// shorthand for `scheduler(TopologyScheduler::new(topology))`.
+    ///
+    /// `build()` checks the topology spans exactly the supplied
+    /// population ([`EngineError::TopologySizeMismatch`]) and, on a count
+    /// backend, that the topology is complete
+    /// ([`EngineError::CompleteInteractionLawRequired`]) — restricted
+    /// graphs need agent identities.
+    pub fn topology(self, topology: Topology) -> RunnerBuilder<M, P, TopologyScheduler, A, T, C> {
+        self.scheduler(TopologyScheduler::new(topology))
+    }
+
+    /// Replaces the omission adversary (default: [`NoOmissions`]). Only
+    /// consulted when the model's relation has omissive outcomes.
+    pub fn adversary<A2: OmissionStrategy>(
+        self,
+        adversary: A2,
+    ) -> RunnerBuilder<M, P, S, A2, T, C> {
+        RunnerBuilder {
+            model: self.model,
+            program: self.program,
+            config: self.config,
+            scheduler: self.scheduler,
+            adversary,
+            side_policy: self.side_policy,
+            seed: self.seed,
+            sink: self.sink,
+        }
+    }
+
+    /// Replaces the trace sink (default: [`StatsOnly`], the
+    /// zero-allocation measurement path). Use
+    /// [`FullTrace`](crate::FullTrace) to record every step or
+    /// [`SampledTrace`](crate::SampledTrace) for bounded-memory
+    /// forensics.
+    pub fn trace_sink<T2: TraceSink<P::State, M::Fault>>(
+        self,
+        sink: T2,
+    ) -> RunnerBuilder<M, P, S, A, T2, C> {
+        RunnerBuilder {
+            model: self.model,
+            program: self.program,
+            config: self.config,
+            scheduler: self.scheduler,
+            adversary: self.adversary,
+            side_policy: self.side_policy,
+            seed: self.seed,
+            sink,
+        }
+    }
+
+    /// Seeds the runner's RNG (scheduler + adversary randomness).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Builds the runner.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::InvalidPopulation`] if no population was
+    /// supplied or it has fewer than two agents;
+    /// [`EngineError::TopologySizeMismatch`] if the scheduler is bound to
+    /// a topology of a different size than the population; and, when the
+    /// backend has no agent identities (the count backend),
+    /// [`EngineError::PerAgentBackendRequired`] for a recording trace
+    /// sink (records name their endpoints) or
+    /// [`EngineError::CompleteInteractionLawRequired`] for a scheduler
+    /// whose [`InteractionLaw`](crate::InteractionLaw) counts cannot
+    /// realize — every mismatch is rejected here rather than mid-run.
+    pub fn build(self) -> Result<Runner<M, P, S, A, T, C>, EngineError> {
+        let config = self
+            .config
+            .ok_or(EngineError::InvalidPopulation { len: 0 })?;
+        if config.len() < 2 {
+            return Err(EngineError::InvalidPopulation { len: config.len() });
+        }
+        if let Some(required) = self.scheduler.required_population() {
+            if required != config.len() {
+                return Err(EngineError::TopologySizeMismatch {
+                    topology: required,
+                    population: config.len(),
+                });
             }
-        } else {
-            vec![(TwoWayFault::None, 1.0)]
         }
-    },
+        if let Some(required) = self.program.required_topology() {
+            // A graphical program lays its per-agent state out over the
+            // graph's vertices: the population must span them exactly…
+            if required.len() != config.len() {
+                return Err(EngineError::TopologySizeMismatch {
+                    topology: required.len(),
+                    population: config.len(),
+                });
+            }
+            // …and the scheduler must deal exactly that graph's arcs. A
+            // complete required topology imposes no adjacency
+            // constraint, so any uniform-law scheduler realizes it; a
+            // restricted one needs a scheduler bound to a structurally
+            // equal topology.
+            let satisfied = if required.is_complete() {
+                self.scheduler.law() == crate::InteractionLaw::Uniform
+            } else {
+                self.scheduler.dealt_topology() == Some(required)
+            };
+            if !satisfied {
+                return Err(EngineError::ProgramTopologyMismatch {
+                    program_topology: required.to_string(),
+                    law: self.scheduler.law(),
+                });
+            }
+        }
+        if !C::PER_AGENT {
+            if !self.sink.is_passive() {
+                return Err(EngineError::PerAgentBackendRequired {
+                    operation: "recording trace sinks",
+                });
+            }
+            let law = self.scheduler.law();
+            if !law.count_realizable() {
+                return Err(EngineError::CompleteInteractionLawRequired { law });
+            }
+        }
+        Ok(Runner {
+            model: self.model,
+            program: self.program,
+            config,
+            scheduler: self.scheduler,
+            adversary: self.adversary,
+            side_policy: self.side_policy,
+            rng: SmallRng::seed_from_u64(self.seed),
+            next_index: 0,
+            stats: RunStats::default(),
+            sink: self.sink,
+        })
+    }
+}
+
+impl<P, S, A, T, C> TwoWayRunnerBuilder<P, S, A, T, C>
+where
+    P: TwoWayProgram,
+{
+    /// Sets the side policy that concretizes omissions (default:
+    /// [`SidePolicy::Uniform`]).
+    pub fn side_policy(mut self, policy: SidePolicy) -> Self {
+        self.side_policy = policy;
+        self
+    }
 }
 
 #[cfg(test)]
@@ -1107,7 +1005,7 @@ mod tests {
     use super::*;
     use crate::{
         AtMostOneStrategy, FullTrace, RateStrategy, SampledTrace, ScriptedOmissions,
-        ScriptedScheduler,
+        ScriptedScheduler, TwoWayFault,
     };
     use ppfts_population::TableProtocol;
 

@@ -16,7 +16,7 @@ use crate::ScheduleGenome;
 const BATCH: u64 = 1024;
 
 /// How bad a found attack is, ordered lexicographically: seeds broken
-/// outright, then agents wedged `pending` at budget exhaustion, then
+/// outright, then the most agents `pending` at once, then
 /// the deepest token-queue stall, then steps-to-convergence slowdown.
 ///
 /// "Broken" is conservative: a seed counts only when the *fault-free
@@ -27,11 +27,11 @@ const BATCH: u64 = 1024;
 pub struct AttackSeverity {
     /// Seeds where the baseline converged but the attacked run did not.
     pub broken_seeds: u32,
-    /// Maximum simultaneous pending-agent count over seeds (final
-    /// configuration).
+    /// Maximum simultaneous pending-agent count over seeds (peak at
+    /// batch boundaries).
     pub max_pending: u32,
-    /// Maximum single-agent token footprint over seeds (final
-    /// configuration).
+    /// Maximum single-agent token footprint over seeds (peak at batch
+    /// boundaries).
     pub max_stall_depth: u32,
     /// Maximum steps the attacked runs took (budget when exhausted).
     pub max_steps: u64,
@@ -67,7 +67,7 @@ pub struct SeedOutcome {
     pub steps: u64,
     /// Aggregate step statistics (bit-identical across replays).
     pub stats: RunStats,
-    /// Progress-pressure diagnostics of the final configuration.
+    /// Progress-pressure diagnostics, each the peak at batch boundaries.
     pub pressure: SimPressure,
     /// Baseline converged but this run did not (never set on a run
     /// that ended in an engine error).
@@ -224,7 +224,8 @@ impl FuzzTarget {
     }
 
     /// One attacked run with a stats-only sink: the driver's result,
-    /// the run's statistics, and the final pressure.
+    /// the run's statistics, and the peak pressure, sampled at every
+    /// batch boundary and at the end of the run.
     fn run_one(
         &self,
         genome: &ScheduleGenome,
@@ -236,9 +237,18 @@ impl FuzzTarget {
             .trace_sink(StatsOnly)
             .build()
             .expect("graphical SKnO assembles on its own topology");
-        let out = runner.run(Batched(BATCH), Stop::until(self.step_budget, all_simulated));
-        let pressure = sim_pressure(runner.config().as_slice());
-        (out, runner.stats(), pressure)
+        let mut peak = SimPressure::default();
+        let mut watch = |c: &Configuration<SknoState<bool>>| {
+            let p = sim_pressure(c.as_slice());
+            peak.pending_agents = peak.pending_agents.max(p.pending_agents);
+            peak.queued_tokens = peak.queued_tokens.max(p.queued_tokens);
+            peak.stall_depth = peak.stall_depth.max(p.stall_depth);
+            all_simulated(c)
+        };
+        let out = runner.run(Batched(BATCH), Stop::until(self.step_budget, &mut watch));
+        // A run that ends in an error stops between boundaries.
+        watch(runner.config());
+        (out, runner.stats(), peak)
     }
 
     /// Replays `genome` on one seed with a full trace and audits the
@@ -371,6 +381,28 @@ mod tests {
         let miss = Ok(RunOutcome::Exhausted { steps: 12 });
         let s = SeedOutcome::new(4, miss, stats, SimPressure::default(), true);
         assert!(s.broken && s.error.is_none());
+    }
+
+    #[test]
+    fn pressure_is_the_peak_over_batch_boundaries() {
+        // Seed 2 of the fault-free n = 8 target ends with 4 agents
+        // pending but passes 6 at an earlier boundary.
+        let (target, seed) = (small_target(1, 1), 2);
+        let mut runner = target.builder(seed).build().unwrap();
+        let mut peak = (0, 0);
+        let watch = |c: &Configuration<SknoState<bool>>| {
+            let p = sim_pressure(c.as_slice());
+            peak = (peak.0.max(p.pending_agents), peak.1.max(p.stall_depth));
+            all_simulated(c)
+        };
+        runner
+            .run(Batched(BATCH), Stop::until(target.step_budget, watch))
+            .unwrap();
+        let last = sim_pressure(runner.config().as_slice());
+        assert!(peak.0 > last.pending_agents, "the peak is not the end");
+        let eval = target.evaluate(&ScheduleGenome::empty());
+        let p = eval.seeds.iter().find(|s| s.seed == seed).unwrap().pressure;
+        assert_eq!((p.pending_agents, p.stall_depth), peak);
     }
 
     #[test]

@@ -710,17 +710,11 @@ impl Topology {
     /// `0..n−1`) exactly like the classic uniform scheduler, so complete-
     /// topology runs are bit-identical to uniform-scheduler runs; on CSR
     /// topologies it consumes one range draw over the arc array.
-    pub fn sample_arc(&self, rng: &mut dyn RngCore) -> Interaction {
-        self.sample_arc_with(rng)
-    }
-
-    /// [`sample_arc`](Topology::sample_arc), monomorphized over the RNG.
     ///
-    /// Identical draw law and RNG-stream consumption; the generic
-    /// signature lets a concrete RNG (the engine's `SmallRng`, sweep
-    /// jobs, fuzzers) inline the range draws instead of paying a virtual
-    /// call per draw. The `dyn` entry point above delegates here.
-    pub fn sample_arc_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> Interaction {
+    /// Generic over the RNG, so a concrete RNG (the engine's `SmallRng`,
+    /// sweep jobs, fuzzers) inlines the range draws; `&mut dyn RngCore`
+    /// is accepted too.
+    pub fn sample_arc<R: RngCore + ?Sized>(&self, rng: &mut R) -> Interaction {
         match &*self.repr {
             Repr::Complete { n } => {
                 let s = rng.gen_range(0..*n);

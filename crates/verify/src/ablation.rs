@@ -67,7 +67,7 @@ pub fn rummy_ablation(seeds: u64, o: u32, budget: u64) -> RummyAblation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_analyze::{check_one_way, Exploration};
+    use ppfts_analyze::{check, Exploration};
     use ppfts_core::{RollbackPolicy, Sid, SidState, SimulatorState};
     use ppfts_engine::OneWayFault;
     use ppfts_protocols::{LeaderElection, LeaderState};
@@ -80,7 +80,7 @@ mod tests {
         rollback: RollbackPolicy,
         max_nodes: usize,
     ) -> Exploration<SidState<LeaderState>, OneWayFault> {
-        check_one_way(
+        check(
             OneWayModel::Io,
             &Sid::with_rollback_policy(LeaderElection, rollback),
             Sid::<LeaderElection>::initial(&vec![LeaderState::Leader; n]).as_slice(),

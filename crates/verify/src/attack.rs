@@ -31,8 +31,8 @@
 use std::error::Error;
 use std::fmt;
 
-use ppfts_core::{fastest_transition_time, project, SimulatorState};
-use ppfts_engine::{outcome, OneWayFault, OneWayModel, OneWayProgram, OneWayRunner, Planned};
+use ppfts_core::{fastest_transition_time, project, shortest_schedule, step_pair, SimulatorState};
+use ppfts_engine::{OneWayFault, OneWayModel, OneWayProgram, OneWayRunner, Planned};
 use ppfts_population::{Configuration, Interaction, State};
 use ppfts_protocols::{Pairing, PairingState};
 
@@ -158,91 +158,19 @@ fn plan_interaction(s: usize, r: usize) -> Interaction {
 fn replay_pair<Sim>(
     model: OneWayModel,
     sim: &Sim,
-    mut d0: Sim::State,
-    mut d1: Sim::State,
+    d0: Sim::State,
+    d1: Sim::State,
     schedule: &[(Interaction, OneWayFault)],
 ) -> (Sim::State, Sim::State)
 where
     Sim: OneWayProgram,
-    Sim::State: State,
 {
-    for &(interaction, fault) in schedule {
-        let s_is_d0 = interaction.starter().index() == 0;
-        let (s, r) = if s_is_d0 { (&d0, &d1) } else { (&d1, &d0) };
-        let (s2, r2) =
-            outcome::one_way(model, sim, s, r, fault).expect("fault permitted by construction");
-        if s_is_d0 {
-            d0 = s2;
-            d1 = r2;
-        } else {
-            d1 = s2;
-            d0 = r2;
-        }
-    }
-    (d0, d1)
-}
-
-/// BFS over fault-free two-agent schedules from `(a, b)` until `target`
-/// holds; returns a witness schedule. Under global fairness, reachability
-/// of the target from the current configuration is exactly what a working
-/// simulator must maintain, so BFS is the faithful liveness check.
-fn search_target<Sim>(
-    model: OneWayModel,
-    sim: &Sim,
-    a: Sim::State,
-    b: Sim::State,
-    max_depth: u32,
-    target: impl Fn(&Sim::State, &Sim::State) -> bool,
-) -> Option<Vec<Interaction>>
-where
-    Sim: OneWayProgram,
-    Sim::State: SimulatorState<Simulated = PairingState> + State,
-{
-    use std::collections::{HashMap, VecDeque};
-    type Pair<S> = (S, S);
-    type ParentMap<S> = HashMap<Pair<S>, (Pair<S>, Interaction)>;
-    let forward = plan_interaction(0, 1);
-    let backward = plan_interaction(1, 0);
-    if target(&a, &b) {
-        return Some(Vec::new());
-    }
-    let mut seen: HashMap<Pair<Sim::State>, u32> = HashMap::new();
-    let mut parent: ParentMap<Sim::State> = HashMap::new();
-    let start = (a, b);
-    seen.insert(start.clone(), 0);
-    let mut queue = VecDeque::from([start]);
-    while let Some(node) = queue.pop_front() {
-        let depth = seen[&node];
-        if depth >= max_depth {
-            continue;
-        }
-        for interaction in [forward, backward] {
-            let next_pair = replay_pair(
-                model,
-                sim,
-                node.0.clone(),
-                node.1.clone(),
-                &[(interaction, OneWayFault::None)],
-            );
-            if seen.contains_key(&next_pair) {
-                continue;
-            }
-            seen.insert(next_pair.clone(), depth + 1);
-            parent.insert(next_pair.clone(), (node.clone(), interaction));
-            if target(&next_pair.0, &next_pair.1) {
-                let mut schedule = Vec::new();
-                let mut cursor = next_pair;
-                while let Some((prev, i)) = parent.get(&cursor) {
-                    schedule.push(*i);
-                    cursor = prev.clone();
-                }
-                schedule.reverse();
-                return Some(schedule);
-            }
-            queue.push_back(next_pair);
-        }
-    }
-    None
+    schedule
+        .iter()
+        .fold((d0, d1), |pair, &(interaction, fault)| {
+            step_pair(model, sim, &pair, interaction, fault)
+                .expect("fault permitted by construction")
+        })
 }
 
 /// Builds and executes the paper's `I*` against a candidate simulator of
@@ -291,7 +219,7 @@ where
 
         let consumer_paired =
             |_: &Sim::State, b: &Sim::State| *b.simulated() == PairingState::Paired;
-        match search_target(model, &sim, a, b, extension_cap, consumer_paired) {
+        match shortest_schedule(model, &sim, a, b, extension_cap, consumer_paired) {
             Some(continuation) => continuations.push(continuation),
             None => {
                 return Ok(AttackReport {
@@ -555,7 +483,7 @@ where
             make_state(PairingState::Consumer),
             &prefix,
         );
-        if search_target(model, sim, d0, d1, max_steps, fully_done).is_none() {
+        if shortest_schedule(model, sim, d0, d1, max_steps, fully_done).is_none() {
             failures.push(omit_at);
         }
     }

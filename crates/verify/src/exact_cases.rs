@@ -3,7 +3,7 @@
 //! and the node cap, decided by `ppfts-analyze`'s explorer.
 
 mod tests {
-    use ppfts_analyze::{check_one_way, check_two_way, ExploreError};
+    use ppfts_analyze::{check, ExploreError};
     use ppfts_core::{Sid, SidState, SimulatorState};
     use ppfts_engine::{OneWayModel, TwoWayModel};
     use ppfts_population::Multiset;
@@ -17,14 +17,14 @@ mod tests {
     #[test]
     fn epidemic_always_stabilizes_to_or() {
         let c0 = [true, false, false, false];
-        let check = check_two_way(TwoWayModel::Tw, &Epidemic, &c0, 0, 1000, |c| {
+        let infected = check(TwoWayModel::Tw, &Epidemic, &c0, 0, 1000, |c| {
             count(c, &true) == 4
         })
         .unwrap();
-        assert!(check.verdict.is_proved());
+        assert!(infected.verdict.is_proved());
 
         let all_false = [false, false, false];
-        let check = check_two_way(TwoWayModel::Tw, &Epidemic, &all_false, 0, 1000, |c| {
+        let check = check(TwoWayModel::Tw, &Epidemic, &all_false, 0, 1000, |c| {
             count(c, &false) == 3
         })
         .unwrap();
@@ -36,7 +36,7 @@ mod tests {
         for (c, p) in [(2usize, 2usize), (3, 1), (1, 3), (2, 3)] {
             let expected = c.min(p);
             let paired = |m: &[PairingState]| count(m, &PairingState::Paired);
-            let check = check_two_way(
+            let check = check(
                 TwoWayModel::Tw,
                 &Pairing,
                 Pairing::initial(c, p).as_slice(),
@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn leader_election_terminal_components_have_one_leader() {
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::Tw,
             &LeaderElection,
             LeaderElection::initial(4).as_slice(),
@@ -75,7 +75,7 @@ mod tests {
         // Exact GF verification of SID on a 2-agent system: every terminal
         // SCC has the simulated pair transitioned.
         let c0 = Sid::<Pairing>::initial(&[PairingState::Consumer, PairingState::Producer]);
-        let check = check_one_way(
+        let check = check(
             OneWayModel::Io,
             &Sid::new(Pairing),
             c0.as_slice(),
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn config_cap_is_enforced() {
-        let err = check_two_way(
+        let err = check(
             TwoWayModel::Tw,
             &Pairing,
             Pairing::initial(3, 3).as_slice(),
@@ -106,8 +106,7 @@ mod tests {
 
     #[test]
     fn graph_statistics_are_consistent() {
-        let check =
-            check_two_way(TwoWayModel::Tw, &Epidemic, &[true, false], 0, 100, |_| true).unwrap();
+        let check = check(TwoWayModel::Tw, &Epidemic, &[true, false], 0, 100, |_| true).unwrap();
         // {T,F} → {T,T}: two canonical configs, over two states.
         assert_eq!(check.configs, 2);
         assert_eq!(check.nodes, 2);

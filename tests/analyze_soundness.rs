@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use ppfts::analyze::check_two_way;
+use ppfts::analyze::check;
 use ppfts::engine::{BoundedStrategy, TwoWayModel, TwoWayRunner};
 use ppfts::population::{Configuration, Semantics};
 use ppfts::protocols::{Epidemic, ExactMajority, MajorityOpinion};
@@ -28,7 +28,7 @@ proptest! {
     ) {
         let mut dense = vec![true; infected];
         dense.extend(std::iter::repeat_n(false, clean));
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::T1,
             &Epidemic,
             &dense,
@@ -69,7 +69,7 @@ proptest! {
             .chain(std::iter::repeat_n(MajorityOpinion::Y, y))
             .collect();
         let initial = ExactMajority.initial_configuration(&inputs);
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::T1,
             &ExactMajority,
             initial.as_slice(),

@@ -35,11 +35,10 @@ use proptest::test_runner::{check, TestCaseError, TestRng};
 use ppfts::core::{NamedSid, Sid, Skno};
 use ppfts::engine::convergence::stably;
 use ppfts::engine::{
-    AtMostOneStrategy, Batched, BoundedStrategy, Epochs, Exec, ExecBackend, FullTrace, Model,
-    NoOmissions, OmissionStrategy, OneWayFault, OneWayModel, OneWayProgram, OneWayRunner,
-    RateStrategy, RunOutcome, RunStats, SampledTrace, Scheduler, ScriptedOmissions, StatsOnly,
-    StepRecord, Stop, Trace, TraceSink, TwoWayFault, TwoWayModel, TwoWayProgram, TwoWayRunner,
-    UniformScheduler,
+    AtMostOneStrategy, Batched, BoundedStrategy, Epochs, Exec, ExecBackend, Family, FullTrace,
+    Model, NoOmissions, OmissionStrategy, OneWayModel, OneWayProgram, Program, RateStrategy,
+    RunOutcome, RunStats, Runner, SampledTrace, Scheduler, ScriptedOmissions, StatsOnly,
+    StepRecord, Stop, Trace, TraceSink, TwoWayModel, TwoWayProgram, TwoWayRunner, UniformScheduler,
 };
 use ppfts::population::{
     Configuration, CountConfiguration, Multiset, Population, Semantics, State, TableProtocol,
@@ -286,50 +285,6 @@ struct Obs<C, R> {
     coda: Option<(C, RunStats)>,
 }
 
-/// The runner surface [`Case::observe`] drives, in both families.
-trait Drive {
-    type Config: Clone;
-    type Record;
-    fn one_step(&mut self);
-    fn batched(&mut self, batch: u64, stop: Stop<'_, Self::Config>) -> RunOutcome;
-    fn snapshot(&mut self) -> Obs<Self::Config, Self::Record>;
-}
-
-macro_rules! drive {
-    ($Runner:ident, $Program:ident, $Fault:ty) => {
-        impl<P, S, A, T, C> Drive for $Runner<P, S, A, T, C>
-        where
-            P: $Program,
-            S: Scheduler,
-            A: OmissionStrategy,
-            T: TraceSink<P::State, $Fault>,
-            C: ExecBackend<State = P::State> + Clone,
-        {
-            type Config = C;
-            type Record = StepRecord<P::State, $Fault>;
-            fn one_step(&mut self) {
-                self.step().unwrap();
-            }
-            fn batched(&mut self, batch: u64, stop: Stop<'_, C>) -> RunOutcome {
-                self.run(Batched(batch), stop).unwrap()
-            }
-            fn snapshot(&mut self) -> Obs<C, Self::Record> {
-                let trace = self.take_trace().map(|t| t.records().to_vec());
-                let (config, stats, steps) = (self.config().clone(), self.stats(), self.steps());
-                Obs {
-                    config,
-                    stats,
-                    steps,
-                    trace,
-                    coda: None,
-                }
-            }
-        }
-    };
-}
-drive!(OneWayRunner, OneWayProgram, OneWayFault);
-drive!(TwoWayRunner, TwoWayProgram, TwoWayFault);
-
 /// A side's trace sink as one type for every row; forwards every method.
 struct AnySink<Q: State, F>(Box<dyn TraceSink<Q, F>>);
 
@@ -402,46 +357,34 @@ impl<'a> Case<'a> {
         self.agents().iter().map(|&x| x % 2 == 1).collect()
     }
 
-    /// Checks a one-way program, built by `make` for a side's topology
-    /// (`None`: anonymous) and scan flag.
-    fn one_way<P: OneWayProgram>(
+    /// Checks the program `make` builds for a side's topology (`None`:
+    /// anonymous) and scan flag, on the scenario's backend.
+    fn run<M: Family, P: Program<M>>(
         &self,
+        model: M,
         make: impl Fn(Option<&Topology>, bool) -> P,
         config: &Configuration<P::State>,
     ) -> TestResult {
-        let Model::OneWay(model) = self.s.model else {
-            panic!("{:?} is not one-way", self.s.model)
-        };
-        self.check(config, |side| {
+        let builder = |side: &Side| {
             let topology = self.topology.as_ref().filter(|_| side.topology);
-            let program = make(topology, side.scan);
-            let builder = OneWayRunner::builder(model, program).config(config.clone());
-            observe!(self, side, builder.seed(self.s.seed))
-        })
-    }
-
-    /// Checks a two-way program on the scenario's backend.
-    fn two_way<P>(&self, program: P, config: &Configuration<P::State>) -> TestResult
-    where
-        P: TwoWayProgram + Copy,
-    {
-        let Model::TwoWay(model) = self.s.model else {
-            panic!("{:?} is not two-way", self.s.model)
+            Runner::builder(model, make(topology, side.scan)).seed(self.s.seed)
         };
-        let builder = || TwoWayRunner::builder(model, program).seed(self.s.seed);
         if !self.s.counts {
             return self.check(config, |side| {
-                observe!(self, side, builder().config(config.clone()))
+                observe!(self, side, builder(side).config(config.clone()))
             });
         }
         let counts = CountConfiguration::from_dense(config);
         self.check(&counts, |side| {
-            observe!(self, side, builder().population(counts.clone()))
+            observe!(self, side, builder(side).population(counts.clone()))
         })
     }
 
     /// Checks SKnO, SID or `NamedSid` over `p`.
-    fn simulate<P: TwoWayProtocol + Copy>(&self, p: P, sims: &[P::State]) -> TestResult {
+    fn simulate<P>(&self, model: OneWayModel, p: P, sims: &[P::State]) -> TestResult
+    where
+        P: TwoWayProtocol + Copy,
+    {
         let n = sims.len();
         match self.s.prog {
             Prog::Skno(_, o) => {
@@ -453,13 +396,15 @@ impl<'a> Case<'a> {
                         skno
                     }
                 };
-                self.one_way(make, &Skno::<P>::initial(sims))
+                self.run(model, make, &Skno::<P>::initial(sims))
             }
-            Prog::Sid(_) => self.one_way(
+            Prog::Sid(_) => self.run(
+                model,
                 |t, _| t.map_or(Sid::new(p), |t| Sid::graphical(p, t.clone())),
                 &Sid::<P>::initial(sims),
             ),
-            Prog::NamedSid(_) => self.one_way(
+            Prog::NamedSid(_) => self.run(
+                model,
                 |t, _| t.map_or(NamedSid::new(p, n), |t| NamedSid::graphical(p, t.clone())),
                 &NamedSid::<P>::initial(sims),
             ),
@@ -475,23 +420,42 @@ impl<'a> Case<'a> {
         steps + u64::from(until && steps.is_multiple_of(batch))
     }
 
-    fn observe<R: Drive>(&self, mut r: R, side: &Side) -> Obs<R::Config, R::Record> {
+    fn observe<M, P, S, A, T, C>(
+        &self,
+        mut r: Runner<M, P, S, A, T, C>,
+        side: &Side,
+    ) -> Obs<C, StepRecord<P::State, M::Fault>>
+    where
+        M: Family,
+        P: Program<M>,
+        S: Scheduler,
+        A: OmissionStrategy,
+        T: TraceSink<P::State, M::Fault>,
+        C: ExecBackend<State = P::State> + Clone,
+    {
         let steps = self.steps();
         let out = match side.run {
             Run::Step => {
-                (0..steps).for_each(|_| r.one_step());
+                (0..steps).for_each(|_| drop(r.step().unwrap()));
                 RunOutcome::Exhausted { steps }
             }
-            Run::Single => r.batched(1, Stop::steps(steps)),
-            Run::Batched => r.batched(self.s.batch, Stop::steps(steps)),
-            Run::Until => r.batched(self.s.batch, Stop::until(steps, |_| false)),
+            Run::Single => r.run(Batched(1), Stop::steps(steps)).unwrap(),
+            Run::Batched => r.run(Batched(self.s.batch), Stop::steps(steps)).unwrap(),
+            Run::Until => r
+                .run(Batched(self.s.batch), Stop::until(steps, |_| false))
+                .unwrap(),
         };
         assert_eq!(out, RunOutcome::Exhausted { steps });
-        let mut obs = r.snapshot();
+        let mut obs = Obs {
+            config: r.config().clone(),
+            stats: r.stats(),
+            steps: r.steps(),
+            trace: r.take_trace().map(|t| t.records().to_vec()),
+            coda: None,
+        };
         if side.coda > 0 {
-            (0..side.coda).for_each(|_| r.one_step());
-            let after = r.snapshot();
-            obs.coda = Some((after.config, after.stats));
+            (0..side.coda).for_each(|_| drop(r.step().unwrap()));
+            obs.coda = Some((r.config().clone(), r.stats()));
         }
         obs
     }
@@ -569,15 +533,24 @@ fn relate(s: &Scenario, relation: Relation, (reference, candidate): (Side, Side)
         .map(|&x| pairing[x as usize % 4])
         .collect();
     let values = case.agents().into_iter().map(u64::from).collect();
-    match s.prog {
-        Prog::Or => case.one_way(|_, _| Or, &Configuration::new(bools)),
-        Prog::Epidemic => case.two_way(Epidemic, &Configuration::new(bools)),
-        Prog::Pairing => case.two_way(Pairing, &Configuration::new(pairs)),
-        Prog::MaxGossip => case.two_way(MaxGossip, &Configuration::new(values)),
-        Prog::Skno(inner, _) | Prog::Sid(inner) | Prog::NamedSid(inner) => match inner {
-            Inner::Epidemic => case.simulate(Epidemic, &bools),
-            Inner::Pairing => case.simulate(Pairing, &pairs),
-        },
+    match (s.prog, s.model) {
+        (Prog::Or, Model::OneWay(m)) => case.run(m, |_, _| Or, &Configuration::new(bools)),
+        (Prog::Epidemic, Model::TwoWay(m)) => {
+            case.run(m, |_, _| Epidemic, &Configuration::new(bools))
+        }
+        (Prog::Pairing, Model::TwoWay(m)) => {
+            case.run(m, |_, _| Pairing, &Configuration::new(pairs))
+        }
+        (Prog::MaxGossip, Model::TwoWay(m)) => {
+            case.run(m, |_, _| MaxGossip, &Configuration::new(values))
+        }
+        (Prog::Skno(inner, _) | Prog::Sid(inner) | Prog::NamedSid(inner), Model::OneWay(m)) => {
+            match inner {
+                Inner::Epidemic => case.simulate(m, Epidemic, &bools),
+                Inner::Pairing => case.simulate(m, Pairing, &pairs),
+            }
+        }
+        (p, m) => panic!("{p:?} does not run under {m}"),
     }
 }
 
@@ -756,7 +729,11 @@ fn a_seeded_in_place_divergence_is_caught_and_shrunk() {
     let failure = check("seeded_divergence", &(space,), |(s,)| {
         let case = Case::new(&s, Relation::Bitwise, PURE, BATCHED);
         let sims = Sid::<Epidemic>::initial(&case.bools());
-        case.one_way(|_, _| DropsInPlaceUpdates(Sid::new(Epidemic)), &sims)
+        case.run(
+            OneWayModel::Io,
+            |_, _| DropsInPlaceUpdates(Sid::new(Epidemic)),
+            &sims,
+        )
     })
     .expect_err("the mutant's in-place hook diverges");
     let minimal = &failure.input.0;

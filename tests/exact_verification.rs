@@ -5,7 +5,7 @@
 //! checker enumerates every reachable configuration and every GF
 //! execution's eventual behaviour.
 
-use ppfts::analyze::{check_one_way, check_two_way};
+use ppfts::analyze::check;
 use ppfts::core::{Sid, SimulatorState};
 use ppfts::engine::{OneWayModel, TwoWayModel};
 use ppfts::population::Semantics;
@@ -32,7 +32,7 @@ fn epidemic_stably_computes_or_proved() {
                 .chain(std::iter::repeat_n(false, n_false))
                 .collect();
             let expected = Epidemic.expected(&inputs);
-            let check = check_two_way(
+            let check = check(
                 TwoWayModel::Tw,
                 &Epidemic,
                 Epidemic.initial_configuration(&inputs).as_slice(),
@@ -51,7 +51,7 @@ fn pairing_solves_pair_proved() {
     for (c, p) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2), (3, 2)] {
         let expected = c.min(p);
         let paired = |m: &[PairingState]| count(m, &PairingState::Paired);
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::Tw,
             &Pairing,
             Pairing::initial(c, p).as_slice(),
@@ -71,7 +71,7 @@ fn pairing_solves_pair_proved() {
 #[test]
 fn leader_election_proved() {
     for n in [2usize, 3, 4, 5] {
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::Tw,
             &LeaderElection,
             LeaderElection::initial(n).as_slice(),
@@ -89,7 +89,7 @@ fn approximate_majority_with_unanimous_input_proved() {
     // With a unanimous starting opinion the 3-state protocol is exact:
     // every GF execution converts all blanks.
     let inputs = [MajorityState::X, MajorityState::X, MajorityState::Blank];
-    let check = check_two_way(
+    let check = check(
         TwoWayModel::Tw,
         &ApproximateMajority,
         &inputs,
@@ -106,14 +106,14 @@ fn flock_threshold_proved_both_sides() {
     let flock = FlockOfBirds::new(2);
     // 2 marked: must detect.
     let hot = flock.initial_configuration(&[true, true, false]);
-    let check = check_two_way(TwoWayModel::Tw, &flock, hot.as_slice(), 0, 100_000, |m| {
+    let hot = check(TwoWayModel::Tw, &flock, hot.as_slice(), 0, 100_000, |m| {
         m.iter().all(|q| q.detected)
     })
     .unwrap();
-    assert!(check.verdict.is_proved());
+    assert!(hot.verdict.is_proved());
     // 1 marked: must never detect — an invariant, not just eventual.
     let cold = flock.initial_configuration(&[true, false, false]);
-    let check = check_two_way(TwoWayModel::Tw, &flock, cold.as_slice(), 0, 100_000, |_| {
+    let check = check(TwoWayModel::Tw, &flock, cold.as_slice(), 0, 100_000, |_| {
         true
     })
     .unwrap();
@@ -124,7 +124,7 @@ fn flock_threshold_proved_both_sides() {
 fn remainder_proved() {
     let p = Remainder::new(2, 1);
     let inputs = vec![1u32, 1, 1]; // sum 3, odd
-    let check = check_two_way(
+    let check = check(
         TwoWayModel::Tw,
         &p,
         p.initial_configuration(&inputs).as_slice(),
@@ -149,7 +149,7 @@ fn semilinear_compilation_proved() {
     .unwrap();
     for inputs in [vec![1usize, 1, 0], vec![1, 0, 0]] {
         let expected = p.expected(&inputs);
-        let check = check_two_way(
+        let check = check(
             TwoWayModel::Tw,
             &p,
             p.initial_configuration(&inputs).as_slice(),
@@ -177,7 +177,7 @@ fn sid_simulation_proved_for_three_agents() {
             .filter(|q| *q.simulated() == PairingState::Paired)
             .count()
     };
-    let check = check_one_way(
+    let check = check(
         OneWayModel::Io,
         &Sid::new(Pairing),
         Sid::<Pairing>::initial(&sims).as_slice(),

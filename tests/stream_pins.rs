@@ -13,14 +13,19 @@
 //!   `Batched` + `Stop::steps` — the bulk-drawn two-way path;
 //! * `SKnO` o = 1 on `complete(32)` under I3 with a [`BoundedStrategy`],
 //!   whose RNG-drawing fault decisions force the interleaved
-//!   pair-then-fault path.
+//!   pair-then-fault path;
+//! * the epidemic under T1 on the count backend with a [`RateStrategy`]
+//!   and [`SidePolicy::Uniform`] through `Batched` + `Stop::steps` — the
+//!   interleaved count path, whose omissive steps also draw a side;
+//! * the epidemic under T1 on a small count population through `Epochs`
+//!   — the epoch path's i.i.d. fault mix.
 
 use ppfts::core::{project, Sid, Skno};
 use ppfts::engine::{
-    Batched, BoundedStrategy, OneWayModel, OneWayRunner, RunStats, StatsOnly, Stop, TwoWayModel,
-    TwoWayRunner,
+    Batched, BoundedStrategy, Epochs, OneWayModel, OneWayRunner, RateStrategy, RunStats,
+    SidePolicy, StatsOnly, Stop, TwoWayModel, TwoWayRunner,
 };
-use ppfts::population::{Configuration, Topology};
+use ppfts::population::{Configuration, CountConfiguration, Topology};
 use ppfts::protocols::Epidemic;
 
 /// Batch size of every pinned run (the harnesses' size).
@@ -103,6 +108,31 @@ fn skno_complete(seed: u64) -> Pin {
     )
 }
 
+/// The epidemic under T1 at omission rate 0.1 on 1000 counted agents,
+/// through `Batched` or `Epochs`.
+fn epidemic_t1_counts(seed: u64, epochs: bool) -> Pin {
+    let mut runner = TwoWayRunner::builder(TwoWayModel::T1, Epidemic)
+        .population(CountConfiguration::from_groups([(true, 1), (false, 999)]))
+        .adversary(RateStrategy::new(0.1))
+        .side_policy(SidePolicy::Uniform)
+        .seed(seed)
+        .trace_sink(StatsOnly)
+        .build()
+        .unwrap();
+    let stop = Stop::steps(5_000);
+    let out = if epochs {
+        runner.run(Epochs, stop)
+    } else {
+        runner.run(Batched(BATCH), stop)
+    };
+    out.unwrap();
+    (
+        runner.steps(),
+        runner.stats(),
+        runner.config().count_state(&true),
+    )
+}
+
 #[test]
 fn sid_on_random_regular_under_io() {
     assert_eq!(sid_rr4(1), (57_344, stats(57_344, 0, 15_176, 42_168), 256));
@@ -131,4 +161,21 @@ fn skno_on_complete_under_i3_bounded() {
         skno_complete(3),
         (20_000, stats(20_000, 1, 13_820, 6_180), 31)
     );
+}
+
+#[test]
+fn epidemic_on_counts_under_t1() {
+    let interleaved = [(487, 782, 4_218), (489, 928, 4_072), (508, 969, 4_031)];
+    let epochs = [(500, 819, 4_181), (477, 939, 4_061), (498, 638, 4_362)];
+    for (path, pins) in [(false, interleaved), (true, epochs)] {
+        for (seed, (omissive, changed, noop)) in (1..).zip(pins) {
+            let infected = changed as usize + 1;
+            let pin = (5_000, stats(5_000, omissive, changed, noop), infected);
+            assert_eq!(
+                epidemic_t1_counts(seed, path),
+                pin,
+                "seed {seed}, epochs {path}"
+            );
+        }
+    }
 }
