@@ -2,8 +2,8 @@
 
 use ppfts_core::{sim_pressure, SimPressure, SimulatorState, Skno, SknoState};
 use ppfts_engine::{
-    run_seeds, Batched, EngineError, FullTrace, OneWayFault, OneWayModel, OneWayRunner, RunOutcome,
-    RunStats, StatsOnly, Stop, Trace,
+    run_seeds, Batched, EngineError, OneWayFault, OneWayModel, OneWayRunner, RunOutcome, RunStats,
+    StatsOnly, StepRecord, Stop, Trace, TraceSink,
 };
 use ppfts_population::{Configuration, Topology};
 use ppfts_protocols::Epidemic;
@@ -251,9 +251,9 @@ impl FuzzTarget {
         (out, runner.stats(), peak)
     }
 
-    /// Replays `genome` on one seed with a full trace and audits the
-    /// recorded omissions against the genome's own schedule and the
-    /// class budget. An empty result certifies the replay faithful.
+    /// Replays `genome` on one seed and audits the recorded omissions
+    /// against the genome's own schedule and the class budget. An empty
+    /// result certifies the replay faithful.
     ///
     /// # Errors
     ///
@@ -263,22 +263,32 @@ impl FuzzTarget {
         genome: &ScheduleGenome,
         seed: u64,
     ) -> Result<Vec<ScheduleViolation>, EngineError> {
-        let mut runner = self
-            .builder(seed)
-            .adversary(genome.compile(Some(self.o_budget)))
-            .trace_sink(FullTrace::new())
-            .build()
-            .expect("graphical SKnO assembles on its own topology");
-        runner.run(Batched(BATCH), Stop::until(self.step_budget, all_simulated))?;
-        let trace: &Trace<SknoState<bool>, OneWayFault> =
-            runner.trace().expect("FullTrace::new() retains the trace");
+        let omissions = self.replay_omissions(genome, seed)?;
         let schedule = genome.compile(Some(self.o_budget));
         Ok(audit_omission_schedule(
-            trace,
+            &omissions,
             |f| f.is_omissive(),
             |step, interaction| schedule.permits(step, Some(interaction)),
             Some(self.o_budget),
         ))
+    }
+
+    /// Replays `genome` on one seed, keeping only its omissive records
+    /// (all the schedule audit reads), so memory is bounded by the
+    /// omissions injected rather than the steps run.
+    fn replay_omissions(
+        &self,
+        genome: &ScheduleGenome,
+        seed: u64,
+    ) -> Result<Trace<SknoState<bool>, OneWayFault>, EngineError> {
+        let mut runner = self
+            .builder(seed)
+            .adversary(genome.compile(Some(self.o_budget)))
+            .trace_sink(OmissionsOnly(Trace::new()))
+            .build()
+            .expect("graphical SKnO assembles on its own topology");
+        runner.run(Batched(BATCH), Stop::until(self.step_budget, all_simulated))?;
+        Ok(runner.sink().0.clone())
     }
 
     /// The common runner builder for this target (model I3, graphical
@@ -303,6 +313,19 @@ type TargetBuilder = ppfts_engine::OneWayRunnerBuilder<
     StatsOnly,
     Configuration<SknoState<bool>>,
 >;
+
+/// A trace sink keeping only omissive records.
+struct OmissionsOnly(Trace<SknoState<bool>, OneWayFault>);
+
+impl TraceSink<SknoState<bool>, OneWayFault> for OmissionsOnly {
+    fn wants_record(&self, _index: u64, omissive: bool, _changed: bool) -> bool {
+        omissive
+    }
+
+    fn accept(&mut self, record: StepRecord<SknoState<bool>, OneWayFault>) {
+        self.0.push(record);
+    }
+}
 
 /// Convergence predicate: every agent's *simulated* state reached
 /// `true` (the epidemic fully spread in the simulated protocol).
@@ -362,6 +385,29 @@ mod tests {
         let eval = target.evaluate(&genome);
         assert!(eval.severity.is_break(), "severity: {:?}", eval.severity);
         // The found attack is a faithful member of the class.
+        assert!(target.audit_replay(&genome, 1).unwrap().is_empty());
+    }
+
+    #[test]
+    fn replay_audit_holds_only_the_omissive_records() {
+        // An unprovisioned SKnO stalls on its one lost token, so the
+        // replay runs its whole 10⁵-step budget; the audit must hold the
+        // omission, not a record per step.
+        let topology = Topology::complete(8).unwrap();
+        let target = FuzzTarget::new(topology, 0, 1, vec![1], 100_000, 1);
+        let genome = ScheduleGenome {
+            events: vec![ScheduledEvent {
+                from: 0,
+                until: 100_000,
+                target: Some(0),
+            }],
+            segments: vec![],
+            salt: 0,
+        };
+        assert_eq!(target.evaluate(&genome).seeds[0].steps, 100_000);
+        let omissions = target.replay_omissions(&genome, 1).unwrap();
+        assert!(!omissions.is_empty());
+        assert!(omissions.len() as u64 <= target.o_budget);
         assert!(target.audit_replay(&genome, 1).unwrap().is_empty());
     }
 

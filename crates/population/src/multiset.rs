@@ -24,7 +24,7 @@ use crate::State;
 /// assert_eq!(m.count(&"cs"), 0);
 /// assert_eq!(m.len(), 3);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct Multiset<Q: State> {
     counts: HashMap<Q, usize>,
     len: usize,
@@ -150,10 +150,42 @@ impl<Q: State> Extend<Q> for Multiset<Q> {
     }
 }
 
+impl<Q: State> Multiset<Q> {
+    /// The `(state, multiplicity)` pairs sorted by the `Debug` text of
+    /// the state: the order both printed forms use, so a multiset prints
+    /// the same in every run whatever its hash order.
+    fn printed_entries(&self) -> Vec<(&Q, usize)> {
+        let mut keyed: Vec<(String, &Q, usize)> = self
+            .counts
+            .iter()
+            .map(|(q, &c)| (format!("{q:?}"), q, c))
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        keyed.into_iter().map(|(_, q, c)| (q, c)).collect()
+    }
+}
+
+impl<Q: State> fmt::Debug for Multiset<Q> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Counts<'a, Q>(Vec<(&'a Q, usize)>);
+        impl<Q: fmt::Debug> fmt::Debug for Counts<'_, Q> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(q, c)| (q, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Multiset")
+            .field("counts", &Counts(self.printed_entries()))
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
 impl<Q: State + fmt::Display> fmt::Display for Multiset<Q> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (q, c)) in self.counts.iter().enumerate() {
+        for (i, (q, c)) in self.printed_entries().into_iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -247,6 +279,17 @@ mod tests {
     fn sorted_pairs_is_canonical() {
         let a: Multiset<u8> = [9, 1, 9].into_iter().collect();
         assert_eq!(a.sorted_pairs(), vec![(1, 1), (9, 2)]);
+    }
+
+    #[test]
+    fn printed_forms_are_canonical() {
+        // Entries print sorted by their `Debug` text, not in hash order.
+        let m: Multiset<u32> = [7, 3, 3, 12, 5, 7, 7, 1, 20, 3].into_iter().collect();
+        assert_eq!(
+            format!("{m:?}"),
+            "Multiset { counts: {1: 1, 12: 1, 20: 1, 3: 3, 5: 1, 7: 3}, len: 10 }"
+        );
+        assert_eq!(m.to_string(), "{1×1, 12×1, 20×1, 3×3, 5×1, 7×3}");
     }
 
     #[test]

@@ -1,112 +1,12 @@
-//! Regenerates the paper's Figure 4: the map of possibility/impossibility
-//! results, with every cell backed by an execution.
-//!
-//! Green cells run the corresponding simulator and audit the Pairing
-//! problem; red cells run the corresponding attack construction and
-//! verify the predicted violation (or stall). Cells the paper leaves open
-//! or colours through other columns print as `?`.
+//! Prints the paper's Figure 4, the map of possibility/impossibility
+//! results, from [`ppfts_verify::figure4::map`].
 //!
 //! Run with: `cargo run --release -p ppfts-verify --bin figure4`
 
-use ppfts_core::{NamedSid, Sid, Skno, SknoState};
-use ppfts_engine::{BoundedStrategy, Model, OneWayModel, OneWayRunner, StatsOnly, TwoWayModel};
-use ppfts_protocols::{Pairing, PairingState};
-use ppfts_verify::{
-    audit_pairing_batched, lemma1_attack, no1_resilience, thm32_attack, Optimist, OptimistState,
-};
+use ppfts_verify::figure4::{map, Cell};
 
-/// Batch size of the possibility witnesses' audits: Pairing violations
-/// are sticky (`cs` is irrevocable), so auditing at this stride on the
-/// `StatsOnly` path loses nothing the green cells depend on.
-const AUDIT_BATCH: u64 = 128;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Cell {
-    Green,
-    Red,
-    Open,
-}
-
-impl Cell {
-    fn paint(self) -> &'static str {
-        match self {
-            Cell::Green => "  ✔ ",
-            Cell::Red => "  ✘ ",
-            Cell::Open => "  ? ",
-        }
-    }
-}
-
-fn pairing_sims(n: usize) -> Vec<PairingState> {
-    Pairing::initial(n / 2, n / 2).as_slice().to_vec()
-}
-
-fn witness_possible_sid(m: OneWayModel) -> Cell {
-    let mut runner = OneWayRunner::builder(m, Sid::new(Pairing))
-        .config(Sid::<Pairing>::initial(&pairing_sims(4)))
-        .seed(1)
-        .trace_sink(StatsOnly)
-        .build()
-        .unwrap();
-    let report = audit_pairing_batched(&mut runner, 1_500_000, AUDIT_BATCH);
-    assert!(
-        report.solved(),
-        "{m}: SID audit failed: {:?}",
-        report.violations
-    );
-    Cell::Green
-}
-
-fn witness_possible_skno(m: OneWayModel, o: u32) -> Cell {
-    let mut runner = OneWayRunner::builder(m, Skno::new(Pairing, o))
-        .config(Skno::<Pairing>::initial(&pairing_sims(4)))
-        .adversary(BoundedStrategy::new(0.02, o as u64))
-        .seed(2)
-        .trace_sink(StatsOnly)
-        .build()
-        .unwrap();
-    let report = audit_pairing_batched(&mut runner, 1_500_000, AUDIT_BATCH);
-    assert!(
-        report.solved(),
-        "{m}: SKnO audit failed: {:?}",
-        report.violations
-    );
-    Cell::Green
-}
-
-fn witness_possible_named(m: OneWayModel) -> Cell {
-    let n = 4;
-    let mut runner = OneWayRunner::builder(m, NamedSid::new(Pairing, n))
-        .config(NamedSid::<Pairing>::initial(&pairing_sims(n)))
-        .seed(3)
-        .trace_sink(StatsOnly)
-        .build()
-        .unwrap();
-    let report = audit_pairing_batched(&mut runner, 4_000_000, AUDIT_BATCH);
-    assert!(
-        report.solved(),
-        "{m}: NamedSid audit failed: {:?}",
-        report.violations
-    );
-    Cell::Green
-}
-
-fn witness_impossible_lemma1(m: OneWayModel) -> Cell {
-    let report = lemma1_attack(m, Skno::new(Pairing, 1), SknoState::new, 128, 512).unwrap();
-    assert!(report.violated_safety(), "{m}: Lemma 1 attack did not land");
-    Cell::Red
-}
-
-fn witness_impossible_thm32(m: OneWayModel) -> Cell {
-    let stalls = !no1_resilience(m, &Skno::new(Pairing, 1), SknoState::new, 4, 3_000).is_empty();
-    let unsafe_opt = thm32_attack(m, Optimist::new(Pairing), OptimistState::new, 64, 256)
-        .unwrap()
-        .violated_safety();
-    assert!(
-        stalls && unsafe_opt,
-        "{m}: Theorem 3.2 dichotomy did not land"
-    );
-    Cell::Red
+fn paint(cell: Cell) -> String {
+    format!("  {cell} ")
 }
 
 fn main() {
@@ -116,54 +16,19 @@ fn main() {
         "model", "no assumption", "omission knowledge", "unique IDs", "knowledge of n"
     );
     println!("{}", "-".repeat(70));
-
-    for model in Model::ALL {
-        let row: [Cell; 4] = match model {
-            Model::TwoWay(TwoWayModel::Tw) => [Cell::Green; 4],
-            // T1–T3: Theorem 3.1 (executable witness in the one-way
-            // fragment; the two-way claim follows via the hierarchy).
-            // The omission-knowledge column for T2 is the paper's open
-            // gap; T1/T3 are open in that column too pending the paper's
-            // future work.
-            Model::TwoWay(_) => [Cell::Red, Cell::Open, Cell::Red, Cell::Red],
-            Model::OneWay(m) => match m {
-                OneWayModel::It => [
-                    Cell::Open,
-                    witness_possible_skno(OneWayModel::It, 0), // Corollary 1
-                    witness_possible_sid(OneWayModel::It),
-                    witness_possible_named(OneWayModel::It),
-                ],
-                OneWayModel::Io => [
-                    Cell::Open,
-                    Cell::Open,
-                    witness_possible_sid(OneWayModel::Io), // Theorem 4.5
-                    witness_possible_named(OneWayModel::Io), // Theorem 4.6
-                ],
-                OneWayModel::I1 | OneWayModel::I2 => [
-                    witness_impossible_thm32(m), // Theorem 3.2
-                    witness_impossible_thm32(m),
-                    Cell::Red,
-                    Cell::Red,
-                ],
-                OneWayModel::I3 | OneWayModel::I4 => [
-                    witness_impossible_lemma1(m), // Theorem 3.1 / Lemma 1
-                    witness_possible_skno(m, 2),  // Theorem 4.1
-                    Cell::Red,
-                    Cell::Red,
-                ],
-            },
-        };
+    for (model, row) in map() {
         println!(
             "{:<6}{:>14}{:>22}{:>12}{:>16}",
             model.to_string(),
-            row[0].paint(),
-            row[1].paint(),
-            row[2].paint(),
-            row[3].paint()
+            paint(row[0]),
+            paint(row[1]),
+            paint(row[2]),
+            paint(row[3])
         );
     }
-
-    println!("\nEvery ✔ ran its simulator and passed the Pairing audit; every one-way ✘");
+    println!("\nAll 40 cells come from ppfts_verify::figure4. 13 execute a witness: each");
+    println!("of their ✔ ran its simulator and passed the per-step Pairing audit, each ✘");
     println!("ran its attack construction and produced the predicted violation/stall.");
+    println!("The other 27 are the paper's verdicts, documented as constants there.");
     println!("The T2/omission-knowledge cell is the paper's explicitly open problem.");
 }

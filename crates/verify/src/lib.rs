@@ -7,8 +7,9 @@
 //!   its two-way protocol:
 //!   [`audit_pairing`] enforces the
 //!   Pairing problem's irrevocability/safety/liveness (Definition 5)
-//!   step-by-step ([`audit_pairing_batched`] at batch boundaries, for the
-//!   witnesses that only need Pairing's sticky violations);
+//!   step-by-step, as the batch-size-1 case of [`audit_pairing_batched`]
+//!   (which audits at batch boundaries, enough for Pairing's sticky
+//!   violations);
 //!   [`topology_audit`] certifies graph-aware scheduling
 //!   fairness (every edge of a connected topology dealt uniformly, no
 //!   off-graph interactions in a recorded trace).
@@ -22,15 +23,19 @@
 //!   retransmission-based strawman simulator that realizes the unsafe horn
 //!   of that dichotomy.
 //!
-//! Exact verification of small systems (every reachable configuration,
-//! every fair schedule) lives in `ppfts-analyze`'s model checker. This
-//! crate's `figure4` binary prints these results in the shape of the
-//! paper's Figure 4 (`cargo run --release -p ppfts-verify --bin figure4`).
+//! [`figure4`] assembles both halves into the paper's Figure 4: 13 of its
+//! 40 cells run a witness (a simulator under [`audit_pairing`] or an
+//! attack), the rest are documented constants. This crate's `figure4`
+//! binary prints that map
+//! (`cargo run --release -p ppfts-verify --bin figure4`). Exact
+//! verification of small systems (every reachable configuration, every
+//! fair schedule) lives in `ppfts-analyze`'s model checker.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod attack;
+pub mod figure4;
 pub mod json;
 #[cfg(test)]
 #[path = "exact_cases.rs"]

@@ -84,8 +84,9 @@ impl AuditReport {
 }
 
 /// Runs `runner` for up to `max_steps`, auditing the projected Pairing
-/// protocol at every step; stops early once liveness is reached and the
-/// system has been stable for `min(1000, max_steps/10)` further steps.
+/// protocol at every step: [`audit_pairing_batched`] with batch size 1
+/// (a `Batched(1)` step is bit-identical to
+/// [`step`](ppfts_engine::Runner::step)).
 ///
 /// The runner's simulator states must project onto [`PairingState`].
 ///
@@ -104,40 +105,19 @@ where
     A: OmissionStrategy,
     T: TraceSink<P::State, OneWayFault>,
 {
-    let mut monitor = PairingMonitor::new(runner.config());
-    let stability_window = (max_steps / 10).clamp(1, 1000);
-    let mut stable_for = 0u64;
-    let mut steps = 0u64;
-    while steps < max_steps {
-        if runner.step().is_err() {
-            break;
-        }
-        steps += 1;
-        let paired_now = monitor.observe(runner.config(), steps);
-        if paired_now == monitor.expected {
-            stable_for += 1;
-            if stable_for >= stability_window {
-                break;
-            }
-        } else {
-            stable_for = 0;
-        }
-    }
-    monitor.into_report(runner.config(), steps)
+    audit_pairing_batched(runner, max_steps, 1)
 }
 
-/// The batched counterpart of [`audit_pairing`]: drives the runner in
-/// [`Batched`] steps and audits the projected Pairing protocol at *batch
-/// boundaries* instead of every step.
+/// Drives the runner in [`Batched`] steps of `batch` and audits the
+/// projected Pairing protocol at *batch boundaries*; stops early once
+/// liveness is reached and the system has been stable for
+/// `min(1000, max_steps/10)` further engine steps.
 ///
 /// Sampled auditing trades resolution for speed: a violation that appears
 /// and disappears strictly inside one batch escapes it, but Pairing's
 /// interesting violations are sticky — `cs` is irrevocable, so a forged
-/// or excess pairing persists to the next boundary — which is what makes
-/// the boundary audit sound for the possibility witnesses (Figure 4's
-/// green cells). The attack constructions keep the exact per-step
-/// machinery. Stability is counted in engine steps, like
-/// [`audit_pairing`].
+/// or excess pairing persists to the next boundary. `batch = 1` is the
+/// exact per-step [`audit_pairing`].
 ///
 /// # Panics
 ///
@@ -179,8 +159,7 @@ where
 }
 
 /// Convenience: run to completion with a plain convergence predicate, no
-/// audit, and report whether Pairing stabilized. Used by benches where
-/// the per-step audit would dominate the measurement; runs on the batched
+/// audit, and report whether Pairing stabilized. Runs on the batched
 /// path with the predicate wrapped in [`stably`] so a mid-handshake
 /// sample cannot end the run.
 ///

@@ -107,15 +107,14 @@ pub fn audit_scheduler_coverage(topology: &Topology, draws: u64, seed: u64) -> C
     let mut scheduler = TopologyScheduler::new(topology.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = topology.len();
-    let mut hits = vec![0u64; topology.arc_count()];
-    for _ in 0..draws {
+    let mut tally = ArcTally::new(topology);
+    for index in 0..draws {
         let i = scheduler.next_interaction(n, &mut rng);
-        let a = topology
-            .arc_index(i.starter().index(), i.reactor().index())
+        tally
+            .hit(topology, index, i)
             .expect("TopologyScheduler deals only graph arcs");
-        hits[a] += 1;
     }
-    report_from_hits(&hits, draws)
+    tally.report()
 }
 
 /// Replays `trace` against `topology`: fails on the first recorded
@@ -128,25 +127,11 @@ pub fn audit_trace_topology<Q: State, F>(
     trace: &Trace<Q, F>,
     topology: &Topology,
 ) -> Result<CoverageReport, TopologyViolation> {
-    let mut hits = vec![0u64; topology.arc_count()];
-    let mut draws = 0u64;
+    let mut tally = ArcTally::new(topology);
     for rec in trace {
-        let (s, r) = (
-            rec.interaction.starter().index(),
-            rec.interaction.reactor().index(),
-        );
-        match topology.arc_index(s, r) {
-            Some(a) => hits[a] += 1,
-            None => {
-                return Err(TopologyViolation {
-                    index: rec.index,
-                    interaction: rec.interaction,
-                })
-            }
-        }
-        draws += 1;
+        tally.hit(topology, rec.index, rec.interaction)?;
     }
-    Ok(report_from_hits(&hits, draws))
+    Ok(tally.report())
 }
 
 /// Report of [`audit_simulation_topology`]: the physical arc coverage
@@ -238,25 +223,17 @@ pub fn audit_simulation_topology<Q, F>(
 where
     Q: State + SimulatorState,
 {
-    let mut hits = vec![0u64; topology.arc_count()];
-    let mut draws = 0u64;
+    let mut tally = ArcTally::new(topology);
     let mut commits = 0u64;
     let mut located = 0u64;
     for rec in trace {
+        tally
+            .hit(topology, rec.index, rec.interaction)
+            .map_err(SimulationTopologyViolation::Physical)?;
         let (s, r) = (
             rec.interaction.starter().index(),
             rec.interaction.reactor().index(),
         );
-        match topology.arc_index(s, r) {
-            Some(a) => hits[a] += 1,
-            None => {
-                return Err(SimulationTopologyViolation::Physical(TopologyViolation {
-                    index: rec.index,
-                    interaction: rec.interaction,
-                }))
-            }
-        }
-        draws += 1;
         for (agent, old, new, other) in [
             (s, &rec.old_starter, &rec.new_starter, &rec.new_reactor),
             (r, &rec.old_reactor, &rec.new_reactor, &rec.new_starter),
@@ -284,19 +261,55 @@ where
         }
     }
     Ok(SimulationTopologyReport {
-        physical: report_from_hits(&hits, draws),
+        physical: tally.report(),
         commits,
         located_commits: located,
     })
 }
 
-fn report_from_hits(hits: &[u64], draws: u64) -> CoverageReport {
-    CoverageReport {
-        arcs: hits.len(),
-        covered: hits.iter().filter(|&&h| h > 0).count(),
-        draws,
-        min_hits: hits.iter().copied().min().unwrap_or(0),
-        max_hits: hits.iter().copied().max().unwrap_or(0),
+/// Per-arc hit counts of a stream of interactions over a topology: the
+/// one physical check every audit here shares.
+struct ArcTally {
+    hits: Vec<u64>,
+    draws: u64,
+}
+
+impl ArcTally {
+    fn new(topology: &Topology) -> Self {
+        ArcTally {
+            hits: vec![0; topology.arc_count()],
+            draws: 0,
+        }
+    }
+
+    /// Counts `interaction` (step `index`) against its arc.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyViolation`] if `interaction` is not a graph arc.
+    fn hit(
+        &mut self,
+        topology: &Topology,
+        index: u64,
+        interaction: Interaction,
+    ) -> Result<(), TopologyViolation> {
+        let arc = topology
+            .arc_index(interaction.starter().index(), interaction.reactor().index())
+            .ok_or(TopologyViolation { index, interaction })?;
+        self.hits[arc] += 1;
+        self.draws += 1;
+        Ok(())
+    }
+
+    fn report(&self) -> CoverageReport {
+        let hits = &self.hits;
+        CoverageReport {
+            arcs: hits.len(),
+            covered: hits.iter().filter(|&&h| h > 0).count(),
+            draws: self.draws,
+            min_hits: hits.iter().copied().min().unwrap_or(0),
+            max_hits: hits.iter().copied().max().unwrap_or(0),
+        }
     }
 }
 

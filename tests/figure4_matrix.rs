@@ -1,225 +1,47 @@
-//! Programmatic reproduction of the paper's Figure 4: the map of results.
+//! The paper's Figure 4 as a specification: the map of results.
 //!
 //! Figure 4 colours, for each interaction model and each assumption
 //! column, whether two-way simulation is possible (green) or impossible
-//! (red). This test reconstructs the matrix from *executions*: green
-//! cells are witnessed by a simulator run passing the Pairing audit, red
-//! cells by an attack construction producing the predicted violation (or
-//! the candidate's provable stall). The resulting matrix is compared
-//! against the paper's.
+//! (red). `ppfts::verify::figure4` computes the map, executing the
+//! witness of each of its 13 executable cells (a simulator run passing
+//! the Pairing audit, or an attack construction producing the predicted
+//! violation or stall); this test compares every cell against the
+//! paper's matrix.
 
-use ppfts::core::{project, NamedSid, Sid, Skno, SknoState};
-use ppfts::engine::{BoundedStrategy, Model, OneWayModel, OneWayRunner};
+use ppfts::core::{project, Sid};
+use ppfts::engine::{Model, OneWayModel, OneWayRunner, TwoWayModel};
 use ppfts::protocols::{Pairing, PairingState};
-use ppfts::verify::{
-    audit_pairing, lemma1_attack, no1_resilience, thm32_attack, Optimist, OptimistState,
-};
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Cell {
-    Possible,
-    Impossible,
-    OpenOrUntested,
-}
-
-fn pairing_sims(c: usize, p: usize) -> Vec<PairingState> {
-    Pairing::initial(c, p).as_slice().to_vec()
-}
-
-/// Column "infinite memory, no further assumptions": impossibility in
-/// every omissive model (Thm 3.1 / 3.2); possibility is out of scope for
-/// the fault-free bases here (they need IDs or n — see other columns;
-/// TW trivially simulates itself).
-fn no_assumptions(model: Model) -> Cell {
-    match model {
-        Model::TwoWay(m) if !m.allows_omissions() => Cell::Possible, // TW runs TW
-        Model::OneWay(OneWayModel::I3) | Model::OneWay(OneWayModel::I4) => {
-            // Witness: Lemma 1 breaks SKnO once omissions exceed any
-            // fixed budget — without knowledge assumptions nothing works.
-            let Model::OneWay(m) = model else {
-                unreachable!()
-            };
-            let report = lemma1_attack(m, Skno::new(Pairing, 1), SknoState::new, 128, 512).unwrap();
-            assert!(report.violated_safety());
-            Cell::Impossible
-        }
-        Model::OneWay(OneWayModel::I1) | Model::OneWay(OneWayModel::I2) => {
-            let Model::OneWay(m) = model else {
-                unreachable!()
-            };
-            // Dichotomy of Thm 3.2, both horns executable.
-            let skno_stalls =
-                !no1_resilience(m, &Skno::new(Pairing, 1), SknoState::new, 4, 3_000).is_empty();
-            let optimist_unsafe =
-                thm32_attack(m, Optimist::new(Pairing), OptimistState::new, 64, 256)
-                    .unwrap()
-                    .violated_safety();
-            assert!(skno_stalls && optimist_unsafe);
-            Cell::Impossible
-        }
-        // T1–T3: impossibility (Thm 3.1). Our executable witness lives in
-        // the one-way fragment; the two-way claim follows a fortiori via
-        // the hierarchy (T-models embed the same construction).
-        Model::TwoWay(_) => Cell::Impossible,
-        // IT/IO without assumptions: strictly weaker than TW with constant
-        // memory by [4]; simulation needs the resources of the other
-        // columns. Marked untested here (the paper's Figure 4 colours
-        // these via Corollary 1 / Thm 4.5 columns instead).
-        Model::OneWay(_) => Cell::OpenOrUntested,
-    }
-}
-
-/// Column "knowledge of (a bound on) omissions": SKnO works in I3/I4
-/// (Thm 4.1), IT via o = 0 (Cor 1); still impossible in I1/I2 (Thm 3.2
-/// holds under NO1 regardless of knowledge: the run I* is omission-free).
-fn knowledge_of_omissions(model: Model) -> Cell {
-    match model {
-        Model::OneWay(m @ (OneWayModel::I3 | OneWayModel::I4)) => {
-            let o = 2;
-            let mut runner = OneWayRunner::builder(m, Skno::new(Pairing, o))
-                .config(Skno::<Pairing>::initial(&pairing_sims(2, 2)))
-                .adversary(BoundedStrategy::new(0.02, o as u64))
-                .seed(5)
-                .build()
-                .unwrap();
-            let report = audit_pairing(&mut runner, 1_500_000);
-            assert!(report.solved(), "{m}: {:?}", report.violations);
-            Cell::Possible
-        }
-        Model::OneWay(OneWayModel::It) => {
-            // Corollary 1: o = 0.
-            let mut runner = OneWayRunner::builder(OneWayModel::It, Skno::new(Pairing, 0))
-                .config(Skno::<Pairing>::initial(&pairing_sims(2, 2)))
-                .seed(6)
-                .build()
-                .unwrap();
-            let report = audit_pairing(&mut runner, 1_500_000);
-            assert!(report.solved());
-            Cell::Possible
-        }
-        Model::OneWay(m @ (OneWayModel::I1 | OneWayModel::I2)) => {
-            let report =
-                thm32_attack(m, Optimist::new(Pairing), OptimistState::new, 64, 256).unwrap();
-            assert!(report.violated_safety());
-            Cell::Impossible
-        }
-        Model::TwoWay(m) if !m.allows_omissions() => Cell::Possible,
-        // T2 with knowledge of omissions is the paper's explicitly open
-        // gap ("The only gap left concerns the possibility of simulation
-        // in model T2 when an upper bound ... is known").
-        Model::TwoWay(_) => Cell::OpenOrUntested,
-        Model::OneWay(OneWayModel::Io) => Cell::OpenOrUntested,
-    }
-}
-
-/// Column "unique IDs": SID works in IO (Thm 4.5) and, IO being included
-/// in IT (hierarchy), in IT too.
-fn unique_ids(model: Model) -> Cell {
-    match model {
-        Model::OneWay(OneWayModel::Io) | Model::OneWay(OneWayModel::It) => {
-            let Model::OneWay(m) = model else {
-                unreachable!()
-            };
-            // SID is an IO program; running it under IT only adds the
-            // (identity) proximity hook.
-            let mut runner = OneWayRunner::builder(m, Sid::new(Pairing))
-                .config(Sid::<Pairing>::initial(&pairing_sims(3, 2)))
-                .seed(7)
-                .build()
-                .unwrap();
-            let report = audit_pairing(&mut runner, 1_500_000);
-            assert!(report.solved(), "{m}: {:?}", report.violations);
-            Cell::Possible
-        }
-        Model::TwoWay(m) if !m.allows_omissions() => Cell::Possible,
-        // Omissive models stay impossible: Lemma 1's construction never
-        // used anonymity on the *attacked* side (the paper's Figure 4
-        // keeps them red in this column).
-        _ => Cell::Impossible,
-    }
-}
-
-/// Column "knowledge of n": Nn + SID in IO (Thm 4.6).
-fn knowledge_of_n(model: Model) -> Cell {
-    match model {
-        Model::OneWay(OneWayModel::Io) | Model::OneWay(OneWayModel::It) => {
-            let Model::OneWay(m) = model else {
-                unreachable!()
-            };
-            let sims = pairing_sims(2, 2);
-            let mut runner = OneWayRunner::builder(m, NamedSid::new(Pairing, sims.len()))
-                .config(NamedSid::<Pairing>::initial(&sims))
-                .seed(8)
-                .build()
-                .unwrap();
-            let report = audit_pairing(&mut runner, 4_000_000);
-            assert!(report.solved(), "{m}: {:?}", report.violations);
-            Cell::Possible
-        }
-        Model::TwoWay(m) if !m.allows_omissions() => Cell::Possible,
-        _ => Cell::Impossible,
-    }
-}
+use ppfts::verify::audit_pairing;
+use ppfts::verify::figure4::{cell, Cell, Column};
 
 #[test]
 fn figure4_matrix_matches_the_paper() {
     use Cell::*;
+    use OneWayModel::*;
+    use TwoWayModel::*;
     // Expected verdicts per (model, column), derived from Figure 4 and
-    // the theorem statements; OpenOrUntested marks the paper's explicit
-    // gap (T2 + omission knowledge) and cells the paper colours through
-    // other columns.
+    // the theorem statements; Open marks the paper's explicit gap (T2 +
+    // omission knowledge) and cells the paper colours through other
+    // columns.
+    #[rustfmt::skip]
     let expected: &[(Model, [Cell; 4])] = &[
-        (
-            Model::TwoWay(ppfts::engine::TwoWayModel::Tw),
-            [Possible, Possible, Possible, Possible],
-        ),
-        (
-            Model::TwoWay(ppfts::engine::TwoWayModel::T1),
-            [Impossible, OpenOrUntested, Impossible, Impossible],
-        ),
-        (
-            Model::TwoWay(ppfts::engine::TwoWayModel::T2),
-            [Impossible, OpenOrUntested, Impossible, Impossible],
-        ),
-        (
-            Model::TwoWay(ppfts::engine::TwoWayModel::T3),
-            [Impossible, OpenOrUntested, Impossible, Impossible],
-        ),
-        (
-            Model::OneWay(OneWayModel::It),
-            [OpenOrUntested, Possible, Possible, Possible],
-        ),
-        (
-            Model::OneWay(OneWayModel::Io),
-            [OpenOrUntested, OpenOrUntested, Possible, Possible],
-        ),
-        (
-            Model::OneWay(OneWayModel::I1),
-            [Impossible, Impossible, Impossible, Impossible],
-        ),
-        (
-            Model::OneWay(OneWayModel::I2),
-            [Impossible, Impossible, Impossible, Impossible],
-        ),
-        (
-            Model::OneWay(OneWayModel::I3),
-            [Impossible, Possible, Impossible, Impossible],
-        ),
-        (
-            Model::OneWay(OneWayModel::I4),
-            [Impossible, Possible, Impossible, Impossible],
-        ),
+        //                  no assumption  omission knowledge  unique IDs  knowledge of n
+        (Model::TwoWay(Tw), [Possible,     Possible,           Possible,   Possible]),
+        (Model::TwoWay(T1), [Impossible,   Open,               Impossible, Impossible]),
+        (Model::TwoWay(T2), [Impossible,   Open,               Impossible, Impossible]),
+        (Model::TwoWay(T3), [Impossible,   Open,               Impossible, Impossible]),
+        (Model::OneWay(It), [Open,         Possible,           Possible,   Possible]),
+        (Model::OneWay(Io), [Open,         Open,               Possible,   Possible]),
+        (Model::OneWay(I1), [Impossible,   Impossible,         Impossible, Impossible]),
+        (Model::OneWay(I2), [Impossible,   Impossible,         Impossible, Impossible]),
+        (Model::OneWay(I3), [Impossible,   Possible,           Impossible, Impossible]),
+        (Model::OneWay(I4), [Impossible,   Possible,           Impossible, Impossible]),
     ];
 
     for (model, row) in expected {
-        assert_eq!(no_assumptions(*model), row[0], "{model} / no assumptions");
-        assert_eq!(
-            knowledge_of_omissions(*model),
-            row[1],
-            "{model} / knowledge of omissions"
-        );
-        assert_eq!(unique_ids(*model), row[2], "{model} / unique IDs");
-        assert_eq!(knowledge_of_n(*model), row[3], "{model} / knowledge of n");
+        for (column, want) in Column::ALL.into_iter().zip(row) {
+            assert_eq!(cell(*model, column), *want, "{model} / {column:?}");
+        }
     }
 }
 
@@ -229,15 +51,15 @@ fn open_gap_t2_documented() {
     // omission bound. Keep it pinned so a future closing of the gap is a
     // deliberate change.
     assert_eq!(
-        knowledge_of_omissions(Model::TwoWay(ppfts::engine::TwoWayModel::T2)),
-        Cell::OpenOrUntested
+        cell(Model::TwoWay(TwoWayModel::T2), Column::OmissionKnowledge),
+        Cell::Open
     );
 }
 
 #[test]
 fn possibility_witnesses_leave_correct_final_states() {
     // Sanity: a green cell's witness ends with the exact stable counts.
-    let sims = pairing_sims(3, 2);
+    let sims = Pairing::initial(3, 2).as_slice().to_vec();
     let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
         .config(Sid::<Pairing>::initial(&sims))
         .seed(9)
