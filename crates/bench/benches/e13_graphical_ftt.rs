@@ -36,7 +36,6 @@ use ppfts_sweep::workloads::e13_families;
 /// these sizes (calibrated: SKnO o=1 on rr4 at n=64 needs ~31M), small
 /// enough that budget-capped cells stay in bench-friendly wall-clock.
 const BUDGET: u64 = 48_000_000;
-const OMISSION_RATE: f64 = 0.02;
 
 fn bench_graphical_ftt(c: &mut Criterion) {
     // Every run is seed-deterministic; three samples per cell give the
@@ -55,8 +54,7 @@ fn bench_graphical_ftt(c: &mut Criterion) {
             for o in [0u32, 1, 2] {
                 group.bench_function(format!("skno_o{o}_{family}_n{n}"), |b| {
                     b.iter(|| {
-                        let conv =
-                            measure_skno_epidemic_graphical(&topology, o, OMISSION_RATE, 1, BUDGET);
+                        let conv = measure_skno_epidemic_graphical(&topology, o, 1, BUDGET);
                         black_box((conv.converged, conv.mean_steps))
                     });
                 });

@@ -34,7 +34,6 @@ use ppfts_sweep::workloads::{E13_RR_DEGREE, E13_TOPOLOGY_SEED};
 /// Same per-seed step budget as E13, so the overlapping complete-graph
 /// cells are directly comparable across the two baselines.
 const BUDGET: u64 = 48_000_000;
-const OMISSION_RATE: f64 = 0.02;
 
 /// E17 graph families: the SID-worst/SKnO-best complete graph, the
 /// expander middle ground, and the low-conductance ring. Grid is left to
@@ -67,8 +66,7 @@ fn bench_simulator_hotpath(c: &mut Criterion) {
             for o in [0u32, 1, 2] {
                 group.bench_function(format!("skno_o{o}_{family}_n{n}"), |b| {
                     b.iter(|| {
-                        let conv =
-                            measure_skno_epidemic_graphical(&topology, o, OMISSION_RATE, 1, BUDGET);
+                        let conv = measure_skno_epidemic_graphical(&topology, o, 1, BUDGET);
                         black_box((conv.converged, conv.mean_steps))
                     });
                 });

@@ -185,13 +185,12 @@ pub fn measure_sid_epidemic_graphical(topology: &Topology, seeds: u64, budget: u
 pub fn measure_skno_epidemic_graphical(
     topology: &Topology,
     o: u32,
-    rate: f64,
     seeds: u64,
     budget: u64,
 ) -> Convergence {
     let n = topology.len();
     let results = run_seeds(0..seeds, workers(), |seed| {
-        skno_epidemic_graphical_run(topology, o, rate, seed, budget)
+        skno_epidemic_graphical_run(topology, o, seed, budget)
     });
     aggregate(n, results.into_iter().map(|s| s.value))
 }

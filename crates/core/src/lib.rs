@@ -62,4 +62,6 @@ pub use ftt::{fastest_transition_time, shortest_schedule, step_pair, transition_
 pub use matching::{build_matching, verify_derived_execution, Matching, MatchingError};
 pub use naming::{GossipPolicy, NamedSid, NamedState};
 pub use sid::{RollbackPolicy, Sid, SidPhase, SidState};
-pub use skno::{sim_pressure, JokerBookkeeping, SimPressure, Skno, SknoState, Token};
+pub use skno::{
+    sim_pressure, JokerBookkeeping, SimPressure, Skno, SknoState, Token, MAX_OMISSION_BOUND,
+};

@@ -4,7 +4,8 @@
 //! `SKnO` simulates any two-way protocol on the strong omissive one-way
 //! models **I3** (reactor-side omission detection) and **I4** (starter-side
 //! detection), assuming an upper bound `o` on the total number of
-//! omissions in the run.
+//! omissions in the run. The constructors accept `o ≤ 127`
+//! ([`MAX_OMISSION_BOUND`]).
 //!
 //! # How it works
 //!
@@ -161,15 +162,13 @@ impl<Q: Clone> RunKeyRef<'_, Q> {
     }
 }
 
-impl<Q: PartialEq> RunKey<Q> {
-    /// Whether this owned key names the same run as a borrowed key.
-    fn matches(&self, key: &RunKeyRef<'_, Q>) -> bool {
-        match (self, key) {
-            (RunKey::Plain(o1, q1), RunKeyRef::Plain(o2, q2)) => o1 == o2 && q1 == *q2,
-            (RunKey::Change(o1, t1, s1, r1), RunKeyRef::Change(o2, t2, s2, r2)) => {
-                o1 == o2 && t1 == t2 && s1 == *s2 && r1 == *r2
-            }
-            _ => false,
+impl<Q> RunKey<Q> {
+    /// The borrowed form, so one run filter serves the index and the
+    /// queue scans alike.
+    fn as_ref(&self) -> RunKeyRef<'_, Q> {
+        match self {
+            RunKey::Plain(o, q) => RunKeyRef::Plain(*o, q),
+            RunKey::Change(o, t, s, r) => RunKeyRef::Change(*o, *t, s, r),
         }
     }
 }
@@ -312,14 +311,14 @@ impl<Q> FromIterator<Token<Q>> for TokenQueue<Q> {
 /// Incremental census of a sending queue: per run key, the multiplicity
 /// of every run position, plus the queue's joker supply.
 ///
-/// The reactor procedure's three per-step scans ([`Skno::find_run`] for
-/// the own-run cancel, [`Skno::plan_best`] for the plain and change
-/// branches) each walk the whole queue only to discover — almost every
-/// step — that nothing completes. The index answers exactly that
-/// *existence* question in O(distinct keys) integer compares, maintained
-/// in O(1) per token push/pop; the scans still run, unchanged, whenever
-/// the index certifies a completion exists, so the winning run, its
-/// tie-breaking, and the constructed plan are the reference code's own.
+/// The reactor procedure's three completion sites (own-run cancel,
+/// plain run, change run) each scan the whole queue with
+/// [`Skno::plan_best`], and almost every step the scan finds that
+/// nothing completes. The index answers exactly that *existence*
+/// question in O(distinct keys) integer compares, maintained in O(1) per
+/// token push/pop: it is the gate ([`Skno::may_complete`]) in front of
+/// the one scan path, which still picks the winning run, breaks its ties
+/// and builds its plan whenever the gate opens.
 ///
 /// Invariants while `built` (checked against a fresh census by
 /// `assert_matches` in test/debug builds):
@@ -448,7 +447,7 @@ impl<Q: Clone + PartialEq> RunIndex<Q> {
             .first
             .iter_mut()
             .chain(self.more.iter_mut())
-            .find(|e| e.key.matches(&key));
+            .find(|e| e.key.as_ref() == key);
         match found {
             Some(entry) => {
                 if entry.counts.incr(idx) == 1 {
@@ -482,7 +481,7 @@ impl<Q: Clone + PartialEq> RunIndex<Q> {
         if idx >= self.run_len as usize {
             return;
         }
-        if let Some(entry) = self.first.as_mut().filter(|e| e.key.matches(&key)) {
+        if let Some(entry) = self.first.as_mut().filter(|e| e.key.as_ref() == key) {
             if entry.counts.decr(idx) == 0 {
                 entry.distinct -= 1;
                 if entry.distinct == 0 {
@@ -491,7 +490,7 @@ impl<Q: Clone + PartialEq> RunIndex<Q> {
                     self.first = self.more.pop();
                 }
             }
-        } else if let Some(pos) = self.more.iter().position(|e| e.key.matches(&key)) {
+        } else if let Some(pos) = self.more.iter().position(|e| e.key.as_ref() == key) {
             let entry = &mut self.more[pos];
             if entry.counts.decr(idx) == 0 {
                 entry.distinct -= 1;
@@ -504,16 +503,16 @@ impl<Q: Clone + PartialEq> RunIndex<Q> {
 
     /// Whether `entry`'s run can complete: at least one real token, and
     /// jokers covering every missing position — exactly the condition
-    /// [`Skno::find_run`]'s census pass checks.
+    /// [`Skno::plan_best`]'s census checks.
     fn completable(&self, entry: &IndexEntry<Q>) -> bool {
         entry.distinct >= 1 && self.jokers >= self.run_len - entry.distinct
     }
 
     /// Whether any completable run's key passes `filter` — the O(keys)
     /// existence check gating the scan path.
-    fn has_completable(&self, mut filter: impl FnMut(&RunKey<Q>) -> bool) -> bool {
+    fn has_completable(&self, filter: impl Fn(&RunKeyRef<'_, Q>) -> bool) -> bool {
         self.entries()
-            .any(|e| self.completable(e) && filter(&e.key))
+            .any(|e| self.completable(e) && filter(&e.key.as_ref()))
     }
 
     /// Canary against silent index drift: asserts the maintained census
@@ -553,9 +552,6 @@ impl<Q: Clone + PartialEq> RunIndex<Q> {
 /// A run-completion plan: queue positions to consume, plus the token
 /// identities any jokers stand in for.
 type RunPlan<Q> = (Vec<usize>, Vec<Token<Q>>);
-/// A completable run candidate: jokers used, its (borrowed) key, and the
-/// plan.
-type RunCandidate<'a, Q> = (usize, RunKeyRef<'a, Q>, RunPlan<Q>);
 /// A planned completion: the owned winning key and its plan.
 type PlannedRun<Q> = (RunKey<Q>, RunPlan<Q>);
 /// One census entry of `plan_best`: key, distinct-index mask, count.
@@ -788,8 +784,15 @@ pub fn sim_pressure<Q: State>(states: &[SknoState<Q>]) -> SimPressure {
     pressure
 }
 
+/// The largest omission bound `o` a [`Skno`] accepts. A run is `o + 1`
+/// tokens long, and the reactor procedure tallies a run's present
+/// positions in one `u128` mask, so `o + 1 ≤ 128`. Every benched bound
+/// is at most 3.
+pub const MAX_OMISSION_BOUND: u32 = 127;
+
 /// The `SKnO` simulator: wraps a [`TwoWayProtocol`] into a
-/// [`OneWayProgram`] for models I3/I4, given an omission bound `o`.
+/// [`OneWayProgram`] for models I3/I4, given an omission bound
+/// `o ≤ `[`MAX_OMISSION_BOUND`].
 ///
 /// # Example
 ///
@@ -842,16 +845,13 @@ pub enum JokerBookkeeping {
 impl<P: TwoWayProtocol> Skno<P> {
     /// Creates the simulator for `protocol`, tolerating at most
     /// `omission_bound` omissions in the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `omission_bound` exceeds [`MAX_OMISSION_BOUND`]; so do
+    /// the other constructors.
     pub fn new(protocol: P, omission_bound: u32) -> Self {
-        Skno {
-            protocol,
-            bound: omission_bound,
-            bookkeeping: JokerBookkeeping::Rummy,
-            topology: None,
-            addressed: true,
-            indexed: true,
-            filtering: false,
-        }
+        Self::with_bookkeeping(protocol, omission_bound, JokerBookkeeping::Rummy)
     }
 
     /// Creates the simulator with an explicit joker-bookkeeping policy;
@@ -861,14 +861,31 @@ impl<P: TwoWayProtocol> Skno<P> {
         omission_bound: u32,
         bookkeeping: JokerBookkeeping,
     ) -> Self {
+        Self::build(protocol, omission_bound, bookkeeping, None, true)
+    }
+
+    /// The one constructor body: checks the bound and derives the
+    /// adjacency filter from the topology.
+    fn build(
+        protocol: P,
+        omission_bound: u32,
+        bookkeeping: JokerBookkeeping,
+        topology: Option<Topology>,
+        addressed: bool,
+    ) -> Self {
+        assert!(
+            omission_bound <= MAX_OMISSION_BOUND,
+            "SKnO takes an omission bound o <= {MAX_OMISSION_BOUND}, got o = {omission_bound}"
+        );
+        let filtering = topology.as_ref().is_some_and(|t| !t.is_complete());
         Skno {
             protocol,
             bound: omission_bound,
             bookkeeping,
-            topology: None,
-            addressed: true,
+            topology,
+            addressed,
             indexed: true,
-            filtering: false,
+            filtering,
         }
     }
 
@@ -924,16 +941,13 @@ impl<P: TwoWayProtocol> Skno<P> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn graphical(protocol: P, omission_bound: u32, topology: Topology) -> Self {
-        let filtering = !topology.is_complete();
-        Skno {
+        Self::build(
             protocol,
-            bound: omission_bound,
-            bookkeeping: JokerBookkeeping::Rummy,
-            topology: Some(topology),
-            addressed: true,
-            indexed: true,
-            filtering,
-        }
+            omission_bound,
+            JokerBookkeeping::Rummy,
+            Some(topology),
+            true,
+        )
     }
 
     /// The **seeded mutant** of [`Skno::graphical`] with the addressing
@@ -948,16 +962,13 @@ impl<P: TwoWayProtocol> Skno<P> {
     /// static analyzer's self-test can *rediscover* that deadlock; never
     /// use it for measurements.
     pub fn graphical_unaddressed(protocol: P, omission_bound: u32, topology: Topology) -> Self {
-        let filtering = !topology.is_complete();
-        Skno {
+        Self::build(
             protocol,
-            bound: omission_bound,
-            bookkeeping: JokerBookkeeping::Rummy,
-            topology: Some(topology),
-            addressed: false,
-            indexed: true,
-            filtering,
-        }
+            omission_bound,
+            JokerBookkeeping::Rummy,
+            Some(topology),
+            false,
+        )
     }
 
     /// Whether state-change runs are addressed back to the consumed
@@ -1013,15 +1024,17 @@ impl<P: TwoWayProtocol> Skno<P> {
         !self.filtering() || !self.addressed || target == site
     }
 
-    /// Disables the incremental run index: every reactor check runs the
-    /// full queue scans, as the pre-index implementation did.
+    /// Disables the incremental run index: the gate in front of each of
+    /// the reactor procedure's completion scans stays open, so every
+    /// check scans the queue.
     ///
-    /// The scan path is the **reference semantics** — the index is an
-    /// existence cache in front of it, certified bit-identical (states
-    /// *and* RNG stream, which the simulator never touches) by the
-    /// `scan_eq_indexed_skno` row of `tests/differential.rs`. Keep this
-    /// variant for differential tests; measurements should use the
-    /// default.
+    /// The scan is the **reference semantics**, and the only place a run
+    /// is chosen: the index decides only *whether* the scan runs, never
+    /// what it finds. The `scan_eq_indexed_skno` row of
+    /// `tests/differential.rs` certifies the two modes bit-identical
+    /// (states *and* RNG stream, which the simulator never touches).
+    /// Keep this variant for differential tests; measurements should use
+    /// the default.
     #[must_use]
     pub fn scan_reference(mut self) -> Self {
         self.indexed = false;
@@ -1032,15 +1045,6 @@ impl<P: TwoWayProtocol> Skno<P> {
     /// check scans the queue ([`scan_reference`](Skno::scan_reference)).
     pub fn is_indexed(&self) -> bool {
         self.indexed
-    }
-
-    /// Rebuilds the agent's queue census if it is stale (fresh state,
-    /// post-completion, or built for a different bound).
-    fn ensure_index(&self, r: &mut SknoState<P::State>) {
-        let len = self.run_len();
-        if !r.index.built || r.index.run_len != len {
-            r.index.rebuild(&r.sending, len);
-        }
     }
 
     /// The joker-bookkeeping policy in force.
@@ -1120,56 +1124,18 @@ impl<P: TwoWayProtocol> Skno<P> {
         r.push_token(token);
     }
 
-    /// Searches the queue for a completable run with the given key:
-    /// all indices `1..=o+1` present, jokers covering the missing ones.
-    /// Returns the queue positions to consume (real tokens then jokers)
-    /// and the identities the jokers stand in for.
+    /// The plan completing the run `key`, which [`plan_best`]'s census
+    /// certified completable: the queue positions to consume (the first
+    /// copy of each present run position, then the first jokers) and the
+    /// token identities those jokers stand in for.
     ///
-    /// Two-pass on purpose: the first pass decides *whether* the run
-    /// completes without allocating (keys are compared by reference, the
-    /// found-index set lives in a bitmask for any realistic `o`), and
-    /// only a completing run — roughly once per simulated interaction,
-    /// against queue scans every step — pays for building the plan.
-    fn find_run(
+    /// [`plan_best`]: Self::plan_best
+    fn build_plan(
         &self,
         queue: &TokenQueue<P::State>,
         key: &RunKeyRef<'_, P::State>,
-    ) -> Option<RunPlan<P::State>> {
+    ) -> RunPlan<P::State> {
         let len = self.run_len();
-        let mut found = 0u32;
-        let mut jokers_available = 0usize;
-        let mut mask = 0u128;
-        let mut big_mask: Vec<bool> = if len > 128 {
-            vec![false; len as usize]
-        } else {
-            Vec::new()
-        };
-        for t in queue.iter() {
-            match t.key_ref() {
-                None => jokers_available += 1,
-                Some((k, i)) if k == *key => {
-                    let idx = (i - 1) as usize;
-                    let seen = if len > 128 {
-                        std::mem::replace(&mut big_mask[idx], true)
-                    } else {
-                        let was = mask >> idx & 1 == 1;
-                        mask |= 1 << idx;
-                        was
-                    };
-                    if !seen {
-                        found += 1;
-                    }
-                }
-                Some(_) => {}
-            }
-        }
-        if found == 0 {
-            return None; // a run must contain at least one real token
-        }
-        if jokers_available < (len - found) as usize {
-            return None;
-        }
-        // The run completes: rebuild the exact plan of the allocating scan.
         let mut positions: Vec<Option<usize>> = vec![None; len as usize];
         for (pos, t) in queue.iter().enumerate() {
             if let Some((k, i)) = t.key_ref() {
@@ -1191,17 +1157,13 @@ impl<P: TwoWayProtocol> Skno<P> {
         let mut consume: Vec<usize> = positions.into_iter().flatten().collect();
         consume.extend(&jokers);
         let owed_new: Vec<Token<P::State>> = missing.iter().map(|&i| token_of(key, i)).collect();
-        Some((consume, owed_new))
+        (consume, owed_new)
     }
 
     /// Removes the planned positions from the queue and records the joker
     /// substitutions.
-    fn consume(
-        &self,
-        r: &mut SknoState<P::State>,
-        mut positions: Vec<usize>,
-        owed_new: Vec<Token<P::State>>,
-    ) {
+    fn consume(&self, r: &mut SknoState<P::State>, plan: RunPlan<P::State>) {
+        let (mut positions, owed_new) = plan;
         // Mid-queue removals: cheaper to rebuild the census lazily than
         // to mirror them (completions are rare against pushes).
         r.index.built = false;
@@ -1216,18 +1178,19 @@ impl<P: TwoWayProtocol> Skno<P> {
     /// passing `filter` (fewest jokers used, then earliest first
     /// occurrence). Pure with respect to the queue: the caller consumes.
     ///
-    /// One census scan tallies every key's distinct-index count (a
-    /// bitmask for any realistic `o`) and the joker supply, so picking
-    /// the winner — fewest jokers used is most distinct indices found —
-    /// needs no per-key rescan; only the winner pays
-    /// [`find_run`](Self::find_run)'s plan-building pass.
+    /// One census scan tallies every key's distinct run positions (a
+    /// `u128` mask, wide enough because `o ≤ `[`MAX_OMISSION_BOUND`]) and
+    /// the joker supply. A run completes when it holds at least one real
+    /// token and jokers cover its missing positions; among those, fewest
+    /// jokers used is most distinct positions found, so picking the
+    /// winner needs no per-key rescan. Only the winner pays
+    /// [`build_plan`](Self::build_plan).
     fn plan_best(
         &self,
         queue: &TokenQueue<P::State>,
-        mut filter: impl FnMut(&RunKeyRef<'_, P::State>) -> bool,
+        filter: impl Fn(&RunKeyRef<'_, P::State>) -> bool,
     ) -> Option<PlannedRun<P::State>> {
         let len = self.run_len();
-        let use_mask = len <= 128;
         // Census in first-occurrence order: (key, distinct-index mask,
         // distinct-index count). A fixed block of stack slots keeps the
         // no-completion common case allocation-free; queues with more
@@ -1258,187 +1221,105 @@ impl<P: TwoWayProtocol> Skno<P> {
                             spill.last_mut().expect("just pushed")
                         }
                     };
-                    if use_mask {
-                        let bit = 1u128 << ((i - 1) as usize);
-                        if entry.1 & bit == 0 {
-                            entry.1 |= bit;
-                            entry.2 += 1;
-                        }
+                    let bit = 1u128 << ((i - 1) as usize);
+                    if entry.1 & bit == 0 {
+                        entry.1 |= bit;
+                        entry.2 += 1;
                     }
                 }
                 Some(_) => {}
             }
         }
-        let tally = slots
+        // Fewest jokers used = most distinct indices found; ties go to
+        // the earliest first occurrence (stable max over `>`).
+        let (key, _, found) = slots
             .into_iter()
             .take(filled)
             .map(|s| s.expect("filled slot"))
-            .chain(spill);
-        let best = if use_mask {
-            // Fewest jokers used = most distinct indices found; ties go
-            // to the earliest first occurrence (stable max over `>`).
-            let (key, _, found) = tally
-                .filter(|(_, _, found)| *found > 0 && jokers_available >= (len - found) as usize)
-                .reduce(|best, cand| if cand.2 > best.2 { cand } else { best })?;
-            let plan = self
-                .find_run(queue, &key)
-                .expect("census certified completability");
-            debug_assert_eq!(plan.1.len(), (len - found) as usize);
-            Some((key, plan))
-        } else {
-            // Astronomically large `o`: fall back to probing each key.
-            let mut best: Option<RunCandidate<'_, P::State>> = None;
-            for (key, ..) in tally {
-                if let Some((positions, owed_new)) = self.find_run(queue, &key) {
-                    let jokers_used = owed_new.len();
-                    let better = match &best {
-                        None => true,
-                        Some((best_jokers, ..)) => jokers_used < *best_jokers,
-                    };
-                    if better {
-                        best = Some((jokers_used, key, (positions, owed_new)));
-                    }
-                }
-            }
-            best.map(|(_, key, plan)| (key, plan))
-        };
-        let (key, plan) = best?;
+            .chain(spill)
+            .filter(|(_, _, found)| *found > 0 && jokers_available >= (len - found) as usize)
+            .reduce(|best, cand| if cand.2 > best.2 { cand } else { best })?;
+        let plan = self.build_plan(queue, &key);
+        debug_assert_eq!(plan.1.len(), (len - found) as usize);
         Some((key.to_owned(), plan))
+    }
+
+    /// The gate in front of every completion scan: whether a run passing
+    /// `filter` may complete. Always `true` under
+    /// [`scan_reference`](Skno::scan_reference); otherwise the run
+    /// index's answer, after rebuilding a stale census (fresh state,
+    /// post-completion, or built for a different bound). The index is
+    /// exact, so a closed gate only skips a scan that would find nothing.
+    fn may_complete(
+        &self,
+        index: &mut RunIndex<P::State>,
+        queue: &TokenQueue<P::State>,
+        filter: impl Fn(&RunKeyRef<'_, P::State>) -> bool,
+    ) -> bool {
+        if !self.indexed {
+            return true;
+        }
+        let len = self.run_len();
+        if !index.built || index.run_len != len {
+            index.rebuild(queue, len);
+        }
+        #[cfg(any(test, debug_assertions))]
+        index.assert_matches(queue, len);
+        index.has_completable(filter)
+    }
+
+    /// One completion site: the gate, then the scan. A completion the
+    /// index certified but the scan cannot find is an index bug, and
+    /// panics.
+    fn plan(
+        &self,
+        index: &mut RunIndex<P::State>,
+        queue: &TokenQueue<P::State>,
+        filter: impl Fn(&RunKeyRef<'_, P::State>) -> bool,
+    ) -> Option<PlannedRun<P::State>> {
+        if !self.may_complete(index, queue, &filter) {
+            return None;
+        }
+        let planned = self.plan_best(queue, filter);
+        assert!(
+            planned.is_some() || !self.indexed,
+            "the run index certified a completion the scan cannot find"
+        );
+        planned
+    }
+
+    /// Logs the simulated transition `r` just committed as `role`
+    /// against `partner`, whose run was announced from `origin`.
+    /// Graphical runs are keyed per announcer, so the simulated partner is
+    /// no longer anonymous: its vertex goes into the commit for the
+    /// on-graph simulation audit.
+    fn log_commit(&self, r: &mut SknoState<P::State>, role: Role, partner: P::State, origin: u32) {
+        r.commit = Some(Box::new(Commit {
+            role,
+            partner,
+            partner_id: self.filtering().then_some(u64::from(origin)),
+            seq: r.commits,
+        }));
+        r.commits += 1;
     }
 
     /// The preliminary and core checks of the reactor procedure. Returns
     /// whether anything was consumed or completed — every action removes
     /// queue tokens, so `true` implies the state changed.
     ///
-    /// Dispatches to the indexed fast path (default) or the scan
-    /// reference ([`scan_reference`](Skno::scan_reference)); the two are
-    /// bit-identical by construction — the index only *gates* the scans,
-    /// it never selects a run.
+    /// Each of the three completion sites names its run filter once and
+    /// hands it to [`plan`](Self::plan); the index (unless
+    /// [`scan_reference`](Skno::scan_reference)) only gates the scan, it
+    /// never selects a run.
     fn checks(&self, r: &mut SknoState<P::State>) -> bool {
-        if self.indexed {
-            self.checks_indexed(r)
-        } else {
-            self.checks_scan(r)
-        }
-    }
-
-    /// The indexed reactor checks: each branch consults the incremental
-    /// census first and only runs the (unchanged) queue scan when a
-    /// completion provably exists — the common no-completion step does
-    /// no queue walk at all.
-    fn checks_indexed(&self, r: &mut SknoState<P::State>) -> bool {
-        self.ensure_index(r);
-        #[cfg(any(test, debug_assertions))]
-        r.index.assert_matches(&r.sending, self.run_len());
         let mut acted = false;
-        let filtering = self.filtering();
-        // Preliminary: own-announcement cancel. The index predicate is
-        // find_run's completability condition for exactly the own key.
-        if r.pending {
-            let own_origin = self.mint_origin(r);
-            let own_completable = {
-                let sim = &r.sim;
-                r.index.has_completable(
-                    |k| matches!(k, RunKey::Plain(o, q) if *o == own_origin && q == sim),
-                )
-            };
-            if own_completable {
-                let own_key = RunKeyRef::Plain(own_origin, &r.sim);
-                let (positions, owed_new) = self
-                    .find_run(&r.sending, &own_key)
-                    .expect("index certified own-run completability");
-                self.consume(r, positions, owed_new);
-                r.pending = false;
-                acted = true;
-                self.ensure_index(r);
-            }
-        }
-        if !r.pending {
-            let site = r.site;
-            let plain_completable = r.index.has_completable(
-                |k| matches!(k, RunKey::Plain(o, _) if self.neighbor_ok(*o, site)),
-            );
-            if plain_completable {
-                let plan = self.plan_best(
-                    &r.sending,
-                    |k| matches!(k, RunKeyRef::Plain(o, _) if self.neighbor_ok(*o, site)),
-                );
-                let Some((RunKey::Plain(origin, q), (positions, owed_new))) = plan else {
-                    unreachable!("index certified a completable plain run")
-                };
-                self.consume(r, positions, owed_new);
-                let old = r.sim.clone();
-                r.sim = self.protocol.reactor_out(&q, &old);
-                let change_origin = self.mint_origin(r);
-                for i in 1..=self.run_len() {
-                    r.push_token(Token::Change {
-                        origin: change_origin,
-                        target: origin,
-                        starter: q.clone(),
-                        reactor: old.clone(),
-                        index: i,
-                    });
-                }
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Reactor,
-                    partner: q,
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
-                acted = true;
-            }
-        } else {
-            let change_completable = {
-                let sim = &r.sim;
-                let site = r.site;
-                r.index.has_completable(
-                    |k| matches!(k, RunKey::Change(_, t, s, _) if s == sim && self.change_addressed(*t, site)),
-                )
-            };
-            if change_completable {
-                let plan = {
-                    let own = &r.sim;
-                    let site = r.site;
-                    self.plan_best(
-                        &r.sending,
-                        |k| matches!(k, RunKeyRef::Change(_, t, s, _) if *s == own && self.change_addressed(*t, site)),
-                    )
-                };
-                let Some((RunKey::Change(origin, _, _, q_r), (positions, owed_new))) = plan else {
-                    unreachable!("index certified a completable change run")
-                };
-                self.consume(r, positions, owed_new);
-                let old = r.sim.clone();
-                r.sim = self.protocol.starter_out(&old, &q_r);
-                r.pending = false;
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Starter,
-                    partner: q_r,
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
-                acted = true;
-            }
-        }
-        acted
-    }
-
-    /// The scan-path reference: every branch walks the queue, as the
-    /// pre-index implementation did. Kept verbatim as the oracle the
-    /// `scan_eq_indexed_skno` row of `tests/differential.rs` compares the
-    /// indexed path against.
-    fn checks_scan(&self, r: &mut SknoState<P::State>) -> bool {
-        let mut acted = false;
-        let filtering = self.filtering();
         // Preliminary: a pending agent that re-assembles the announcement
         // of its *own* state cancels the transaction. In graphical mode
         // "its own" includes the origin: only the run this agent minted.
         if r.pending {
-            let own_key = RunKeyRef::Plain(self.mint_origin(r), &r.sim);
-            if let Some((positions, owed_new)) = self.find_run(&r.sending, &own_key) {
-                self.consume(r, positions, owed_new);
+            let own = RunKeyRef::Plain(self.mint_origin(r), &r.sim);
+            if let Some((_, plan)) = self.plan(&mut r.index, &r.sending, |k| *k == own) {
+                self.consume(r, plan);
                 r.pending = false;
                 acted = true;
             }
@@ -1448,66 +1329,50 @@ impl<P: TwoWayProtocol> Skno<P> {
             // a graph neighbor, in graphical mode — and play the
             // simulated reactor.
             let site = r.site;
-            let plan = self.plan_best(
-                &r.sending,
-                |k| matches!(k, RunKeyRef::Plain(o, _) if self.neighbor_ok(*o, site)),
-            );
-            if let Some((RunKey::Plain(origin, q), (positions, owed_new))) = plan {
-                self.consume(r, positions, owed_new);
-                let old = r.sim.clone();
-                r.sim = self.protocol.reactor_out(&q, &old);
-                let change_origin = self.mint_origin(r);
-                for i in 1..=self.run_len() {
-                    r.push_token(Token::Change {
-                        origin: change_origin,
-                        // Address the change run to the consumed
-                        // announcement's origin (0 = anyone, anonymously).
-                        target: origin,
-                        starter: q.clone(),
-                        reactor: old.clone(),
-                        index: i,
-                    });
-                }
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Reactor,
-                    partner: q,
-                    // Graphical runs are keyed per announcer, so the
-                    // simulated partner is no longer anonymous: expose
-                    // its vertex for the on-graph simulation audit.
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
-                acted = true;
+            let plain = |k: &RunKeyRef<'_, _>| match *k {
+                RunKeyRef::Plain(o, _) => self.neighbor_ok(o, site),
+                RunKeyRef::Change(..) => false,
+            };
+            let Some((RunKey::Plain(origin, q), plan)) = self.plan(&mut r.index, &r.sending, plain)
+            else {
+                return acted;
+            };
+            self.consume(r, plan);
+            let old = r.sim.clone();
+            r.sim = self.protocol.reactor_out(&q, &old);
+            let change_origin = self.mint_origin(r);
+            for i in 1..=self.run_len() {
+                r.push_token(Token::Change {
+                    origin: change_origin,
+                    // Address the change run to the consumed
+                    // announcement's origin (0 = anyone, anonymously).
+                    target: origin,
+                    starter: q.clone(),
+                    reactor: old.clone(),
+                    index: i,
+                });
             }
+            self.log_commit(r, Role::Reactor, q, origin);
         } else {
             // Core, pending branch: consume a state-change run announced
             // for our own state — and, in graphical mode, addressed to
             // this very agent — and play the simulated starter.
-            let plan = {
-                let own = &r.sim;
-                let site = r.site;
-                self.plan_best(
-                    &r.sending,
-                    |k| matches!(k, RunKeyRef::Change(_, t, s, _) if *s == own && self.change_addressed(*t, site)),
-                )
+            let (own, site) = (&r.sim, r.site);
+            let change = |k: &RunKeyRef<'_, _>| match *k {
+                RunKeyRef::Change(_, t, s, _) => s == own && self.change_addressed(t, site),
+                RunKeyRef::Plain(..) => false,
             };
-            if let Some((RunKey::Change(origin, _, _, q_r), (positions, owed_new))) = plan {
-                self.consume(r, positions, owed_new);
-                let old = r.sim.clone();
-                r.sim = self.protocol.starter_out(&old, &q_r);
-                r.pending = false;
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Starter,
-                    partner: q_r,
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
-                acted = true;
-            }
+            let Some((RunKey::Change(origin, _, _, q_r), plan)) =
+                self.plan(&mut r.index, &r.sending, change)
+            else {
+                return acted;
+            };
+            self.consume(r, plan);
+            r.sim = self.protocol.starter_out(&r.sim, &q_r);
+            r.pending = false;
+            self.log_commit(r, Role::Starter, q_r, origin);
         }
-        acted
+        true
     }
 }
 
@@ -1888,8 +1753,8 @@ mod tests {
     fn indexed_checks_match_scan_reference_bitwise() {
         // Same seeds, same adversary, both anonymous and graphical (ring):
         // the indexed path must land on identical final configurations.
-        // (The per-step debug cross-check inside checks_indexed already
-        // guards the census; this guards the gating logic end to end.)
+        // (The debug cross-check inside the gate already guards the
+        // census; this guards the gating logic end to end.)
         use ppfts_population::Topology;
         for seed in 0..4u64 {
             for o in [0u32, 1, 2] {
@@ -1951,8 +1816,8 @@ mod tests {
         assert!(!idx.has_completable(|_| true));
         idx.note_push(&t2);
         // Two distinct + one joker: completable.
-        assert!(idx.has_completable(|k| matches!(k, RunKey::Plain(0, 'c'))));
-        assert!(!idx.has_completable(|k| matches!(k, RunKey::Plain(1, _))));
+        assert!(idx.has_completable(|k| matches!(k, RunKeyRef::Plain(0, 'c'))));
+        assert!(!idx.has_completable(|k| matches!(k, RunKeyRef::Plain(1, _))));
         idx.note_remove(&t1);
         assert!(!idx.has_completable(|_| true));
         idx.note_remove(&t2);
@@ -1971,6 +1836,36 @@ mod tests {
         skno3.fill(&mut b);
         assert_eq!(a.token_footprint(), 1);
         assert_eq!(b.token_footprint(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "omission bound o <= 127, got o = 128")]
+    fn constructors_reject_bounds_past_the_run_mask() {
+        let _ = Skno::new(pairing(), MAX_OMISSION_BOUND + 1);
+    }
+
+    #[test]
+    fn the_largest_bound_still_completes_runs() {
+        // o = 127: every run is 128 tokens, the full width of the mask.
+        // Lose the first token, deliver the other 127: the joker covers
+        // the gap and the reactor commits, in both modes alike.
+        let o = MAX_OMISSION_BOUND;
+        for skno in [
+            Skno::new(pairing(), o),
+            Skno::new(pairing(), o).scan_reference(),
+        ] {
+            let mut schedule = vec![Planned::omission(i(0, 1))];
+            schedule.extend((1..=o).map(|_| Planned::ok(i(0, 1))));
+            let mut runner = OneWayRunner::builder(OneWayModel::I3, skno)
+                .config(Skno::<TableProtocol<char>>::initial(&['c', 'p']))
+                .build()
+                .unwrap();
+            runner.apply_planned(schedule).unwrap();
+            let reactor = &runner.config().as_slice()[1];
+            assert_eq!(*reactor.simulated(), '_');
+            assert_eq!(reactor.owed_tokens(), 1);
+            assert_eq!(reactor.queued_tokens(), 128, "the change run");
+        }
     }
 
     #[test]

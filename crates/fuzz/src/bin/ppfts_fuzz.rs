@@ -11,6 +11,7 @@
 
 use std::process::ExitCode;
 
+use ppfts_core::MAX_OMISSION_BOUND;
 use ppfts_fuzz::{fuzz, FuzzConfig, FuzzTarget, ScheduleGenome};
 use ppfts_population::Topology;
 
@@ -25,13 +26,13 @@ modes (default: fuzz)
 
 options
   --budget <N>      genome evaluations to spend        [default 64]
-  --protocol <P>    simulated protocol: epidemic       [default epidemic]
   --topology <T>    ring | rr4 | complete              [default complete]
   --n <N>           population size                    [default 64]
   --o <O>           omission budget of the schedule
                     class AND simulator provisioning   [default 1]
   --o-sim <O>       override simulator provisioning
                     (o_sim < o under-provisions)
+                    both --o and --o-sim are at most 127
   --seeds <K>       run seeds per evaluation           [default 4]
   --steps <B>       per-run step budget                [default 4000000]
   --seed <S>        fuzzer RNG seed                    [default 240]
@@ -55,7 +56,7 @@ struct Options {
     budget: u64,
     topology: String,
     n: usize,
-    o: u64,
+    o: u32,
     o_sim: Option<u32>,
     seeds: u64,
     steps: Option<u64>,
@@ -85,9 +86,8 @@ impl Default for Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
@@ -95,18 +95,10 @@ fn parse_args() -> Result<Options, String> {
         };
         match arg.as_str() {
             "--budget" => opts.budget = parse_num(&value("--budget")?, "--budget")?,
-            "--protocol" => {
-                let p = value("--protocol")?;
-                if p != "epidemic" {
-                    return Err(format!("unsupported protocol {p:?} (only: epidemic)"));
-                }
-            }
             "--topology" => opts.topology = value("--topology")?,
             "--n" => opts.n = parse_num(&value("--n")?, "--n")? as usize,
-            "--o" => opts.o = parse_num(&value("--o")?, "--o")?,
-            "--o-sim" => {
-                opts.o_sim = Some(parse_num(&value("--o-sim")?, "--o-sim")? as u32);
-            }
+            "--o" => opts.o = parse_bound(&value("--o")?, "--o")?,
+            "--o-sim" => opts.o_sim = Some(parse_bound(&value("--o-sim")?, "--o-sim")?),
             "--seeds" => opts.seeds = parse_num(&value("--seeds")?, "--seeds")?,
             "--steps" => opts.steps = Some(parse_num(&value("--steps")?, "--steps")?),
             "--seed" => opts.seed = parse_num(&value("--seed")?, "--seed")?,
@@ -129,6 +121,14 @@ fn parse_num(s: &str, flag: &str) -> Result<u64, String> {
         .map_err(|_| format!("{flag}: {s:?} is not a non-negative integer"))
 }
 
+/// Parses an omission bound, which SKnO caps at [`MAX_OMISSION_BOUND`].
+fn parse_bound(s: &str, flag: &str) -> Result<u32, String> {
+    u32::try_from(parse_num(s, flag)?)
+        .ok()
+        .filter(|&o| o <= MAX_OMISSION_BOUND)
+        .ok_or_else(|| format!("{flag}: {s} exceeds the SKnO omission bound {MAX_OMISSION_BOUND}"))
+}
+
 fn build_topology(kind: &str, n: usize) -> Result<Topology, String> {
     match kind {
         "ring" => Topology::ring(n),
@@ -141,15 +141,12 @@ fn build_topology(kind: &str, n: usize) -> Result<Topology, String> {
 
 fn build_target(opts: &Options) -> Result<FuzzTarget, String> {
     let topology = build_topology(&opts.topology, opts.n)?;
-    let o_sim = opts
-        .o_sim
-        .unwrap_or(u32::try_from(opts.o).unwrap_or(u32::MAX));
     let steps = opts.steps.unwrap_or(DEFAULT_STEPS);
     let seeds: Vec<u64> = (1..=opts.seeds).collect();
     Ok(FuzzTarget::new(
         topology,
-        o_sim,
-        opts.o,
+        opts.o_sim.unwrap_or(opts.o),
+        u64::from(opts.o),
         seeds,
         steps,
         opts.threads.max(1),
@@ -303,7 +300,7 @@ fn run_self_test(opts: &Options) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("ppfts_fuzz: {e}\n\n{USAGE}");
@@ -323,5 +320,22 @@ fn main() -> ExitCode {
             eprintln!("ppfts_fuzz: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn bounds_past_skno_and_the_retired_protocol_flag_are_usage_errors() {
+        for args in [
+            ["--o", "128"],
+            ["--o-sim", "4294967296"],
+            ["--o", "5000000000"],
+            ["--protocol", "epidemic"],
+        ] {
+            let parsed = super::parse_args(args.into_iter().map(String::from));
+            assert!(parsed.is_err(), "{args:?}");
+        }
+        assert!(super::parse_args(["--o", "127"].into_iter().map(String::from)).is_ok());
     }
 }

@@ -124,8 +124,8 @@ mod tests {
     fn indexed_and_scan_reference_runs_are_identical() {
         let topology = Topology::complete(64).unwrap();
         for o in 0..=2 {
-            let indexed = skno_epidemic_graphical_run_with(&topology, o, 0.02, 0, 2_000_000, true);
-            let scan = skno_epidemic_graphical_run_with(&topology, o, 0.02, 0, 2_000_000, false);
+            let indexed = skno_epidemic_graphical_run_with(&topology, o, 0, 2_000_000, true);
+            let scan = skno_epidemic_graphical_run_with(&topology, o, 0, 2_000_000, false);
             assert_eq!(indexed.unwrap(), scan.unwrap(), "o = {o}");
         }
     }

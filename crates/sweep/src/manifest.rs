@@ -18,11 +18,15 @@
 //!
 //! Each grid block is a cartesian product over its list-valued axes
 //! (`topology`, `n`, `o`) crossed with seeds `0..seeds`; scalar knobs
-//! (`rate`, `budget`, `seeds`) default from the manifest top level.
-//! Families that take no omission bound reject an `o` axis instead of
-//! silently ignoring it, and two blocks that expand to the same job id
-//! are a manifest error, not a silent overwrite — the id is the
-//! checkpoint ledger key, so uniqueness is what makes resume sound.
+//! (`budget`, `seeds`) default from the manifest top level; SKnO jobs
+//! run their bounded adversary at [`DEFAULT_RATE`]. A key the format
+//! does not define (a typo such as `budjet`, or the retired `rate`) is
+//! an error, at top level and per grid. Families that take no omission
+//! bound reject an `o` axis instead of silently ignoring it, SKnO
+//! families reject `o` above [`MAX_OMISSION_BOUND`] (127), and two
+//! blocks that expand to the same job id are a manifest error, not a
+//! silent overwrite — the id is the checkpoint ledger key, so uniqueness
+//! is what makes resume sound.
 //!
 //! Job ids are stable across releases by construction:
 //! `family/topology/n{n}/o{o}/s{seed}` with absent axes omitted, e.g.
@@ -31,12 +35,13 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use ppfts_core::MAX_OMISSION_BOUND;
 use ppfts_population::Topology;
 
 use crate::json::{self, Value};
 use crate::workloads::{E13_RR_DEGREE, E13_TOPOLOGY_SEED};
 
-/// Default omission rate handed to the bounded adversary of SKnO jobs.
+/// Omission rate of the bounded adversary in every SKnO job.
 pub const DEFAULT_RATE: f64 = 0.02;
 
 /// The protocol families a manifest can sweep. Graphical families run
@@ -133,8 +138,6 @@ pub struct Job {
     pub n: usize,
     /// Omission bound (0 for families that don't take one).
     pub o: u32,
-    /// Adversary omission rate (SKnO families).
-    pub rate: f64,
     /// Scheduler seed.
     pub seed: u64,
     /// Interaction budget.
@@ -243,8 +246,12 @@ pub enum ManifestError {
     UnknownFamily(String),
     /// An unknown topology name.
     UnknownTopology(String),
+    /// A key the manifest format does not define.
+    UnknownKey(String),
     /// A family that takes no omission bound was given an `o` axis.
     OAxisUnsupported(&'static str),
+    /// An omission bound above [`MAX_OMISSION_BOUND`].
+    OmissionBoundTooLarge(u64),
     /// A graphical family without a topology axis, or a pairing family
     /// with one.
     TopologyAxisMismatch(&'static str),
@@ -281,6 +288,11 @@ impl fmt::Display for ManifestError {
             ManifestError::UnknownTopology(name) => write!(
                 f,
                 "unknown topology `{name}` (expected ring, grid, rr4, star or complete)"
+            ),
+            ManifestError::UnknownKey(key) => write!(f, "unknown manifest key `{key}`"),
+            ManifestError::OmissionBoundTooLarge(o) => write!(
+                f,
+                "omission bound o = {o} exceeds the SKnO limit {MAX_OMISSION_BOUND}"
             ),
             ManifestError::OAxisUnsupported(family) => {
                 write!(
@@ -330,6 +342,7 @@ impl From<json::ParseError> for ManifestError {
 /// `Manifest` is fully runnable.
 pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
     let doc = json::parse(document)?;
+    check_keys(&doc, &["name", "seeds", "budget", "grids"])?;
     let name = doc
         .get("name")
         .and_then(Value::as_str)
@@ -338,9 +351,8 @@ pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
             expected: "a string",
         })?
         .to_string();
-    let default_seeds = get_u64(&doc, "seeds")?;
-    let default_budget = get_u64(&doc, "budget")?;
-    let default_rate = get_f64_opt(&doc, "rate")?;
+    let default_seeds = get_u64_opt(&doc, "seeds")?;
+    let default_budget = get_u64_opt(&doc, "budget")?;
     let grids = doc
         .get("grids")
         .and_then(Value::as_arr)
@@ -352,6 +364,7 @@ pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
     let mut jobs = Vec::new();
     let mut seen = BTreeSet::new();
     for grid in grids {
+        check_keys(grid, &["family", "topology", "n", "o", "seeds", "budget"])?;
         let family_name =
             grid.get("family")
                 .and_then(Value::as_str)
@@ -383,7 +396,13 @@ pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
         };
 
         let os: Vec<u64> = match (family.takes_o(), grid.get("o")) {
-            (true, Some(_)) => axis_u64(grid, "o")?.unwrap(),
+            (true, Some(_)) => {
+                let os = axis_u64(grid, "o")?.unwrap();
+                if let Some(&o) = os.iter().find(|&&o| o > u64::from(MAX_OMISSION_BOUND)) {
+                    return Err(ManifestError::OmissionBoundTooLarge(o));
+                }
+                os
+            }
             (true, None) => vec![0],
             (false, None) => vec![0],
             (false, Some(_)) => return Err(ManifestError::OAxisUnsupported(family.name())),
@@ -402,9 +421,6 @@ pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
                     field: "budget",
                     expected: "a number (top level or per grid)",
                 })?;
-        let rate = get_f64_opt(grid, "rate")?
-            .or(default_rate)
-            .unwrap_or(DEFAULT_RATE);
 
         for &topology in &topologies {
             for &n in &ns {
@@ -444,7 +460,6 @@ pub fn expand(document: &str) -> Result<Manifest, ManifestError> {
                             topology,
                             n,
                             o: o as u32,
-                            rate,
                             seed,
                             budget,
                         });
@@ -466,10 +481,6 @@ pub fn group_of(id: &str) -> &str {
     id.rfind("/s").map_or(id, |cut| &id[..cut])
 }
 
-fn get_u64(doc: &Value, field: &'static str) -> Result<Option<u64>, ManifestError> {
-    get_u64_opt(doc, field)
-}
-
 fn get_u64_opt(doc: &Value, field: &'static str) -> Result<Option<u64>, ManifestError> {
     match doc.get(field) {
         None => Ok(None),
@@ -480,13 +491,17 @@ fn get_u64_opt(doc: &Value, field: &'static str) -> Result<Option<u64>, Manifest
     }
 }
 
-fn get_f64_opt(doc: &Value, field: &'static str) -> Result<Option<f64>, ManifestError> {
-    match doc.get(field) {
-        None => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or(ManifestError::Field {
-            field,
-            expected: "a number",
-        }),
+/// Rejects any key of the object `doc` outside `known`.
+fn check_keys(doc: &Value, known: &[&str]) -> Result<(), ManifestError> {
+    let Value::Obj(members) = doc else {
+        return Ok(()); // the typed field reads report a non-object
+    };
+    match members
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(ManifestError::UnknownKey(key.clone())),
+        None => Ok(()),
     }
 }
 
@@ -660,6 +675,31 @@ mod tests {
             expand(t).unwrap_err(),
             ManifestError::UnknownTopology(_)
         ));
+        // Unknown keys, at top level (the retired `rate`) and per grid.
+        let k = r#"{"name": "u", "seeds": 1, "budget": 10, "rate": 0.02, "grids": [
+            {"family": "sid_pairing", "n": 8, "budjet": 20}
+        ]}"#;
+        assert_eq!(
+            expand(k).unwrap_err(),
+            ManifestError::UnknownKey("rate".into())
+        );
+        let k = k.replace(r#" "rate": 0.02,"#, "");
+        assert_eq!(
+            expand(&k).unwrap_err(),
+            ManifestError::UnknownKey("budjet".into())
+        );
+    }
+
+    #[test]
+    fn omission_bounds_past_the_skno_limit_are_rejected() {
+        let doc = r#"{"name": "o", "seeds": 1, "budget": 10, "grids": [
+            {"family": "skno_pairing", "n": 8, "o": [1, 127, 128]}
+        ]}"#;
+        assert_eq!(
+            expand(doc).unwrap_err(),
+            ManifestError::OmissionBoundTooLarge(128)
+        );
+        assert_eq!(expand(&doc.replace(", 128", "")).unwrap().jobs.len(), 2);
     }
 
     #[test]

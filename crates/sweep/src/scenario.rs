@@ -67,7 +67,6 @@ pub fn run_job(job: &Job) -> Result<JobResult, EngineError> {
         Family::Skno => skno_epidemic_graphical_run(
             topology.as_ref().expect("graphical family has a topology"),
             job.o,
-            job.rate,
             job.seed,
             job.budget,
         ),

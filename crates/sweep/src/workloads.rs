@@ -22,6 +22,8 @@ use ppfts_engine::{
 use ppfts_population::{Configuration, CountConfiguration, Topology};
 use ppfts_protocols::{scenario, Epidemic, Pairing, PairingState};
 
+use crate::manifest::DEFAULT_RATE;
+
 /// Batch size of the batched runs: big enough to amortize the
 /// per-boundary projection predicate to noise, small enough that the
 /// batch-aligned step counts stay fine-grained relative to convergence
@@ -114,7 +116,7 @@ pub fn skno_pairing_run(n: usize, o: u32, seed: u64, budget: u64) -> SeedRun {
     let expected = n / 2;
     let mut runner = OneWayRunner::builder(OneWayModel::I3, Skno::new(Pairing, o))
         .config(Skno::<Pairing>::initial(&sims))
-        .adversary(BoundedStrategy::new(0.02, o as u64))
+        .adversary(BoundedStrategy::new(DEFAULT_RATE, o as u64))
         .seed(seed)
         .trace_sink(StatsOnly)
         .build()
@@ -319,19 +321,13 @@ pub fn sid_epidemic_graphical_run(topology: &Topology, seed: u64, budget: u64) -
 
 /// One seeded run of the same simulated epidemic through **graphical
 /// `SKnO`** under model I3 (E13), with omission bound `o` and an
-/// adversary spending that budget at `rate`. Graphical `SKnO` keys
+/// adversary spending that budget at [`DEFAULT_RATE`]. Graphical `SKnO` keys
 /// announcement runs per origin vertex, so completing a run of length
 /// `o + 1` requires reassembling tokens of one specific announcer at one
 /// of its graph neighbors — the reassembly cost that makes omission
 /// tolerance interact with conductance.
-pub fn skno_epidemic_graphical_run(
-    topology: &Topology,
-    o: u32,
-    rate: f64,
-    seed: u64,
-    budget: u64,
-) -> SeedRun {
-    skno_epidemic_graphical_run_with(topology, o, rate, seed, budget, true)
+pub fn skno_epidemic_graphical_run(topology: &Topology, o: u32, seed: u64, budget: u64) -> SeedRun {
+    skno_epidemic_graphical_run_with(topology, o, seed, budget, true)
 }
 
 /// [`skno_epidemic_graphical_run`] with the simulator path explicit:
@@ -344,7 +340,6 @@ pub fn skno_epidemic_graphical_run(
 pub fn skno_epidemic_graphical_run_with(
     topology: &Topology,
     o: u32,
-    rate: f64,
     seed: u64,
     budget: u64,
     indexed: bool,
@@ -356,7 +351,7 @@ pub fn skno_epidemic_graphical_run_with(
     let mut runner = OneWayRunner::builder(OneWayModel::I3, skno)
         .config(Skno::<Epidemic>::initial(&sims))
         .topology(topology.clone())
-        .adversary(BoundedStrategy::new(rate, o as u64))
+        .adversary(BoundedStrategy::new(DEFAULT_RATE, o as u64))
         .seed(seed)
         .trace_sink(StatsOnly)
         .build()

@@ -12,7 +12,7 @@
 use std::fmt;
 
 use ppfts_core::{NamedSid, Sid, Skno, SknoState};
-use ppfts_engine::{BoundedStrategy, Model, OneWayModel, OneWayRunner, TwoWayModel};
+use ppfts_engine::{BoundedStrategy, EngineError, Model, OneWayModel, OneWayRunner, TwoWayModel};
 use ppfts_protocols::{Pairing, PairingState};
 
 use crate::{
@@ -124,7 +124,8 @@ fn sims(consumers: usize, producers: usize) -> Vec<PairingState> {
     Pairing::initial(consumers, producers).as_slice().to_vec()
 }
 
-fn possible(m: OneWayModel, what: &str, report: &AuditReport) -> Cell {
+fn possible(m: OneWayModel, what: &str, audit: Result<AuditReport, EngineError>) -> Cell {
+    let report = audit.unwrap_or_else(|e| panic!("{m}: {what} audit errored: {e}"));
     assert!(
         report.solved(),
         "{m}: {what} audit failed: {:?}",
@@ -142,7 +143,7 @@ fn skno(m: OneWayModel, o: u32, seed: u64) -> Cell {
         .seed(seed)
         .build()
         .unwrap();
-    possible(m, "SKnO", &audit_pairing(&mut runner, 1_500_000))
+    possible(m, "SKnO", audit_pairing(&mut runner, 1_500_000))
 }
 
 fn sid(m: OneWayModel) -> Cell {
@@ -151,7 +152,7 @@ fn sid(m: OneWayModel) -> Cell {
         .seed(7)
         .build()
         .unwrap();
-    possible(m, "SID", &audit_pairing(&mut runner, 1_500_000))
+    possible(m, "SID", audit_pairing(&mut runner, 1_500_000))
 }
 
 fn named_sid(m: OneWayModel) -> Cell {
@@ -161,7 +162,7 @@ fn named_sid(m: OneWayModel) -> Cell {
         .seed(8)
         .build()
         .unwrap();
-    possible(m, "NamedSid", &audit_pairing(&mut runner, 4_000_000))
+    possible(m, "NamedSid", audit_pairing(&mut runner, 4_000_000))
 }
 
 /// Lemma 1's run `I*` drives SKnO (o = 1) into a safety violation.

@@ -90,6 +90,11 @@ impl AuditReport {
 ///
 /// The runner's simulator states must project onto [`PairingState`].
 ///
+/// # Errors
+///
+/// The [`EngineError`] that ended the run, if one did; the runner keeps
+/// the steps applied before it.
+///
 /// # Example
 ///
 /// See `tests/simulation_correctness.rs` in the repository root, which
@@ -97,7 +102,7 @@ impl AuditReport {
 pub fn audit_pairing<P, S, A, T>(
     runner: &mut OneWayRunner<P, S, A, T>,
     max_steps: u64,
-) -> AuditReport
+) -> Result<AuditReport, EngineError>
 where
     P: OneWayProgram,
     P::State: SimulatorState<Simulated = PairingState> + State,
@@ -119,6 +124,12 @@ where
 /// or excess pairing persists to the next boundary. `batch = 1` is the
 /// exact per-step [`audit_pairing`].
 ///
+/// # Errors
+///
+/// The [`EngineError`] that ended the run, if one did — never a report
+/// that reads like an exhausted budget. The runner keeps the steps
+/// applied before the error, including those earlier in its batch.
+///
 /// # Panics
 ///
 /// Panics if `batch` is zero.
@@ -126,7 +137,7 @@ pub fn audit_pairing_batched<P, S, A, T>(
     runner: &mut OneWayRunner<P, S, A, T>,
     max_steps: u64,
     batch: u64,
-) -> AuditReport
+) -> Result<AuditReport, EngineError>
 where
     P: OneWayProgram,
     P::State: SimulatorState<Simulated = PairingState> + State,
@@ -141,9 +152,7 @@ where
     let mut steps = 0u64;
     while steps < max_steps {
         let take = (max_steps - steps).min(batch);
-        if runner.run(Batched(take), Stop::steps(take)).is_err() {
-            break;
-        }
+        runner.run(Batched(take), Stop::steps(take))?;
         steps += take;
         let paired_now = monitor.observe(runner.config(), steps);
         if paired_now == monitor.expected {
@@ -155,7 +164,7 @@ where
             stable_steps = 0;
         }
     }
-    monitor.into_report(runner.config(), steps)
+    Ok(monitor.into_report(runner.config(), steps))
 }
 
 /// Convenience: run to completion with a plain convergence predicate, no
@@ -285,6 +294,7 @@ mod tests {
     use super::*;
     use ppfts_core::{Sid, Skno};
     use ppfts_engine::{BoundedStrategy, OneWayModel};
+    use ppfts_population::Interaction;
     use ppfts_protocols::Pairing;
 
     fn sims(c: usize, p: usize) -> Vec<PairingState> {
@@ -298,7 +308,7 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        let report = audit_pairing(&mut runner, 400_000);
+        let report = audit_pairing(&mut runner, 400_000).unwrap();
         assert!(report.safe(), "violations: {:?}", report.violations);
         assert!(report.live, "paired {} of 2", report.paired_final);
         assert!(report.solved());
@@ -313,7 +323,7 @@ mod tests {
             .seed(8)
             .build()
             .unwrap();
-        let report = audit_pairing(&mut runner, 400_000);
+        let report = audit_pairing(&mut runner, 400_000).unwrap();
         assert!(report.safe(), "violations: {:?}", report.violations);
         assert!(report.live);
         assert_eq!(report.paired_final, 2);
@@ -330,8 +340,8 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let scalar = audit_pairing(&mut build(), 400_000);
-        let batched = audit_pairing_batched(&mut build(), 400_000, 128);
+        let scalar = audit_pairing(&mut build(), 400_000).unwrap();
+        let batched = audit_pairing_batched(&mut build(), 400_000, 128).unwrap();
         assert!(batched.safe(), "violations: {:?}", batched.violations);
         assert!(batched.live);
         assert!(batched.solved());
@@ -343,6 +353,35 @@ mod tests {
             "stops at batch boundaries, got {}",
             batched.steps
         );
+    }
+
+    /// Deals `(0, 1)` `k` times, then an arc to agent `n`, one past the
+    /// population.
+    struct OutOfRangeAfter(u64);
+
+    impl Scheduler for OutOfRangeAfter {
+        fn next_interaction(&mut self, n: usize, _: &mut dyn rand::RngCore) -> Interaction {
+            let reactor = if self.0 == 0 { n } else { 1 };
+            self.0 = self.0.saturating_sub(1);
+            Interaction::new(0, reactor).unwrap()
+        }
+    }
+
+    #[test]
+    fn engine_errors_end_the_audit_as_errors() {
+        // The out-of-range arc after 37 steps is an engine error, not a
+        // budget miss: the audit returns it, per step and mid-batch
+        // alike, with the steps before it applied.
+        for batch in [1u64, 16] {
+            let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
+                .config(Sid::<Pairing>::initial(&sims(3, 2)))
+                .scheduler(OutOfRangeAfter(37))
+                .build()
+                .unwrap();
+            let err = audit_pairing_batched(&mut runner, 400_000, batch).unwrap_err();
+            assert!(matches!(err, EngineError::Population(_)), "{err:?}");
+            assert_eq!(runner.steps(), 37, "Batched({batch})");
+        }
     }
 
     #[test]
@@ -367,7 +406,7 @@ mod tests {
             .seed(2)
             .build()
             .unwrap();
-        let report = audit_pairing(&mut runner, 200_000);
+        let report = audit_pairing(&mut runner, 200_000).unwrap();
         assert_eq!(report.consumers, 4);
         assert_eq!(report.producers, 1);
         assert_eq!(report.paired_final, 1);

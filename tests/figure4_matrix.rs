@@ -65,7 +65,7 @@ fn possibility_witnesses_leave_correct_final_states() {
         .seed(9)
         .build()
         .unwrap();
-    let _ = audit_pairing(&mut runner, 1_500_000);
+    audit_pairing(&mut runner, 1_500_000).unwrap();
     let proj = project(runner.config());
     assert_eq!(proj.count_state(&PairingState::Paired), 2);
     assert_eq!(proj.count_state(&PairingState::Spent), 2);

@@ -139,7 +139,7 @@ fn pairing_audits_pass_for_all_simulators() {
         .seed(37)
         .build()
         .unwrap();
-    let report = audit_pairing(&mut sid, 2_000_000);
+    let report = audit_pairing(&mut sid, 2_000_000).unwrap();
     assert!(report.solved(), "SID: {:?}", report.violations);
 
     let o = 2;
@@ -149,7 +149,7 @@ fn pairing_audits_pass_for_all_simulators() {
         .seed(41)
         .build()
         .unwrap();
-    let report = audit_pairing(&mut skno, 2_000_000);
+    let report = audit_pairing(&mut skno, 2_000_000).unwrap();
     assert!(report.solved(), "SKnO: {:?}", report.violations);
 
     let mut named = OneWayRunner::builder(OneWayModel::Io, NamedSid::new(Pairing, sims.len()))
@@ -157,7 +157,7 @@ fn pairing_audits_pass_for_all_simulators() {
         .seed(43)
         .build()
         .unwrap();
-    let report = audit_pairing(&mut named, 5_000_000);
+    let report = audit_pairing(&mut named, 5_000_000).unwrap();
     assert!(report.solved(), "NamedSid: {:?}", report.violations);
 }
 

@@ -59,7 +59,7 @@ fn facade_audit_certifies_sid_pairing() {
         .build()
         .expect("builder accepts a fault-free IO setup");
 
-    let report = audit_pairing(&mut runner, 2_000_000);
+    let report = audit_pairing(&mut runner, 2_000_000).unwrap();
     assert!(
         report.solved(),
         "SID-simulated Pairing must pass the audit: {report:?}"
