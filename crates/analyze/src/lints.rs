@@ -194,7 +194,9 @@ where
     if topology.is_complete() || topology.len() < 3 {
         return Vec::new();
     }
+    let o = skno.omission_bound();
     let probe = SknoState::with_queue(
+        o,
         1,
         q_s.clone(),
         true,
@@ -202,7 +204,7 @@ where
     );
     // A pending starter with a drained queue transmits nothing: the
     // "interaction" only runs the probed agent's checks.
-    let silent = SknoState::with_queue(3 % topology.len() as u32, q_r.clone(), true, []);
+    let silent = SknoState::with_queue(o, 3 % topology.len() as u32, q_r.clone(), true, []);
     let after = skno.on_receive(&silent, &probe);
     if !after.is_pending() {
         vec![Finding::error(
@@ -239,8 +241,9 @@ where
         state: q_s.clone(),
         index,
     });
-    let probe = SknoState::with_queue(site as u32, q_r.clone(), false, run);
-    let silent = SknoState::with_queue(0, q_s.clone(), true, []);
+    let o = skno.omission_bound();
+    let probe = SknoState::with_queue(o, site as u32, q_r.clone(), false, run);
+    let silent = SknoState::with_queue(o, 0, q_s.clone(), true, []);
     let after = skno.on_receive(&silent, &probe);
     let mut findings = Vec::new();
     let mut minted = 0usize;
@@ -288,7 +291,7 @@ where
     P: TwoWayProtocol,
 {
     let mut findings = Vec::new();
-    let len = skno.run_len();
+    let (o, len) = (skno.omission_bound(), skno.run_len());
 
     // 1. Omission hooks: exactly one joker, nothing else disturbed. The
     // pending starter holds a non-completable queue — a single token of a
@@ -300,7 +303,7 @@ where
         state: q_r.clone(),
         index: 1,
     };
-    let pending = SknoState::with_queue(0, q_s.clone(), true, [stub]);
+    let pending = SknoState::with_queue(o, 0, q_s.clone(), true, [stub]);
     let after_s = skno.on_omission_starter(&pending);
     if after_s.queued_jokers() != pending.queued_jokers() + 1
         || after_s.token_footprint() != pending.token_footprint() + 1
@@ -332,8 +335,8 @@ where
         state: q_s.clone(),
         index,
     });
-    let available = SknoState::with_queue(0, q_r.clone(), false, full_run);
-    let silent = SknoState::with_queue(0, q_s.clone(), true, []);
+    let available = SknoState::with_queue(o, 0, q_r.clone(), false, full_run);
+    let silent = SknoState::with_queue(o, 0, q_s.clone(), true, []);
     let committed = skno.on_receive(&silent, &available);
     if committed.token_footprint() != available.token_footprint() {
         findings.push(Finding::error(
@@ -357,7 +360,7 @@ where
                 index,
             })
             .chain([Token::Joker]);
-        let available = SknoState::with_queue(0, q_r.clone(), false, partial);
+        let available = SknoState::with_queue(o, 0, q_r.clone(), false, partial);
         let committed = skno.on_receive(&silent, &available);
         if committed.owed_tokens() != 1 {
             findings.push(Finding::error(
@@ -376,7 +379,7 @@ where
                 state: q_s.clone(),
                 index: 1,
             };
-            let sender = SknoState::with_queue(1, q_s.clone(), true, [missing]);
+            let sender = SknoState::with_queue(o, 1, q_s.clone(), true, [missing]);
             let swapped = skno.on_receive(&sender, &committed);
             if swapped.owed_tokens() != 0
                 || swapped.queued_jokers() != committed.queued_jokers() + 1

@@ -497,8 +497,9 @@ fn skno_scenario() -> (
         .build();
     let path = Topology::from_edges(3, [(0, 1), (1, 2)]).expect("path of 3 is connected");
     let states = vec![
-        SknoState::with_queue(0, 'a', true, []),
+        SknoState::with_queue(0, 0, 'a', true, []),
         SknoState::with_queue(
+            0,
             1,
             'g',
             false,
@@ -517,7 +518,7 @@ fn skno_scenario() -> (
                 },
             ],
         ),
-        SknoState::with_queue(2, 'a', true, []),
+        SknoState::with_queue(0, 2, 'a', true, []),
     ];
     (protocol, path, states, ['f', 'g', 'a'])
 }

@@ -65,3 +65,12 @@ pub use sid::{RollbackPolicy, Sid, SidPhase, SidState};
 pub use skno::{
     sim_pressure, JokerBookkeeping, SimPressure, Skno, SknoState, Token, MAX_OMISSION_BOUND,
 };
+
+/// The pure form of an in-place hook: `f` applied to a clone of `q`, its
+/// `changed` flag dropped. Each simulator writes a transition once, in
+/// place, and derives the pure hook of `OneWayProgram` through here.
+fn updated<Q: Clone>(q: &Q, f: impl FnOnce(&mut Q) -> bool) -> Q {
+    let mut next = q.clone();
+    f(&mut next);
+    next
+}

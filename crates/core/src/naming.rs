@@ -26,7 +26,7 @@
 use ppfts_engine::OneWayProgram;
 use ppfts_population::{Configuration, State, Topology, TwoWayProtocol};
 
-use crate::{Commit, Sid, SidState, SimulatorState};
+use crate::{updated, Commit, Sid, SidState, SimulatorState};
 
 /// Per-agent state of the [`NamedSid`] simulator.
 ///
@@ -83,6 +83,10 @@ impl<Q: State> NamedState<Q> {
 }
 
 /// The naming-composed simulator: `Nn` below, [`Sid`] on top.
+///
+/// Its transition `f` is written once, as
+/// [`on_receive_in_place`](OneWayProgram::on_receive_in_place); the pure
+/// [`on_receive`](OneWayProgram::on_receive) applies it to a clone.
 ///
 /// # Example
 ///
@@ -222,61 +226,20 @@ impl<P: TwoWayProtocol> OneWayProgram for NamedSid<P> {
 
     // `on_proximity` keeps its identity default: this is an IO program.
 
+    /// `f`, derived from [`on_receive_in_place`](Self::on_receive_in_place).
     fn on_receive(&self, s: &Self::State, r: &Self::State) -> Self::State {
-        let n = self.n as u32;
-        let (s_my, s_max) = s.observed_ids(n);
-        // D4 ablation: a gossip-silent simulating starter is invisible to
-        // naming reactors.
-        if self.gossip == GossipPolicy::Disabled && s.is_simulating() && !r.is_simulating() {
-            return r.clone();
-        }
-        match r {
-            NamedState::Naming {
-                my_id,
-                max_id,
-                init,
-            } => {
-                // Collision rule: bump my_id when the starter shares it.
-                let mut my = *my_id;
-                if s_my == my {
-                    my += 1;
-                }
-                let max = (*max_id).max(s_max).max(my).max(s_my);
-                if max >= n {
-                    // Lemma 3: max_id = n certifies that all names are a
-                    // stable permutation of 1..=n — safe to start SID
-                    // with our own name (erratum: not with max_id).
-                    NamedState::Simulating {
-                        sid: SidState::new(my as u64, init.clone()),
-                    }
-                } else {
-                    NamedState::Naming {
-                        my_id: my,
-                        max_id: max,
-                        init: init.clone(),
-                    }
-                }
-            }
-            NamedState::Simulating { sid: r_sid } => match s {
-                // Both simulating: plain SID observation.
-                NamedState::Simulating { sid: s_sid } => NamedState::Simulating {
-                    sid: self.sid.observe(s_sid, r_sid),
-                },
-                // A still-naming starter carries no SID state to observe.
-                NamedState::Naming { .. } => r.clone(),
-            },
-        }
+        updated(r, |r| self.on_receive_in_place(s, r))
     }
-
-    // In-place overrides: naming updates two counters, simulation defers
-    // to SID's in-place handshake — no state construction on the no-op
-    // and counter-bump steps that dominate at scale.
 
     /// In-place `g`: the identity, so never a change and never a clone.
     fn on_proximity_in_place(&self, _q: &mut Self::State) -> bool {
         false
     }
 
+    /// In-place `f`, the one body of the composed transition: naming
+    /// updates two counters, simulation defers to `SID`'s in-place
+    /// handshake, so the no-op and counter-bump steps that dominate at
+    /// scale construct no state.
     fn on_receive_in_place(&self, s: &Self::State, r: &mut Self::State) -> bool {
         let n = self.n as u32;
         let (s_my, s_max) = s.observed_ids(n);
@@ -298,7 +261,9 @@ impl<P: TwoWayProtocol> OneWayProgram for NamedSid<P> {
                 }
                 let max = (*max_id).max(s_max).max(my).max(s_my);
                 if max >= n {
-                    // Lemma 3: safe to start SID with our own name.
+                    // Lemma 3: max_id = n certifies that all names are a
+                    // stable permutation of 1..=n — safe to start SID
+                    // with our own name (erratum: not with max_id).
                     *r = NamedState::Simulating {
                         sid: SidState::new(my as u64, init.clone()),
                     };
@@ -311,7 +276,9 @@ impl<P: TwoWayProtocol> OneWayProgram for NamedSid<P> {
                 }
             }
             NamedState::Simulating { sid: r_sid } => match s {
-                NamedState::Simulating { sid: s_sid } => self.sid.observe_in_place(s_sid, r_sid),
+                // Both simulating: plain SID observation.
+                NamedState::Simulating { sid: s_sid } => self.sid.on_receive_in_place(s_sid, r_sid),
+                // A still-naming starter carries no SID state to observe.
                 NamedState::Naming { .. } => false,
             },
         }

@@ -39,7 +39,7 @@
 use ppfts_engine::OneWayProgram;
 use ppfts_population::{Configuration, State, Topology, TwoWayProtocol};
 
-use crate::{Commit, Role, SimulatorState};
+use crate::{updated, Commit, Role, SimulatorState};
 
 /// Phase of the `SID` locking handshake.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -129,6 +129,11 @@ impl<Q: State> SidState<Q> {
 
 /// The `SID` simulator: wraps a [`TwoWayProtocol`] into an IO program,
 /// given unique agent IDs.
+///
+/// The reactor's transition `f` is written once, as
+/// [`on_receive_in_place`](OneWayProgram::on_receive_in_place): a no-op
+/// screen in front of Figure 3. The pure
+/// [`on_receive`](OneWayProgram::on_receive) applies it to a clone.
 ///
 /// # Example
 ///
@@ -264,94 +269,16 @@ impl<P: TwoWayProtocol> Sid<P> {
             .collect()
     }
 
-    /// One observation step: the full reactor logic of Figure 3, also
-    /// reused verbatim by the naming-composed simulator.
-    pub(crate) fn observe(
-        &self,
-        s: &SidState<P::State>,
-        r: &SidState<P::State>,
-    ) -> SidState<P::State> {
-        let mut r2 = r.clone();
-        match r.phase {
-            // Lines 3–5: start pairing with an available starter — a
-            // graph-adjacent one, in graphical mode.
-            SidPhase::Available if s.phase == SidPhase::Available && self.adjacent(s.id, r.id) => {
-                r2.phase = SidPhase::Pairing;
-                r2.other_id = Some(s.id);
-                r2.other_state = Some(s.sim.clone());
-            }
-            // Lines 6–9: the starter of the simulated interaction locks.
-            SidPhase::Available
-                if s.phase == SidPhase::Pairing
-                    && s.other_id == Some(r.id)
-                    && s.other_state.as_ref() == Some(&r.sim)
-                    && self.adjacent(s.id, r.id) =>
-            {
-                r2.phase = SidPhase::Locked;
-                r2.other_id = Some(s.id);
-                r2.other_state = Some(s.sim.clone());
-                r2.sim = self.protocol.starter_out(&r.sim, &s.sim);
-                r2.commit = Some(Commit {
-                    role: Role::Starter,
-                    partner: s.sim.clone(),
-                    partner_id: Some(s.id),
-                    seq: r2.commit_count(),
-                });
-            }
-            // Lines 10–13: the reactor of the simulated interaction
-            // finishes against its *saved* partner state (see erratum).
-            SidPhase::Pairing
-                if r.other_id == Some(s.id)
-                    && s.other_id == Some(r.id)
-                    && s.phase == SidPhase::Locked =>
-            {
-                let q_s = r
-                    .other_state
-                    .clone()
-                    .expect("pairing state always stores the partner state");
-                r2.sim = self.protocol.reactor_out(&q_s, &r.sim);
-                r2.phase = SidPhase::Available;
-                r2.other_id = None;
-                r2.other_state = None;
-                r2.commit = Some(Commit {
-                    role: Role::Reactor,
-                    partner: q_s,
-                    partner_id: Some(s.id),
-                    seq: r2.commit_count(),
-                });
-            }
-            // Lines 14–16: rollback — the tracked partner has moved on.
-            // Unlocks a locked agent whose partner finished, and frees a
-            // pairing agent whose target paired elsewhere.
-            _ if self.rollback == RollbackPolicy::Enabled
-                && r.other_id == Some(s.id)
-                && s.other_id != Some(r.id) =>
-            {
-                r2.phase = SidPhase::Available;
-                r2.other_id = None;
-                r2.other_state = None;
-            }
-            _ => {}
-        }
-        r2
-    }
-
-    /// In-place form of [`observe`](Sid::observe): mutates the reactor
-    /// state directly (no clone on the no-op arm) and reports whether it
-    /// changed behaviourally. Exactly equivalent to the pure observation
-    /// followed by a compare-and-store, including the ghost commit log.
-    pub(crate) fn observe_in_place(
-        &self,
-        s: &SidState<P::State>,
-        r: &mut SidState<P::State>,
-    ) -> bool {
-        // No-op screen. Most observations match no arm (about three steps
-        // in four of a sparse-graph run), and the short-circuit guards of
-        // the match below reach that verdict through a chain of
-        // unpredictable branches. Each arm's phase and ID guard, computed
-        // eagerly with `&` and `|`, admits a superset of the steps the arm
-        // acts on, so returning early here changes no outcome. The
-        // saved-state and adjacency tests stay in the arms they guard.
+    /// The no-op screen in front of [`act`](Sid::act). Most observations
+    /// match no arm (about three steps in four of a sparse-graph run), and
+    /// the short-circuit guards of `act`'s match reach that verdict
+    /// through a chain of unpredictable branches. Each arm's phase and ID
+    /// guard, computed eagerly with `&` and `|`, admits a superset of the
+    /// steps the arm acts on, so a closed screen skips only steps `act`
+    /// would leave unchanged. The saved-state and adjacency tests stay in
+    /// the arms they guard.
+    #[inline]
+    fn may_act(&self, s: &SidState<P::State>, r: &SidState<P::State>) -> bool {
         let r_tracks_s = r.other_id == Some(s.id);
         let s_tracks_r = s.other_id == Some(r.id);
         let r_available = r.phase == SidPhase::Available;
@@ -362,9 +289,13 @@ impl<P: TwoWayProtocol> Sid<P> {
             & r_tracks_s
             & s_tracks_r;
         let rollback = (self.rollback == RollbackPolicy::Enabled) & r_tracks_s & !s_tracks_r;
-        if !(pair | lock | finish | rollback) {
-            return false;
-        }
+        pair | lock | finish | rollback
+    }
+
+    /// One observation: the full reactor logic of Figure 3, applied to
+    /// the reactor state in place. Returns whether it changed
+    /// behaviourally; every arm that acts does change it.
+    fn act(&self, s: &SidState<P::State>, r: &mut SidState<P::State>) -> bool {
         match r.phase {
             // Lines 3–5: start pairing with an available starter — a
             // graph-adjacent one, in graphical mode.
@@ -417,6 +348,8 @@ impl<P: TwoWayProtocol> Sid<P> {
                 true
             }
             // Lines 14–16: rollback — the tracked partner has moved on.
+            // Unlocks a locked agent whose partner finished, and frees a
+            // pairing agent whose target paired elsewhere.
             _ if self.rollback == RollbackPolicy::Enabled
                 && r.other_id == Some(s.id)
                 && s.other_id != Some(r.id) =>
@@ -437,23 +370,22 @@ impl<P: TwoWayProtocol> OneWayProgram for Sid<P> {
     // `on_proximity` keeps its identity default: SID is a valid IO
     // program (the starter never even notices the interaction).
 
+    /// `f`, derived from [`on_receive_in_place`](Self::on_receive_in_place).
     fn on_receive(&self, s: &Self::State, r: &Self::State) -> Self::State {
-        self.observe(s, r)
+        updated(r, |r| self.on_receive_in_place(s, r))
     }
-
-    // In-place overrides: the handshake mutates the reactor's own fields,
-    // so a no-op observation (by far the most common step at scale) costs
-    // no state construction at all.
 
     /// In-place `g`: the identity, so never a change and never a clone.
     fn on_proximity_in_place(&self, _q: &mut Self::State) -> bool {
         false
     }
 
-    /// In-place `f`: the locking handshake applied directly to the
-    /// reactor.
+    /// In-place `f`, the one body of the locking handshake: the no-op
+    /// screen, then Figure 3 applied directly to the reactor, so a no-op
+    /// observation (by far the most common step at scale) costs no state
+    /// construction at all.
     fn on_receive_in_place(&self, s: &Self::State, r: &mut Self::State) -> bool {
-        self.observe_in_place(s, r)
+        self.may_act(s, r) && self.act(s, r)
     }
 
     /// Graphical simulators are bound to their interaction graph; the
@@ -602,13 +534,13 @@ mod tests {
         };
         // a0 still in 'c': lock fires.
         let a0 = SidState::new(0, 'c');
-        let locked = sid.observe(&s_pairing, &a0);
+        let locked = sid.on_receive(&s_pairing, &a0);
         assert_eq!(locked.phase(), SidPhase::Locked);
         assert_eq!(locked.simulated(), &'s'); // δ(c, p)[0] = cs
 
         // a0 moved to '_' meanwhile: guard fails, nothing happens.
         let a0_moved = SidState::new(0, '_');
-        let unchanged = sid.observe(&s_pairing, &a0_moved);
+        let unchanged = sid.on_receive(&s_pairing, &a0_moved);
         assert_eq!(unchanged.phase(), SidPhase::Available);
         assert_eq!(unchanged.commit_count(), 0);
     }
@@ -647,7 +579,7 @@ mod tests {
         s.other_id = Some(9);
         s.other_state = Some('p');
         let r = SidState::new(1, 'p');
-        let r2 = sid.observe(&s, &r);
+        let r2 = sid.on_receive(&s, &r);
         assert_eq!(r2.phase(), SidPhase::Available);
     }
 
@@ -708,24 +640,19 @@ mod tests {
                         if r.phase == SidPhase::Pairing && r.other_state.is_none() {
                             continue;
                         }
-                        let pure = sid.observe(s, r);
-                        let mut in_place = r.clone();
-                        let changed = sid.observe_in_place(s, &mut in_place);
-                        assert_eq!(
-                            in_place, pure,
-                            "s = {s:?}, r = {r:?}, {graphical}, {rollback:?}"
-                        );
-                        assert_eq!(
-                            in_place.last_commit(),
-                            pure.last_commit(),
-                            "s = {s:?}, r = {r:?}, {graphical}, {rollback:?}"
-                        );
-                        assert_eq!(in_place.commit_count(), pure.commit_count());
-                        assert_eq!(
-                            changed,
-                            pure != *r,
-                            "s = {s:?}, r = {r:?}, {graphical}, {rollback:?}"
-                        );
+                        let mut body = r.clone();
+                        let acted = sid.act(s, &mut body);
+                        let mut screened = r.clone();
+                        let changed = sid.on_receive_in_place(s, &mut screened);
+                        let at = format!("s = {s:?}, r = {r:?}, {graphical}, {rollback:?}");
+                        assert_eq!(screened, body, "{at}");
+                        assert_eq!(screened.last_commit(), body.last_commit(), "{at}");
+                        assert_eq!(screened.commit_count(), body.commit_count(), "{at}");
+                        assert_eq!(changed, screened != *r, "{at}");
+                        assert_eq!(acted, body != *r, "{at}");
+                        let pure = sid.on_receive(s, r);
+                        assert_eq!(pure, screened, "{at}");
+                        assert_eq!(pure.last_commit(), screened.last_commit(), "{at}");
                         changed_steps += usize::from(changed);
                     }
                 }

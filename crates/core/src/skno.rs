@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use ppfts_engine::OneWayProgram;
 use ppfts_population::{Configuration, State, Topology, TwoWayProtocol};
 
-use crate::{Commit, Role, SimulatorState};
+use crate::{updated, Commit, Role, SimulatorState};
 
 /// A token circulating between `SKnO` agents.
 ///
@@ -689,18 +689,35 @@ impl<Q: State> SknoState<Q> {
     /// Builds a simulator state with an explicit queue — the entry point
     /// for the static analyzer's bookkeeping probes, which drive the
     /// reactor procedure from hand-crafted token configurations instead
-    /// of full executions.
+    /// of full executions. `omission_bound` is the `o` of the simulator
+    /// the state is probed with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run or change token's position lies outside `1..=o+1`:
+    /// the reactor procedure assumes every position fits its run.
     pub fn with_queue(
+        omission_bound: u32,
         site: u32,
         sim: Q,
         pending: bool,
         tokens: impl IntoIterator<Item = Token<Q>>,
     ) -> Self {
+        let sending: TokenQueue<Q> = tokens.into_iter().collect();
+        let run_len = u64::from(omission_bound) + 1;
+        for t in sending.iter() {
+            if let Some((_, i)) = t.key_ref() {
+                assert!(
+                    (1..=run_len).contains(&u64::from(i)),
+                    "token {t:?} lies outside the run positions 1..=o+1 = 1..={run_len} (o = {omission_bound})"
+                );
+            }
+        }
         SknoState {
             sim,
             site,
             pending,
-            sending: tokens.into_iter().collect(),
+            sending,
             owed: Vec::new(),
             index: RunIndex::default(),
             commit: None,
@@ -793,6 +810,9 @@ pub const MAX_OMISSION_BOUND: u32 = 127;
 /// The `SKnO` simulator: wraps a [`TwoWayProtocol`] into a
 /// [`OneWayProgram`] for models I3/I4, given an omission bound
 /// `o ≤ `[`MAX_OMISSION_BOUND`].
+///
+/// Each of the hooks `g`, `f`, `o` and `h` is written once, as its
+/// in-place form (`on_*_in_place`); the pure hooks apply it to a clone.
 ///
 /// # Example
 ///
@@ -1094,12 +1114,14 @@ impl<P: TwoWayProtocol> Skno<P> {
     }
 
     /// Announcement fill: an available agent with an empty queue goes
-    /// pending and enqueues the full run for its simulated state.
-    fn fill(&self, s: &mut SknoState<P::State>) {
-        if !s.pending && s.sending.is_empty() {
+    /// pending and enqueues the run for its simulated state from position
+    /// `first` on. Returns whether the fill was due.
+    fn fill(&self, s: &mut SknoState<P::State>, first: u32) -> bool {
+        let due = !s.pending && s.sending.is_empty();
+        if due {
             s.pending = true;
             let origin = self.mint_origin(s);
-            for i in 1..=self.run_len() {
+            for i in first..=self.run_len() {
                 let token = Token::Run {
                     origin,
                     state: s.sim.clone(),
@@ -1108,6 +1130,7 @@ impl<P: TwoWayProtocol> Skno<P> {
                 s.push_token(token);
             }
         }
+        due
     }
 
     /// Enqueues a received token, applying the Rummy swap: a token whose
@@ -1379,98 +1402,47 @@ impl<P: TwoWayProtocol> Skno<P> {
 impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
     type State = SknoState<P::State>;
 
-    /// `g`: the starter fills its announcement if due and transmits (pops)
-    /// its head token.
+    /// `g`, derived from [`on_proximity_in_place`](Self::on_proximity_in_place).
     fn on_proximity(&self, s: &Self::State) -> Self::State {
-        if !s.pending && s.sending.is_empty() {
-            // Fill-then-pop, built directly: the head ⟨sim, 1⟩ is the one
-            // transmitted, so the new queue is ⟨sim, 2⟩ … ⟨sim, o+1⟩.
-            let origin = self.mint_origin(s);
-            let mut sending = TokenQueue::new();
-            for i in 2..=self.run_len() {
-                sending.push_back(Token::Run {
-                    origin,
-                    state: s.sim.clone(),
-                    index: i,
-                });
-            }
-            return SknoState {
-                sim: s.sim.clone(),
-                site: s.site,
-                pending: true,
-                sending,
-                owed: s.owed.clone(),
-                index: RunIndex::default(),
-                commit: s.commit.clone(),
-                commits: s.commits,
-            };
-        }
-        let mut s2 = s.clone();
-        s2.pop_token();
-        s2
+        updated(s, |s| self.on_proximity_in_place(s))
+    }
+
+    /// `f`, derived from [`on_receive_in_place`](Self::on_receive_in_place).
+    fn on_receive(&self, s: &Self::State, r: &Self::State) -> Self::State {
+        updated(r, |r| self.on_receive_in_place(s, r))
+    }
+
+    /// `o`, derived from
+    /// [`on_omission_starter_in_place`](Self::on_omission_starter_in_place).
+    fn on_omission_starter(&self, s: &Self::State) -> Self::State {
+        updated(s, |s| self.on_omission_starter_in_place(s))
+    }
+
+    /// `h`, derived from
+    /// [`on_omission_reactor_in_place`](Self::on_omission_reactor_in_place).
+    fn on_omission_reactor(&self, r: &Self::State) -> Self::State {
+        updated(r, |r| self.on_omission_reactor_in_place(r))
+    }
+
+    // The in-place hooks are the one body of each transition and the hot
+    // path of the E5-scale measurements. Token queues mutate in their own
+    // buffers — steady-state execution allocates nothing — and `changed`
+    // is derived from what actually happened, which is exact because
+    // every action below touches the behavioral fields (never only the
+    // ghost commit log).
+
+    /// `g`: the starter fills its announcement if due and transmits (pops)
+    /// its head token. Fill-then-pop transmits the head ⟨sim, 1⟩, so the
+    /// fill starts at ⟨sim, 2⟩. Changed unless a pending agent's queue is
+    /// drained (then there is nothing to pop and nothing to fill).
+    fn on_proximity_in_place(&self, s: &mut Self::State) -> bool {
+        self.fill(s, 2) || s.pop_token().is_some()
     }
 
     /// `f`: the reactor receives the starter's head token, applies the
-    /// Rummy swap, then runs the preliminary and core checks.
-    fn on_receive(&self, s: &Self::State, r: &Self::State) -> Self::State {
-        let mut r2 = r.clone();
-        if let Some(token) = self.outgoing(s) {
-            self.enqueue(&mut r2, token);
-        }
-        self.checks(&mut r2);
-        r2
-    }
-
-    /// `o` (model I4): the starter detects the loss, keeps its token, and
-    /// mints the compensating joker (the reactor of this omissive
-    /// interaction unknowingly applied `g` and popped a token into the
-    /// void).
-    fn on_omission_starter(&self, s: &Self::State) -> Self::State {
-        let mut s2 = s.clone();
-        self.fill(&mut s2);
-        s2.push_token(Token::Joker);
-        s2
-    }
-
-    /// `h` (model I3): the reactor detects the loss and enqueues a joker
-    /// in place of the token it should have received, then runs its
-    /// checks.
-    fn on_omission_reactor(&self, r: &Self::State) -> Self::State {
-        let mut r2 = r.clone();
-        r2.push_token(Token::Joker);
-        self.checks(&mut r2);
-        r2
-    }
-
-    // In-place overrides: the hot path of the E5-scale measurements.
-    // Token queues mutate in their own buffers — steady-state execution
-    // allocates nothing — and `changed` is derived from what actually
-    // happened, which is exact because every action below touches the
-    // behavioral fields (never only the ghost commit log).
-
-    /// In-place `g`: changed unless a pending agent's queue is drained
-    /// (then there is nothing to pop and nothing to fill).
-    fn on_proximity_in_place(&self, s: &mut Self::State) -> bool {
-        if !s.pending && s.sending.is_empty() {
-            // Fill-then-pop: the head ⟨sim, 1⟩ is transmitted, leaving
-            // ⟨sim, 2⟩ … ⟨sim, o+1⟩ queued.
-            s.pending = true;
-            let origin = self.mint_origin(s);
-            for i in 2..=self.run_len() {
-                let token = Token::Run {
-                    origin,
-                    state: s.sim.clone(),
-                    index: i,
-                };
-                s.push_token(token);
-            }
-            return true;
-        }
-        s.pop_token().is_some()
-    }
-
-    /// In-place `f`: a delivered token always changes the queue; without
-    /// one (drained pending starter), only a check action changes state.
+    /// Rummy swap, then runs the preliminary and core checks. A delivered
+    /// token always changes the queue; without one (drained pending
+    /// starter), only a check action changes state.
     fn on_receive_in_place(&self, s: &Self::State, r: &mut Self::State) -> bool {
         let mut changed = false;
         if let Some(token) = self.outgoing(s) {
@@ -1481,15 +1453,19 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
         changed || acted
     }
 
-    /// In-place `o`: filling (if due) and the minted joker always grow
-    /// the queue.
+    /// `o` (model I4): the starter detects the loss, keeps its token, and
+    /// mints the compensating joker (the reactor of this omissive
+    /// interaction unknowingly applied `g` and popped a token into the
+    /// void). Filling (if due) and the minted joker always grow the queue.
     fn on_omission_starter_in_place(&self, s: &mut Self::State) -> bool {
-        self.fill(s);
+        self.fill(s, 1);
         s.push_token(Token::Joker);
         true
     }
 
-    /// In-place `h`: the minted joker always grows the queue.
+    /// `h` (model I3): the reactor detects the loss and enqueues a joker
+    /// in place of the token it should have received, then runs its
+    /// checks. The minted joker always grows the queue.
     fn on_omission_reactor_in_place(&self, r: &mut Self::State) -> bool {
         r.push_token(Token::Joker);
         self.checks(r);
@@ -1736,7 +1712,7 @@ mod tests {
         // path needs a crafted queue instead: feed a0 its own token back.
         let skno = Skno::new(pairing(), 0);
         let mut s = SknoState::new('c');
-        skno.fill(&mut s);
+        skno.fill(&mut s, 1);
         assert!(s.is_pending());
         // Simulate the announcement returning home.
         let tok = s.sending.pop_front().unwrap();
@@ -1832,8 +1808,8 @@ mod tests {
         let skno3 = Skno::new(pairing(), 3);
         let mut a = SknoState::new('c');
         let mut b = SknoState::new('c');
-        skno0.fill(&mut a);
-        skno3.fill(&mut b);
+        skno0.fill(&mut a, 1);
+        skno3.fill(&mut b, 1);
         assert_eq!(a.token_footprint(), 1);
         assert_eq!(b.token_footprint(), 4);
     }
@@ -1865,6 +1841,42 @@ mod tests {
             assert_eq!(*reactor.simulated(), '_');
             assert_eq!(reactor.owed_tokens(), 1);
             assert_eq!(reactor.queued_tokens(), 128, "the change run");
+        }
+    }
+
+    #[test]
+    fn with_queue_rejects_positions_outside_the_run() {
+        // o = 1: runs hold positions 1..=2.
+        let run = |index| Token::Run {
+            origin: 0,
+            state: 'c',
+            index,
+        };
+        let change = |index| Token::Change {
+            origin: 0,
+            target: 0,
+            starter: 'p',
+            reactor: 'c',
+            index,
+        };
+        for token in [run(0), run(3), change(0), change(3)] {
+            let shown = format!("{token:?}");
+            let err = std::panic::catch_unwind(|| SknoState::with_queue(1, 0, 'p', false, [token]))
+                .expect_err(&shown);
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains(&shown), "{msg}");
+            assert!(msg.contains("1..=o+1 = 1..=2 (o = 1)"), "{msg}");
+        }
+        // Position o + 1 is accepted: with one more joker it completes
+        // the run, and the reactor commits, in both modes alike.
+        for skno in [
+            Skno::new(pairing(), 1),
+            Skno::new(pairing(), 1).scan_reference(),
+        ] {
+            let probe = SknoState::with_queue(1, 0, 'p', false, [run(2), change(2)]);
+            let after = skno.on_omission_reactor(&probe);
+            assert_eq!(*after.simulated(), '_');
+            assert_eq!(after.owed_tokens(), 1);
         }
     }
 

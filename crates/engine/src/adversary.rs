@@ -45,9 +45,9 @@ pub trait OmissionStrategy {
     /// anonymous count backend). The default ignores the pair and
     /// forwards to [`decide`](Self::decide), so existing strategies are
     /// unaffected; only *targeted* strategies (e.g. the schedule
-    /// compiler's cut-vertex events) override it — and must also
-    /// override [`targeted`](Self::targeted) so runners can reject
-    /// backends that cannot supply the pair.
+    /// compiler's cut-vertex events) override it. On a backend that
+    /// passes `None` (the count backend has no agent identities to
+    /// target) a targeted strategy degrades to its untargeted behaviour.
     fn decide_at(
         &mut self,
         step: u64,
@@ -56,15 +56,6 @@ pub trait OmissionStrategy {
     ) -> bool {
         let _ = interaction;
         self.decide(step, rng)
-    }
-
-    /// Whether [`decide_at`](Self::decide_at) inspects the drawn pair.
-    ///
-    /// Targeted strategies return `true`; such strategies silently
-    /// degrade to their untargeted behaviour on backends that pass
-    /// `None` (the count backend has no agent identities to target).
-    fn targeted(&self) -> bool {
-        false
     }
 
     /// Total omissions injected so far.
@@ -119,9 +110,6 @@ impl<A: OmissionStrategy + ?Sized> OmissionStrategy for &mut A {
         rng: &mut dyn RngCore,
     ) -> bool {
         (**self).decide_at(step, interaction, rng)
-    }
-    fn targeted(&self) -> bool {
-        (**self).targeted()
     }
     fn injected(&self) -> u64 {
         (**self).injected()

@@ -147,8 +147,9 @@ pub trait OneWayProgram {
     // contract is exact equivalence with its pure form:
     // `hook_in_place(q)` must leave `q == hook(&old_q)` and return
     // `q != old_q` under the state's `PartialEq`. The defaults delegate
-    // to the pure hooks, so only programs with allocation-heavy states
-    // (e.g. `SKnO`'s token queues) need to override them.
+    // to the pure hooks. A program may instead write the in-place hook as
+    // the one body and derive the pure hook from it (apply it to a
+    // clone), as the `ppfts-core` simulators do.
 
     /// In-place [`on_proximity`](Self::on_proximity).
     fn on_proximity_in_place(&self, q: &mut Self::State) -> bool {

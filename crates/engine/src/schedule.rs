@@ -233,10 +233,6 @@ impl OmissionStrategy for OmissionSchedule {
         false
     }
 
-    fn targeted(&self) -> bool {
-        self.events.iter().any(|e| e.target.is_some())
-    }
-
     fn injected(&self) -> u64 {
         self.injected
     }
@@ -291,7 +287,6 @@ mod tests {
             None,
             0,
         );
-        assert!(adv.targeted());
         let miss = Interaction::new(1, 2).unwrap();
         let hit = Interaction::new(7, 3).unwrap();
         assert!(!adv.decide_at(0, Some(miss), &mut rng));
