@@ -18,7 +18,9 @@
 //!   and [`SidePolicy::Uniform`] through `Batched` + `Stop::steps` — the
 //!   interleaved count path, whose omissive steps also draw a side;
 //! * the epidemic under T1 on a small count population through `Epochs`
-//!   — the epoch path's i.i.d. fault mix.
+//!   — the epoch path's i.i.d. fault mix;
+//! * the epidemic under TW on 10⁵ counted agents through `Epochs` — the
+//!   fault-free epoch path, whose batches draw no outcome class.
 
 use ppfts::core::{project, Sid, Skno};
 use ppfts::engine::{
@@ -133,6 +135,24 @@ fn epidemic_t1_counts(seed: u64, epochs: bool) -> Pin {
     )
 }
 
+/// The fault-free epidemic under TW on 10⁵ counted agents through
+/// `Epochs`, stopped mid-epidemic.
+fn epidemic_tw_epochs(seed: u64) -> Pin {
+    let n = 100_000;
+    let mut runner = TwoWayRunner::builder(TwoWayModel::Tw, Epidemic)
+        .population(CountConfiguration::from_groups([(true, 1), (false, n - 1)]))
+        .seed(seed)
+        .trace_sink(StatsOnly)
+        .build()
+        .unwrap();
+    runner.run(Epochs, Stop::steps(600_000)).unwrap();
+    (
+        runner.steps(),
+        runner.stats(),
+        runner.config().count_state(&true),
+    )
+}
+
 #[test]
 fn sid_on_random_regular_under_io() {
     assert_eq!(sid_rr4(1), (57_344, stats(57_344, 0, 15_176, 42_168), 256));
@@ -177,5 +197,14 @@ fn epidemic_on_counts_under_t1() {
                 "seed {seed}, epochs {path}"
             );
         }
+    }
+}
+
+#[test]
+fn epidemic_on_counts_under_tw_through_epochs() {
+    let pins = [(44_939, 555_061), (74_455, 525_545), (15_383, 584_617)];
+    for (seed, (changed, noop)) in (1..).zip(pins) {
+        let pin = (600_000, stats(600_000, 0, changed, noop), changed as usize + 1);
+        assert_eq!(epidemic_tw_epochs(seed), pin, "seed {seed}");
     }
 }
