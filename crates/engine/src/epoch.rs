@@ -76,7 +76,7 @@
 //! `interleaved_law_eq_epochs_*` rows of `tests/differential.rs` and by
 //! this module's exact-law test against a sequential reference).
 
-use ppfts_population::dist::{self, AliasTable};
+use ppfts_population::dist;
 use ppfts_population::{CountConfiguration, State};
 use rand::rngs::SmallRng;
 use rand::RngCore;
@@ -303,10 +303,15 @@ const BATCH_TOUCHED: f64 = 3.0;
 /// state (all vectors are `clear()`ed and refilled), which matters when a
 /// run at n = 10⁶ executes tens of thousands of batches.
 struct Scratch<Q> {
-    /// Snapshot of the configuration: (state, count) groups.
+    /// The backend's (state, count) groups, read at each re-snapshot.
     snap: Vec<(Q, u64)>,
-    /// Counts of `snap`, split out for slice-shaped samplers.
+    /// Counts of the snapshot's states (`table.states`). A commit writes
+    /// them in place, so they stay the backend's live counts, in its
+    /// order, until a state appears or dies.
     counts: Vec<u64>,
+    /// A commit added or emptied a state, so `counts` no longer lines up
+    /// with the backend and the next step re-snapshots.
+    stale: bool,
     /// Unrevealed counts, then minus the drawn starters (the sources of
     /// the starter and reactor splits).
     rem: Vec<u64>,
@@ -328,14 +333,12 @@ struct Scratch<Q> {
     /// ones and the `2 · fresh` of unrealized fresh interactions.
     unrevealed: u64,
     /// Post-interaction pool of the touched agents whose states are
-    /// known.
-    updated: Vec<(Q, u64)>,
-    /// Final per-snapshot-state counts of the commit writeback.
-    final_counts: Vec<u64>,
+    /// known: (state, snapshot index, count).
+    updated: Vec<(Agent<Q>, u64)>,
     /// Updated-pool states absent from the snapshot (new states).
     extras: Vec<(Q, u64)>,
-    /// Outcome classes of a single-fault interaction (a collision or an
-    /// event).
+    /// Outcome classes of a collision pair with a state outside the
+    /// snapshot, merged over the full mix.
     classes: Vec<OutcomeClass<Q>>,
     /// Outcome classes of every ordered pair of the snapshot's states.
     table: ClassTable<Q>,
@@ -346,11 +349,16 @@ struct Scratch<Q> {
     undrawn: Vec<(f64, u64)>,
 }
 
+/// A state with its index in the snapshot (`None` for a state outside
+/// it), so an interaction finds its class-table cell without a search.
+type Agent<Q> = (Q, Option<usize>);
+
 impl<Q: State> Scratch<Q> {
     fn new() -> Self {
         Scratch {
             snap: Vec::new(),
             counts: Vec::new(),
+            stale: true,
             rem: Vec::new(),
             starters: Vec::new(),
             reactors: Vec::new(),
@@ -361,7 +369,6 @@ impl<Q: State> Scratch<Q> {
             fresh: 0,
             unrevealed: 0,
             updated: Vec::new(),
-            final_counts: Vec::new(),
             extras: Vec::new(),
             classes: Vec::new(),
             table: ClassTable {
@@ -382,6 +389,7 @@ impl<Q: State> Scratch<Q> {
         self.counts.clear();
         self.counts.extend(self.snap.iter().map(|&(_, c)| c));
         self.table.sync(&self.snap);
+        self.stale = false;
     }
 }
 
@@ -389,9 +397,6 @@ impl<Q: State> Scratch<Q> {
 /// one interaction resolves under a fault.
 struct Law<'m, F, O, M> {
     fault_mix: &'m [(F, f64)],
-    /// One alias table over the mix serves every single-fault draw of the
-    /// call: built once, O(1) per draw.
-    fault_alias: Option<AliasTable>,
     outcome_of: O,
     is_omissive: M,
     /// Total weight of the mix, summed in mix order: the weight of an
@@ -404,10 +409,6 @@ struct Law<'m, F, O, M> {
 impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
     fn new(fault_mix: &'m [(F, f64)], outcome_of: O, is_omissive: M) -> Self {
         debug_assert!(!fault_mix.is_empty(), "fault mix includes the None entry");
-        let fault_alias = (fault_mix.len() > 1).then(|| {
-            let weights: Vec<f64> = fault_mix.iter().map(|&(_, w)| w).collect();
-            AliasTable::new(&weights).expect("fault mix weights are positive and finite")
-        });
         // The same sums, in the same order, as `classes_into` forms for a
         // class holding the whole mix, so both key one omission tally.
         let (mut weight, mut omissive_weight) = (0.0, 0.0);
@@ -417,7 +418,6 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
         }
         Law {
             fault_mix,
-            fault_alias,
             outcome_of,
             is_omissive,
             weight,
@@ -425,41 +425,41 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
         }
     }
 
-    fn draw_fault(&self, rng: &mut SmallRng) -> F {
-        match &self.fault_alias {
-            Some(table) => self.fault_mix[table.sample(rng)].0,
-            None => self.fault_mix[0].0,
-        }
-    }
-
-    /// Appends the outcome classes of the pair `(s, r)` under `mix` to
-    /// `out`. Faults with equal `Ok` outcomes share a class; an `Err`
-    /// outcome is a class of its own.
+    /// Appends the outcome classes of the pair `(s, r)` under the mix to
+    /// `out`, each outcome state with its index in `states`. Faults with
+    /// equal `Ok` outcomes share a class; an `Err` outcome is a class of
+    /// its own.
     fn classes_into<Q: State>(
         &mut self,
         s: &Q,
         r: &Q,
-        mix: &[(F, f64)],
+        states: &[Q],
         out: &mut Vec<OutcomeClass<Q>>,
     ) where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
     {
         let first = out.len();
-        for &(fault, w) in mix {
+        for &(fault, w) in self.fault_mix {
             let outcome = (self.outcome_of)(s, r, fault);
             let omissive_weight = if (self.is_omissive)(&fault) { w } else { 0.0 };
             let same = match &outcome {
-                Ok(o) => out[first..]
-                    .iter_mut()
-                    .find(|c| c.outcome.as_ref().is_ok_and(|x| x == o)),
+                Ok((s2, r2)) => out[first..].iter_mut().find(|c| {
+                    c.outcome
+                        .as_ref()
+                        .is_ok_and(|((x, _), (y, _))| x == s2 && y == r2)
+                }),
                 Err(_) => None,
             };
             if let Some(class) = same {
                 class.weight += w;
                 class.omissive_weight += omissive_weight;
             } else {
+                let at = |q: &Q| states.iter().position(|x| x == q);
                 out.push(OutcomeClass {
-                    outcome,
+                    outcome: outcome.map(|(s2, r2)| {
+                        let (i, j) = (at(&s2), at(&r2));
+                        ((s2, i), (r2, j))
+                    }),
                     weight: w,
                     omissive_weight,
                 });
@@ -469,9 +469,9 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
 }
 
 /// The outcome classes of every ordered pair over one live state list,
-/// each pair's filled on first read. Bulk groups, the inert test and the
-/// event draw all read it, so a pair's faults are merged once per state
-/// list rather than once per epoch.
+/// each pair's filled on first read. Bulk groups, collisions, the inert
+/// test and event steps all read it, so a pair's faults are merged once
+/// per state list rather than once per interaction.
 struct ClassTable<Q> {
     states: Vec<Q>,
     /// Per ordered pair, row-major over `states`, once filled.
@@ -516,12 +516,10 @@ impl<Q: State> ClassTable<Q> {
             return cell;
         }
         let start = self.classes.len();
-        let (s, r) = (&self.states[i], &self.states[j]);
-        let mix = law.fault_mix;
-        law.classes_into(s, r, mix, &mut self.classes);
+        law.classes_into(&self.states[i], &self.states[j], &self.states, &mut self.classes);
         let inert = matches!(
             &self.classes[start..],
-            [class] if class.outcome.as_ref().is_ok_and(|(s2, r2)| s2 == s && r2 == r)
+            [class] if class.outcome.as_ref().is_ok_and(|((_, s2), (_, r2))| *s2 == Some(i) && *r2 == Some(j))
         );
         let cell = Cell {
             start,
@@ -610,9 +608,9 @@ where
 
 /// [`run_epochs_driver`] with its two measured constants as parameters:
 /// a batch runs whenever `p_act · E[ℓ] ≥ event_below` (so 0 forces
-/// batches), and ends after the collision that brings the touched agents
-/// to `batch_touched · √n` (0 ends it at its first collision, ∞ only at
-/// the budget).
+/// batches, ∞ event steps), and ends after the collision that brings the
+/// touched agents to `batch_touched · √n` (0 ends it at its first
+/// collision, ∞ only at the budget).
 #[allow(clippy::too_many_arguments)]
 fn drive<C, F, O, M, B>(
     config: &mut C,
@@ -647,7 +645,9 @@ where
     let mut remaining = budget;
     let result = 'run: {
         while remaining > 0 {
-            sc.snapshot(config);
+            if sc.stale {
+                sc.snapshot(config);
+            }
             let active = sc.table.active_pairs(&sc.counts, &mut law, &mut sc.active);
             let p_act = (active / pairs).min(1.0);
             if p_act * lengths.mean >= event_below {
@@ -736,7 +736,7 @@ where
 {
     let mut delta = RunStats::default();
     sc.revealed.clear();
-    sc.revealed.resize(sc.snap.len(), 0);
+    sc.revealed.resize(sc.counts.len(), 0);
     sc.updated.clear();
     sc.undrawn.clear();
     (sc.touched, sc.fresh, sc.unrevealed) = (0, 0, lengths.n);
@@ -786,8 +786,8 @@ where
             sc.reactors_left[j] -= k;
             let cell = sc.table.cell(i, j, law);
             apply_group(
-                &sc.snap[i].0,
-                &sc.snap[j].0,
+                &sc.table.states[i],
+                &sc.table.states[j],
                 k,
                 &sc.table.classes[cell.start..cell.end],
                 &mut sc.updated,
@@ -797,16 +797,24 @@ where
             )?;
         }
     }
+    // Every agent drawn this batch leaves its snapshot count; the pool
+    // pours the post-states back at the commit.
+    for (i, c) in sc.counts.iter_mut().enumerate() {
+        let drawn = sc.starters[i] + sc.reactors[i] + sc.revealed[i];
+        debug_assert!(drawn <= *c);
+        *c -= drawn;
+    }
     commit(config, stats, undrawn, &delta, sc);
     Ok(steps)
 }
 
 impl<Q: State> Scratch<Q> {
     /// Executes one collision: an interaction with at least one touched
-    /// endpoint, its fault drawn from the mix. Conditioned on colliding,
-    /// the starter is touched with probability `(t/n) / (1 − survive)`;
-    /// a touched starter's reactor is touched with probability
-    /// `(t−1)/(n−1)`, and an untouched starter's reactor always is.
+    /// endpoint, its outcome class drawn by weight. Conditioned on
+    /// colliding, the starter is touched with probability
+    /// `(t/n) / (1 − survive)`; a touched starter's reactor is touched
+    /// with probability `(t−1)/(n−1)`, and an untouched starter's reactor
+    /// always is.
     fn collide<F: Copy, O, M>(
         &mut self,
         n: u64,
@@ -821,34 +829,34 @@ impl<Q: State> Scratch<Q> {
         let (nf, t) = (n as f64, self.touched as f64);
         let survive = (nf - t) * (nf - t - 1.0) / (nf * (nf - 1.0));
         let p_starter_touched = (t / nf) / (1.0 - survive);
-        let fault = law.draw_fault(rng);
-        let (qs, qr, untouched);
+        let (s, r, untouched);
         if dist::uniform_f64(rng) < p_starter_touched {
-            qs = self.take_touched(self.touched, law, delta, rng)?;
+            s = self.take_touched(self.touched, law, delta, rng)?;
             if dist::uniform_f64(rng) < (t - 1.0) / (nf - 1.0) {
-                qr = self.take_touched(self.touched - 1, law, delta, rng)?;
+                r = self.take_touched(self.touched - 1, law, delta, rng)?;
                 untouched = 0;
             } else {
-                qr = self.take_untouched(rng);
+                r = self.take_untouched(rng);
                 untouched = 1;
             }
         } else {
-            qs = self.take_untouched(rng);
-            qr = self.take_touched(self.touched, law, delta, rng)?;
+            s = self.take_untouched(rng);
+            r = self.take_touched(self.touched, law, delta, rng)?;
             untouched = 1;
         }
-        self.classes.clear();
-        law.classes_into(&qs, &qr, &[(fault, 1.0)], &mut self.classes);
-        apply_group(
-            &qs,
-            &qr,
-            1,
-            &self.classes,
-            &mut self.updated,
-            &mut self.undrawn,
-            delta,
-            rng,
-        )?;
+        // A pair with a state outside the snapshot merges its classes
+        // over the full mix; every other pair reads the table.
+        let classes = if let (Some(i), Some(j)) = (s.1, r.1) {
+            let cell = self.table.cell(i, j, law);
+            &self.table.classes[cell.start..cell.end]
+        } else {
+            self.classes.clear();
+            law.classes_into(&s.0, &r.0, &self.table.states, &mut self.classes);
+            &self.classes
+        };
+        let (s2, r2) = apply_one(&s.0, &r.0, classes, &mut self.undrawn, delta, rng)?;
+        pool_add(&mut self.updated, &s2, 1);
+        pool_add(&mut self.updated, &r2, 1);
         self.touched += untouched;
         Ok(())
     }
@@ -865,7 +873,7 @@ impl<Q: State> Scratch<Q> {
         law: &mut Law<F, O, M>,
         delta: &mut RunStats,
         rng: &mut SmallRng,
-    ) -> Result<Q, EngineError>
+    ) -> Result<Agent<Q>, EngineError>
     where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
         M: Fn(&F) -> bool,
@@ -880,8 +888,8 @@ impl<Q: State> Scratch<Q> {
         let j = self.take_unrevealed(rng);
         let cell = self.table.cell(i, j, law);
         let (s2, r2) = apply_one(
-            &self.snap[i].0,
-            &self.snap[j].0,
+            &self.table.states[i],
+            &self.table.states[j],
             &self.table.classes[cell.start..cell.end],
             &mut self.undrawn,
             delta,
@@ -898,9 +906,9 @@ impl<Q: State> Scratch<Q> {
     }
 
     /// The state of one untouched agent, drawn from the unrevealed ones.
-    fn take_untouched(&mut self, rng: &mut SmallRng) -> Q {
+    fn take_untouched(&mut self, rng: &mut SmallRng) -> Agent<Q> {
         let i = self.take_unrevealed(rng);
-        self.snap[i].0.clone()
+        (self.table.states[i].clone(), Some(i))
     }
 
     /// Reveals one unrevealed agent uniformly (weights: snapshot counts
@@ -922,7 +930,9 @@ impl<Q: State> Scratch<Q> {
 
 /// Executes one non-inert interaction from the current snapshot: the
 /// ordered state pair drawn by weight among `sc.active` (`active` in
-/// total), the fault from the mix.
+/// total), its outcome class by weight from the class table. The two
+/// agents leave the snapshot counts in place and their post-states go
+/// through the one commit.
 ///
 /// On error nothing is committed.
 fn run_one_event<C, F, O, M>(
@@ -941,39 +951,32 @@ where
     M: Fn(&F) -> bool,
 {
     let &(i, j, _) = pick(&sc.active, |&(_, _, w)| w, active, rng);
-    let fault = law.draw_fault(rng);
-    let d = sc.snap.len();
-    for drawn in [&mut sc.starters, &mut sc.reactors, &mut sc.revealed] {
-        drawn.clear();
-        drawn.resize(d, 0);
-    }
-    sc.starters[i] = 1;
-    sc.reactors[j] = 1;
-    sc.updated.clear();
-    sc.undrawn.clear();
-    sc.classes.clear();
-    let (s, r) = (&sc.snap[i].0, &sc.snap[j].0);
-    law.classes_into(s, r, &[(fault, 1.0)], &mut sc.classes);
+    let cell = sc.table.cell(i, j, law);
     let mut delta = RunStats::default();
-    apply_group(
-        s,
-        r,
-        1,
-        &sc.classes,
-        &mut sc.updated,
+    sc.undrawn.clear();
+    let (s2, r2) = apply_one(
+        &sc.table.states[i],
+        &sc.table.states[j],
+        &sc.table.classes[cell.start..cell.end],
         &mut sc.undrawn,
         &mut delta,
         rng,
     )?;
+    sc.counts[i] -= 1;
+    sc.counts[j] -= 1;
+    sc.updated.clear();
+    pool_add(&mut sc.updated, &s2, 1);
+    pool_add(&mut sc.updated, &r2, 1);
     commit(config, stats, undrawn, &delta, sc);
     Ok(())
 }
 
-/// Commits a step: each snapshot state keeps its agents that were neither
-/// revealed nor split, plus whatever the updated pool pours back into it;
-/// pool states outside the snapshot are new. One aligned writeback, no
-/// keyed lookups. The step's `delta` and omission tally then join the
-/// call's.
+/// Commits a step: `sc.counts` already holds each snapshot state's agents
+/// that the step did not draw; the updated pool pours its post-states
+/// back into them, and pool states outside the snapshot are new. One
+/// aligned writeback, no keyed lookups; the snapshot goes stale only if
+/// a state appeared or died. The step's `delta` and omission tally then
+/// join the call's.
 fn commit<C: EpochBackend>(
     config: &mut C,
     stats: &mut RunStats,
@@ -981,23 +984,18 @@ fn commit<C: EpochBackend>(
     delta: &RunStats,
     sc: &mut Scratch<C::State>,
 ) {
-    sc.final_counts.clear();
-    for (i, &c) in sc.counts.iter().enumerate() {
-        let drawn = sc.starters[i] + sc.reactors[i] + sc.revealed[i];
-        debug_assert!(drawn <= c);
-        sc.final_counts.push(c - drawn);
-    }
     sc.extras.clear();
-    for (q, c) in sc.updated.drain(..) {
+    for ((q, at), c) in sc.updated.drain(..) {
         if c == 0 {
             continue;
         }
-        match sc.snap.iter().position(|(s, _)| *s == q) {
-            Some(i) => sc.final_counts[i] += c,
+        match at {
+            Some(i) => sc.counts[i] += c,
             None => sc.extras.push((q, c)),
         }
     }
-    config.commit_state_counts(&sc.final_counts, &sc.extras);
+    config.commit_state_counts(&sc.counts, &sc.extras);
+    sc.stale = !sc.extras.is_empty() || sc.counts.contains(&0);
     stats.merge(delta);
     for (share, k) in sc.undrawn.drain(..) {
         pool_add(undrawn, &share, k);
@@ -1007,7 +1005,7 @@ fn commit<C: EpochBackend>(
 /// One outcome class of a state pair: the faults of the mix whose
 /// outcomes agree, with their summed weight and its omissive part.
 struct OutcomeClass<Q> {
-    outcome: Result<(Q, Q), EngineError>,
+    outcome: Result<(Agent<Q>, Agent<Q>), EngineError>,
     weight: f64,
     omissive_weight: f64,
 }
@@ -1026,7 +1024,7 @@ fn apply_group<Q: State>(
     r: &Q,
     k: u64,
     classes: &[OutcomeClass<Q>],
-    updated: &mut Vec<(Q, u64)>,
+    updated: &mut Vec<(Agent<Q>, u64)>,
     undrawn: &mut Vec<(f64, u64)>,
     delta: &mut RunStats,
     rng: &mut SmallRng,
@@ -1050,8 +1048,7 @@ fn apply_group<Q: State>(
         }
         let (s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
         let omissive = tally_omissive(class.omissive_weight, class.weight, kt, undrawn);
-        let changed = s2 != s || r2 != r;
-        delta.record_bulk(omissive, changed, kt);
+        delta.record_bulk(omissive, s2.0 != *s || r2.0 != *r, kt);
         pool_add(updated, s2, kt);
         pool_add(updated, r2, kt);
     }
@@ -1067,7 +1064,7 @@ fn apply_one<Q: State>(
     undrawn: &mut Vec<(f64, u64)>,
     delta: &mut RunStats,
     rng: &mut SmallRng,
-) -> Result<(Q, Q), EngineError> {
+) -> Result<(Agent<Q>, Agent<Q>), EngineError> {
     let class = match classes {
         [only] => only,
         _ => pick(
@@ -1079,7 +1076,7 @@ fn apply_one<Q: State>(
     };
     let (s2, r2) = class.outcome.clone()?;
     let omissive = tally_omissive(class.omissive_weight, class.weight, 1, undrawn);
-    delta.record_bulk(omissive, s2 != *s || r2 != *r, 1);
+    delta.record_bulk(omissive, s2.0 != *s || r2.0 != *r, 1);
     Ok((s2, r2))
 }
 
@@ -1659,11 +1656,18 @@ mod tests {
         (count(0), count(1), omissive)
     }
 
-    /// The two-sample χ² of the driver's end histogram (batches forced,
-    /// stopped at `batch_touched · √n`) against the sequential reference,
-    /// `runs` per side, as a z-score: `(χ² − df)/√(2·df)`, with the bins
-    /// holding fewer than 40 runs of both sides pooled into one.
-    fn end_law_z(groups: [usize; 3], budget: u64, batch_touched: f64, runs: u32) -> f64 {
+    /// The two-sample χ² of the driver's end histogram (batches run while
+    /// `p_act · E[ℓ] ≥ event_below`, stopped at `batch_touched · √n`)
+    /// against the sequential reference, `runs` per side, as a z-score:
+    /// `(χ² − df)/√(2·df)`, with the bins holding fewer than 40 runs of
+    /// both sides pooled into one.
+    fn end_law_z(
+        groups: [usize; 3],
+        budget: u64,
+        event_below: f64,
+        batch_touched: f64,
+        runs: u32,
+    ) -> f64 {
         use std::collections::BTreeMap;
         let init: Vec<u8> = (0u8..3)
             .flat_map(|q| std::iter::repeat_n(q, groups[q as usize]))
@@ -1682,7 +1686,7 @@ mod tests {
                 budget,
                 law,
                 |_| false,
-                0.0,
+                event_below,
                 batch_touched,
             )
             .unwrap();
@@ -1714,17 +1718,26 @@ mod tests {
     }
 
     /// Fails at z > 5: under the exact law the statistic is ≈ N(0, 1),
-    /// and a batch that biases a realized endpoint's role, or drops the
-    /// `1/(1 − survive)` conditioning of a collision, scores far above.
+    /// and a batch that biases a realized endpoint's role, drops the
+    /// `1/(1 − survive)` conditioning of a collision, or draws a
+    /// collision's outcome class off its weight scores far above. Six
+    /// cells force batches at three stops; one forces event steps
+    /// throughout; and one starts without state 2, so a collision meets
+    /// it outside the snapshot and merges its classes over the full mix.
     fn assert_end_law(runs: u32) {
-        for groups in [[5, 4, 2], [5, 4, 3]] {
-            for batch_touched in [0.0, BATCH_TOUCHED, f64::INFINITY] {
-                let z = end_law_z(groups, 9, batch_touched, runs);
-                assert!(
-                    z < 5.0,
-                    "groups {groups:?}, T = {batch_touched}: z = {z:.2}"
-                );
-            }
+        let batches = [[5, 4, 2], [5, 4, 3]].into_iter().flat_map(|groups| {
+            [0.0, BATCH_TOUCHED, f64::INFINITY].map(|batch_touched| (groups, 0.0, batch_touched))
+        });
+        let cells = batches.chain([
+            ([5, 4, 2], f64::INFINITY, BATCH_TOUCHED),
+            ([5, 4, 0], 0.0, f64::INFINITY),
+        ]);
+        for (groups, event_below, batch_touched) in cells {
+            let z = end_law_z(groups, 9, event_below, batch_touched, runs);
+            assert!(
+                z < 5.0,
+                "groups {groups:?}, E = {event_below}, T = {batch_touched}: z = {z:.2}"
+            );
         }
     }
 
