@@ -429,6 +429,13 @@ pub fn hypergeometric(
         let k = HypergeometricEnvelope::new(g, b, s).sample(rng);
         return unmirror(if complemented { g - k } else { k });
     }
+    let n = total as f64;
+    let p = g as f64 / n;
+    let var = (n - s as f64) * s as f64 * p * (1.0 - p) / (n - 1.0);
+    if var >= HRUA_MIN_VARIANCE {
+        let k = hypergeometric_hrua(g, b, s, var, rng);
+        return unmirror(if complemented { g - k } else { k });
+    }
     // Mode of the pmf, clamped into the support.
     let mode =
         (((nsample + 1) as f64) * ((ngood + 1) as f64) / ((total + 2) as f64)).floor() as u64;
@@ -453,6 +460,71 @@ pub fn hypergeometric(
         },
         u,
     )
+}
+
+/// Hypergeometric draws past the binomial envelope whose variance is at
+/// least this take HRUA, smaller ones mode-centred inversion. Measured
+/// in release on a 2-vCPU Xeon (medians of 15 alternating runs of
+/// 2·10⁵ draws): inversion wins at σ² ≤ 3 (94 against 111 ns at 2.2,
+/// 138 against 249 ns at 0.4 from a 5 000-ball urn), the two cost the
+/// same near 4, and HRUA wins from 4.5 on (113 against 119 ns), by
+/// 2–4× at the matching split's σ ≈ 20–50 (225 against 454 ns at
+/// Hypergeometric(3500, 3500, 3500)).
+const HRUA_MIN_VARIANCE: f64 = 4.0;
+
+/// Hypergeometric(g, b, s) for `g ≤ b` and `s ≤ (g + b)/2`, variance
+/// `var`, by Stadlober's
+/// HRUA: ratio of uniforms under a "table mountain" hat (*The
+/// ratio of uniforms approach for generating discrete random variates*,
+/// J. Comput. Appl. Math. 31, 1990), as numpy's `hypergeometric_hrua`
+/// but without its 16σ cut, so the whole support stays reachable.
+///
+/// A point `(u, v)` uniform on `(0, 1) × [0, 1)` proposes
+/// `k = ⌊a + h·(v − ½)/u⌋` around the mean `a − ½`, with the hat's scale
+/// `h = D1·√(σ² + ½) + D2`; it is kept iff `u² ≤ pmf(k)/pmf(m)` at the
+/// mode `m`. Two squeezes on `2·ln u` decide most proposals without the
+/// logarithm, and the ratio itself is four [`ln_fact`] differences, so
+/// each proposal is O(1) and about 1.3 are needed for any σ.
+fn hypergeometric_hrua(
+    g: u64,
+    b: u64,
+    s: u64,
+    var: f64,
+    rng: &mut (impl RngCore + ?Sized),
+) -> u64 {
+    debug_assert!(g <= b && 2 * s <= g + b);
+    /// `2·√(2/e)` and `3 − 2·√(3/e)`, Stadlober's hat constants.
+    const D1: f64 = 1.715_527_769_921_413_5;
+    const D2: f64 = 0.898_916_162_058_898_8;
+    let n = (g + b) as f64;
+    let a = s as f64 * g as f64 / n + 0.5;
+    let h = D1 * (var + 0.5).sqrt() + D2;
+    // The support is [0, min(g, s)]: `b ≥ s` after mirroring and
+    // complementing.
+    let top = (g.min(s) + 1) as f64;
+    let ln_f = |k: u64| ln_fact(k) + ln_fact(g - k) + ln_fact(s - k) + ln_fact(b - s + k);
+    let m = ((s + 1) as f64 * (g + 1) as f64 / (n + 2.0)) as u64;
+    let ln_f_mode = ln_f(m);
+    loop {
+        let u = uniform_open01(rng);
+        let x = a + h * (uniform_f64(rng) - 0.5) / u;
+        if !(0.0..top).contains(&x) {
+            continue;
+        }
+        let k = x as u64;
+        // ln(pmf(k)/pmf(m)).
+        let t = ln_f_mode - ln_f(k);
+        // 2·ln u ≤ u·(4 − u) − 3, and ≥ u − 1/u.
+        if u * (4.0 - u) - 3.0 <= t {
+            return k;
+        }
+        if u * (u - t) >= 1.0 {
+            continue;
+        }
+        if 2.0 * u.ln() <= t {
+            return k;
+        }
+    }
 }
 
 /// Hypergeometric(g, b, s) by rejection from a Binomial(s, g/N) proposal,
@@ -1198,6 +1270,52 @@ mod tests {
     #[ignore = "high power: 2·10⁶ draws per case; run in release with --ignored"]
     fn hypergeometric_envelope_goodness_of_fit_high_power() {
         check_envelope_fit(2_000_000);
+    }
+
+    /// Urns that take HRUA: both sides above 16, a sample (or complement)
+    /// above 1/64 of the urn, variance at least `HRUA_MIN_VARIANCE`.
+    /// σ ≈ 6 direct, mirrored, complemented and both; σ ≈ 2.1 just above
+    /// the switch; σ ≈ 6 from a big urn; and matching-split-sized urns at
+    /// σ ≈ 21 and 30, whose factorials all take Stirling's series.
+    const HRUA_CASES: [(u64, u64, u64); 8] = [
+        (300, 500, 200),
+        (500, 300, 200),
+        (300, 500, 600),
+        (500, 300, 600),
+        (30, 60, 30),
+        (2_000, 100_000, 2_000),
+        (3_500, 3_500, 3_500),
+        (7_000, 7_000, 7_000),
+    ];
+
+    fn check_hrua_fit(trials: u64) {
+        for (seed, case) in HRUA_CASES.into_iter().enumerate() {
+            let (ngood, nbad, nsample) = case;
+            let total = ngood + nbad;
+            let s = nsample.min(total - nsample);
+            let p = ngood as f64 / total as f64;
+            let var = s as f64 * p * (1.0 - p) * (total - s) as f64 / (total - 1) as f64;
+            assert!(
+                ngood.min(nbad) > 16 && s > total / 64 && var >= HRUA_MIN_VARIANCE,
+                "{case:?} misses HRUA"
+            );
+            let (chi2, bins) = hypergeometric_fit(case, trials, 300 + seed as u64);
+            assert!(
+                chi2 < chi2_bound(bins),
+                "{case:?}: χ² = {chi2} over {bins} bins"
+            );
+        }
+    }
+
+    #[test]
+    fn hypergeometric_hrua_goodness_of_fit() {
+        check_hrua_fit(40_000);
+    }
+
+    #[test]
+    #[ignore = "high power: 2·10⁶ draws per case; run in release with --ignored"]
+    fn hypergeometric_hrua_goodness_of_fit_high_power() {
+        check_hrua_fit(2_000_000);
     }
 
     /// `φ(k*) − φ(k)` summed from the logarithms of its `|k − k*|`
