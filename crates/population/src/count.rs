@@ -7,6 +7,15 @@ use rand::{Rng, RngCore};
 
 use crate::{DenseConfiguration, Multiset, Population, PopulationError, State};
 
+/// [`CountConfiguration::count_state`] scans the slots of a configuration
+/// holding at most this many (dead ones included) instead of hashing its
+/// key. Measured in release on a 2-vCPU Xeon, per lookup of a present
+/// key: the SipHash lookup costs 18–23 ns for a `bool` or `u64` and
+/// ≈ 50 ns for a `[u64; 8]` state, the scan 4–5 ns at 1–2 slots, and at
+/// 16 slots 12 ns for `u64` and 47 ns for `[u64; 8]`; at 32 the scan of
+/// `[u64; 8]` states (92 ns) is the slower one.
+const SCAN_SLOTS: usize = 16;
+
 /// A population stored as *counts*: how many agents hold each state.
 ///
 /// Agents of a population protocol are anonymous, so a configuration of an
@@ -143,8 +152,18 @@ impl<Q: State> CountConfiguration<Q> {
     }
 
     /// Number of agents currently in state `q`.
+    ///
+    /// Up to `SCAN_SLOTS` (16) slots this scans `entries`; the hashed
+    /// `index` pays for itself only past that.
     pub fn count_state(&self, q: &Q) -> usize {
-        self.index.get(q).map_or(0, |&i| self.entries[i].1)
+        if self.entries.len() <= SCAN_SLOTS {
+            self.entries
+                .iter()
+                .find(|(p, _)| p == q)
+                .map_or(0, |(_, c)| *c)
+        } else {
+            self.index.get(q).map_or(0, |&i| self.entries[i].1)
+        }
     }
 
     /// Iterates over `(state, multiplicity)` pairs of the states present,
