@@ -63,11 +63,18 @@
 //! inert interactions before the next non-inert one is
 //! Geometric(`p_act`). An event step draws that stretch in one go,
 //! records it as no-ops, and then applies one non-inert interaction (pair
-//! drawn by weight, fault from the mix). It is chosen whenever
+//! drawn by weight, then its outcome class). It is chosen whenever
 //! `p_act · E[ℓ]` falls below a measured constant; a silent
 //! configuration (`p_act = 0`) advances `⌈E[ℓ]⌉` no-ops per boundary.
-//! Both step kinds read one table of per-pair outcome classes, built
-//! lazily for each live state list.
+//!
+//! Every interaction the driver applies — a bulk group, a collision, a
+//! realized fresh interaction or an event — reads one table of per-pair
+//! outcome classes, built lazily for each live state list, and draws its
+//! class by weight; no step draws a fault. Only a collision that meets a
+//! state outside the snapshot (one a batch created) merges its pair's
+//! classes over the full mix. Every step writes the snapshot's counts in
+//! place and commits them through one aligned writeback, and the driver
+//! re-snapshots only when a state appears or dies.
 //!
 //! The runner surface is `run(`[`Epochs`](crate::Epochs)`, stop)`,
 //! available only on backends implementing [`EpochBackend`]. The
@@ -110,9 +117,11 @@ pub trait EpochBackend: ExecBackend {
     /// [`state_counts_into`](Self::state_counts_into) reported — one
     /// entry of `new_counts` per reported state, same order — then adds
     /// the `extras` groups (states outside that snapshot). The caller
-    /// guarantees the backend was not modified in between. This is the
-    /// epoch commit: one aligned pass instead of per-state keyed
-    /// removals and insertions.
+    /// guarantees the backend was not modified in between, except by
+    /// earlier commits that kept every count positive and had no extras:
+    /// such a commit must leave the reported states, and their order, as
+    /// they were. This is the epoch commit: one aligned pass instead of
+    /// per-state keyed removals and insertions.
     fn commit_state_counts(&mut self, new_counts: &[u64], extras: &[(Self::State, u64)]);
 }
 
@@ -279,24 +288,19 @@ impl EpochLengths {
 /// Event steps replace batches while `p_act · E[ℓ]`, the expected number
 /// of non-inert interactions in a mean-length epoch, is below this.
 /// Measured on the `epidemic-epoch` perfbench workload (n = 10⁸, T1 at
-/// rate 0.1, 2-vCPU Xeon), timing whole driver iterations (snapshot,
-/// step, commit, boundary predicate) with the switch forced each way at
-/// `p_act · E[ℓ]` ∈ [1, 11): a batch costs 1.29–1.33 µs and an event
-/// step 190 ns. A batch spans ≈ 2.6·E[ℓ] interactions, so the two break
-/// even near 7 / 2.6 ≈ 2.6. End to end the optimum is flat: an in-process
-/// sweep over 30 seeds gave 40.0–41.3 ps per interaction for every
-/// threshold in [2.6, 8], and against 6 a threshold of 3.5 lost 4 of 6
-/// alternating perfbench pairs (median ratio 0.94), so 6 stays.
+/// rate 0.1, 2-vCPU Xeon), end to end in one process, the thresholds
+/// interleaved over 30 seeds: 66.4 ps per interaction at 2, 63.7 at 3.5,
+/// 63.6 at 6, 64.2 at 8 and 67.8 at 12. Event steps read the class table
+/// and commit in place, and collisions no longer draw faults, so both
+/// step kinds got cheaper; the optimum stays flat over [3.5, 8], and 6
+/// stays.
 const EVENT_STEP_BELOW: f64 = 6.0;
 
 /// A batch ends after the collision that brings the touched agents to
-/// `BATCH_TOUCHED · √n`. Measured on the `epidemic-epoch` workload
-/// (2-vCPU Xeon), an interleaved in-process sweep over 30 seeds gave, in
-/// ps per interaction: 56.0 at 0 (one collision per batch), 48.2 at 1,
-/// 42.9 at 2, 40.2 at 2.5, 41.3 at 3, 41.1 at 3.5, 42.3 at 4, 48.5 at 6
-/// and 63.4 at 9. The optimum is flat over [2.5, 4]; at 3 a seed runs
-/// 48.7 k batches and 268 k collisions instead of 128.4 k one-collision
-/// epochs.
+/// `BATCH_TOUCHED · √n`. Measured like `EVENT_STEP_BELOW`, in ps per
+/// interaction: 59.9 at 2, 61.0 at 2.5, 57.0 at 3, 58.3 at 3.5, 58.9 at
+/// 4 and 62.6 at 5. The optimum is flat over [2, 4], and 3 stays; there
+/// a seed runs ≈ 49 k batches and ≈ 270 k collisions.
 const BATCH_TOUCHED: f64 = 3.0;
 
 /// Reusable per-step buffers: the driver allocates nothing in steady
@@ -1414,6 +1418,13 @@ mod tests {
         let mut groups = Vec::new();
         config.state_counts_into(&mut groups);
         assert_eq!(groups, vec![('b', 2), ('c', 4)]);
+        // A commit that keeps every count positive and adds nothing
+        // keeps the reported states in order, so a second one lines up.
+        config.commit_state_counts(&[4, 2], &[]);
+        config.commit_state_counts(&[3, 3], &[]);
+        let mut groups = Vec::new();
+        config.state_counts_into(&mut groups);
+        assert_eq!(groups, vec![('b', 3), ('c', 3)]);
         config.commit_state_counts(&[1, 0], &[('d', 5)]);
         assert_eq!(config.len(), 6);
         assert_eq!(config.count_state(&'b'), 1);
