@@ -290,17 +290,14 @@ impl EpochLengths {
 /// Measured on the `epidemic-epoch` perfbench workload (n = 10⁸, T1 at
 /// rate 0.1, 2-vCPU Xeon), end to end in one process, the thresholds
 /// interleaved over 30 seeds: 66.4 ps per interaction at 2, 63.7 at 3.5,
-/// 63.6 at 6, 64.2 at 8 and 67.8 at 12. Event steps read the class table
-/// and commit in place, and collisions no longer draw faults, so both
-/// step kinds got cheaper; the optimum stays flat over [3.5, 8], and 6
-/// stays.
+/// 63.6 at 6, 64.2 at 8 and 67.8 at 12: flat over [3.5, 8].
 const EVENT_STEP_BELOW: f64 = 6.0;
 
 /// A batch ends after the collision that brings the touched agents to
 /// `BATCH_TOUCHED · √n`. Measured like `EVENT_STEP_BELOW`, in ps per
 /// interaction: 59.9 at 2, 61.0 at 2.5, 57.0 at 3, 58.3 at 3.5, 58.9 at
-/// 4 and 62.6 at 5. The optimum is flat over [2, 4], and 3 stays; there
-/// a seed runs ≈ 49 k batches and ≈ 270 k collisions.
+/// 4 and 62.6 at 5: flat over [2, 4]. At 3 a seed runs ≈ 49 k batches
+/// and ≈ 270 k collisions.
 const BATCH_TOUCHED: f64 = 3.0;
 
 /// Reusable per-step buffers: the driver allocates nothing in steady
@@ -433,13 +430,8 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
     /// `out`, each outcome state with its index in `states`. Faults with
     /// equal `Ok` outcomes share a class; an `Err` outcome is a class of
     /// its own.
-    fn classes_into<Q: State>(
-        &mut self,
-        s: &Q,
-        r: &Q,
-        states: &[Q],
-        out: &mut Vec<OutcomeClass<Q>>,
-    ) where
+    fn classes_into<Q: State>(&mut self, s: &Q, r: &Q, states: &[Q], out: &mut Vec<OutcomeClass<Q>>)
+    where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
     {
         let first = out.len();
@@ -520,7 +512,12 @@ impl<Q: State> ClassTable<Q> {
             return cell;
         }
         let start = self.classes.len();
-        law.classes_into(&self.states[i], &self.states[j], &self.states, &mut self.classes);
+        law.classes_into(
+            &self.states[i],
+            &self.states[j],
+            &self.states,
+            &mut self.classes,
+        );
         let inert = matches!(
             &self.classes[start..],
             [class] if class.outcome.as_ref().is_ok_and(|((_, s2), (_, r2))| *s2 == Some(i) && *r2 == Some(j))

@@ -4,21 +4,23 @@
 //! sampler (Berenbrink et al., *Simulating Population Protocols in
 //! Sub-Constant Time per Interaction*) gets its randomness from here:
 //! binomial draws for splitting interaction groups across outcome classes
-//! and for omission thinning, (multivariate) hypergeometric draws for
-//! splitting an epoch's agents across states, and a Vose alias table for
-//! O(1) repeated categorical draws.
+//! and for omission thinning, and (multivariate) hypergeometric draws for
+//! splitting a batch's agents across states and matching starters to
+//! reactors. A Vose alias table serves O(1) repeated categorical draws
+//! for any caller with a fixed weighting.
 //!
 //! All samplers are **exact**: each draw is either an inversion of the
 //! true pmf or a rejection sampler whose acceptance test compares against
 //! the true pmf ratio, never a normal approximation. The regimes an
 //! epoch hits take O(1) expected time per draw, as the epoch method's
 //! cost model assumes: chop-down inversion for small binomial means,
-//! Hörmann's BTRD rejection above them, and for a small sample from a big
-//! urn a hypergeometric draw by rejection from a binomial proposal.
-//! Hypergeometric draws outside that regime fall back to mode-centred
-//! bidirectional inversion (O(σ) cheap steps after one pmf evaluation
-//! with [`ln_gamma`]-grade factorials), and tiny urn sides to a
-//! transcendental-free chop-down.
+//! Hörmann's BTRD rejection above them; for a small sample from a big
+//! urn a hypergeometric draw by rejection from a binomial proposal, and
+//! for any other urn of variance at least 4 Stadlober's HRUA ratio of
+//! uniforms. Tiny urn sides take a transcendental-free chop-down, and
+//! the low-variance rest mode-centred bidirectional inversion (O(σ)
+//! cheap steps after one pmf evaluation with [`ln_gamma`]-grade
+//! factorials).
 
 use rand::{Rng, RngCore};
 
@@ -97,10 +99,11 @@ fn ln_fact_table() -> &'static [f64] {
 
 /// ln n! = ln Γ(n + 1).
 ///
-/// Every mode-centred hypergeometric draw (the epoch's matching split)
-/// costs nine of these, so the generic Lanczos path is replaced by a
-/// table lookup for small `n` and Stirling's series (three correction
-/// terms, error < 1e-20 relative at the crossover) for large `n`.
+/// Every HRUA proposal (the batch's matching split) costs four of these
+/// and every mode-centred inversion nine, so the generic Lanczos path is
+/// replaced by a table lookup for small `n` and Stirling's series (three
+/// correction terms, error < 1e-20 relative at the crossover) for large
+/// `n`.
 #[inline]
 fn ln_fact(n: u64) -> f64 {
     if (n as usize) < LN_FACT_TABLE_LEN {
@@ -365,7 +368,9 @@ fn stirling_tail(k: u64) -> f64 {
 ///   from the support's edge, no transcendentals;
 /// * the sample (or its complement) is at most 1/64 of the urn: binomial
 ///   proposal and rejection, O(1) expected;
-/// * otherwise mode-centred inversion, O(σ) expected.
+/// * otherwise, at variance `HRUA_MIN_VARIANCE` (4) or more, Stadlober's
+///   ratio of uniforms, O(1) expected, and below it mode-centred
+///   inversion, O(σ) expected.
 ///
 /// # Panics
 ///
@@ -473,25 +478,20 @@ pub fn hypergeometric(
 const HRUA_MIN_VARIANCE: f64 = 4.0;
 
 /// Hypergeometric(g, b, s) for `g ≤ b` and `s ≤ (g + b)/2`, variance
-/// `var`, by Stadlober's
-/// HRUA: ratio of uniforms under a "table mountain" hat (*The
-/// ratio of uniforms approach for generating discrete random variates*,
-/// J. Comput. Appl. Math. 31, 1990), as numpy's `hypergeometric_hrua`
-/// but without its 16σ cut, so the whole support stays reachable.
+/// `var`, by Stadlober's HRUA: ratio of uniforms under a "table
+/// mountain" hat (*The ratio of uniforms approach for generating discrete
+/// random variates*, J. Comput. Appl. Math. 31, 1990), as numpy's
+/// `hypergeometric_hrua` but without its 16σ cut, so the whole support
+/// stays reachable.
 ///
 /// A point `(u, v)` uniform on `(0, 1) × [0, 1)` proposes
 /// `k = ⌊a + h·(v − ½)/u⌋` around the mean `a − ½`, with the hat's scale
 /// `h = D1·√(σ² + ½) + D2`; it is kept iff `u² ≤ pmf(k)/pmf(m)` at the
 /// mode `m`. Two squeezes on `2·ln u` decide most proposals without the
 /// logarithm, and the ratio itself is four [`ln_fact`] differences, so
-/// each proposal is O(1) and about 1.3 are needed for any σ.
-fn hypergeometric_hrua(
-    g: u64,
-    b: u64,
-    s: u64,
-    var: f64,
-    rng: &mut (impl RngCore + ?Sized),
-) -> u64 {
+/// each proposal is O(1); the hat's area relative to the pmf's is
+/// bounded in σ, and so is the expected number of proposals.
+fn hypergeometric_hrua(g: u64, b: u64, s: u64, var: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
     debug_assert!(g <= b && 2 * s <= g + b);
     /// `2·√(2/e)` and `3 − 2·√(3/e)`, Stadlober's hat constants.
     const D1: f64 = 1.715_527_769_921_413_5;
@@ -692,11 +692,8 @@ pub fn multivariate_hypergeometric_into(
 }
 
 /// A Vose alias table: O(len) construction over arbitrary non-negative
-/// weights, then O(1) categorical draws.
-///
-/// The epoch sampler builds one per driver call over the run's fault mix
-/// and draws the fault of every collision and event step from it; any
-/// workload drawing many times from a fixed weighting can reuse one.
+/// weights, then O(1) categorical draws, for any workload drawing many
+/// times from a fixed weighting.
 ///
 /// # Example
 ///

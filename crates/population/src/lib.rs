@@ -19,9 +19,10 @@
 //!   multiplicities only, O(distinct states) memory for giant anonymous
 //!   runs,
 //! * [`Multiset`] — order-insensitive view of a configuration,
-//! * [`dist`] — exact discrete samplers (binomial, hypergeometric,
-//!   multivariate hypergeometric, [`AliasTable`]) powering the
-//!   batch-epoch execution path,
+//! * [`dist`] — exact discrete samplers: the binomial, hypergeometric
+//!   and multivariate hypergeometric draws powering the batch-epoch
+//!   execution path, and an [`AliasTable`] for repeated categorical
+//!   draws,
 //! * [`Topology`] — first-class interaction graphs (complete, ring, star,
 //!   grid, random-regular, Erdős–Rényi) with CSR adjacency and O(1)
 //!   uniform arc sampling, the data behind graph-aware scheduling,

@@ -204,8 +204,11 @@ fn epidemic_on_counts_under_t1() {
 fn epidemic_on_counts_under_tw_through_epochs() {
     let pins = [(45_113, 554_887), (75_049, 524_951), (15_413, 584_587)];
     for (seed, (changed, noop)) in (1..).zip(pins) {
-        let pin = (600_000, stats(600_000, 0, changed, noop), changed as usize + 1);
+        let pin = (
+            600_000,
+            stats(600_000, 0, changed, noop),
+            changed as usize + 1,
+        );
         assert_eq!(epidemic_tw_epochs(seed), pin, "seed {seed}");
     }
 }
-
