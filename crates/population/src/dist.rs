@@ -16,11 +16,8 @@
 //! cost model assumes: chop-down inversion for small binomial means,
 //! Hörmann's BTRD rejection above them; for a small sample from a big
 //! urn a hypergeometric draw by rejection from a binomial proposal, and
-//! for any other urn of variance at least 4 Stadlober's HRUA ratio of
-//! uniforms. Tiny urn sides take a transcendental-free chop-down, and
-//! the low-variance rest mode-centred bidirectional inversion (O(σ)
-//! cheap steps after one pmf evaluation with [`ln_gamma`]-grade
-//! factorials).
+//! for any other urn Stadlober's HRUA ratio of uniforms. Tiny urn sides
+//! take a transcendental-free chop-down.
 
 use rand::{Rng, RngCore};
 
@@ -99,8 +96,8 @@ fn ln_fact_table() -> &'static [f64] {
 
 /// ln n! = ln Γ(n + 1).
 ///
-/// Every HRUA proposal (the batch's matching split) costs four of these
-/// and every mode-centred inversion nine, so the generic Lanczos path is
+/// Every HRUA proposal (the batch's matching split) costs four of these,
+/// so the generic Lanczos path is
 /// replaced by a table lookup for small `n` and Stirling's series (three
 /// correction terms, error < 1e-20 relative at the crossover) for large
 /// `n`.
@@ -116,62 +113,6 @@ fn ln_fact(n: u64) -> f64 {
         (x + 0.5) * x.ln() - x
             + HALF_LN_2PI
             + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
-    }
-}
-
-/// ln C(n, k); caller guarantees `k <= n`.
-#[inline]
-fn ln_choose(n: u64, k: u64) -> f64 {
-    debug_assert!(k <= n);
-    ln_fact(n) - ln_fact(k) - ln_fact(n - k)
-}
-
-/// Inversion walk outward from the pmf's mode.
-///
-/// `u` is the (residual) uniform variate; `up(k)` is `pmf(k+1)/pmf(k)`
-/// and `down(k)` is `pmf(k-1)/pmf(k)`, valid on `[lo_min, hi_max]`. Each
-/// step extends whichever side currently carries more mass, so the terms
-/// are consumed in near-decreasing order. Exactness does not depend on
-/// the order — any deterministic enumeration of the full support inverts
-/// the cdf exactly; the order only buys the O(σ) expected walk length.
-fn invert_from_mode(
-    mode: u64,
-    pmf_mode: f64,
-    lo_min: u64,
-    hi_max: u64,
-    mut up: impl FnMut(u64) -> f64,
-    mut down: impl FnMut(u64) -> f64,
-    mut u: f64,
-) -> u64 {
-    if u <= pmf_mode {
-        return mode;
-    }
-    u -= pmf_mode;
-    let (mut lo, mut hi) = (mode, mode);
-    let (mut p_lo, mut p_hi) = (pmf_mode, pmf_mode);
-    loop {
-        let can_up = hi < hi_max;
-        let can_down = lo > lo_min;
-        if !can_up && !can_down {
-            // Floating-point residue past the total mass: return the
-            // boundary on the heavier side.
-            return if p_hi >= p_lo { hi } else { lo };
-        }
-        if can_up && (!can_down || p_hi >= p_lo) {
-            p_hi *= up(hi);
-            hi += 1;
-            if u <= p_hi {
-                return hi;
-            }
-            u -= p_hi;
-        } else {
-            p_lo *= down(lo);
-            lo -= 1;
-            if u <= p_lo {
-                return lo;
-            }
-            u -= p_lo;
-        }
     }
 }
 
@@ -368,9 +309,7 @@ fn stirling_tail(k: u64) -> f64 {
 ///   from the support's edge, no transcendentals;
 /// * the sample (or its complement) is at most 1/64 of the urn: binomial
 ///   proposal and rejection, O(1) expected;
-/// * otherwise, at variance `HRUA_MIN_VARIANCE` (4) or more, Stadlober's
-///   ratio of uniforms, O(1) expected, and below it mode-centred
-///   inversion, O(σ) expected.
+/// * otherwise Stadlober's ratio of uniforms, O(1) expected.
 ///
 /// # Panics
 ///
@@ -430,55 +369,16 @@ pub fn hypergeometric(
     } else {
         (total - nsample, true)
     };
-    if s <= total / HypergeometricEnvelope::MIN_URN_PER_SAMPLE {
-        let k = HypergeometricEnvelope::new(g, b, s).sample(rng);
-        return unmirror(if complemented { g - k } else { k });
-    }
-    let n = total as f64;
-    let p = g as f64 / n;
-    let var = (n - s as f64) * s as f64 * p * (1.0 - p) / (n - 1.0);
-    if var >= HRUA_MIN_VARIANCE {
-        let k = hypergeometric_hrua(g, b, s, var, rng);
-        return unmirror(if complemented { g - k } else { k });
-    }
-    // Mode of the pmf, clamped into the support.
-    let mode =
-        (((nsample + 1) as f64) * ((ngood + 1) as f64) / ((total + 2) as f64)).floor() as u64;
-    let mode = mode.clamp(k_min, k_max);
-    let ln_pmf =
-        ln_choose(ngood, mode) + ln_choose(nbad, nsample - mode) - ln_choose(total, nsample);
-    let pmf_mode = ln_pmf.exp();
-    let u = uniform_f64(rng);
-    // pmf(k+1)/pmf(k) = (ngood−k)(nsample−k) / ((k+1)(nbad−nsample+k+1))
-    invert_from_mode(
-        mode,
-        pmf_mode,
-        k_min,
-        k_max,
-        |k| {
-            ((ngood - k) as f64 * (nsample - k) as f64)
-                / ((k + 1) as f64 * (nbad + k + 1 - nsample) as f64)
-        },
-        |k| {
-            (k as f64 * (nbad + k - nsample) as f64)
-                / ((ngood - k + 1) as f64 * (nsample - k + 1) as f64)
-        },
-        u,
-    )
+    let k = if s <= total / HypergeometricEnvelope::MIN_URN_PER_SAMPLE {
+        HypergeometricEnvelope::new(g, b, s).sample(rng)
+    } else {
+        hypergeometric_hrua(g, b, s, rng)
+    };
+    unmirror(if complemented { g - k } else { k })
 }
 
-/// Hypergeometric draws past the binomial envelope whose variance is at
-/// least this take HRUA, smaller ones mode-centred inversion. Measured
-/// in release on a 2-vCPU Xeon (medians of 15 alternating runs of
-/// 2·10⁵ draws): inversion wins at σ² ≤ 3 (94 against 111 ns at 2.2,
-/// 138 against 249 ns at 0.4 from a 5 000-ball urn), the two cost the
-/// same near 4, and HRUA wins from 4.5 on (113 against 119 ns), by
-/// 2–4× at the matching split's σ ≈ 20–50 (225 against 454 ns at
-/// Hypergeometric(3500, 3500, 3500)).
-const HRUA_MIN_VARIANCE: f64 = 4.0;
-
-/// Hypergeometric(g, b, s) for `g ≤ b` and `s ≤ (g + b)/2`, variance
-/// `var`, by Stadlober's HRUA: ratio of uniforms under a "table
+/// Hypergeometric(g, b, s) for `g ≤ b` and `s ≤ (g + b)/2` by
+/// Stadlober's HRUA: ratio of uniforms under a "table
 /// mountain" hat (*The ratio of uniforms approach for generating discrete
 /// random variates*, J. Comput. Appl. Math. 31, 1990), as numpy's
 /// `hypergeometric_hrua` but without its 16σ cut, so the whole support
@@ -491,12 +391,14 @@ const HRUA_MIN_VARIANCE: f64 = 4.0;
 /// logarithm, and the ratio itself is four [`ln_fact`] differences, so
 /// each proposal is O(1); the hat's area relative to the pmf's is
 /// bounded in σ, and so is the expected number of proposals.
-fn hypergeometric_hrua(g: u64, b: u64, s: u64, var: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
+fn hypergeometric_hrua(g: u64, b: u64, s: u64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
     debug_assert!(g <= b && 2 * s <= g + b);
     /// `2·√(2/e)` and `3 − 2·√(3/e)`, Stadlober's hat constants.
     const D1: f64 = 1.715_527_769_921_413_5;
     const D2: f64 = 0.898_916_162_058_898_8;
     let n = (g + b) as f64;
+    let p = g as f64 / n;
+    let var = (n - s as f64) * s as f64 * p * (1.0 - p) / (n - 1.0);
     let a = s as f64 * g as f64 / n + 0.5;
     let h = D1 * (var + 0.5).sqrt() + D2;
     // The support is [0, min(g, s)]: `b ≥ s` after mirroring and
@@ -874,6 +776,11 @@ mod tests {
         let df = bins.saturating_sub(1).max(1) as f64;
         let h = 2.0 / (9.0 * df);
         df * (1.0 - h + 4.26 * h.sqrt()).powi(3)
+    }
+
+    /// ln C(n, k) for `k <= n`.
+    fn ln_choose(n: u64, k: u64) -> f64 {
+        ln_fact(n) - ln_fact(k) - ln_fact(n - k)
     }
 
     /// Exact Binomial(n, p) pmf, each term from its logarithm.
@@ -1269,12 +1176,14 @@ mod tests {
         check_envelope_fit(2_000_000);
     }
 
-    /// Urns that take HRUA: both sides above 16, a sample (or complement)
-    /// above 1/64 of the urn, variance at least `HRUA_MIN_VARIANCE`.
-    /// σ ≈ 6 direct, mirrored, complemented and both; σ ≈ 2.1 just above
-    /// the switch; σ ≈ 6 from a big urn; and matching-split-sized urns at
-    /// σ ≈ 21 and 30, whose factorials all take Stirling's series.
-    const HRUA_CASES: [(u64, u64, u64); 8] = [
+    /// Urns that take HRUA: a sample (or complement) above 1/64 of the
+    /// urn, and either both sides above 16 or a sample too big for the
+    /// small side's chop-down. σ ≈ 6 direct, mirrored, complemented and
+    /// both; σ ≈ 2.1; σ ≈ 6 from a big urn; matching-split-sized urns at
+    /// σ ≈ 21 and 30, whose factorials all take Stirling's series; and
+    /// the low-variance end: σ ≈ 1.5, σ ≈ 0.6 and a small side of 10 past
+    /// the chop-down at σ ≈ 1.1.
+    const HRUA_CASES: [(u64, u64, u64); 11] = [
         (300, 500, 200),
         (500, 300, 200),
         (300, 500, 600),
@@ -1283,6 +1192,9 @@ mod tests {
         (2_000, 100_000, 2_000),
         (3_500, 3_500, 3_500),
         (7_000, 7_000, 7_000),
+        (17, 17, 17),
+        (20, 5_000, 100),
+        (10, 12, 15),
     ];
 
     fn check_hrua_fit(trials: u64) {
@@ -1290,10 +1202,9 @@ mod tests {
             let (ngood, nbad, nsample) = case;
             let total = ngood + nbad;
             let s = nsample.min(total - nsample);
-            let p = ngood as f64 / total as f64;
-            let var = s as f64 * p * (1.0 - p) * (total - s) as f64 / (total - 1) as f64;
+            let small = ngood.min(nbad);
             assert!(
-                ngood.min(nbad) > 16 && s > total / 64 && var >= HRUA_MIN_VARIANCE,
+                (small > 16 || nsample > total - small) && s > total / 64,
                 "{case:?} misses HRUA"
             );
             let (chi2, bins) = hypergeometric_fit(case, trials, 300 + seed as u64);
