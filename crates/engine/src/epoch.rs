@@ -288,16 +288,24 @@ impl EpochLengths {
 /// Event steps replace batches while `p_act · E[ℓ]`, the expected number
 /// of non-inert interactions in a mean-length epoch, is below this.
 /// Measured on the `epidemic-epoch` perfbench workload (n = 10⁸, T1 at
-/// rate 0.1, 2-vCPU Xeon), end to end in one process, the thresholds
-/// interleaved over 30 seeds: 66.4 ps per interaction at 2, 63.7 at 3.5,
-/// 63.6 at 6, 64.2 at 8 and 67.8 at 12: flat over [3.5, 8].
+/// rate 0.1, 2-vCPU Xeon): the perfbench binary with the threshold set
+/// per run, 3 runs of `--seed 7 --seconds 10` per threshold, each next
+/// to one of the driver before one class path and in-place event steps.
+/// Median ps per interaction (1 / interactions_per_s), this driver
+/// against that one: 61.1 / 68.1 at 2, 53.9 / 58.3 at 3.5, 50.5 / 61.0
+/// at 6, 57.7 / 68.6 at 8 and 57.4 / 69.9 at 12. The host drifts by
+/// ±20% between runs, so the optimum is flat over [3.5, 12]. Absolute
+/// figures depend on the harness and the host's state (an in-process
+/// sweep of the older driver once read 40–41 ps); only figures taken
+/// side by side compare.
 const EVENT_STEP_BELOW: f64 = 6.0;
 
 /// A batch ends after the collision that brings the touched agents to
 /// `BATCH_TOUCHED · √n`. Measured like `EVENT_STEP_BELOW`, in ps per
-/// interaction: 59.9 at 2, 61.0 at 2.5, 57.0 at 3, 58.3 at 3.5, 58.9 at
-/// 4 and 62.6 at 5: flat over [2, 4]. At 3 a seed runs ≈ 49 k batches
-/// and ≈ 270 k collisions.
+/// interaction, this driver against the older one: 52.5 / 63.9 at 2,
+/// 51.6 / 53.5 at 2.5, 50.5 / 61.0 at 3, 49.2 / 59.3 at 3.5, 47.3 /
+/// 57.4 at 4 and 56.9 / 73.8 at 5: flat over [2.5, 4]. At 3 a seed runs
+/// ≈ 49 k batches and ≈ 270 k collisions.
 const BATCH_TOUCHED: f64 = 3.0;
 
 /// Reusable per-step buffers: the driver allocates nothing in steady

@@ -13,7 +13,10 @@ use crate::{DenseConfiguration, Multiset, Population, PopulationError, State};
 /// key: the SipHash lookup costs 18–23 ns for a `bool` or `u64` and
 /// ≈ 50 ns for a `[u64; 8]` state, the scan 4–5 ns at 1–2 slots, and at
 /// 16 slots 12 ns for `u64` and 47 ns for `[u64; 8]`; at 32 the scan of
-/// `[u64; 8]` states (92 ns) is the slower one.
+/// `[u64; 8]` states (92 ns) is the slower one. End to end only the
+/// 1–2-slot end is exercised: every benchmark caller holds a
+/// `CountConfiguration<bool>`, so the threshold itself and the hashed
+/// side rest on the microbenchmark alone.
 const SCAN_SLOTS: usize = 16;
 
 /// A population stored as *counts*: how many agents hold each state.
