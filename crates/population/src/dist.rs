@@ -6,12 +6,15 @@
 //! binomial draws for splitting interaction groups across outcome classes
 //! and for omission thinning, and (multivariate) hypergeometric draws for
 //! splitting a batch's agents across states and matching starters to
-//! reactors. A Vose alias table serves O(1) repeated categorical draws
+//! reactors, and Exp(1) draws for the lengths of its gaps and inert
+//! stretches. A Vose alias table serves O(1) repeated categorical draws
 //! for any caller with a fixed weighting.
 //!
 //! All samplers are **exact**: each draw is either an inversion of the
 //! true pmf or a rejection sampler whose acceptance test compares against
-//! the true pmf ratio, never a normal approximation. The regimes an
+//! the true pmf (or density) ratio, never a normal approximation. Exp(1)
+//! takes Marsaglia and Tsang's ziggurat, which returns most draws from
+//! one `u64` without a logarithm. The regimes an
 //! epoch hits take O(1) expected time per draw, as the epoch method's
 //! cost model assumes: chop-down inversion for small binomial means,
 //! Hörmann's BTRD rejection above them; for a small sample from a big
@@ -36,6 +39,75 @@ pub fn uniform_open01(rng: &mut (impl RngCore + ?Sized)) -> f64 {
         let u = uniform_f64(rng);
         if u > 0.0 {
             return u;
+        }
+    }
+}
+
+/// The ziggurat's base-strip edge `R` and its common layer area `V`
+/// (Marsaglia and Tsang, *The Ziggurat Method for Generating Random
+/// Variables*, J. Stat. Softw. 5(8), 2000, for 256 layers).
+const ZIG_EXP_R: f64 = 7.697_117_470_131_05;
+const ZIG_EXP_V: f64 = 3.949_659_822_581_572e-3;
+
+/// The 256 layers of the Exp(1) ziggurat: layer `i ≥ 1` is the rectangle
+/// `[0, x[i]] × [f[i], f[i+1]]` under `y = e^(−x)`, and layer 0 the base
+/// strip `[0, x[0]] × [0, f[1]]`, whose part past `R = x[1]` stands for
+/// the tail. Every layer has area `V`.
+struct ExpZiggurat {
+    x: [f64; 257],
+    f: [f64; 257],
+}
+
+/// The ziggurat's tables, built once per process.
+fn exp_ziggurat() -> &'static ExpZiggurat {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<ExpZiggurat> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut x = [0.0; 257];
+        // The base strip's rectangle plus its tail, `R·e^(−R) + e^(−R)`,
+        // has area V.
+        x[0] = ZIG_EXP_V / (-ZIG_EXP_R).exp();
+        x[1] = ZIG_EXP_R;
+        for i in 1..255 {
+            x[i + 1] = -(ZIG_EXP_V / x[i] + (-x[i]).exp()).ln();
+        }
+        // x[256] = 0 tops the last layer, whose points all take the wedge
+        // test.
+        ExpZiggurat {
+            x,
+            f: x.map(|x| (-x).exp()),
+        }
+    })
+}
+
+/// An Exp(1) draw, by Marsaglia and Tsang's 256-layer ziggurat.
+///
+/// One `next_u64` picks a layer (its low 8 bits) and a uniform point of
+/// it (its top 52 bits, an odd multiple of 2⁻⁵³, so never 0). A point
+/// inside the next layer's width lies under the curve and is returned at
+/// once: 97.8% of draws take one word and no transcendental. The rest
+/// are wedge points, kept iff a uniform height under the layer is below
+/// `e^(−x)`, and tail points past `R`, which return `R + Exp(1)` as
+/// `R − ln U` (the exponential is memoryless). Both tests are exact, so
+/// the draw is; only those two paths call libm. The batch-epoch driver
+/// draws its gaps and inert stretches from this instead of taking the
+/// logarithm of a uniform.
+#[inline]
+pub fn exp1(rng: &mut (impl RngCore + ?Sized)) -> f64 {
+    let zig = exp_ziggurat();
+    loop {
+        let bits = rng.next_u64();
+        let i = (bits & 0xff) as usize;
+        let u = ((bits >> 11) | 1) as f64 / (1u64 << 53) as f64;
+        let x = u * zig.x[i];
+        if x < zig.x[i + 1] {
+            return x;
+        }
+        if i == 0 {
+            return ZIG_EXP_R - uniform_open01(rng).ln();
+        }
+        if zig.f[i] + uniform_f64(rng) * (zig.f[i + 1] - zig.f[i]) < (-x).exp() {
+            return x;
         }
     }
 }
@@ -212,7 +284,9 @@ fn binomial_btrd(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
         let mut v = uniform_f64(rng);
         if v <= 0.86 * v_r {
             let u = v / v_r - 0.43;
-            return ((2.0 * a / (0.5 - u.abs()) + b) * u + c).floor() as u64;
+            // `as` saturates, so it floors every value here: a negative
+            // one goes to 0 either way.
+            return ((2.0 * a / (0.5 - u.abs()) + b) * u + c) as u64;
         }
         // Step 2: a point (u, v) under the rest of the hat.
         let u = if v >= v_r {
@@ -227,15 +301,16 @@ fn binomial_btrd(n: u64, p: f64, rng: &mut (impl RngCore + ?Sized)) -> u64 {
             }
         };
         let us = 0.5 - u.abs();
-        let kf = ((2.0 * a / us + b) * u + c).floor();
-        if !(0.0..=nf).contains(&kf) {
+        // ⌊x⌋ ∈ [0, n] exactly when x ∈ [0, n + 1).
+        let x = (2.0 * a / us + b) * u + c;
+        if !(0.0..nf + 1.0).contains(&x) {
             continue;
         }
-        let k = kf as u64;
+        let k = x as u64;
         v *= (2.83 + 5.1 / b) * spq / (a / (us * us) + b);
         // Step 3.1: recursive pmf ratio near the mode, where
         // pmf(i)/pmf(i−1) = (n+1)·r/i − r.
-        let m = ((nf + 1.0) * p).floor() as u64;
+        let m = ((nf + 1.0) * p) as u64;
         let km = k.abs_diff(m);
         if km <= 15 {
             let nr = (nf + 1.0) * r;
@@ -461,16 +536,24 @@ impl HypergeometricEnvelope {
 
     fn new(g: u64, b: u64, s: u64) -> Self {
         debug_assert!(g <= b && s >= 1 && s <= (g + b) / Self::MIN_URN_PER_SAMPLE);
-        let n = u128::from(g + b);
-        let sg = u128::from(s - 1) * u128::from(g);
-        let k_star = sg.div_ceil(n);
-        HypergeometricEnvelope {
-            g,
-            b,
-            s,
-            k_star: k_star as u64,
-            d: k_star * n - sg,
-        }
+        let n = g + b;
+        // In u64 whenever `(s−1)·g + N` fits: a 128-bit division is a
+        // library call.
+        let (k_star, d) = match (s - 1)
+            .checked_mul(g)
+            .filter(|sg| sg.checked_add(n).is_some())
+        {
+            Some(sg) => {
+                let k_star = sg.div_ceil(n);
+                (k_star, u128::from(k_star * n - sg))
+            }
+            None => {
+                let (n, sg) = (u128::from(n), u128::from(s - 1) * u128::from(g));
+                let k_star = sg.div_ceil(n);
+                (k_star as u64, k_star * n - sg)
+            }
+        };
+        HypergeometricEnvelope { g, b, s, k_star, d }
     }
 
     fn sample(&self, rng: &mut (impl RngCore + ?Sized)) -> u64 {
@@ -860,6 +943,66 @@ mod tests {
         }
         assert!((sum / 10_000.0 - 0.5).abs() < 0.02);
         assert!(uniform_open01(&mut rng) > 0.0);
+    }
+
+    /// χ² of `trials` [`exp1`] draws against the Exp(1) law, binned at
+    /// every layer edge of the ziggurat and the midpoints between them,
+    /// then in steps of ½ past `R` to an open last bin: every layer's
+    /// wedge, the base strip and the tail get bins of their own.
+    fn exp1_fit(trials: u64, seed: u64) -> (f64, usize) {
+        let x = &exp_ziggurat().x;
+        let mut edges: Vec<f64> = (1..256)
+            .flat_map(|i| [x[i + 1], 0.5 * (x[i] + x[i + 1])])
+            .chain((0..=16).map(|m| ZIG_EXP_R + 0.5 * f64::from(m)))
+            .collect();
+        edges.sort_by(f64::total_cmp);
+        let mut observed = vec![0.0f64; edges.len()];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..trials {
+            let e = exp1(&mut rng);
+            assert!(e > 0.0 && e.is_finite(), "Exp(1) draw {e}");
+            observed[edges.partition_point(|&a| a <= e) - 1] += 1.0;
+        }
+        let upper = edges[1..].iter().copied().chain([f64::INFINITY]);
+        let expected: Vec<f64> = edges
+            .iter()
+            .zip(upper)
+            .map(|(&a, b)| trials as f64 * ((-a).exp() - (-b).exp()))
+            .collect();
+        chi_square(&observed, &expected)
+    }
+
+    #[test]
+    fn exp1_tables_stack_layers_of_equal_area() {
+        let zig = exp_ziggurat();
+        let (x, f) = (&zig.x, &zig.f);
+        assert_eq!((x[1], x[256], f[256]), (ZIG_EXP_R, 0.0, 1.0));
+        let base = x[0] * f[1];
+        assert!((base - ZIG_EXP_V).abs() < 1e-15, "base strip {base}");
+        // The recursion from the published R and V closes the stack to
+        // 1.5·10⁻¹² relative at the top layer: a bias far below any test.
+        for i in 1..256 {
+            assert!(x[i + 1] < x[i], "layer {i} narrows upward");
+            let area = x[i] * (f[i + 1] - f[i]);
+            assert!(
+                (area - ZIG_EXP_V).abs() < 1e-11 * ZIG_EXP_V,
+                "layer {i}: area {area}"
+            );
+        }
+    }
+
+    #[test]
+    fn exp1_goodness_of_fit() {
+        let (chi2, bins) = exp1_fit(2_000_000, 53);
+        assert!(bins > 400, "degenerate binning: {bins}");
+        assert!(chi2 < chi2_bound(bins), "χ² = {chi2} over {bins} bins");
+    }
+
+    #[test]
+    #[ignore = "high power: 5·10⁷ draws; run in release with --ignored"]
+    fn exp1_goodness_of_fit_high_power() {
+        let (chi2, bins) = exp1_fit(50_000_000, 59);
+        assert!(chi2 < chi2_bound(bins), "χ² = {chi2} over {bins} bins");
     }
 
     #[test]
