@@ -13,9 +13,10 @@
 //! *in bulk*:
 //!
 //! 1. the number of fresh interactions before the next collision (the
-//!    *gap*) falls out of one uniform draw inverted against the
-//!    precomputed survival table (`EpochLengths`, private),
-//! 2. a collision draws its endpoints explicitly. A touched endpoint is
+//!    *gap*) falls out of one Exp(1) draw inverted against a table of the
+//!    log-survival function (`EpochLengths`, private),
+//! 2. a collision draws its endpoints explicitly, its roles by exact
+//!    integer draws. A touched endpoint is
 //!    uniform over the touched agents; if it belongs to a fresh
 //!    interaction whose states are not drawn yet, that interaction is
 //!    *realized* on the spot. An untouched endpoint's state, like a
@@ -72,9 +73,13 @@
 //! outcome classes, built lazily for each live state list, and draws its
 //! class by weight; no step draws a fault. Only a collision that meets a
 //! state outside the snapshot (one a batch created) merges its pair's
-//! classes over the full mix. Every step writes the snapshot's counts in
-//! place and commits them through one aligned writeback, and the driver
-//! re-snapshots only when a state appears or dies.
+//! classes over the full mix. An agent in flight is a *slot*: slot
+//! `i < d` is the snapshot's state `i`, and slot `d + e` the `e`-th state
+//! outside it that an outcome produced, interned once per state list, so
+//! the touched-agent pool is a vector of counts aligned with the slots.
+//! Every step writes the snapshot's counts in place and commits them
+//! through one aligned writeback, and the driver re-snapshots only when a
+//! state appears or dies.
 //!
 //! The runner surface is `run(`[`Epochs`](crate::Epochs)`, stop)`,
 //! available only on backends implementing [`EpochBackend`]. The
@@ -82,6 +87,8 @@
 //! reproduces its law *distributionally* (certified by the
 //! `interleaved_law_eq_epochs_*` rows of `tests/differential.rs` and by
 //! this module's exact-law test against a sequential reference).
+
+use std::cell::OnceCell;
 
 use ppfts_population::dist;
 use ppfts_population::{CountConfiguration, State};
@@ -156,22 +163,30 @@ impl<Q: State> EpochBackend for CountConfiguration<Q> {
 ///
 /// With no agent touched, the first `j` interactions are all fresh with
 /// probability `A(j) = ∏_{i<j} (n−2i)(n−1−2i) / (n(n−1))`, the survival
-/// table; `A(1) = 1`, and `A(j) = 0` past `⌊n/2⌋` (the agents run out).
+/// function; `A(1) = 1`, and `A(j) = 0` past `⌊n/2⌋` (the agents run out).
 /// With `t` agents touched the product starts at `(n−t)(n−t−1)`. For even
-/// `t = 2h` that is `A(h+j)/A(h)`, so one uniform `U` gives the gap
-/// `G = max{k : A(k) > U·A(h)} − h`. For odd `t` the product is the one at
-/// `t − 1` times `∏_{i<j} (n−t−1−2i)/(n−t+1−2i) = 1 − 2j/(n−t+1)`, the
-/// survival function of `X = ⌊U′·(n−t+1)/2⌋`, so `G` is the even gap at
-/// `t − 1` cut at an independent `X`. One table serves every `t`.
+/// `t = 2h` that is `A(h+j)/A(h)`, so a uniform `U` gives the gap
+/// `G = max{k : A(k) > U·A(h)} − h`; in logarithms, with
+/// `E = −ln U ~ Exp(1)`, `G = max{k : ln A(k) > ln A(h) − E} − h`, one
+/// [`dist::exp1`] draw and no logarithm per gap. For odd `t` the product
+/// is the one at `t − 1` times `∏_{i<j} (n−t−1−2i)/(n−t+1−2i) =
+/// 1 − 2j/(n−t+1)`, the survival function of `⌊K/2⌋` for `K` uniform on
+/// `0..n−t+1`, so `G` is the even gap at `t − 1` cut at that independent
+/// integer draw. One table of `ln A` serves every `t`.
 ///
-/// The table, built once per n per thread (see [`EpochLengths::shared`]),
-/// is truncated at `5√n + 16` entries, where `A ≈ e⁻⁵⁰`; the
-/// astronomically rare draw below the truncation extends the product on
-/// the fly.
+/// The table is truncated at `5√n + 16` entries, where `A ≈ e⁻⁵⁰`; the
+/// astronomically rare draw past the truncation extends the sum on the
+/// fly. It is built at the first gap, not in [`EpochLengths::new`], which
+/// keeps only the running product that gives the mean: a run of event
+/// steps never reads it. Each thread keeps one per n (see
+/// [`EpochLengths::shared`]).
 pub(crate) struct EpochLengths {
     n: u64,
     jmax: u64,
-    survival: Vec<f64>,
+    /// The table's last index, `min(jmax, 5√n + 16)`.
+    jcap: u64,
+    /// `ln A(j)` for `j ∈ 0..=jcap`, built at the first gap.
+    ln_survival: OnceCell<Vec<f64>>,
     /// The mean first gap `E[ℓ] = Σ_{j≥1} A(j)` (the truncated tail is
     /// below e⁻⁵⁰).
     mean: f64,
@@ -186,22 +201,17 @@ impl EpochLengths {
         let jcap = jmax.min(cap);
         let nf = n as f64;
         let denom = nf * (nf - 1.0);
-        let mut survival = Vec::with_capacity(jcap as usize + 1);
-        let mut a = 1.0f64;
-        let mut mean = 0.0;
-        survival.push(a);
-        // `extend` rather than a `push` loop: with the running mean in a
-        // push loop the build took twice as long.
-        survival.extend((0..jcap).map(|j| {
+        let (mut a, mut mean) = (1.0f64, 0.0);
+        for j in 0..jcap {
             let jf = j as f64;
             a *= (nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / denom;
             mean += a;
-            a
-        }));
+        }
         EpochLengths {
             n,
             jmax,
-            survival,
+            jcap,
+            ln_survival: OnceCell::new(),
             mean,
         }
     }
@@ -220,23 +230,41 @@ impl EpochLengths {
         })
     }
 
+    /// `ln A(j)` for `j ∈ 0..=jcap`, built on first use.
+    fn ln_survival(&self) -> &[f64] {
+        self.ln_survival.get_or_init(|| {
+            let mut l = 0.0;
+            std::iter::once(0.0)
+                .chain((0..self.jcap).map(|j| {
+                    l += self.ln_factor(j);
+                    l
+                }))
+                .collect()
+        })
+    }
+
+    /// `ln(A(j+1)/A(j)) = ln(1 − 2j(2n−1−2j)/(n(n−1)))`, through `ln_1p`
+    /// so that a factor near 1 keeps its relative precision.
+    fn ln_factor(&self, j: u64) -> f64 {
+        let (nf, jf) = (self.n as f64, j as f64);
+        (-2.0 * jf * (2.0 * nf - 1.0 - 2.0 * jf) / (nf * (nf - 1.0))).ln_1p()
+    }
+
     /// The gap before the next collision with `touched` agents touched.
     /// `A(touched / 2)` must be inside the table: it is when the table
     /// covers the full support, and a batch stops at `BATCH_TOUCHED · √n`
     /// touched agents, well inside `5√n` table entries.
     pub(crate) fn gap(&self, touched: u64, rng: &mut SmallRng) -> u64 {
+        let table = self.ln_survival();
         let h = touched / 2;
-        let v = dist::uniform_open01(rng) * self.survival[h as usize];
-        // `saturating_sub`: a `U·A(h)` rounded up to `A(h)` can put the
-        // inversion below `h`.
-        let even = self.length_at(v).saturating_sub(h);
+        let target = table[h as usize] - dist::exp1(rng);
+        // `saturating_sub`: an `E` below half an ulp of `ln A(h)` leaves
+        // the target at `ln A(h)`, which puts the inversion below `h`.
+        let even = self.length_at(table, target).saturating_sub(h);
         if touched.is_multiple_of(2) {
             return even;
         }
-        // `as` truncates toward zero: ⌊U′·(n−t+1)/2⌋.
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let cut = (dist::uniform_f64(rng) * ((self.n - touched + 1) as f64 / 2.0)) as u64;
-        even.min(cut)
+        even.min(below(rng, self.n - touched + 1) / 2)
     }
 
     #[cfg(test)]
@@ -244,39 +272,41 @@ impl EpochLengths {
         self.gap(0, rng)
     }
 
-    /// ℓ = max{ j : A(j) > u } for `u ∈ [0, 1)`.
+    /// ℓ = max{ j : ln A(j) > target } for `target < 0`, on `table`, the
+    /// built [`Self::ln_survival`].
     ///
-    /// `A(j) ≈ e^(−2j(j−1)/n)` puts the answer near
-    /// `j₀ = (1 + √(1 − 2n·ln u))/2`; a short walk on the table from there
-    /// makes it exact (a few entries at n = 10⁸ over the gaps of a batch).
-    fn length_at(&self, u: f64) -> u64 {
-        let last = self.survival.len() - 1;
-        let j0 = 0.5 * (1.0 + (1.0 - 2.0 * self.n as f64 * u.ln()).sqrt());
-        // `as` saturates (u = 0 gives j₀ = ∞).
+    /// `ln A(j) ≈ −2j(j−1)/n − 4j³/(3n²)`. The quadratic term alone puts
+    /// the answer at `j₀ = (1 + √(1 − 2n·target))/2`; the cubic one moves
+    /// it down by `≈ j₀²/(3n) ≈ −target/6` (as `j₀² − j₀ = −n·target/2`).
+    /// From there the start is the answer in all but ≈ 10⁻⁴ of the gaps
+    /// at n = 10⁸ (one entry above it otherwise), and a walk on the table
+    /// makes it exact.
+    fn length_at(&self, table: &[f64], target: f64) -> u64 {
+        let last = table.len() - 1;
+        let nf = self.n as f64;
+        let j0 = 0.5 * (1.0 + (1.0 - 2.0 * nf * target).sqrt());
+        // `as` saturates a negative start to 0.
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let mut j = (j0 as usize).min(last);
-        while j < last && self.survival[j + 1] > u {
+        let mut j = ((j0 + target * (1.0 / 6.0)) as usize).min(last);
+        while j < last && table[j + 1] > target {
             j += 1;
         }
-        // survival[0] = 1 > u stops the walk down.
-        while self.survival[j] <= u {
+        // ln A(0) = 0 > target stops the walk down.
+        while table[j] <= target {
             j -= 1;
         }
         let mut j = j as u64;
         if j < last as u64 {
             return j;
         }
-        // u fell below the whole cached table. If the table covers the
+        // The target fell below the whole table. If the table covers the
         // full support this simply means ℓ = jmax; a truncated table
-        // (probability ≈ e⁻⁵⁰ at the first gap) extends the product on
-        // the fly.
-        let mut a = self.survival[last];
-        let nf = self.n as f64;
-        let denom = nf * (nf - 1.0);
+        // (probability ≈ e⁻⁵⁰ at the first gap) extends the sum on the
+        // fly.
+        let mut l = table[last];
         while j < self.jmax {
-            let jf = j as f64;
-            a *= (nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / denom;
-            if a <= u {
+            l += self.ln_factor(j);
+            if l <= target {
                 break;
             }
             j += 1;
@@ -342,13 +372,15 @@ struct Scratch<Q> {
     /// ones and the `2 · fresh` of unrealized fresh interactions.
     unrevealed: u64,
     /// Post-interaction pool of the touched agents whose states are
-    /// known: (state, snapshot index, count).
-    updated: Vec<(Agent<Q>, u64)>,
-    /// Updated-pool states absent from the snapshot (new states).
+    /// known, a count per slot (see `ClassTable::outside`). At least as
+    /// long as the snapshot, and all zero between steps: a commit empties
+    /// it, and an error ends the driver call.
+    updated: Vec<u64>,
+    /// The states outside the snapshot that a commit adds.
     extras: Vec<(Q, u64)>,
     /// Outcome classes of a collision pair with a state outside the
     /// snapshot, merged over the full mix.
-    classes: Vec<OutcomeClass<Q>>,
+    classes: Vec<OutcomeClass>,
     /// Outcome classes of every ordered pair of the snapshot's states.
     table: ClassTable<Q>,
     /// The snapshot's non-inert ordered pairs `(i, j, weight)`.
@@ -357,10 +389,6 @@ struct Scratch<Q> {
     /// keyed by their omissive share.
     undrawn: Vec<(f64, u64)>,
 }
-
-/// A state with its index in the snapshot (`None` for a state outside
-/// it), so an interaction finds its class-table cell without a search.
-type Agent<Q> = (Q, Option<usize>);
 
 impl<Q: State> Scratch<Q> {
     fn new() -> Self {
@@ -382,6 +410,7 @@ impl<Q: State> Scratch<Q> {
             classes: Vec::new(),
             table: ClassTable {
                 states: Vec::new(),
+                outside: Vec::new(),
                 cells: Vec::new(),
                 classes: Vec::new(),
             },
@@ -398,6 +427,8 @@ impl<Q: State> Scratch<Q> {
         self.counts.clear();
         self.counts.extend(self.snap.iter().map(|&(_, c)| c));
         self.table.sync(&self.snap);
+        self.updated.clear();
+        self.updated.resize(self.counts.len(), 0);
         self.stale = false;
     }
 }
@@ -408,11 +439,8 @@ struct Law<'m, F, O, M> {
     fault_mix: &'m [(F, f64)],
     outcome_of: O,
     is_omissive: M,
-    /// Total weight of the mix, summed in mix order: the weight of an
-    /// inert pair's one class.
-    weight: f64,
-    /// Omissive weight of the mix, summed likewise.
-    omissive_weight: f64,
+    /// Omissive share of the mix: that of an inert pair's one class.
+    omissive: f64,
 }
 
 impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
@@ -429,47 +457,67 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
             fault_mix,
             outcome_of,
             is_omissive,
-            weight,
-            omissive_weight,
+            omissive: omissive_weight / weight,
         }
     }
 
     /// Appends the outcome classes of the pair `(s, r)` under the mix to
-    /// `out`, each outcome state with its index in `states`. Faults with
-    /// equal `Ok` outcomes share a class; an `Err` outcome is a class of
-    /// its own.
-    fn classes_into<Q: State>(&mut self, s: &Q, r: &Q, states: &[Q], out: &mut Vec<OutcomeClass<Q>>)
+    /// `out` and returns their total weight. Each outcome is a pair of
+    /// slots over `states`, an outcome state outside them interned into
+    /// `outside`. Faults with equal `Ok` outcomes share a class; an `Err`
+    /// outcome is a class of its own.
+    fn classes_into<Q: State>(
+        &mut self,
+        s: &Q,
+        r: &Q,
+        states: &[Q],
+        outside: &mut Vec<Q>,
+        out: &mut Vec<OutcomeClass>,
+    ) -> f64
     where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
     {
         let first = out.len();
         for &(fault, w) in self.fault_mix {
-            let outcome = (self.outcome_of)(s, r, fault);
+            let outcome = (self.outcome_of)(s, r, fault)
+                .map(|(s2, r2)| (slot_of(s2, states, outside), slot_of(r2, states, outside)));
             let omissive_weight = if (self.is_omissive)(&fault) { w } else { 0.0 };
-            let same = match &outcome {
-                Ok((s2, r2)) => out[first..].iter_mut().find(|c| {
-                    c.outcome
-                        .as_ref()
-                        .is_ok_and(|((x, _), (y, _))| x == s2 && y == r2)
-                }),
+            let same = match outcome {
+                Ok(pair) => out[first..]
+                    .iter_mut()
+                    .find(|c| c.outcome.as_ref().is_ok_and(|&p| p == pair)),
                 Err(_) => None,
             };
             if let Some(class) = same {
                 class.weight += w;
-                class.omissive_weight += omissive_weight;
+                class.omissive += omissive_weight;
             } else {
-                let at = |q: &Q| states.iter().position(|x| x == q);
                 out.push(OutcomeClass {
-                    outcome: outcome.map(|(s2, r2)| {
-                        let (i, j) = (at(&s2), at(&r2));
-                        ((s2, i), (r2, j))
-                    }),
+                    outcome,
                     weight: w,
-                    omissive_weight,
+                    omissive: omissive_weight,
                 });
             }
         }
+        let classes = &mut out[first..];
+        for class in classes.iter_mut() {
+            class.omissive /= class.weight;
+        }
+        classes.iter().map(|c| c.weight).sum()
     }
+}
+
+/// The slot of `q` over `states`: its index there, else `states.len()`
+/// plus its index in `outside`, where it is interned on first sight.
+fn slot_of<Q: PartialEq>(q: Q, states: &[Q], outside: &mut Vec<Q>) -> usize {
+    if let Some(i) = states.iter().position(|x| *x == q) {
+        return i;
+    }
+    let e = outside.iter().position(|x| *x == q).unwrap_or_else(|| {
+        outside.push(q);
+        outside.len() - 1
+    });
+    states.len() + e
 }
 
 /// The outcome classes of every ordered pair over one live state list,
@@ -478,9 +526,12 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
 /// per state list rather than once per interaction.
 struct ClassTable<Q> {
     states: Vec<Q>,
+    /// The outcome states outside `states`, in the order the classes met
+    /// them: slot `states.len() + e` is `outside[e]`.
+    outside: Vec<Q>,
     /// Per ordered pair, row-major over `states`, once filled.
     cells: Vec<Option<Cell>>,
-    classes: Vec<OutcomeClass<Q>>,
+    classes: Vec<OutcomeClass>,
 }
 
 /// One filled [`ClassTable`] entry.
@@ -489,6 +540,8 @@ struct Cell {
     /// The pair's classes are `classes[start..end]`.
     start: usize,
     end: usize,
+    /// Their total weight, summed in class order.
+    weight: f64,
     /// Every fault of the mix maps the pair to itself: one class,
     /// carrying the whole mix, whose outcome is the identity.
     inert: bool,
@@ -503,39 +556,56 @@ impl<Q: State> ClassTable<Q> {
         }
         self.states.clear();
         self.states.extend(snap.iter().map(|(q, _)| q.clone()));
+        self.outside.clear();
         self.cells.clear();
         self.cells.resize(snap.len() * snap.len(), None);
         self.classes.clear();
     }
 
+    /// The state in `slot`.
+    fn state(&self, slot: usize) -> &Q {
+        self.states
+            .get(slot)
+            .unwrap_or_else(|| &self.outside[slot - self.states.len()])
+    }
+
     /// The entry of the pair `(states[i], states[j])`, filled on first
     /// read from the law's mix.
+    #[inline]
     fn cell<F: Copy, O, M>(&mut self, i: usize, j: usize, law: &mut Law<F, O, M>) -> Cell
     where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
         M: Fn(&F) -> bool,
     {
-        let index = i * self.states.len() + j;
-        if let Some(cell) = self.cells[index] {
-            return cell;
+        match self.cells[i * self.states.len() + j] {
+            Some(cell) => cell,
+            None => self.fill(i, j, law),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fill<F: Copy, O, M>(&mut self, i: usize, j: usize, law: &mut Law<F, O, M>) -> Cell
+    where
+        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
+        M: Fn(&F) -> bool,
+    {
         let start = self.classes.len();
-        law.classes_into(
+        let weight = law.classes_into(
             &self.states[i],
             &self.states[j],
             &self.states,
+            &mut self.outside,
             &mut self.classes,
         );
-        let inert = matches!(
-            &self.classes[start..],
-            [class] if class.outcome.as_ref().is_ok_and(|((_, s2), (_, r2))| *s2 == Some(i) && *r2 == Some(j))
-        );
+        let inert = matches!(&self.classes[start..], [class] if class.outcome.as_ref().is_ok_and(|&p| p == (i, j)));
         let cell = Cell {
             start,
             end: self.classes.len(),
+            weight,
             inert,
         };
-        self.cells[index] = Some(cell);
+        self.cells[i * self.states.len() + j] = Some(cell);
         cell
     }
 
@@ -680,18 +750,18 @@ where
                 }
             } else {
                 // The inert interactions before the next non-inert one:
-                // Geometric(p_act) by inversion, ⌊ln U / ln(1 − p_act)⌋,
-                // cut at the budget (exact, the stretch is memoryless).
+                // Geometric(p_act) by inversion, ⌊E / −ln(1 − p_act)⌋ for
+                // E ~ Exp(1), cut at the budget (exact, the stretch is
+                // memoryless).
                 let inert = if active == 0.0 {
                     silent_stride
                 } else {
                     // `as` saturates, so a stretch past u64 is cut too.
-                    (dist::uniform_open01(rng).ln() / (-p_act).ln_1p()) as u64
+                    (dist::exp1(rng) / -(-p_act).ln_1p()) as u64
                 }
                 .min(remaining);
                 if inert > 0 {
-                    let omissive =
-                        tally_omissive(law.omissive_weight, law.weight, inert, &mut undrawn);
+                    let omissive = tally_omissive(law.omissive, inert, &mut undrawn);
                     stats.record_bulk(omissive, false, inert);
                     *next_index += inert;
                     remaining -= inert;
@@ -746,7 +816,6 @@ where
     let mut delta = RunStats::default();
     sc.revealed.clear();
     sc.revealed.resize(sc.counts.len(), 0);
-    sc.updated.clear();
     sc.undrawn.clear();
     (sc.touched, sc.fresh, sc.unrevealed) = (0, 0, lengths.n);
     let mut steps = 0;
@@ -795,10 +864,10 @@ where
             sc.reactors_left[j] -= k;
             let cell = sc.table.cell(i, j, law);
             apply_group(
-                &sc.table.states[i],
-                &sc.table.states[j],
+                (i, j),
                 k,
                 &sc.table.classes[cell.start..cell.end],
+                cell.weight,
                 &mut sc.updated,
                 &mut sc.undrawn,
                 &mut delta,
@@ -819,11 +888,14 @@ where
 
 impl<Q: State> Scratch<Q> {
     /// Executes one collision: an interaction with at least one touched
-    /// endpoint, its outcome class drawn by weight. Conditioned on
+    /// endpoint, its outcome class drawn by weight. With `t` agents
+    /// touched, `t·(2n−t−1)` of the `n(n−1)` ordered pairs collide, and
+    /// `t·(n−1)` of those have a touched starter. So, conditioned on
     /// colliding, the starter is touched with probability
-    /// `(t/n) / (1 − survive)`; a touched starter's reactor is touched
-    /// with probability `(t−1)/(n−1)`, and an untouched starter's reactor
-    /// always is.
+    /// `(n−1)/(2n−t−1)`, a touched starter's reactor with probability
+    /// `(t−1)/(n−1)`, and an untouched starter's reactor always. Each role
+    /// is an exact integer draw: `below(2n−t−1) < n−1`, then
+    /// `below(n−1) < t−1`.
     fn collide<F: Copy, O, M>(
         &mut self,
         n: u64,
@@ -835,93 +907,87 @@ impl<Q: State> Scratch<Q> {
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
         M: Fn(&F) -> bool,
     {
-        let (nf, t) = (n as f64, self.touched as f64);
-        let survive = (nf - t) * (nf - t - 1.0) / (nf * (nf - 1.0));
-        let p_starter_touched = (t / nf) / (1.0 - survive);
+        let t = self.touched;
         let (s, r, untouched);
-        if dist::uniform_f64(rng) < p_starter_touched {
-            s = self.take_touched(self.touched, law, delta, rng)?;
-            if dist::uniform_f64(rng) < (t - 1.0) / (nf - 1.0) {
-                r = self.take_touched(self.touched - 1, law, delta, rng)?;
+        if below(rng, 2 * n - t - 1) < n - 1 {
+            s = self.take_touched(t, law, delta, rng)?;
+            if below(rng, n - 1) < t - 1 {
+                r = self.take_touched(t - 1, law, delta, rng)?;
                 untouched = 0;
             } else {
-                r = self.take_untouched(rng);
+                r = self.take_unrevealed(rng);
                 untouched = 1;
             }
         } else {
-            s = self.take_untouched(rng);
-            r = self.take_touched(self.touched, law, delta, rng)?;
+            s = self.take_unrevealed(rng);
+            r = self.take_touched(t, law, delta, rng)?;
             untouched = 1;
         }
         // A pair with a state outside the snapshot merges its classes
         // over the full mix; every other pair reads the table.
-        let classes = if let (Some(i), Some(j)) = (s.1, r.1) {
-            let cell = self.table.cell(i, j, law);
-            &self.table.classes[cell.start..cell.end]
+        let d = self.counts.len();
+        let (s2, r2) = if s < d && r < d {
+            let cell = self.table.cell(s, r, law);
+            let classes = &self.table.classes[cell.start..cell.end];
+            apply_one((s, r), classes, cell.weight, &mut self.undrawn, delta, rng)?
         } else {
+            let (sq, rq) = (self.table.state(s).clone(), self.table.state(r).clone());
             self.classes.clear();
-            law.classes_into(&s.0, &r.0, &self.table.states, &mut self.classes);
-            &self.classes
+            let table = &mut self.table;
+            let weight = law.classes_into(
+                &sq,
+                &rq,
+                &table.states,
+                &mut table.outside,
+                &mut self.classes,
+            );
+            apply_one((s, r), &self.classes, weight, &mut self.undrawn, delta, rng)?
         };
-        let (s2, r2) = apply_one(&s.0, &r.0, classes, &mut self.undrawn, delta, rng)?;
-        pool_add(&mut self.updated, &s2, 1);
-        pool_add(&mut self.updated, &r2, 1);
+        pool_add(&mut self.updated, s2, 1);
+        pool_add(&mut self.updated, r2, 1);
         self.touched += untouched;
         Ok(())
     }
 
     /// Takes one of `avail` touched agents uniformly (the `2 · fresh` of
     /// unrealized fresh interactions, then the pool) and returns its
-    /// current state. An agent of an unrealized fresh interaction realizes
-    /// it: both pre-states drawn from the unrevealed agents, its outcome
-    /// class from the class table, and the partner's post-state joins the
-    /// pool.
+    /// slot. An agent of an unrealized fresh interaction realizes it: both
+    /// pre-states drawn from the unrevealed agents, its outcome class from
+    /// the class table, and the partner's post-state joins the pool.
     fn take_touched<F: Copy, O, M>(
         &mut self,
         avail: u64,
         law: &mut Law<F, O, M>,
         delta: &mut RunStats,
         rng: &mut SmallRng,
-    ) -> Result<Agent<Q>, EngineError>
+    ) -> Result<usize, EngineError>
     where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
         M: Fn(&F) -> bool,
     {
         let k = below(rng, avail);
         if k >= 2 * self.fresh {
-            let i = pool_take(&mut self.updated, k - 2 * self.fresh);
-            return Ok(self.updated[i].0.clone());
+            return Ok(pool_take(&mut self.updated, k - 2 * self.fresh));
         }
         self.fresh -= 1;
         let i = self.take_unrevealed(rng);
         let j = self.take_unrevealed(rng);
         let cell = self.table.cell(i, j, law);
-        let (s2, r2) = apply_one(
-            &self.table.states[i],
-            &self.table.states[j],
-            &self.table.classes[cell.start..cell.end],
-            &mut self.undrawn,
-            delta,
-            rng,
-        )?;
+        let classes = &self.table.classes[cell.start..cell.end];
+        let (s2, r2) = apply_one((i, j), classes, cell.weight, &mut self.undrawn, delta, rng)?;
         // Given k < 2·fresh, k's parity is a uniform role.
         let (endpoint, partner) = if k.is_multiple_of(2) {
             (s2, r2)
         } else {
             (r2, s2)
         };
-        pool_add(&mut self.updated, &partner, 1);
+        pool_add(&mut self.updated, partner, 1);
         Ok(endpoint)
     }
 
-    /// The state of one untouched agent, drawn from the unrevealed ones.
-    fn take_untouched(&mut self, rng: &mut SmallRng) -> Agent<Q> {
-        let i = self.take_unrevealed(rng);
-        (self.table.states[i].clone(), Some(i))
-    }
-
     /// Reveals one unrevealed agent uniformly (weights: snapshot counts
-    /// minus everything revealed this batch) and returns its group index.
+    /// minus everything revealed this batch) and returns its slot, its
+    /// group's index.
     fn take_unrevealed(&mut self, rng: &mut SmallRng) -> usize {
         let mut k = below(rng, self.unrevealed);
         self.unrevealed -= 1;
@@ -963,29 +1029,29 @@ where
     let cell = sc.table.cell(i, j, law);
     let mut delta = RunStats::default();
     sc.undrawn.clear();
+    let classes = &sc.table.classes[cell.start..cell.end];
     let (s2, r2) = apply_one(
-        &sc.table.states[i],
-        &sc.table.states[j],
-        &sc.table.classes[cell.start..cell.end],
+        (i, j),
+        classes,
+        cell.weight,
         &mut sc.undrawn,
         &mut delta,
         rng,
     )?;
     sc.counts[i] -= 1;
     sc.counts[j] -= 1;
-    sc.updated.clear();
-    pool_add(&mut sc.updated, &s2, 1);
-    pool_add(&mut sc.updated, &r2, 1);
+    pool_add(&mut sc.updated, s2, 1);
+    pool_add(&mut sc.updated, r2, 1);
     commit(config, stats, undrawn, &delta, sc);
     Ok(())
 }
 
 /// Commits a step: `sc.counts` already holds each snapshot state's agents
 /// that the step did not draw; the updated pool pours its post-states
-/// back into them, and pool states outside the snapshot are new. One
-/// aligned writeback, no keyed lookups; the snapshot goes stale only if
-/// a state appeared or died. The step's `delta` and omission tally then
-/// join the call's.
+/// back into them slot by slot, and its slots past the snapshot are new
+/// states. One aligned writeback, no keyed lookups; the pool is left
+/// empty, and the snapshot goes stale only if a state appeared or died.
+/// The step's `delta` and omission tally then join the call's.
 fn commit<C: EpochBackend>(
     config: &mut C,
     stats: &mut RunStats,
@@ -993,54 +1059,59 @@ fn commit<C: EpochBackend>(
     delta: &RunStats,
     sc: &mut Scratch<C::State>,
 ) {
+    let d = sc.counts.len();
+    for (c, u) in sc.counts.iter_mut().zip(&mut sc.updated) {
+        *c += std::mem::take(u);
+    }
     sc.extras.clear();
-    for ((q, at), c) in sc.updated.drain(..) {
-        if c == 0 {
-            continue;
-        }
-        match at {
-            Some(i) => sc.counts[i] += c,
-            None => sc.extras.push((q, c)),
+    for (q, u) in sc.table.outside.iter().zip(&mut sc.updated[d..]) {
+        let c = std::mem::take(u);
+        if c > 0 {
+            sc.extras.push((q.clone(), c));
         }
     }
     config.commit_state_counts(&sc.counts, &sc.extras);
     sc.stale = !sc.extras.is_empty() || sc.counts.contains(&0);
     stats.merge(delta);
     for (share, k) in sc.undrawn.drain(..) {
-        pool_add(undrawn, &share, k);
+        tally_share(undrawn, share, k);
     }
 }
 
 /// One outcome class of a state pair: the faults of the mix whose
-/// outcomes agree, with their summed weight and its omissive part.
-struct OutcomeClass<Q> {
-    outcome: Result<(Agent<Q>, Agent<Q>), EngineError>,
+/// outcomes agree, with their summed weight and its omissive share.
+struct OutcomeClass {
+    /// The post-states as slots (see [`ClassTable::outside`]).
+    outcome: Result<(usize, usize), EngineError>,
     weight: f64,
-    omissive_weight: f64,
+    /// The omissive share of `weight`, `omissive_weight / weight`; while
+    /// `Law::classes_into` merges the class, its omissive weight.
+    omissive: f64,
 }
 
-/// Splits a bulk (starter-state, reactor-state) group of `k` interactions
-/// across its outcome `classes` (sequential conditional binomials, whose
-/// joint law is the multinomial over the class weights; a one-class group
-/// needs no draw) and applies each drawn class's outcome once.
+/// Splits a bulk group of `k` interactions of the slot pair `(s, r)`
+/// across its outcome `classes`, of total `weight` (sequential
+/// conditional binomials, whose joint law is the multinomial over the
+/// class weights; a one-class group needs no draw), and applies each drawn
+/// class's outcome once.
 ///
 /// An `Err` class fails the step only if it is drawn. A class mixing
 /// omissive and fault-free faults adds its count to `undrawn`, keyed by
 /// its omissive share, for the driver to resolve.
 #[allow(clippy::too_many_arguments)]
-fn apply_group<Q: State>(
-    s: &Q,
-    r: &Q,
+fn apply_group(
+    (s, r): (usize, usize),
     k: u64,
-    classes: &[OutcomeClass<Q>],
-    updated: &mut Vec<(Agent<Q>, u64)>,
+    classes: &[OutcomeClass],
+    weight: f64,
+    updated: &mut Vec<u64>,
     undrawn: &mut Vec<(f64, u64)>,
     delta: &mut RunStats,
     rng: &mut SmallRng,
 ) -> Result<(), EngineError> {
     let last = classes.len() - 1;
     let mut left = k;
-    let mut wleft: f64 = classes.iter().map(|c| c.weight).sum();
+    let mut wleft = weight;
     for (t, class) in classes.iter().enumerate() {
         if left == 0 {
             break;
@@ -1055,37 +1126,33 @@ fn apply_group<Q: State>(
         if kt == 0 {
             continue;
         }
-        let (s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
-        let omissive = tally_omissive(class.omissive_weight, class.weight, kt, undrawn);
-        delta.record_bulk(omissive, s2.0 != *s || r2.0 != *r, kt);
+        let &(s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
+        let omissive = tally_omissive(class.omissive, kt, undrawn);
+        delta.record_bulk(omissive, s2 != s || r2 != r, kt);
         pool_add(updated, s2, kt);
         pool_add(updated, r2, kt);
     }
     Ok(())
 }
 
-/// One interaction of the pair `(s, r)`: draws its outcome class by
-/// weight (no draw for one class), records it, and returns its outcome.
-fn apply_one<Q: State>(
-    s: &Q,
-    r: &Q,
-    classes: &[OutcomeClass<Q>],
+/// One interaction of the slot pair `(s, r)`: draws its outcome class by
+/// weight from `classes`, of total `weight` (no draw for one class),
+/// records it, and returns its outcome.
+fn apply_one(
+    (s, r): (usize, usize),
+    classes: &[OutcomeClass],
+    weight: f64,
     undrawn: &mut Vec<(f64, u64)>,
     delta: &mut RunStats,
     rng: &mut SmallRng,
-) -> Result<(Agent<Q>, Agent<Q>), EngineError> {
+) -> Result<(usize, usize), EngineError> {
     let class = match classes {
         [only] => only,
-        _ => pick(
-            classes,
-            |c| c.weight,
-            classes.iter().map(|c| c.weight).sum(),
-            rng,
-        ),
+        _ => pick(classes, |c| c.weight, weight, rng),
     };
-    let (s2, r2) = class.outcome.clone()?;
-    let omissive = tally_omissive(class.omissive_weight, class.weight, 1, undrawn);
-    delta.record_bulk(omissive, s2.0 != *s || r2.0 != *r, 1);
+    let &(s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
+    let omissive = tally_omissive(class.omissive, 1, undrawn);
+    delta.record_bulk(omissive, s2 != s || r2 != r, 1);
     Ok((s2, r2))
 }
 
@@ -1109,44 +1176,46 @@ fn pick<'a, T>(
         .unwrap_or_else(|| items.last().expect("a draw needs an item"))
 }
 
-/// Whether all `k` interactions of a class with these weights are
-/// omissive. A class mixing omissive and fault-free faults counts as not
-/// omissive and adds `k` to `undrawn` under its omissive share instead.
-fn tally_omissive(
-    omissive_weight: f64,
-    weight: f64,
-    k: u64,
-    undrawn: &mut Vec<(f64, u64)>,
-) -> bool {
-    if omissive_weight == 0.0 {
+/// Whether all `k` interactions of a class with omissive share `share`
+/// are omissive. A class mixing omissive and fault-free faults counts as
+/// not omissive and adds `k` to `undrawn` under its share instead.
+fn tally_omissive(share: f64, k: u64, undrawn: &mut Vec<(f64, u64)>) -> bool {
+    if share == 0.0 {
         false
-    } else if omissive_weight == weight {
+    } else if share == 1.0 {
         true
     } else {
-        pool_add(undrawn, &(omissive_weight / weight), k);
+        tally_share(undrawn, share, k);
         false
     }
 }
 
-/// Adds `k` copies of `q` to a small linear-scan pool.
-fn pool_add<Q: PartialEq + Clone>(pool: &mut Vec<(Q, u64)>, q: &Q, k: u64) {
-    if let Some(entry) = pool.iter_mut().find(|(p, _)| p == q) {
-        entry.1 += k;
-    } else {
-        pool.push((q.clone(), k));
+/// Adds `k` interactions to the `undrawn` entry of omissive share `share`.
+fn tally_share(undrawn: &mut Vec<(f64, u64)>, share: f64, k: u64) {
+    match undrawn.iter_mut().find(|(p, _)| *p == share) {
+        Some(entry) => entry.1 += k,
+        None => undrawn.push((share, k)),
     }
 }
 
-/// Removes the agent at position `k` of a weighted pool (agents counted
-/// entry by entry) and returns its group index (the entry stays in place
-/// so the caller can read its state).
-fn pool_take<Q>(pool: &mut [(Q, u64)], mut k: u64) -> usize {
-    for (i, entry) in pool.iter_mut().enumerate() {
-        if k < entry.1 {
-            entry.1 -= 1;
-            return i;
+/// Adds `k` agents to `slot` of the updated pool, growing it to a slot
+/// past the snapshot.
+fn pool_add(pool: &mut Vec<u64>, slot: usize, k: u64) {
+    if slot >= pool.len() {
+        pool.resize(slot + 1, 0);
+    }
+    pool[slot] += k;
+}
+
+/// Removes the agent at position `k` of the updated pool (agents counted
+/// slot by slot) and returns its slot.
+fn pool_take(pool: &mut [u64], mut k: u64) -> usize {
+    for (slot, c) in pool.iter_mut().enumerate() {
+        if k < *c {
+            *c -= 1;
+            return slot;
         }
-        k -= entry.1;
+        k -= *c;
     }
     unreachable!("pool position within its total")
 }
@@ -1186,21 +1255,59 @@ mod tests {
     fn survival_table_matches_direct_product() {
         let lengths = EpochLengths::new(10);
         assert_eq!(lengths.jmax, 5);
-        assert_eq!(lengths.survival.len(), 6); // full support cached
-        let mut a = 1.0f64;
-        for (j, &cached) in lengths.survival.iter().enumerate() {
-            assert!((cached - a).abs() < 1e-12, "A({j}) = {a}, cached {cached}");
-            let jf = j as f64;
-            a *= (10.0 - 2.0 * jf) * (9.0 - 2.0 * jf) / 90.0;
+        let table = lengths.ln_survival();
+        assert_eq!(table.len(), 6); // full support cached
+        for n in [10u64, 10_000] {
+            let lengths = EpochLengths::new(n);
+            let nf = n as f64;
+            // ln A(j) as the log of the direct product's factors.
+            let mut ln_a = 0.0f64;
+            for (j, &cached) in lengths.ln_survival().iter().enumerate() {
+                assert!(
+                    (cached - ln_a).abs() < 1e-12 * ln_a.abs().max(1.0),
+                    "n = {n}: ln A({j}) = {ln_a}, cached {cached}"
+                );
+                let jf = j as f64;
+                ln_a += ((nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / (nf * (nf - 1.0))).ln();
+            }
         }
         // A(1) = 1: the first interaction never collides, so ℓ ≥ 1.
-        assert_eq!(lengths.survival[1], 1.0);
+        assert_eq!(table[..2], [0.0, 0.0]);
+    }
+
+    /// The table as an eager build in `new` would hold it.
+    fn eager_table(lengths: &EpochLengths) -> Vec<f64> {
+        let mut l = 0.0;
+        (0..=lengths.jcap)
+            .map(|j| {
+                let at = l;
+                l += lengths.ln_factor(j);
+                at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_log_table_is_built_at_the_first_gap_as_an_eager_build_holds_it() {
+        for n in [2u64, 3, 10, 10_000, 100_000_000] {
+            let lengths = EpochLengths::new(n);
+            assert!(lengths.ln_survival.get().is_none(), "n = {n}: built in new");
+            let mut rng = SmallRng::seed_from_u64(n);
+            lengths.gap(0, &mut rng);
+            let lazy = lengths.ln_survival.get().expect("the first gap builds it");
+            assert_eq!(lazy.len() as u64, lengths.jcap + 1, "n = {n}");
+            assert_eq!(*lazy, eager_table(&lengths), "n = {n}");
+        }
     }
 
     fn assert_same_table(got: &EpochLengths, n: u64) {
         let fresh = EpochLengths::new(n);
-        assert_eq!((got.n, got.jmax), (fresh.n, fresh.jmax), "n = {n}");
-        assert_eq!(got.survival, fresh.survival, "n = {n}");
+        assert_eq!(
+            (got.n, got.jmax, got.jcap),
+            (fresh.n, fresh.jmax, fresh.jcap),
+            "n = {n}"
+        );
+        assert_eq!(got.ln_survival(), fresh.ln_survival(), "n = {n}");
         assert_eq!(got.mean.to_bits(), fresh.mean.to_bits(), "n = {n}");
     }
 
@@ -1250,7 +1357,7 @@ mod tests {
     fn epoch_lengths_have_the_analytic_mean() {
         let lengths = EpochLengths::new(100);
         // E[ℓ] = Σ_{j≥1} P(ℓ ≥ j) = Σ_{j≥1} A(j).
-        let expected: f64 = lengths.survival[1..].iter().sum();
+        let expected: f64 = lengths.ln_survival()[1..].iter().map(|l| l.exp()).sum();
         assert!((lengths.mean - expected).abs() < 1e-12 * expected);
         let mut rng = SmallRng::seed_from_u64(7);
         let m = 20_000u64;
@@ -1281,30 +1388,30 @@ mod tests {
 
     #[test]
     fn single_inversion_matches_the_full_partition_point() {
-        // Targets U·A(h) as the gaps draw them, across t, and the table's
-        // own entries and their neighbours, where an off-by-one in the
-        // walk would show.
+        // Targets ln A(h) − E as the gaps draw them, across t, and the
+        // table's own entries and their neighbours, where an off-by-one
+        // in the walk would show.
         for n in [2, 3, 4, 5, 10_000, 100_000_000u64] {
             let lengths = EpochLengths::new(n);
-            let table = &lengths.survival;
+            let table = lengths.ln_survival();
             let last = table.len() - 1;
-            let check = |v: f64| {
-                let pp = table.partition_point(|&a| a > v);
-                let got = lengths.length_at(v);
+            let check = |target: f64| {
+                let pp = table.partition_point(|&l| l > target);
+                let got = lengths.length_at(table, target);
                 if pp <= last {
-                    assert_eq!(got, pp as u64 - 1, "n = {n}, v = {v}");
+                    assert_eq!(got, pp as u64 - 1, "n = {n}, target {target}");
                 } else {
-                    assert!(got >= last as u64, "n = {n}, v = {v}");
+                    assert!(got >= last as u64, "n = {n}, target {target}");
                 }
             };
             let mut rng = SmallRng::seed_from_u64(n);
             for _ in 0..1_000_000 {
                 let h = below(&mut rng, last as u64 + 1) as usize;
-                check(dist::uniform_open01(&mut rng) * table[h]);
+                check(table[h] - dist::exp1(&mut rng));
             }
-            for &a in table.iter().filter(|&&a| a < 1.0) {
-                for v in [a, a.next_down(), a.next_up()] {
-                    check(v);
+            for &l in table.iter().filter(|&&l| l < 0.0) {
+                for target in [l, l.next_down(), l.next_up()] {
+                    check(target);
                 }
             }
         }
@@ -1328,9 +1435,9 @@ mod tests {
             for t in 0..=n {
                 let h = t / 2;
                 for j in 0..=n {
-                    let table = &lengths.survival;
+                    let table = lengths.ln_survival();
                     let even = if h + j <= n / 2 {
-                        table[(h + j) as usize] / table[h as usize]
+                        (table[(h + j) as usize] - table[h as usize]).exp()
                     } else {
                         0.0
                     };
@@ -1380,26 +1487,25 @@ mod tests {
     fn draws_below_the_truncated_table_extend_the_product() {
         let n = 10_000u64;
         let lengths = EpochLengths::new(n);
-        let last = *lengths.survival.last().unwrap();
-        assert!(
-            (lengths.survival.len() as u64) <= lengths.jmax,
-            "table is truncated"
-        );
-        let nf = n as f64;
-        let direct = |u: f64| {
-            let (mut j, mut a) = (0u64, 1.0f64);
+        let table = lengths.ln_survival();
+        let last = *table.last().unwrap();
+        assert!((table.len() as u64) <= lengths.jmax, "table is truncated");
+        // The sum from ln A(0), with the table build's own terms.
+        let direct = |target: f64| {
+            let (mut j, mut l) = (0u64, 0.0f64);
             while j < n / 2 {
-                let jf = j as f64;
-                let next = a * ((nf - 2.0 * jf) * (nf - 1.0 - 2.0 * jf) / (nf * (nf - 1.0)));
-                if next <= u {
+                let next = l + lengths.ln_factor(j);
+                if next <= target {
                     break;
                 }
-                (j, a) = (j + 1, next);
+                (j, l) = (j + 1, next);
             }
             j
         };
-        for u in [last, last * 0.5, last * 1e-6, f64::MIN_POSITIVE] {
-            assert_eq!(lengths.length_at(u), direct(u), "u = {u}");
+        // Down to ln A(n/2) = −∞.
+        for target in [last, last - 2f64.ln(), last - 1e6f64.ln(), -1e4] {
+            let got = lengths.length_at(table, target);
+            assert_eq!(got, direct(target), "target {target}");
         }
     }
 
@@ -1734,8 +1840,8 @@ mod tests {
     }
 
     /// Fails at z > 5: under the exact law the statistic is ≈ N(0, 1),
-    /// and a batch that biases a realized endpoint's role, drops the
-    /// `1/(1 − survive)` conditioning of a collision, or draws a
+    /// and a batch that biases a realized endpoint's role, draws a
+    /// collision's starter touched off `(n−1)/(2n−t−1)`, or draws a
     /// collision's outcome class off its weight scores far above. Six
     /// cells force batches at three stops; one forces event steps
     /// throughout; and one starts without state 2, so a collision meets
