@@ -216,7 +216,7 @@ impl EpochLengths {
         }
     }
 
-    /// The table for `n`, kept per thread until `n` changes: a per-call
+    /// The sampler for `n`, kept per thread until `n` changes: a per-call
     /// table was rebuilt for every seed, and one table per process made
     /// two cores share its reads, which ran slower (EXPERIMENTS.md E17).
     pub(crate) fn shared(n: u64) -> std::rc::Rc<Self> {
