@@ -500,7 +500,9 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
             }
         }
         let classes = &mut out[first..];
-        for class in classes.iter_mut() {
+        // A class without omissive weight has share 0, even at weight 0
+        // (a fault the mix gives no weight), where the division is 0/0.
+        for class in classes.iter_mut().filter(|c| c.omissive != 0.0) {
             class.omissive /= class.weight;
         }
         classes.iter().map(|c| c.weight).sum()
@@ -1757,6 +1759,20 @@ mod tests {
     }
 
     const TRI_MIX: [(bool, f64); 2] = [(false, 0.7), (true, 0.3)];
+
+    #[test]
+    fn a_class_the_mix_gives_no_weight_has_omissive_share_zero() {
+        // At omission rate 1 the fault-free entry keeps weight 0; its
+        // class must not key the omission tally with 0/0.
+        let mix = [(false, 0.0), (true, 1.0)];
+        let mut law = Law::new(&mix, |s: &u8, r: &u8, omit| tri(s, r, omit), |&f| f);
+        let (mut outside, mut classes) = (Vec::new(), Vec::new());
+        let weight = law.classes_into(&1, &1, &[0, 1, 2], &mut outside, &mut classes);
+        assert_eq!(weight, 1.0);
+        let shares: Vec<f64> = classes.iter().map(|c| c.omissive).collect();
+        assert_eq!(shares, [0.0, 1.0]);
+        assert!(outside.is_empty());
+    }
 
     /// End state counts of 0 and 1, and the omissive steps.
     type EndKey = (usize, usize, u64);
