@@ -8,12 +8,12 @@
 //! invariants one interaction at a time:
 //!
 //! * announcement/change runs are addressed back to their announcer in
-//!   graphical mode ([`lint_skno_addressing`], [`lint_skno_change_target`])
+//!   graphical mode ([`lint_skno_addressing`], `lint_skno_change_target`)
 //!   — the static form of the change-run deadlock the topology audit
 //!   found dynamically;
 //! * every detected omission mints exactly one joker, completing a run
 //!   conserves the token footprint, and the Rummy swap trades an owed
-//!   identity for a fresh joker ([`lint_skno_ledger`]).
+//!   identity for a fresh joker (`lint_skno_ledger`).
 
 use ppfts_core::{Skno, SknoState, Token};
 use ppfts_engine::{OneWayProgram, TwoWayModel, TwoWayProgram};
@@ -222,7 +222,7 @@ where
 /// consumes a plain run announced by vertex 0, every token of the change
 /// run it mints must be addressed back to vertex 0 — the announcer is
 /// the only agent the run can free.
-pub fn lint_skno_change_target<P>(skno: &Skno<P>, q_s: &P::State, q_r: &P::State) -> Vec<Finding>
+fn lint_skno_change_target<P>(skno: &Skno<P>, q_s: &P::State, q_r: &P::State) -> Vec<Finding>
 where
     P: TwoWayProtocol,
 {
@@ -286,7 +286,7 @@ where
 /// 3. a run completed with a joker records the owed identity, and the
 ///    Rummy swap trades it back for a fresh joker when the real token
 ///    arrives.
-pub fn lint_skno_ledger<P>(skno: &Skno<P>, q_s: &P::State, q_r: &P::State) -> Vec<Finding>
+fn lint_skno_ledger<P>(skno: &Skno<P>, q_s: &P::State, q_r: &P::State) -> Vec<Finding>
 where
     P: TwoWayProtocol,
 {

@@ -235,7 +235,7 @@ pub struct Comparison {
 
 impl Comparison {
     /// Ids that regressed.
-    pub fn regressions(&self) -> impl Iterator<Item = &Delta> {
+    fn regressions(&self) -> impl Iterator<Item = &Delta> {
         self.deltas
             .iter()
             .filter(|d| d.verdict == Verdict::Regressed)

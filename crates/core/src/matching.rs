@@ -44,11 +44,6 @@ impl Matching {
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }
-
-    /// Whether every event found its partner.
-    pub fn is_perfect(&self) -> bool {
-        self.unmatched.is_empty()
-    }
 }
 
 /// Ways a matching or derived execution can fail verification.
@@ -588,7 +583,7 @@ mod tests {
     fn empty_trace_is_trivially_consistent() {
         let events: Vec<SimEvent<char>> = Vec::new();
         let matching = build_matching(&pairing(), &events).unwrap();
-        assert!(matching.is_perfect());
+        assert!(matching.unmatched.is_empty());
         assert!(matching.is_empty());
         let initial = ppfts_population::Configuration::new(vec!['c', 'p']);
         let derived = verify_derived_execution(&pairing(), &initial, &events, &matching).unwrap();

@@ -136,22 +136,12 @@ impl<P: TwoWayProtocol> NamedSid<P> {
     ///
     /// Panics if `n < 2`.
     pub fn new(protocol: P, n: usize) -> Self {
-        assert!(n >= 2, "population size must be at least 2");
-        NamedSid {
-            sid: Sid::new(protocol),
-            n,
-            gossip: GossipPolicy::Enabled,
-            topology: None,
-        }
+        Self::with_gossip_policy(protocol, n, GossipPolicy::Enabled)
     }
 
     /// Creates the simulator with an explicit gossip policy;
     /// [`GossipPolicy::Disabled`] exists for the D4 ablation only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn with_gossip_policy(protocol: P, n: usize, gossip: GossipPolicy) -> Self {
+    fn with_gossip_policy(protocol: P, n: usize, gossip: GossipPolicy) -> Self {
         assert!(n >= 2, "population size must be at least 2");
         NamedSid {
             sid: Sid::new(protocol),
@@ -198,16 +188,6 @@ impl<P: TwoWayProtocol> NamedSid<P> {
     /// The interaction graph this simulator is bound to, if graphical.
     pub fn topology(&self) -> Option<&Topology> {
         self.topology.as_ref()
-    }
-
-    /// The gossip policy in force.
-    pub fn gossip_policy(&self) -> GossipPolicy {
-        self.gossip
-    }
-
-    /// The known population size.
-    pub fn population_size(&self) -> usize {
-        self.n
     }
 
     /// The simulated protocol.

@@ -249,11 +249,6 @@ impl<P: TwoWayProtocol> Sid<P> {
                 .contains_arc(a as usize, b as usize)
     }
 
-    /// The rollback policy in force.
-    pub fn rollback_policy(&self) -> RollbackPolicy {
-        self.rollback
-    }
-
     /// The simulated protocol.
     pub fn protocol(&self) -> &P {
         &self.protocol

@@ -97,7 +97,7 @@ pub enum Token<Q> {
 
 impl<Q> Token<Q> {
     /// Whether this token is the joker wildcard.
-    pub fn is_joker(&self) -> bool {
+    fn is_joker(&self) -> bool {
         matches!(self, Token::Joker)
     }
 }
@@ -630,8 +630,7 @@ impl<Q: std::hash::Hash> std::hash::Hash for SknoState<Q> {
 impl<Q: State> SknoState<Q> {
     /// Creates the initial simulator state around simulated state `q`:
     /// available, with empty queues, at graph vertex 0 (the vertex only
-    /// matters under [`Skno::graphical`]; use
-    /// [`new_at`](SknoState::new_at) or [`Skno::initial`] to place
+    /// matters under [`Skno::graphical`]; use [`Skno::initial`] to place
     /// agents).
     pub fn new(q: Q) -> Self {
         Self::new_at(0, q)
@@ -640,7 +639,7 @@ impl<Q: State> SknoState<Q> {
     /// Creates the initial simulator state for the agent at graph vertex
     /// `site`. [`Skno::initial`] places agent `i` at vertex `i`, the
     /// layout every graphical runner assumes.
-    pub fn new_at(site: u32, q: Q) -> Self {
+    fn new_at(site: u32, q: Q) -> Self {
         SknoState {
             sim: q,
             site,
@@ -1059,12 +1058,6 @@ impl<P: TwoWayProtocol> Skno<P> {
     pub fn scan_reference(mut self) -> Self {
         self.indexed = false;
         self
-    }
-
-    /// Whether the incremental run index is in force (default) or every
-    /// check scans the queue ([`scan_reference`](Skno::scan_reference)).
-    pub fn is_indexed(&self) -> bool {
-        self.indexed
     }
 
     /// The joker-bookkeeping policy in force.
@@ -1883,7 +1876,7 @@ mod tests {
     #[test]
     fn skno_is_indexed_by_default_and_scan_reference_opts_out() {
         let skno = Skno::new(ppfts_protocols::Epidemic, 1);
-        assert!(skno.is_indexed());
-        assert!(!skno.scan_reference().is_indexed());
+        assert!(skno.indexed);
+        assert!(!skno.scan_reference().indexed);
     }
 }

@@ -413,11 +413,6 @@ impl BurstStrategy {
             injected: 0,
         }
     }
-
-    /// Expected burst length `1 / (1 − continue_rate)`.
-    pub fn expected_burst_len(&self) -> f64 {
-        1.0 / (1.0 - self.continue_rate)
-    }
 }
 
 impl OmissionStrategy for BurstStrategy {
@@ -627,7 +622,6 @@ mod tests {
         assert!(longest < 100, "bursts are almost surely short");
         assert!(adv.injected() > 0);
         assert_eq!(adv.budget(), None);
-        assert!((adv.expected_burst_len() - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl<P: OneWayProgram> EmbedOneWay<P> {
     pub fn inner(&self) -> &P {
         &self.inner
     }
-
-    /// Unwraps the adapter.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P> TwoWayProgram for EmbedOneWay<P>

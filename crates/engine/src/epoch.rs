@@ -890,14 +890,8 @@ where
 
 impl<Q: State> Scratch<Q> {
     /// Executes one collision: an interaction with at least one touched
-    /// endpoint, its outcome class drawn by weight. With `t` agents
-    /// touched, `t·(2n−t−1)` of the `n(n−1)` ordered pairs collide, and
-    /// `t·(n−1)` of those have a touched starter. So, conditioned on
-    /// colliding, the starter is touched with probability
-    /// `(n−1)/(2n−t−1)`, a touched starter's reactor with probability
-    /// `(t−1)/(n−1)`, and an untouched starter's reactor always. Each role
-    /// is an exact integer draw: `below(2n−t−1) < n−1`, then
-    /// `below(n−1) < t−1`.
+    /// endpoint (roles by [`collision_roles`]), its outcome class drawn by
+    /// weight.
     fn collide<F: Copy, O, M>(
         &mut self,
         n: u64,
@@ -910,21 +904,19 @@ impl<Q: State> Scratch<Q> {
         M: Fn(&F) -> bool,
     {
         let t = self.touched;
-        let (s, r, untouched);
-        if below(rng, 2 * n - t - 1) < n - 1 {
+        let mut s = 0;
+        let roles = collision_roles(rng, n, t, |rng| {
             s = self.take_touched(t, law, delta, rng)?;
-            if below(rng, n - 1) < t - 1 {
-                r = self.take_touched(t - 1, law, delta, rng)?;
-                untouched = 0;
-            } else {
-                r = self.take_unrevealed(rng);
-                untouched = 1;
+            Ok(())
+        })?;
+        let r = match roles {
+            (true, true) => self.take_touched(t - 1, law, delta, rng)?,
+            (true, false) => self.take_unrevealed(rng),
+            (false, _) => {
+                s = self.take_unrevealed(rng);
+                self.take_touched(t, law, delta, rng)?
             }
-        } else {
-            s = self.take_unrevealed(rng);
-            r = self.take_touched(t, law, delta, rng)?;
-            untouched = 1;
-        }
+        };
         // A pair with a state outside the snapshot merges its classes
         // over the full mix; every other pair reads the table.
         let d = self.counts.len();
@@ -947,7 +939,7 @@ impl<Q: State> Scratch<Q> {
         };
         pool_add(&mut self.updated, s2, 1);
         pool_add(&mut self.updated, r2, 1);
-        self.touched += untouched;
+        self.touched += u64::from(roles != (true, true));
         Ok(())
     }
 
@@ -1220,6 +1212,30 @@ fn pool_take(pool: &mut [u64], mut k: u64) -> usize {
         k -= *c;
     }
     unreachable!("pool position within its total")
+}
+
+/// Whether the starter and the reactor of a collision are touched, with
+/// `t ≥ 1` of `n` agents touched. `t·(2n−t−1)` of the `n(n−1)` ordered
+/// pairs collide, and `t·(n−1)` of those have a touched starter. So,
+/// conditioned on colliding, the starter is touched with probability
+/// `(n−1)/(2n−t−1)`, a touched starter's reactor with probability
+/// `(t−1)/(n−1)`, and an untouched starter's reactor always. Each role is
+/// an exact integer draw: `below(2n−t−1) < n−1`, then `below(n−1) < t−1`.
+/// `take_starter` runs between the two draws, so that the caller takes a
+/// touched starter from the stream before its reactor's role is drawn.
+#[inline]
+fn collision_roles(
+    rng: &mut SmallRng,
+    n: u64,
+    t: u64,
+    take_starter: impl FnOnce(&mut SmallRng) -> Result<(), EngineError>,
+) -> Result<(bool, bool), EngineError> {
+    if below(rng, 2 * n - t - 1) < n - 1 {
+        take_starter(rng)?;
+        Ok((true, below(rng, n - 1) < t - 1))
+    } else {
+        Ok((false, true))
+    }
 }
 
 /// A uniform draw from `0..s`, `s > 0`: Lemire's multiply-shift with
@@ -1888,6 +1904,42 @@ mod tests {
     #[ignore = "high power: run in release with --ignored"]
     fn batches_reproduce_the_sequential_end_law_at_high_power() {
         assert_end_law(300_000);
+    }
+
+    #[test]
+    fn collision_roles_follow_the_colliding_pair_law() {
+        // Of the t·(2n−t−1) colliding ordered pairs, t·(t−1) join two
+        // touched agents, and t·(n−t) put the untouched agent on each
+        // side. χ² on 2 degrees of freedom has survival e^(−x/2), so
+        // −2 ln 10⁻⁶ is its p = 10⁻⁶ bound.
+        let bound = -2.0 * 1e-6f64.ln();
+        let draws = 100_000u64;
+        for (n, t) in [(4u64, 2u64), (5, 3), (12, 7)] {
+            let mut rng = SmallRng::seed_from_u64(100 * n + t);
+            let (mut seen, mut taken) = ([0u64; 3], 0u64);
+            for _ in 0..draws {
+                let roles = collision_roles(&mut rng, n, t, |_| {
+                    taken += 1;
+                    Ok(())
+                })
+                .unwrap();
+                seen[match roles {
+                    (true, true) => 0,
+                    (true, false) => 1,
+                    (false, true) => 2,
+                    (false, false) => unreachable!("a collision has a touched endpoint"),
+                }] += 1;
+            }
+            assert_eq!(taken, seen[0] + seen[1], "a touched starter is taken");
+            let pairs = (2 * n - t - 1) as f64;
+            let law = [t - 1, n - t, n - t].map(|k| k as f64 / pairs);
+            let chi2: f64 = seen
+                .iter()
+                .zip(law)
+                .map(|(&o, p)| (o as f64 - p * draws as f64).powi(2) / (p * draws as f64))
+                .sum();
+            assert!(chi2 < bound, "(n, t) = ({n}, {t}): χ² = {chi2:.2}");
+        }
     }
 
     #[test]

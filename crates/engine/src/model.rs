@@ -22,7 +22,7 @@ use crate::{OmissionStrategy, SidePolicy};
 /// ```
 /// use ppfts_engine::{Model, OneWayModel, TwoWayModel};
 ///
-/// assert!(Model::TwoWay(TwoWayModel::Tw).is_fault_free());
+/// assert!(!Model::TwoWay(TwoWayModel::Tw).allows_omissions());
 /// assert!(Model::OneWay(OneWayModel::I3).allows_omissions());
 /// assert_eq!(Model::OneWay(OneWayModel::Io).to_string(), "IO");
 /// ```
@@ -55,16 +55,6 @@ impl Model {
             Model::TwoWay(m) => m.allows_omissions(),
             Model::OneWay(m) => m.allows_omissions(),
         }
-    }
-
-    /// Whether the model is one of the fault-free bases (TW, IT, IO).
-    pub fn is_fault_free(self) -> bool {
-        !self.allows_omissions()
-    }
-
-    /// Whether the model is in the one-way family.
-    pub fn is_one_way(self) -> bool {
-        matches!(self, Model::OneWay(_))
     }
 }
 
@@ -428,9 +418,9 @@ mod tests {
 
     #[test]
     fn fault_free_bases() {
-        assert!(Model::TwoWay(TwoWayModel::Tw).is_fault_free());
-        assert!(Model::OneWay(OneWayModel::It).is_fault_free());
-        assert!(Model::OneWay(OneWayModel::Io).is_fault_free());
+        assert!(!Model::TwoWay(TwoWayModel::Tw).allows_omissions());
+        assert!(!Model::OneWay(OneWayModel::It).allows_omissions());
+        assert!(!Model::OneWay(OneWayModel::Io).allows_omissions());
         let omissive = Model::ALL.iter().filter(|m| m.allows_omissions()).count();
         assert_eq!(omissive, 7);
     }

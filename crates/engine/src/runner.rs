@@ -318,11 +318,6 @@ where
         &self.config
     }
 
-    /// Consumes the runner, returning the final population.
-    pub fn into_config(self) -> C {
-        self.config
-    }
-
     /// Total interactions executed so far.
     pub fn steps(&self) -> u64 {
         self.next_index

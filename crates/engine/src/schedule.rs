@@ -50,7 +50,7 @@ impl ScheduledEvent {
 
     /// Whether `step` lies inside this event's window.
     #[must_use]
-    pub fn window_contains(&self, step: u64) -> bool {
+    fn window_contains(&self, step: u64) -> bool {
         self.from <= step && step < self.until
     }
 

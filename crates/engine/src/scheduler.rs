@@ -345,7 +345,6 @@ impl Scheduler for TopologyScheduler {
 /// let mut rng = SmallRng::seed_from_u64(1);
 /// assert_eq!(sched.next_interaction(4, &mut rng), Interaction::new(0, 1)?);
 /// assert_eq!(sched.next_interaction(4, &mut rng), Interaction::new(1, 0)?);
-/// assert_eq!(sched.remaining_script(), 0); // further calls use the fallback
 /// # Ok::<(), ppfts_population::PopulationError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -362,11 +361,6 @@ impl<F: Scheduler> ScriptedScheduler<F> {
             script: script.into_iter().collect(),
             fallback,
         }
-    }
-
-    /// Number of scripted interactions not yet played.
-    pub fn remaining_script(&self) -> usize {
-        self.script.len()
     }
 }
 
@@ -501,7 +495,7 @@ mod tests {
         ];
         let mut sched = ScriptedScheduler::new(script.clone(), UniformScheduler::new());
         assert_eq!(sched.next_interaction(3, &mut rng), script[0]);
-        assert_eq!(sched.remaining_script(), 1);
+        assert_eq!(sched.script.len(), 1);
         assert_eq!(sched.next_interaction(3, &mut rng), script[1]);
         // Fallback still yields valid interactions.
         let i = sched.next_interaction(3, &mut rng);

@@ -117,19 +117,6 @@ impl<Q: State> CountConfiguration<Q> {
         c
     }
 
-    /// Creates a population from a multiset of states.
-    ///
-    /// Entry order (and therefore the RNG-to-state mapping of
-    /// [`sample_pair`](CountConfiguration::sample_pair)) follows the
-    /// multiset's canonical sorted order, so the construction is
-    /// deterministic.
-    pub fn from_counts(counts: &Multiset<Q>) -> Self
-    where
-        Q: Ord,
-    {
-        CountConfiguration::from_groups(counts.sorted_pairs())
-    }
-
     /// Number of agents `n`.
     pub fn len(&self) -> usize {
         self.n
@@ -447,8 +434,6 @@ mod tests {
         assert_eq!(count.distinct(), 3);
         assert_eq!(count.counts(), dense.counts());
         assert!(count.same_counts(&dense));
-        let by_multiset = CountConfiguration::from_counts(&dense.counts());
-        assert_eq!(by_multiset, count);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! and for omission thinning, and (multivariate) hypergeometric draws for
 //! splitting a batch's agents across states and matching starters to
 //! reactors, and Exp(1) draws for the lengths of its gaps and inert
-//! stretches. A Vose alias table serves O(1) repeated categorical draws
-//! for any caller with a fixed weighting.
+//! stretches.
 //!
 //! All samplers are **exact**: each draw is either an inversion of the
 //! true pmf or a rejection sampler whose acceptance test compares against
@@ -22,7 +21,7 @@
 //! for any other urn Stadlober's HRUA ratio of uniforms. Tiny urn sides
 //! take a transcendental-free chop-down.
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// A uniform `f64` in `[0, 1)` built from the top 53 bits of one
 /// `next_u64` draw (the shim's `gen_bool` uses the same construction).
@@ -121,7 +120,7 @@ pub fn exp1(rng: &mut (impl RngCore + ?Sized)) -> f64 {
 /// # Panics
 ///
 /// Panics on non-positive integers (poles of Γ).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     const COEF: [f64; 8] = [
         676.520_368_121_885_1,
         -1_259.139_216_722_402_8,
@@ -673,101 +672,6 @@ pub fn multivariate_hypergeometric_into(
         *slot = k;
         left_total -= c;
         left_draw -= k;
-    }
-}
-
-/// A Vose alias table: O(len) construction over arbitrary non-negative
-/// weights, then O(1) categorical draws, for any workload drawing many
-/// times from a fixed weighting.
-///
-/// # Example
-///
-/// ```
-/// use ppfts_population::dist::AliasTable;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let table = AliasTable::new(&[1.0, 0.0, 3.0]).unwrap();
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let i = table.sample(&mut rng);
-/// assert!(i == 0 || i == 2); // zero-weight categories never drawn
-/// ```
-#[derive(Clone, Debug)]
-pub struct AliasTable {
-    /// Acceptance threshold per cell, in `[0, 1]`.
-    prob: Vec<f64>,
-    /// Donor category used when a cell's threshold rejects.
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    /// Builds the table; returns `None` if `weights` is empty, contains a
-    /// negative or non-finite entry, or sums to zero.
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        let n = weights.len();
-        if n == 0 {
-            return None;
-        }
-        let mut total = 0.0;
-        for &w in weights {
-            if !w.is_finite() || w < 0.0 {
-                return None;
-            }
-            total += w;
-        }
-        if total <= 0.0 {
-            return None;
-        }
-        // Vose's partition into small (< 1) and large (≥ 1) scaled cells.
-        let scale = n as f64 / total;
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        let mut prob = vec![1.0f64; n];
-        let mut alias: Vec<usize> = (0..n).collect();
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(s), Some(&l)) = (small.pop(), large.last()) {
-            prob[s] = scaled[s];
-            alias[s] = l;
-            scaled[l] -= 1.0 - scaled[s];
-            if scaled[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers on either list are 1.0 cells up to fp drift.
-        for i in small.into_iter().chain(large) {
-            prob[i] = 1.0;
-            alias[i] = i;
-        }
-        Some(AliasTable { prob, alias })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table has no categories (never true for a built table).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draws one category index, consuming one range draw and one
-    /// uniform.
-    pub fn sample(&self, rng: &mut (impl RngCore + ?Sized)) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if uniform_f64(rng) < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
     }
 }
 
@@ -1519,48 +1423,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_table_construction_invariants() {
-        let weights = [0.5, 3.0, 0.0, 1.25, 8.0];
-        let table = AliasTable::new(&weights).unwrap();
-        assert_eq!(table.len(), weights.len());
-        assert!(!table.is_empty());
-        for (i, &p) in table.prob.iter().enumerate() {
-            assert!((0.0..=1.0).contains(&p), "prob[{i}] = {p}");
-            assert!(table.alias[i] < weights.len());
-            // A cell that can reject must alias to a positive-weight donor.
-            if p < 1.0 {
-                assert!(weights[table.alias[i]] > 0.0);
-            }
-        }
-        // Per-category total mass reconstructed from the table matches
-        // the normalized weights: mass(i) = prob[i] + Σ_j (1 − prob[j])
-        // over cells aliasing to i, all divided by len.
-        let mut mass = vec![0.0f64; weights.len()];
-        for i in 0..weights.len() {
-            mass[i] += table.prob[i];
-            mass[table.alias[i]] += 1.0 - table.prob[i];
-        }
-        let total: f64 = weights.iter().sum();
-        for (i, &w) in weights.iter().enumerate() {
-            let want = w / total * weights.len() as f64;
-            assert!(
-                (mass[i] - want).abs() < 1e-9,
-                "category {i}: mass {} want {want}",
-                mass[i]
-            );
-        }
-    }
-
-    #[test]
-    fn alias_table_rejects_invalid_weights() {
-        assert!(AliasTable::new(&[]).is_none());
-        assert!(AliasTable::new(&[0.0, 0.0]).is_none());
-        assert!(AliasTable::new(&[1.0, -0.5]).is_none());
-        assert!(AliasTable::new(&[f64::NAN]).is_none());
-        assert!(AliasTable::new(&[f64::INFINITY, 1.0]).is_none());
-    }
-
-    #[test]
     fn hash_bernoulli_is_deterministic_and_calibrated() {
         // Pure function of (key, salt, rate).
         for key in 0..64u64 {
@@ -1585,22 +1447,5 @@ mod tests {
         // Reference values from the canonical SplitMix64 (Vigna).
         assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
         assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
-    }
-
-    #[test]
-    fn alias_table_goodness_of_fit() {
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let table = AliasTable::new(&weights).unwrap();
-        let mut rng = SmallRng::seed_from_u64(37);
-        let trials = 40_000u64;
-        let mut observed = vec![0.0f64; weights.len()];
-        for _ in 0..trials {
-            observed[table.sample(&mut rng)] += 1.0;
-        }
-        let total: f64 = weights.iter().sum();
-        let expected: Vec<f64> = weights.iter().map(|w| w / total * trials as f64).collect();
-        let (chi2, _) = chi_square(&observed, &expected);
-        // df = 3; χ²₀.₉₉₉(3) ≈ 16.3.
-        assert!(chi2 < 17.0, "χ² = {chi2}");
     }
 }

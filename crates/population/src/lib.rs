@@ -21,8 +21,7 @@
 //! * [`Multiset`] — order-insensitive view of a configuration,
 //! * [`dist`] — exact discrete samplers: the binomial, hypergeometric
 //!   and multivariate hypergeometric draws powering the batch-epoch
-//!   execution path, and an [`AliasTable`] for repeated categorical
-//!   draws,
+//!   execution path,
 //! * [`Topology`] — first-class interaction graphs (complete, ring, star,
 //!   grid, random-regular, Erdős–Rényi) with CSR adjacency and O(1)
 //!   uniform arc sampling, the data behind graph-aware scheduling,
@@ -76,7 +75,6 @@ mod topology;
 pub use agent::AgentId;
 pub use config::{Configuration, DenseConfiguration};
 pub use count::CountConfiguration;
-pub use dist::AliasTable;
 pub use error::PopulationError;
 pub use interaction::Interaction;
 pub use multiset::Multiset;

@@ -171,7 +171,7 @@ impl<Q: State> TableProtocol<Q> {
     ///
     /// let table = TableProtocol::from_protocol(&OrBit);
     /// assert_eq!(table.delta(&false, &true), OrBit.delta(&false, &true));
-    /// assert_eq!(table.rule_count(), 2); // (t,f) and (f,t); identities elided
+    /// assert_eq!(table.rules().count(), 2); // (t,f) and (f,t); identities elided
     /// ```
     pub fn from_protocol<P>(protocol: &P) -> TableProtocol<Q>
     where
@@ -195,11 +195,6 @@ impl<Q: State> TableProtocol<Q> {
         self.rules
             .iter()
             .map(|(from, to)| DeltaRule::new(from.clone(), to.clone()))
-    }
-
-    /// Number of explicit rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Analyzes which unordered pairs the table treats symmetrically.
@@ -290,13 +285,6 @@ pub struct SymmetryReport {
     pub symmetric_pairs: usize,
     /// Debug renderings of the asymmetric pairs.
     pub asymmetric_pairs: Vec<(String, String)>,
-}
-
-impl SymmetryReport {
-    /// Whether `δ` is symmetric on every unordered pair.
-    pub fn is_fully_symmetric(&self) -> bool {
-        self.asymmetric_pairs.is_empty()
-    }
 }
 
 /// The δ-closure of a seed set: every state reachable by repeatedly
@@ -457,7 +445,6 @@ mod tests {
             .build();
         let report = p.symmetry_report();
         // (1,0) infects but (0,1) does not: asymmetric on {0,1}.
-        assert!(!report.is_fully_symmetric());
         assert_eq!(report.asymmetric_pairs.len(), 1);
         assert_eq!(report.symmetric_pairs, 2); // {0,0} and {1,1}
     }
@@ -470,7 +457,7 @@ mod tests {
         assert_eq!(p.delta(&'a', &'b'), ('x', 'x'));
         assert_eq!(p.delta(&'b', &'a'), ('x', 'x'));
         assert!(p.is_symmetric_on(&'a', &'b'));
-        assert_eq!(p.rule_count(), 2);
+        assert_eq!(p.rules().count(), 2);
     }
 
     #[test]

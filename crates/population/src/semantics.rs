@@ -153,14 +153,6 @@ impl<Y: Clone + PartialEq> ConsensusOutput<Y> {
             None => ConsensusOutput::Split,
         }
     }
-
-    /// The agreed value, if any.
-    pub fn agreed(&self) -> Option<&Y> {
-        match self {
-            ConsensusOutput::Agreed(y) => Some(y),
-            ConsensusOutput::Split => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,11 +208,9 @@ mod tests {
             ConsensusOutput::of(&Or, &agreed),
             ConsensusOutput::Agreed(true)
         );
-        assert_eq!(ConsensusOutput::of(&Or, &agreed).agreed(), Some(&true));
 
         let split = Configuration::new(vec![true, false]);
         assert_eq!(ConsensusOutput::of(&Or, &split), ConsensusOutput::Split);
-        assert_eq!(ConsensusOutput::of(&Or, &split).agreed(), None);
     }
 
     #[test]

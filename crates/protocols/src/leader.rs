@@ -20,7 +20,7 @@ pub enum LeaderState {
 /// Starting from all-`Leader`, the number of leaders decreases by one each
 /// time two leaders meet, and never increases; under global fairness it
 /// stabilizes at exactly one. The specification is the configuration
-/// predicate [`LeaderElection::is_elected`], not a consensus output —
+/// predicate "exactly one `Leader` remains", not a consensus output —
 /// which is why this protocol exercises a different corner of the
 /// simulation checkers than the predicate protocols.
 ///
@@ -46,16 +46,6 @@ impl LeaderElection {
     /// — O(1) memory however large the flock.
     pub fn initial_counts(n: usize) -> CountConfiguration<LeaderState> {
         CountConfiguration::uniform(LeaderState::Leader, n)
-    }
-
-    /// Number of remaining leader candidates.
-    pub fn leader_count(config: &Configuration<LeaderState>) -> usize {
-        config.count_state(&LeaderState::Leader)
-    }
-
-    /// Whether election has completed: exactly one leader remains.
-    pub fn is_elected(config: &Configuration<LeaderState>) -> bool {
-        Self::leader_count(config) == 1
     }
 }
 
@@ -83,6 +73,14 @@ mod tests {
     use super::*;
     use ppfts_engine::{Batched, Stop, TwoWayModel, TwoWayRunner};
 
+    fn leader_count(config: &Configuration<LeaderState>) -> usize {
+        config.count_state(&LeaderState::Leader)
+    }
+
+    fn is_elected(config: &Configuration<LeaderState>) -> bool {
+        leader_count(config) == 1
+    }
+
     #[test]
     fn followers_never_return() {
         use LeaderState::*;
@@ -102,7 +100,7 @@ mod tests {
         let mut last = 8;
         for _ in 0..5000 {
             runner.step().unwrap();
-            let now = LeaderElection::leader_count(runner.config());
+            let now = leader_count(runner.config());
             assert!(now <= last && now >= 1);
             last = now;
         }
@@ -117,7 +115,7 @@ mod tests {
                 .build()
                 .unwrap();
             let out = runner
-                .run(Batched(1), Stop::until(100_000, LeaderElection::is_elected))
+                .run(Batched(1), Stop::until(100_000, is_elected))
                 .unwrap();
             assert!(out.is_satisfied(), "n = {n}");
         }
@@ -169,6 +167,6 @@ mod tests {
             .build()
             .unwrap();
         runner.run(Batched(1), Stop::steps(2000)).unwrap();
-        assert!(LeaderElection::is_elected(runner.config()));
+        assert!(is_elected(runner.config()));
     }
 }

@@ -25,10 +25,9 @@
 //!   predicates (boolean combinations of threshold and remainder atoms —
 //!   the exact expressive power of standard population protocols) to
 //!   concrete two-way protocols;
-//! * [`scenario`] — graph-aware workloads: epidemic broadcast and
-//!   max-gossip placed on explicit interaction
-//!   [`Topology`](ppfts_population::Topology)s (ring, star, grid,
-//!   random-regular), the payloads of experiment E12.
+//! * [`scenario`] — the graph-aware workload: epidemic broadcast placed
+//!   on explicit interaction [`Topology`](ppfts_population::Topology)s
+//!   (ring, star, grid, random-regular), the payload of experiment E12.
 //!
 //! Every protocol implements
 //! [`TwoWayProtocol`](ppfts_population::TwoWayProtocol); those that compute

@@ -1,6 +1,6 @@
 //! The paper's Pairing protocol `P_IP` (Definition 5).
 
-use ppfts_population::{Configuration, EnumerableStates, Multiset, TwoWayProtocol};
+use ppfts_population::{Configuration, EnumerableStates, TwoWayProtocol};
 
 /// Local states of the [`Pairing`] protocol.
 ///
@@ -61,15 +61,6 @@ impl Pairing {
     /// The number of agents in the irrevocable `cs` state.
     pub fn paired_count(config: &Configuration<PairingState>) -> usize {
         config.count_state(&PairingState::Paired)
-    }
-
-    /// The value `min(|consumers|, |producers|)` for an *initial*
-    /// configuration — what liveness says the `cs` count must stabilize to.
-    pub fn expected_pairs(initial: &Configuration<PairingState>) -> usize {
-        let counts: Multiset<PairingState> = initial.counts();
-        counts
-            .count(&PairingState::Consumer)
-            .min(counts.count(&PairingState::Producer))
     }
 
     /// Convenience: the initial configuration with `consumers` agents in
@@ -141,7 +132,8 @@ mod tests {
     fn initial_layout_and_expected_pairs() {
         let c0 = Pairing::initial(3, 5);
         assert_eq!(c0.len(), 8);
-        assert_eq!(Pairing::expected_pairs(&c0), 3);
+        assert_eq!(c0.count_state(&PairingState::Consumer), 3);
+        assert_eq!(c0.count_state(&PairingState::Producer), 5);
         assert_eq!(Pairing::paired_count(&c0), 0);
     }
 
@@ -149,7 +141,7 @@ mod tests {
     fn liveness_under_tw_global_fairness() {
         for (consumers, producers) in [(3, 2), (2, 3), (4, 4), (1, 6)] {
             let c0 = Pairing::initial(consumers, producers);
-            let expected = Pairing::expected_pairs(&c0);
+            let expected = consumers.min(producers);
             let mut runner = TwoWayRunner::builder(TwoWayModel::Tw, Pairing)
                 .config(c0)
                 .seed(consumers as u64 * 31 + producers as u64)

@@ -1,13 +1,13 @@
-//! Graph-aware workload scenarios: classic protocols on restricted
-//! interaction topologies.
+//! Graph-aware workload scenario: the epidemic on a restricted
+//! interaction topology.
 //!
 //! The protocols in this crate are transition functions and know nothing
 //! about *who may meet whom* — that is the scheduling layer's business.
-//! This module packages the two canonical graphical workloads of the
-//! population-protocol literature (broadcast/epidemic and max-gossip) as
-//! ready-to-run scenarios over an explicit [`Topology`]: seeded initial
-//! configurations placed at graph positions, convergence predicates, and
-//! assembled runners. They are the payloads of the E12 experiment (ring
+//! This module packages the canonical graphical workload of the
+//! population-protocol literature, broadcast by epidemic, as a
+//! ready-to-run scenario over an explicit [`Topology`]: a seeded initial
+//! configuration placed at a graph position, a convergence predicate, and
+//! an assembled runner. It is the payload of the E12 experiment (ring
 //! vs. random-regular vs. complete; see `EXPERIMENTS.md`), where the
 //! topology's conductance — not the protocol — dictates the convergence
 //! exponent: Θ(n log n) interactions on the complete graph and good
@@ -33,21 +33,17 @@ use ppfts_engine::{
 };
 use ppfts_population::{Configuration, Population, Topology};
 
-use crate::{Epidemic, MaxGossip};
+use crate::Epidemic;
 
 /// The epidemic runner type [`epidemic_on`] assembles.
 pub type EpidemicRunner =
     TwoWayRunner<Epidemic, TopologyScheduler, NoOmissions, StatsOnly, Configuration<bool>>;
 
-/// The gossip runner type [`gossip_on`] assembles.
-pub type GossipRunner =
-    TwoWayRunner<MaxGossip, TopologyScheduler, NoOmissions, StatsOnly, Configuration<u64>>;
-
 /// The seeded broadcast configuration for `topology`: agent 0 infected,
 /// everyone else susceptible. Vertex 0 is a hub for [`Topology::star`]
 /// and a corner for [`Topology::grid2d`], so the seed placement is the
 /// interesting one for both.
-pub fn seeded_epidemic(topology: &Topology) -> Configuration<bool> {
+fn seeded_epidemic(topology: &Topology) -> Configuration<bool> {
     Configuration::new((0..topology.len()).map(|v| v == 0).collect())
 }
 
@@ -55,20 +51,6 @@ pub fn seeded_epidemic(topology: &Topology) -> Configuration<bool> {
 /// population backends).
 pub fn all_infected<P: Population<State = bool>>(config: &P) -> bool {
     config.count_state(&true) == config.len()
-}
-
-/// The distinct-values gossip configuration for `topology`: agent `v`
-/// starts with value `v`, so convergence means the maximum `n − 1` has
-/// crossed the whole graph — the all-pairs-distances stress test of a
-/// topology, where the epidemic only measures eccentricity of the seed.
-pub fn distinct_gossip(topology: &Topology) -> Configuration<u64> {
-    Configuration::new((0..topology.len() as u64).collect())
-}
-
-/// Whether every agent has learned `max` (for [`distinct_gossip`], pass
-/// `topology.len() - 1`).
-pub fn gossip_done<P: Population<State = u64>>(config: &P, max: u64) -> bool {
-    config.count_state(&max) == config.len()
 }
 
 /// Assembles the epidemic broadcast scenario on `topology`: the
@@ -84,23 +66,6 @@ pub fn gossip_done<P: Population<State = u64>>(config: &P, max: u64) -> bool {
 pub fn epidemic_on(topology: Topology, seed: u64) -> Result<EpidemicRunner, EngineError> {
     let config = seeded_epidemic(&topology);
     TwoWayRunner::builder(TwoWayModel::Tw, Epidemic)
-        .config(config)
-        .topology(topology)
-        .trace_sink(StatsOnly)
-        .seed(seed)
-        .build()
-}
-
-/// Assembles the distinct-values max-gossip scenario on `topology`; see
-/// [`epidemic_on`] for the assembly conventions.
-///
-/// # Errors
-///
-/// Propagates builder errors (none are reachable for a valid
-/// [`Topology`]).
-pub fn gossip_on(topology: Topology, seed: u64) -> Result<GossipRunner, EngineError> {
-    let config = distinct_gossip(&topology);
-    TwoWayRunner::builder(TwoWayModel::Tw, MaxGossip)
         .config(config)
         .topology(topology)
         .trace_sink(StatsOnly)
@@ -158,27 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn gossip_reaches_the_global_max_on_a_grid() {
-        let t = Topology::grid2d(4, 4).unwrap();
-        let max = t.len() as u64 - 1;
-        let mut runner = gossip_on(t, 5).unwrap();
-        let out = runner
-            .run(
-                Batched(256),
-                Stop::until(5_000_000, |c| gossip_done(c, max)),
-            )
-            .unwrap();
-        assert!(out.is_satisfied());
-    }
-
-    #[test]
     fn initial_configurations_are_placed_by_vertex() {
         let t = Topology::star(5).unwrap();
         let epi = seeded_epidemic(&t);
         assert_eq!(epi.as_slice(), &[true, false, false, false, false]);
-        let gos = distinct_gossip(&t);
-        assert_eq!(gos.as_slice(), &[0, 1, 2, 3, 4]);
         assert!(!all_infected(&epi));
-        assert!(!gossip_done(&gos, 4));
     }
 }

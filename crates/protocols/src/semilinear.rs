@@ -253,16 +253,6 @@ impl SemilinearProtocol {
         Ok(SemilinearProtocol { atoms, expr, arity })
     }
 
-    /// Number of input symbols.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Number of atoms.
-    pub fn atom_count(&self) -> usize {
-        self.atoms.len()
-    }
-
     fn atom_delta(&self, atom: &Atom, s: &AtomState, r: &AtomState) -> (AtomState, AtomState) {
         match (atom, s, r) {
             (
@@ -519,7 +509,7 @@ mod tests {
     fn constant_expressions_need_no_atoms() {
         let p = SemilinearProtocol::new(vec![], PredicateExpr::Const(true)).unwrap();
         assert!(p.expected(&[]));
-        assert_eq!(p.arity(), 0);
+        assert_eq!(p.arity, 0);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Family {
 
     /// Whether this family takes an omission bound `o`.
     #[must_use]
-    pub fn takes_o(self) -> bool {
+    fn takes_o(self) -> bool {
         matches!(self, Family::Skno | Family::SknoPairing)
     }
 }

@@ -58,7 +58,7 @@ pub struct SweepReport {
 /// Renders one ledger line (no trailing newline). The `"error"` field
 /// appears only on a job that ended in an engine error.
 #[must_use]
-pub fn render_result(r: &JobResult) -> String {
+fn render_result(r: &JobResult) -> String {
     let error = r
         .error
         .as_ref()

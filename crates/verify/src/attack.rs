@@ -401,17 +401,6 @@ pub struct DegradationReport {
     pub beyond_threshold: AttackOutcome,
 }
 
-impl DegradationReport {
-    /// Whether Theorem 3.3 is corroborated: the candidate either fails
-    /// the single-omission premise, or fails to stop *consistently*
-    /// beyond it (it violates safety instead) — so no gracefully
-    /// degrading simulator with threshold above 1 exists here.
-    pub fn corroborates_thm33(&self) -> bool {
-        !self.tolerates_one_omission
-            || matches!(self.beyond_threshold, AttackOutcome::SafetyViolated { .. })
-    }
-}
-
 /// Runs the Theorem 3.3 analysis against a candidate in an omissive
 /// one-way model: check the single-omission premise with
 /// [`no1_resilience`], then drive the Lemma 1 construction past it.
@@ -624,7 +613,6 @@ mod tests {
             report.beyond_threshold,
             AttackOutcome::SafetyViolated { .. }
         ));
-        assert!(report.corroborates_thm33());
     }
 
     #[test]

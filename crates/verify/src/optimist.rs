@@ -27,7 +27,7 @@ use ppfts_population::{Configuration, State, TwoWayProtocol};
 
 /// A message broadcast by [`Optimist`] agents.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum OptimistMsg<Q> {
+enum OptimistMsg<Q> {
     /// "I am in simulated state `q`" (re-sent indefinitely).
     Announce(Q),
     /// "Some reactor consumed announce(`starter`) while in state
@@ -90,11 +90,6 @@ impl<Q: State> OptimistState<Q> {
     /// Whether this agent has an announcement outstanding.
     pub fn is_pending(&self) -> bool {
         self.pending
-    }
-
-    /// Number of distinct completion notices this agent re-broadcasts.
-    pub fn known_dones(&self) -> usize {
-        self.dones.len()
     }
 }
 
@@ -319,7 +314,7 @@ mod tests {
             &mut r,
             (PairingState::Producer, PairingState::Consumer),
         );
-        assert_eq!(r.known_dones(), 1);
+        assert_eq!(r.dones.len(), 1);
         let _ = opt.protocol();
     }
 }

@@ -54,7 +54,7 @@ impl CoverageReport {
     }
 
     /// Expected hits per arc under the uniform-arc law.
-    pub fn expected_hits(&self) -> f64 {
+    fn expected_hits(&self) -> f64 {
         self.draws as f64 / self.arcs.max(1) as f64
     }
 
