@@ -7,23 +7,14 @@
 //! Usage: `ppfts_analyze [--smoke] [CHECK_ID ...]`
 //!
 //! With no ids, the whole suite runs. `--smoke` restricts to the fast
-//! count-space checks (skipping the dense simulator product spaces).
+//! count-space checks (skipping the dense simulator product spaces): the
+//! [`SUITE`] entries marked `smoke`.
 //! Exit-code contract (shared with `bench_gate`): **0** clean, **1**
 //! error-severity findings, **2** usage error (unknown id or flag).
 
 use std::process::ExitCode;
 
-use ppfts_analyze::{grid_table, run_suite, suite_ids, Severity, SUITE};
-
-/// Checks cheap enough for `--smoke` (count spaces and pure lints only).
-const SMOKE: &[&str] = &[
-    "epidemic",
-    "exact-majority",
-    "approximate-majority",
-    "remainder",
-    "flock",
-    "majority-mutant",
-];
+use ppfts_analyze::{grid_table, run_suite, Report, Severity, SUITE};
 
 fn usage() {
     eprintln!("usage: ppfts_analyze [--smoke] [CHECK_ID ...]");
@@ -52,21 +43,32 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut selected: Vec<&str> = Vec::new();
     for id in &ids {
-        if !suite_ids().any(|known| known == id) {
-            eprintln!("ppfts_analyze: unknown check `{id}`");
-            usage();
-            return ExitCode::from(2);
+        match SUITE.iter().find(|check| check.id == id) {
+            Some(check) if check.smoke || !smoke => selected.push(check.id),
+            Some(_) => {}
+            None => {
+                eprintln!("ppfts_analyze: unknown check `{id}`");
+                usage();
+                return ExitCode::from(2);
+            }
         }
     }
-    if smoke && ids.is_empty() {
-        ids = SMOKE.iter().map(|s| (*s).to_string()).collect();
-    } else if smoke {
-        ids.retain(|id| SMOKE.contains(&id.as_str()));
+    if ids.is_empty() {
+        selected = SUITE
+            .iter()
+            .filter(|check| check.smoke || !smoke)
+            .map(|check| check.id)
+            .collect();
     }
-
-    let selected: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let (report, grid) = run_suite(&selected);
+    // `run_suite` reads no ids as the whole suite; here, none is left
+    // only when `--smoke` dropped every id given.
+    let (report, grid) = if selected.is_empty() {
+        (Report::new(), Vec::new())
+    } else {
+        run_suite(&selected)
+    };
 
     println!("# ppfts_analyze");
     println!();

@@ -32,7 +32,7 @@
 //! interacting pair and the fault.
 //!
 //! Counterexamples are BFS-shortest traces, realized as per-agent
-//! `Planned` steps that replay through the runners' `apply_planned`.
+//! `Planned` steps that [`Trace::replay`] runs through the engine.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -41,8 +41,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-use ppfts_engine::{Family, Planned, Program};
-use ppfts_population::{Interaction, Multiset, State};
+use ppfts_engine::{EngineError, Family, Planned, Program, Runner};
+use ppfts_population::{Configuration, Interaction, Multiset, State, Topology};
 
 /// Exploration failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,11 +117,40 @@ impl<T> Verdict<T> {
 #[derive(Clone, Debug)]
 pub struct Trace<Q, F> {
     /// The steps, in execution order, over the agent indices of the
-    /// initial configuration — replayable via the runners'
-    /// `apply_planned`.
+    /// initial configuration — replayable via [`Trace::replay`].
     pub steps: Vec<Planned<F>>,
     /// The violating per-agent configuration the trace ends in.
     pub witness: Vec<Q>,
+}
+
+impl<Q: State, F: Copy> Trace<Q, F> {
+    /// Applies the steps from `initial` in a runner built from `model`,
+    /// `program` and the program's interaction graph (the complete graph
+    /// for a program bound to none), and returns the configuration the
+    /// runner ends in: the [`witness`](Trace::witness), for a trace that
+    /// the engine confirms.
+    ///
+    /// # Errors
+    ///
+    /// The [`EngineError`] that building the runner or applying a step
+    /// raised.
+    pub fn replay<M, P>(&self, model: M, program: P, initial: &[Q]) -> Result<Vec<Q>, EngineError>
+    where
+        M: Family<Fault = F>,
+        P: Program<M, State = Q>,
+    {
+        let len = initial.len();
+        let topology = match program.required_topology() {
+            Some(graph) => graph.clone(),
+            None => Topology::complete(len).map_err(|_| EngineError::InvalidPopulation { len })?,
+        };
+        let mut runner = Runner::builder(model, program)
+            .topology(topology)
+            .config(Configuration::new(initial.to_vec()))
+            .build()?;
+        runner.apply_planned(self.steps.iter().copied())?;
+        Ok(runner.config().as_slice().to_vec())
+    }
 }
 
 /// A configuration whose unanimous output can still flip: the config, its
@@ -618,8 +647,8 @@ where
 mod tests {
     use super::*;
     use ppfts_core::{SimulatorState, Skno};
-    use ppfts_engine::{OneWayFault, OneWayModel, OneWayRunner, TwoWayModel, TwoWayRunner};
-    use ppfts_population::{Configuration, Semantics, Topology};
+    use ppfts_engine::{OneWayFault, OneWayModel, TwoWayModel};
+    use ppfts_population::Semantics;
     use ppfts_protocols::majority_states::{SX, SY};
     use ppfts_protocols::{Epidemic, ExactMajority, MajorityOpinion, Remainder};
 
@@ -689,12 +718,8 @@ mod tests {
 
         // The extracted trace replays through the dense runner and lands
         // exactly on the witness configuration.
-        let mut runner = TwoWayRunner::builder(TwoWayModel::T1, parity)
-            .config(initial)
-            .build()
-            .unwrap();
-        runner.apply_planned(trace.steps).unwrap();
-        assert_eq!(runner.config().as_slice(), trace.witness.as_slice());
+        let end = trace.replay(TwoWayModel::T1, parity, initial.as_slice());
+        assert_eq!(end.unwrap(), trace.witness);
     }
 
     /// One-way epidemic: the reactor absorbs the starter's infection bit.
@@ -736,12 +761,8 @@ mod tests {
             .unwrap();
             let trace = check.verdict.counterexample().unwrap().clone();
             assert!(!trace.steps.is_empty());
-            let mut runner = OneWayRunner::builder(OneWayModel::Io, Gossip)
-                .config(Configuration::new(initial))
-                .build()
-                .unwrap();
-            runner.apply_planned(trace.steps.clone()).unwrap();
-            assert_eq!(runner.config().as_slice(), trace.witness.as_slice());
+            let end = trace.replay(OneWayModel::Io, Gossip, &initial);
+            assert_eq!(end.unwrap(), trace.witness);
         }
     }
 

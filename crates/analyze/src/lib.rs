@@ -32,6 +32,4 @@ pub mod suite;
 
 pub use checker::{check, Exploration, ExploreError, OutputFlip, Trace, Verdict};
 pub use finding::{Finding, Report, Severity};
-pub use suite::{
-    grid_table, run_check, run_suite, suite_ids, CheckResult, GridRow, SuiteCheck, SUITE,
-};
+pub use suite::{grid_table, run_suite, CheckResult, GridRow, SuiteCheck, SUITE};

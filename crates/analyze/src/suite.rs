@@ -9,17 +9,21 @@
 //! and the seeded mutants (`graphical_unaddressed` SKnO, the
 //! margin-leaking `ExactMajority` table) must be *caught*. An unexpected
 //! outcome in either direction is an error: the suite gates both the
-//! protocols and the analyzer itself.
+//! protocols and the analyzer itself. Each grid row is an
+//! `expect_proved` or an `expect_refuted` obligation.
+
+use std::fmt;
 
 use ppfts_core::{SimulatorState, Skno, SknoState, Token};
-use ppfts_engine::{OneWayModel, OneWayRunner, TwoWayModel, TwoWayProgram, TwoWayRunner};
-use ppfts_population::{Configuration, EnumerableStates, Semantics, TableProtocol, Topology};
+use ppfts_engine::{Family, OneWayModel, Program, TwoWayModel};
+use ppfts_population::{EnumerableStates, Semantics, TableProtocol, Topology};
 use ppfts_protocols::majority_states::{SX, SY};
 use ppfts_protocols::{
-    ApproximateMajority, Epidemic, ExactMajority, FlockOfBirds, MajorityOpinion, Remainder,
+    ApproximateMajority, Epidemic, ExactMajority, FlockOfBirds, MajorityOpinion, MajorityState,
+    Remainder,
 };
 
-use crate::checker::{check, Verdict};
+use crate::checker::{check, ExploreError, Trace, Verdict};
 use crate::finding::{Finding, Report, Severity};
 use crate::lints::{
     lint_conservation, lint_output_stability, lint_reachability, lint_skno, lint_skno_addressing,
@@ -37,7 +41,7 @@ pub struct GridRow {
     /// Omission budget `o`.
     pub budget: u32,
     /// Interaction model.
-    pub model: &'static str,
+    pub model: String,
     /// The property checked.
     pub property: &'static str,
     /// `proved`, `counterexample (expected)`, or a failure description.
@@ -74,198 +78,263 @@ pub struct SuiteCheck {
     pub id: &'static str,
     /// One-line description.
     pub title: &'static str,
+    /// Whether `ppfts_analyze --smoke` runs it (count spaces, lints).
+    pub smoke: bool,
+    /// Runs the check, adding its findings and grid rows to the result.
+    pub run: fn(&mut CheckResult),
 }
 
-/// The full suite, in execution order.
+/// The full suite, in execution order: the one list of checks.
 pub const SUITE: &[SuiteCheck] = &[
     SuiteCheck {
         id: "epidemic",
         title: "Epidemic floods from every reachable config at n=10 under o in {0,1} (T1)",
+        smoke: true,
+        run: check_epidemic,
     },
     SuiteCheck {
         id: "exact-majority",
         title: "ExactMajority lints + margin-2 decision survives o in {0,1} at n=10 (T1)",
+        smoke: true,
+        run: check_exact_majority,
     },
     SuiteCheck {
         id: "approximate-majority",
         title: "ApproximateMajority always stabilizes to agreement at n=8 under o in {0,1} (T1)",
+        smoke: true,
+        run: check_approximate_majority,
     },
     SuiteCheck {
         id: "remainder",
         title: "Remainder is exact fault-free and (expectedly) fragile under one omission",
+        smoke: true,
+        run: check_remainder,
     },
     SuiteCheck {
         id: "flock",
         title: "FlockOfBirds premature unanimity is surfaced by the instability lint",
+        smoke: true,
+        run: check_flock,
     },
     SuiteCheck {
         id: "skno",
         title: "SKnO bookkeeping probes + graphical change-run delivery proved on a path",
+        smoke: false,
+        run: check_skno,
     },
     SuiteCheck {
         id: "skno-mutant",
         title: "Seeded unaddressed-SKnO mutant is rejected (lint + replayable counterexample)",
+        smoke: false,
+        run: check_skno_mutant,
     },
     SuiteCheck {
         id: "majority-mutant",
         title: "Seeded margin-leaking ExactMajority table trips the conservation lint",
+        smoke: true,
+        run: check_majority_mutant,
     },
     SuiteCheck {
         id: "sid",
         title: "SID embedding converges from every reachable config at n=3 (IO)",
+        smoke: false,
+        run: check_sid,
     },
     SuiteCheck {
         id: "named-sid",
         title: "NamedSid embedding converges from every reachable config at n=3 (IO)",
+        smoke: false,
+        run: check_named_sid,
     },
 ];
 
 /// The ids of every suite check, in order.
-pub fn suite_ids() -> impl Iterator<Item = &'static str> {
+fn suite_ids() -> impl Iterator<Item = &'static str> {
     SUITE.iter().map(|c| c.id)
 }
 
-/// Node caps: the protocol spaces are a few hundred configurations; the
-/// simulator spaces run to the tens of thousands.
-const COUNT_CAP: usize = 1_000_000;
-const DENSE_CAP: usize = 400_000;
+/// Node cap of every exhaustive check. The largest space of the suite
+/// (`named-sid`) has 691 configurations; the cap only stops a runaway.
+const NODE_CAP: usize = 1_000_000;
 
-/// Runs one check by id; `None` for an unknown id.
-pub fn run_check(id: &str) -> Option<CheckResult> {
-    match id {
-        "epidemic" => Some(check_epidemic()),
-        "exact-majority" => Some(check_exact_majority()),
-        "approximate-majority" => Some(check_approximate_majority()),
-        "remainder" => Some(check_remainder()),
-        "flock" => Some(check_flock()),
-        "skno" => Some(check_skno()),
-        "skno-mutant" => Some(check_skno_mutant()),
-        "majority-mutant" => Some(check_majority_mutant()),
-        "sid" => Some(check_sid()),
-        "named-sid" => Some(check_named_sid()),
-        _ => None,
-    }
+/// Runs one check by id, stamping its id on its grid rows; `None` for an
+/// unknown id.
+fn run_check(id: &str) -> Option<CheckResult> {
+    let check = SUITE.iter().find(|c| c.id == id)?;
+    let mut result = CheckResult::default();
+    (check.run)(&mut result);
+    result.grid.iter_mut().for_each(|row| row.id = check.id);
+    Some(result)
 }
 
 /// Runs the given checks (all of [`SUITE`] if `ids` is empty), collecting
 /// findings and the E14 grid.
 pub fn run_suite(ids: &[&str]) -> (Report, Vec<GridRow>) {
-    let mut report = Report::new();
-    let mut grid = Vec::new();
-    let selected: Vec<&str> = if ids.is_empty() {
-        suite_ids().collect()
-    } else {
-        ids.to_vec()
-    };
-    for id in selected {
-        if let Some(result) = run_check(id) {
-            report.extend(result.findings);
-            grid.extend(result.grid);
-        }
+    let (mut report, mut grid) = (Report::new(), Vec::new());
+    let all: Vec<&str> = suite_ids().collect();
+    let ids = if ids.is_empty() { &all } else { ids };
+    for result in ids.iter().filter_map(|id| run_check(id)) {
+        report.extend(result.findings);
+        grid.extend(result.grid);
     }
     (report, grid)
 }
 
-/// Shared verdict plumbing for a count-space convergence obligation that
-/// the paper expects to *hold*.
-// One parameter per grid column: a bundling struct would only rename them.
+// One parameter per grid column and checker input.
 #[allow(clippy::too_many_arguments)]
-fn expect_proved_counts<P>(
-    id: &'static str,
-    subject: &str,
-    model: TwoWayModel,
-    program: &P,
-    initial: &[P::State],
-    budget: u32,
-    property: &'static str,
-    pred: impl FnMut(&[P::State]) -> bool,
-    findings: &mut Vec<Finding>,
-    grid: &mut Vec<GridRow>,
-) where
-    P: TwoWayProgram,
-    P::State: std::fmt::Debug,
-{
-    let n = initial.len();
-    let verdict = match check(model, program, initial, budget, COUNT_CAP, pred) {
-        Err(err) => {
-            findings.push(Finding::warning(
-                "convergence",
-                subject,
-                format!("n={n} o={budget}: exploration aborted: {err}"),
-            ));
-            "aborted".to_string()
-        }
-        Ok(check) => match check.verdict {
-            Verdict::Proved => format!("proved ({} configs)", check.configs),
-            Verdict::Counterexample(trace) => {
-                findings.push(Finding::error(
-                    "convergence",
-                    subject,
-                    format!(
+impl CheckResult {
+    /// Obligation that `program` under `model`, started from `initial`
+    /// and facing an adversary with up to `budget` omissions, stabilizes
+    /// into `pred` from every reachable configuration. The row reads
+    /// `proved (k configs)`; a counterexample is an error.
+    fn expect_proved<M, P>(
+        &mut self,
+        subject: &str,
+        model: M,
+        program: &P,
+        initial: &[P::State],
+        budget: u32,
+        property: &'static str,
+        pred: impl FnMut(&[P::State]) -> bool,
+    ) where
+        M: Family + fmt::Display,
+        P: Program<M>,
+    {
+        let n = initial.len();
+        let verdict = match check(model, program, initial, budget, NODE_CAP, pred) {
+            Err(err) => {
+                let message = format!("n={n} o={budget}: exploration aborted: {err}");
+                self.findings
+                    .push(Finding::warning("convergence", subject, message));
+                "aborted".to_string()
+            }
+            Ok(check) => match check.verdict {
+                Verdict::Proved => format!("proved ({} configs)", check.configs),
+                Verdict::Counterexample(trace) => {
+                    let message = format!(
                         "n={n} o={budget}: reachable configuration {:?} stabilizes without the \
                          property ({} steps from the initial configuration)",
                         trace.witness,
                         trace.steps.len()
-                    ),
-                ));
-                "COUNTEREXAMPLE".to_string()
-            }
-        },
-    };
-    grid.push(GridRow {
-        id,
-        subject: subject.to_string(),
-        n,
-        budget,
-        model: model_name(model),
-        property,
-        verdict,
-    });
-}
+                    );
+                    self.findings
+                        .push(Finding::error("convergence", subject, message));
+                    "COUNTEREXAMPLE".to_string()
+                }
+            },
+        };
+        self.grid.push(GridRow {
+            id: "",
+            subject: subject.to_string(),
+            n,
+            budget,
+            model: model.to_string(),
+            property,
+            verdict,
+        });
+    }
 
-fn model_name(model: TwoWayModel) -> &'static str {
-    match model {
-        TwoWayModel::Tw => "TW",
-        TwoWayModel::T1 => "T1",
-        TwoWayModel::T2 => "T2",
-        TwoWayModel::T3 => "T3",
+    /// Obligation that the checker *refutes* `pred` for `program` (a
+    /// documented fragility or a seeded mutant), with a counterexample
+    /// that replays through a runner built from the same model, program
+    /// and topology. The row reads `counterexample (expected, replayed)`
+    /// and `note` reports the trace; a proof, an abort or a trace that
+    /// does not replay is an error.
+    fn expect_refuted<M, P>(
+        &mut self,
+        subject: &str,
+        model: M,
+        program: P,
+        initial: &[P::State],
+        budget: u32,
+        property: &'static str,
+        pred: impl FnMut(&[P::State]) -> bool,
+        note: impl FnOnce(&Trace<P::State, M::Fault>) -> Finding,
+    ) where
+        M: Family + fmt::Display,
+        P: Program<M>,
+    {
+        const REFUTED: &str = "counterexample (expected, replayed)";
+        let n = initial.len();
+        let verdict = match check(model, &program, initial, budget, NODE_CAP, pred) {
+            Err(err) => format!("aborted ({err})"),
+            Ok(check) => match check.verdict {
+                Verdict::Proved => "proved (UNEXPECTED)".to_string(),
+                Verdict::Counterexample(trace) => match trace.replay(model, program, initial) {
+                    Ok(end) if end == trace.witness => {
+                        self.findings.push(note(&trace));
+                        REFUTED.to_string()
+                    }
+                    _ => "counterexample (REPLAY FAILED)".to_string(),
+                },
+            },
+        };
+        if verdict != REFUTED {
+            let message =
+                format!("n={n} o={budget}: expected a replayed counterexample, got {verdict}");
+            self.findings
+                .push(Finding::error("self-test", subject, message));
+        }
+        self.grid.push(GridRow {
+            id: "",
+            subject: subject.to_string(),
+            n,
+            budget,
+            model: model.to_string(),
+            property,
+            verdict,
+        });
+    }
+
+    /// Self-test of a lint run on a known defect: `caught` must hold a
+    /// finding, or the lint is blind (an error). The first `shown`
+    /// findings go into the report, followed by the note `note` writes
+    /// from their count and the first of them.
+    fn expect_caught(
+        &mut self,
+        lint: &'static str,
+        subject: &str,
+        caught: Result<&[Finding], &ExploreError>,
+        shown: usize,
+        note: impl FnOnce(usize, &Finding) -> String,
+    ) {
+        match caught {
+            Err(err) => self.findings.push(Finding::warning(
+                lint,
+                subject,
+                format!("exploration aborted: {err}"),
+            )),
+            Ok([]) => {
+                let message = format!("the {lint} lint did not fire on a known defect");
+                let error = Finding::error("self-test", subject, message);
+                self.findings.push(error);
+            }
+            Ok(caught @ [first, ..]) => {
+                let note = Finding::note(lint, subject, note(caught.len(), first));
+                self.findings.extend(caught.iter().take(shown).cloned());
+                self.findings.push(note);
+            }
+        }
     }
 }
 
-fn epidemic_initial(infected: usize, clean: usize) -> Vec<bool> {
-    [vec![true; infected], vec![false; clean]].concat()
-}
-
-fn check_epidemic() -> CheckResult {
-    let mut result = CheckResult::default();
-    for budget in [0, 1] {
-        expect_proved_counts(
-            "epidemic",
+fn check_epidemic(result: &mut CheckResult) {
+    let floods = "one seed floods all 10 agents";
+    // The last row checks the soundness of the other constant: with no
+    // seed, nothing ever flips.
+    let clean = "no seed stays all-clean";
+    for (seeds, budget, property) in [(1, 0, floods), (1, 1, floods), (0, 1, clean)] {
+        let initial = [vec![true; seeds], vec![false; 10 - seeds]].concat();
+        result.expect_proved(
             "Epidemic",
             TwoWayModel::T1,
             &Epidemic,
-            &epidemic_initial(1, 9),
+            &initial,
             budget,
-            "one seed floods all 10 agents",
-            |c| c.iter().all(|&b| b),
-            &mut result.findings,
-            &mut result.grid,
+            property,
+            |c| c.iter().all(|&b| b == (seeds > 0)),
         );
     }
-    // Soundness of the other constant: with no seed, nothing ever flips.
-    expect_proved_counts(
-        "epidemic",
-        "Epidemic",
-        TwoWayModel::T1,
-        &Epidemic,
-        &epidemic_initial(0, 10),
-        1,
-        "no seed stays all-clean",
-        |c| c.iter().all(|&b| !b),
-        &mut result.findings,
-        &mut result.grid,
-    );
-    result
 }
 
 fn majority_weight(q: &ppfts_protocols::ExactMajorityState) -> i64 {
@@ -276,21 +345,18 @@ fn majority_weight(q: &ppfts_protocols::ExactMajorityState) -> i64 {
     }
 }
 
-fn check_exact_majority() -> CheckResult {
-    let mut result = CheckResult::default();
+fn check_exact_majority(result: &mut CheckResult) {
     let table = TableProtocol::from_protocol(&ExactMajority);
-    result
-        .findings
-        .extend(lint_reachability(&table, &[SX, SY], "ExactMajority"));
-    result
-        .findings
-        .extend(lint_conservation(&table, majority_weight, "ExactMajority"));
+    let lints = [
+        lint_reachability(&table, &[SX, SY], "ExactMajority"),
+        lint_conservation(&table, majority_weight, "ExactMajority"),
+    ];
+    result.findings.extend(lints.into_iter().flatten());
     let initial = [vec![SX; 6], vec![SY; 4]].concat();
     for budget in [0, 1] {
         // A T1 omission on a cancellation pair shifts the strong margin
         // #SX - #SY by exactly one, so margin 2 decides X under o = 1.
-        expect_proved_counts(
-            "exact-majority",
+        result.expect_proved(
             "ExactMajority",
             TwoWayModel::T1,
             &ExactMajority,
@@ -301,26 +367,17 @@ fn check_exact_majority() -> CheckResult {
                 c.iter()
                     .all(|q| ExactMajority.output(q) == MajorityOpinion::X)
             },
-            &mut result.findings,
-            &mut result.grid,
         );
     }
-    result
 }
 
-fn check_approximate_majority() -> CheckResult {
-    let mut result = CheckResult::default();
-    let initial = [
-        vec![ppfts_protocols::MajorityState::X; 5],
-        vec![ppfts_protocols::MajorityState::Y; 3],
-    ]
-    .concat();
+fn check_approximate_majority(result: &mut CheckResult) {
+    let initial = [vec![MajorityState::X; 5], vec![MajorityState::Y; 3]].concat();
     for budget in [0, 1] {
         // Approximate majority guarantees *agreement*, not the majority
         // value, under adversarial scheduling — so the obligation is
         // output-constant terminal SCCs, nothing more.
-        expect_proved_counts(
-            "approximate-majority",
+        result.expect_proved(
             "ApproximateMajority",
             TwoWayModel::T1,
             &ApproximateMajority,
@@ -328,26 +385,17 @@ fn check_approximate_majority() -> CheckResult {
             budget,
             "always stabilizes to unanimous output",
             |c| {
-                let mut outputs = c.iter().map(|q| ApproximateMajority.output(q));
-                let Some(first) = outputs.next() else {
-                    return true;
-                };
-                outputs.all(|y| y == first)
+                c.iter()
+                    .all(|q| ApproximateMajority.output(q) == ApproximateMajority.output(&c[0]))
             },
-            &mut result.findings,
-            &mut result.grid,
         );
     }
-    result
 }
 
-fn check_remainder() -> CheckResult {
-    let mut result = CheckResult::default();
+fn check_remainder(result: &mut CheckResult) {
     let parity = Remainder::new(2, 0);
-    let inputs = [1u32, 1, 1, 1];
-    let initial = parity.initial_configuration(&inputs);
-    expect_proved_counts(
-        "remainder",
+    let initial = parity.initial_configuration(&[1, 1, 1, 1]);
+    result.expect_proved(
         "Remainder(mod 2)",
         TwoWayModel::T1,
         &parity,
@@ -355,121 +403,55 @@ fn check_remainder() -> CheckResult {
         0,
         "sum 4 = 0 mod 2, fault-free",
         |c| c.iter().all(|q| q.opinion),
-        &mut result.findings,
-        &mut result.grid,
     );
 
     // Under one omission the absorbed partial sum can be lost, flipping
     // the answer — the paper's motivating non-tolerant protocol. The
     // analyzer must *find* that counterexample (and it must replay).
-    let check = check(
+    result.expect_refuted(
+        "Remainder(mod 2)",
         TwoWayModel::T1,
-        &parity,
+        parity,
         initial.as_slice(),
         1,
-        COUNT_CAP,
+        "sum survives one omission",
         |c| c.iter().all(|q| q.opinion),
-    );
-    let verdict = match check {
-        Err(err) => {
-            result.findings.push(Finding::warning(
+        |trace| {
+            Finding::note(
                 "convergence",
                 "Remainder(mod 2)",
-                format!("o=1 exploration aborted: {err}"),
-            ));
-            "aborted".to_string()
-        }
-        Ok(check) => match check.verdict {
-            Verdict::Proved => {
-                result.findings.push(Finding::error(
-                    "self-test",
-                    "Remainder(mod 2)",
-                    "the checker proved omission-tolerance for a protocol known to be fragile — \
-                     the omission adversary is not being explored",
-                ));
-                "proved (UNEXPECTED)".to_string()
-            }
-            Verdict::Counterexample(trace) => {
-                let replayed = TwoWayRunner::builder(TwoWayModel::T1, parity)
-                    .config(initial)
-                    .build()
-                    .ok()
-                    .and_then(|mut runner| {
-                        runner.apply_planned(trace.steps.clone()).ok()?;
-                        Some(runner.config().as_slice() == trace.witness.as_slice())
-                    });
-                if replayed == Some(true) {
-                    result.findings.push(Finding::note(
-                        "convergence",
-                        "Remainder(mod 2)",
-                        format!(
-                            "documented fragility: {} omission-bearing steps reach {:?}, which \
-                             stabilizes with the wrong parity (trace replayed through the engine)",
-                            trace.steps.len(),
-                            trace.witness
-                        ),
-                    ));
-                    "counterexample (expected, replayed)".to_string()
-                } else {
-                    result.findings.push(Finding::error(
-                        "self-test",
-                        "Remainder(mod 2)",
-                        "the extracted counterexample failed to replay through TwoWayRunner",
-                    ));
-                    "counterexample (REPLAY FAILED)".to_string()
-                }
-            }
+                format!(
+                    "documented fragility: {} omission-bearing steps reach {:?}, which \
+                     stabilizes with the wrong parity (trace replayed through the engine)",
+                    trace.steps.len(),
+                    trace.witness
+                ),
+            )
         },
-    };
-    result.grid.push(GridRow {
-        id: "remainder",
-        subject: "Remainder(mod 2)".to_string(),
-        n: inputs.len(),
-        budget: 1,
-        model: "T1",
-        property: "sum survives one omission",
-        verdict,
-    });
-    result
+    );
 }
 
-fn check_flock() -> CheckResult {
-    let mut result = CheckResult::default();
+fn check_flock(result: &mut CheckResult) {
     let flock = FlockOfBirds::new(2);
     let initial = flock.initial_configuration(&[true, true, false]);
-    match lint_output_stability(
+    let flips = lint_output_stability(
         TwoWayModel::Tw,
         &flock,
         initial.as_slice(),
-        COUNT_CAP,
+        NODE_CAP,
         |q| q.detected,
         // Documented: below-threshold unanimity on "false" is premature
         // until the counts assemble. A note, not a gate.
         Severity::Note,
         "FlockOfBirds(k=2)",
-    ) {
-        Err(err) => result.findings.push(Finding::warning(
-            "output-instability",
-            "FlockOfBirds(k=2)",
-            format!("exploration aborted: {err}"),
-        )),
-        Ok(flips) if flips.is_empty() => result.findings.push(Finding::error(
-            "self-test",
-            "FlockOfBirds(k=2)",
-            "the instability lint found no flips on a protocol with documented premature \
-             unanimity — the lint is blind",
-        )),
-        Ok(flips) => {
-            let count = flips.len();
-            result.findings.extend(flips.into_iter().take(1));
-            result.findings.push(Finding::note(
-                "output-instability",
-                "FlockOfBirds(k=2)",
-                format!("{count} prematurely-unanimous configurations (expected; first shown)"),
-            ));
-        }
-    }
-    result
+    );
+    result.expect_caught(
+        "output-instability",
+        "FlockOfBirds(k=2)",
+        flips.as_deref(),
+        1,
+        |count, _| format!("{count} prematurely-unanimous configurations (expected; first shown)"),
+    );
 }
 
 /// The crafted mid-transaction scenario behind the graphical SKnO checks
@@ -523,9 +505,7 @@ fn skno_scenario() -> (
     (protocol, path, states, ['f', 'g', 'a'])
 }
 
-fn check_skno() -> CheckResult {
-    let mut result = CheckResult::default();
-
+fn check_skno(result: &mut CheckResult) {
     // Bookkeeping probes: anonymous and graphical, o = 1 so the
     // joker-completion probe has a missing index to cover.
     let anonymous = Skno::new(Epidemic, 1);
@@ -536,139 +516,58 @@ fn check_skno() -> CheckResult {
 
     // Exhaustive delivery proof for the addressed graphical simulator.
     let (protocol, path, states, expected) = skno_scenario();
-    let skno = Skno::graphical(protocol, 0, path);
-    let verdict = match check(OneWayModel::I3, &skno, &states, 0, DENSE_CAP, |c| {
-        (0..3).all(|v| *c[v].simulated() == expected[v])
-    }) {
-        Err(err) => {
-            result.findings.push(Finding::warning(
-                "convergence",
-                "SKnO[graphical]",
-                format!("exploration aborted: {err}"),
-            ));
-            "aborted".to_string()
-        }
-        Ok(check) => match check.verdict {
-            Verdict::Proved => format!("proved ({} configs)", check.configs),
-            Verdict::Counterexample(trace) => {
-                result.findings.push(Finding::error(
-                    "convergence",
-                    "SKnO[graphical]",
-                    format!(
-                        "addressed change runs failed to deliver: {} steps reach a terminal \
-                         component with the wrong simulated states",
-                        trace.steps.len()
-                    ),
-                ));
-                "COUNTEREXAMPLE".to_string()
-            }
-        },
-    };
-    result.grid.push(GridRow {
-        id: "skno",
-        subject: "SKnO[graphical, path(3)]".to_string(),
-        n: 3,
-        budget: 0,
-        model: "I3",
-        property: "pending transactions complete at the right vertex",
-        verdict,
-    });
-    result
+    result.expect_proved(
+        "SKnO[graphical, path(3)]",
+        OneWayModel::I3,
+        &Skno::graphical(protocol, 0, path),
+        &states,
+        0,
+        "pending transactions complete at the right vertex",
+        |c| (0..3).all(|v| *c[v].simulated() == expected[v]),
+    );
 }
 
-fn check_skno_mutant() -> CheckResult {
-    let mut result = CheckResult::default();
-
+fn check_skno_mutant(result: &mut CheckResult) {
     // The static lint must flag the mutant on its own.
     let ring = Topology::ring(4).expect("ring of 4");
     let mutant = Skno::graphical_unaddressed(Epidemic, 1, ring);
-    let lint = lint_skno_addressing(&mutant, &true, &false);
-    if lint.is_empty() {
-        result.findings.push(Finding::error(
-            "self-test",
-            "SKnO[unaddressed mutant]",
-            "the graphical-addressing lint did not fire on the unaddressed mutant",
-        ));
-    } else {
-        result.findings.push(Finding::note(
-            "graphical-addressing",
-            "SKnO[unaddressed mutant]",
-            "lint correctly rejects the mutant: a change run addressed elsewhere was consumed",
-        ));
-    }
+    result.expect_caught(
+        "graphical-addressing",
+        "SKnO[unaddressed mutant]",
+        Ok(&lint_skno_addressing(&mutant, &true, &false)),
+        0,
+        |_, _| {
+            "lint correctly rejects the mutant: a change run addressed elsewhere was consumed"
+                .into()
+        },
+    );
 
     // And the model checker must find the deadlock dynamically, with a
     // trace that replays through the engine.
     let (protocol, path, states, expected) = skno_scenario();
-    let mutant = Skno::graphical_unaddressed(protocol, 0, path.clone());
-    let check = check(OneWayModel::I3, &mutant, &states, 0, DENSE_CAP, |c| {
-        (0..3).all(|v| *c[v].simulated() == expected[v])
-    });
-    let verdict = match check {
-        Err(err) => {
-            result.findings.push(Finding::error(
-                "self-test",
+    result.expect_refuted(
+        "SKnO[unaddressed mutant, path(3)]",
+        OneWayModel::I3,
+        Skno::graphical_unaddressed(protocol, 0, path),
+        &states,
+        0,
+        "seeded deadlock is found and replayed",
+        |c| (0..3).all(|v| *c[v].simulated() == expected[v]),
+        |trace| {
+            Finding::note(
+                "convergence",
                 "SKnO[unaddressed mutant]",
-                format!("mutant exploration aborted: {err}"),
-            ));
-            "aborted".to_string()
-        }
-        Ok(check) => match check.verdict {
-            Verdict::Proved => {
-                result.findings.push(Finding::error(
-                    "self-test",
-                    "SKnO[unaddressed mutant]",
-                    "the model checker proved the unaddressed mutant correct — the seeded \
-                     change-run deadlock went undetected",
-                ));
-                "proved (UNEXPECTED)".to_string()
-            }
-            Verdict::Counterexample(trace) => {
-                let replayed = OneWayRunner::builder(OneWayModel::I3, mutant)
-                    .topology(path)
-                    .config(Configuration::new(states))
-                    .build()
-                    .ok()
-                    .and_then(|mut runner| {
-                        runner.apply_planned(trace.steps.clone()).ok()?;
-                        Some(runner.config().as_slice() == trace.witness.as_slice())
-                    });
-                if replayed == Some(true) {
-                    result.findings.push(Finding::note(
-                        "convergence",
-                        "SKnO[unaddressed mutant]",
-                        format!(
-                            "mutant correctly rejected: {} steps starve the announcer at vertex \
-                             0 (trace replayed through OneWayRunner)",
-                            trace.steps.len()
-                        ),
-                    ));
-                    "counterexample (expected, replayed)".to_string()
-                } else {
-                    result.findings.push(Finding::error(
-                        "self-test",
-                        "SKnO[unaddressed mutant]",
-                        "the mutant counterexample failed to replay through OneWayRunner",
-                    ));
-                    "counterexample (REPLAY FAILED)".to_string()
-                }
-            }
+                format!(
+                    "mutant correctly rejected: {} steps starve the announcer at vertex 0 \
+                     (trace replayed through OneWayRunner)",
+                    trace.steps.len()
+                ),
+            )
         },
-    };
-    result.grid.push(GridRow {
-        id: "skno-mutant",
-        subject: "SKnO[unaddressed mutant, path(3)]".to_string(),
-        n: 3,
-        budget: 0,
-        model: "I3",
-        property: "seeded deadlock is found and replayed",
-        verdict,
-    });
-    result
+    );
 }
 
-fn check_majority_mutant() -> CheckResult {
-    let mut result = CheckResult::default();
+fn check_majority_mutant(result: &mut CheckResult) {
     // Seeded bug: the cancellation rule demotes only one side, leaking
     // the conserved strong margin #SX - #SY by one per firing.
     let mut builder = TableProtocol::builder(ExactMajority.states());
@@ -680,103 +579,40 @@ fn check_majority_mutant() -> CheckResult {
             builder = builder.rule(from, to);
         }
     }
-    let mutant = builder.build();
-    let caught = lint_conservation(&mutant, majority_weight, "ExactMajority[mutant]");
-    if caught.is_empty() {
-        result.findings.push(Finding::error(
-            "self-test",
-            "ExactMajority[mutant]",
-            "the conservation lint did not catch the seeded margin leak",
-        ));
-    } else {
-        result.findings.push(Finding::note(
-            "conservation",
-            "ExactMajority[mutant]",
-            format!("lint correctly rejects the mutant: {}", caught[0].message),
-        ));
-    }
-    result
+    let caught = lint_conservation(&builder.build(), majority_weight, "ExactMajority[mutant]");
+    result.expect_caught(
+        "conservation",
+        "ExactMajority[mutant]",
+        Ok(&caught),
+        0,
+        |_, first| format!("lint correctly rejects the mutant: {}", first.message),
+    );
 }
 
-fn check_sid() -> CheckResult {
-    let mut result = CheckResult::default();
-    let sid = ppfts_core::Sid::new(Epidemic);
+fn check_sid(result: &mut CheckResult) {
     let initial = ppfts_core::Sid::<Epidemic>::initial(&[true, false, false]);
-    simulator_convergence_row(
-        "sid",
+    result.expect_proved(
         "SID",
-        &sid,
+        OneWayModel::Io,
+        &ppfts_core::Sid::new(Epidemic),
         initial.as_slice(),
+        0,
         "one seed floods all simulated states",
         |c| c.iter().all(|s| *s.simulated()),
-        &mut result,
     );
-    result
 }
 
-fn check_named_sid() -> CheckResult {
-    let mut result = CheckResult::default();
-    let named = ppfts_core::NamedSid::new(Epidemic, 3);
+fn check_named_sid(result: &mut CheckResult) {
     let initial = ppfts_core::NamedSid::<Epidemic>::initial(&[true, false, false]);
-    simulator_convergence_row(
-        "named-sid",
+    result.expect_proved(
         "NamedSid",
-        &named,
+        OneWayModel::Io,
+        &ppfts_core::NamedSid::new(Epidemic, 3),
         initial.as_slice(),
+        0,
         "one seed floods all simulated states",
         |c| c.iter().all(|s| *s.simulated()),
-        &mut result,
     );
-    result
-}
-
-/// Shared plumbing for a fault-free convergence obligation on a simulator
-/// embedding under IO.
-fn simulator_convergence_row<P>(
-    id: &'static str,
-    subject: &str,
-    program: &P,
-    initial: &[P::State],
-    property: &'static str,
-    pred: impl FnMut(&[P::State]) -> bool,
-    result: &mut CheckResult,
-) where
-    P: ppfts_engine::OneWayProgram,
-{
-    let n = initial.len();
-    let verdict = match check(OneWayModel::Io, program, initial, 0, DENSE_CAP, pred) {
-        Err(err) => {
-            result.findings.push(Finding::warning(
-                "convergence",
-                subject,
-                format!("exploration aborted: {err}"),
-            ));
-            "aborted".to_string()
-        }
-        Ok(check) => match check.verdict {
-            Verdict::Proved => format!("proved ({} configs)", check.configs),
-            Verdict::Counterexample(trace) => {
-                result.findings.push(Finding::error(
-                    "convergence",
-                    subject,
-                    format!(
-                        "{} steps reach a terminal component violating the property",
-                        trace.steps.len()
-                    ),
-                ));
-                "COUNTEREXAMPLE".to_string()
-            }
-        },
-    };
-    result.grid.push(GridRow {
-        id,
-        subject: subject.to_string(),
-        n,
-        budget: 0,
-        model: "IO",
-        property,
-        verdict,
-    });
 }
 
 #[cfg(test)]
@@ -820,6 +656,27 @@ mod tests {
         assert!(grid
             .iter()
             .any(|r| r.id == "skno-mutant" && r.verdict == "counterexample (expected, replayed)"));
+    }
+
+    #[test]
+    fn unexpected_outcomes_are_errors() {
+        let mut result = CheckResult::default();
+        let parity = Remainder::new(2, 0);
+        let initial = parity.initial_configuration(&[1, 1, 1, 1]);
+        let even = |c: &[ppfts_protocols::RemainderState]| c.iter().all(|q| q.opinion);
+        // A proof where a counterexample is due, a counterexample where a
+        // proof is due, and a lint that finds nothing on a known defect.
+        let (model, slice) = (TwoWayModel::T1, initial.as_slice());
+        result.expect_refuted("R", model, parity, slice, 0, "p", even, |_| unreachable!());
+        result.expect_proved("R", model, &parity, slice, 1, "p", even);
+        result.expect_caught("lint", "L", Ok(&[]), 0, |_, _| unreachable!());
+        let verdicts: Vec<&str> = result.grid.iter().map(|r| r.verdict.as_str()).collect();
+        assert_eq!(verdicts, ["proved (UNEXPECTED)", "COUNTEREXAMPLE"]);
+        assert!(result
+            .findings
+            .iter()
+            .all(|f| f.severity == Severity::Error));
+        assert_eq!(result.findings.len(), 3);
     }
 
     #[test]

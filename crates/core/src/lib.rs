@@ -60,7 +60,7 @@ pub use commit::{project, Commit, Role, SimulatorState};
 pub use event::{extract_events, SimEvent};
 pub use ftt::{fastest_transition_time, shortest_schedule, step_pair, transition_time, FttWitness};
 pub use matching::{build_matching, verify_derived_execution, Matching, MatchingError};
-pub use naming::{GossipPolicy, NamedSid, NamedState};
+pub use naming::{NamedSid, NamedState};
 pub use sid::{RollbackPolicy, Sid, SidPhase, SidState};
 pub use skno::{
     sim_pressure, JokerBookkeeping, SimPressure, Skno, SknoState, Token, MAX_OMISSION_BOUND,

@@ -117,7 +117,7 @@ pub struct NamedSid<P> {
 /// Whether agents that already simulate keep revealing `max_id = n` to
 /// still-naming observers (DESIGN.md ablation D4).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GossipPolicy {
+enum GossipPolicy {
     /// The correct behaviour: a simulating starter is observed as
     /// `(my_id, n)`, so late namers learn that naming has finished.
     #[default]
@@ -452,7 +452,6 @@ mod tests {
 
     #[test]
     fn d4_without_gossip_late_namers_are_stranded() {
-        use crate::GossipPolicy;
         // One agent already simulates with id 2 (n = 2); the other is
         // still naming. Without gossip, observing the simulating starter
         // teaches it nothing, forever.

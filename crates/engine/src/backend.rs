@@ -10,7 +10,7 @@
 //!
 //! The two implementations differ in what a "pair" is:
 //!
-//! * [`DenseConfiguration`] — a pair is an [`Interaction`] (two agent
+//! * [`Configuration`] — a pair is an [`Interaction`] (two agent
 //!   indices) produced by the runner's [`Scheduler`]. All per-agent
 //!   machinery (step records, scripted schedules, planned sequences)
 //!   is available.
@@ -25,7 +25,7 @@
 //!   starts. Operations that name agents return
 //!   [`EngineError::PerAgentBackendRequired`].
 
-use ppfts_population::{CountConfiguration, DenseConfiguration, Interaction, Population, State};
+use ppfts_population::{Configuration, CountConfiguration, Interaction, Population, State};
 use rand::RngCore;
 
 use crate::{EngineError, Scheduler};
@@ -160,14 +160,14 @@ pub trait ExecBackend: Population {
     fn pair_of(&self, interaction: Interaction) -> Result<Self::Pair, EngineError>;
 }
 
-impl<Q: State> ExecBackend for DenseConfiguration<Q> {
+impl<Q: State> ExecBackend for Configuration<Q> {
     type Pair = Interaction;
 
     const PER_AGENT: bool = true;
     const STABLE_PAIRS: bool = true;
 
     fn draw_pair<S: Scheduler, R: RngCore>(&self, scheduler: &mut S, rng: &mut R) -> Interaction {
-        scheduler.next_interaction(DenseConfiguration::len(self), rng)
+        scheduler.next_interaction(Configuration::len(self), rng)
     }
 
     fn draw_pairs_into<S: Scheduler, R: RngCore>(
@@ -177,11 +177,11 @@ impl<Q: State> ExecBackend for DenseConfiguration<Q> {
         scheduler: &mut S,
         rng: &mut R,
     ) {
-        scheduler.next_interactions_into(out, k, DenseConfiguration::len(self), rng);
+        scheduler.next_interactions_into(out, k, Configuration::len(self), rng);
     }
 
     fn pair_states<'a>(&'a self, pair: &'a Interaction) -> Result<(&'a Q, &'a Q), EngineError> {
-        Ok(DenseConfiguration::pair_states(self, *pair)?)
+        Ok(Configuration::pair_states(self, *pair)?)
     }
 
     fn commit_pair(&mut self, pair: &Interaction, outcome: (Q, Q)) -> Result<(Q, Q), EngineError> {
@@ -268,15 +268,12 @@ mod tests {
 
     #[test]
     fn dense_pairs_are_scheduler_interactions() {
-        let config = DenseConfiguration::new(vec!['a', 'b', 'c']);
+        let config = Configuration::new(vec!['a', 'b', 'c']);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut sched = UniformScheduler::new();
         let pair = config.draw_pair(&mut sched, &mut rng);
         assert!(pair.check_bounds(3).is_ok());
-        assert_eq!(
-            DenseConfiguration::<char>::interaction_of(&pair),
-            Some(pair)
-        );
+        assert_eq!(Configuration::<char>::interaction_of(&pair), Some(pair));
         assert_eq!(config.pair_of(pair).unwrap(), pair);
     }
 

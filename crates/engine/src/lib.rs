@@ -116,7 +116,7 @@ pub use model::{Family, Model, OneWayFault, OneWayModel, TwoWayFault, TwoWayMode
 pub use program::{validate_io_program, OneWayProgram, Program, TwoWayProgram};
 pub use runner::{
     Batched, Epochs, Exec, OneWayRunner, OneWayRunnerBuilder, Planned, RunOutcome, Runner,
-    RunnerBuilder, Stop, TwoWayRunner, TwoWayRunnerBuilder,
+    RunnerBuilder, Stop, TwoWayRunner,
 };
 pub use schedule::{OmissionSchedule, RateSegment, ScheduledEvent};
 pub use scheduler::{

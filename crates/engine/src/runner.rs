@@ -746,8 +746,7 @@ where
 }
 
 /// Builder for a [`Runner`]; see [`Runner::builder`].
-/// [`OneWayRunnerBuilder`] and [`TwoWayRunnerBuilder`] name the two
-/// families.
+/// [`OneWayRunnerBuilder`] names the one-way family.
 pub struct RunnerBuilder<
     M: Family,
     P: Program<M>,
@@ -774,15 +773,6 @@ pub type OneWayRunnerBuilder<
     T = StatsOnly,
     C = Configuration<<P as OneWayProgram>::State>,
 > = RunnerBuilder<OneWayModel, P, S, A, T, C>;
-
-/// Builder for a [`TwoWayRunner`].
-pub type TwoWayRunnerBuilder<
-    P,
-    S = UniformScheduler,
-    A = NoOmissions,
-    T = StatsOnly,
-    C = Configuration<<P as TwoWayProgram>::State>,
-> = RunnerBuilder<TwoWayModel, P, S, A, T, C>;
 
 impl<M, P, S, A, T, C> RunnerBuilder<M, P, S, A, T, C>
 where
@@ -923,10 +913,10 @@ where
         if config.len() < 2 {
             return Err(EngineError::InvalidPopulation { len: config.len() });
         }
-        if let Some(required) = self.scheduler.required_population() {
-            if required != config.len() {
+        if let Some(dealt) = self.scheduler.dealt_topology() {
+            if dealt.len() != config.len() {
                 return Err(EngineError::TopologySizeMismatch {
-                    topology: required,
+                    topology: dealt.len(),
                     population: config.len(),
                 });
             }
@@ -983,7 +973,7 @@ where
     }
 }
 
-impl<P, S, A, T, C> TwoWayRunnerBuilder<P, S, A, T, C>
+impl<P, S, A, T, C> RunnerBuilder<TwoWayModel, P, S, A, T, C>
 where
     P: TwoWayProgram,
 {

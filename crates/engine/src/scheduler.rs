@@ -97,16 +97,6 @@ pub trait Scheduler {
         InteractionLaw::IndexAddressed
     }
 
-    /// The exact population size this scheduler is bound to, if any.
-    ///
-    /// Topology-bound schedulers return `Some(topology.len())`; builders
-    /// reject a runner whose population size disagrees
-    /// ([`EngineError::TopologySizeMismatch`](crate::EngineError::TopologySizeMismatch))
-    /// instead of letting `next_interaction` panic mid-run.
-    fn required_population(&self) -> Option<usize> {
-        None
-    }
-
     /// The explicit interaction graph this scheduler deals the arcs of,
     /// if it is graph-bound ([`TopologyScheduler`] returns its topology).
     ///
@@ -117,6 +107,10 @@ pub trait Scheduler {
     /// — the builder compares this value structurally and rejects
     /// mismatches with
     /// [`EngineError::ProgramTopologyMismatch`](crate::EngineError::ProgramTopologyMismatch).
+    /// Its size is also the population the scheduler is bound to: builders
+    /// reject a runner whose population size disagrees
+    /// ([`EngineError::TopologySizeMismatch`](crate::EngineError::TopologySizeMismatch))
+    /// instead of letting `next_interaction` panic mid-run.
     fn dealt_topology(&self) -> Option<&Topology> {
         None
     }
@@ -159,9 +153,6 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     fn law(&self) -> InteractionLaw {
         (**self).law()
     }
-    fn required_population(&self) -> Option<usize> {
-        (**self).required_population()
-    }
     fn dealt_topology(&self) -> Option<&Topology> {
         (**self).dealt_topology()
     }
@@ -201,12 +192,7 @@ impl UniformScheduler {
 impl Scheduler for UniformScheduler {
     fn next_interaction(&mut self, n: usize, rng: &mut dyn RngCore) -> Interaction {
         assert!(n >= 2, "population must have at least 2 agents");
-        let s = rng.gen_range(0..n);
-        let mut r = rng.gen_range(0..n - 1);
-        if r >= s {
-            r += 1;
-        }
-        Interaction::new(s, r).expect("distinct by construction")
+        Interaction::sample(n, rng)
     }
 
     fn law(&self) -> InteractionLaw {
@@ -223,12 +209,7 @@ impl Scheduler for UniformScheduler {
         assert!(n >= 2, "population must have at least 2 agents");
         out.reserve(k);
         for _ in 0..k {
-            let s = rng.gen_range(0..n);
-            let mut r = rng.gen_range(0..n - 1);
-            if r >= s {
-                r += 1;
-            }
-            out.push(Interaction::new(s, r).expect("distinct by construction"));
+            out.push(Interaction::sample(n, rng));
         }
     }
 }
@@ -299,10 +280,6 @@ impl Scheduler for TopologyScheduler {
         } else {
             InteractionLaw::Topological
         }
-    }
-
-    fn required_population(&self) -> Option<usize> {
-        Some(self.topology.len())
     }
 
     fn dealt_topology(&self) -> Option<&Topology> {
@@ -528,11 +505,11 @@ mod tests {
         );
         let complete = TopologyScheduler::new(Topology::complete(4).unwrap());
         assert_eq!(complete.law(), InteractionLaw::Uniform);
-        assert_eq!(complete.required_population(), Some(4));
+        assert_eq!(complete.dealt_topology().map(Topology::len), Some(4));
         let ring = TopologyScheduler::new(Topology::ring(5).unwrap());
         assert_eq!(ring.law(), InteractionLaw::Topological);
         assert!(!ring.law().count_realizable());
-        assert_eq!(UniformScheduler::new().required_population(), None);
+        assert_eq!(UniformScheduler::new().dealt_topology(), None);
     }
 
     #[test]

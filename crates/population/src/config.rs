@@ -8,7 +8,7 @@ use crate::{AgentId, Interaction, Multiset, Population, PopulationError, State, 
 ///
 /// A configuration is indexed by [`AgentId`]; because agents are anonymous,
 /// two configurations that are permutations of each other are
-/// *behaviourally* equivalent, which is what [`DenseConfiguration::counts`]
+/// *behaviourally* equivalent, which is what [`Configuration::counts`]
 /// (the [`Multiset`] view) captures.
 ///
 /// This is the *dense* backend of the [`Population`] abstraction: one
@@ -21,7 +21,7 @@ use crate::{AgentId, Interaction, Multiset, Population, PopulationError, State, 
 /// # Example
 ///
 /// ```
-/// use ppfts_population::{DenseConfiguration, Interaction, TwoWayProtocol};
+/// use ppfts_population::{Configuration, Interaction, TwoWayProtocol};
 ///
 /// struct Swap;
 /// impl TwoWayProtocol for Swap {
@@ -29,26 +29,26 @@ use crate::{AgentId, Interaction, Multiset, Population, PopulationError, State, 
 ///     fn delta(&self, s: &u8, r: &u8) -> (u8, u8) { (*r, *s) }
 /// }
 ///
-/// let mut c = DenseConfiguration::new(vec![1, 2, 3]);
+/// let mut c = Configuration::new(vec![1, 2, 3]);
 /// c.apply(&Swap, Interaction::new(0, 2)?)?;
 /// assert_eq!(c.as_slice(), &[3, 2, 1]);
 /// assert_eq!(c.counts().count(&2), 1);
 /// # Ok::<(), ppfts_population::PopulationError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct DenseConfiguration<Q: State> {
+pub struct Configuration<Q: State> {
     states: Vec<Q>,
 }
 
-impl<Q: State> DenseConfiguration<Q> {
+impl<Q: State> Configuration<Q> {
     /// Creates a configuration from the per-agent states.
     pub fn new(states: Vec<Q>) -> Self {
-        DenseConfiguration { states }
+        Configuration { states }
     }
 
     /// Creates a configuration of `n` agents all in state `q`.
     pub fn uniform(q: Q, n: usize) -> Self {
-        DenseConfiguration { states: vec![q; n] }
+        Configuration { states: vec![q; n] }
     }
 
     /// Creates a configuration with `counts` groups: `(state, how many)`.
@@ -58,9 +58,9 @@ impl<Q: State> DenseConfiguration<Q> {
     /// # Example
     ///
     /// ```
-    /// use ppfts_population::DenseConfiguration;
+    /// use ppfts_population::Configuration;
     ///
-    /// let c = DenseConfiguration::from_groups([('c', 2), ('p', 1)]);
+    /// let c = Configuration::from_groups([('c', 2), ('p', 1)]);
     /// assert_eq!(c.as_slice(), &['c', 'c', 'p']);
     /// ```
     pub fn from_groups(counts: impl IntoIterator<Item = (Q, usize)>) -> Self {
@@ -70,7 +70,7 @@ impl<Q: State> DenseConfiguration<Q> {
                 states.push(q.clone());
             }
         }
-        DenseConfiguration { states }
+        Configuration { states }
     }
 
     /// Number of agents `n`.
@@ -92,7 +92,7 @@ impl<Q: State> DenseConfiguration<Q> {
     ///
     /// # Panics
     ///
-    /// Panics if `agent` is out of bounds; use [`DenseConfiguration::get`] for a
+    /// Panics if `agent` is out of bounds; use [`Configuration::get`] for a
     /// checked variant.
     pub fn state(&self, agent: AgentId) -> &Q {
         &self.states[agent.index()]
@@ -179,9 +179,9 @@ impl<Q: State> DenseConfiguration<Q> {
     /// # Example
     ///
     /// ```
-    /// use ppfts_population::{DenseConfiguration, Interaction};
+    /// use ppfts_population::{Configuration, Interaction};
     ///
-    /// let c = DenseConfiguration::new(vec!['a', 'b', 'c']);
+    /// let c = Configuration::new(vec!['a', 'b', 'c']);
     /// assert_eq!(c.pair_states(Interaction::new(2, 0)?)?, (&'c', &'a'));
     /// # Ok::<(), ppfts_population::PopulationError>(())
     /// ```
@@ -204,9 +204,9 @@ impl<Q: State> DenseConfiguration<Q> {
     /// # Example
     ///
     /// ```
-    /// use ppfts_population::{DenseConfiguration, Interaction};
+    /// use ppfts_population::{Configuration, Interaction};
     ///
-    /// let mut c = DenseConfiguration::new(vec![1, 2, 3]);
+    /// let mut c = Configuration::new(vec![1, 2, 3]);
     /// let (s, r) = c.pair_states_mut(Interaction::new(2, 0)?)?;
     /// *s += 10;
     /// *r += 20;
@@ -249,19 +249,14 @@ impl<Q: State> DenseConfiguration<Q> {
     /// The configuration obtained by mapping every agent's state through
     /// `f` — e.g. the projection `π_P` from simulator states to simulated
     /// states.
-    pub fn map<R: State>(&self, f: impl FnMut(&Q) -> R) -> DenseConfiguration<R> {
-        DenseConfiguration {
+    pub fn map<R: State>(&self, f: impl FnMut(&Q) -> R) -> Configuration<R> {
+        Configuration {
             states: self.states.iter().map(f).collect(),
         }
     }
 }
 
-/// Historical name of [`DenseConfiguration`], kept as an alias: the type
-/// predates the [`Population`] backend split, and "the configuration" is
-/// still the right reading everywhere a dense population is meant.
-pub type Configuration<Q> = DenseConfiguration<Q>;
-
-impl<Q: State> Population for DenseConfiguration<Q> {
+impl<Q: State> Population for Configuration<Q> {
     type State = Q;
 
     fn len(&self) -> usize {
@@ -269,36 +264,36 @@ impl<Q: State> Population for DenseConfiguration<Q> {
     }
 
     fn counts(&self) -> Multiset<Q> {
-        DenseConfiguration::counts(self)
+        Configuration::counts(self)
     }
 
     fn count_state(&self, q: &Q) -> usize {
-        DenseConfiguration::count_state(self, q)
+        Configuration::count_state(self, q)
     }
 }
 
-impl<Q: State> From<Vec<Q>> for DenseConfiguration<Q> {
+impl<Q: State> From<Vec<Q>> for Configuration<Q> {
     fn from(states: Vec<Q>) -> Self {
-        DenseConfiguration::new(states)
+        Configuration::new(states)
     }
 }
 
-impl<Q: State> FromIterator<Q> for DenseConfiguration<Q> {
+impl<Q: State> FromIterator<Q> for Configuration<Q> {
     fn from_iter<I: IntoIterator<Item = Q>>(iter: I) -> Self {
-        DenseConfiguration {
+        Configuration {
             states: iter.into_iter().collect(),
         }
     }
 }
 
-impl<Q: State> std::ops::Index<AgentId> for DenseConfiguration<Q> {
+impl<Q: State> std::ops::Index<AgentId> for Configuration<Q> {
     type Output = Q;
     fn index(&self, agent: AgentId) -> &Q {
         &self.states[agent.index()]
     }
 }
 
-impl<Q: State> fmt::Debug for DenseConfiguration<Q> {
+impl<Q: State> fmt::Debug for Configuration<Q> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.states.iter()).finish()
     }
@@ -315,16 +310,16 @@ mod tests {
 
     #[test]
     fn uniform_and_groups_layout() {
-        let u = DenseConfiguration::uniform(0u8, 4);
+        let u = Configuration::uniform(0u8, 4);
         assert_eq!(u.as_slice(), &[0, 0, 0, 0]);
-        let g = DenseConfiguration::from_groups([(1u8, 2), (2u8, 1), (3u8, 0)]);
+        let g = Configuration::from_groups([(1u8, 2), (2u8, 1), (3u8, 0)]);
         assert_eq!(g.as_slice(), &[1, 1, 2]);
         assert_eq!(g.count_state(&3), 0);
     }
 
     #[test]
     fn apply_updates_both_roles() {
-        let mut c = DenseConfiguration::new(vec![true, false]);
+        let mut c = Configuration::new(vec![true, false]);
         let old = c
             .apply(&epidemic(), Interaction::new(0, 1).unwrap())
             .unwrap();
@@ -334,7 +329,7 @@ mod tests {
 
     #[test]
     fn apply_checks_bounds() {
-        let mut c = DenseConfiguration::new(vec![true, false]);
+        let mut c = Configuration::new(vec![true, false]);
         let err = c.apply(&epidemic(), Interaction::new(0, 9).unwrap());
         assert_eq!(
             err.unwrap_err(),
@@ -344,7 +339,7 @@ mod tests {
 
     #[test]
     fn pair_states_borrows_both_roles() {
-        let c = DenseConfiguration::new(vec!['a', 'b', 'c']);
+        let c = Configuration::new(vec!['a', 'b', 'c']);
         let i = Interaction::new(1, 2).unwrap();
         assert_eq!(c.pair_states(i).unwrap(), (&'b', &'c'));
         let oob = Interaction::new(0, 7).unwrap();
@@ -356,7 +351,7 @@ mod tests {
 
     #[test]
     fn pair_states_mut_splits_both_orders() {
-        let mut c = DenseConfiguration::new(vec![10u8, 20, 30]);
+        let mut c = Configuration::new(vec![10u8, 20, 30]);
         {
             let (s, r) = c.pair_states_mut(Interaction::new(0, 2).unwrap()).unwrap();
             assert_eq!((*s, *r), (10, 30));
@@ -374,7 +369,7 @@ mod tests {
 
     #[test]
     fn write_pair_returns_replaced_states() {
-        let mut c = DenseConfiguration::new(vec!['a', 'b', 'c']);
+        let mut c = Configuration::new(vec!['a', 'b', 'c']);
         let old = c
             .write_pair(Interaction::new(2, 0).unwrap(), ('X', 'Y'))
             .unwrap();
@@ -384,29 +379,29 @@ mod tests {
 
     #[test]
     fn map_projects_states() {
-        let c = DenseConfiguration::new(vec![(1u8, 'x'), (2u8, 'y')]);
+        let c = Configuration::new(vec![(1u8, 'x'), (2u8, 'y')]);
         let proj = c.map(|(n, _)| *n);
         assert_eq!(proj.as_slice(), &[1, 2]);
     }
 
     #[test]
     fn permutation_equivalence() {
-        let a = DenseConfiguration::new(vec![1, 2, 2, 3]);
-        let b = DenseConfiguration::new(vec![3, 2, 1, 2]);
-        let c = DenseConfiguration::new(vec![3, 3, 1, 2]);
+        let a = Configuration::new(vec![1, 2, 2, 3]);
+        let b = Configuration::new(vec![3, 2, 1, 2]);
+        let c = Configuration::new(vec![3, 3, 1, 2]);
         assert_eq!(a.counts(), b.counts());
         assert_ne!(a.counts(), c.counts());
     }
 
     #[test]
     fn agents_in_lists_indices() {
-        let c = DenseConfiguration::new(vec!['p', 'c', 'p']);
+        let c = Configuration::new(vec!['p', 'c', 'p']);
         assert_eq!(c.agents_in(&'p'), vec![AgentId::new(0), AgentId::new(2)]);
     }
 
     #[test]
     fn set_and_get_round_trip() {
-        let mut c = DenseConfiguration::uniform(0u8, 3);
+        let mut c = Configuration::uniform(0u8, 3);
         c.set(AgentId::new(1), 7).unwrap();
         assert_eq!(c.get(AgentId::new(1)), Some(&7));
         assert_eq!(c[AgentId::new(1)], 7);

@@ -5,7 +5,7 @@ use std::fmt;
 
 use rand::{Rng, RngCore};
 
-use crate::{DenseConfiguration, Multiset, Population, PopulationError, State};
+use crate::{Configuration, Multiset, Population, PopulationError, State};
 
 /// [`CountConfiguration::count_state`] scans the slots of a configuration
 /// holding at most this many (dead ones included) instead of hashing its
@@ -109,7 +109,7 @@ impl<Q: State> CountConfiguration<Q> {
     }
 
     /// Creates the count view of a dense configuration.
-    pub fn from_dense(dense: &DenseConfiguration<Q>) -> Self {
+    pub fn from_dense(dense: &Configuration<Q>) -> Self {
         let mut c = CountConfiguration::new();
         for q in dense.as_slice() {
             c.insert_many(q.clone(), 1);
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn construction_round_trips_through_dense() {
-        let dense = DenseConfiguration::new(vec!['a', 'b', 'a', 'c']);
+        let dense = Configuration::new(vec!['a', 'b', 'a', 'c']);
         let count = CountConfiguration::from_dense(&dense);
         assert_eq!(count.len(), 4);
         assert_eq!(count.distinct(), 3);

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use rand::{Rng, RngCore};
+
 use crate::{AgentId, PopulationError};
 
 /// An ordered pairwise interaction `(starter, reactor)`.
@@ -46,6 +48,27 @@ impl Interaction {
             starter: AgentId::new(starter),
             reactor: AgentId::new(reactor),
         })
+    }
+
+    /// Draws a uniformly random ordered pair of distinct agents among `n`:
+    /// the starter from `0..n`, then the reactor from `0..n−1` shifted
+    /// past it. Every uniform pair draw of the workspace (the uniform
+    /// scheduler, the complete topology) consumes the RNG stream this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(n: usize, rng: &mut R) -> Self {
+        let s = rng.gen_range(0..n);
+        let mut r = rng.gen_range(0..n - 1);
+        if r >= s {
+            r += 1;
+        }
+        Interaction {
+            starter: AgentId::new(s),
+            reactor: AgentId::new(r),
+        }
     }
 
     /// The agent initiating the interaction (`a_s`).

@@ -14,10 +14,9 @@
 //! * [`Interaction`] — an ordered (starter, reactor) pair,
 //! * [`Population`] — the storage-backend abstraction over agent
 //!   populations, with two implementations:
-//!   [`DenseConfiguration`] (alias [`Configuration`]) — the vector of
-//!   local states of all agents — and [`CountConfiguration`] — state
-//!   multiplicities only, O(distinct states) memory for giant anonymous
-//!   runs,
+//!   [`Configuration`] — the vector of local states of all agents — and
+//!   [`CountConfiguration`] — state multiplicities only, O(distinct
+//!   states) memory for giant anonymous runs,
 //! * [`Multiset`] — order-insensitive view of a configuration,
 //! * [`dist`] — exact discrete samplers: the binomial, hypergeometric
 //!   and multivariate hypergeometric draws powering the batch-epoch
@@ -73,7 +72,7 @@ mod state;
 mod topology;
 
 pub use agent::AgentId;
-pub use config::{Configuration, DenseConfiguration};
+pub use config::Configuration;
 pub use count::CountConfiguration;
 pub use error::PopulationError;
 pub use interaction::Interaction;
@@ -84,7 +83,4 @@ pub use protocol::{
 };
 pub use semantics::{unanimous_output, unanimous_output_counts, ConsensusOutput, Semantics};
 pub use state::{EnumerableStates, State};
-pub use topology::{
-    SpectralProfile, Topology, TopologyClass, TopologyError, EXACT_CONDUCTANCE_LIMIT,
-    RANDOM_REGULAR_ATTEMPTS,
-};
+pub use topology::{SpectralProfile, Topology, TopologyClass, TopologyError};

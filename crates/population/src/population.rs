@@ -7,7 +7,7 @@ use crate::{Multiset, State};
 ///
 /// Two backends implement this trait:
 ///
-/// * [`DenseConfiguration`](crate::DenseConfiguration) — one state per
+/// * [`Configuration`](crate::Configuration) — one state per
 ///   agent, indexed by [`AgentId`](crate::AgentId), O(n) memory. The only
 ///   backend that can attribute interactions to individual agents, which
 ///   per-agent simulator states (unique IDs, partner tracking) and
@@ -29,9 +29,9 @@ use crate::{Multiset, State};
 /// # Example
 ///
 /// ```
-/// use ppfts_population::{CountConfiguration, DenseConfiguration, Population};
+/// use ppfts_population::{Configuration, CountConfiguration, Population};
 ///
-/// let dense = DenseConfiguration::new(vec!['c', 'p', 'c']);
+/// let dense = Configuration::new(vec!['c', 'p', 'c']);
 /// let counts = CountConfiguration::from_groups([('c', 2), ('p', 1)]);
 /// assert_eq!(Population::len(&dense), 3);
 /// assert_eq!(counts.len(), 3);
@@ -65,11 +65,11 @@ pub trait Population: Clone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CountConfiguration, DenseConfiguration};
+    use crate::{Configuration, CountConfiguration};
 
     #[test]
     fn backends_agree_through_the_trait() {
-        let dense = DenseConfiguration::new(vec![1u8, 2, 2, 3]);
+        let dense = Configuration::new(vec![1u8, 2, 2, 3]);
         let counts = CountConfiguration::from_groups([(1u8, 1), (2, 2), (3, 1)]);
         assert_eq!(Population::len(&dense), Population::len(&counts));
         assert_eq!(Population::counts(&dense), Population::counts(&counts));
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn same_counts_detects_differences() {
-        let dense = DenseConfiguration::new(vec![1u8, 1]);
+        let dense = Configuration::new(vec![1u8, 1]);
         let counts = CountConfiguration::from_groups([(1u8, 1), (2, 1)]);
         assert!(!dense.same_counts(&counts));
         let short = CountConfiguration::from_groups([(1u8, 1)]);

@@ -61,11 +61,11 @@ use crate::Interaction;
 /// [`TopologyError::PairingFailed`]. The loop is hard-bounded so that
 /// infeasible `(n, d)` parameterizations (a 1-regular graph on more than
 /// two vertices can never be connected) terminate with a typed error.
-pub const RANDOM_REGULAR_ATTEMPTS: usize = 400;
+const RANDOM_REGULAR_ATTEMPTS: usize = 400;
 
 /// Largest vertex count for which [`Topology::conductance`] enumerates
 /// every cut exactly; larger graphs get the spectral sweep-cut estimate.
-pub const EXACT_CONDUCTANCE_LIMIT: usize = 16;
+const EXACT_CONDUCTANCE_LIMIT: usize = 16;
 
 /// Power-iteration budget of the sweep-cut conductance estimate.
 const SWEEP_POWER_ITERS: usize = 600;
@@ -399,12 +399,11 @@ impl Topology {
     ///
     /// [`TopologyError::InvalidDegree`] unless `0 < d < n` and `n·d` is
     /// even; [`TopologyError::PairingFailed`] when the hard-bounded retry
-    /// loop ([`RANDOM_REGULAR_ATTEMPTS`] draws) finds no simple connected
-    /// graph — which covers both unlucky dense parameterizations and
-    /// genuinely infeasible ones like `d = 1` on `n > 2` vertices (every
-    /// 1-regular graph is a perfect matching, hence disconnected), so the
-    /// constructor always terminates with a typed error instead of
-    /// looping.
+    /// loop (400 draws) finds no simple connected graph — which covers
+    /// both unlucky dense parameterizations and genuinely infeasible ones
+    /// like `d = 1` on `n > 2` vertices (every 1-regular graph is a
+    /// perfect matching, hence disconnected), so the constructor always
+    /// terminates with a typed error instead of looping.
     pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Self, TopologyError> {
         if n < 2 {
             return Err(TopologyError::TooSmall { len: n, min: 2 });
@@ -706,24 +705,17 @@ impl Topology {
     /// the uniform ordered-pair law (to which it specializes, RNG-stream
     /// compatibly, on the complete topology).
     ///
-    /// On the complete graph this consumes two range draws (`0..n`, then
-    /// `0..n−1`) exactly like the classic uniform scheduler, so complete-
-    /// topology runs are bit-identical to uniform-scheduler runs; on CSR
-    /// topologies it consumes one range draw over the arc array.
+    /// On the complete graph this is [`Interaction::sample`], the uniform
+    /// scheduler's draw, so complete-topology runs are bit-identical to
+    /// uniform-scheduler runs; on CSR topologies it consumes one range
+    /// draw over the arc array.
     ///
     /// Generic over the RNG, so a concrete RNG (the engine's `SmallRng`,
     /// sweep jobs, fuzzers) inlines the range draws; `&mut dyn RngCore`
     /// is accepted too.
     pub fn sample_arc<R: RngCore + ?Sized>(&self, rng: &mut R) -> Interaction {
         match &*self.repr {
-            Repr::Complete { n } => {
-                let s = rng.gen_range(0..*n);
-                let mut r = rng.gen_range(0..*n - 1);
-                if r >= s {
-                    r += 1;
-                }
-                Interaction::new(s, r).expect("distinct by construction")
-            }
+            Repr::Complete { n } => Interaction::sample(*n, rng),
             Repr::Csr { heads, tails, .. } => {
                 let a = rng.gen_range(0..heads.len());
                 Interaction::new(tails[a] as usize, heads[a] as usize)
@@ -753,14 +745,8 @@ impl Topology {
         out.reserve(k);
         match &*self.repr {
             Repr::Complete { n } => {
-                let n = *n;
                 for _ in 0..k {
-                    let s = rng.gen_range(0..n);
-                    let mut r = rng.gen_range(0..n - 1);
-                    if r >= s {
-                        r += 1;
-                    }
-                    out.push(Interaction::new(s, r).expect("distinct by construction"));
+                    out.push(Interaction::sample(*n, rng));
                 }
             }
             Repr::Csr { heads, tails, .. } => {
@@ -788,9 +774,9 @@ impl Topology {
 
     /// Conductance `Φ(G) = min_S cut(S, S̄) / min(vol S, vol S̄)` by
     /// exhaustive cut enumeration — exact, but O(2ⁿ·(n + m)), so only
-    /// offered up to [`EXACT_CONDUCTANCE_LIMIT`] vertices. Returns `None`
-    /// above the limit; [`conductance`](Topology::conductance) falls back
-    /// to the spectral sweep-cut estimate there.
+    /// offered up to 16 vertices. Returns `None` above the limit;
+    /// [`conductance`](Topology::conductance) falls back to the spectral
+    /// sweep-cut estimate there.
     pub fn conductance_exact(&self) -> Option<f64> {
         let n = self.len();
         if n > EXACT_CONDUCTANCE_LIMIT {
@@ -929,12 +915,11 @@ impl Topology {
         }
     }
 
-    /// Conductance `Φ(G)`: **exact** (exhaustive cuts) up to
-    /// [`EXACT_CONDUCTANCE_LIMIT`] vertices, the closed form for the
-    /// implicit complete graph, and otherwise a **sweep-cut estimate**
-    /// from the power-iteration eigenvector — an upper bound on the true
-    /// conductance that Cheeger's inequality guarantees is within
-    /// `√(2·gap)` of it. On graphs whose sparsest cut is an eigenvector
+    /// Conductance `Φ(G)`: **exact** (exhaustive cuts) up to 16 vertices,
+    /// the closed form for the implicit complete graph, and otherwise a
+    /// **sweep-cut estimate** from the power-iteration eigenvector — an
+    /// upper bound on the true conductance that Cheeger's inequality
+    /// guarantees is within `√(2·gap)` of it. On graphs whose sparsest cut is an eigenvector
     /// level set (rings, grids) the sweep recovers the exact value.
     ///
     /// # Example
