@@ -15,8 +15,8 @@
 //! 1. the number of fresh interactions before the next collision (the
 //!    *gap*) falls out of one Exp(1) draw inverted against a table of the
 //!    log-survival function (`EpochLengths`, private),
-//! 2. a collision draws its endpoints explicitly, its roles by exact
-//!    integer draws. A touched endpoint is
+//! 2. a collision draws its endpoints explicitly, its roles by one exact
+//!    integer draw. A touched endpoint is
 //!    uniform over the touched agents; if it belongs to a fresh
 //!    interaction whose states are not drawn yet, that interaction is
 //!    *realized* on the spot. An untouched endpoint's state, like a
@@ -24,16 +24,18 @@
 //!    snapshot's *unrevealed* agents,
 //! 3. the batch ends after the collision that brings the touched agents
 //!    to `BATCH_TOUCHED · √n`, or exactly at the budget. The fresh
-//!    interactions still unrealized are then split in bulk: the starter
+//!    interactions still unrealized are then split in bulk: their agents'
 //!    states are a multivariate hypergeometric split of the unrevealed
-//!    counts, the reactor states a second split of the remainder, and the
-//!    pairing between them a uniform matching (nested hypergeometric
-//!    splits again),
+//!    counts, the starters' a second split of those in halves, the
+//!    reactors' the rest, and the pairing between them a uniform matching
+//!    (nested hypergeometric splits again),
 //! 4. each (starter-state, reactor-state) group is split across its
 //!    *outcome classes* — the faults of the mix merged by equal outcome —
 //!    by a chain of conditional binomial draws (none for a one-class
 //!    group), and each class's outcome applied *once* with a bulk count
-//!    adjustment.
+//!    adjustment. A group whose mirror pair's classes match it up to the
+//!    order of each outcome's states (the epidemic's (I, S) and (S, I))
+//!    is split together with the mirror's group.
 //!
 //! Revealing states only when an interaction needs them keeps the law
 //! exact: the unrevealed agents hold an exchangeable draw of the snapshot
@@ -44,16 +46,16 @@
 //!
 //! Which interactions of a class are omissive never feeds back into the
 //! dynamics, so a class mixing omissive and fault-free faults only adds
-//! its count to a tally keyed by its omissive share; the driver draws one
-//! binomial per share when it returns. `RunStats::omissive_steps` is
+//! its count to a tally indexed by its omissive share's id; the driver
+//! draws one binomial per share when it returns. `RunStats::omissive_steps` is
 //! therefore exact in law at the end of each driver call, not batch by
 //! batch.
 //!
 //! The first gap of a batch is an epoch's collision-free prefix, of
 //! expected length `E[ℓ] = Σ_{j≥1} A(j) ≈ √(πn/8) ≈ 0.63·√n`; a batch
-//! holds ≈ 1.6·√n interactions for its O(d²) splits and ≈ 5 collisions,
-//! so the per-interaction cost is O(d²/√n) for `d` distinct states:
-//! *sub-constant* once n ≫ d⁴.
+//! holds ≈ 1.65·√n interactions for its O(d²) splits and ≈ 5.5
+//! collisions (the epidemic at n = 10⁸), so the per-interaction cost is
+//! O(d²/√n) for `d` distinct states: *sub-constant* once n ≫ d⁴.
 //!
 //! A batch costs its O(d²) splits even when nothing in it changes a
 //! state. So when state changes are sparse the driver takes an exact
@@ -71,7 +73,8 @@
 //! Every interaction the driver applies — a bulk group, a collision, a
 //! realized fresh interaction or an event — reads one table of per-pair
 //! outcome classes, built lazily for each live state list, and draws its
-//! class by weight; no step draws a fault. Only a collision that meets a
+//! class by integer bounds fixed when the pair's entry is filled (no
+//! draw for a one-class pair); no step draws a fault. Only a collision that meets a
 //! state outside the snapshot (one a batch created) merges its pair's
 //! classes over the full mix. An agent in flight is a *slot*: slot
 //! `i < d` is the snapshot's state `i`, and slot `d + e` the `e`-th state
@@ -254,6 +257,7 @@ impl EpochLengths {
     /// `A(touched / 2)` must be inside the table: it is when the table
     /// covers the full support, and a batch stops at `BATCH_TOUCHED · √n`
     /// touched agents, well inside `5√n` table entries.
+    #[inline]
     pub(crate) fn gap(&self, touched: u64, rng: &mut SmallRng) -> u64 {
         let table = self.ln_survival();
         let h = touched / 2;
@@ -317,25 +321,23 @@ impl EpochLengths {
 
 /// Event steps replace batches while `p_act · E[ℓ]`, the expected number
 /// of non-inert interactions in a mean-length epoch, is below this.
-/// Measured on the `epidemic-epoch` perfbench workload (n = 10⁸, T1 at
-/// rate 0.1, 2-vCPU Xeon): the perfbench binary with the threshold set
-/// per run, 3 runs of `--seed 7 --seconds 10` per threshold, each next
-/// to one of the driver before one class path and in-place event steps.
-/// Median ps per interaction (1 / interactions_per_s), this driver
-/// against that one: 61.1 / 68.1 at 2, 53.9 / 58.3 at 3.5, 50.5 / 61.0
-/// at 6, 57.7 / 68.6 at 8 and 57.4 / 69.9 at 12. The host drifts by
-/// ±20% between runs, so the optimum is flat over [3.5, 12]. Absolute
-/// figures depend on the harness and the host's state (an in-process
-/// sweep of the older driver once read 40–41 ps); only figures taken
+/// Measured on the `epidemic-epoch` workload (n = 10⁸, T1 at rate 0.1,
+/// one thread, seeds 7–16, 2-vCPU Xeon) with the threshold set per run,
+/// each run next to one of the driver before one-draw splits, integer
+/// class bounds, paired position draws and the tabulated ln n!, at its
+/// own constants. Median ps per interaction (1 / interactions/s) over 4
+/// rounds, this driver against that one: 24.6 / 30.4 at 3, 26.6 / 30.7 at
+/// 4.5, 25.0 / 30.1 at 6 and 25.0 / 29.5 at 9. The host drifts by ±15%
+/// between runs, so the optimum is flat over [3, 9]. Only figures taken
 /// side by side compare.
 const EVENT_STEP_BELOW: f64 = 6.0;
 
 /// A batch ends after the collision that brings the touched agents to
 /// `BATCH_TOUCHED · √n`. Measured like `EVENT_STEP_BELOW`, in ps per
-/// interaction, this driver against the older one: 52.5 / 63.9 at 2,
-/// 51.6 / 53.5 at 2.5, 50.5 / 61.0 at 3, 49.2 / 59.3 at 3.5, 47.3 /
-/// 57.4 at 4 and 56.9 / 73.8 at 5: flat over [2.5, 4]. At 3 a seed runs
-/// ≈ 49 k batches and ≈ 270 k collisions.
+/// interaction, this driver against the older one: 26.2 / 28.9 at 2,
+/// 25.6 / 28.3 at 2.5, 25.7 / 29.9 at 3, 24.8 / 28.9 at 3.5 and 25.5 /
+/// 29.2 at 4: flat over [2.5, 4]. At 3 a batch holds ≈ 1.65·√n
+/// interactions and ≈ 5.5 collisions, and a seed runs ≈ 49 k batches.
 const BATCH_TOUCHED: f64 = 3.0;
 
 /// Reusable per-step buffers: the driver allocates nothing in steady
@@ -356,12 +358,13 @@ struct Scratch<Q> {
     rem: Vec<u64>,
     /// Starter states drawn in bulk this step, per group.
     starters: Vec<u64>,
-    /// Reactor states drawn in bulk this step, per group.
+    /// Reactor states drawn in bulk this step, per group; the matching
+    /// takes them down to zero.
     reactors: Vec<u64>,
-    /// Reactors not yet matched to a starter group.
-    reactors_left: Vec<u64>,
     /// Per-starter-group split of its matched reactors.
     split: Vec<u64>,
+    /// The bulk interactions per ordered state pair, row-major.
+    groups: Vec<u64>,
     /// Agents whose pre-states a collision revealed, per group.
     revealed: Vec<u64>,
     /// Agents that have interacted in the batch in flight.
@@ -371,11 +374,8 @@ struct Scratch<Q> {
     /// Snapshot agents whose pre-states are not drawn yet: the untouched
     /// ones and the `2 · fresh` of unrealized fresh interactions.
     unrevealed: u64,
-    /// Post-interaction pool of the touched agents whose states are
-    /// known, a count per slot (see `ClassTable::outside`). At least as
-    /// long as the snapshot, and all zero between steps: a commit empties
-    /// it, and an error ends the driver call.
-    updated: Vec<u64>,
+    /// What the step in flight has drawn.
+    step: Step,
     /// The states outside the snapshot that a commit adds.
     extras: Vec<(Q, u64)>,
     /// Outcome classes of a collision pair with a state outside the
@@ -383,11 +383,47 @@ struct Scratch<Q> {
     classes: Vec<OutcomeClass>,
     /// Outcome classes of every ordered pair of the snapshot's states.
     table: ClassTable<Q>,
-    /// The snapshot's non-inert ordered pairs `(i, j, weight)`.
-    active: Vec<(usize, usize, f64)>,
-    /// This step's interactions whose omissive split is still undrawn,
-    /// keyed by their omissive share.
-    undrawn: Vec<(f64, u64)>,
+    /// The snapshot's non-inert ordered pairs, filled at each re-snapshot
+    /// (a count can only reach zero through one).
+    active: Vec<(usize, usize)>,
+}
+
+/// What a step has drawn and not yet committed. All zero between steps:
+/// a commit drains it, and a failure ends the driver call.
+#[derive(Default)]
+struct Step {
+    /// Post-interaction pool of the touched agents whose states are
+    /// known, a count per slot (see `ClassTable::outside`). Always one
+    /// entry per slot, so adding to it never grows it.
+    pool: Vec<u64>,
+    delta: RunStats,
+    /// Interactions whose omissive split is still undrawn, per share id
+    /// (see `ClassTable::shares`).
+    undrawn: Vec<u64>,
+    /// The error of the first failing class drawn: the step goes on, and
+    /// is then dropped instead of committed.
+    failed: Option<Box<EngineError>>,
+}
+
+impl Step {
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, e: &EngineError) {
+        self.failed.get_or_insert_with(|| Box::new(e.clone()));
+    }
+
+    /// Records `k` interactions of `class` and pools their post-states.
+    #[inline(always)]
+    fn apply(&mut self, class: &OutcomeClass, k: u64) {
+        if let Some(e) = &class.error {
+            self.fail(e);
+        }
+        class
+            .tally
+            .record(class.changed, k, &mut self.delta, &mut self.undrawn);
+        self.pool[class.post.0] += k;
+        self.pool[class.post.1] += k;
+    }
 }
 
 impl<Q: State> Scratch<Q> {
@@ -399,13 +435,13 @@ impl<Q: State> Scratch<Q> {
             rem: Vec::new(),
             starters: Vec::new(),
             reactors: Vec::new(),
-            reactors_left: Vec::new(),
             split: Vec::new(),
+            groups: Vec::new(),
             revealed: Vec::new(),
             touched: 0,
             fresh: 0,
             unrevealed: 0,
-            updated: Vec::new(),
+            step: Step::default(),
             extras: Vec::new(),
             classes: Vec::new(),
             table: ClassTable {
@@ -413,23 +449,68 @@ impl<Q: State> Scratch<Q> {
                 outside: Vec::new(),
                 cells: Vec::new(),
                 classes: Vec::new(),
+                shares: Vec::new(),
             },
             active: Vec::new(),
-            undrawn: Vec::new(),
         }
     }
 
-    /// Snapshots the configuration's live groups and re-keys the class
-    /// table to their states.
-    fn snapshot<C: EpochBackend<State = Q>>(&mut self, config: &C) {
+    /// Snapshots the configuration's live groups, re-keys the class
+    /// table to their states and lists their non-inert pairs.
+    fn snapshot<C, F, O, M>(&mut self, config: &C, law: &mut Law<F, O, M>)
+    where
+        C: EpochBackend<State = Q>,
+        F: Copy,
+        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
+        M: Fn(&F) -> bool,
+    {
         self.snap.clear();
         config.state_counts_into(&mut self.snap);
         self.counts.clear();
         self.counts.extend(self.snap.iter().map(|&(_, c)| c));
         self.table.sync(&self.snap);
-        self.updated.clear();
-        self.updated.resize(self.counts.len(), 0);
+        self.step.pool.clear();
+        self.fit_step();
+        let d = self.counts.len();
+        self.active.clear();
+        for i in 0..d {
+            for j in 0..d {
+                if !self.cell(i, j, law).inert {
+                    self.active.push((i, j));
+                }
+            }
+        }
         self.stale = false;
+    }
+
+    /// The entry of the pair `(states[i], states[j])`, filled on first
+    /// read from the law's mix.
+    #[inline]
+    fn cell<F: Copy, O, M>(&mut self, i: usize, j: usize, law: &mut Law<F, O, M>) -> Cell
+    where
+        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
+        M: Fn(&F) -> bool,
+    {
+        match self.table.cells[i * self.counts.len() + j] {
+            Some(cell) => cell,
+            None => {
+                let cell = self.table.fill(i, j, law);
+                self.fit_step();
+                cell
+            }
+        }
+    }
+
+    /// Grows the step's pool to a slot per state met and its tally to a
+    /// count per share met.
+    fn fit_step(&mut self) {
+        let slots = self.table.states.len() + self.table.outside.len();
+        if self.step.pool.len() < slots {
+            self.step.pool.resize(slots, 0);
+        }
+        if self.step.undrawn.len() < self.table.shares.len() {
+            self.step.undrawn.resize(self.table.shares.len(), 0);
+        }
     }
 }
 
@@ -465,7 +546,8 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
     /// `out` and returns their total weight. Each outcome is a pair of
     /// slots over `states`, an outcome state outside them interned into
     /// `outside`. Faults with equal `Ok` outcomes share a class; an `Err`
-    /// outcome is a class of its own.
+    /// outcome is a class of its own. The classes are drawn only once
+    /// [`compile`] has fixed their bounds.
     fn classes_into<Q: State>(
         &mut self,
         s: &Q,
@@ -479,25 +561,32 @@ impl<'m, F: Copy, O, M: Fn(&F) -> bool> Law<'m, F, O, M> {
     {
         let first = out.len();
         for &(fault, w) in self.fault_mix {
-            let outcome = (self.outcome_of)(s, r, fault)
-                .map(|(s2, r2)| (slot_of(s2, states, outside), slot_of(r2, states, outside)));
             let omissive_weight = if (self.is_omissive)(&fault) { w } else { 0.0 };
-            let same = match outcome {
-                Ok(pair) => out[first..]
-                    .iter_mut()
-                    .find(|c| c.outcome.as_ref().is_ok_and(|&p| p == pair)),
-                Err(_) => None,
+            let (post, error) = match (self.outcome_of)(s, r, fault) {
+                Ok((s2, r2)) => {
+                    let pair = (slot_of(s2, states, outside), slot_of(r2, states, outside));
+                    let same = out[first..]
+                        .iter_mut()
+                        .find(|c| c.error.is_none() && c.post == pair);
+                    if let Some(class) = same {
+                        class.weight += w;
+                        class.omissive += omissive_weight;
+                        continue;
+                    }
+                    (pair, None)
+                }
+                Err(e) => ((0, 0), Some(Box::new(e))),
             };
-            if let Some(class) = same {
-                class.weight += w;
-                class.omissive += omissive_weight;
-            } else {
-                out.push(OutcomeClass {
-                    outcome,
-                    weight: w,
-                    omissive: omissive_weight,
-                });
-            }
+            out.push(OutcomeClass {
+                post,
+                error,
+                weight: w,
+                omissive: omissive_weight,
+                below: 0,
+                cond: 0.0,
+                tally: Tally::Never,
+                changed: false,
+            });
         }
         let classes = &mut out[first..];
         // A class without omissive weight has share 0, even at weight 0
@@ -534,6 +623,10 @@ struct ClassTable<Q> {
     /// Per ordered pair, row-major over `states`, once filled.
     cells: Vec<Option<Cell>>,
     classes: Vec<OutcomeClass>,
+    /// The omissive shares strictly between 0 and 1 met in this driver
+    /// call, in the order met: share id `i` is `shares[i]`. A re-key
+    /// keeps them, so the omission tallies of a whole call line up.
+    shares: Vec<f64>,
 }
 
 /// One filled [`ClassTable`] entry.
@@ -542,11 +635,14 @@ struct Cell {
     /// The pair's classes are `classes[start..end]`.
     start: usize,
     end: usize,
-    /// Their total weight, summed in class order.
-    weight: f64,
     /// Every fault of the mix maps the pair to itself: one class,
     /// carrying the whole mix, whose outcome is the identity.
     inert: bool,
+    /// The mirror pair `(j, i)` of this pair `(i, j)` has the same
+    /// classes up to the order of each outcome's two states, so a bulk
+    /// group of either pair changes the counts, stats and tallies alike
+    /// and the two groups split as one.
+    mirrored: bool,
 }
 
 impl<Q: State> ClassTable<Q> {
@@ -571,20 +667,6 @@ impl<Q: State> ClassTable<Q> {
             .unwrap_or_else(|| &self.outside[slot - self.states.len()])
     }
 
-    /// The entry of the pair `(states[i], states[j])`, filled on first
-    /// read from the law's mix.
-    #[inline]
-    fn cell<F: Copy, O, M>(&mut self, i: usize, j: usize, law: &mut Law<F, O, M>) -> Cell
-    where
-        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
-        M: Fn(&F) -> bool,
-    {
-        match self.cells[i * self.states.len() + j] {
-            Some(cell) => cell,
-            None => self.fill(i, j, law),
-        }
-    }
-
     #[cold]
     #[inline(never)]
     fn fill<F: Copy, O, M>(&mut self, i: usize, j: usize, law: &mut Law<F, O, M>) -> Cell
@@ -600,42 +682,30 @@ impl<Q: State> ClassTable<Q> {
             &mut self.outside,
             &mut self.classes,
         );
-        let inert = matches!(&self.classes[start..], [class] if class.outcome.as_ref().is_ok_and(|&p| p == (i, j)));
-        let cell = Cell {
+        let classes = &mut self.classes[start..];
+        compile(classes, (i, j), weight, &mut self.shares);
+        let inert = matches!(classes, [class] if class.error.is_none() && !class.changed);
+        let d = self.states.len();
+        let mut cell = Cell {
             start,
             end: self.classes.len(),
-            weight,
             inert,
+            mirrored: false,
         };
-        self.cells[i * self.states.len() + j] = Some(cell);
-        cell
-    }
-
-    /// Refills `active` with the non-inert ordered pairs of positive
-    /// weight `c_a·(c_b − [a=b])`, `counts` indexed like the table's
-    /// states, and returns their total weight.
-    fn active_pairs<F: Copy, O, M>(
-        &mut self,
-        counts: &[u64],
-        law: &mut Law<F, O, M>,
-        active: &mut Vec<(usize, usize, f64)>,
-    ) -> f64
-    where
-        O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
-        M: Fn(&F) -> bool,
-    {
-        active.clear();
-        let mut total = 0.0;
-        for (i, &ci) in counts.iter().enumerate() {
-            for (j, &cj) in counts.iter().enumerate() {
-                let w = ci as f64 * (cj - u64::from(i == j)) as f64;
-                if w > 0.0 && !self.cell(i, j, law).inert {
-                    active.push((i, j, w));
-                    total += w;
-                }
-            }
+        if let Some(mirror) = &mut self.cells[j * d + i] {
+            let theirs = &self.classes[mirror.start..mirror.end];
+            cell.mirrored = i != j
+                && theirs.len() == self.classes.len() - start
+                && theirs.iter().zip(&self.classes[start..]).all(|(a, b)| {
+                    let swapped = (b.post.1, b.post.0);
+                    (a.post == b.post || a.post == swapped)
+                        && (a.error.is_none() && b.error.is_none())
+                        && (a.cond, a.tally, a.changed) == (b.cond, b.tally, b.changed)
+                });
+            mirror.mirrored = cell.mirrored;
         }
-        total
+        self.cells[i * d + j] = Some(cell);
+        cell
     }
 }
 
@@ -722,14 +792,16 @@ where
         (batch_touched * nf.sqrt()).ceil() as u64,
     );
     let mut sc = Scratch::new();
+    let inert_tally = Tally::of(law.omissive, &mut sc.table.shares);
     let mut undrawn = Vec::new();
     let mut remaining = budget;
     let result = 'run: {
         while remaining > 0 {
             if sc.stale {
-                sc.snapshot(config);
+                sc.snapshot(config, &mut law);
             }
-            let active = sc.table.active_pairs(&sc.counts, &mut law, &mut sc.active);
+            undrawn.resize(sc.table.shares.len(), 0);
+            let active: f64 = sc.active.iter().map(|&p| weight(&sc.counts, p)).sum();
             let p_act = (active / pairs).min(1.0);
             if p_act * lengths.mean >= event_below {
                 let ran = run_batch(
@@ -763,8 +835,7 @@ where
                 }
                 .min(remaining);
                 if inert > 0 {
-                    let omissive = tally_omissive(law.omissive, inert, &mut undrawn);
-                    stats.record_bulk(omissive, false, inert);
+                    inert_tally.record(false, inert, stats, &mut undrawn);
                     *next_index += inert;
                     remaining -= inert;
                 }
@@ -784,10 +855,16 @@ where
         }
         Ok(false)
     };
-    for (share, k) in undrawn {
+    for (&share, &k) in sc.table.shares.iter().zip(&undrawn) {
         stats.omissive_steps += dist::binomial(k, share, rng);
     }
     result
+}
+
+/// The number of ordered pairs `(a, b)` of distinct agents in states
+/// `(i, j)`: `c_i·(c_j − [i = j])`.
+fn weight(counts: &[u64], (i, j): (usize, usize)) -> f64 {
+    counts[i] as f64 * (counts[j] - u64::from(i == j)) as f64
 }
 
 /// Executes one batch from the current snapshot: gaps of fresh
@@ -802,7 +879,7 @@ fn run_batch<C, F, O, M>(
     config: &mut C,
     rng: &mut SmallRng,
     stats: &mut RunStats,
-    undrawn: &mut Vec<(f64, u64)>,
+    undrawn: &mut [u64],
     law: &mut Law<F, O, M>,
     lengths: &EpochLengths,
     budget: u64,
@@ -815,10 +892,8 @@ where
     O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
     M: Fn(&F) -> bool,
 {
-    let mut delta = RunStats::default();
     sc.revealed.clear();
     sc.revealed.resize(sc.counts.len(), 0);
-    sc.undrawn.clear();
     (sc.touched, sc.fresh, sc.unrevealed) = (0, 0, lengths.n);
     let mut steps = 0;
     loop {
@@ -829,62 +904,70 @@ where
         if steps == budget {
             break;
         }
-        sc.collide(lengths.n, law, &mut delta, rng)?;
+        sc.collide(lengths.n, law, rng);
         steps += 1;
         if sc.touched >= stop_touched || steps == budget {
             break;
         }
     }
 
-    // The unrealized fresh interactions in bulk. Starter states: a
-    // multivariate hypergeometric split of the unrevealed counts; reactor
-    // states: a second split of the remainder.
+    // The unrealized fresh interactions in bulk. Their agents' states: a
+    // multivariate hypergeometric split of the unrevealed counts (into
+    // `reactors` at first); the starters' a split of those in halves, and
+    // the reactors' the rest.
     sc.rem.clear();
     sc.rem
         .extend(sc.counts.iter().zip(&sc.revealed).map(|(&c, &r)| c - r));
-    dist::multivariate_hypergeometric_into(&sc.rem, sc.fresh, &mut sc.starters, rng);
-    for (r, &s) in sc.rem.iter_mut().zip(&sc.starters) {
-        *r -= s;
+    dist::multivariate_hypergeometric_into(&sc.rem, 2 * sc.fresh, &mut sc.reactors, rng);
+    dist::multivariate_hypergeometric_into(&sc.reactors, sc.fresh, &mut sc.starters, rng);
+    // Every agent drawn this batch leaves its snapshot count; the pool
+    // pours the post-states back at the commit.
+    for (i, c) in sc.counts.iter_mut().enumerate() {
+        *c -= sc.reactors[i] + sc.revealed[i];
+        sc.reactors[i] -= sc.starters[i];
     }
-    dist::multivariate_hypergeometric_into(&sc.rem, sc.fresh, &mut sc.reactors, rng);
 
     // Uniform matching between starter and reactor slots: for each
     // starter group in turn, its partners are a hypergeometric split of
-    // the reactors not yet matched. Every (starter-state, reactor-state)
-    // pair group is then split across its outcome classes and applied
-    // once per class.
-    sc.reactors_left.clone_from(&sc.reactors);
+    // the reactors not yet matched.
+    let d = sc.counts.len();
+    sc.groups.clear();
+    sc.groups.resize(d * d, 0);
     for (i, &a) in sc.starters.iter().enumerate() {
         if a == 0 {
             continue;
         }
-        dist::multivariate_hypergeometric_into(&sc.reactors_left, a, &mut sc.split, rng);
+        dist::multivariate_hypergeometric_into(&sc.reactors, a, &mut sc.split, rng);
         for (j, &k) in sc.split.iter().enumerate() {
+            sc.reactors[j] -= k;
+            sc.groups[i * d + j] = k;
+        }
+    }
+    // Every (starter-state, reactor-state) pair group is then split
+    // across its outcome classes, together with its mirror pair's if
+    // their classes mirror, and applied once per class.
+    for i in 0..d {
+        for j in 0..d {
+            let mut k = std::mem::take(&mut sc.groups[i * d + j]);
             if k == 0 {
                 continue;
             }
-            sc.reactors_left[j] -= k;
-            let cell = sc.table.cell(i, j, law);
+            let cell = sc.cell(i, j, law);
+            if cell.mirrored {
+                k += std::mem::take(&mut sc.groups[j * d + i]);
+            }
             apply_group(
-                (i, j),
-                k,
                 &sc.table.classes[cell.start..cell.end],
-                cell.weight,
-                &mut sc.updated,
-                &mut sc.undrawn,
-                &mut delta,
+                k,
+                &mut sc.step,
                 rng,
-            )?;
+            );
         }
     }
-    // Every agent drawn this batch leaves its snapshot count; the pool
-    // pours the post-states back at the commit.
-    for (i, c) in sc.counts.iter_mut().enumerate() {
-        let drawn = sc.starters[i] + sc.reactors[i] + sc.revealed[i];
-        debug_assert!(drawn <= *c);
-        *c -= drawn;
+    if let Some(e) = sc.step.failed.take() {
+        return Err(*e);
     }
-    commit(config, stats, undrawn, &delta, sc);
+    commit(config, stats, undrawn, sc);
     Ok(steps)
 }
 
@@ -892,13 +975,7 @@ impl<Q: State> Scratch<Q> {
     /// Executes one collision: an interaction with at least one touched
     /// endpoint (roles by [`collision_roles`]), its outcome class drawn by
     /// weight.
-    fn collide<F: Copy, O, M>(
-        &mut self,
-        n: u64,
-        law: &mut Law<F, O, M>,
-        delta: &mut RunStats,
-        rng: &mut SmallRng,
-    ) -> Result<(), EngineError>
+    fn collide<F: Copy, O, M>(&mut self, n: u64, law: &mut Law<F, O, M>, rng: &mut SmallRng)
     where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
         M: Fn(&F) -> bool,
@@ -906,24 +983,25 @@ impl<Q: State> Scratch<Q> {
         let t = self.touched;
         let mut s = 0;
         let roles = collision_roles(rng, n, t, |rng| {
-            s = self.take_touched(t, law, delta, rng)?;
+            s = self.take_touched(t, law, rng);
             Ok(())
-        })?;
+        })
+        .expect("taking a touched agent does not fail");
         let r = match roles {
-            (true, true) => self.take_touched(t - 1, law, delta, rng)?,
+            (true, true) => self.take_touched(t - 1, law, rng),
             (true, false) => self.take_unrevealed(rng),
             (false, _) => {
                 s = self.take_unrevealed(rng);
-                self.take_touched(t, law, delta, rng)?
+                self.take_touched(t, law, rng)
             }
         };
         // A pair with a state outside the snapshot merges its classes
         // over the full mix; every other pair reads the table.
         let d = self.counts.len();
-        let (s2, r2) = if s < d && r < d {
-            let cell = self.table.cell(s, r, law);
-            let classes = &self.table.classes[cell.start..cell.end];
-            apply_one((s, r), classes, cell.weight, &mut self.undrawn, delta, rng)?
+        if s < d && r < d {
+            let cell = self.cell(s, r, law);
+            let class = OutcomeClass::draw(&self.table.classes[cell.start..cell.end], rng);
+            self.step.apply(class, 1);
         } else {
             let (sq, rq) = (self.table.state(s).clone(), self.table.state(r).clone());
             self.classes.clear();
@@ -935,65 +1013,69 @@ impl<Q: State> Scratch<Q> {
                 &mut table.outside,
                 &mut self.classes,
             );
-            apply_one((s, r), &self.classes, weight, &mut self.undrawn, delta, rng)?
-        };
-        pool_add(&mut self.updated, s2, 1);
-        pool_add(&mut self.updated, r2, 1);
+            compile(&mut self.classes, (s, r), weight, &mut table.shares);
+            self.fit_step();
+            self.step.apply(OutcomeClass::draw(&self.classes, rng), 1);
+        }
         self.touched += u64::from(roles != (true, true));
-        Ok(())
     }
 
     /// Takes one of `avail` touched agents uniformly (the `2 · fresh` of
     /// unrealized fresh interactions, then the pool) and returns its
     /// slot. An agent of an unrealized fresh interaction realizes it: both
     /// pre-states drawn from the unrevealed agents, its outcome class from
-    /// the class table, and the partner's post-state joins the pool.
+    /// the class table, and the partner's post-state stays in the pool.
+    #[inline(always)]
     fn take_touched<F: Copy, O, M>(
         &mut self,
         avail: u64,
         law: &mut Law<F, O, M>,
-        delta: &mut RunStats,
         rng: &mut SmallRng,
-    ) -> Result<usize, EngineError>
+    ) -> usize
     where
         O: FnMut(&Q, &Q, F) -> Result<(Q, Q), EngineError>,
         M: Fn(&F) -> bool,
     {
         let k = below(rng, avail);
         if k >= 2 * self.fresh {
-            return Ok(pool_take(&mut self.updated, k - 2 * self.fresh));
+            return pool_take(&mut self.step.pool, k - 2 * self.fresh);
         }
         self.fresh -= 1;
-        let i = self.take_unrevealed(rng);
-        let j = self.take_unrevealed(rng);
-        let cell = self.table.cell(i, j, law);
-        let classes = &self.table.classes[cell.start..cell.end];
-        let (s2, r2) = apply_one((i, j), classes, cell.weight, &mut self.undrawn, delta, rng)?;
+        let u = self.unrevealed;
+        let (first, second) = below2(rng, u, u - 1);
+        let i = self.reveal(first);
+        let j = self.reveal(second);
+        let cell = self.cell(i, j, law);
+        let class = OutcomeClass::draw(&self.table.classes[cell.start..cell.end], rng);
+        self.step.apply(class, 1);
         // Given k < 2·fresh, k's parity is a uniform role.
-        let (endpoint, partner) = if k.is_multiple_of(2) {
-            (s2, r2)
+        let endpoint = if k.is_multiple_of(2) {
+            class.post.0
         } else {
-            (r2, s2)
+            class.post.1
         };
-        pool_add(&mut self.updated, partner, 1);
-        Ok(endpoint)
+        self.step.pool[endpoint] -= 1;
+        endpoint
     }
 
     /// Reveals one unrevealed agent uniformly (weights: snapshot counts
     /// minus everything revealed this batch) and returns its slot, its
     /// group's index.
+    #[inline(always)]
     fn take_unrevealed(&mut self, rng: &mut SmallRng) -> usize {
-        let mut k = below(rng, self.unrevealed);
+        let k = below(rng, self.unrevealed);
+        self.reveal(k)
+    }
+
+    /// Reveals the unrevealed agent at position `k` (agents counted group
+    /// by group) and returns its group's index.
+    #[inline(always)]
+    fn reveal(&mut self, k: u64) -> usize {
         self.unrevealed -= 1;
-        for (i, (&c, r)) in self.counts.iter().zip(&mut self.revealed).enumerate() {
-            let avail = c - *r;
-            if k < avail {
-                *r += 1;
-                return i;
-            }
-            k -= avail;
-        }
-        unreachable!("unrevealed total matches availability")
+        let avail = self.counts.iter().zip(&self.revealed).map(|(&c, &r)| c - r);
+        let i = group_of(k, avail);
+        self.revealed[i] += 1;
+        i
     }
 }
 
@@ -1008,7 +1090,7 @@ fn run_one_event<C, F, O, M>(
     config: &mut C,
     rng: &mut SmallRng,
     stats: &mut RunStats,
-    undrawn: &mut Vec<(f64, u64)>,
+    undrawn: &mut [u64],
     law: &mut Law<F, O, M>,
     active: f64,
     sc: &mut Scratch<C::State>,
@@ -1019,46 +1101,40 @@ where
     O: FnMut(&C::State, &C::State, F) -> Result<(C::State, C::State), EngineError>,
     M: Fn(&F) -> bool,
 {
-    let &(i, j, _) = pick(&sc.active, |&(_, _, w)| w, active, rng);
-    let cell = sc.table.cell(i, j, law);
-    let mut delta = RunStats::default();
-    sc.undrawn.clear();
-    let classes = &sc.table.classes[cell.start..cell.end];
-    let (s2, r2) = apply_one(
-        (i, j),
-        classes,
-        cell.weight,
-        &mut sc.undrawn,
-        &mut delta,
-        rng,
-    )?;
+    let counts = &sc.counts;
+    let &(i, j) = pick(&sc.active, |&p| weight(counts, p), active, rng);
+    let cell = sc.cell(i, j, law);
+    sc.step.apply(
+        OutcomeClass::draw(&sc.table.classes[cell.start..cell.end], rng),
+        1,
+    );
+    if let Some(e) = sc.step.failed.take() {
+        return Err(*e);
+    }
     sc.counts[i] -= 1;
     sc.counts[j] -= 1;
-    pool_add(&mut sc.updated, s2, 1);
-    pool_add(&mut sc.updated, r2, 1);
-    commit(config, stats, undrawn, &delta, sc);
+    commit(config, stats, undrawn, sc);
     Ok(())
 }
 
 /// Commits a step: `sc.counts` already holds each snapshot state's agents
-/// that the step did not draw; the updated pool pours its post-states
+/// that the step did not draw; the step's pool pours its post-states
 /// back into them slot by slot, and its slots past the snapshot are new
-/// states. One aligned writeback, no keyed lookups; the pool is left
+/// states. One aligned writeback, no keyed lookups; the step is left
 /// empty, and the snapshot goes stale only if a state appeared or died.
-/// The step's `delta` and omission tally then join the call's.
+/// The step's stats and omission tally then join the call's.
 fn commit<C: EpochBackend>(
     config: &mut C,
     stats: &mut RunStats,
-    undrawn: &mut Vec<(f64, u64)>,
-    delta: &RunStats,
+    undrawn: &mut [u64],
     sc: &mut Scratch<C::State>,
 ) {
     let d = sc.counts.len();
-    for (c, u) in sc.counts.iter_mut().zip(&mut sc.updated) {
+    for (c, u) in sc.counts.iter_mut().zip(&mut sc.step.pool) {
         *c += std::mem::take(u);
     }
     sc.extras.clear();
-    for (q, u) in sc.table.outside.iter().zip(&mut sc.updated[d..]) {
+    for (q, u) in sc.table.outside.iter().zip(&mut sc.step.pool[d..]) {
         let c = std::mem::take(u);
         if c > 0 {
             sc.extras.push((q.clone(), c));
@@ -1066,92 +1142,148 @@ fn commit<C: EpochBackend>(
     }
     config.commit_state_counts(&sc.counts, &sc.extras);
     sc.stale = !sc.extras.is_empty() || sc.counts.contains(&0);
-    stats.merge(delta);
-    for (share, k) in sc.undrawn.drain(..) {
-        tally_share(undrawn, share, k);
+    stats.merge(&std::mem::take(&mut sc.step.delta));
+    for (u, k) in undrawn.iter_mut().zip(&mut sc.step.undrawn) {
+        *u += std::mem::take(k);
     }
 }
 
 /// One outcome class of a state pair: the faults of the mix whose
-/// outcomes agree, with their summed weight and its omissive share.
+/// outcomes agree, with their summed weight and its omissive share, and
+/// how a draw picks and records it.
 struct OutcomeClass {
-    /// The post-states as slots (see [`ClassTable::outside`]).
-    outcome: Result<(usize, usize), EngineError>,
+    /// The post-states as slots (see [`ClassTable::outside`]); a failing
+    /// class keeps the pre-states.
+    post: (usize, usize),
+    /// The error of an `Err` outcome.
+    error: Option<Box<EngineError>>,
     weight: f64,
     /// The omissive share of `weight`, `omissive_weight / weight`; while
     /// `Law::classes_into` merges the class, its omissive weight.
     omissive: f64,
+    /// A 53-bit uniform below this, and not below an earlier class's,
+    /// draws this class; the last class's is 2⁵³.
+    below: u64,
+    /// The class's share of its own and the later classes' weight: the
+    /// binomial probability of its link in a bulk group's split chain.
+    cond: f64,
+    tally: Tally,
+    /// The outcome differs from the pre-states.
+    changed: bool,
 }
 
-/// Splits a bulk group of `k` interactions of the slot pair `(s, r)`
-/// across its outcome `classes`, of total `weight` (sequential
-/// conditional binomials, whose joint law is the multinomial over the
-/// class weights; a one-class group needs no draw), and applies each drawn
-/// class's outcome once.
-///
-/// An `Err` class fails the step only if it is drawn. A class mixing
-/// omissive and fault-free faults adds its count to `undrawn`, keyed by
-/// its omissive share, for the driver to resolve.
-#[allow(clippy::too_many_arguments)]
-fn apply_group(
+impl OutcomeClass {
+    /// The class of one interaction of a pair with `classes` (no draw
+    /// for one class): one integer compare per class passed.
+    #[inline]
+    fn draw<'a>(classes: &'a [OutcomeClass], rng: &mut SmallRng) -> &'a OutcomeClass {
+        if let [only] = classes {
+            return only;
+        }
+        let u = rng.next_u64() >> 11;
+        classes
+            .iter()
+            .find(|c| u < c.below)
+            .expect("the last class's bound is 2⁵³")
+    }
+}
+
+/// Fixes how `classes`, those of the slot pair `(s, r)` of total
+/// `weight`, are drawn and recorded: their bounds, split links, tallies
+/// and whether they change the pair.
+fn compile(
+    classes: &mut [OutcomeClass],
     (s, r): (usize, usize),
-    k: u64,
-    classes: &[OutcomeClass],
     weight: f64,
-    updated: &mut Vec<u64>,
-    undrawn: &mut Vec<(f64, u64)>,
-    delta: &mut RunStats,
-    rng: &mut SmallRng,
-) -> Result<(), EngineError> {
+    shares: &mut Vec<f64>,
+) {
+    const SCALE: f64 = (1u64 << 53) as f64;
     let last = classes.len() - 1;
+    let (mut before, mut left) = (0.0, weight);
+    for (t, class) in classes.iter_mut().enumerate() {
+        before += class.weight;
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        let below = (before / weight * SCALE) as u64;
+        class.below = if t == last { 1 << 53 } else { below };
+        class.cond = if t == last || class.weight >= left {
+            1.0
+        } else {
+            (class.weight / left).clamp(0.0, 1.0)
+        };
+        left -= class.weight;
+        if class.error.is_some() {
+            class.post = (s, r);
+        }
+        class.tally = Tally::of(class.omissive, shares);
+        class.changed = class.post != (s, r);
+    }
+}
+
+/// Where an interaction goes in the omission tallies.
+#[derive(Clone, Copy, PartialEq)]
+enum Tally {
+    /// Its class holds no omissive fault.
+    Never,
+    /// Its class holds only omissive faults.
+    Always,
+    /// Its class mixes both, with omissive share `shares[id]`: counted
+    /// in `undrawn[id]`, for the driver to split by one binomial draw.
+    Share(usize),
+}
+
+impl Tally {
+    /// The tally of omissive share `share`, interning it in `shares`.
+    fn of(share: f64, shares: &mut Vec<f64>) -> Tally {
+        if share == 0.0 {
+            Tally::Never
+        } else if share == 1.0 {
+            Tally::Always
+        } else {
+            let id = shares.iter().position(|&p| p == share);
+            Tally::Share(id.unwrap_or_else(|| {
+                shares.push(share);
+                shares.len() - 1
+            }))
+        }
+    }
+
+    /// Records `k` interactions in `stats`, and a mixed share's in
+    /// `undrawn`.
+    #[inline]
+    fn record(self, changed: bool, k: u64, stats: &mut RunStats, undrawn: &mut [u64]) {
+        // `RunStats::record_bulk` without its branches: the class of a
+        // collision is a coin flip to a branch predictor.
+        stats.steps += k;
+        stats.omissive_steps += k * u64::from(self == Tally::Always);
+        stats.changed_steps += k * u64::from(changed);
+        stats.noop_steps += k * u64::from(!changed);
+        if let Tally::Share(id) = self {
+            undrawn[id] += k;
+        }
+    }
+}
+
+/// Splits a bulk group of `k` interactions of one pair across its
+/// outcome `classes` (sequential conditional binomials, whose joint law
+/// is the multinomial over the class weights; a one-class group needs no
+/// draw), and applies each drawn class once.
+fn apply_group(classes: &[OutcomeClass], k: u64, step: &mut Step, rng: &mut SmallRng) {
     let mut left = k;
-    let mut wleft = weight;
-    for (t, class) in classes.iter().enumerate() {
+    for class in classes {
         if left == 0 {
             break;
         }
-        let kt = if t == last || class.weight >= wleft {
-            left
-        } else {
-            dist::binomial(left, (class.weight / wleft).clamp(0.0, 1.0), rng)
-        };
+        let kt = dist::binomial(left, class.cond, rng);
         left -= kt;
-        wleft -= class.weight;
-        if kt == 0 {
-            continue;
+        if kt > 0 {
+            step.apply(class, kt);
         }
-        let &(s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
-        let omissive = tally_omissive(class.omissive, kt, undrawn);
-        delta.record_bulk(omissive, s2 != s || r2 != r, kt);
-        pool_add(updated, s2, kt);
-        pool_add(updated, r2, kt);
     }
-    Ok(())
-}
-
-/// One interaction of the slot pair `(s, r)`: draws its outcome class by
-/// weight from `classes`, of total `weight` (no draw for one class),
-/// records it, and returns its outcome.
-fn apply_one(
-    (s, r): (usize, usize),
-    classes: &[OutcomeClass],
-    weight: f64,
-    undrawn: &mut Vec<(f64, u64)>,
-    delta: &mut RunStats,
-    rng: &mut SmallRng,
-) -> Result<(usize, usize), EngineError> {
-    let class = match classes {
-        [only] => only,
-        _ => pick(classes, |c| c.weight, weight, rng),
-    };
-    let &(s2, r2) = class.outcome.as_ref().map_err(Clone::clone)?;
-    let omissive = tally_omissive(class.omissive, 1, undrawn);
-    delta.record_bulk(omissive, s2 != s || r2 != r, 1);
-    Ok((s2, r2))
 }
 
 /// The item of non-empty `items` that a uniform draw over their `total`
-/// weight lands in (the last one on floating-point residue past it).
+/// weight lands in (the last one of positive weight on floating-point
+/// residue past it).
 fn pick<'a, T>(
     items: &'a [T],
     weight: impl Fn(&T) -> f64,
@@ -1167,51 +1299,31 @@ fn pick<'a, T>(
             x -= w;
             hit
         })
-        .unwrap_or_else(|| items.last().expect("a draw needs an item"))
-}
-
-/// Whether all `k` interactions of a class with omissive share `share`
-/// are omissive. A class mixing omissive and fault-free faults counts as
-/// not omissive and adds `k` to `undrawn` under its share instead.
-fn tally_omissive(share: f64, k: u64, undrawn: &mut Vec<(f64, u64)>) -> bool {
-    if share == 0.0 {
-        false
-    } else if share == 1.0 {
-        true
-    } else {
-        tally_share(undrawn, share, k);
-        false
-    }
-}
-
-/// Adds `k` interactions to the `undrawn` entry of omissive share `share`.
-fn tally_share(undrawn: &mut Vec<(f64, u64)>, share: f64, k: u64) {
-    match undrawn.iter_mut().find(|(p, _)| *p == share) {
-        Some(entry) => entry.1 += k,
-        None => undrawn.push((share, k)),
-    }
-}
-
-/// Adds `k` agents to `slot` of the updated pool, growing it to a slot
-/// past the snapshot.
-fn pool_add(pool: &mut Vec<u64>, slot: usize, k: u64) {
-    if slot >= pool.len() {
-        pool.resize(slot + 1, 0);
-    }
-    pool[slot] += k;
+        .or_else(|| items.iter().rev().find(|item| weight(item) > 0.0))
+        .expect("a draw needs an item of positive weight")
 }
 
 /// Removes the agent at position `k` of the updated pool (agents counted
 /// slot by slot) and returns its slot.
-fn pool_take(pool: &mut [u64], mut k: u64) -> usize {
-    for (slot, c) in pool.iter_mut().enumerate() {
-        if k < *c {
-            *c -= 1;
-            return slot;
-        }
-        k -= *c;
-    }
-    unreachable!("pool position within its total")
+fn pool_take(pool: &mut [u64], k: u64) -> usize {
+    let slot = group_of(k, pool.iter().copied());
+    pool[slot] -= 1;
+    slot
+}
+
+/// The group that position `k` falls in, positions counted group by
+/// group over groups of `sizes`. It counts the groups that end at or
+/// before `k`, with no branch on the sizes: which group a uniform
+/// position falls in is a coin flip to a branch predictor.
+fn group_of(k: u64, sizes: impl Iterator<Item = u64>) -> usize {
+    let mut end = 0;
+    sizes
+        .map(|c| {
+            end += c;
+            end
+        })
+        .filter(|&end| end <= k)
+        .count()
 }
 
 /// Whether the starter and the reactor of a collision are touched, with
@@ -1219,10 +1331,11 @@ fn pool_take(pool: &mut [u64], mut k: u64) -> usize {
 /// pairs collide, and `t·(n−1)` of those have a touched starter. So,
 /// conditioned on colliding, the starter is touched with probability
 /// `(n−1)/(2n−t−1)`, a touched starter's reactor with probability
-/// `(t−1)/(n−1)`, and an untouched starter's reactor always. Each role is
-/// an exact integer draw: `below(2n−t−1) < n−1`, then `below(n−1) < t−1`.
-/// `take_starter` runs between the two draws, so that the caller takes a
-/// touched starter from the stream before its reactor's role is drawn.
+/// `(t−1)/(n−1)`, and an untouched starter's reactor always. One exact
+/// integer draw `v = below(2n−t−1)` decides both: the starter is touched
+/// iff `v < n−1`, and its reactor too iff `v < t−1`. `take_starter` runs
+/// when the starter is touched, so that the caller takes it before its
+/// reactor.
 #[inline]
 fn collision_roles(
     rng: &mut SmallRng,
@@ -1230,9 +1343,10 @@ fn collision_roles(
     t: u64,
     take_starter: impl FnOnce(&mut SmallRng) -> Result<(), EngineError>,
 ) -> Result<(bool, bool), EngineError> {
-    if below(rng, 2 * n - t - 1) < n - 1 {
+    let v = below(rng, 2 * n - t - 1);
+    if v < n - 1 {
         take_starter(rng)?;
-        Ok((true, below(rng, n - 1) < t - 1))
+        Ok((true, v < t - 1))
     } else {
         Ok((false, true))
     }
@@ -1254,6 +1368,33 @@ fn below(rng: &mut SmallRng, s: u64) -> u64 {
         }
     }
     (m >> 64) as u64
+}
+
+/// Two independent uniform draws from `0..a` and `0..b`, from one
+/// `next_u64` unless it is rejected: Lemire's method over `0..a·b` (when
+/// `a·b` fits in 64 bits), whose result `i·b + j` two multiplications
+/// read off as `(i, j)` without a division (Brackett-Rozinsky and Lemire,
+/// *Batched Ranged Random Integer Generation*, 2024). `x·a = i·2⁶⁴ + l`
+/// and `l·b = j·2⁶⁴ + l'` give `x·a·b = (i·b + j)·2⁶⁴ + l'`, so the
+/// rejection test on `l'` is the single draw's.
+fn below2(rng: &mut SmallRng, a: u64, b: u64) -> (u64, u64) {
+    debug_assert!(a > 0 && b > 0);
+    let Some(p) = a.checked_mul(b) else {
+        return (below(rng, a), below(rng, b));
+    };
+    let draw = |rng: &mut SmallRng| {
+        let x = u128::from(rng.next_u64()) * u128::from(a);
+        let y = u128::from(x as u64) * u128::from(b);
+        ((x >> 64) as u64, (y >> 64) as u64, y as u64)
+    };
+    let (mut i, mut j, mut low) = draw(rng);
+    if low < p {
+        let threshold = p.wrapping_neg() % p;
+        while low < threshold {
+            (i, j, low) = draw(rng);
+        }
+    }
+    (i, j)
 }
 
 #[cfg(test)]
@@ -2014,5 +2155,190 @@ mod tests {
         assert_eq!(stats.steps, next);
         assert_eq!(config.len(), 1_000_000);
         assert_eq!(stats.changed_steps as usize, config.count_state(&true) - 1);
+    }
+
+    /// The G statistic `2·Σ o·ln(o/e)` of `observed` counts against
+    /// `expected` ones.
+    fn g_statistic(observed: &[u64], expected: &[f64]) -> f64 {
+        let g: f64 = observed
+            .iter()
+            .zip(expected)
+            .filter(|&(&o, _)| o > 0)
+            .map(|(&o, &e)| o as f64 * (o as f64 / e).ln())
+            .sum();
+        2.0 * g
+    }
+
+    /// The χ² quantile on `df` degrees of freedom that a statistic passes
+    /// with probability 10⁻⁶ (Wilson and Hilferty's cube-root normal
+    /// approximation, with 4.753 the normal's 1 − 10⁻⁶ quantile).
+    fn chi2_bound(df: f64) -> f64 {
+        let v = 2.0 / (9.0 * df);
+        df * (1.0 - v + 4.753 * v.sqrt()).powi(3)
+    }
+
+    #[test]
+    fn class_draws_follow_the_class_weights() {
+        // Each fault's value becomes the starter's state: three classes.
+        let mix = [(0u8, 0.5), (1, 0.3), (2, 0.2)];
+        let states = [0u8, 1, 2];
+        let mut law = Law::new(&mix, |_: &u8, r: &u8, f| Ok((f, *r)), |_| false);
+        let (mut outside, mut classes, mut shares) = (Vec::new(), Vec::new(), Vec::new());
+        let weight = law.classes_into(&0, &1, &states, &mut outside, &mut classes);
+        compile(&mut classes, (0, 1), weight, &mut shares);
+        assert_eq!(classes.len(), 3);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let draws = 300_000u32;
+        let mut seen = [0u64; 3];
+        for _ in 0..draws {
+            seen[OutcomeClass::draw(&classes, &mut rng).post.0] += 1;
+        }
+        let expected = mix.map(|(_, w)| w * f64::from(draws));
+        let g = g_statistic(&seen, &expected);
+        assert!(g < chi2_bound(2.0), "G = {g:.2} for {seen:?}");
+        // Every fault maps the pair to itself: one class, and its draw
+        // reads no RNG output.
+        let mut law = Law::new(&mix, |s: &u8, r: &u8, _| Ok((*s, *r)), |_| false);
+        let mut one = Vec::new();
+        let weight = law.classes_into(&2, &2, &states, &mut outside, &mut one);
+        compile(&mut one, (2, 2), weight, &mut shares);
+        let before = rng.clone();
+        assert_eq!(OutcomeClass::draw(&one, &mut rng).post, (2, 2));
+        assert_eq!(rng, before, "a one-class draw consumes no RNG output");
+    }
+
+    #[test]
+    fn paired_draws_are_uniform_on_the_product() {
+        let (a, b, draws) = (3u64, 5u64, 150_000u32);
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut seen = [0u64; 15];
+        for _ in 0..draws {
+            let (i, j) = below2(&mut rng, a, b);
+            seen[(i * b + j) as usize] += 1;
+        }
+        let g = g_statistic(&seen, &[f64::from(draws) / 15.0; 15]);
+        assert!(g < chi2_bound(14.0), "G = {g:.2} for {seen:?}");
+        // A product past 64 bits takes one draw per range.
+        let big = 1u64 << 40;
+        for _ in 0..1_000 {
+            let (i, j) = below2(&mut rng, big, big + 1);
+            assert!(i < big && j <= big);
+        }
+    }
+
+    #[test]
+    fn mirror_pairs_split_as_one_only_when_their_classes_mirror() {
+        // T1's epidemic: an omission keeps its side's state, so (I, S)
+        // and (S, I) each infect at weight 0.95 and stay put otherwise.
+        let mix = [(0u8, 0.9), (1, 0.05), (2, 0.05)];
+        let t1 = |s: &bool, r: &bool, f: u8| -> Result<(bool, bool), EngineError> {
+            let infected = *s || *r;
+            Ok(match f {
+                0 => (infected, infected),
+                1 => (*s, infected),
+                _ => (infected, *r),
+            })
+        };
+        let mut law = Law::new(&mix, t1, |&f| f != 0);
+        let mut table = Scratch::<bool>::new().table;
+        table.sync(&[(true, 5), (false, 5)]);
+        table.fill(0, 1, &mut law);
+        let mirror = table.fill(1, 0, &mut law);
+        assert!(mirror.mirrored && table.cells[1].unwrap().mirrored);
+        // The three-state protocol's (0, 1) and (1, 0) have different
+        // outcomes.
+        let mut law = Law::new(&TRI_MIX, |s: &u8, r: &u8, omit| tri(s, r, omit), |&f| f);
+        let mut table = Scratch::<u8>::new().table;
+        table.sync(&[(0, 5), (1, 5), (2, 5)]);
+        table.fill(0, 1, &mut law);
+        assert!(!table.fill(1, 0, &mut law).mirrored);
+        assert!(
+            !table.fill(0, 0, &mut law).mirrored,
+            "a pair is not its own mirror"
+        );
+    }
+
+    /// The law of the infected count after `m` interactions of the
+    /// epidemic under T1 at rate 0.1 from `i0` of `n` infected: a
+    /// pure-birth chain, `P(i → i+1) = 0.95 · 2i(n−i)/(n(n−1))` (an
+    /// omission on the susceptible side blocks the infection), stepped
+    /// `m` times.
+    fn birth_chain_law(n: usize, i0: usize, m: u64) -> Vec<f64> {
+        let (nf, mut p) = (n as f64, vec![0.0; n + 1]);
+        p[i0] = 1.0;
+        let (mut lo, mut hi) = (i0, i0);
+        for _ in 0..m {
+            // Downward, so each step reads its predecessor's old mass.
+            for i in (lo..=hi.min(n - 1)).rev() {
+                let up = 0.95 * 2.0 * i as f64 * (nf - i as f64) / (nf * (nf - 1.0)) * p[i];
+                p[i + 1] += up;
+                p[i] -= up;
+            }
+            hi = (hi + 1).min(n);
+            while p[lo] < 1e-300 && lo < hi {
+                lo += 1;
+            }
+        }
+        p
+    }
+
+    /// Fails at p < 10⁻⁶ per start (α stated before running): G-tests
+    /// the infected count of 2·10⁴ `run(Epochs, Stop::steps(m))` runs at
+    /// n = 10⁴ against the exact birth-chain law, the cells of expected
+    /// count below 5 pooled per tail. From n/2 every step is a batch
+    /// (p_act · E[ℓ] ≈ 31); from 100 the runs start in event steps and
+    /// switch to batches near 500 infected, ≈ 8·10³ interactions in. The
+    /// batches' splits take the envelope, HRUA and BTRD samplers.
+    #[test]
+    #[ignore = "exact law gate: run in release with --ignored"]
+    fn epochs_follow_the_exact_epidemic_birth_chain() {
+        use crate::{RateStrategy, StatsOnly, TwoWayModel, TwoWayRunner};
+        use ppfts_population::TableProtocol;
+        let n = 10_000usize;
+        let epidemic = TableProtocol::builder(vec![false, true])
+            .rule((true, false), (true, true))
+            .rule((false, true), (true, true))
+            .build();
+        let runs = 20_000u64;
+        for (i0, m) in [(n / 2, 4_000u64), (100, 16_000)] {
+            let law = birth_chain_law(n, i0, m);
+            let mut seen = vec![0u64; n + 1];
+            for seed in 0..runs {
+                let mut runner = TwoWayRunner::builder(TwoWayModel::T1, epidemic.clone())
+                    .population(CountConfiguration::from_groups([
+                        (true, i0),
+                        (false, n - i0),
+                    ]))
+                    .adversary(RateStrategy::new(0.1))
+                    .seed(seed)
+                    .trace_sink(StatsOnly)
+                    .build()
+                    .unwrap();
+                runner.run(Epochs, Stop::steps(m)).unwrap();
+                seen[runner.config().count_state(&true)] += 1;
+            }
+            // Cells with an expected count of 5 or more, each tail
+            // beyond them pooled into one cell.
+            let expected: Vec<f64> = law.iter().map(|p| p * runs as f64).collect();
+            let first = expected.iter().position(|&e| e >= 5.0).unwrap();
+            let last = expected.iter().rposition(|&e| e >= 5.0).unwrap();
+            let pool = |r: std::ops::Range<usize>| {
+                (
+                    seen[r.clone()].iter().sum::<u64>(),
+                    expected[r].iter().sum::<f64>(),
+                )
+            };
+            let mut cells = vec![pool(0..first), pool(last + 1..n + 1)];
+            cells.extend((first..=last).map(|i| (seen[i], expected[i])));
+            // An empty tail of expected count 0 is no cell.
+            cells.retain(|&(o, e)| o > 0 || e > 0.0);
+            let (observed, expected): (Vec<u64>, Vec<f64>) = cells.into_iter().unzip();
+            let g = g_statistic(&observed, &expected);
+            let df = (observed.len() - 1) as f64;
+            assert!(
+                g < chi2_bound(df),
+                "i0 = {i0}, m = {m}: G = {g:.1} on {df} degrees of freedom"
+            );
+        }
     }
 }

@@ -147,44 +147,44 @@ fn ln_gamma(x: f64) -> f64 {
     HALF_LN_2PI + (z + 0.5) * t.ln() - t + ser.ln()
 }
 
-/// Factorials with an exact table below this bound and Stirling's series
-/// above it. 1024 comfortably covers every "small" argument of the epoch
-/// sampler's pmf computations (sample sizes are ≈ √n ≤ 2¹⁵ only for
-/// n ≥ 10⁹; modes and remainders of typical draws sit well below the
-/// bound), and the series is ~1e-24 accurate from the bound upward.
-const LN_FACT_TABLE_LEN: usize = 1024;
+/// ln n! is tabulated below this bound. HRUA reads four ln n! per
+/// proposal and four at its mode, none past its urn minus its sample. On
+/// the epoch path that is at most a batch's ≈ 1.5·√n fresh interactions
+/// (1.5·10⁴ at n = 10⁸), for both of its HRUA draws: the starters among
+/// the fresh agents and the matching. 2¹⁴ entries (128 KiB) cover them up
+/// to n ≈ 1.2·10⁸; past the table ln n! is evaluated on the fly.
+const LN_FACT_TABLE_LEN: usize = 1 << 14;
 
-/// ln n! for `n < LN_FACT_TABLE_LEN`, built once from [`ln_gamma`].
+/// ln n! for `n < LN_FACT_TABLE_LEN`, built once from [`ln_fact_direct`]:
+/// a lookup returns the same value as the evaluation.
 fn ln_fact_table() -> &'static [f64] {
     use std::sync::OnceLock;
     static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        (0..LN_FACT_TABLE_LEN)
-            .map(|n| ln_gamma(n as f64 + 1.0))
-            .collect()
-    })
+    TABLE.get_or_init(|| (0..LN_FACT_TABLE_LEN as u64).map(ln_fact_direct).collect())
 }
 
-/// ln n! = ln Γ(n + 1).
-///
-/// Every HRUA proposal (the batch's matching split) costs four of these,
-/// so the generic Lanczos path is
-/// replaced by a table lookup for small `n` and Stirling's series (three
-/// correction terms, error < 1e-20 relative at the crossover) for large
-/// `n`.
+/// ln n! = ln Γ(n + 1), by table lookup.
 #[inline]
 fn ln_fact(n: u64) -> f64 {
-    if (n as usize) < LN_FACT_TABLE_LEN {
-        ln_fact_table()[n as usize]
-    } else {
-        const HALF_LN_2PI: f64 = 0.918_938_533_204_672_7;
-        let x = n as f64;
-        let inv = 1.0 / x;
-        let inv2 = inv * inv;
-        (x + 0.5) * x.ln() - x
-            + HALF_LN_2PI
-            + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+    match ln_fact_table().get(n as usize) {
+        Some(&v) => v,
+        None => ln_fact_direct(n),
     }
+}
+
+/// ln n! evaluated: [`ln_gamma`] below 1024, Stirling's series (three
+/// correction terms, error < 1e-20 relative from 1024 on) above. Out of
+/// line, so that the lookup in [`ln_fact`] stays small enough to inline.
+#[inline(never)]
+fn ln_fact_direct(n: u64) -> f64 {
+    if n < 1024 {
+        return ln_gamma(n as f64 + 1.0);
+    }
+    const HALF_LN_2PI: f64 = 0.918_938_533_204_672_7;
+    let x = n as f64;
+    let inv = 1.0 / x;
+    let inv2 = inv * inv;
+    (x + 0.5) * x.ln() - x + HALF_LN_2PI + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
 }
 
 /// Binomial draws with mean `n·min(p, 1−p)` at least this take BTRD,
@@ -443,7 +443,10 @@ pub fn hypergeometric(
     } else {
         (total - nsample, true)
     };
-    let k = if s <= total / HypergeometricEnvelope::MIN_URN_PER_SAMPLE {
+    let small = s
+        .checked_mul(HypergeometricEnvelope::MIN_URN_PER_SAMPLE)
+        .is_some_and(|urn| urn <= total);
+    let k = if small {
         HypergeometricEnvelope::new(g, b, s).sample(rng)
     } else {
         hypergeometric_hrua(g, b, s, rng)
@@ -635,8 +638,9 @@ pub fn multivariate_hypergeometric(
 /// [`multivariate_hypergeometric`] into a reused buffer: `out` is
 /// cleared and refilled, one entry per group of `counts`, through the
 /// standard chain of conditional (univariate) hypergeometric draws. An
-/// empty group, or the last group holding what is left of the urn, takes
-/// its share without a draw.
+/// empty group, the last group holding what is left of the urn, and every
+/// group once the sample is all that is left of it take their share
+/// without a draw.
 ///
 /// The epoch sampler's starter, reactor and matching splits all go
 /// through here.
@@ -662,7 +666,9 @@ pub fn multivariate_hypergeometric_into(
         if left_draw == 0 {
             break;
         }
-        let k = if c == 0 {
+        let k = if left_draw == left_total {
+            c
+        } else if c == 0 {
             0
         } else if c == left_total {
             left_draw
