@@ -5,22 +5,21 @@
 //!
 //! * **UO** (Unfair Omissive, Definition 1) — may insert finite bursts of
 //!   omissive interactions between any two consecutive interactions of the
-//!   run, forever → [`RateStrategy`];
+//!   run, forever → [`RateStrategy`] and [`BurstStrategy`];
 //! * **NO** (Eventually Non-Omissive, Definition 2) — inserts omissions
-//!   only before finitely many positions → [`HorizonStrategy`] and
-//!   [`BoundedStrategy`];
+//!   only before finitely many positions → [`BoundedStrategy`] and
+//!   [`OmissionSchedule`](crate::OmissionSchedule);
 //! * **NO1** — at most one omission in the whole run →
-//!   [`AtMostOneStrategy`];
+//!   [`OmissionSchedule::at_steps`](crate::OmissionSchedule::at_steps)
+//!   with one step;
 //! * the assumption of simulator `SKnO` — at most `o` omissions ever →
-//!   [`BoundedStrategy`];
-//! * exact fault schedules for the impossibility constructions →
-//!   [`ScriptedOmissions`].
+//!   [`BoundedStrategy`].
 //!
 //! Strategies decide only *whether* an interaction is omissive. For
 //! two-way models, *which side* loses the transmission is sampled by a
-//! [`SidePolicy`].
-
-use std::collections::BTreeSet;
+//! [`SidePolicy`]. The exact runs of the impossibility constructions fix
+//! the interactions and their faults together; they bypass the
+//! adversary through [`Runner::apply_planned`](crate::Runner::apply_planned).
 
 use rand::{Rng, RngCore};
 
@@ -74,7 +73,7 @@ pub trait OmissionStrategy {
     /// applies many interactions at once, so it cannot consult
     /// [`decide`](Self::decide) per interaction; instead it thins each bulk
     /// pair-group binomially at this rate. Strategies whose decisions depend
-    /// on the step index or on history (horizons, budgets, bursts, scripts)
+    /// on the step index or on history (budgets, bursts, schedules)
     /// return `None` and are rejected by the epoch path with
     /// [`EngineError::EpochIncompatible`](crate::EngineError::EpochIncompatible).
     fn iid_rate(&self) -> Option<f64> {
@@ -88,8 +87,8 @@ pub trait OmissionStrategy {
     /// shared RNG stream, so pairs can only be drawn in bulk (the batched
     /// fast path) when the fault decisions between them are RNG-free.
     /// The conservative default is `true` (no bulk drawing); strategies
-    /// that decide deterministically — [`NoOmissions`],
-    /// [`AtMostOneStrategy`], [`ScriptedOmissions`] — override to
+    /// that decide deterministically — [`NoOmissions`] and
+    /// [`OmissionSchedule`](crate::OmissionSchedule) — override to
     /// `false`. Overriding falsely on a strategy that *does* draw would
     /// silently reorder the RNG stream; the `step_eq_batched_*` rows of
     /// the differential harness (`tests/differential.rs`) pin the
@@ -204,53 +203,6 @@ impl OmissionStrategy for RateStrategy {
     }
 }
 
-/// **NO adversary**: omissive with probability `rate`, but only before
-/// interaction `horizon`; afterwards it never interferes again.
-#[derive(Clone, Debug)]
-pub struct HorizonStrategy {
-    rate: f64,
-    horizon: u64,
-    injected: u64,
-}
-
-impl HorizonStrategy {
-    /// Creates an NO adversary active before `horizon` with the given rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= rate <= 1.0`.
-    pub fn new(rate: f64, horizon: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        HorizonStrategy {
-            rate,
-            horizon,
-            injected: 0,
-        }
-    }
-
-    /// First step index at which this adversary is guaranteed quiet.
-    pub fn horizon(&self) -> u64 {
-        self.horizon
-    }
-}
-
-impl OmissionStrategy for HorizonStrategy {
-    fn decide(&mut self, step: u64, rng: &mut dyn RngCore) -> bool {
-        if step >= self.horizon {
-            return false;
-        }
-        let omissive = rng.gen_bool(self.rate);
-        self.injected += omissive as u64;
-        omissive
-    }
-    fn injected(&self) -> u64 {
-        self.injected
-    }
-    fn budget(&self) -> Option<u64> {
-        Some(self.horizon)
-    }
-}
-
 /// Budgeted adversary: omissive with probability `rate` until `limit`
 /// total omissions have been injected — the fault assumption of simulator
 /// `SKnO` ("at most `o` omissions in the whole run").
@@ -310,55 +262,6 @@ impl OmissionStrategy for BoundedStrategy {
     }
     fn budget(&self) -> Option<u64> {
         Some(self.limit)
-    }
-}
-
-/// **NO1 adversary**: exactly one omission, at a chosen step.
-///
-/// # Example
-///
-/// ```
-/// use ppfts_engine::{AtMostOneStrategy, OmissionStrategy};
-/// use rand::{rngs::SmallRng, SeedableRng};
-///
-/// let mut rng = SmallRng::seed_from_u64(0);
-/// let mut no1 = AtMostOneStrategy::at_step(5);
-/// let hits: Vec<u64> = (0..10).filter(|&t| no1.decide(t, &mut rng)).collect();
-/// assert_eq!(hits, vec![5]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct AtMostOneStrategy {
-    target_step: u64,
-    injected: u64,
-}
-
-impl AtMostOneStrategy {
-    /// The single omission hits interaction number `step`.
-    pub fn at_step(step: u64) -> Self {
-        AtMostOneStrategy {
-            target_step: step,
-            injected: 0,
-        }
-    }
-}
-
-impl OmissionStrategy for AtMostOneStrategy {
-    fn decide(&mut self, step: u64, _rng: &mut dyn RngCore) -> bool {
-        if self.injected == 0 && step == self.target_step {
-            self.injected = 1;
-            true
-        } else {
-            false
-        }
-    }
-    fn injected(&self) -> u64 {
-        self.injected
-    }
-    fn budget(&self) -> Option<u64> {
-        Some(1)
-    }
-    fn uses_rng(&self) -> bool {
-        false
     }
 }
 
@@ -431,50 +334,6 @@ impl OmissionStrategy for BurstStrategy {
     }
 }
 
-/// Exact fault schedule: omissive precisely at the listed step indices.
-///
-/// The attack builders of `ppfts-verify` translate the paper's
-/// constructions into a [`ScriptedScheduler`](crate::ScriptedScheduler)
-/// plus a `ScriptedOmissions`.
-#[derive(Clone, Debug, Default)]
-pub struct ScriptedOmissions {
-    steps: BTreeSet<u64>,
-    injected: u64,
-}
-
-impl ScriptedOmissions {
-    /// Creates a schedule that makes exactly the listed interaction indices
-    /// omissive.
-    pub fn new(steps: impl IntoIterator<Item = u64>) -> Self {
-        ScriptedOmissions {
-            steps: steps.into_iter().collect(),
-            injected: 0,
-        }
-    }
-
-    /// Number of scheduled omissions (injected or not).
-    pub fn scheduled(&self) -> usize {
-        self.steps.len()
-    }
-}
-
-impl OmissionStrategy for ScriptedOmissions {
-    fn decide(&mut self, step: u64, _rng: &mut dyn RngCore) -> bool {
-        let omissive = self.steps.contains(&step);
-        self.injected += omissive as u64;
-        omissive
-    }
-    fn injected(&self) -> u64 {
-        self.injected
-    }
-    fn budget(&self) -> Option<u64> {
-        Some(self.steps.len() as u64)
-    }
-    fn uses_rng(&self) -> bool {
-        false
-    }
-}
-
 /// How a two-way runner chooses *which side* an omissive interaction hits.
 ///
 /// One-way models have a single possible omission (the lone `s → r`
@@ -501,6 +360,7 @@ impl SidePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OmissionSchedule, RateSegment};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -515,7 +375,12 @@ mod tests {
     #[test]
     fn horizon_strategy_goes_quiet() {
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut adv = HorizonStrategy::new(1.0, 4);
+        let first_four = RateSegment {
+            from: 0,
+            until: 4,
+            rate: 1.0,
+        };
+        let mut adv = OmissionSchedule::new(vec![], vec![first_four], None, 0);
         let pattern: Vec<bool> = (0..8).map(|t| adv.decide(t, &mut rng)).collect();
         assert_eq!(
             pattern,
@@ -536,20 +401,21 @@ mod tests {
     #[test]
     fn at_most_one_fires_once_even_if_step_repeats() {
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut adv = AtMostOneStrategy::at_step(3);
+        let mut adv = OmissionSchedule::at_steps([3]);
         assert!(!adv.decide(2, &mut rng));
         assert!(adv.decide(3, &mut rng));
         assert!(!adv.decide(3, &mut rng));
         assert_eq!(adv.injected(), 1);
+        assert_eq!(adv.budget(), Some(1));
     }
 
     #[test]
     fn scripted_hits_exactly_listed_steps() {
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut adv = ScriptedOmissions::new([1, 4]);
+        let mut adv = OmissionSchedule::at_steps([4, 1, 4]);
         let hits: Vec<u64> = (0..6).filter(|&t| adv.decide(t, &mut rng)).collect();
         assert_eq!(hits, vec![1, 4]);
-        assert_eq!(adv.scheduled(), 2);
+        assert_eq!(adv.events().len(), 2);
         assert_eq!(adv.budget(), Some(2));
     }
 
@@ -575,11 +441,9 @@ mod tests {
     fn uses_rng_classifies_the_built_in_strategies() {
         // Deterministic deciders — eligible for bulk pair drawing.
         assert!(!NoOmissions.uses_rng());
-        assert!(!AtMostOneStrategy::at_step(3).uses_rng());
-        assert!(!ScriptedOmissions::new([1, 4]).uses_rng());
+        assert!(!OmissionSchedule::at_steps([1, 4]).uses_rng());
         // Probabilistic deciders — must stay interleaved.
         assert!(RateStrategy::new(0.1).uses_rng());
-        assert!(HorizonStrategy::new(0.1, 10).uses_rng());
         assert!(BoundedStrategy::new(0.1, 2).uses_rng());
         assert!(BurstStrategy::new(0.1, 0.5).uses_rng());
     }
@@ -589,11 +453,9 @@ mod tests {
         assert_eq!(NoOmissions.iid_rate(), Some(0.0));
         assert_eq!(RateStrategy::new(0.25).iid_rate(), Some(0.25));
         // History- and step-dependent strategies are not i.i.d.
-        assert_eq!(HorizonStrategy::new(0.5, 10).iid_rate(), None);
         assert_eq!(BoundedStrategy::new(0.5, 3).iid_rate(), None);
-        assert_eq!(AtMostOneStrategy::at_step(1).iid_rate(), None);
+        assert_eq!(OmissionSchedule::at_steps([1]).iid_rate(), None);
         assert_eq!(BurstStrategy::new(0.1, 0.5).iid_rate(), None);
-        assert_eq!(ScriptedOmissions::new([2]).iid_rate(), None);
         // The blanket &mut impl forwards: passing `&mut adv` by value
         // makes `A = &mut RateStrategy`, the impl under test.
         #[allow(clippy::needless_pass_by_value)]

@@ -12,8 +12,8 @@
 //!
 //! * [`Configuration`] — a pair is an [`Interaction`] (two agent
 //!   indices) produced by the runner's [`Scheduler`]. All per-agent
-//!   machinery (step records, scripted schedules, planned sequences)
-//!   is available.
+//!   machinery (step records, targeted omission events, planned
+//!   sequences) is available.
 //! * [`CountConfiguration`] — a pair is the two drawn *states*; agent
 //!   identities never exist. Pairs are sampled straight from the counts
 //!   with exactly the uniform scheduler's law (see

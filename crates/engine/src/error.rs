@@ -68,7 +68,7 @@ pub enum EngineError {
     /// i.i.d. rate
     /// ([`OmissionStrategy::iid_rate`](crate::OmissionStrategy::iid_rate))
     /// and no single step can be watched for a quiet window.
-    /// Step-indexed, budgeted, or scripted fault schedules and
+    /// Budgeted, burst, or step-indexed adversaries and
     /// [`Stop::quiet`](crate::Stop::quiet) need the interleaved path
     /// ([`Batched`](crate::Batched)).
     EpochIncompatible {

@@ -19,13 +19,14 @@
 //!   family, including the omission-detection hooks `o` and `h`,
 //! * [`outcome`] — the pure state-pair semantics of one interaction,
 //! * [`OmissionStrategy`] and implementations — the adversaries **UO**,
-//!   **NO**, **NO1**, plus bounded and scripted variants,
+//!   **NO**, **NO1**, plus a bounded variant and the step-indexed
+//!   [`OmissionSchedule`],
 //! * [`Scheduler`] and implementations — uniform-random (globally fair with
 //!   probability 1), graph-aware ([`TopologyScheduler`]: uniform random
 //!   edge of an arbitrary connected
 //!   [`Topology`](ppfts_population::Topology), of which uniform-random is
-//!   the complete-graph instance), round-robin fair, and scripted
-//!   schedulers, each advertising its [`InteractionLaw`] for typed
+//!   the complete-graph instance), and round-robin fair schedulers,
+//!   each advertising its [`InteractionLaw`] for typed
 //!   backend/scheduler capability negotiation at build time,
 //! * [`Runner`] — the one deterministic, seedable execution driver for
 //!   both families, generic over the model's [`Family`] (sealed:
@@ -104,8 +105,7 @@ mod stats;
 mod trace;
 
 pub use adversary::{
-    AtMostOneStrategy, BoundedStrategy, BurstStrategy, HorizonStrategy, NoOmissions,
-    OmissionStrategy, RateStrategy, ScriptedOmissions, SidePolicy,
+    BoundedStrategy, BurstStrategy, NoOmissions, OmissionStrategy, RateStrategy, SidePolicy,
 };
 pub use backend::ExecBackend;
 pub use batch::{run_seeds, run_seeds_with_progress, DistSummary, SeedSummary};
@@ -120,8 +120,7 @@ pub use runner::{
 };
 pub use schedule::{OmissionSchedule, RateSegment, ScheduledEvent};
 pub use scheduler::{
-    InteractionLaw, RoundRobinScheduler, Scheduler, ScriptedScheduler, TopologyScheduler,
-    UniformScheduler,
+    InteractionLaw, RoundRobinScheduler, Scheduler, TopologyScheduler, UniformScheduler,
 };
 pub use sink::{FullTrace, SampledTrace, StatsOnly, TraceSink};
 pub use stats::RunStats;

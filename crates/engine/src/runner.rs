@@ -715,7 +715,7 @@ where
                 .iid_rate()
                 .ok_or(EngineError::EpochIncompatible {
                     feature: "omission adversaries without a fixed i.i.d. rate \
-                              (step-indexed, budgeted, burst, or scripted schedules)",
+                              (budgeted, burst, or step-indexed schedules)",
                 })?
         } else {
             0.0
@@ -799,7 +799,7 @@ where
     /// omission adversary) but no per-agent operations: assembling one
     /// with a recording sink fails at `build()` with
     /// [`EngineError::PerAgentBackendRequired`], a scheduler whose law
-    /// counts cannot realize (restricted topology, scripted, round-robin)
+    /// counts cannot realize (restricted topology, round-robin)
     /// fails with [`EngineError::CompleteInteractionLawRequired`], and
     /// `step` / `apply_planned` report
     /// [`EngineError::PerAgentBackendRequired`] when called.
@@ -988,10 +988,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        AtMostOneStrategy, FullTrace, RateStrategy, SampledTrace, ScriptedOmissions,
-        ScriptedScheduler, TwoWayFault,
-    };
+    use crate::{FullTrace, OmissionSchedule, RateStrategy, SampledTrace, TwoWayFault};
     use ppfts_population::TableProtocol;
 
     struct Epidemic;
@@ -1082,14 +1079,14 @@ mod tests {
 
     #[test]
     fn bulk_drawn_batches_match_scalar_run_bitwise() {
-        // ScriptedOmissions decides without the RNG, so batched runs
+        // A step schedule decides without the RNG, so batched runs
         // take the bulk pair-drawing path; the stream, configuration,
         // stats, and fault placement must match the scalar loop exactly.
         let build = || {
             OneWayRunner::builder(OneWayModel::I3, Epidemic)
                 .config(Configuration::new(vec![true, false, false, false, false]))
                 .scheduler(TopologyScheduler::new(Topology::ring(5).unwrap()))
-                .adversary(ScriptedOmissions::new([3, 17, 90, 91]))
+                .adversary(OmissionSchedule::at_steps([3, 17, 90, 91]))
                 .seed(7)
                 .trace_sink(FullTrace::new())
                 .build()
@@ -1114,7 +1111,7 @@ mod tests {
         let base = || {
             TwoWayRunner::builder(TwoWayModel::T1, pairing())
                 .config(Configuration::new(vec!['c', 'p', 'c', 'p']))
-                .adversary(ScriptedOmissions::new([2]))
+                .adversary(OmissionSchedule::at_steps([2]))
         };
         // Uniform side pick draws when a fault fires: not bulk-eligible.
         let r = base().build().unwrap();
@@ -1361,19 +1358,13 @@ mod tests {
         // (c, p) meet but the reactor side omits: in T1 the starter still
         // applies fs, turning c -> s while p survives — the exact hazard
         // the paper's impossibility proofs exploit.
-        let script = ScriptedScheduler::new(
-            vec![Interaction::new(0, 1).unwrap()],
-            UniformScheduler::new(),
-        );
         let mut runner = TwoWayRunner::builder(TwoWayModel::T1, pairing())
             .config(Configuration::new(vec!['c', 'p']))
-            .scheduler(script)
-            .adversary(ScriptedOmissions::new([0]))
-            .side_policy(SidePolicy::Always(TwoWayFault::Reactor))
             .build()
             .unwrap();
-        let rec = runner.step().unwrap();
-        assert_eq!(rec.fault, TwoWayFault::Reactor);
+        let omit = Planned::new(Interaction::new(0, 1).unwrap(), TwoWayFault::Reactor);
+        runner.apply_planned([omit]).unwrap();
+        assert_eq!(runner.stats().omissive_steps, 1);
         assert_eq!(runner.config().as_slice(), &['s', 'p']);
     }
 
@@ -1626,7 +1617,7 @@ mod tests {
     fn at_most_one_injects_single_omission() {
         let mut runner = OneWayRunner::builder(OneWayModel::I1, Epidemic)
             .config(Configuration::new(vec![true, false, false]))
-            .adversary(AtMostOneStrategy::at_step(0))
+            .adversary(OmissionSchedule::at_steps([0]))
             .seed(5)
             .build()
             .unwrap();
@@ -1782,7 +1773,7 @@ mod tests {
         use ppfts_population::CountConfiguration;
         let mut runner = OneWayRunner::builder(OneWayModel::I3, Epidemic)
             .population(CountConfiguration::from_groups([(true, 1), (false, 9)]))
-            .adversary(AtMostOneStrategy::at_step(3))
+            .adversary(OmissionSchedule::at_steps([3]))
             .trace_sink(StatsOnly)
             .build()
             .unwrap();
@@ -1804,7 +1795,7 @@ mod tests {
         // adversary is never consulted and the epoch path runs.
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Epidemic)
             .population(CountConfiguration::from_groups([(true, 1), (false, 9)]))
-            .adversary(AtMostOneStrategy::at_step(3))
+            .adversary(OmissionSchedule::at_steps([3]))
             .trace_sink(StatsOnly)
             .build()
             .unwrap();

@@ -1,10 +1,13 @@
 //! Deterministic scheduled-omission adversary.
 //!
-//! [`OmissionSchedule`] is the execution form of a fuzzer genome: a
+//! [`OmissionSchedule`] is the engine's one step-indexed adversary: a
 //! finite list of one-shot omission events (optionally *targeted* at an
 //! agent, e.g. a sweep-cut vertex) plus rate segments whose
 //! per-step decisions come from the RNG-free
-//! [`hash_bernoulli`](ppfts_population::dist::hash_bernoulli) hash.
+//! [`hash_bernoulli`](ppfts_population::dist::hash_bernoulli) hash. It is
+//! the execution form of a fuzzer genome, and through
+//! [`OmissionSchedule::at_steps`] an exact list of omissive steps (the
+//! NO1 adversary when the list has one step).
 //! Because nothing here consumes the shared RNG stream
 //! ([`uses_rng`](crate::OmissionStrategy::uses_rng)` == false`), a run
 //! under a schedule replays bit-identically from the same seed, and the
@@ -48,21 +51,13 @@ impl ScheduledEvent {
         }
     }
 
-    /// Whether `step` lies inside this event's window.
-    #[must_use]
-    fn window_contains(&self, step: u64) -> bool {
-        self.from <= step && step < self.until
-    }
-
     fn matches(&self, step: u64, interaction: Option<Interaction>) -> bool {
-        if !self.window_contains(step) {
-            return false;
-        }
-        match (self.target, interaction) {
-            (Some(t), Some(i)) => i.involves(t.into()),
-            // No target, or no identities to match against: eligible.
-            _ => true,
-        }
+        (self.from..self.until).contains(&step)
+            && match (self.target, interaction) {
+                (Some(t), Some(i)) => i.involves(t.into()),
+                // No target, or no identities to match against: eligible.
+                _ => true,
+            }
     }
 }
 
@@ -144,6 +139,27 @@ impl OmissionSchedule {
         }
     }
 
+    /// An exact fault schedule: one untargeted [`ScheduledEvent::at`] on
+    /// each listed step (sorted, duplicates dropped), with no segments,
+    /// no cap and salt 0. A single step is the paper's NO1 adversary.
+    ///
+    /// ```
+    /// use ppfts_engine::{OmissionSchedule, OmissionStrategy};
+    /// use rand::{rngs::SmallRng, SeedableRng};
+    ///
+    /// let mut rng = SmallRng::seed_from_u64(0);
+    /// let mut no1 = OmissionSchedule::at_steps([5]);
+    /// let hits: Vec<u64> = (0..10).filter(|&t| no1.decide(t, &mut rng)).collect();
+    /// assert_eq!(hits, vec![5]);
+    /// assert_eq!(no1.budget(), Some(1));
+    /// ```
+    #[must_use]
+    pub fn at_steps(steps: impl IntoIterator<Item = u64>) -> Self {
+        let steps: std::collections::BTreeSet<u64> = steps.into_iter().collect();
+        let events = steps.into_iter().map(ScheduledEvent::at).collect();
+        OmissionSchedule::new(events, vec![], None, 0)
+    }
+
     /// The one-shot events of this schedule.
     #[must_use]
     pub fn events(&self) -> &[ScheduledEvent] {
@@ -185,22 +201,6 @@ impl OmissionSchedule {
                 .enumerate()
                 .any(|(i, s)| s.fires(step, self.salt, i))
     }
-
-    /// Worst-case number of omissions the schedule can still inject,
-    /// if finite: the cap when one is set, otherwise the event count
-    /// plus the total segment window length (segments can fire at most
-    /// once per step).
-    fn max_injections(&self) -> Option<u64> {
-        if let Some(limit) = self.limit {
-            return Some(limit);
-        }
-        let windows: u64 = self
-            .segments
-            .iter()
-            .map(|s| s.until.saturating_sub(s.from))
-            .fold(0u64, u64::saturating_add);
-        Some((self.events.len() as u64).saturating_add(windows))
-    }
 }
 
 impl OmissionStrategy for OmissionSchedule {
@@ -237,8 +237,18 @@ impl OmissionStrategy for OmissionSchedule {
         self.injected
     }
 
+    /// The cap when one is set, otherwise the event count plus the
+    /// total segment window length (segments fire at most once per step).
     fn budget(&self) -> Option<u64> {
-        self.max_injections()
+        if self.limit.is_some() {
+            return self.limit;
+        }
+        let windows = self
+            .segments
+            .iter()
+            .map(|s| s.until.saturating_sub(s.from))
+            .fold(0u64, u64::saturating_add);
+        Some((self.events.len() as u64).saturating_add(windows))
     }
 
     fn uses_rng(&self) -> bool {

@@ -9,18 +9,17 @@
 //! the literature. [`TopologyScheduler`] generalizes it to restricted
 //! interaction graphs (uniform random edge, both orientations) — the
 //! uniform scheduler *is* its complete-graph instance, bit-identically.
-//! [`ScriptedScheduler`] realizes the *specific* interaction
-//! sequences that the paper's impossibility constructions require, and
 //! [`RoundRobinScheduler`] provides a deterministic fair rotation useful in
-//! ablation benches.
+//! ablation benches. The *specific* interaction sequences of the paper's
+//! impossibility constructions are not dealt by a scheduler: they are
+//! replayed, faults included, by
+//! [`Runner::apply_planned`](crate::Runner::apply_planned).
 //!
 //! Schedulers advertise their [`InteractionLaw`], the typed capability
 //! that backends and builders negotiate over: a count-based population
 //! backend can only realize the uniform complete-graph law, and a
 //! topology-bound scheduler pins the population size — both mismatches
 //! are rejected when the runner is built, not mid-run.
-
-use std::collections::VecDeque;
 
 use ppfts_population::{Interaction, Topology};
 use rand::{Rng, RngCore};
@@ -47,8 +46,8 @@ pub enum InteractionLaw {
     /// [`Topology`]. Requires per-agent identities (which pairs may meet
     /// depends on *which* agents hold which states).
     Topological,
-    /// Distinguishes agents by index — scripted prefixes, rotations, or
-    /// any other stateful index-addressed dealing.
+    /// Distinguishes agents by index — rotations, or any other stateful
+    /// index-addressed dealing.
     IndexAddressed,
 }
 
@@ -303,66 +302,13 @@ impl Scheduler for TopologyScheduler {
     }
 }
 
-/// Plays a fixed script of interactions, then falls back to an inner
-/// scheduler.
-///
-/// This is the scheduler used to realize the runs `I`, `I_k` and `I*` of
-/// the paper's Lemma 1 / Theorem 3.2 constructions: a finite, adversarially
-/// chosen prefix followed by an arbitrary globally fair continuation.
-///
-/// # Example
-///
-/// ```
-/// use ppfts_engine::{Scheduler, ScriptedScheduler, UniformScheduler};
-/// use ppfts_population::Interaction;
-/// use rand::{rngs::SmallRng, SeedableRng};
-///
-/// let script = vec![Interaction::new(0, 1)?, Interaction::new(1, 0)?];
-/// let mut sched = ScriptedScheduler::new(script, UniformScheduler::new());
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// assert_eq!(sched.next_interaction(4, &mut rng), Interaction::new(0, 1)?);
-/// assert_eq!(sched.next_interaction(4, &mut rng), Interaction::new(1, 0)?);
-/// # Ok::<(), ppfts_population::PopulationError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct ScriptedScheduler<F = UniformScheduler> {
-    script: VecDeque<Interaction>,
-    fallback: F,
-}
-
-impl<F: Scheduler> ScriptedScheduler<F> {
-    /// Creates a scheduler that plays `script` in order, then delegates to
-    /// `fallback` forever.
-    pub fn new(script: impl IntoIterator<Item = Interaction>, fallback: F) -> Self {
-        ScriptedScheduler {
-            script: script.into_iter().collect(),
-            fallback,
-        }
-    }
-}
-
-impl<F: Scheduler> Scheduler for ScriptedScheduler<F> {
-    fn next_interaction(&mut self, n: usize, rng: &mut dyn RngCore) -> Interaction {
-        match self.script.pop_front() {
-            Some(i) => {
-                debug_assert!(
-                    i.check_bounds(n).is_ok(),
-                    "scripted interaction out of bounds"
-                );
-                i
-            }
-            None => self.fallback.next_interaction(n, rng),
-        }
-    }
-}
-
 /// Deterministic fair rotation: deals every ordered pair once per round,
 /// in a per-round shuffled order.
 ///
 /// Unlike [`UniformScheduler`] this guarantees a hard fairness bound —
 /// every ordered pair occurs exactly once every `n·(n-1)` steps — at the
 /// cost of less realistic mobility. Used by the scheduler-ablation bench
-/// (DESIGN.md D3).
+/// (`ppfts-bench`'s `schedulers`).
 ///
 /// # Example
 ///
@@ -464,22 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn scripted_plays_then_falls_back() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let script = vec![
-            Interaction::new(2, 0).unwrap(),
-            Interaction::new(0, 1).unwrap(),
-        ];
-        let mut sched = ScriptedScheduler::new(script.clone(), UniformScheduler::new());
-        assert_eq!(sched.next_interaction(3, &mut rng), script[0]);
-        assert_eq!(sched.script.len(), 1);
-        assert_eq!(sched.next_interaction(3, &mut rng), script[1]);
-        // Fallback still yields valid interactions.
-        let i = sched.next_interaction(3, &mut rng);
-        assert!(i.check_bounds(3).is_ok());
-    }
-
-    #[test]
     fn round_robin_round_is_a_permutation_of_all_pairs() {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut sched = RoundRobinScheduler::new();
@@ -497,10 +427,6 @@ mod tests {
         assert!(UniformScheduler::new().law().count_realizable());
         assert_eq!(
             RoundRobinScheduler::new().law(),
-            InteractionLaw::IndexAddressed
-        );
-        assert_eq!(
-            ScriptedScheduler::new([], UniformScheduler::new()).law(),
             InteractionLaw::IndexAddressed
         );
         let complete = TopologyScheduler::new(Topology::complete(4).unwrap());

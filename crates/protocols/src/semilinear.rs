@@ -10,13 +10,15 @@
 //! computational power the paper's theorems quantify over.
 //!
 //! Mechanics: the compiled state is a vector with one slot per atom.
-//! Threshold slots run the flock-of-birds dynamics (cap-and-conserve
-//! merge plus an epidemically spreading `detected` flag); remainder slots
-//! run the active/passive mod-`m` merge with opinion flooding. An agent's
-//! output evaluates the boolean expression over its per-atom opinions,
-//! and stabilizes because each atom's opinion does.
+//! Threshold slots step with [`FlockOfBirds`] (cap-and-conserve merge
+//! plus an epidemically spreading `detected` flag); remainder slots step
+//! with [`Remainder`] (the active/passive mod-`m` merge with opinion
+//! flooding). An agent's output evaluates the boolean expression over its
+//! per-atom opinions, and stabilizes because each atom's opinion does.
 
 use ppfts_population::{Semantics, TwoWayProtocol};
+
+use crate::{FlockOfBirds, FlockState, Remainder, RemainderState};
 
 /// One atom of a semilinear predicate over `arity` input symbols.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,22 +124,13 @@ impl PredicateExpr {
 }
 
 /// Per-atom slot of the compiled protocol's state.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AtomState {
-    /// Flock-of-birds slot: capped count plus the irreversible flag.
-    Threshold {
-        /// Accumulated weight, saturated at the atom's threshold.
-        value: u32,
-        /// Whether the threshold is known to be reached.
-        detected: bool,
-    },
+    /// Flock-of-birds slot: weight saturated at the atom's threshold,
+    /// plus the irreversible flag.
+    Threshold(FlockState),
     /// Remainder slot: active partial sum or passive, plus the opinion.
-    Remainder {
-        /// `Some(v)`: active with partial sum `v`; `None`: passive.
-        value: Option<u32>,
-        /// Current output opinion of this slot.
-        opinion: bool,
-    },
+    Remainder(RemainderState),
 }
 
 /// A semilinear predicate compiled to a two-way population protocol.
@@ -253,106 +246,38 @@ impl SemilinearProtocol {
         Ok(SemilinearProtocol { atoms, expr, arity })
     }
 
-    fn atom_delta(&self, atom: &Atom, s: &AtomState, r: &AtomState) -> (AtomState, AtomState) {
+    /// Steps one slot with its atom's protocol; `new` has rejected the
+    /// degenerate atoms those constructors panic on.
+    fn atom_delta(atom: &Atom, s: &AtomState, r: &AtomState) -> (AtomState, AtomState) {
         match (atom, s, r) {
             (
                 Atom::Threshold { threshold, .. },
-                AtomState::Threshold {
-                    value: u,
-                    detected: du,
-                },
-                AtomState::Threshold {
-                    value: v,
-                    detected: dv,
-                },
+                AtomState::Threshold(u),
+                AtomState::Threshold(v),
             ) => {
-                let k = *threshold;
-                let total = u + v;
-                let kept = total.min(k);
-                let reached = total >= k || *du || *dv;
-                (
-                    AtomState::Threshold {
-                        value: kept,
-                        detected: reached,
-                    },
-                    AtomState::Threshold {
-                        value: total - kept,
-                        detected: reached,
-                    },
-                )
+                let (u, v) = FlockOfBirds::new(*threshold).delta(u, v);
+                (AtomState::Threshold(u), AtomState::Threshold(v))
             }
             (
                 Atom::Remainder {
                     modulus, residue, ..
                 },
-                AtomState::Remainder { value: sv, .. },
-                AtomState::Remainder {
-                    value: rv,
-                    opinion: ro,
-                },
+                AtomState::Remainder(u),
+                AtomState::Remainder(v),
             ) => {
-                let m = *modulus;
-                let test = |v: u32| v % m == *residue;
-                match (sv, rv) {
-                    (Some(u), Some(v)) => {
-                        let merged = (u + v) % m;
-                        let opinion = test(merged);
-                        (
-                            AtomState::Remainder {
-                                value: Some(merged),
-                                opinion,
-                            },
-                            AtomState::Remainder {
-                                value: None,
-                                opinion,
-                            },
-                        )
-                    }
-                    (Some(u), None) => {
-                        let opinion = test(*u);
-                        (
-                            AtomState::Remainder {
-                                value: Some(*u),
-                                opinion,
-                            },
-                            AtomState::Remainder {
-                                value: None,
-                                opinion,
-                            },
-                        )
-                    }
-                    (None, Some(v)) => {
-                        let opinion = test(*v);
-                        (
-                            AtomState::Remainder {
-                                value: None,
-                                opinion,
-                            },
-                            AtomState::Remainder {
-                                value: Some(*v),
-                                opinion,
-                            },
-                        )
-                    }
-                    (None, None) => (
-                        s.clone(),
-                        AtomState::Remainder {
-                            value: None,
-                            opinion: *ro,
-                        },
-                    ),
-                }
+                let (u, v) = Remainder::new(*modulus, *residue).delta(u, v);
+                (AtomState::Remainder(u), AtomState::Remainder(v))
             }
             // Mixed slots cannot arise: encode() builds slots per atom.
-            _ => (s.clone(), r.clone()),
+            _ => (*s, *r),
         }
     }
 
     fn opinions(&self, q: &[AtomState]) -> Vec<bool> {
         q.iter()
             .map(|slot| match slot {
-                AtomState::Threshold { detected, .. } => *detected,
-                AtomState::Remainder { opinion, .. } => *opinion,
+                AtomState::Threshold(q) => q.detected,
+                AtomState::Remainder(q) => q.opinion,
             })
             .collect()
     }
@@ -367,7 +292,7 @@ impl TwoWayProtocol for SemilinearProtocol {
         let mut s2 = Vec::with_capacity(s.len());
         let mut r2 = Vec::with_capacity(r.len());
         for ((atom, sl), rl) in self.atoms.iter().zip(s).zip(r) {
-            let (a, b) = self.atom_delta(atom, sl, rl);
+            let (a, b) = Self::atom_delta(atom, sl, rl);
             s2.push(a);
             r2.push(b);
         }
@@ -390,10 +315,10 @@ impl Semantics for SemilinearProtocol {
             .map(|atom| match atom {
                 Atom::Threshold { coeffs, threshold } => {
                     let c = coeffs[*input];
-                    AtomState::Threshold {
-                        value: c.min(*threshold),
+                    AtomState::Threshold(FlockState {
+                        count: c.min(*threshold),
                         detected: c >= *threshold,
-                    }
+                    })
                 }
                 Atom::Remainder {
                     coeffs,
@@ -401,10 +326,10 @@ impl Semantics for SemilinearProtocol {
                     residue,
                 } => {
                     let v = coeffs[*input] % modulus;
-                    AtomState::Remainder {
+                    AtomState::Remainder(RemainderState {
                         value: Some(v),
                         opinion: v == *residue,
-                    }
+                    })
                 }
             })
             .collect()

@@ -221,7 +221,7 @@ impl<Q: State> SimulatorState for OptimistState<Q> {
 mod tests {
     use super::*;
     use ppfts_core::project;
-    use ppfts_engine::{AtMostOneStrategy, Batched, OneWayModel, OneWayRunner, Stop};
+    use ppfts_engine::{Batched, OmissionSchedule, OneWayModel, OneWayRunner, Stop};
     use ppfts_protocols::{Pairing, PairingState};
 
     fn sims(c: usize, p: usize) -> Vec<PairingState> {
@@ -253,7 +253,7 @@ mod tests {
         for omitted_step in 0..12 {
             let mut runner = OneWayRunner::builder(OneWayModel::I1, Optimist::new(Pairing))
                 .config(Optimist::<Pairing>::initial(&sims(1, 1)))
-                .adversary(AtMostOneStrategy::at_step(omitted_step))
+                .adversary(OmissionSchedule::at_steps([omitted_step]))
                 .seed(3)
                 .build()
                 .unwrap();
@@ -269,7 +269,7 @@ mod tests {
         for omitted_step in 0..8 {
             let mut runner = OneWayRunner::builder(OneWayModel::I2, Optimist::new(Pairing))
                 .config(Optimist::<Pairing>::initial(&sims(1, 1)))
-                .adversary(AtMostOneStrategy::at_step(omitted_step))
+                .adversary(OmissionSchedule::at_steps([omitted_step]))
                 .seed(9)
                 .build()
                 .unwrap();

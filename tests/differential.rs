@@ -35,10 +35,10 @@ use proptest::test_runner::{check, TestCaseError, TestRng};
 use ppfts::core::{NamedSid, Sid, Skno};
 use ppfts::engine::convergence::stably;
 use ppfts::engine::{
-    AtMostOneStrategy, Batched, BoundedStrategy, Epochs, Exec, ExecBackend, Family, FullTrace,
-    Model, NoOmissions, OmissionStrategy, OneWayModel, OneWayProgram, Program, RateStrategy,
-    RunOutcome, RunStats, Runner, SampledTrace, Scheduler, ScriptedOmissions, StatsOnly,
-    StepRecord, Stop, Trace, TraceSink, TwoWayModel, TwoWayProgram, TwoWayRunner, UniformScheduler,
+    Batched, BoundedStrategy, Epochs, Exec, ExecBackend, Family, FullTrace, Model, NoOmissions,
+    OmissionSchedule, OmissionStrategy, OneWayModel, OneWayProgram, Program, RateStrategy,
+    RunOutcome, RunStats, Runner, SampledTrace, ScheduledEvent, Scheduler, StatsOnly, StepRecord,
+    Stop, Trace, TraceSink, TwoWayModel, TwoWayProgram, TwoWayRunner, UniformScheduler,
 };
 use ppfts::population::{
     Configuration, CountConfiguration, Multiset, Population, Semantics, State, TableProtocol,
@@ -94,14 +94,18 @@ enum Topo {
     Rr,
 }
 
-/// The omission adversary. `Bounded` spends at most SKnO's `o`.
+/// The omission adversary. `Bounded` spends at most SKnO's `o`;
+/// `AtMostOne` and `AtSteps` omit at fixed steps; `Targeted` aims
+/// windowed one-shot events at agents, so its faults depend on the
+/// drawn pairs.
 #[derive(Clone, Copy, Debug)]
 enum Adv {
     None,
     Rate,
     Bounded,
     AtMostOne,
-    Scripted,
+    AtSteps,
+    Targeted,
 }
 
 /// One generated case; each row reads the fields it needs.
@@ -117,8 +121,8 @@ struct Scenario {
     inputs: Vec<u8>,
     /// Omission probability in percent.
     rate: u32,
-    /// Also picks the `Rr` graph, `AtMostOne`'s step and the sampled
-    /// sink's stride.
+    /// Also picks the `Rr` graph, `AtMostOne`'s step, `Targeted`'s
+    /// agents and the sampled sink's stride.
     seed: u64,
     steps: u64,
     batch: u64,
@@ -154,8 +158,21 @@ impl Scenario {
             (Adv::Rate, _) => Box::new(RateStrategy::new(rate)),
             (Adv::Bounded, Prog::Skno(_, o)) => Box::new(BoundedStrategy::new(rate, o.into())),
             (Adv::Bounded, p) => unreachable!("{p:?} has no omission bound"),
-            (Adv::AtMostOne, _) => Box::new(AtMostOneStrategy::at_step(self.seed % 400)),
-            (Adv::Scripted, _) => Box::new(ScriptedOmissions::new([2, 3, 40, 151])),
+            (Adv::AtMostOne, _) => Box::new(OmissionSchedule::at_steps([self.seed % 400])),
+            (Adv::AtSteps, _) => Box::new(OmissionSchedule::at_steps([2, 3, 40, 151])),
+            (Adv::Targeted, _) => {
+                // Windows of 3 steps: whether an event fires at all
+                // depends on the pairs drawn in its window.
+                let (n, offset) = (self.inputs.len() as u64, self.seed % 50);
+                let events = (0..8)
+                    .map(|k| ScheduledEvent {
+                        from: 50 * k + offset,
+                        until: 50 * k + offset + 3,
+                        target: Some(((self.seed + k) % n) as usize),
+                    })
+                    .collect();
+                Box::new(OmissionSchedule::new(events, vec![], None, 0))
+            }
         }
     }
 }
@@ -591,8 +608,11 @@ const SKNO_PAIRING: &[Prog] = &[
 ];
 
 rows! {
-    /// One-way `Or` under every one-way model and a rate adversary.
-    step_eq_batched_one_way: Space { models: ONE_WAY, advs: &[Adv::Rate], agents: 2..16,
+    /// One-way `Or` under every one-way model, under a rate adversary and
+    /// under targeted events, whose faults the bulk pair-draw path
+    /// decides on the drawn pairs.
+    step_eq_batched_one_way: Space { models: ONE_WAY, advs: &[Adv::Rate, Adv::Targeted],
+        agents: 2..16,
         steps: 0..400, batch: 1..260, ..ANY }, Bitwise, [STEP => BATCHED];
     /// SKnO (token-carrying states) under I3 with a bounded adversary,
     /// the workload E5 measures.
@@ -653,7 +673,8 @@ rows! {
         progs: &[Prog::Skno(Inner::Epidemic, 0), Prog::Skno(Inner::Epidemic, 1),
             Prog::Skno(Inner::Epidemic, 2)],
         topos: &[Topo::None, Topo::None, Topo::Complete, Topo::Ring, Topo::Star, Topo::Rr],
-        advs: &[Adv::Bounded, Adv::Rate, Adv::AtMostOne, Adv::Scripted], rates: 1..=20,
+        advs: &[Adv::Bounded, Adv::Rate, Adv::AtMostOne, Adv::AtSteps, Adv::Targeted],
+        rates: 1..=20,
         agents: 4..12, steps: 0..400, batch: 1..200, ..ANY }, Bitwise,
         [Side { scan: true, ..SCAN } => SCAN,
          Side { scan: true, run: Run::Batched, ..SCAN } => Side { run: Run::Batched, ..SCAN }];

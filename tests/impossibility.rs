@@ -6,7 +6,7 @@
 
 use ppfts::core::project;
 use ppfts::core::{Skno, SknoState};
-use ppfts::engine::{AtMostOneStrategy, Batched, OneWayModel, OneWayRunner, Stop};
+use ppfts::engine::{Batched, OmissionSchedule, OneWayModel, OneWayRunner, Stop};
 use ppfts::protocols::{Pairing, PairingState};
 use ppfts::verify::{
     lemma1_attack, no1_resilience, thm32_attack, AttackOutcome, Optimist, OptimistState,
@@ -104,7 +104,7 @@ fn thm33_graceful_degradation_threshold_is_at_most_one() {
                 PairingState::Consumer,
                 PairingState::Producer,
             ]))
-            .adversary(AtMostOneStrategy::at_step(omitted_step))
+            .adversary(OmissionSchedule::at_steps([omitted_step]))
             .seed(omitted_step)
             .build()
             .unwrap();
